@@ -17,6 +17,9 @@
 #                         batched; asserts the >= 3x floor on bitwise-
 #                         identical sampled tokens) + DPO pairs/s, written
 #                         to runs/bench_lm.json (see docs/lm.md)
+#   make perfbench        the end-to-end + per-layer benchmark: every
+#                         workload, untraced then traced, with its
+#                         correctness gates (see perfbench/README.md)
 #   make trace-demo       traced quick-pipeline run -> runs/quick.trace.json
 #                         (load it in https://ui.perfetto.dev) plus the
 #                         terminal report (hottest specs, stage breakdown)
@@ -29,7 +32,7 @@ PYTHON ?= python
 PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m pytest
 PYRUN := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON)
 
-.PHONY: tier1 lint bench bench-multicore bench-modelcheck bench-lm trace-demo jobs-demo
+.PHONY: tier1 lint bench bench-multicore bench-modelcheck bench-lm perfbench trace-demo jobs-demo
 
 lint:
 	$(PYRUN) -m repro.analysis.cli src/repro
@@ -48,6 +51,9 @@ bench-modelcheck:
 
 bench-lm:
 	$(PYTEST) benchmarks/test_bench_lm.py -q -s
+
+perfbench:
+	$(PYTHON) perfbench/all.py --seed 0 --seconds 20 --trace 1
 
 trace-demo:
 	$(PYRUN) examples/trace_demo.py runs/quick.trace.json

@@ -8,7 +8,9 @@ the short version:
 ==============================  =================================================
 ``atomic-write``                PR 2: ``FeedbackCache.save`` truncated the
                                 persisted cache on crash until writes became
-                                tmp + ``os.replace``.
+                                tmp + ``os.replace``; later, checkpoint
+                                weights went to disk via a bare
+                                ``np.savez_compressed(path, ...)``.
 ``falsy-default``               PR 3: ``evaluate_model(num_samples=0)`` and
                                 ``FeedbackCache.load(max_entries=0)`` silently
                                 became the defaults through ``x = arg or d``.
@@ -149,11 +151,14 @@ def _with_acquires_lock(node, locks: set) -> bool:
 class AtomicWriteRule:
     """Persistent-path writes must go through :mod:`repro.utils.atomic`.
 
-    Flags ``open(..., "w"/"wb"/"w+")``, ``Path.open("w")``, ``.write_text()``
-    and ``.write_bytes()`` anywhere outside the whitelisted atomic-write
-    helper module.  A crash (or a concurrent reader) mid-write must never
-    observe a truncated artifact; the tmp + ``os.replace`` idiom lives in one
-    place so every writer inherits it.
+    Flags ``open(..., "w"/"wb"/"w+")``, ``Path.open("w")``, ``.write_text()``,
+    ``.write_bytes()`` and ``np.save`` / ``np.savez`` /
+    ``np.savez_compressed`` on a path anywhere outside the whitelisted
+    atomic-write helper module.  A crash (or a concurrent reader) mid-write
+    must never observe a truncated artifact; the tmp + ``os.replace`` idiom
+    lives in one place so every writer inherits it.  NumPy writers are clean
+    when their target is an ``io.BytesIO`` buffer (later handed to
+    ``write_bytes_atomic``).
     """
 
     rule_id = "atomic-write"
@@ -162,14 +167,23 @@ class AtomicWriteRule:
     #: The one module allowed to open files for (over)writing directly.
     WHITELIST_SUFFIXES = ("repro/utils/atomic.py",)
 
+    #: NumPy functions that truncate and rewrite a file when given a path.
+    NUMPY_WRITERS = {
+        f"{module}.{name}" for module in ("np", "numpy") for name in ("save", "savez", "savez_compressed")
+    }
+
+    #: Constructors of in-memory buffers, safe targets for the NumPy writers.
+    BUFFER_CONSTRUCTORS = {"io.BytesIO", "BytesIO"}
+
     def check(self, context: FileContext) -> Iterator[Finding]:
         """Yield findings for direct truncating writes in ``context``."""
         if context.posix_path.endswith(self.WHITELIST_SUFFIXES):
             return
+        buffers = self._buffer_names(context.tree)
         for node in ast.walk(context.tree):
             if not isinstance(node, ast.Call):
                 continue
-            what = self._truncating_write(node)
+            what = self._truncating_write(node, buffers)
             if what is not None:
                 yield Finding(
                     file=context.path,
@@ -177,14 +191,39 @@ class AtomicWriteRule:
                     rule_id=self.rule_id,
                     message=(
                         f"{what} writes in place — a crash mid-write corrupts the file; "
-                        "use repro.utils.atomic (write_text_atomic / dump_json_atomic / "
-                        "AtomicTextWriter)"
+                        "use repro.utils.atomic (write_text_atomic / write_bytes_atomic / "
+                        "dump_json_atomic; serialise NumPy archives into io.BytesIO first)"
                     ),
                 )
 
-    @staticmethod
-    def _truncating_write(node: ast.Call) -> str | None:
+    @classmethod
+    def _is_buffer(cls, node) -> bool:
+        return isinstance(node, ast.Call) and dotted_name(node.func) in cls.BUFFER_CONSTRUCTORS
+
+    @classmethod
+    def _buffer_names(cls, tree) -> set:
+        """Names bound to an ``io.BytesIO()`` anywhere in the file (``=`` or ``with ... as``)."""
+        names: set = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and cls._is_buffer(node.value):
+                names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+            elif isinstance(node, ast.withitem) and cls._is_buffer(node.context_expr):
+                if isinstance(node.optional_vars, ast.Name):
+                    names.add(node.optional_vars.id)
+        return names
+
+    @classmethod
+    def _truncating_write(cls, node: ast.Call, buffers: set) -> str | None:
         func = node.func
+        name = dotted_name(func)
+        if name in cls.NUMPY_WRITERS:
+            target = node.args[0] if node.args else None
+            for keyword in node.keywords:
+                if keyword.arg == "file":
+                    target = keyword.value
+            if cls._is_buffer(target) or (isinstance(target, ast.Name) and target.id in buffers):
+                return None
+            return f"{name}() on a path"
         if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
             return f".{func.attr}()"
         mode = None

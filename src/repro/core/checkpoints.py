@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
@@ -10,15 +11,20 @@ import numpy as np
 from repro.errors import TrainingError
 from repro.lm.tokenizer import Tokenizer
 from repro.lm.transformer import ModelConfig, TransformerLM
-from repro.utils.atomic import write_text_atomic
+from repro.utils.atomic import write_bytes_atomic, write_text_atomic
 
 
 def save_model(model: TransformerLM, tokenizer: Tokenizer, directory: str | Path) -> Path:
-    """Persist weights (``.npz``), model config and tokenizer (``.json``)."""
+    """Persist weights (``.npz``), model config and tokenizer (``.json``).
+
+    All three are serialised before the first write, so a save that fails
+    while serialising leaves the previous checkpoint untouched.  Each file is
+    then written atomically: a failure mid-write leaves every file complete,
+    old or new, never truncated.
+    """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    state = model.state_dict()
-    np.savez_compressed(directory / "weights.npz", **state)
+    weights = io.BytesIO()
+    np.savez_compressed(weights, **model.state_dict())
     config = {
         "vocab_size": model.config.vocab_size,
         "max_seq_len": model.config.max_seq_len,
@@ -27,10 +33,11 @@ def save_model(model: TransformerLM, tokenizer: Tokenizer, directory: str | Path
         "num_layers": model.config.num_layers,
         "hidden_dim": model.config.hidden_dim,
     }
-    # Atomic: re-saving over an existing checkpoint must never leave a
-    # truncated config/tokenizer next to already-replaced weights.
-    write_text_atomic(directory / "config.json", json.dumps(config, indent=2))
-    write_text_atomic(directory / "tokenizer.json", json.dumps(tokenizer.to_dict(), indent=2))
+    config_text = json.dumps(config, indent=2)
+    tokenizer_text = json.dumps(tokenizer.to_dict(), indent=2)
+    write_bytes_atomic(directory / "weights.npz", weights.getvalue())
+    write_text_atomic(directory / "config.json", config_text)
+    write_text_atomic(directory / "tokenizer.json", tokenizer_text)
     return directory
 
 

@@ -34,32 +34,12 @@ class FeedbackConfig:
 class PipelineConfig:
     """Everything needed to run the full DPO-AF loop.
 
-    ``stream_training`` switches :meth:`~repro.core.pipeline.DPOAFPipeline.run`
-    from the phase-sequential path (collect every pair, then encode, then
-    train — the default, bitwise-reference behaviour) to the staged
-    producer/consumer path: verification, pair construction, encoding and
-    training overlap, with epoch-1 mini-batching starting once
-    ``stream_warmup_fraction`` of the training tasks have verified.
-    ``stream_pairs_path`` optionally writes every encoded pair to a JSONL
-    shard as it lands (a durable encoding later runs can reload without
-    re-ranking or re-tokenising); ``stream_buffer_pairs`` bounds
-    the pair channel between verification and encoding (back-pressure on the
-    producer; 0 means unbounded).
-
     ``trace_path`` enables run tracing: spans from every stage (sampling,
     verification — worker processes included — pair construction, training)
     are exported to this path as a Chrome/Perfetto trace-event file at the
     end of :meth:`~repro.core.pipeline.DPOAFPipeline.run`, summarisable with
     ``repro-trace report``.  ``None`` (the default) keeps tracing off, with
     results bitwise-identical to a traced run.
-
-    ``batched_sampling`` (default on) decodes each sampling frontier — the
-    m responses × N tasks of pair collection, and every task of a model
-    evaluation — as one KV-cached batched wave
-    (:func:`repro.lm.decode.sample_response_frontier`) instead of one serial
-    ``sample_responses`` call per task.  Both paths spawn identical per-lane
-    RNG streams, so sampled text — and therefore every downstream artifact —
-    is bitwise-identical either way, on every serving backend.
     """
 
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
@@ -69,22 +49,7 @@ class PipelineConfig:
     serving: ServingConfig = field(default_factory=ServingConfig)
     corpus_samples_per_task: int = 32
     seed: int = 0
-    stream_training: bool = False
-    stream_warmup_fraction: float = 0.25
-    stream_pairs_path: str | None = None
-    stream_buffer_pairs: int = 4096
     trace_path: str | None = None
-    batched_sampling: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.stream_warmup_fraction <= 1.0:
-            raise ValueError(
-                f"stream_warmup_fraction must be in [0, 1], got {self.stream_warmup_fraction}"
-            )
-        if self.stream_buffer_pairs < 0:
-            raise ValueError(
-                f"stream_buffer_pairs must be >= 0, got {self.stream_buffer_pairs}"
-            )
 
 
 def quick_pipeline_config(seed: int = 0, *, shared_cache_dir: str | None = None) -> PipelineConfig:

@@ -4,11 +4,10 @@ The pipeline wires every substrate together:
 
 1. build the synthetic corpus and *pre-train* the numpy language model
    (standing in for the already-trained Llama2-7B);
-2. for each training task, *sample* ``m`` responses from the model — by
-   default the whole m×N frontier decodes as one KV-cached batched wave
-   (:func:`repro.lm.decode.sample_response_frontier`;
-   ``PipelineConfig.batched_sampling`` falls back to the serial per-task
-   loop, with bitwise-identical text either way);
+2. for each training task, *sample* ``m`` responses from the model — the
+   whole m×N frontier decodes as one KV-cached batched wave
+   (:func:`repro.lm.decode.sample_response_frontier`), token-identical to the
+   serial :func:`repro.lm.sampling.sample_responses` oracle;
 3. construct a controller from every response (GLM2FSA) and compute
    *automated feedback* — formal verification against the task's world model,
    or empirical evaluation in the simulator; all scoring routes through the
@@ -16,28 +15,18 @@ The pipeline wires every substrate together:
    (``serving.backend`` selects serial/thread/process execution of cache
    misses, and ``serving.shared_cache_dir`` warm-starts runs from a cache
    directory shared with the benchmarks and the ``repro-serve`` CLI).
-   Sampling and verification are *overlapped*: each task's responses are
-   submitted asynchronously (``FeedbackService.submit_batch``) as soon as
-   they are sampled, so task *k+1* samples on the main thread while task
-   *k* verifies on the pipeline's dispatcher — batches execute in submission
-   order, keeping every score bitwise-identical to the serial loop.  If the
-   serving config bounds in-flight work (``max_inflight_batches`` /
-   ``max_inflight_jobs``), the sampling loop blocks under back-pressure
-   instead of queueing unbounded batches;
-4. turn the feedback ranking into preference pairs — *streamed*: each task's
-   pairs are built the moment its scores complete
+   Each task's responses are submitted asynchronously
+   (``FeedbackService.submit_batch``) and verify on the pipeline's
+   dispatcher in submission order, keeping every score bitwise-identical to
+   a serial loop.  If the serving config bounds in-flight work
+   (``max_inflight_batches`` / ``max_inflight_jobs``), submission blocks
+   under back-pressure instead of queueing unbounded batches;
+4. turn the feedback ranking into preference pairs — each task's pairs are
+   built the moment its scores complete
    (:func:`repro.serving.scheduler.as_completed`), overlapping pair
    construction with the verification of later batches, while the final
-   pair list is assembled in task order so it is bitwise-identical to the
-   blocking path (``rank_to_pairs`` itself is order-independent) — then run
-   *DPO with LoRA*.  With ``PipelineConfig.stream_training=True`` this whole
-   step becomes a staged producer/consumer pipeline (``collect → augment →
-   encode → train``, see :meth:`DPOAFPipeline._run_streaming` and
-   ``docs/pipeline.md``): pairs cross a
-   :class:`~repro.dpo.stream.PairStream` into an incremental
-   :class:`~repro.dpo.stream.DPODatasetWriter`, and epoch-1 mini-batching
-   starts once ``stream_warmup_fraction`` of the tasks have verified —
-   before the slowest task's verification has finished;
+   pair list is assembled in task order (``rank_to_pairs`` itself is
+   order-independent) — then run *DPO with LoRA*;
 5. *evaluate* checkpoints by re-sampling responses and counting satisfied
    specifications on the training and validation task splits (Figure 9) and
    in the simulator (Figure 11).
@@ -46,8 +35,6 @@ The pipeline wires every substrate together:
 from __future__ import annotations
 
 import dataclasses
-import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,8 +42,7 @@ import numpy as np
 from repro.obs import tracer as obs
 from repro.obs.metrics import MetricsRegistry
 from repro.core.config import FeedbackConfig, PipelineConfig, SamplingConfig
-from repro.dpo.stream import DPODatasetWriter, PairStream
-from repro.dpo.trainer import DPOResult, DPOTrainer, run_dpo
+from repro.dpo.trainer import DPOResult, run_dpo
 from repro.driving.specifications import all_specifications
 from repro.driving.tasks import DrivingTask, training_tasks, validation_tasks
 from repro.errors import TrainingError
@@ -65,56 +51,28 @@ from repro.feedback.ranker import rank_to_pairs
 from repro.lm.corpus import build_corpus, format_prompt
 from repro.lm.decode import sample_response_frontier
 from repro.lm.pretrain import PretrainResult, pretrain
-from repro.lm.sampling import sample_responses
 from repro.lm.tokenizer import Tokenizer
 from repro.lm.transformer import TransformerLM
 from repro.serving.scheduler import Dispatcher, FeedbackService, as_completed
 from repro.utils.rng import seeded_rng
 
 
-def _stream_completed(pending):
-    """Yield ``(index, metadata, scores)`` from ``pending`` in completion order.
-
-    ``pending`` is a list of tuples whose last element is a
-    :class:`~repro.serving.scheduler.PendingBatch`; ``index`` is the tuple's
-    position, so a consumer can process results as verification finishes yet
-    still assemble its output in submission order for determinism.
-    """
-    by_handle = {entry[-1]: (index, entry[:-1]) for index, entry in enumerate(pending)}
-    for handle in as_completed(by_handle):
-        index, metadata = by_handle[handle]
-        yield index, metadata, handle.result()
-
-
-def _stream_in_order(pending, build):
-    """Yield one ``build(metadata, scores)`` result per entry, in submission order.
-
-    ``build`` runs in verification-*completion* order, but results are
-    released as each contiguous *prefix* of the submission order completes —
-    the producer discipline of the streaming training path: a downstream
-    consumer (the pair stream feeding the dataset writer) receives task
-    *k*'s pairs as soon as tasks ``0..k`` have all verified, preserving the
-    canonical task order while still overlapping everything behind the
-    slowest outstanding batch.
-    """
-    results: dict = {}
-    next_index = 0
-    for index, metadata, scores in _stream_completed(pending):
-        results[index] = build(metadata, scores)
-        while next_index in results:
-            yield results.pop(next_index)
-            next_index += 1
-
-
 def _drain_in_order(pending, build) -> list:
     """One ``build(metadata, scores)`` result per ``pending`` entry, in order.
 
-    ``build`` runs in verification-*completion* order — downstream work (pair
-    construction, evaluation assembly) overlaps the batches still in flight —
-    while the returned list follows submission order, keeping streamed
-    results bitwise-identical to the blocking path.
+    ``pending`` holds tuples whose last element is a
+    :class:`~repro.serving.scheduler.PendingBatch`; ``metadata`` is the rest
+    of the tuple.  ``build`` runs in verification-*completion* order, so
+    downstream work (pair construction, evaluation assembly) overlaps the
+    batches still in flight, while the returned list follows submission
+    order, keeping results bitwise-identical to a blocking drain.
     """
-    return list(_stream_in_order(pending, build))
+    by_handle = {entry[-1]: (index, entry[:-1]) for index, entry in enumerate(pending)}
+    results: list = [None] * len(pending)
+    for handle in as_completed(by_handle):
+        index, metadata = by_handle[handle]
+        results[index] = build(metadata, handle.result())
+    return results
 
 
 @dataclass
@@ -167,18 +125,11 @@ class PipelineResult:
     after_evaluation: ModelEvaluation
     checkpoint_evaluations: dict = field(default_factory=dict)   # epoch -> ModelEvaluation
     serving_metrics: dict = field(default_factory=dict)          # FeedbackService telemetry
-    stream_telemetry: dict = field(default_factory=dict)         # staged-run timings (stream_training=True)
 
     @property
     def improvement(self) -> float:
         """Headline number: satisfaction ratio after minus before fine-tuning."""
         return self.after_evaluation.satisfaction_ratio() - self.before_evaluation.satisfaction_ratio()
-
-
-#: Default cap on template-augmentation pairs per task — shared by the
-#: blocking `augment_with_templates` and the streaming producer, so the two
-#: paths can never silently diverge on it.
-TEMPLATE_PAIRS_PER_TASK = 6
 
 
 class DPOAFPipeline:
@@ -219,10 +170,6 @@ class DPOAFPipeline:
         # single snapshot at the end and embeds it in the exported trace.
         self.metrics_registry = MetricsRegistry()
         self.metrics_registry.register_provider("serving", self.serving.metrics.snapshot)
-        self._last_stream_telemetry: dict = {}
-        self.metrics_registry.register_provider(
-            "stream", lambda: dict(self._last_stream_telemetry)
-        )
         self.metrics_registry.register_provider(
             "dispatcher", lambda: {"queued_batches": self.dispatcher.queued_batches}
         )
@@ -250,87 +197,39 @@ class DPOAFPipeline:
         """Number of specifications the response's controller satisfies."""
         return self.serving.score_response(task, response)
 
-    def _submit_sampled_batches(
+    def _sample_and_submit(
         self,
         model: TransformerLM,
         tokenizer: Tokenizer,
-        *,
+        tasks,
+        num_samples: int,
         sampling: SamplingConfig,
         rng,
     ) -> list:
-        """Sample every training task and submit its batch for verification.
+        """Sample ``num_samples`` responses per task and submit each task's batch.
 
-        Returns ``(task, prompt, responses, PendingBatch)`` tuples in task
-        order.  Submission is asynchronous: verification runs on the
-        pipeline's dispatcher while sampling continues here, and a configured
-        in-flight bound blocks the sampling loop (back-pressure) rather than
-        queueing unbounded batches.
-
-        With ``batched_sampling`` (the default) the whole m×N frontier decodes
-        as one KV-cached wave before the batches are submitted in task order;
-        the serial fallback samples task by task, overlapping task *k*'s
-        verification with task *k+1*'s sampling.  Both arms consume the same
-        per-lane RNG spawn sequence from ``rng``, so the sampled text — and
-        every downstream score and pair — is bitwise-identical.
+        The whole frontier decodes as one KV-cached batched wave, then the
+        batches are submitted for verification in task order.  Returns
+        ``(task, prompt, responses, PendingBatch)`` tuples in task order.
+        Submission is asynchronous — verification runs on the pipeline's
+        dispatcher — and a configured in-flight bound blocks here
+        (back-pressure) rather than queueing unbounded batches.
         """
-        pending = []
-        prompts = [format_prompt(task) for task in self.tasks]
-        if self.config.batched_sampling:
-            frontier = sample_response_frontier(
-                model,
-                tokenizer,
-                prompts,
-                [sampling.responses_per_prompt] * len(prompts),
-                temperature=sampling.temperature,
-                top_k=sampling.top_k,
-                max_new_tokens=sampling.max_new_tokens,
-                rng=rng,
-            )
-            for task, prompt, responses in zip(self.tasks, prompts, frontier):
-                pending.append((task, prompt, responses, self.serving.submit_responses(task, responses)))
-            return pending
-        for task, prompt in zip(self.tasks, prompts):
-            responses = sample_responses(
-                model,
-                tokenizer,
-                prompt,
-                sampling.responses_per_prompt,
-                temperature=sampling.temperature,
-                top_k=sampling.top_k,
-                max_new_tokens=sampling.max_new_tokens,
-                seed=rng,
-            )
-            pending.append((task, prompt, responses, self.serving.submit_responses(task, responses)))
-        return pending
-
-    def _submit_template_batches(self) -> list:
-        """Submit every task's template-library candidates for verification."""
-        from repro.driving.responses import VAGUE_RESPONSES, response_templates
-
-        pending = []
-        for task in self.tasks:
-            prompt = format_prompt(task)
-            compliant = response_templates(task.name, "compliant")
-            flawed = response_templates(task.name, "flawed")
-            candidates = list(compliant) + list(flawed[:2]) + [VAGUE_RESPONSES[0]]
-            pending.append((task, prompt, candidates, self.serving.submit_responses(task, candidates)))
-        return pending
-
-    @staticmethod
-    def _build_task_pairs(metadata, scores) -> list:
-        """One sampled task's preference pairs from its landed scores."""
-        task, prompt, responses = metadata
-        return rank_to_pairs(prompt, responses, scores, task=task.name)
-
-    @staticmethod
-    def _build_template_pairs(per_task: int):
-        """A ``build`` callback ranking one task's templates, capped per task."""
-
-        def build(metadata, scores):
-            task, prompt, candidates = metadata
-            return rank_to_pairs(prompt, candidates, scores, task=task.name)[:per_task]
-
-        return build
+        prompts = [format_prompt(task) for task in tasks]
+        frontier = sample_response_frontier(
+            model,
+            tokenizer,
+            prompts,
+            [num_samples] * len(prompts),
+            temperature=sampling.temperature,
+            top_k=sampling.top_k,
+            max_new_tokens=sampling.max_new_tokens,
+            rng=rng,
+        )
+        return [
+            (task, prompt, responses, self.serving.submit_responses(task, responses))
+            for task, prompt, responses in zip(tasks, prompts, frontier)
+        ]
 
     def collect_preference_pairs(
         self,
@@ -343,31 +242,52 @@ class DPOAFPipeline:
         """Sample responses per training task, score them, and build pairs."""
         sampling = sampling if sampling is not None else self.config.sampling
         rng = seeded_rng(self.config.seed if seed is None else seed)
-        pending = self._submit_sampled_batches(model, tokenizer, sampling=sampling, rng=rng)
+        pending = self._sample_and_submit(
+            model, tokenizer, self.tasks, sampling.responses_per_prompt, sampling, rng
+        )
+
         # Build each task's pairs the moment its scores arrive instead of
         # draining batches in task order — pair construction overlaps the
         # verification still in flight.  rank_to_pairs is order-independent
         # and the final list is assembled in task order, so the result is
         # bitwise-identical to the blocking score_batch path.
+        def build(metadata, scores):
+            task, prompt, responses = metadata
+            return rank_to_pairs(prompt, responses, scores, task=task.name)
+
         pairs = []
-        for task_pairs in _drain_in_order(pending, self._build_task_pairs):
+        for task_pairs in _drain_in_order(pending, build):
             pairs.extend(task_pairs)
         return pairs
 
-    def augment_with_templates(self, pairs: list, *, per_task: int = TEMPLATE_PAIRS_PER_TASK) -> list:
+    def augment_with_templates(self, pairs: list, *, per_task: int = 6) -> list:
         """Add template-based preference pairs when sampling yields too few.
 
         The paper collects ~3000 pairs by sampling Llama2 at scale; at our
         scale a freshly pre-trained small model sometimes produces nearly
         identical responses whose feedback ties.  Pairs built from the
         response library (scored by the same verifier) keep the DPO dataset
-        informative without changing the feedback mechanism.
+        informative without changing the feedback mechanism.  At most
+        ``per_task`` pairs are added per task.
         """
-        pending = self._submit_template_batches()
-        # Streamed like collect_preference_pairs: rank each task's templates
-        # as its scores land, then append in task order for determinism.
+        from repro.driving.responses import VAGUE_RESPONSES, response_templates
+
+        pending = []
+        for task in self.tasks:
+            compliant = response_templates(task.name, "compliant")
+            flawed = response_templates(task.name, "flawed")
+            candidates = list(compliant) + list(flawed[:2]) + [VAGUE_RESPONSES[0]]
+            pending.append(
+                (task, format_prompt(task), candidates, self.serving.submit_responses(task, candidates))
+            )
+
+        # Ranked as each task's scores land, appended in task order.
+        def build(metadata, scores):
+            task, prompt, candidates = metadata
+            return rank_to_pairs(prompt, candidates, scores, task=task.name)[:per_task]
+
         augmented = list(pairs)
-        for task_pairs in _drain_in_order(pending, self._build_template_pairs(per_task)):
+        for task_pairs in _drain_in_order(pending, build):
             augmented.extend(task_pairs)
         return augmented
 
@@ -397,47 +317,18 @@ class DPOAFPipeline:
         ``num_samples`` falls back to the sampling config only when omitted —
         an explicit 0 means "sample nothing" (``is None`` check, not
         truthiness), which evaluates every task to an empty count list.
-
-        Like pair collection, the evaluation frontier decodes as one batched
-        wave under ``batched_sampling`` and task-by-task otherwise, with
-        bitwise-identical responses either way.
         """
         tasks = list(tasks) if tasks is not None else list(self.tasks) + list(self.validation)
         if num_samples is None:
             num_samples = self.config.sampling.responses_per_prompt
-        rng = seeded_rng(seed)
-        pending = []
-        prompts = [format_prompt(task) for task in tasks]
-        if self.config.batched_sampling:
-            frontier = sample_response_frontier(
-                model,
-                tokenizer,
-                prompts,
-                [num_samples] * len(prompts),
-                temperature=self.config.sampling.temperature,
-                top_k=self.config.sampling.top_k,
-                max_new_tokens=self.config.sampling.max_new_tokens,
-                rng=rng,
-            )
-            for task, responses in zip(tasks, frontier):
-                pending.append((task, self.serving.submit_responses(task, responses)))
-        else:
-            for task, prompt in zip(tasks, prompts):
-                responses = sample_responses(
-                    model,
-                    tokenizer,
-                    prompt,
-                    num_samples,
-                    temperature=self.config.sampling.temperature,
-                    top_k=self.config.sampling.top_k,
-                    max_new_tokens=self.config.sampling.max_new_tokens,
-                    seed=rng,
-                )
-                pending.append((task, self.serving.submit_responses(task, responses)))
-        # Consume in completion order, report in task order — same streaming
-        # discipline as pair construction.
+        pending = self._sample_and_submit(
+            model, tokenizer, tasks, num_samples, self.config.sampling, seeded_rng(seed)
+        )
+
+        # Consume in completion order, report in task order — same discipline
+        # as pair construction.
         def build(metadata, counts):
-            (task,) = metadata
+            task = metadata[0]
             return TaskEvaluation(
                 task=task.name,
                 split=task.split,
@@ -445,9 +336,7 @@ class DPOAFPipeline:
                 satisfied_counts=counts,
             )
 
-        evaluation = ModelEvaluation()
-        evaluation.per_task.extend(_drain_in_order(pending, build))
-        return evaluation
+        return ModelEvaluation(per_task=_drain_in_order(pending, build))
 
     def evaluate_checkpoints(self, dpo_result: DPOResult, tokenizer: Tokenizer, *, num_samples: int = 2, seed: int = 99) -> dict:
         """Figure 9: specification satisfaction at every stored DPO checkpoint."""
@@ -463,13 +352,10 @@ class DPOAFPipeline:
     def run(self, *, evaluate_checkpoints: bool = False, augment_pairs: bool = True) -> PipelineResult:
         """Run the full DPO-AF loop and return every artifact.
 
-        With the default ``PipelineConfig.stream_training=False`` the stages
-        run phase-sequentially (collect every pair, encode, train) and the
-        result is the bitwise reference.  With ``stream_training=True`` the
-        ``collect → augment → encode → train`` stages overlap as a
-        producer/consumer pipeline (see :meth:`_run_streaming`); the sealed
-        training dataset is identical to the blocking one, and stage timings
-        land on ``PipelineResult.stream_telemetry``.
+        The stages run in order, each under its own ``pipeline.*`` span:
+        pretrain, evaluate the base model, collect preference pairs, augment
+        them with templates (unless ``augment_pairs=False``), train with DPO,
+        and evaluate the fine-tuned policy.
         """
         with obs.span("pipeline.pretrain", category="pipeline"):
             pretrain_result = self.pretrain_model()
@@ -477,23 +363,13 @@ class DPOAFPipeline:
 
         with obs.span("pipeline.evaluate", category="pipeline", phase="before"):
             before = self.evaluate_model(model, tokenizer)
-
-        stream_telemetry: dict = {}
-        if self.config.stream_training:
-            with obs.span("pipeline.stream_train", category="pipeline"):
-                pairs, dpo_result, stream_telemetry = self._run_streaming(
-                    model, tokenizer, augment_pairs=augment_pairs
-                )
-            self._last_stream_telemetry = stream_telemetry
-        else:
-            with obs.span("pipeline.collect_pairs", category="pipeline"):
-                pairs = self.collect_preference_pairs(model, tokenizer)
-            if augment_pairs:
-                with obs.span("pipeline.augment_pairs", category="pipeline"):
-                    pairs = self.augment_with_templates(pairs)
-            with obs.span("pipeline.train", category="pipeline"):
-                dpo_result = self.finetune(model, tokenizer, pairs)
-
+        with obs.span("pipeline.collect_pairs", category="pipeline"):
+            pairs = self.collect_preference_pairs(model, tokenizer)
+        if augment_pairs:
+            with obs.span("pipeline.augment_pairs", category="pipeline"):
+                pairs = self.augment_with_templates(pairs)
+        with obs.span("pipeline.train", category="pipeline"):
+            dpo_result = self.finetune(model, tokenizer, pairs)
         with obs.span("pipeline.evaluate", category="pipeline", phase="after"):
             after = self.evaluate_model(dpo_result.policy, tokenizer)
         checkpoint_evaluations = (
@@ -511,123 +387,7 @@ class DPOAFPipeline:
             after_evaluation=after,
             checkpoint_evaluations=checkpoint_evaluations,
             serving_metrics=serving_metrics,
-            stream_telemetry=stream_telemetry,
         )
-
-    def _run_streaming(self, model: TransformerLM, tokenizer: Tokenizer, *, augment_pairs: bool) -> tuple:
-        """The staged producer/consumer training-data path (``stream_training``).
-
-        Three concurrent stages share the pipeline's :class:`Dispatcher`:
-
-        * **producer** (background thread): samples each task — from a clone
-          of ``model``, so the trainer below can mutate the original —
-          submits its batch to the feedback service, and feeds each task's
-          pairs into a bounded :class:`~repro.dpo.stream.PairStream` in
-          canonical task order as contiguous prefixes of the verification
-          results complete (collect first, then template augmentation);
-        * **encoder** (background thread): a
-          :class:`~repro.dpo.stream.DPODatasetWriter` tokenises each pair the
-          moment it crosses the stream — overlapping CPU-bound encoding with
-          the verification still in flight — optionally spilling encoded
-          pairs to ``stream_pairs_path``, and seals the
-          :class:`~repro.dpo.stream.DatasetHandle` when the stream ends;
-        * **trainer** (this thread): starts epoch-1 mini-batching as soon as
-          ``stream_warmup_fraction`` of the tasks have verified and their
-          pairs encoded, then runs the remaining epochs on the sealed
-          dataset.
-
-        A failure in any stage aborts the stream and fails the handle, so the
-        other stages raise instead of deadlocking.  Returns ``(pairs,
-        dpo_result, stream_telemetry)``; the sealed dataset is equal — same
-        pair order, token ids and masks — to what the blocking path would
-        have built.
-        """
-        stage_start = time.perf_counter()
-        sample_model = model.clone()  # the trainer mutates `model` concurrently
-        stream = PairStream(maxsize=self.config.stream_buffer_pairs)
-        writer = DPODatasetWriter(
-            tokenizer,
-            max_seq_len=model.config.max_seq_len,
-            spill_path=self.config.stream_pairs_path,
-        )
-        handle = writer.handle
-        pairs: list = []
-        timings: dict = {}
-
-        # Failures do not need collecting here: a producer error aborts the
-        # stream, the encoder's consume() then fails the handle with it, and
-        # the trainer's next wait re-raises that same exception on this
-        # thread.
-        def produce() -> None:
-            started = time.perf_counter()
-            try:
-                with obs.span("pipeline.produce", category="pipeline"):
-                    self._produce_pairs(pairs, stream, handle, sample_model, tokenizer, augment_pairs)
-                stream.close()
-            except BaseException as exc:  # propagate, never hang the consumers
-                stream.abort(exc)
-            finally:
-                timings["producer_seconds"] = time.perf_counter() - started
-
-        def encode() -> None:
-            try:
-                with obs.span("pipeline.encode", category="pipeline"):
-                    writer.consume(stream)  # fails the handle itself on error
-            except BaseException as exc:
-                stream.abort(exc)  # unblock a producer stuck on a full stream
-
-        producer = threading.Thread(target=produce, name="pipeline-pair-producer", daemon=True)
-        encoder = threading.Thread(target=encode, name="pipeline-pair-encoder", daemon=True)
-        producer.start()
-        encoder.start()
-        try:
-            trainer = DPOTrainer(model, tokenizer, self.config.dpo)
-            handle.wait_trainable(self.config.stream_warmup_fraction)
-            timings["first_trainable_pair_seconds"] = time.perf_counter() - stage_start
-            dpo_result = trainer.train(
-                handle, stream=True, warmup_fraction=self.config.stream_warmup_fraction
-            )
-        finally:
-            producer.join()
-            encoder.join()
-        if not pairs:
-            raise TrainingError("no preference pairs were collected; cannot fine-tune")
-
-        telemetry = writer.telemetry.snapshot()
-        telemetry.update(timings)
-        telemetry["stage_total_seconds"] = time.perf_counter() - stage_start
-        telemetry["warmup_fraction"] = self.config.stream_warmup_fraction
-        telemetry["spill_path"] = (
-            str(self.config.stream_pairs_path) if self.config.stream_pairs_path else None
-        )
-        return pairs, dpo_result, telemetry
-
-    def _produce_pairs(self, pairs, stream, handle, sample_model, tokenizer, augment_pairs) -> None:
-        """The producer-thread body of :meth:`_run_streaming` (one span)."""
-        rng = seeded_rng(self.config.seed)
-        stages = [
-            (
-                self._submit_sampled_batches(
-                    sample_model, tokenizer, sampling=self.config.sampling, rng=rng
-                ),
-                self._build_task_pairs,
-            )
-        ]
-        if augment_pairs:
-            stages.append(
-                (
-                    self._submit_template_batches(),
-                    self._build_template_pairs(TEMPLATE_PAIRS_PER_TASK),
-                )
-            )
-        total = sum(len(pending) for pending, _ in stages)
-        done = 0
-        for pending, build in stages:
-            for task_pairs in _stream_in_order(pending, build):
-                pairs.extend(task_pairs)
-                stream.put_many(task_pairs)
-                done += 1
-                handle.report_progress(done, total)
 
     def _export_trace(self) -> None:
         """Export the run's spans (parent + worker shards) to ``trace_path``."""

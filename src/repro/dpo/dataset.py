@@ -4,11 +4,17 @@ Each :class:`~repro.feedback.ranker.PreferencePair` ``(x, y_w, y_l)`` becomes a
 pair of token sequences (prompt + chosen, prompt + rejected) plus masks that
 select the *response* target positions — DPO's log-probabilities are summed
 only over the response tokens.
+
+Encoded pairs also have a JSONL form, one :func:`encoded_pair_record` per
+line: ``repro-serve --pairs-output`` writes it, and
+:func:`read_encoded_pairs` loads it back without re-ranking or re-tokenising.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -32,10 +38,8 @@ class EncodedPair:
 def encode_preference_pair(pair: PreferencePair, tokenizer: Tokenizer, *, max_seq_len: int = 96) -> EncodedPair:
     """Tokenise one preference pair (truncating over-long sequences).
 
-    The single source of truth for pair encoding: both the blocking
-    :meth:`DPODataset.from_preference_pairs` batch path and the incremental
-    :class:`~repro.dpo.stream.DPODatasetWriter` call this, which is what makes
-    a streamed dataset bitwise-identical to a blocking-built one.
+    The single source of truth for pair encoding: :class:`DPODataset` and
+    ``repro-serve --pairs-output`` both call it.
     """
     if not isinstance(pair, PreferencePair):
         raise TrainingError(f"expected PreferencePair, got {type(pair)!r}")
@@ -51,18 +55,51 @@ def encode_preference_pair(pair: PreferencePair, tokenizer: Tokenizer, *, max_se
     )
 
 
+def encoded_pair_record(encoded: EncodedPair) -> dict:
+    """JSON-friendly record of one encoded pair (one line of a pairs file)."""
+    return {
+        "task": encoded.task,
+        "chosen_ids": list(encoded.chosen_ids),
+        "rejected_ids": list(encoded.rejected_ids),
+        "chosen_response_start": encoded.chosen_response_start,
+        "rejected_response_start": encoded.rejected_response_start,
+    }
+
+
+def read_encoded_pairs(path: str | Path) -> list:
+    """Load the :class:`EncodedPair` list of a JSONL pairs file.
+
+    A later process can rebuild a :class:`DPODataset` from the file (plus the
+    tokenizer it was encoded with) without re-ranking or re-tokenising.  A
+    malformed line raises ``ValueError`` naming the file and line.
+    """
+    pairs = []
+    with Path(path).open() as shard:  # line-by-line: pair files can exceed memory
+        for line_number, line in enumerate(shard, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                pairs.append(
+                    EncodedPair(
+                        chosen_ids=list(record["chosen_ids"]),
+                        rejected_ids=list(record["rejected_ids"]),
+                        chosen_response_start=int(record["chosen_response_start"]),
+                        rejected_response_start=int(record["rejected_response_start"]),
+                        task=record.get("task", ""),
+                    )
+                )
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(
+                    f"{path}:{line_number}: invalid encoded-pair record ({exc})"
+                ) from exc
+    return pairs
+
+
 @dataclass
 class DPODataset:
-    """A tokenised preference dataset ready for mini-batching.
-
-    Append-friendly: besides being built in one shot with
-    :meth:`from_preference_pairs`, a dataset can grow incrementally through
-    :meth:`append` / :meth:`extend` (the shape
-    :class:`~repro.dpo.stream.DPODatasetWriter` feeds while verification is
-    still in flight) and can materialise a mini-batch over any explicit index
-    window with :meth:`batch` — what the trainer's streamed first epoch uses
-    to consume a growing prefix.
-    """
+    """A tokenised preference dataset ready for mini-batching."""
 
     pairs: list = field(default_factory=list)          # list[EncodedPair]
     tokenizer: Tokenizer = None
@@ -87,20 +124,11 @@ class DPODataset:
         return dataset
 
     # ------------------------------------------------------------------ #
-    def append(self, pair) -> EncodedPair:
-        """Encode and append one pair; accepts raw or already-encoded pairs."""
-        encoded = (
-            pair
-            if isinstance(pair, EncodedPair)
-            else encode_preference_pair(pair, self.tokenizer, max_seq_len=self.max_seq_len)
-        )
+    def append(self, pair: PreferencePair) -> EncodedPair:
+        """Encode one raw preference pair and append it."""
+        encoded = encode_preference_pair(pair, self.tokenizer, max_seq_len=self.max_seq_len)
         self.pairs.append(encoded)
         return encoded
-
-    def extend(self, pairs) -> None:
-        """Append several raw or encoded pairs in order."""
-        for pair in pairs:
-            self.append(pair)
 
     # ------------------------------------------------------------------ #
     def _pad_batch(self, sequences: list, starts: list) -> tuple:
@@ -121,9 +149,7 @@ class DPODataset:
         """Materialise one mini-batch over an explicit index selection.
 
         ``indices`` is any integer sequence; the returned dictionary has the
-        same arrays :meth:`batches` yields.  Used directly by the streamed
-        trainer epoch, which batches over a contiguous, still-growing prefix
-        instead of a shuffled permutation.
+        same arrays :meth:`batches` yields.
         """
         index = np.asarray(list(indices), dtype=np.int64)
         chosen = [self.pairs[i].chosen_ids for i in index]
@@ -153,4 +179,5 @@ class DPODataset:
             yield self.batch(order[start: start + batch_size])
 
     def num_batches(self, batch_size: int) -> int:
+        """Mini-batches per epoch: the last one may be short."""
         return (len(self.pairs) + batch_size - 1) // batch_size

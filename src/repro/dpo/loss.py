@@ -13,14 +13,14 @@ The three reported metrics follow Section 5.2 of the paper:
 * **marginal preference** — the mean of the bracketed margin (0 = indifferent,
   positive = prefers the chosen response more than the reference model does).
 
-:func:`dpo_step` runs **fused** by default: chosen and rejected sequences are
-stacked into one ``(2B, T)`` batch per model, so a step costs one policy
-forward+backward and one reference forward instead of four policy passes and
-two reference passes.  Stacking is loss- and gradient-exact: the response mask
+:func:`dpo_step` stacks the chosen and rejected sequences into one ``(2B, T)``
+batch per model, so a step costs one policy forward+backward and one
+reference forward.  Stacking is loss- and gradient-exact: the response mask
 zeroes every padded target position, and with zero ``dlogits`` there the pad
-rows contribute nothing to any parameter gradient (summation order over the
-doubled batch may differ in the last float bit from the unfused path, which is
-why fused-vs-unfused tests compare with ``allclose`` rather than ``==``).
+rows contribute nothing to any parameter gradient.  (Summation order over the
+doubled batch may differ in the last float bit from running each half on its
+own, which is why the two-pass oracle in the test suite compares with
+``allclose`` rather than ``==``.)
 """
 
 from __future__ import annotations
@@ -95,32 +95,15 @@ def dpo_step(
     *,
     beta: float = 0.5,
     backward: bool = True,
-    fused: bool = True,
 ) -> DPOBatchMetrics:
     """Compute the DPO loss for one batch and (optionally) accumulate gradients.
 
     The gradient of the loss with respect to the policy's per-sequence
     log-probability is ``-β σ(-βh)/B`` for the chosen response and the opposite
     sign for the rejected response, where ``h`` is the preference margin.
-
-    With ``fused=True`` (the default) both halves run as one stacked batch per
-    model and one backward closure applies both coefficient signs at once.
-    ``fused=False`` keeps the original two-passes-per-model reference path —
-    slower, numerically equivalent — used by the equivalence tests.
+    Both halves run as one stacked batch per model, and one backward closure
+    applies both coefficient signs at once.
     """
-    if fused:
-        return _dpo_step_fused(policy, reference, batch, beta=beta, backward=backward)
-    return _dpo_step_unfused(policy, reference, batch, beta=beta, backward=backward)
-
-
-def _dpo_step_fused(
-    policy: TransformerLM,
-    reference: TransformerLM,
-    batch: dict,
-    *,
-    beta: float,
-    backward: bool,
-) -> DPOBatchMetrics:
     tokens, mask = stack_pair_batch(batch)
 
     # Reference (frozen) log-probabilities — never receive gradients.
@@ -140,53 +123,9 @@ def _dpo_step_fused(
 
     if backward:
         # One pass through the model: the chosen half descends (-c), the
-        # rejected half ascends (+c), exactly the two unfused closures summed.
+        # rejected half ascends (+c).
         backward_fn(np.concatenate([-coefficient, coefficient]))
 
-    return _metrics(losses, margin, policy_chosen, policy_rejected)
-
-
-def _dpo_step_unfused(
-    policy: TransformerLM,
-    reference: TransformerLM,
-    batch: dict,
-    *,
-    beta: float,
-    backward: bool,
-) -> DPOBatchMetrics:
-    chosen_tokens, chosen_mask = batch["chosen_tokens"], batch["chosen_mask"]
-    rejected_tokens, rejected_mask = batch["rejected_tokens"], batch["rejected_mask"]
-
-    ref_chosen = reference.sequence_log_probs(chosen_tokens, chosen_mask)
-    ref_rejected = reference.sequence_log_probs(rejected_tokens, rejected_mask)
-
-    # Policy log-probability of the rejected responses, without gradients, so
-    # the preference margin (and hence the per-sequence loss coefficients) can
-    # be computed before any backward pass.
-    policy_rejected = policy.sequence_log_probs(rejected_tokens, rejected_mask)
-
-    if backward:
-        policy_chosen, chosen_backward = policy.sequence_log_probs_with_grad(chosen_tokens, chosen_mask)
-    else:
-        policy_chosen = policy.sequence_log_probs(chosen_tokens, chosen_mask)
-        chosen_backward = None
-
-    margin = (policy_chosen - ref_chosen) - (policy_rejected - ref_rejected)
-    h = beta * margin
-    losses = -np.log(np.clip(sigmoid(h), 1e-12, None))
-    coefficient = sigmoid(-h) * beta / h.shape[0]
-
-    if backward:
-        # Chosen branch: caches are still valid from the forward above.
-        chosen_backward(-coefficient)
-        # Rejected branch: re-run the forward with gradients, then backpropagate.
-        _, rejected_backward = policy.sequence_log_probs_with_grad(rejected_tokens, rejected_mask)
-        rejected_backward(coefficient)
-
-    return _metrics(losses, margin, policy_chosen, policy_rejected)
-
-
-def _metrics(losses, margin, policy_chosen, policy_rejected) -> DPOBatchMetrics:
     return DPOBatchMetrics(
         loss=float(np.mean(losses)),
         accuracy=float(np.mean(policy_chosen > policy_rejected)),

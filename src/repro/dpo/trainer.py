@@ -1,18 +1,4 @@
-"""The DPO fine-tuning loop with LoRA and periodic checkpoints.
-
-:meth:`DPOTrainer.train` consumes either a frozen
-:class:`~repro.dpo.dataset.DPODataset` (the reference path) or a
-:class:`~repro.dpo.stream.DatasetHandle` still being written by a
-:class:`~repro.dpo.stream.DPODatasetWriter`.  Given a handle with
-``stream=False`` (the default) training simply blocks until the handle seals
-and then runs the exact same loop as the frozen dataset — bitwise-identical.
-With ``stream=True`` the *first* epoch is a streamed pass: mini-batching
-begins as soon as the handle's warm-up fraction of upstream work has landed,
-consuming pairs in their canonical arrival order while verification and
-encoding are still running; the handle must be sealed by the time that pass
-drains it, and every later epoch shuffles the sealed dataset exactly as the
-blocking loop would.
-"""
+"""The DPO fine-tuning loop with LoRA and periodic checkpoints."""
 
 from __future__ import annotations
 
@@ -47,16 +33,6 @@ class DPOConfig:
 
 
 @dataclass
-class _TrainState:
-    """Mutable step bookkeeping threaded through one ``train`` call."""
-
-    total_steps: int = 0
-    total_pairs: int = 0
-    progress_every: int = 0
-    stop: bool = False
-
-
-@dataclass
 class DPOResult:
     """Everything produced by one fine-tuning run."""
 
@@ -66,10 +42,11 @@ class DPOResult:
     checkpoints: dict = field(default_factory=dict)   # epoch -> state_dict
     lora_summary: dict = field(default_factory=dict)
     # Training throughput: {"steps", "pairs", "seconds", "steps_per_second",
-    # "pairs_per_second"} — the fused-forward benchmark lane reads these.
+    # "pairs_per_second"} — the DPO benchmark lane reads these.
     throughput: dict = field(default_factory=dict)
 
     def checkpoint_epochs(self) -> list:
+        """Epochs with a stored policy snapshot, ascending (0 is the start)."""
         return sorted(self.checkpoints)
 
     def model_at_epoch(self, epoch: int) -> TransformerLM:
@@ -102,70 +79,49 @@ class DPOTrainer:
                 LoRAConfig(rank=self.config.lora_rank, seed=self.config.seed),
             )
         self.optimizer = Adam(self.policy.parameters(), learning_rate=self.config.learning_rate)
-        # Streamed-training telemetry: seconds from trainer construction to
-        # the warm-up threshold being met (None until a streamed train runs).
-        self.first_batch_ready_seconds: float | None = None
-        self._constructed = time.perf_counter()
 
     # ------------------------------------------------------------------ #
-    def train(
-        self,
-        dataset,
-        *,
-        progress_every: int = 0,
-        stream: bool = False,
-        warmup_fraction: float = 0.25,
-    ) -> DPOResult:
-        """Fine-tune on a tokenised preference dataset (or a growing handle).
+    def train(self, dataset: DPODataset, *, progress_every: int = 0) -> DPOResult:
+        """Fine-tune on a tokenised preference dataset.
 
-        ``dataset`` is a :class:`~repro.dpo.dataset.DPODataset` or a
-        :class:`~repro.dpo.stream.DatasetHandle`.  With a handle and
-        ``stream=False`` training waits for the seal and is bitwise-identical
-        to passing the sealed dataset directly.  With ``stream=True`` the
-        first epoch starts once ``warmup_fraction`` of the upstream work has
-        landed (see :meth:`~repro.dpo.stream.DatasetHandle.wait_trainable`)
-        and consumes pairs in canonical arrival order; remaining epochs run
-        the standard shuffled loop on the sealed dataset.
+        Every epoch shuffles ``dataset`` with the config seed's generator and
+        takes one optimiser step per mini-batch.  The policy is checkpointed
+        before training, every ``checkpoint_every`` epochs and after the last
+        epoch; ``max_steps`` ends training early, after checkpointing the
+        epoch it stopped in.
         """
-        from repro.dpo.stream import DatasetHandle  # deferred: stream imports dataset
+        if len(dataset) == 0:
+            raise TrainingError("cannot run DPO on an empty preference dataset")
 
-        handle = dataset if isinstance(dataset, DatasetHandle) else None
-        if handle is not None and not stream:
-            dataset = handle.dataset()
-            handle = None
-        if handle is None:
-            if len(dataset) == 0:
-                raise TrainingError("cannot run DPO on an empty preference dataset")
-
-        rng = seeded_rng(self.config.seed)
+        config = self.config
+        max_steps = config.max_steps if config.max_steps is not None else float("inf")
+        rng = seeded_rng(config.seed)
         history = TrainingHistory()
         checkpoints: dict = {0: self.policy.state_dict()}
-        state = _TrainState(progress_every=progress_every)
+        total_steps = total_pairs = 0
         started = time.perf_counter()
 
-        first_epoch = 1
-        if handle is not None:
-            handle.wait_trainable(warmup_fraction)
-            self.first_batch_ready_seconds = time.perf_counter() - self._constructed
-            self._streamed_epoch(handle, history, state)
-            dataset = handle.dataset()  # the streamed pass drained it; sealed now
-            if len(dataset) == 0:
-                raise TrainingError("cannot run DPO on an empty preference dataset")
-            history.mark_epoch()
-            if 1 % self.config.checkpoint_every == 0 or self.config.num_epochs == 1:
-                checkpoints[1] = self.policy.state_dict()
-            first_epoch = 2
-
-        for epoch in range(first_epoch, self.config.num_epochs + 1):
-            if state.stop:
-                break
-            for batch in dataset.batches(self.config.batch_size, rng=rng, shuffle=True):
-                self._apply_batch(batch, epoch, history, state)
-                if state.stop:
+        for epoch in range(1, config.num_epochs + 1):
+            for batch in dataset.batches(config.batch_size, rng=rng, shuffle=True):
+                with obs.span("dpo.step", category="train", epoch=epoch, step=total_steps + 1):
+                    self.optimizer.zero_grad()
+                    metrics = dpo_step(self.policy, self.reference, batch, beta=config.beta)
+                    grad_norm = self.optimizer.step()
+                history.record(metrics, grad_norm)
+                total_steps += 1
+                total_pairs += int(len(batch["indices"]))
+                if progress_every and total_steps % progress_every == 0:  # pragma: no cover - console feedback
+                    print(
+                        f"[dpo] epoch {epoch} step {total_steps} "
+                        f"loss={metrics.loss:.3f} acc={metrics.accuracy:.2f} margin={metrics.marginal_preference:.2f}"
+                    )
+                if total_steps >= max_steps:
                     break
             history.mark_epoch()
-            if epoch % self.config.checkpoint_every == 0 or epoch == self.config.num_epochs:
+            if epoch % config.checkpoint_every == 0 or epoch == config.num_epochs:
                 checkpoints[epoch] = self.policy.state_dict()
+            if total_steps >= max_steps:
+                break
 
         seconds = time.perf_counter() - started
         return DPOResult(
@@ -175,50 +131,13 @@ class DPOTrainer:
             checkpoints=checkpoints,
             lora_summary=self.lora_summary,
             throughput={
-                "steps": state.total_steps,
-                "pairs": state.total_pairs,
+                "steps": total_steps,
+                "pairs": total_pairs,
                 "seconds": seconds,
-                "steps_per_second": state.total_steps / seconds if seconds > 0 else 0.0,
-                "pairs_per_second": state.total_pairs / seconds if seconds > 0 else 0.0,
+                "steps_per_second": total_steps / seconds if seconds > 0 else 0.0,
+                "pairs_per_second": total_pairs / seconds if seconds > 0 else 0.0,
             },
         )
-
-    # ------------------------------------------------------------------ #
-    def _apply_batch(self, batch: dict, epoch: int, history: TrainingHistory, state: "_TrainState") -> None:
-        """One optimiser step on one mini-batch, with history/telemetry."""
-        with obs.span("dpo.step", category="train", epoch=epoch, step=state.total_steps + 1):
-            self.optimizer.zero_grad()
-            metrics = dpo_step(self.policy, self.reference, batch, beta=self.config.beta)
-            grad_norm = self.optimizer.step()
-        history.record(metrics, grad_norm)
-        state.total_steps += 1
-        state.total_pairs += int(len(batch["indices"]))
-        if state.progress_every and state.total_steps % state.progress_every == 0:  # pragma: no cover - console feedback
-            print(
-                f"[dpo] epoch {epoch} step {state.total_steps} "
-                f"loss={metrics.loss:.3f} acc={metrics.accuracy:.2f} margin={metrics.marginal_preference:.2f}"
-            )
-        if self.config.max_steps is not None and state.total_steps >= self.config.max_steps:
-            state.stop = True
-
-    def _streamed_epoch(self, handle, history: TrainingHistory, state: "_TrainState") -> None:
-        """Epoch 1 of streamed training: consume the growing prefix in order.
-
-        Batches cover ``[position, position + batch_size)`` windows of the
-        handle's canonical pair order, waiting for pairs that have not landed
-        yet; the epoch ends when the handle is sealed and every pair has been
-        consumed exactly once.  Because arrival order equals canonical task
-        order, the pass is deterministic no matter how verification timing
-        interleaves with encoding.
-        """
-        dataset = handle.growing_dataset()
-        position = 0
-        while not state.stop:
-            end = handle.wait_available(position + self.config.batch_size)
-            if end <= position:
-                break  # sealed and fully consumed
-            self._apply_batch(dataset.batch(range(position, end)), 1, history, state)
-            position = end
 
 
 def run_dpo(

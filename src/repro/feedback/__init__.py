@@ -6,7 +6,6 @@ from repro.feedback.ranker import (
     FeedbackRanker,
     PreferencePair,
     canonical_ranking,
-    iter_ranked_pairs,
     max_pairs,
     rank_to_pairs,
     response_fingerprint,
@@ -21,7 +20,6 @@ __all__ = [
     "FeedbackRanker",
     "PreferencePair",
     "canonical_ranking",
-    "iter_ranked_pairs",
     "max_pairs",
     "rank_to_pairs",
     "response_fingerprint",

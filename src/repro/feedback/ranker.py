@@ -14,8 +14,8 @@ digest of the response text, and pairs are enumerated over that canonical
 ranking.  Two items that compare equal under the sort key are literally the
 same ``(response, score)`` pair, so their relative order cannot matter.
 
-This property is what lets the pipeline build preference pairs from
-*streaming* verification results
+This property is what lets the pipeline build each task's preference pairs
+as its verification batch completes
 (:meth:`~repro.serving.scheduler.FeedbackService.submit_batch` /
 :func:`~repro.serving.scheduler.as_completed`): no matter which batch
 finishes verification first, the pairs constructed from its scores are
@@ -72,58 +72,23 @@ def canonical_ranking(responses: Sequence[str], scores: Sequence) -> list:
     )
 
 
-def iter_ranked_pairs(
-    prompt: str,
-    responses: Sequence[str],
-    scores: Sequence[float],
-    *,
-    task: str = "",
-):
-    """Lazily yield one task's preference pairs in canonical order.
-
-    The generator core of :func:`rank_to_pairs`: pairs are enumerated over
-    the :func:`canonical_ranking` of the inputs, so the yielded *sequence*
-    (content and order) is invariant under any permutation of ``(responses,
-    scores)``.  Streaming consumers — the pipeline's pair producer feeding a
-    :class:`~repro.dpo.stream.PairStream` — can forward each pair downstream
-    the moment it is built instead of waiting for the task's full list.
-    """
-    if len(responses) != len(scores):
-        raise ValueError(f"got {len(responses)} responses but {len(scores)} scores")
-    ranking = canonical_ranking(responses, scores)
-    for a, b in combinations(ranking, 2):
-        # ``a`` precedes ``b`` in the canonical ranking, so scores[a] >=
-        # scores[b]; only a strict difference carries a preference.
-        if scores[a] == scores[b]:
-            continue
-        yield PreferencePair(
-            prompt=prompt,
-            chosen=responses[a],
-            rejected=responses[b],
-            chosen_score=float(scores[a]),
-            rejected_score=float(scores[b]),
-            task=task,
-        )
-
-
 def rank_to_pairs(
     prompt: str,
     responses: Sequence[str],
     scores: Sequence[float],
     *,
     task: str = "",
-    require_strict: bool = True,
 ) -> list:
     """Turn scored responses into preference pairs, canonically ordered.
 
     Every two responses whose scores differ produce one
-    :class:`PreferencePair` oriented toward the higher score.  Pairs are
-    enumerated over the :func:`canonical_ranking` of the inputs (see
-    :func:`iter_ranked_pairs`, the lazy core), so the returned *list*
-    (content and order) is invariant under any permutation of ``(responses,
-    scores)`` — the property that makes streaming pair construction safe
-    (see the module docstring), and one the test suite property-tests over
-    random permutations.
+    :class:`PreferencePair` oriented toward the higher score; ties carry no
+    preference information for DPO and produce no pair.  Pairs are
+    enumerated over the :func:`canonical_ranking` of the inputs, so the
+    returned *list* (content and order) is invariant under any permutation
+    of ``(responses, scores)`` — the property that makes completion-order
+    pair construction safe (see the module docstring), and one the test
+    suite property-tests over random permutations.
 
     Parameters
     ----------
@@ -134,12 +99,27 @@ def rank_to_pairs(
         (typically the number of satisfied specifications).
     task:
         Optional task name stamped on each pair for provenance.
-    require_strict:
-        Kept for API stability.  Ties carry no preference information for DPO
-        and never produce a pair regardless of this flag; a strict score
-        difference is what orients a pair in the first place.
     """
-    return list(iter_ranked_pairs(prompt, responses, scores, task=task))
+    if len(responses) != len(scores):
+        raise ValueError(f"got {len(responses)} responses but {len(scores)} scores")
+    ranking = canonical_ranking(responses, scores)
+    pairs = []
+    for a, b in combinations(ranking, 2):
+        # ``a`` precedes ``b`` in the canonical ranking, so scores[a] >=
+        # scores[b]; only a strict difference carries a preference.
+        if scores[a] == scores[b]:
+            continue
+        pairs.append(
+            PreferencePair(
+                prompt=prompt,
+                chosen=responses[a],
+                rejected=responses[b],
+                chosen_score=float(scores[a]),
+                rejected_score=float(scores[b]),
+                task=task,
+            )
+        )
+    return pairs
 
 
 def max_pairs(num_tasks: int, responses_per_task: int) -> int:

@@ -2,8 +2,7 @@
 
 Before this module each subsystem kept its own telemetry island —
 :class:`~repro.serving.metrics.ServingMetrics` counters on the feedback
-service, an ad-hoc ``stream_telemetry`` dict on the streaming training path,
-``Dispatcher.queued_batches`` polled by nobody.  A :class:`MetricsRegistry`
+service, ``Dispatcher.queued_batches`` polled by nobody.  A :class:`MetricsRegistry`
 federates them: instruments created through :meth:`MetricsRegistry.counter` /
 :meth:`~MetricsRegistry.gauge` / :meth:`~MetricsRegistry.histogram` live in
 the registry, and existing snapshot-shaped telemetry *registers as a
@@ -115,8 +114,8 @@ class MetricsRegistry:
 
     Instruments are created on first use (``registry.counter("x")`` twice
     returns the same object); providers are snapshot-shaped callables —
-    ``ServingMetrics.snapshot``, a ``stream_telemetry`` dict getter, a
-    dispatcher queue-depth reader — registered under a unique name.
+    ``ServingMetrics.snapshot``, a dispatcher queue-depth reader — registered
+    under a unique name.
     :meth:`snapshot` merges everything into one dict.
     """
 

@@ -150,8 +150,7 @@ def format_report(spans, *, metrics: dict | None = None, counter_samples=(), top
     Sections: stage breakdown (wall clock per stage), the top-``top`` hottest
     LTL specs with per-phase (construction / product / emptiness-check)
     timings, dispatcher queue-depth statistics from counter samples, and —
-    when a metrics snapshot is supplied — the serving summary line plus any
-    streaming-stage timings it carries.
+    when a metrics snapshot is supplied — the serving summary line.
     """
     spans = list(spans)
     lines: list = []
@@ -202,12 +201,6 @@ def format_report(spans, *, metrics: dict | None = None, counter_samples=(), top
         if serving.get("stage_seconds"):
             for name, seconds in sorted(serving["stage_seconds"].items()):
                 lines.append(f"stage {name}: {seconds:.2f}s")
-    stream = (metrics or {}).get("stream")
-    if stream:
-        lines.append("")
-        lines.append("== streaming ==")
-        for key in sorted(stream):
-            lines.append(f"{key}: {stream[key]}")
 
     if not lines:
         return "(empty trace: no spans recorded)"

@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 EPILOG = """\
@@ -92,10 +93,10 @@ training data:
                       score (canonically — input order never matters), turned
                       into preference pairs, tokenised with a vocabulary fit
                       on the input, and emitted as one encoded pair per JSONL
-                      line (token ids + response-mask starts, the
-                      repro.dpo.stream.DPODatasetWriter spill format).  The
-                      file is byte-identical whether the input was scored
-                      blocking or streamed with --batch-size.
+                      line (token ids + response-mask starts; load it with
+                      repro.dpo.read_encoded_pairs).  The file is
+                      byte-identical whether the input was scored blocking
+                      or streamed with --batch-size.
 """
 
 
@@ -258,24 +259,25 @@ def load_jobs(path: Path) -> list:
     return jobs
 
 
-def write_pairs(jobs, scores, output: Path):
+def write_pairs(jobs, scores, output: Path) -> tuple:
     """Build and write DPO-ready encoded preference pairs from scored records.
 
     Responses are grouped per ``task`` (first-occurrence order, input order
     within a group), ranked with the canonical, order-independent
-    :func:`~repro.feedback.ranker.rank_to_pairs`, and tokenised by a
-    :class:`~repro.dpo.stream.DPODatasetWriter` spilling to ``output`` — the
-    same JSONL shard format the streaming pipeline writes, reloadable with
-    :func:`repro.dpo.stream.read_encoded_pairs`.  Every input is
-    deterministic (the tokenizer vocabulary is fit on the records in input
-    order), so the file is byte-identical however the scores were obtained.
-    Returns the writer (telemetry on ``writer.telemetry``).
+    :func:`~repro.feedback.ranker.rank_to_pairs`, tokenised with
+    :func:`~repro.dpo.dataset.encode_preference_pair`, and written to
+    ``output`` atomically, one :func:`~repro.dpo.dataset.encoded_pair_record`
+    per JSONL line — reloadable with :func:`repro.dpo.read_encoded_pairs`.
+    Every input is deterministic (the tokenizer vocabulary is fit on the
+    records in input order), so the file is byte-identical however the
+    scores were obtained.  Returns ``(pairs written, encode seconds)``.
     """
-    from repro.dpo.stream import DPODatasetWriter
+    from repro.dpo.dataset import encode_preference_pair, encoded_pair_record
     from repro.driving.tasks import task_by_name
     from repro.feedback.ranker import rank_to_pairs
     from repro.lm.corpus import format_document, format_prompt
     from repro.lm.tokenizer import Tokenizer
+    from repro.utils.atomic import write_text_atomic
 
     grouped: dict = {}
     for (record, _scenario), score in zip(jobs, scores):
@@ -299,12 +301,18 @@ def write_pairs(jobs, scores, output: Path):
         texts.extend(format_document(prompts[task], response) for response in responses)
     tokenizer = Tokenizer.fit(texts)
 
-    writer = DPODatasetWriter(tokenizer, spill_path=output)
-    for task, (responses, task_scores) in grouped.items():
-        for pair in rank_to_pairs(prompts[task], responses, task_scores, task=task):
-            writer.append(pair)
-    writer.seal()
-    return writer
+    pairs = [
+        pair
+        for task, (responses, task_scores) in grouped.items()
+        for pair in rank_to_pairs(prompts[task], responses, task_scores, task=task)
+    ]
+    started = time.perf_counter()
+    lines = "".join(
+        json.dumps(encoded_pair_record(encode_preference_pair(pair, tokenizer))) + "\n" for pair in pairs
+    )
+    encode_seconds = time.perf_counter() - started
+    write_text_atomic(output, lines)
+    return len(pairs), encode_seconds
 
 
 def write_records(records, output: Path | None) -> None:
@@ -402,12 +410,11 @@ def main(argv=None) -> int:
         args.output,
     )
     if args.pairs_output is not None:
-        pairs_writer = write_pairs(jobs, scores, args.pairs_output)
-        service.metrics.record_stage("encode", pairs_writer.telemetry.encode_seconds)
+        pair_count, encode_seconds = write_pairs(jobs, scores, args.pairs_output)
+        service.metrics.record_stage("encode", encode_seconds)
         print(
-            f"wrote {pairs_writer.telemetry.pairs_encoded} encoded preference pairs "
-            f"to {args.pairs_output} "
-            f"(encode stage {pairs_writer.telemetry.encode_seconds:.2f}s)",
+            f"wrote {pair_count} encoded preference pairs to {args.pairs_output} "
+            f"(encode stage {encode_seconds:.2f}s)",
             file=sys.stderr,
         )
 

@@ -1,6 +1,6 @@
 """Shared utilities: seeded randomness, validation, atomic writes, retries."""
 
-from repro.utils.atomic import AtomicTextWriter, write_bytes_atomic, write_text_atomic
+from repro.utils.atomic import write_bytes_atomic, write_text_atomic
 from repro.utils.retry import RetryPolicy, call_with_retry
 from repro.utils.rng import seeded_rng, spawn_lane_rngs, spawn_rngs
 from repro.utils.validation import check_positive, check_probability, check_in_options
@@ -12,7 +12,6 @@ __all__ = [
     "check_positive",
     "check_probability",
     "check_in_options",
-    "AtomicTextWriter",
     "write_bytes_atomic",
     "write_text_atomic",
     "RetryPolicy",

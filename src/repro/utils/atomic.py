@@ -1,7 +1,7 @@
 """The one place persistent files are (over)written: tmp file + ``os.replace``.
 
 Every durable artifact this codebase writes — persisted caches, cache-
-directory shards, exported traces, scored-record output, spilled encoded
+directory shards, exported traces, scored-record output, encoded preference
 pairs, model checkpoints — must appear *atomically*: a crash, a full disk or
 a concurrent reader mid-write must observe either the previous complete file
 or the new complete file, never a truncated hybrid.  The idiom is always the
@@ -11,14 +11,12 @@ implementation.
 
 This module is the **whitelist** of the ``atomic-write`` lint rule
 (:class:`repro.analysis.rules.AtomicWriteRule`): direct ``open(..., "w")`` /
-``Path.write_text`` calls anywhere else in ``src/repro`` are findings.
+``Path.write_text`` / ``np.save*`` calls anywhere else in ``src/repro`` are
+findings.
 
-Three shapes cover every writer in the tree:
-
-* :func:`write_text_atomic` — whole-file text, one call;
-* :func:`write_bytes_atomic` — whole-file binary, one call;
-* :class:`AtomicTextWriter` — *incremental* writes (e.g. a JSONL record per
-  encoded pair) that only become visible at :meth:`~AtomicTextWriter.commit`.
+Two shapes cover every writer in the tree: :func:`write_text_atomic` for
+whole-file text and :func:`write_bytes_atomic` for whole-file binary (NumPy
+archives are serialised into an in-memory buffer first).
 """
 
 from __future__ import annotations
@@ -66,77 +64,3 @@ def write_bytes_atomic(path: str | Path, data: bytes) -> Path:
     finally:
         tmp.unlink(missing_ok=True)
     return path
-
-
-class AtomicTextWriter:
-    """Incrementally write a text file that appears atomically at commit.
-
-    Writes land in the ``<name>.tmp.<pid>`` sibling as they happen (each
-    record can hit the disk immediately — the streaming spill path flushes a
-    JSONL line per encoded pair), but the target path only comes into
-    existence at :meth:`commit`, via ``os.replace``.  :meth:`discard` drops
-    the partial file instead.  As a context manager, a clean exit commits and
-    an exception discards::
-
-        with AtomicTextWriter(path) as writer:
-            for record in records:
-                writer.write(json.dumps(record) + "\\n")
-        # path now exists, complete — or not at all if the loop raised
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.tmp_path = _tmp_sibling(self.path)
-        self._file = self.tmp_path.open("w")
-        self._finished = False
-
-    def write(self, text: str) -> None:
-        """Append ``text`` to the in-flight tmp file."""
-        self._file.write(text)
-
-    def flush(self) -> None:
-        """Flush buffered writes to the tmp file (it is still invisible)."""
-        self._file.flush()
-
-    def commit(self) -> Path:
-        """Close the tmp file and move it into place; returns the final path.
-
-        Idempotent once finished.  If the replace fails (target directory
-        vanished, permission revoked) the tmp file is still removed, so no
-        litter survives a failed commit — and the target keeps whatever
-        complete contents it had before.
-        """
-        if self._finished:
-            return self.path
-        self._finished = True
-        self._file.close()
-        try:
-            os.replace(self.tmp_path, self.path)
-        finally:
-            self.tmp_path.unlink(missing_ok=True)
-        return self.path
-
-    def discard(self) -> None:
-        """Drop the partial file: close and delete the tmp, write nothing.
-
-        Idempotent; safe after a failed :meth:`commit`.  The tmp file is
-        unlinked even when closing raises (e.g. ``ENOSPC`` flushing buffers).
-        """
-        if self._finished:
-            return
-        self._finished = True
-        try:
-            self._file.close()
-        finally:
-            self.tmp_path.unlink(missing_ok=True)
-
-    def __enter__(self) -> "AtomicTextWriter":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> bool:
-        if exc_type is None:
-            self.commit()
-        else:
-            self.discard()
-        return False

@@ -3,7 +3,7 @@
 This is the point of the whole subsystem — the rules encode invariants this
 repo has already paid for in real bugs, so a finding here is a regression (or
 a new rule that needs either a fix or a reasoned suppression).  The lock-order
-graph over serving/ + dpo/ must stay cycle-free for the same reason.
+graph over serving/ + jobs/ must stay cycle-free for the same reason.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ def test_repro_source_is_lint_clean():
 def test_lock_order_graph_is_cycle_free():
     report = run_analysis([PACKAGE_ROOT], relative_to=PACKAGE_ROOT.parent)
     assert report.lock_cycles == []
-    # serving/ and dpo/ both contribute acquisitions to the graph.
+    # serving/ and jobs/ both contribute acquisitions to the graph.
     files = {acq.file for acq in report.lock_acquisitions}
     assert any("serving" in f for f in files)
-    assert any("dpo" in f for f in files)
+    assert any("jobs" in f for f in files)

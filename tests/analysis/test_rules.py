@@ -61,6 +61,61 @@ class TestAtomicWrite:
         """
         assert check(AtomicWriteRule(), clean) == []
 
+    def test_flags_numpy_save_on_a_path(self):
+        """The checkpoint bug: weights written in place next to atomic JSON."""
+        (finding,) = check(
+            AtomicWriteRule(),
+            """
+            import numpy as np
+
+            def save_model(state, directory):
+                np.savez_compressed(directory / "weights.npz", **state)
+            """,
+        )
+        assert "np.savez_compressed" in finding.message
+        assert check(AtomicWriteRule(), 'np.save("w.npy", array)\n')
+        assert check(AtomicWriteRule(), "numpy.savez(file=path, a=array)\n")
+
+    def test_clean_twin_saves_numpy_into_a_buffer(self):
+        clean = """
+        import io
+
+        import numpy as np
+        from repro.utils.atomic import write_bytes_atomic
+
+        def save_model(state, directory):
+            weights = io.BytesIO()
+            np.savez_compressed(weights, **state)
+            write_bytes_atomic(directory / "weights.npz", weights.getvalue())
+
+        def save_array(array, path):
+            with io.BytesIO() as buffer:
+                np.save(buffer, array)
+                write_bytes_atomic(path, buffer.getvalue())
+
+        def encode(array, state, path):
+            np.save(io.BytesIO(), array)
+            np.savez(file=io.BytesIO(), **state)
+            return np.load(path)          # readers never truncate
+        """
+        assert check(AtomicWriteRule(), clean) == []
+
+    def test_a_buffer_elsewhere_does_not_excuse_a_path_target(self):
+        (finding,) = check(
+            AtomicWriteRule(),
+            """
+            import io
+
+            import numpy as np
+
+            def save(array, path):
+                buffer = io.BytesIO()
+                np.save(buffer, array)
+                np.save(path, array)
+            """,
+        )
+        assert finding.line == 8 and "np.save() on a path" in finding.message
+
     def test_whitelisted_module_is_exempt(self):
         source = "path.write_text(data)\n"
         assert check(AtomicWriteRule(), source, path="src/repro/utils/atomic.py") == []

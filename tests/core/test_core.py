@@ -65,6 +65,76 @@ class TestCheckpoints:
         with pytest.raises(TrainingError):
             load_model(tmp_path / "nowhere")
 
+    def test_failed_save_keeps_previous_weights_loadable(self, tmp_path, monkeypatch):
+        """A save that dies while serialising the weights must leave the
+        previous checkpoint's weights.npz complete and unchanged."""
+        tokenizer = Tokenizer.fit(["turn right at the light"])
+        config = ModelConfig(vocab_size=tokenizer.vocab_size, max_seq_len=16, dim=8, num_heads=2, num_layers=1, hidden_dim=16)
+        first, second = TransformerLM(config, seed=0), TransformerLM(config, seed=1)
+        save_model(first, tokenizer, tmp_path / "ckpt")
+
+        class Unserialisable:
+            def __reduce__(self):
+                raise OSError("disk full")
+
+        # The poisoned array comes last, so every real weight is serialised
+        # before the failure — a save in place would have truncated the file.
+        state = dict(second.state_dict(), zz_crash=np.array(Unserialisable(), dtype=object))
+        monkeypatch.setattr(second, "state_dict", lambda: state)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(second, tokenizer, tmp_path / "ckpt")
+
+        loaded, _ = load_model(tmp_path / "ckpt")
+        expected = first.state_dict()
+        assert loaded.state_dict().keys() == expected.keys()
+        for key, value in expected.items():
+            assert np.array_equal(loaded.state_dict()[key], value), key
+        assert list((tmp_path / "ckpt").glob("*.tmp.*")) == []
+
+    def test_failed_tokenizer_serialisation_writes_nothing(self, tmp_path, monkeypatch):
+        """Everything is serialised before the first write: a tokenizer that
+        cannot be serialised must not leave new weights beside old JSON."""
+        tokenizer = Tokenizer.fit(["turn right at the light"])
+        config = ModelConfig(vocab_size=tokenizer.vocab_size, max_seq_len=16, dim=8, num_heads=2, num_layers=1, hidden_dim=16)
+        save_model(TransformerLM(config, seed=0), tokenizer, tmp_path / "ckpt")
+        before = {path.name: path.read_bytes() for path in (tmp_path / "ckpt").iterdir()}
+
+        def unserialisable():
+            raise ValueError("tokenizer state is corrupt")
+
+        monkeypatch.setattr(tokenizer, "to_dict", unserialisable)
+        with pytest.raises(ValueError, match="corrupt"):
+            save_model(TransformerLM(config, seed=1), tokenizer, tmp_path / "ckpt")
+        after = {path.name: path.read_bytes() for path in (tmp_path / "ckpt").iterdir()}
+        assert after == before
+
+    def test_save_over_a_checkpoint_loads_the_new_weights(self, tmp_path):
+        tokenizer = Tokenizer.fit(["turn right at the light"])
+        config = ModelConfig(vocab_size=tokenizer.vocab_size, max_seq_len=16, dim=8, num_heads=2, num_layers=1, hidden_dim=16)
+        save_model(TransformerLM(config, seed=0), tokenizer, tmp_path / "ckpt")
+        newer = TransformerLM(config, seed=1)
+        save_model(newer, tokenizer, tmp_path / "ckpt")
+        loaded, _ = load_model(tmp_path / "ckpt")
+        for key, value in newer.state_dict().items():
+            assert np.array_equal(loaded.state_dict()[key], value), key
+
+    def test_lora_checkpoint_round_trips_with_its_adapters(self, tmp_path):
+        from repro.lm.lora import LoRAConfig, apply_lora
+
+        tokenizer = Tokenizer.fit(["turn right at the light"])
+        model = TransformerLM(ModelConfig(vocab_size=tokenizer.vocab_size, max_seq_len=16, dim=8, num_heads=2, num_layers=1, hidden_dim=16), seed=0)
+        apply_lora(model, LoRAConfig(rank=2, seed=0))
+        state = model.state_dict()
+        # Non-zero adapters, so a load that dropped them would change outputs.
+        state = {key: value + 0.01 if ".lora_b" in key else value for key, value in state.items()}
+        model.load_state_dict(state)
+        save_model(model, tokenizer, tmp_path / "ckpt")
+        loaded, _ = load_model(tmp_path / "ckpt")
+        assert loaded.state_dict().keys() == state.keys()
+        tokens = np.array([tokenizer.encode("turn right", add_bos=True)])
+        mask = np.ones((1, tokens.shape[1] - 1), dtype=np.float32)
+        assert np.array_equal(model.sequence_log_probs(tokens, mask), loaded.sequence_log_probs(tokens, mask))
+
 
 class TestEvaluationContainers:
     def test_task_and_model_evaluation_aggregation(self):
@@ -138,22 +208,20 @@ def _pipeline_fingerprint(result):
     }
 
 
-class TestBatchedSamplingParity:
-    """PipelineConfig.batched_sampling must be invisible in the outputs: the
-    batched frontier and the serial per-task loop draw the same per-lane RNG
-    streams, so pairs, losses and evaluations are bitwise-identical — and
-    identical again across every serving backend."""
+class TestBackendParity:
+    """The serving backend must be invisible in the outputs: pairs, losses and
+    evaluations are bitwise-identical on the serial, thread and process
+    backends."""
 
     TASKS = 2  # keep the process-backend run affordable
 
-    def _run(self, *, batched: bool, backend: str = "serial"):
+    def _run(self, backend: str):
         import dataclasses
 
         from repro.serving import ServingConfig
 
         config = dataclasses.replace(
             quick_pipeline_config(seed=0),
-            batched_sampling=batched,
             serving=ServingConfig(backend=backend, max_workers=2),
         )
         with DPOAFPipeline(
@@ -164,11 +232,6 @@ class TestBatchedSamplingParity:
         ) as pipeline:
             return _pipeline_fingerprint(pipeline.run())
 
-    def test_batched_and_serial_sampling_agree(self):
-        assert self._run(batched=True) == self._run(batched=False)
-
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_batched_sampling_agrees_across_backends(self, backend):
-        assert self._run(batched=True, backend=backend) == self._run(
-            batched=True, backend="serial"
-        )
+    def test_pipeline_agrees_across_backends(self, backend):
+        assert self._run(backend) == self._run("serial")

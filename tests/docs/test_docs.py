@@ -3,7 +3,7 @@
 Structural only: these tests assert that the documentation files exist and
 still mention the entry points they exist to explain, and that every public
 symbol of :mod:`repro.serving`, :mod:`repro.feedback.ranker`,
-:mod:`repro.dpo.stream`, :mod:`repro.obs` and :mod:`repro.analysis` carries a
+:mod:`repro.dpo.dataset`, :mod:`repro.obs` and :mod:`repro.analysis` carries a
 docstring.  Content quality is reviewed by humans; absence is caught here.
 """
 
@@ -43,19 +43,23 @@ class TestDocumentationFiles:
         ):
             assert needle in text, f"docs/serving.md no longer documents {needle!r}"
 
-    def test_pipeline_streaming_guide_exists(self):
+    def test_pipeline_guide_exists(self):
         guide = REPO_ROOT / "docs" / "pipeline.md"
         assert guide.is_file(), "docs/pipeline.md is missing"
         text = guide.read_text()
         for needle in (
-            "PairStream",
-            "DPODatasetWriter",
-            "DatasetHandle",
+            "The short answer",          # the one path, stage by stage
+            "pipeline.collect_pairs",    # ... with its span names
+            "pipeline.augment_pairs",
+            "pipeline.train",
+            "A longer answer",           # why the other paths were removed
             "stream_training",
-            "stream_warmup_fraction",    # the warm-up knob is documented
-            "first_trainable_pair_seconds",
+            "batched_sampling=False",
+            "fused=False",
+            "sample_responses",          # the serial sampling oracle
             "Determinism",               # the guarantees section survives
             "pairs-output",
+            "read_encoded_pairs",
         ):
             assert needle in text, f"docs/pipeline.md no longer documents {needle!r}"
         readme = (REPO_ROOT / "README.md").read_text()
@@ -137,7 +141,7 @@ class TestDocumentationFiles:
             "LaneSpec",
             "forward_step",
             "sample_response_frontier",
-            "batched_sampling",          # the pipeline switch is documented
+            "sample_responses",          # the serial oracle is documented
             "token-identical",           # the determinism contract survives
             "spawn_lane_rngs",
             "head_dim = 16",             # the kernel-domain caveat is honest
@@ -222,31 +226,37 @@ class TestPublicApiDocstrings:
         ]
         assert not missing, f"ServingConfig fields absent from its docstring: {missing}"
 
-    def test_every_public_dpo_stream_symbol_has_a_docstring(self):
-        import repro.dpo.stream as stream
+    def test_every_public_dpo_dataset_symbol_has_a_docstring(self):
+        import repro.dpo.dataset as dataset
 
         undocumented = [
             name
-            for name in dir(stream)
+            for name in dir(dataset)
             if not name.startswith("_")
-            and getattr(getattr(stream, name), "__module__", None) == stream.__name__
-            and not (getattr(stream, name).__doc__ or "").strip()
+            and getattr(getattr(dataset, name), "__module__", None) == dataset.__name__
+            and not (getattr(dataset, name).__doc__ or "").strip()
         ]
-        assert not undocumented, f"repro.dpo.stream symbols missing docstrings: {undocumented}"
+        assert not undocumented, f"repro.dpo.dataset symbols missing docstrings: {undocumented}"
 
-    def test_stream_public_methods_are_documented(self):
-        from repro.dpo.stream import DatasetHandle, DPODatasetWriter, PairStream
+    def test_dpo_dataset_and_trainer_public_methods_are_documented(self):
+        from repro.dpo import DPODataset, DPOResult, DPOTrainer
 
-        for cls in (PairStream, DatasetHandle, DPODatasetWriter):
+        def public_methods(cls):
+            for name, member in vars(cls).items():
+                if name.startswith("_"):
+                    continue
+                if isinstance(member, (classmethod, staticmethod)):
+                    yield name, member.__func__
+                elif isinstance(member, property):
+                    yield name, member.fget
+                elif inspect.isfunction(member):
+                    yield name, member
+
+        for cls in (DPODataset, DPOTrainer, DPOResult):
             undocumented = [
                 f"{cls.__name__}.{name}"
-                for name, member in vars(cls).items()
-                if not name.startswith("_")
-                and (inspect.isfunction(member) or isinstance(member, property))
-                and not (
-                    (member.fget.__doc__ if isinstance(member, property) else member.__doc__)
-                    or ""
-                ).strip()
+                for name, function in public_methods(cls)
+                if not (function.__doc__ or "").strip()
             ]
             assert not undocumented, f"undocumented public methods: {undocumented}"
 
@@ -431,7 +441,7 @@ class TestPublicApiDocstrings:
         import repro.serving.metrics
         import repro.serving.scheduler
         import repro.feedback.ranker
-        import repro.dpo.stream
+        import repro.dpo.dataset
         import repro.lm.decode
         import repro.lm.sampling
         import repro.modelcheck
@@ -478,7 +488,7 @@ class TestPublicApiDocstrings:
             repro.serving.metrics,
             repro.serving.scheduler,
             repro.feedback.ranker,
-            repro.dpo.stream,
+            repro.dpo.dataset,
             repro.lm.decode,
             repro.lm.sampling,
             repro.modelcheck,

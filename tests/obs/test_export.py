@@ -170,12 +170,18 @@ class TestReport:
         tracer = Tracer()
         with tracer.span("mc.construct", category="modelcheck", spec="phi_6"):
             pass
-        path = write_chrome_trace(
-            tmp_path / "t.json", tracer, metrics={"serving": None, "stream": {"pairs": 4}}
-        )
+        serving = {
+            "jobs": 4,
+            "unique_jobs": 3,
+            "total_seconds": 0.5,
+            "throughput": 8.0,
+            "hit_rate": 0.25,
+            "dedup_rate": 0.25,
+        }
+        path = write_chrome_trace(tmp_path / "t.json", tracer, metrics={"serving": serving})
         text = report_from_trace(load_chrome_trace(path))
         assert "phi_6" in text
-        assert "pairs: 4" in text
+        assert "scored 4 responses (3 unique)" in text
 
 
 class TestCli:

@@ -484,9 +484,9 @@ class TestCli:
         assert "--batch-size must be positive" in capsys.readouterr().err
 
     def test_pairs_output_writes_encoded_preference_pairs(self, tmp_path, capsys):
-        """--pairs-output emits the DPODatasetWriter spill format: per-task
-        canonically ranked pairs, reloadable as EncodedPair records."""
-        from repro.dpo.stream import read_encoded_pairs
+        """--pairs-output emits per-task canonically ranked pairs, reloadable
+        as EncodedPair records."""
+        from repro.dpo import read_encoded_pairs
         from repro.serving.cli import main
 
         jsonl, records = self._streaming_workload(tmp_path)
@@ -523,12 +523,62 @@ class TestCli:
         )
         assert streaming_pairs.read_bytes() == blocking_pairs.read_bytes()
 
+    #: SHA-256 of --pairs-output for the workload above, scored against all 15
+    #: rules (against the core five every compliant template ties, which would
+    #: pin an empty file).  Any change to ranking, tokenisation or the record
+    #: format changes these bytes.
+    PAIRS_OUTPUT_SHA256 = "1347bd88ee0557196d993e3f4313adf0fd180eda5d8ba357d9fad89ec5514e9d"
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_pairs_output_bytes_are_pinned(self, tmp_path, capsys, backend):
+        import hashlib
+
+        from repro.serving.cli import main
+
+        jsonl, _ = self._streaming_workload(tmp_path)
+        pairs_path = tmp_path / "pairs.jsonl"
+        argv = [str(jsonl), "--backend", backend, "--max-workers", "2", "-o", str(tmp_path / "out.jsonl"),
+                "--pairs-output", str(pairs_path)]
+        assert main(argv) == 0
+        data = pairs_path.read_bytes()
+        assert data.count(b"\n") == 2
+        assert hashlib.sha256(data).hexdigest() == self.PAIRS_OUTPUT_SHA256
+
+    def test_failed_pair_encoding_keeps_the_previous_pairs_file(self, tmp_path, capsys, monkeypatch):
+        """The pairs file is written once, after every pair is encoded: a
+        failure mid-encode leaves the previous file whole and no tmp litter."""
+        import repro.dpo.dataset as dataset
+        from repro.serving.cli import main
+
+        jsonl, _ = self._streaming_workload(tmp_path)
+        pairs_path = tmp_path / "pairs.jsonl"
+        argv = [str(jsonl), "--backend", "serial", "-o", str(tmp_path / "out.jsonl"),
+                "--pairs-output", str(pairs_path)]
+        assert main(argv) == 0
+        previous = pairs_path.read_bytes()
+        assert previous.count(b"\n") == 2
+
+        real_encode = dataset.encode_preference_pair
+        calls = []
+
+        def encode_then_fail(pair, tokenizer, **kwargs):
+            calls.append(pair)
+            if len(calls) == 2:  # the first pair is already encoded
+                raise OSError("tokenizer store unavailable")
+            return real_encode(pair, tokenizer, **kwargs)
+
+        monkeypatch.setattr(dataset, "encode_preference_pair", encode_then_fail)
+        with pytest.raises(OSError, match="tokenizer store"):
+            main(argv)
+        assert pairs_path.read_bytes() == previous
+        assert list(tmp_path.glob("pairs.jsonl.tmp.*")) == []
+
     def test_pairs_output_covers_off_catalogue_tasks(self, tmp_path, capsys):
         """Records scored via an explicit scenario still group into pairs,
         with a prompt synthesised from the task name."""
         import json
 
-        from repro.dpo.stream import read_encoded_pairs
+        from repro.dpo import read_encoded_pairs
         from repro.serving.cli import main
 
         jsonl = tmp_path / "in.jsonl"

@@ -1,17 +1,27 @@
-"""repro.utils.atomic: the tmp + os.replace idiom and the incremental writer."""
+"""repro.utils.atomic: the tmp + os.replace idiom."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.utils.atomic import AtomicTextWriter, write_bytes_atomic, write_text_atomic
+from repro.utils.atomic import write_bytes_atomic, write_text_atomic
 from repro.utils.serialization import dump_json, dump_json_atomic, load_json
 
 
 def no_tmp_litter(tmp_path) -> bool:
     return list(tmp_path.rglob("*.tmp.*")) == []
+
+
+def read_back(path, like):
+    """The file's content, as text or bytes to match ``like``."""
+    return path.read_bytes() if isinstance(like, bytes) else path.read_text()
+
+
+#: ``(writer, old content, new content)`` for each whole-file helper.
+WRITERS = [
+    pytest.param(write_text_atomic, "old", "new", id="text"),
+    pytest.param(write_bytes_atomic, b"old", b"new", id="bytes"),
+]
 
 
 class TestWholeFileHelpers:
@@ -33,6 +43,54 @@ class TestWholeFileHelpers:
         assert target.read_bytes() == b"\x00\x01"
         assert no_tmp_litter(tmp_path)
 
+    def test_tmp_sibling_is_per_pid_next_to_the_target(self, tmp_path, monkeypatch):
+        import os
+
+        import repro.utils.atomic as atomic
+
+        replaced = []
+        real_replace = os.replace
+
+        def recording_replace(src, dst):
+            replaced.append((src, dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(atomic.os, "replace", recording_replace)
+        target = tmp_path / "records.jsonl"
+        write_text_atomic(target, "x")
+        ((src, dst),) = replaced
+        assert dst == target
+        assert src.parent == target.parent
+        assert src.name == f"records.jsonl.tmp.{os.getpid()}"
+
+    @pytest.mark.parametrize("writer, old, new", WRITERS)
+    def test_failed_replace_cleans_tmp_and_keeps_old_content(self, tmp_path, monkeypatch, writer, old, new):
+        import repro.utils.atomic as atomic
+
+        target = tmp_path / "out"
+        writer(target, old)
+
+        def no_space(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(atomic.os, "replace", no_space)
+        with pytest.raises(OSError, match="no space"):
+            writer(target, new)
+        assert read_back(target, old) == old
+        assert no_tmp_litter(tmp_path)
+
+    @pytest.mark.parametrize("writer, old, unwritable", [
+        pytest.param(write_text_atomic, "old", "\ud800", id="text-unencodable"),
+        pytest.param(write_bytes_atomic, b"old", "not bytes", id="bytes-wrong-type"),
+    ])
+    def test_failed_write_cleans_tmp_and_keeps_old_content(self, tmp_path, writer, old, unwritable):
+        target = tmp_path / "out"
+        writer(target, old)
+        with pytest.raises((UnicodeEncodeError, TypeError)):
+            writer(target, unwritable)
+        assert read_back(target, old) == old
+        assert no_tmp_litter(tmp_path)
+
     def test_dump_json_is_atomic_and_aliased(self, tmp_path):
         # Serialization failure must not touch an existing artifact: the
         # payload is encoded before any file is opened.
@@ -43,64 +101,3 @@ class TestWholeFileHelpers:
         assert load_json(target) == {"ok": 1}
         assert no_tmp_litter(tmp_path)
         assert dump_json_atomic is dump_json
-
-
-class TestAtomicTextWriter:
-    def test_target_invisible_until_commit(self, tmp_path):
-        target = tmp_path / "records.jsonl"
-        writer = AtomicTextWriter(target)
-        writer.write(json.dumps({"i": 1}) + "\n")
-        writer.flush()
-        assert not target.exists()
-        assert writer.tmp_path.exists()
-        assert writer.tmp_path.name.startswith("records.jsonl.tmp.")
-        writer.write(json.dumps({"i": 2}) + "\n")
-        assert writer.commit() == target
-        assert [json.loads(line) for line in target.read_text().splitlines()] == [
-            {"i": 1},
-            {"i": 2},
-        ]
-        assert no_tmp_litter(tmp_path)
-
-    def test_discard_drops_the_partial_file(self, tmp_path):
-        target = tmp_path / "records.jsonl"
-        writer = AtomicTextWriter(target)
-        writer.write("partial")
-        writer.discard()
-        assert not target.exists()
-        assert no_tmp_litter(tmp_path)
-
-    def test_commit_and_discard_are_idempotent(self, tmp_path):
-        target = tmp_path / "out.txt"
-        writer = AtomicTextWriter(target)
-        writer.write("x")
-        writer.commit()
-        writer.commit()
-        writer.discard()  # after commit: a no-op, the file stays
-        assert target.read_text() == "x"
-
-    def test_failed_commit_cleans_tmp_and_keeps_old_content(self, tmp_path):
-        import shutil
-
-        target = tmp_path / "dir" / "out.txt"
-        writer = AtomicTextWriter(target)
-        writer.write("new")
-        shutil.rmtree(target.parent)
-        with pytest.raises(OSError):
-            writer.commit()
-        assert no_tmp_litter(tmp_path)
-
-    def test_context_manager_commits_on_success(self, tmp_path):
-        target = tmp_path / "out.txt"
-        with AtomicTextWriter(target) as writer:
-            writer.write("done")
-        assert target.read_text() == "done"
-
-    def test_context_manager_discards_on_error(self, tmp_path):
-        target = tmp_path / "out.txt"
-        with pytest.raises(RuntimeError):
-            with AtomicTextWriter(target) as writer:
-                writer.write("half")
-                raise RuntimeError("boom")
-        assert not target.exists()
-        assert no_tmp_litter(tmp_path)
