@@ -31,7 +31,6 @@ from repro.serving import (
     WorkerPayload,
     WorkerPool,
 )
-from repro.serving.backends import run_process
 
 from conftest import print_table
 
@@ -57,7 +56,7 @@ def test_bench_serving_cold_vs_warm_throughput(benchmark):
     service = FeedbackService(
         all_specifications(),
         feedback=FeedbackConfig(),
-        config=ServingConfig(backend="thread", max_workers=4, cache_size=4096),
+        config=ServingConfig(cache_size=4096),
     )
 
     def run():
@@ -153,8 +152,8 @@ def test_bench_serving_process_backend_worker_scaling(benchmark):
     """Cold formal batches through the process backend, sweeping pool width.
 
     Every response is unique (no dedup, no cache hits), so the whole batch is
-    verification work — the workload the GIL-bound thread backend cannot
-    accelerate.  Scores must be bitwise-identical across the sweep; the
+    verification work — the workload the serial loop cannot spread across
+    cores.  Scores must be bitwise-identical across the sweep; the
     multi-core speedup is asserted only when the machine actually has the
     cores to show it.
     """
@@ -203,8 +202,9 @@ def test_bench_serving_persistent_pool_amortizes_fork_cost(benchmark):
     """The tentpole claim: a stream of cold batches pays the process-pool
     fork/initializer cost once, not once per batch.
 
-    The per-batch path (``run_process``, a throwaway pool per call — the
-    pre-refactor behaviour) is measured against one persistent
+    The per-batch path (a throwaway ``WorkerPool`` per batch, closed by its
+    ``with`` block — the pre-refactor behaviour) is measured against one
+    persistent
     :class:`WorkerPool` scoring the same batch stream.  Scores must be
     bitwise-identical; the launch counts (``len(batches)`` vs 1) are the
     structural evidence, the wall-clock delta the measured one.
@@ -219,9 +219,10 @@ def test_bench_serving_persistent_pool_amortizes_fork_cost(benchmark):
 
     def run():
         per_batch_start = time.perf_counter()
-        per_batch_scores = [
-            run_process(payload, batch, max_workers=2, fallback=fallback) for batch in batches
-        ]
+        per_batch_scores = []
+        for batch in batches:
+            with WorkerPool(payload, max_workers=2) as throwaway:
+                per_batch_scores.append(throwaway.run(batch, fallback=fallback))
         per_batch_seconds = time.perf_counter() - per_batch_start
         pool = WorkerPool(payload, max_workers=2)
         persistent_start = time.perf_counter()
@@ -340,15 +341,13 @@ def test_bench_serving_async_submission_overlaps_batches(benchmark):
 
 
 def test_bench_serving_streaming_pair_construction_overlaps_verification(benchmark):
-    """Preference pairs are built from ``as_completed`` streaming: the first
-    task's pairs exist while later tasks are still verifying, instead of pair
-    construction starting only after every batch has been scored.  The
-    streamed pair lists must be identical to the blocking path's (same pair
-    set, bitwise-identical scores) — ``rank_to_pairs`` is order-independent,
-    which is what makes the overlap safe."""
+    """Preference pairs are built from submitted batches drained in task
+    order: the first task's pairs exist while later tasks are still
+    verifying, instead of pair construction starting only after every batch
+    has been scored.  The streamed pair lists must be identical to the
+    blocking path's (same pair set, bitwise-identical scores)."""
     from repro.feedback import rank_to_pairs
     from repro.lm import format_prompt
-    from repro.serving import as_completed
 
     task_batches = []
     for task in list(training_tasks()[:4]) + [MERGE_TASK]:
@@ -371,21 +370,19 @@ def test_bench_serving_streaming_pair_construction_overlaps_verification(benchma
         ]
         blocking_total_seconds = time.perf_counter() - blocking_start
 
-        # Streaming: build each task's pairs the moment its scores land.
+        # Streaming: submit every batch, then build each task's pairs as its
+        # handle resolves (batches run in submission order).
         with FeedbackService(all_specifications(), feedback=FeedbackConfig()) as service:
             stream_start = time.perf_counter()
             pending = [
                 (task, responses, service.submit_responses(task, responses))
                 for task, responses in task_batches
             ]
-            index_of = {handle: i for i, (_, _, handle) in enumerate(pending)}
-            streamed_pairs: list = [None] * len(pending)
+            streamed_pairs: list = []
             first_pairs_at = None
-            for handle in as_completed([handle for _, _, handle in pending]):
-                i = index_of[handle]
-                task, responses, _ = pending[i]
-                streamed_pairs[i] = rank_to_pairs(
-                    format_prompt(task), responses, handle.result(), task=task.name
+            for task, responses, handle in pending:
+                streamed_pairs.append(
+                    rank_to_pairs(format_prompt(task), responses, handle.result(), task=task.name)
                 )
                 if first_pairs_at is None:
                     first_pairs_at = time.perf_counter() - stream_start
@@ -413,7 +410,7 @@ def test_bench_serving_streaming_pair_construction_overlaps_verification(benchma
         ["path", "first pairs ready (s)", "total (s)"],
         [
             ("blocking (score all, then rank)", blocking_verified_seconds, blocking_total_seconds),
-            ("streaming (as_completed)", first_pairs_at, stream_total_seconds),
+            ("streaming (in-order drain)", first_pairs_at, stream_total_seconds),
         ],
     )
     assert streamed_pairs == blocking_pairs, (
@@ -425,53 +422,6 @@ def test_bench_serving_streaming_pair_construction_overlaps_verification(benchma
         f"streaming should start pair construction mid-verification: first pairs at "
         f"{first_pairs_at:.3f}s vs {blocking_verified_seconds:.3f}s of blocking verification"
     )
-
-
-def test_bench_serving_backpressure_bounds_inflight_work(benchmark):
-    """``submit_batch`` provably blocks at ``max_inflight_batches``: across a
-    stream of cold submissions the observed in-flight count never exceeds the
-    bound, the producer records blocked time, and the scores are unchanged."""
-    max_inflight = 2
-    all_jobs = _unique_cold_workload(copies=2)
-    size = max(4, len(all_jobs) // 8)
-    batches = [all_jobs[i : i + size] for i in range(0, len(all_jobs), size)]
-
-    def run():
-        reference_service = FeedbackService(all_specifications(), feedback=FeedbackConfig())
-        reference = [reference_service.score_batch(batch) for batch in batches]
-        with FeedbackService(
-            all_specifications(),
-            feedback=FeedbackConfig(),
-            config=ServingConfig(max_inflight_batches=max_inflight),
-        ) as service:
-            observed_inflight = []
-            submit_start = time.perf_counter()
-            handles = []
-            for batch in batches:
-                handles.append(service.submit_batch(batch))
-                with service._inflight:
-                    observed_inflight.append(service._inflight_batches)
-            submit_seconds = time.perf_counter() - submit_start
-            scores = [handle.result() for handle in handles]
-            total_seconds = time.perf_counter() - submit_start
-            waits = service.metrics.backpressure_waits
-            blocked_seconds = service.metrics.backpressure_seconds
-        return scores, reference, observed_inflight, submit_seconds, total_seconds, waits, blocked_seconds
-
-    scores, reference, observed_inflight, submit_seconds, total_seconds, waits, blocked_seconds = (
-        benchmark.pedantic(run, rounds=1, iterations=1)
-    )
-    print_table(
-        f"Back-pressure (max_inflight_batches={max_inflight}, {len(batches)} cold batches)",
-        ["max in-flight seen", "blocked submits", "blocked s", "submit s", "total s"],
-        [(max(observed_inflight), waits, blocked_seconds, submit_seconds, total_seconds)],
-    )
-    assert scores == reference, "back-pressure must not change scores"
-    assert max(observed_inflight) <= max_inflight, (
-        f"in-flight batches exceeded the bound: {max(observed_inflight)} > {max_inflight}"
-    )
-    # With far more batches than the bound, a fast producer must have blocked.
-    assert waits > 0 and blocked_seconds > 0, "producer never hit the back-pressure gate"
 
 
 def test_bench_serving_compaction_bounds_shard_size(benchmark, tmp_path):

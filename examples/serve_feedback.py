@@ -13,13 +13,11 @@ quickstart; see ``docs/serving.md`` for the architecture behind it):
    *shared cache directory*: the second invocation warm-starts from the
    first's fingerprint shard, so its hit rate is 100% and nothing is
    re-verified.
-2. *Python streaming API* — the same workload is scored through
+2. *Python submission API* — the same workload is scored through
    ``FeedbackService.submit_batch``: batches are queued on a shared
-   :class:`~repro.serving.scheduler.Dispatcher`, bounded by back-pressure
-   (``max_inflight_batches``), and consumed with
-   :func:`~repro.serving.scheduler.as_completed` as verification finishes —
-   the shape the pipeline uses to overlap sampling, verification, and
-   preference-pair construction.
+   :class:`~repro.serving.scheduler.Dispatcher` and their handles drained in
+   submission order — the shape the pipeline uses to rank one task's
+   responses while the next task's verify.
 
 On a multi-core machine, add ``--backend process`` to any CLI invocation to
 verify cold batches in parallel worker processes.
@@ -62,49 +60,42 @@ def demo_cli(workdir: Path) -> None:
     print(f"scored output: {workdir / 'scored.jsonl'}", file=sys.stderr)
 
 
-def demo_streaming() -> None:
-    """The Python-side streaming API: submit_batch + as_completed + back-pressure."""
+def demo_submit() -> None:
+    """The Python-side submission API: submit_batch on a shared Dispatcher."""
     from repro.core.config import FeedbackConfig
     from repro.driving import all_specifications
-    from repro.serving import Dispatcher, FeedbackService, ServingConfig, as_completed
+    from repro.serving import Dispatcher, FeedbackService
 
-    print("\n== streaming API (submit_batch / as_completed) ==", file=sys.stderr)
+    print("\n== submission API (submit_batch on a shared Dispatcher) ==", file=sys.stderr)
     # One shared dispatcher could serve several services (e.g. a formal and an
     # empirical channel); here one service demonstrates the lifecycle.
     with Dispatcher(name="example-dispatch") as dispatcher:
         with FeedbackService(
             all_specifications(),
             feedback=FeedbackConfig(),
-            # Back-pressure: at most 2 submitted batches may be unresolved.
-            # A producer running ahead of verification blocks in
-            # submit_batch until the dispatcher drains — bounded queueing,
-            # with the blocked time telemetered.
-            config=ServingConfig(max_inflight_batches=2),
             dispatcher=dispatcher,
         ) as service:
             # Submit one batch per task; each call returns a PendingBatch
-            # future handle immediately (or blocks briefly under the bound).
-            handles = {}
+            # future handle immediately.
+            handles = []
             for task in _demo_tasks():
                 responses = list(response_templates(task.name, "compliant"))
                 responses += list(response_templates(task.name, "flawed"))
-                handles[service.submit_responses(task, responses)] = task.name
+                handles.append((task.name, service.submit_responses(task, responses)))
 
-            # Consume in *completion* order: downstream work (pair
-            # construction in the pipeline) starts on whichever batch
-            # verifies first instead of waiting on the slowest.
-            for handle in as_completed(handles):
+            # The dispatcher runs a service's batches in submission order, so
+            # draining the handles in that order works on each batch as soon
+            # as it is scored.
+            for name, handle in handles:
                 scores = handle.result()
                 print(
-                    f"  {handles[handle]:30s} {len(scores):2d} responses, "
+                    f"  {name:30s} {len(scores):2d} responses, "
                     f"scores {min(scores)}..{max(scores)}",
                     file=sys.stderr,
                 )
             telemetry = service.metrics.snapshot()
     print(
-        f"  {telemetry['jobs']} jobs, dedup rate {telemetry['dedup_rate']:.0%}, "
-        f"back-pressure blocked {telemetry['backpressure_waits']}× "
-        f"({telemetry['backpressure_seconds']:.2f}s)",
+        f"  {telemetry['jobs']} jobs, dedup rate {telemetry['dedup_rate']:.0%}",
         file=sys.stderr,
     )
 
@@ -112,7 +103,7 @@ def demo_streaming() -> None:
 def demo() -> int:
     workdir = Path(tempfile.mkdtemp(prefix="repro_serve_"))
     demo_cli(workdir)
-    demo_streaming()
+    demo_submit()
     return 0
 
 

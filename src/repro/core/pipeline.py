@@ -12,21 +12,15 @@ The pipeline wires every substrate together:
    *automated feedback* — formal verification against the task's world model,
    or empirical evaluation in the simulator; all scoring routes through the
    batched, cached :class:`~repro.serving.scheduler.FeedbackService`
-   (``serving.backend`` selects serial/thread/process execution of cache
+   (``serving.backend`` selects serial or process execution of cache
    misses, and ``serving.shared_cache_dir`` warm-starts runs from a cache
    directory shared with the benchmarks and the ``repro-serve`` CLI).
-   Each task's responses are submitted asynchronously
-   (``FeedbackService.submit_batch``) and verify on the pipeline's
-   dispatcher in submission order, keeping every score bitwise-identical to
-   a serial loop.  If the serving config bounds in-flight work
-   (``max_inflight_batches`` / ``max_inflight_jobs``), submission blocks
-   under back-pressure instead of queueing unbounded batches;
-4. turn the feedback ranking into preference pairs — each task's pairs are
-   built the moment its scores complete
-   (:func:`repro.serving.scheduler.as_completed`), overlapping pair
-   construction with the verification of later batches, while the final
-   pair list is assembled in task order (``rank_to_pairs`` itself is
-   order-independent) — then run *DPO with LoRA*;
+   Each task's responses are submitted (``FeedbackService.submit_batch``)
+   and verify on the pipeline's dispatcher in submission order, keeping
+   every score bitwise-identical to a serial loop;
+4. turn the feedback ranking into preference pairs — handles are drained in
+   task order, so task *k* is ranked while task *k+1* still verifies — then
+   run *DPO with LoRA*;
 5. *evaluate* checkpoints by re-sampling responses and counting satisfied
    specifications on the training and validation task splits (Figure 9) and
    in the simulator (Figure 11).
@@ -53,26 +47,8 @@ from repro.lm.decode import sample_response_frontier
 from repro.lm.pretrain import PretrainResult, pretrain
 from repro.lm.tokenizer import Tokenizer
 from repro.lm.transformer import TransformerLM
-from repro.serving.scheduler import Dispatcher, FeedbackService, as_completed
+from repro.serving.scheduler import Dispatcher, FeedbackService
 from repro.utils.rng import seeded_rng
-
-
-def _drain_in_order(pending, build) -> list:
-    """One ``build(metadata, scores)`` result per ``pending`` entry, in order.
-
-    ``pending`` holds tuples whose last element is a
-    :class:`~repro.serving.scheduler.PendingBatch`; ``metadata`` is the rest
-    of the tuple.  ``build`` runs in verification-*completion* order, so
-    downstream work (pair construction, evaluation assembly) overlaps the
-    batches still in flight, while the returned list follows submission
-    order, keeping results bitwise-identical to a blocking drain.
-    """
-    by_handle = {entry[-1]: (index, entry[:-1]) for index, entry in enumerate(pending)}
-    results: list = [None] * len(pending)
-    for handle in as_completed(by_handle):
-        index, metadata = by_handle[handle]
-        results[index] = build(metadata, handle.result())
-    return results
 
 
 @dataclass
@@ -210,10 +186,10 @@ class DPOAFPipeline:
 
         The whole frontier decodes as one KV-cached batched wave, then the
         batches are submitted for verification in task order.  Returns
-        ``(task, prompt, responses, PendingBatch)`` tuples in task order.
-        Submission is asynchronous — verification runs on the pipeline's
-        dispatcher — and a configured in-flight bound blocks here
-        (back-pressure) rather than queueing unbounded batches.
+        ``(task, prompt, responses, PendingBatch)`` tuples in task order;
+        verification runs on the pipeline's dispatcher, which executes the
+        batches in that order, so a caller draining the handles in order
+        works on task *k* while task *k+1* verifies.
         """
         prompts = [format_prompt(task) for task in tasks]
         frontier = sample_response_frontier(
@@ -245,19 +221,9 @@ class DPOAFPipeline:
         pending = self._sample_and_submit(
             model, tokenizer, self.tasks, sampling.responses_per_prompt, sampling, rng
         )
-
-        # Build each task's pairs the moment its scores arrive instead of
-        # draining batches in task order — pair construction overlaps the
-        # verification still in flight.  rank_to_pairs is order-independent
-        # and the final list is assembled in task order, so the result is
-        # bitwise-identical to the blocking score_batch path.
-        def build(metadata, scores):
-            task, prompt, responses = metadata
-            return rank_to_pairs(prompt, responses, scores, task=task.name)
-
         pairs = []
-        for task_pairs in _drain_in_order(pending, build):
-            pairs.extend(task_pairs)
+        for task, prompt, responses, handle in pending:
+            pairs.extend(rank_to_pairs(prompt, responses, handle.result(), task=task.name))
         return pairs
 
     def augment_with_templates(self, pairs: list, *, per_task: int = 6) -> list:
@@ -281,14 +247,9 @@ class DPOAFPipeline:
                 (task, format_prompt(task), candidates, self.serving.submit_responses(task, candidates))
             )
 
-        # Ranked as each task's scores land, appended in task order.
-        def build(metadata, scores):
-            task, prompt, candidates = metadata
-            return rank_to_pairs(prompt, candidates, scores, task=task.name)[:per_task]
-
         augmented = list(pairs)
-        for task_pairs in _drain_in_order(pending, build):
-            augmented.extend(task_pairs)
+        for task, prompt, candidates, handle in pending:
+            augmented.extend(rank_to_pairs(prompt, candidates, handle.result(), task=task.name)[:per_task])
         return augmented
 
     # ------------------------------------------------------------------ #
@@ -324,19 +285,17 @@ class DPOAFPipeline:
         pending = self._sample_and_submit(
             model, tokenizer, tasks, num_samples, self.config.sampling, seeded_rng(seed)
         )
-
-        # Consume in completion order, report in task order — same discipline
-        # as pair construction.
-        def build(metadata, counts):
-            task = metadata[0]
-            return TaskEvaluation(
-                task=task.name,
-                split=task.split,
-                num_specifications=len(self.specifications),
-                satisfied_counts=counts,
-            )
-
-        return ModelEvaluation(per_task=_drain_in_order(pending, build))
+        return ModelEvaluation(
+            per_task=[
+                TaskEvaluation(
+                    task=task.name,
+                    split=task.split,
+                    num_specifications=len(self.specifications),
+                    satisfied_counts=handle.result(),
+                )
+                for task, _prompt, _responses, handle in pending
+            ]
+        )
 
     def evaluate_checkpoints(self, dpo_result: DPOResult, tokenizer: Tokenizer, *, num_samples: int = 2, seed: int = 99) -> dict:
         """Figure 9: specification satisfaction at every stored DPO checkpoint."""

@@ -79,6 +79,9 @@ def read_encoded_pairs(path: str | Path) -> list:
             line = line.strip()
             if not line:
                 continue
+            # Besides ValueError/KeyError/TypeError: nesting deeper than the
+            # JSON parser's stack raises RecursionError, and an infinite float
+            # where an int belongs raises OverflowError.
             try:
                 record = json.loads(line)
                 pairs.append(
@@ -90,7 +93,7 @@ def read_encoded_pairs(path: str | Path) -> list:
                         task=record.get("task", ""),
                     )
                 )
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError, OverflowError) as exc:
                 raise ValueError(
                     f"{path}:{line_number}: invalid encoded-pair record ({exc})"
                 ) from exc

@@ -14,12 +14,12 @@ digest of the response text, and pairs are enumerated over that canonical
 ranking.  Two items that compare equal under the sort key are literally the
 same ``(response, score)`` pair, so their relative order cannot matter.
 
-This property is what lets the pipeline build each task's preference pairs
-as its verification batch completes
-(:meth:`~repro.serving.scheduler.FeedbackService.submit_batch` /
-:func:`~repro.serving.scheduler.as_completed`): no matter which batch
-finishes verification first, the pairs constructed from its scores are
-identical to the ones the blocking ``score_batch`` path would have built.
+This property is what makes the pairs independent of how the scores were
+obtained: the pipeline ranks each task's batch as its
+:meth:`~repro.serving.scheduler.FeedbackService.submit_batch` handle
+resolves, ``repro-serve --pairs-output`` ranks records grouped from a file in
+any order, and both build exactly the pairs a blocking ``score_batch`` loop
+would have.
 """
 
 from __future__ import annotations

@@ -498,8 +498,8 @@ class JobsDaemon:
         return {"batch": batch.to_record(), "jobs": jobs}
 
     def _op_list_jobs(self, params: dict) -> dict:
-        client_id = params.get("client_id")
-        state = params.get("state")
+        client_id = _optional_str(params, "client_id")
+        state = _optional_str(params, "state")
         if state is not None and state not in models.JOB_STATES:
             raise RequestError(
                 "invalid-request", f"unknown state {state!r}; known: {list(models.JOB_STATES)}"
@@ -564,20 +564,26 @@ class JobsDaemon:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         try:
-            reader = conn.makefile("r", encoding="utf-8")
+            # Bytes, not text: json.loads decodes each line itself, so a line
+            # of invalid UTF-8 is one bad request, not a dead connection.
+            reader = conn.makefile("rb")
             for line in reader:
                 line = line.strip()
                 if not line:
                     continue
+                # Not only JSONDecodeError: invalid UTF-8 raises
+                # UnicodeDecodeError, an over-long integer literal ValueError,
+                # nesting deeper than the parser's stack RecursionError.
                 try:
                     request = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:
                     self._send(conn, _error_response("invalid-request", f"bad JSON: {exc}"))
                     continue
-                op = request.get("op") if isinstance(request, dict) else None
-                params = request.get("params") if isinstance(request, dict) else None
-                if params is None:
-                    params = {}
+                try:
+                    op, params = _request_envelope(request)
+                except RequestError as exc:
+                    self._send(conn, _error_response(exc.error_type, str(exc)))
+                    continue
                 if op == "stream_progress":
                     self._stream_progress(conn, params)
                     continue
@@ -646,7 +652,7 @@ class JobsDaemon:
 
     def _watched_job_ids(self, params: dict) -> list:
         job_ids = params.get("job_ids")
-        batch_id = params.get("batch_id")
+        batch_id = _optional_str(params, "batch_id")
         if batch_id is not None:
             batch = self.store.get_batch(batch_id)
             if batch is None:
@@ -656,6 +662,8 @@ class JobsDaemon:
             raise RequestError(
                 "invalid-request", "stream_progress needs 'job_ids' or 'batch_id'"
             )
+        if not all(isinstance(job_id, str) for job_id in job_ids):
+            raise RequestError("invalid-request", "'job_ids' must be a list of strings")
         for job_id in job_ids:
             if self.store.get(job_id) is None:
                 raise RequestError("unknown-job", f"unknown job {job_id!r}")
@@ -678,10 +686,43 @@ def _id_sequence(identifier: str, prefix: str) -> int:
     return 0
 
 
+def _request_envelope(request) -> tuple:
+    """``(op, params)`` of a decoded request line.
+
+    Raises ``invalid-request`` unless the line is an object with a string
+    ``op`` and, when present, an object ``params`` — so every handler can
+    index ``params`` without guarding against lists or scalars.
+    """
+    if not isinstance(request, dict):
+        raise RequestError(
+            "invalid-request", f"a request must be an object, got {type(request).__name__}"
+        )
+    op = request.get("op")
+    if not isinstance(op, str):
+        raise RequestError("invalid-request", f"'op' must be a string, got {type(op).__name__}")
+    params = request.get("params")
+    if params is None:
+        params = {}
+    if not isinstance(params, dict):
+        raise RequestError(
+            "invalid-request", f"'params' must be an object, got {type(params).__name__}"
+        )
+    return op, params
+
+
 def _require_str(params: dict, field: str) -> str:
     value = params.get(field)
     if not isinstance(value, str) or not value:
         raise RequestError("invalid-request", f"{field!r} must be a non-empty string")
+    return value
+
+
+def _optional_str(params: dict, field: str) -> str | None:
+    value = params.get(field)
+    if value is not None and not isinstance(value, str):
+        raise RequestError(
+            "invalid-request", f"{field!r} must be a string, got {type(value).__name__}"
+        )
     return value
 
 

@@ -289,9 +289,9 @@ class BuchiMemo:
     The key is the canonical text of the (already negated) formula —
     ``str(formula)`` is unambiguous because every binary operator is
     parenthesized — so two syntactically identical specs share one
-    translation no matter which checker instance asks.  Thread-safe; the
-    thread backend shares one checker (and therefore this memo) across its
-    workers.
+    translation no matter which checker instance asks.  Thread-safe: the
+    memo is process-wide, so services scoring on different threads (a
+    dispatcher thread, a direct ``score_batch`` caller) share it.
 
     :meth:`configure_directory` attaches a
     :class:`~repro.serving.cache.CacheDirectory` shard: existing entries are
@@ -881,8 +881,8 @@ class ResultCache:
 
     Keyed on ``(model fingerprint, controller fingerprint, restart flag,
     spec key)``; results are frozen dataclasses, safe to share between hits.
-    Thread-safe (the thread backend funnels every worker through one
-    checker).
+    Thread-safe: a checker can be reached from a dispatcher thread and from
+    direct ``score_batch`` callers at once.
     """
 
     def __init__(self, max_entries: int = 512):

@@ -10,8 +10,8 @@ verification hot path actually wants:
   time went into LTL→Büchi construction, product exploration and the
   accepting-cycle emptiness check, and the *top-k hottest specs* ranking that
   tells you which of the 15 rules to optimise first;
-* **serving summary** — the cache/dedup/back-pressure line, formatted from a
-  metrics snapshot so the CLI and the pipeline report through one code path.
+* **serving summary** — the cache/dedup line, formatted from a metrics
+  snapshot so the CLI and the pipeline report through one code path.
 
 :func:`format_report` renders all of it; the ``repro-trace`` CLI
 (:mod:`repro.obs.cli`) is a thin wrapper around these functions.
@@ -121,18 +121,12 @@ def format_serving_summary(snapshot: dict) -> str:
         if snapshot.get("warm_start_entries")
         else ""
     )
-    blocked = (
-        f", back-pressure blocked {snapshot['backpressure_waits']}× "
-        f"for {snapshot['backpressure_seconds']:.2f}s"
-        if snapshot.get("backpressure_waits")
-        else ""
-    )
     return (
         f"scored {snapshot['jobs']} responses ({snapshot['unique_jobs']} unique) "
         f"in {snapshot['total_seconds']:.2f}s — "
         f"{snapshot['throughput']:.1f} responses/s, "
         f"hit rate {snapshot['hit_rate']:.0%}, dedup rate {snapshot['dedup_rate']:.0%}"
-        f"{warm}{blocked}"
+        f"{warm}"
     )
 
 
@@ -198,9 +192,6 @@ def format_report(spans, *, metrics: dict | None = None, counter_samples=(), top
         lines.append("")
         lines.append("== serving ==")
         lines.append(format_serving_summary(serving))
-        if serving.get("stage_seconds"):
-            for name, seconds in sorted(serving["stage_seconds"].items()):
-                lines.append(f"stage {name}: {seconds:.2f}s")
 
     if not lines:
         return "(empty trace: no spans recorded)"

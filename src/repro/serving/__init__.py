@@ -15,37 +15,32 @@ This package turns it into a standalone service with four layers:
 ``cache``
     A content-addressed LRU result cache keyed by a SHA-256 digest of
     ``(scenario, canonical response, feedback fingerprint)``, with hit/miss
-    stats, atomic JSON persistence (:class:`~repro.serving.cache.
-    FeedbackCache`), and a managed cross-run cache directory
+    stats (:class:`~repro.serving.cache.FeedbackCache`), persisted across
+    runs by a managed cache directory
     (:class:`~repro.serving.cache.CacheDirectory`, below).
 ``backends``
-    The three execution strategies for scoring cache misses
-    (:mod:`repro.serving.backends`): ``"serial"`` (inline reference loop),
-    ``"thread"`` (GIL-bound pool; cheap, always safe) and ``"process"``
-    (a *persistent* :class:`~repro.serving.backends.WorkerPool` whose worker
-    processes rebuild the verifier/world-model/evaluator stack once per
-    process from a picklable :class:`~repro.serving.backends.WorkerPayload`,
-    then stay alive across every batch the service scores — the
-    fork/initializer cost is paid once per service, not once per cold
-    batch).  All three return bitwise-identical scores in submission order;
-    select one with ``ServingConfig(backend=...)``.
+    The two execution strategies for scoring cache misses
+    (:mod:`repro.serving.backends`): ``"serial"`` (the default inline
+    reference loop) and ``"process"`` (a *persistent*
+    :class:`~repro.serving.backends.WorkerPool` whose worker processes
+    rebuild the verifier/world-model/evaluator stack once per process from a
+    picklable :class:`~repro.serving.backends.WorkerPayload`, then stay alive
+    across every batch the service scores — the fork/initializer cost is paid
+    once per service, not once per cold batch).  Both return
+    bitwise-identical scores in submission order; select one with
+    ``ServingConfig(backend=...)``.
 ``scheduler``
     :class:`~repro.serving.scheduler.FeedbackService` — accepts batches of
     :class:`~repro.serving.scheduler.FeedbackJob`, partitions cache hits from
     misses, fans misses out to the configured backend, and scatters scores
     back in deterministic submission order.  World models, formal verifiers
     and empirical evaluators are constructed once per scenario, not once per
-    response.  Besides synchronous ``score_batch``, batches can be submitted
-    asynchronously: ``submit_batch`` queues work on a dispatcher thread and
-    returns a :class:`~repro.serving.scheduler.PendingBatch` future handle
-    immediately (stream completions with
-    :func:`~repro.serving.scheduler.as_completed`, or await
-    ``score_batch_async`` from an event loop), so producers overlap sampling
-    with verification while scores stay bitwise-identical to the synchronous
-    path.  Submission is *bounded*: ``ServingConfig.max_inflight_batches`` /
-    ``max_inflight_jobs`` apply back-pressure, blocking producers that run
-    too far ahead of verification (blocked time is telemetered as
-    ``backpressure_seconds``).  The dispatch thread is a first-class
+    response.  Besides synchronous ``score_batch``, ``submit_batch`` queues
+    a batch on a dispatcher thread and returns a
+    :class:`~repro.serving.scheduler.PendingBatch` future handle immediately,
+    so a producer ranks one batch while the next verifies; batches execute
+    in submission order, so scores stay bitwise-identical to the synchronous
+    path.  The dispatch thread is a first-class
     :class:`~repro.serving.scheduler.Dispatcher` that several services can
     share, serving multiple task streams over one thread; admission across
     services is round-robin (one batch per service in rotation), so a chatty
@@ -99,13 +94,7 @@ from repro.serving.cache import (
 from repro.serving.config import BACKENDS, ServingConfig
 from repro.serving.dedup import canonicalize_response, dedupe_responses, first_occurrence
 from repro.serving.metrics import ServingMetrics
-from repro.serving.scheduler import (
-    Dispatcher,
-    FeedbackJob,
-    FeedbackService,
-    PendingBatch,
-    as_completed,
-)
+from repro.serving.scheduler import Dispatcher, FeedbackJob, FeedbackService, PendingBatch
 
 __all__ = [
     "BACKENDS",
@@ -128,5 +117,4 @@ __all__ = [
     "FeedbackJob",
     "FeedbackService",
     "PendingBatch",
-    "as_completed",
 ]

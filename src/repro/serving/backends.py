@@ -2,14 +2,11 @@
 
 The scheduler scores a miss by building a GLM2FSA controller from the response
 and model-checking it (or rolling it out in the simulator) — pure-Python CPU
-work.  Three backends execute that work:
+work.  Two backends execute that work:
 
 ``"serial"``
-    An inline loop.  The bitwise reference every other backend must match.
-``"thread"``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  GIL-bound for this
-    workload, so its wins come from overlapping the little I/O there is; kept
-    because it is cheap to spin up and always safe.
+    An inline loop (:func:`run_serial`).  The default, and the bitwise
+    reference every other path must match.
 ``"process"``
     A :class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker process
     runs an initializer that rebuilds the verifier/world-model/evaluator stack
@@ -24,14 +21,14 @@ started lazily on the first large-enough miss batch and then *reused for every
 subsequent batch* over the owning service's lifetime, so the fork/initializer
 cost is paid once per worker rather than once per cold batch.  ``close()``
 (reached through :meth:`FeedbackService.close
-<repro.serving.scheduler.FeedbackService.close>` or the service's context
-manager) shuts the workers down; a closed or broken pool degrades to the
-serial loop, never to wrong scores.  :func:`run_process` remains as the
-one-shot convenience (a throwaway pool per call).
+<repro.serving.scheduler.FeedbackService.close>`, the service's context
+manager, or a ``with WorkerPool(...)`` block) shuts the workers down; a closed
+or broken pool degrades to the serial loop, never to wrong scores.
 
 :class:`ResponseScorer` is the single implementation of "score one response
-from scratch" shared by all three: the scheduler owns one for the serial and
-thread paths, and every worker process owns one built from the payload.
+from scratch" shared by both: the scheduler owns one for the serial path (and
+the pool's fallback), and every worker process owns one built from the
+payload.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -164,7 +161,7 @@ class WorkerPayload:
     Every field pickles: specifications are plain formula dataclasses, the
     rest are primitives.  Custom ``model_builder`` callables are deliberately
     *not* part of the payload — a service configured with one cannot use the
-    process backend (the scheduler falls back to its in-process pool), since
+    process backend (the scheduler falls back to the serial loop), since
     shipping arbitrary closures to workers is neither picklable in general
     nor reproducible.
     """
@@ -256,14 +253,6 @@ def _score_chunk(chunk: Sequence[tuple]) -> list:
 def run_serial(scorer: ResponseScorer, jobs: Sequence) -> list:
     """Score ``jobs`` inline, in order."""
     return [scorer.score(job.task, job.scenario, job.response) for job in jobs]
-
-
-def run_thread(scorer: ResponseScorer, jobs: Sequence, *, max_workers: int) -> list:
-    """Score ``jobs`` on a thread pool; results in submission order."""
-    if len(jobs) <= 1:
-        return run_serial(scorer, jobs)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda job: scorer.score(job.task, job.scenario, job.response), jobs))
 
 
 class WorkerPool:
@@ -422,22 +411,3 @@ class WorkerPool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-
-def run_process(
-    payload: WorkerPayload,
-    jobs: Sequence,
-    *,
-    max_workers: int,
-    fallback: ResponseScorer,
-    min_batch: int = PROCESS_MIN_BATCH,
-) -> list:
-    """Score ``jobs`` on a *one-shot* process pool; results in submission order.
-
-    Convenience wrapper over :class:`WorkerPool` for callers without a batch
-    stream: the pool is forked, used for this batch and torn down.  Anything
-    scoring more than one batch should hold a ``WorkerPool`` (as
-    :class:`~repro.serving.scheduler.FeedbackService` does) and pay the
-    fork/initializer cost once.
-    """
-    with WorkerPool(payload, max_workers=max_workers, min_batch=min_batch) as pool:
-        return pool.run(jobs, fallback=fallback)

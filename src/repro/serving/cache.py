@@ -3,10 +3,11 @@
 Feedback is a pure function of ``(scenario, canonical response text, feedback
 mode, feedback configuration, specification set)`` — the controller built from
 a response and the world model it is checked against are both deterministic.
-The cache therefore keys entries by a SHA-256 digest of exactly those inputs,
-evicts least-recently-used entries past a size bound, and can persist its
-contents as JSON (via :mod:`repro.utils.serialization`) so a warm cache
-survives across runs.
+The cache therefore keys entries by a SHA-256 digest of exactly those inputs
+and evicts least-recently-used entries past a size bound.  A
+:class:`CacheDirectory` of per-fingerprint JSON shards (written via
+:mod:`repro.utils.serialization`) is the one way a warm cache survives across
+runs.
 """
 
 from __future__ import annotations
@@ -186,40 +187,6 @@ class FeedbackCache:
                 self.put(key, score)
                 adopted.append(key)
         return sum(1 for key in adopted if key in self._entries)
-
-    # ------------------------------------------------------------------ #
-    def save(self, path: str | Path) -> Path:
-        """Persist the entries (recency order preserved) as JSON.
-
-        Written atomically (tmp file + ``os.replace``): a crash or full disk
-        mid-write must corrupt nothing — the previous persisted cache, if any,
-        stays loadable.
-        """
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "max_entries": self.max_entries,
-            "entries": self.entries(),
-        }
-        return dump_json_atomic(payload, path)
-
-    @classmethod
-    def load(cls, path: str | Path, *, max_entries: int | None = None) -> "FeedbackCache":
-        """Rebuild a cache from :meth:`save` output; stale schemas load empty.
-
-        ``max_entries`` overrides the persisted bound only when explicitly
-        given (``is None`` check, not truthiness: a caller's — or a payload's
-        — 0 must surface as the constructor's ``ValueError``, not silently
-        become the default bound).
-        """
-        payload = load_json(path)
-        if max_entries is None:
-            stored = payload.get("max_entries")
-            max_entries = stored if stored is not None else 4096
-        cache = cls(max_entries=max_entries)
-        if payload.get("schema") == CACHE_SCHEMA_VERSION:
-            for key, score in payload.get("entries", []):
-                cache.put(key, score)
-        return cache
 
 
 class CacheDirectory:

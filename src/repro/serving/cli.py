@@ -16,17 +16,8 @@ merged in, one per line, followed by a telemetry summary on stderr.  The
 input file is validated in full before any verification machinery is built,
 so a typo'd path or malformed line is reported immediately; when ``--output``
 is used the file is written through a tmp file and moved into place, so a
-failure mid-run never leaves a truncated output behind.
-
-By default the whole input is scored as one synchronous batch.  With
-``--batch-size N`` the input is split into batches submitted asynchronously
-through one shared :class:`~repro.serving.scheduler.Dispatcher`
-(``FeedbackService.submit_batch``); ``--max-inflight-batches`` /
-``--max-inflight-jobs`` bound how much *unresolved verification work* may be
-queued on the dispatcher at once — the shape a long-running producer wants.
-(The input file itself is still loaded and validated in full up front, so
-these bounds cap dispatcher queueing, not total process memory.)  Output
-order and scores are identical either way.
+failure mid-run never leaves a truncated output behind.  The whole input is
+scored as one ``FeedbackService.score_batch`` call.
 """
 
 from __future__ import annotations
@@ -39,17 +30,14 @@ from pathlib import Path
 
 EPILOG = """\
 backends:
-  serial    score cache misses inline — the bitwise reference path
-  thread    ThreadPoolExecutor; cheap to start, but verification is pure
-            Python, so the GIL caps it near single-core speed
+  serial    score cache misses inline — the default and the bitwise
+            reference path
   process   ProcessPoolExecutor; each worker builds the verifier/world-model
             stack once and scores chunks of misses in parallel — use this for
             large cold batches on multi-core machines (small batches fall
             back to serial automatically)
 
 caching:
-  --cache-file FILE   private single-file cache: loaded at startup, written
-                      (atomically) at exit
   --cache-dir DIR     shared cache directory: one JSON shard per feedback
                       fingerprint (<sha256-prefix>.json), written atomically
                       and merged across runs — point the pipeline, the
@@ -63,17 +51,6 @@ caching:
                       (least recently written first) until the directory is
                       under N bytes — keeps long-lived cache directories from
                       growing without bound.
-
-streaming:
-  --batch-size N      submit the input as batches of N records through the
-                      service's async API (one shared dispatcher thread)
-                      instead of one blocking score_batch call; scores and
-                      output order are identical
-  --max-inflight-batches N / --max-inflight-jobs N
-                      back-pressure for --batch-size: block submission while
-                      N batches (or jobs) are still unresolved, bounding the
-                      verification work queued on the dispatcher; time spent
-                      blocked is reported in the telemetry line
 
 daemon mode:
   repro-serve daemon --socket S --store DIR [service flags]
@@ -95,8 +72,7 @@ training data:
                       on the input, and emitted as one encoded pair per JSONL
                       line (token ids + response-mask starts; load it with
                       repro.dpo.read_encoded_pairs).  The file is
-                      byte-identical whether the input was scored blocking
-                      or streamed with --batch-size.
+                      byte-identical on every backend.
 """
 
 
@@ -117,11 +93,10 @@ def add_service_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=("formal", "empirical"), default="formal", help="feedback channel")
     parser.add_argument("--core-specs", action="store_true", help="score against Φ1-Φ5 only instead of all 15 rules")
     parser.add_argument(
-        "--backend", choices=("serial", "thread", "process"), default="thread", help="worker-pool backend"
+        "--backend", choices=("serial", "process"), default="serial", help="worker-pool backend"
     )
     parser.add_argument("--max-workers", type=int, default=4, help="worker-pool width")
     parser.add_argument("--cache-size", type=int, default=4096, help="LRU bound on the result cache")
-    parser.add_argument("--cache-file", type=Path, default=None, help="persist/warm-start the cache at this path")
     parser.add_argument(
         "--cache-dir", type=Path, default=None,
         help="shared cross-run cache directory of per-fingerprint shards",
@@ -155,12 +130,10 @@ def build_feedback(args):
     return FeedbackConfig(use_empirical=args.mode == "empirical")
 
 
-def serving_config_from_args(args, **overrides):
+def serving_config_from_args(args):
     """Build the :class:`~repro.serving.config.ServingConfig` the flags describe.
 
-    ``overrides`` are extra ``ServingConfig`` fields an entry point adds on
-    top of the shared flags (the one-shot path passes its back-pressure
-    bounds).  Raises ``ValueError`` exactly as ``ServingConfig`` does.
+    Raises ``ValueError`` exactly as ``ServingConfig`` does.
     """
     from repro.serving import ServingConfig
 
@@ -168,12 +141,10 @@ def serving_config_from_args(args, **overrides):
         backend=args.backend,
         max_workers=args.max_workers,
         cache_size=args.cache_size,
-        persist_path=str(args.cache_file) if args.cache_file else None,
         shared_cache_dir=str(args.cache_dir) if args.cache_dir else None,
         shared_cache_max_entries=args.cache_max_entries,
         shared_cache_max_bytes=args.cache_max_bytes,
         automata_cache_dir=str(args.automata_cache_dir) if args.automata_cache_dir else None,
-        **overrides,
     )
 
 
@@ -187,18 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("jsonl", type=Path, help="input JSONL file of {task, response} objects")
     parser.add_argument("-o", "--output", type=Path, default=None, help="output JSONL path (default: stdout)")
     add_service_arguments(parser)
-    parser.add_argument(
-        "--batch-size", type=int, default=None,
-        help="submit the input asynchronously in batches of this many records",
-    )
-    parser.add_argument(
-        "--max-inflight-batches", type=int, default=None,
-        help="back-pressure: max unresolved async batches (requires --batch-size)",
-    )
-    parser.add_argument(
-        "--max-inflight-jobs", type=int, default=None,
-        help="back-pressure: max unresolved async jobs (requires --batch-size)",
-    )
     parser.add_argument(
         "--pairs-output", type=Path, default=None,
         help="also write DPO-ready encoded preference pairs (JSONL) to this path",
@@ -226,9 +185,11 @@ def load_jobs(path: Path) -> list:
         line = line.strip()
         if not line:
             continue
+        # Not only JSONDecodeError: nesting deeper than the parser's stack
+        # raises RecursionError, an over-long integer literal ValueError.
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}:{line_number}: invalid JSON ({exc})") from exc
         if not isinstance(record, dict):
             raise ValueError(f"{path}:{line_number}: each line must be a JSON object, got {type(record).__name__}")
@@ -345,27 +306,11 @@ def main(argv=None) -> int:
         print(f"repro-serve: {exc}", file=sys.stderr)
         return 2
 
-    from repro.serving import Dispatcher, FeedbackJob, FeedbackService
-
-    if args.batch_size is None and (
-        args.max_inflight_batches is not None or args.max_inflight_jobs is not None
-    ):
-        print(
-            "repro-serve: --max-inflight-batches/--max-inflight-jobs require --batch-size",
-            file=sys.stderr,
-        )
-        return 2
-    if args.batch_size is not None and args.batch_size <= 0:
-        print(f"repro-serve: --batch-size must be positive, got {args.batch_size}", file=sys.stderr)
-        return 2
+    from repro.serving import FeedbackJob, FeedbackService
 
     specifications = build_specifications(args)
     try:
-        config = serving_config_from_args(
-            args,
-            max_inflight_batches=args.max_inflight_batches,
-            max_inflight_jobs=args.max_inflight_jobs,
-        )
+        config = serving_config_from_args(args)
     except ValueError as exc:
         print(f"repro-serve: {exc}", file=sys.stderr)
         return 2
@@ -382,28 +327,15 @@ def main(argv=None) -> int:
     if args.trace is not None:
         tracer = obs.Tracer.for_trace_file(args.trace)
         obs.install_tracer(tracer)
-    # The context managers flush the cache (and compact the shared directory
-    # when bounded) on exit, then shut down the dispatch thread / worker pool.
-    with Dispatcher(name="repro-serve") as dispatcher:
-        with FeedbackService(
-            specifications,
-            feedback=build_feedback(args),
-            config=config,
-            seed=args.seed,
-            dispatcher=dispatcher,
-        ) as service:
-            if args.batch_size is None:
-                scores = service.score_batch(feedback_jobs)
-            else:
-                # Stream the input through the async API: submission blocks
-                # under the configured in-flight bounds, capping the
-                # unresolved work queued on the dispatcher.  Batches resolve
-                # in submission order, so concatenation preserves input order.
-                handles = [
-                    service.submit_batch(feedback_jobs[start : start + args.batch_size])
-                    for start in range(0, len(feedback_jobs), args.batch_size)
-                ]
-                scores = [score for handle in handles for score in handle.result()]
+    # The context manager flushes the cache (and compacts the shared
+    # directory when bounded) on exit, then shuts down the worker pool.
+    with FeedbackService(
+        specifications,
+        feedback=build_feedback(args),
+        config=config,
+        seed=args.seed,
+    ) as service:
+        scores = service.score_batch(feedback_jobs)
 
     write_records(
         ({**record, "scenario": scenario, "score": score} for (record, scenario), score in zip(jobs, scores)),
@@ -411,7 +343,6 @@ def main(argv=None) -> int:
     )
     if args.pairs_output is not None:
         pair_count, encode_seconds = write_pairs(jobs, scores, args.pairs_output)
-        service.metrics.record_stage("encode", encode_seconds)
         print(
             f"wrote {pair_count} encoded preference pairs to {args.pairs_output} "
             f"(encode stage {encode_seconds:.2f}s)",

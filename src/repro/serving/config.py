@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: Supported worker-pool backends for scoring cache misses.
-BACKENDS: tuple = ("serial", "thread", "process")
+BACKENDS: tuple = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -26,24 +26,19 @@ class ServingConfig:
     cache_size:
         LRU bound on the result cache (entries are a hash key plus an int).
     backend:
-        ``"thread"`` fans cache misses out to a ``ThreadPoolExecutor``;
-        ``"process"`` to a ``ProcessPoolExecutor`` whose workers rebuild the
-        verification stack once per process (true multi-core parallelism for
-        the GIL-bound verification work); ``"serial"`` scores them inline.
-        All three produce identical, input-order results.
+        ``"serial"`` (the default and the bitwise reference) scores cache
+        misses inline; ``"process"`` fans them out to a persistent
+        ``ProcessPoolExecutor`` whose workers rebuild the verification stack
+        once per process — true multi-core parallelism for the GIL-bound
+        verification work.  Both produce identical, input-order results.
     max_workers:
-        Pool width for the ``"thread"`` and ``"process"`` backends.
-    persist_path:
-        Optional JSON file the cache is loaded from at startup and flushed to
-        by :meth:`~repro.serving.scheduler.FeedbackService.flush`, warming
-        later runs.
+        Pool width for the ``"process"`` backend.
     shared_cache_dir:
         Optional directory of per-fingerprint cache shards
         (:class:`~repro.serving.cache.CacheDirectory`) shared between the
         pipeline, the benchmarks and the ``repro-serve`` CLI.  At startup the
         service warm-starts from the shard matching its feedback fingerprint;
-        ``flush()`` merges its results back.  Composes with ``persist_path``
-        (a private single-file cache) — either, both or neither may be set.
+        ``flush()`` merges its results back.
     shared_cache_max_entries:
         Optional per-shard entry bound for the shared cache directory.  When
         set, ``flush()`` compacts the directory
@@ -56,25 +51,6 @@ class ServingConfig:
         recently written first, until the directory fits.  Composes with
         ``shared_cache_max_entries`` (entries are trimmed before shards are
         evicted); either, both or neither may be set.
-    max_inflight_batches:
-        Optional back-pressure bound on asynchronous submission: when this
-        many batches submitted via
-        :meth:`~repro.serving.scheduler.FeedbackService.submit_batch` are
-        still unresolved, further ``submit_batch`` calls *block* (and
-        ``score_batch_async`` awaits) until the dispatcher drains below the
-        bound.  Keeps a producer that samples much faster than verification
-        from queueing unbounded work (and the memory that holds it).  The
-        time producers spend blocked is recorded as
-        ``ServingMetrics.backpressure_seconds``.  ``None`` (default) imposes
-        no bound.  A batch is always admitted when nothing is in flight, so a
-        single batch can never deadlock against the bound.
-    max_inflight_jobs:
-        Optional back-pressure bound counted in *jobs* rather than batches,
-        for producers with uneven batch sizes.  A submission blocks while the
-        jobs already in flight plus its own would exceed the bound (unless
-        nothing is in flight — an oversized single batch is admitted rather
-        than deadlocked).  Composes with ``max_inflight_batches``; either,
-        both or neither may be set.
     worker_retries:
         How many times a *failed* process-backend worker pool (workers died,
         ``BrokenExecutor``) is rebuilt — with the shared jittered-backoff
@@ -95,14 +71,11 @@ class ServingConfig:
 
     enabled: bool = True
     cache_size: int = 4096
-    backend: str = "thread"
+    backend: str = "serial"
     max_workers: int = 4
-    persist_path: str | None = None
     shared_cache_dir: str | None = None
     shared_cache_max_entries: int | None = None
     shared_cache_max_bytes: int | None = None
-    max_inflight_batches: int | None = None
-    max_inflight_jobs: int | None = None
     worker_retries: int = 0
     automata_cache_dir: str | None = None
 
@@ -130,11 +103,5 @@ class ServingConfig:
             raise ValueError(
                 "shared_cache_max_entries/shared_cache_max_bytes require shared_cache_dir"
             )
-        if self.max_inflight_batches is not None and self.max_inflight_batches <= 0:
-            raise ValueError(
-                f"max_inflight_batches must be positive, got {self.max_inflight_batches}"
-            )
-        if self.max_inflight_jobs is not None and self.max_inflight_jobs <= 0:
-            raise ValueError(f"max_inflight_jobs must be positive, got {self.max_inflight_jobs}")
         if self.worker_retries < 0:
             raise ValueError(f"worker_retries must be non-negative, got {self.worker_retries}")

@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 class ServingMetrics:
     """Accumulated telemetry for batched feedback scoring.
 
-    Mutation is lock-guarded: batches recorded on the dispatcher thread,
-    back-pressure recorded on producer threads and stage timings recorded by
-    the CLI all fold into the same counters, so unsynchronised ``+=`` updates
-    could lose increments.  Reads (``snapshot()`` and the derived-rate
-    properties) take the same lock, so a snapshot never observes a batch
-    half-recorded.
+    Mutation is lock-guarded: batches recorded on the dispatcher thread and
+    on direct ``score_batch`` callers fold into the same counters, so
+    unsynchronised ``+=`` updates could lose increments.  ``snapshot()``
+    takes the same lock, so it never observes a batch half-recorded.
     """
 
     batches: int = 0
@@ -31,10 +29,7 @@ class ServingMetrics:
     cache_misses: int = 0          # unique jobs that required verification
     uncached_jobs: int = 0         # jobs scored with serving disabled (no cache lookups)
     warm_start_entries: int = 0    # entries retained from a shared cache directory
-    backpressure_waits: int = 0    # submit_batch calls that blocked on the in-flight bound
-    backpressure_seconds: float = 0.0  # producer time spent blocked by back-pressure
     total_seconds: float = 0.0
-    stage_seconds: dict = field(default_factory=dict)  # named pipeline-stage wall clocks
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
@@ -57,34 +52,10 @@ class ServingMetrics:
             self.uncached_jobs += uncached
             self.total_seconds += seconds
 
-    def record_backpressure(self, seconds: float) -> None:
-        """Fold one blocked ``submit_batch`` admission into the totals.
-
-        ``seconds`` is how long the producer waited for the in-flight bound
-        (``ServingConfig.max_inflight_batches`` / ``max_inflight_jobs``) to
-        drain before its batch was admitted.  Persistent growth here means
-        verification, not sampling, is the pipeline's bottleneck — add
-        workers or loosen the bound.
-        """
-        with self._lock:
-            self.backpressure_waits += 1
-            self.backpressure_seconds += seconds
-
     def record_warm_start(self, entries: int) -> None:
         """Count entries adopted from a shared cache directory at startup."""
         with self._lock:
             self.warm_start_entries += entries
-
-    def record_stage(self, name: str, seconds: float) -> None:
-        """Accumulate wall-clock time for one named pipeline stage.
-
-        Stages are caller-defined (the streaming CLI records ``encode`` for
-        the pair-encoding pass; the pipeline may record its own) and land in
-        ``snapshot()["stage_seconds"]``, so consumers of the telemetry see
-        how the end-to-end wall clock splits across overlapping stages.
-        """
-        with self._lock:
-            self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + seconds
 
     # ------------------------------------------------------------------ #
     @property
@@ -120,10 +91,7 @@ class ServingMetrics:
                 "cache_misses": self.cache_misses,
                 "uncached_jobs": self.uncached_jobs,
                 "warm_start_entries": self.warm_start_entries,
-                "backpressure_waits": self.backpressure_waits,
-                "backpressure_seconds": self.backpressure_seconds,
                 "total_seconds": self.total_seconds,
-                "stage_seconds": dict(self.stage_seconds),
                 "hit_rate": self.hit_rate,
                 "dedup_rate": self.dedup_rate,
                 "throughput": self.throughput,
@@ -131,16 +99,8 @@ class ServingMetrics:
             }
 
     def reset(self) -> None:
-        """Zero every counter in place.
-
-        ``stage_seconds`` is *cleared*, not rebound: callers holding a
-        reference to the dict (a registry provider, a test inspecting stage
-        timings) keep observing the live mapping after a reset instead of a
-        detached snapshot frozen at the old values.
-        """
+        """Zero every counter."""
         with self._lock:
             self.batches = self.jobs = self.unique_jobs = 0
             self.cache_hits = self.cache_misses = self.uncached_jobs = self.warm_start_entries = 0
-            self.backpressure_waits = 0
-            self.backpressure_seconds = self.total_seconds = 0.0
-            self.stage_seconds.clear()
+            self.total_seconds = 0.0

@@ -3,49 +3,40 @@
 :class:`FeedbackService` is the single entry point through which the pipeline
 (and anything else) scores language-model responses.  A batch of ``(task,
 response)`` jobs is canonicalised and deduplicated, cache hits are answered
-immediately, and only the remaining unique misses are verified — serially, on
-a thread pool, or on a persistent process pool (see
+immediately, and only the remaining unique misses are verified — serially
+(the default) or on a persistent process pool (see
 :mod:`repro.serving.backends`) — before results scatter back to the original
 submission order.  World models, formal verifiers and empirical evaluators
 are built once per scenario and reused across every batch (and, for the
 process backend, once per worker process *for the service's whole lifetime*:
 the :class:`~repro.serving.backends.WorkerPool` is forked lazily on the first
-large cold batch and reused thereafter).  A ``persist_path`` file and/or a
-``shared_cache_dir`` of per-fingerprint shards warm-start the cache across
-runs.
+large cold batch and reused thereafter).  A ``shared_cache_dir`` of
+per-fingerprint shards warm-starts the cache across runs.
 
 Two submission styles share one execution path:
 
 * :meth:`FeedbackService.score_batch` — synchronous, returns scores in
   submission order (the reference API);
-* :meth:`FeedbackService.submit_batch` — asynchronous: the batch is queued on
-  a single dispatcher thread and a :class:`PendingBatch` future handle is
-  returned immediately, so a producer can sample batch *k+1* while batch *k*
-  verifies.  :func:`as_completed` streams handles as they finish and
-  :meth:`FeedbackService.score_batch_async` adapts a submission to
-  ``asyncio``.  Batches are *executed* strictly in submission order on the
-  one dispatcher thread, so the cache evolves exactly as it would under
-  sequential ``score_batch`` calls — async scores are bitwise-identical to
-  the synchronous ones.
-
-Asynchronous submission is *bounded*: ``ServingConfig.max_inflight_batches``
-/ ``max_inflight_jobs`` apply back-pressure, blocking ``submit_batch`` (and
-suspending ``score_batch_async``) while too much submitted work is still
-unresolved, so a producer far ahead of verification cannot queue unbounded
-batches.  Producer time spent blocked is recorded on
-:class:`~repro.serving.metrics.ServingMetrics` as ``backpressure_seconds``.
+* :meth:`FeedbackService.submit_batch` — the batch is queued on a single
+  dispatcher thread and a :class:`PendingBatch` future handle is returned
+  immediately, so a producer can rank task *k* while task *k+1* verifies.
+  Batches are *executed* strictly in submission order on the one dispatcher
+  thread, so the cache evolves exactly as it would under sequential
+  ``score_batch`` calls — submitted scores are bitwise-identical to the
+  synchronous ones, and draining handles in submission order is draining
+  them in completion order.
 
 The dispatcher thread itself is a first-class object: a :class:`Dispatcher`
 can be shared by several services (pass it to the :class:`FeedbackService`
-constructor), serialising all their batches on one thread so the CLI or the
-pipeline can serve multiple task streams without spawning a thread per
+constructor), serialising all their batches on one thread so the pipeline or
+the jobs daemon can serve multiple task streams without spawning a thread per
 service.  Admission across services is round-robin — one batch per service
 in rotation, so a chatty service cannot starve another's stream — while each
 service's own batches still execute strictly in its submission order (the
 property determinism rests on).  A service constructed without one lazily
 creates — and owns — a private dispatcher.
 
-A service owns OS resources once the async or process paths are used
+A service owns OS resources once the submit or process paths are used
 (dispatcher thread, worker processes); release them with
 :meth:`FeedbackService.close` or by using the service as a context manager.
 A *shared* dispatcher outlives the services registered with it and is closed
@@ -59,20 +50,12 @@ import time
 import weakref
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import as_completed as _futures_as_completed
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.obs import tracer as obs
 from repro.feedback.formal import FormalVerifier
-from repro.serving.backends import (
-    ResponseScorer,
-    WorkerPayload,
-    WorkerPool,
-    run_serial,
-    run_thread,
-)
+from repro.serving.backends import ResponseScorer, WorkerPayload, WorkerPool, run_serial
 from repro.serving.cache import (
     CacheDirectory,
     FeedbackCache,
@@ -123,27 +106,14 @@ class PendingBatch:
         return len(self.jobs)
 
 
-def as_completed(batches: Iterable[PendingBatch], timeout: float | None = None) -> Iterator[PendingBatch]:
-    """Yield :class:`PendingBatch` handles as their scores become available.
-
-    The streaming counterpart of calling ``handle.result()`` in submission
-    order: consumers that don't care which batch finishes first (e.g. flushing
-    scored records to disk) can start on whichever verifies earliest.
-    """
-    batches = list(batches)
-    by_future = {batch._future: batch for batch in batches}
-    for future in _futures_as_completed(by_future, timeout=timeout):
-        yield by_future[future]
-
-
 class Dispatcher:
     """A single-threaded, service-fair batch executor services submit through.
 
-    Every asynchronous batch a :class:`FeedbackService` accepts runs on a
-    dispatcher: one worker thread executing each *service's* batches strictly
-    in that service's submission order, which is what keeps async scores
-    bitwise-identical to sequential ``score_batch`` calls.  A service
-    constructed without a dispatcher lazily creates a private one;
+    Every batch a :class:`FeedbackService` accepts through ``submit_batch``
+    runs on a dispatcher: one worker thread executing each *service's*
+    batches strictly in that service's submission order, which is what keeps
+    submitted scores bitwise-identical to sequential ``score_batch`` calls.
+    A service constructed without a dispatcher lazily creates a private one;
     constructing a ``Dispatcher`` explicitly and passing it to several
     services *shares* that thread between them::
 
@@ -323,7 +293,7 @@ class FeedbackService:
         verification or empirical (simulator) evaluation and its parameters.
     config:
         A :class:`~repro.serving.config.ServingConfig`; defaults to the
-        cached, thread-backed configuration.
+        cached, serial configuration.
     seed:
         Base seed for empirical trace collection (matching the pipeline's
         ``config.seed`` so cached and uncached scores agree).
@@ -331,13 +301,13 @@ class FeedbackService:
         ``scenario name -> TransitionSystem``; defaults to the driving
         scenario catalogue.  A custom builder cannot be shipped to worker
         processes, so it silently downgrades the ``"process"`` backend to the
-        thread pool.
+        serial loop.
     verifier:
         Optional pre-built :class:`FormalVerifier` to share (e.g. with a
         pipeline that also exposes one); constructed from ``feedback``
         otherwise.
     dispatcher:
-        Optional shared :class:`Dispatcher` to run asynchronous submissions
+        Optional shared :class:`Dispatcher` to run ``submit_batch`` batches
         on.  When omitted the service lazily creates a private dispatcher and
         closes it with the service; a supplied dispatcher is *borrowed* —
         ``close()`` drains this service's in-flight batches and unregisters,
@@ -434,7 +404,7 @@ class FeedbackService:
         self._digest_lock = threading.Lock()
         # One persistent process pool per service lifetime (forked lazily on
         # the first large miss batch, reused for every batch after that) and
-        # one dispatcher for async submissions — private by default, shared
+        # one dispatcher for submitted batches — private by default, shared
         # when the caller passed one in.  The lock serialises score_batch
         # bodies so direct calls and dispatcher-thread calls can interleave
         # without racing the cache or the metrics.
@@ -449,28 +419,17 @@ class FeedbackService:
         # submit can never race past close() into a shut-down executor.
         self._submit_lock = threading.Lock()
         self._closed = False
-        # Back-pressure bookkeeping: batches/jobs submitted asynchronously
-        # and not yet resolved.  The condition's lock guards the two counters
-        # and the backpressure metrics; waiters block here (never holding
-        # _submit_lock) until completions drain the dispatcher below the
-        # configured in-flight bounds.
+        # Batches submitted and not yet resolved; close() waits on the
+        # condition for this to reach zero before leaving a borrowed
+        # dispatcher.
         self._inflight = threading.Condition()
         self._inflight_batches = 0
-        self._inflight_jobs = 0
 
     def _initial_cache(self) -> FeedbackCache:
-        cache = None
-        path = self.config.persist_path
-        if path is not None and Path(path).exists():
-            try:
-                cache = FeedbackCache.load(path, max_entries=self.config.cache_size)
-            except (OSError, ValueError, KeyError, TypeError):
-                # Warm-starting is best-effort: an unreadable or corrupt
-                # persisted cache must not take the service down.
-                pass
-        if cache is None:
-            cache = FeedbackCache(max_entries=self.config.cache_size)
+        cache = FeedbackCache(max_entries=self.config.cache_size)
         if self.config.shared_cache_dir is not None:
+            # Warm-starting is best-effort: an unreadable cache directory must
+            # not take the service down (corrupt shards already load empty).
             try:
                 directory = CacheDirectory(self.config.shared_cache_dir)
                 adopted = cache.merge(directory.shard_entries(self._fingerprint))
@@ -508,7 +467,7 @@ class FeedbackService:
             return self._digests[scenario]
 
     def _prepare_scenarios(self, jobs: Sequence[FeedbackJob]) -> None:
-        """Build each scenario's model/evaluator once, before any thread fan-out.
+        """Build each scenario's model/evaluator once, before any fan-out.
 
         Sorted so preparation order (and any RNG it consumes) is deterministic
         regardless of set iteration order.
@@ -539,13 +498,9 @@ class FeedbackService:
                     self._payload, max_workers=self.config.max_workers, retry=retry
                 )
             return self._pool.run(jobs, fallback=self._scorer)
-        if backend in ("thread", "process"):
-            # "process" lands here only when no payload could be built — a
-            # custom model builder or a verifier diverging from the feedback
-            # config, neither of which can be rebuilt inside a worker; the
-            # thread pool is the closest safe substitute and scores
-            # identically.
-            return run_thread(self._scorer, jobs, max_workers=self.config.max_workers)
+        # "process" lands here too when no payload could be built — a custom
+        # model builder or a verifier diverging from the feedback config,
+        # neither of which can be rebuilt inside a worker.
         return run_serial(self._scorer, jobs)
 
     def score_batch(self, jobs: Sequence[FeedbackJob]) -> list:
@@ -555,7 +510,7 @@ class FeedbackService:
         the cache, fans the remaining misses out to the configured backend,
         and records telemetry.  Disabled serving degenerates to a serial loop
         with no cache — the reference path.  Thread-safe: batches from direct
-        callers and from the async dispatcher execute one at a time.
+        callers and from the dispatcher execute one at a time.
         """
         jobs = list(jobs)
         with self._batch_lock, obs.span(
@@ -629,42 +584,12 @@ class FeedbackService:
         return self.score_responses(task, [response])[0]
 
     # ------------------------------------------------------------------ #
-    # Asynchronous submission
+    # Submission
     # ------------------------------------------------------------------ #
-    def _over_inflight_bound(self, num_jobs: int) -> bool:
-        """Whether admitting ``num_jobs`` more would exceed the configured bound.
-
-        Called with ``self._inflight``'s lock held.  An idle dispatcher
-        (nothing in flight) always admits — even a batch larger than
-        ``max_inflight_jobs`` — so back-pressure can delay work but never
-        deadlock it.
-        """
-        if self._inflight_batches == 0:
-            return False
-        max_batches = self.config.max_inflight_batches
-        if max_batches is not None and self._inflight_batches >= max_batches:
-            return True
-        max_jobs = self.config.max_inflight_jobs
-        return max_jobs is not None and self._inflight_jobs + num_jobs > max_jobs
-
-    def _admit(self, num_jobs: int) -> None:
-        """Block until the in-flight bounds allow one more batch, then count it."""
-        with self._inflight:
-            blocked_since = None
-            while self._over_inflight_bound(num_jobs):
-                if blocked_since is None:
-                    blocked_since = time.perf_counter()
-                self._inflight.wait()
-            if blocked_since is not None:
-                self.metrics.record_backpressure(time.perf_counter() - blocked_since)
-            self._inflight_batches += 1
-            self._inflight_jobs += num_jobs
-
-    def _release(self, num_jobs: int) -> None:
-        """Uncount one resolved (or never-submitted) batch and wake waiters."""
+    def _release(self) -> None:
+        """Uncount one resolved (or never-submitted) batch and wake close()."""
         with self._inflight:
             self._inflight_batches -= 1
-            self._inflight_jobs -= num_jobs
             self._inflight.notify_all()
 
     def submit_batch(self, jobs: Sequence[FeedbackJob]) -> PendingBatch:
@@ -675,19 +600,12 @@ class FeedbackService:
         services), so interleaved ``submit_batch`` / ``score_batch`` calls
         see the cache evolve exactly as sequential ``score_batch`` calls
         would — the handle's ``result()`` is bitwise-identical to the
-        synchronous score list.  The producer is free to keep sampling (the
-        pipeline samples task *k+1* while task *k* verifies here).
-
-        When ``ServingConfig.max_inflight_batches`` / ``max_inflight_jobs``
-        are set this call *blocks* while the dispatcher holds that much
-        unresolved work, releasing the producer only as completions drain the
-        queue — back-pressure for producers far ahead of verification.  Time
-        spent blocked is recorded via
-        :meth:`ServingMetrics.record_backpressure
-        <repro.serving.metrics.ServingMetrics.record_backpressure>`.
+        synchronous score list.  The producer is free to keep working (the
+        pipeline ranks task *k* while task *k+1* verifies here).
         """
         jobs = list(jobs)
-        self._admit(len(jobs))
+        with self._inflight:
+            self._inflight_batches += 1
         try:
             with self._submit_lock:
                 if self._closed:
@@ -697,49 +615,27 @@ class FeedbackService:
                     self._dispatcher.register(self)
                 future = self._dispatcher.submit(self.score_batch, jobs, service=self)
         except BaseException:
-            # The batch never reached the dispatcher; give its slot back so a
-            # failed submission cannot wedge the in-flight accounting.
-            self._release(len(jobs))
+            # The batch never reached the dispatcher; uncount it so a failed
+            # submission cannot wedge close().
+            self._release()
             raise
-        future.add_done_callback(lambda _future: self._release(len(jobs)))
+        future.add_done_callback(lambda _future: self._release())
         return PendingBatch(jobs, future)
 
     def submit_responses(self, task, responses: Iterable[str]) -> PendingBatch:
-        """Async counterpart of :meth:`score_responses`."""
+        """Submitting counterpart of :meth:`score_responses`."""
         return self.submit_batch(
             [FeedbackJob(task=task.name, scenario=task.scenario, response=r) for r in responses]
         )
-
-    async def score_batch_async(self, jobs: Sequence[FeedbackJob]) -> list:
-        """``asyncio`` adapter over :meth:`submit_batch`.
-
-        Awaitable from any running event loop; verification happens on the
-        dispatcher thread / worker pool, so the loop stays responsive.  Under
-        back-pressure (``max_inflight_batches`` / ``max_inflight_jobs``) the
-        blocking admission runs on a helper thread, so this coroutine
-        *yields* to the event loop instead of stalling it while the
-        dispatcher drains.
-        """
-        import asyncio
-
-        jobs = list(jobs)
-        if self.config.max_inflight_batches is None and self.config.max_inflight_jobs is None:
-            # Unbounded: submission is pure queueing and cannot block, so
-            # skip the executor hop and submit inline.
-            handle = self.submit_batch(jobs)
-        else:
-            loop = asyncio.get_running_loop()
-            handle = await loop.run_in_executor(None, self.submit_batch, jobs)
-        return await asyncio.wrap_future(handle._future)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self, *, flush: bool = True) -> None:
-        """Drain pending async batches and release threads/worker processes.
+        """Drain submitted batches and release threads/worker processes.
 
         Waits for every batch this service already submitted, optionally
-        flushes the cache to its configured destinations, then shuts down the
+        flushes the cache to its shared cache directory, then shuts down the
         dispatcher (if this service owns it — a *shared* dispatcher is only
         unregistered from, and keeps serving its other services) and the
         persistent process pool.  Idempotent; after ``close()`` the
@@ -780,24 +676,18 @@ class FeedbackService:
 
     # ------------------------------------------------------------------ #
     def flush(self) -> bool:
-        """Persist the cache to ``persist_path`` and/or ``shared_cache_dir``.
+        """Merge the cache into its ``shared_cache_dir`` shard.
 
         Best-effort, like warm-starting: a full disk, revoked permissions or
         an unserializable score must not destroy the results the cache merely
-        accelerates.  Both writes are atomic, so a crash mid-flush can never
-        corrupt a previously persisted cache.  When the config bounds the
-        shared directory (``shared_cache_max_entries`` /
+        accelerates.  The shard write is atomic, so a crash mid-flush can
+        never corrupt a previously persisted shard.  When the config bounds
+        the shared directory (``shared_cache_max_entries`` /
         ``shared_cache_max_bytes``), the directory is compacted after the
         store so it cannot grow without bound across runs.  Returns True when
-        at least one configured destination was written.
+        the shard was written.
         """
         wrote = False
-        if self.config.persist_path is not None:
-            try:
-                self.cache.save(self.config.persist_path)
-                wrote = True
-            except (OSError, TypeError, ValueError):
-                pass
         if self.config.shared_cache_dir is not None:
             try:
                 directory = CacheDirectory(self.config.shared_cache_dir)

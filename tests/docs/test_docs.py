@@ -37,7 +37,7 @@ class TestDocumentationFiles:
             "CacheDirectory",
             "WorkerPool",
             "submit_batch",
-            "max_inflight_batches",  # the back-pressure knobs are documented
+            "The short answer",  # the one default path comes first
             "Dispatcher",
             "repro-serve",
         ):

@@ -111,6 +111,8 @@ class TestEncodedPairFile:
             pytest.param(json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "rejected_ids"}), id="missing-key"),
             pytest.param(json.dumps({**GOOD_RECORD, "chosen_ids": 5}), id="ids-not-a-list"),
             pytest.param(json.dumps({**GOOD_RECORD, "chosen_response_start": "x"}), id="start-not-an-int"),
+            pytest.param("[" * 100_000, id="nested-past-the-parser-limit"),
+            pytest.param(json.dumps({**GOOD_RECORD, "chosen_response_start": float("inf")}), id="start-infinite"),
         ],
     )
     def test_read_encoded_pairs_rejects_corrupt_lines(self, tmp_path, line):

@@ -10,7 +10,9 @@ subprocess daemons with the real ``FeedbackService`` instead.
 
 from __future__ import annotations
 
+import json
 import shutil
+import socket
 import tempfile
 import threading
 from pathlib import Path
@@ -108,3 +110,53 @@ def daemon_factory(jobs_root):
 def client(jobs_root):
     """A :class:`JobsClient` pointed at the factory daemon's socket."""
     return JobsClient(jobs_root / "daemon.sock", client_id="tester", timeout=30)
+
+
+class WireConnection:
+    """One raw, persistent connection to a daemon: send lines, read replies.
+
+    ``request(line)`` sends one request line (``str`` or raw ``bytes``) and
+    returns its reply: one decoded response, or for a progress stream every
+    event line through the closing ``end`` event.  A daemon that answers
+    nothing raises ``TimeoutError``; one that hangs up raises
+    ``ConnectionError`` — either way the test fails loudly.
+    """
+
+    def __init__(self, socket_path: Path, timeout: float = 30.0):
+        self._conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._conn.settimeout(timeout)
+        self._conn.connect(str(socket_path))
+        self._reader = self._conn.makefile("rb")
+
+    def _read(self) -> dict:
+        line = self._reader.readline()
+        if not line:
+            raise ConnectionError("daemon closed the connection")
+        return json.loads(line)
+
+    def request(self, line) -> list:
+        payload = line if isinstance(line, bytes) else line.encode("utf-8")
+        self._conn.sendall(payload + b"\n")
+        replies = [self._read()]
+        while "event" in replies[-1] and replies[-1]["event"].get("type") != "end":
+            replies.append(self._read())
+        return replies
+
+    def close(self) -> None:
+        self._reader.close()
+        self._conn.close()
+
+
+@pytest.fixture
+def wire(jobs_root):
+    """Open :class:`WireConnection` s to the factory daemon's socket."""
+    opened: list = []
+
+    def connect() -> WireConnection:
+        connection = WireConnection(jobs_root / "daemon.sock")
+        opened.append(connection)
+        return connection
+
+    yield connect
+    for connection in opened:
+        connection.close()

@@ -102,7 +102,7 @@ def oneshot_scores(tmp_path_factory):
     return {record["response"]: record["score"] for record in scored}
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_sigkill_midbatch_recovers_exactly_once(backend, oneshot_scores):
     root = Path(tempfile.mkdtemp(prefix="repro-crash-", dir="/tmp"))
     socket_path = root / "daemon.sock"

@@ -1,5 +1,6 @@
 """The jobs daemon over a stub scorer: lifecycle, retries, quota, fairness."""
 
+import json
 import time
 
 import pytest
@@ -278,3 +279,52 @@ class TestRestart:
         assert final["state"] == SUCCEEDED
         assert final["attempts"] == 2  # the interrupted attempt plus the re-run
         assert stub.calls == ["1. Interrupted."]
+
+
+class TestWireProtocol:
+    """Malformed request lines get typed errors; the connection survives."""
+
+    #: Lines that used to raise inside the connection thread (AttributeError
+    #: on list params, TypeError hashing a list op or a list job id,
+    #: RecursionError decoding deep nesting, UnicodeDecodeError on invalid
+    #: UTF-8), so the client saw EOF instead of an answer.
+    MALFORMED = (
+        '{"op": "get_status", "params": [1, 2]}',
+        '{"op": ["x"]}',
+        '{"op": "stream_progress", "params": {"job_ids": [[1]]}}',
+        '{"op": "stream_progress", "params": {"batch_id": ["b"]}}',
+        '{"op": "list_jobs", "params": {"state": [1]}}',
+        '{"params": {}}',
+        "[1, 2]",
+        "1" * 5000,
+        b'{"op": "\xff"}',
+    )
+
+    def test_malformed_envelopes_keep_the_connection(self, daemon_factory, wire):
+        daemon_factory()
+        connection = wire()
+        for line in self.MALFORMED:
+            (reply,) = connection.request(line)
+            assert reply["ok"] is False, line
+            assert reply["error"]["type"] == "invalid-request", (line, reply)
+        (stats,) = connection.request(json.dumps({"op": "stats"}))
+        assert stats["ok"] and stats["result"]["protocol"] == 1
+
+    def test_carriage_return_does_not_split_a_request(self, daemon_factory, wire):
+        """Requests are newline-delimited; a bare CR between JSON tokens is
+        whitespace, not a line break, so the line gets one reply."""
+        daemon_factory()
+        connection = wire()
+        (reply,) = connection.request(b'{"op":\r"stats"}')
+        assert reply["ok"] and reply["result"]["protocol"] == 1
+        (stats,) = connection.request('{"op": "stats"}')
+        assert stats["ok"]
+
+    def test_deeply_nested_request_is_bad_json(self, daemon_factory, wire):
+        daemon_factory()
+        connection = wire()
+        (reply,) = connection.request("[" * 100_000)
+        assert reply["ok"] is False and reply["error"]["type"] == "invalid-request"
+        assert reply["error"]["message"].startswith("bad JSON")
+        (stats,) = connection.request('{"op": "stats"}')
+        assert stats["ok"]

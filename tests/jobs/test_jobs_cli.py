@@ -110,7 +110,7 @@ def oneshot_output(tmp_path_factory):
     return output.read_bytes()
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_submit_wait_matches_oneshot_bytes(daemon, cli_root, oneshot_output, backend):
     socket_path, _client = daemon("--backend", backend)
     inputs = cli_root / "in.jsonl"

@@ -17,7 +17,7 @@ from repro.obs.export import load_chrome_trace
 from repro.obs.tracer import Tracer
 from repro.serving import FeedbackJob, FeedbackService, ServingConfig
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def _jobs() -> list:

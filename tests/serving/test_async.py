@@ -1,26 +1,23 @@
-"""Async submission, streaming completion and persistent worker-pool tests.
+"""Submitted batches and persistent worker-pool tests.
 
-The contract under test: ``submit_batch`` / ``as_completed`` /
-``score_batch_async`` return scores bitwise-identical to the synchronous
-``score_batch`` reference on every backend; the process backend's
-:class:`WorkerPool` forks its executor exactly once per service lifetime no
-matter how many batches it scores; and ``close()`` releases every thread and
-worker process while never corrupting results.
+The contract under test: ``submit_batch`` returns scores bitwise-identical to
+the synchronous ``score_batch`` reference on every backend; the process
+backend's :class:`WorkerPool` forks its executor exactly once per service
+lifetime no matter how many batches it scores; and ``close()`` releases every
+thread and worker process while never corrupting results.
 """
-
-import asyncio
 
 import pytest
 
 from repro.core.config import FeedbackConfig
 from repro.driving import core_specifications, response_templates, task_by_name
 from repro.serving import (
+    BACKENDS,
     FeedbackJob,
     FeedbackService,
     ServingConfig,
     WorkerPayload,
     WorkerPool,
-    as_completed,
 )
 
 
@@ -37,7 +34,7 @@ def _mixed_scenario_jobs() -> list:
     return jobs
 
 
-def _service(backend: str = "thread", **config_kwargs) -> FeedbackService:
+def _service(backend: str = "serial", **config_kwargs) -> FeedbackService:
     return FeedbackService(
         core_specifications(),
         feedback=FeedbackConfig(),
@@ -53,7 +50,7 @@ def _reference_scores(jobs) -> list:
 
 
 class TestSubmitBatch:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_async_submission_matches_serial_reference(self, backend):
         jobs = _mixed_scenario_jobs()
         reference = _reference_scores(jobs)
@@ -61,7 +58,7 @@ class TestSubmitBatch:
             handle = service.submit_batch(jobs)
             assert handle.result() == reference, backend
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_interleaved_async_batches_match_sequential_score_batch(self, backend):
         """Several in-flight batches must resolve exactly like sequential calls."""
         jobs = _mixed_scenario_jobs()
@@ -71,15 +68,6 @@ class TestSubmitBatch:
         with _service(backend) as service:
             handles = [service.submit_batch(batch) for batch in batches]
             assert [h.result() for h in handles] == expected
-
-    def test_as_completed_streams_every_handle(self):
-        jobs = _mixed_scenario_jobs()
-        with _service("serial") as service:
-            handles = [service.submit_batch(jobs[:4]), service.submit_batch(jobs[4:])]
-            completed = list(as_completed(handles))
-            assert sorted(id(h) for h in completed) == sorted(id(h) for h in handles)
-            assert all(h.done() for h in completed)
-            assert completed[0].result() is not None
 
     def test_submission_returns_before_scoring_finishes(self):
         """The producer must be free while the dispatcher verifies.
@@ -130,15 +118,28 @@ class TestSubmitBatch:
             results = [handle.result() for handle in handles]
         assert results == [_reference_scores(batch) for batch in slices]
 
-    def test_score_batch_async_awaitable(self):
-        jobs = _mixed_scenario_jobs()[:5]
-        reference = _reference_scores(jobs)
-        with _service("thread") as service:
+    def test_submit_batch_scores_through_score_batch_on_the_dispatcher(self, monkeypatch):
+        """Every submitted batch runs as one score_batch call on the one
+        dispatcher thread — the seam a caller wrapping score_batch (a
+        profiler, a probe) relies on."""
+        import threading
 
-            async def run():
-                return await service.score_batch_async(jobs)
+        calls = []
+        real_score_batch = FeedbackService.score_batch
 
-            assert asyncio.run(run()) == reference
+        def recording(self, jobs):
+            calls.append((threading.current_thread(), len(jobs)))
+            return real_score_batch(self, jobs)
+
+        monkeypatch.setattr(FeedbackService, "score_batch", recording)
+        jobs = _mixed_scenario_jobs()
+        batches = [jobs[:5], jobs[5:]]
+        with _service("serial") as service:
+            for handle in [service.submit_batch(batch) for batch in batches]:
+                handle.result()
+        assert [size for _, size in calls] == [len(batch) for batch in batches]
+        threads = {thread for thread, _ in calls}
+        assert len(threads) == 1 and threading.main_thread() not in threads
 
     def test_submit_responses_matches_score_responses(self):
         task = task_by_name("turn_right_traffic_light")

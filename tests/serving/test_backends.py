@@ -1,9 +1,10 @@
 """Backend parity and shared cross-run cache directory tests.
 
-The contract under test: ``"serial"``, ``"thread"`` and ``"process"``
-backends return bitwise-identical scores in submission order (formal and
-empirical modes), and a ``shared_cache_dir`` warm-starts any later run with
-the same feedback fingerprint while never serving stale or partial scores.
+The contract under test: the ``"serial"`` and ``"process"`` backends return
+scores bitwise-identical to the uncached reference, in submission order
+(formal and empirical modes), and a ``shared_cache_dir`` warm-starts any
+later run with the same feedback fingerprint while never serving stale or
+partial scores.
 """
 
 import json
@@ -13,15 +14,16 @@ import pytest
 from repro.core.config import FeedbackConfig
 from repro.driving import core_specifications, response_templates, task_by_name
 from repro.serving import (
+    BACKENDS,
     CacheDirectory,
     FeedbackCache,
     FeedbackJob,
     FeedbackService,
     ServingConfig,
     WorkerPayload,
+    WorkerPool,
     feedback_fingerprint,
 )
-from repro.serving.backends import run_process
 
 
 def _mixed_scenario_jobs() -> list:
@@ -59,7 +61,7 @@ class TestBackendParity:
         reference = FeedbackService(
             core_specifications(), feedback=feedback, seed=0, config=ServingConfig(enabled=False)
         ).score_batch(jobs)
-        for backend in ("serial", "thread", "process"):
+        for backend in BACKENDS:
             assert _service(backend, feedback).score_batch(jobs) == reference, backend
 
     def test_process_backend_small_batch_falls_back_to_serial(self):
@@ -73,8 +75,10 @@ class TestBackendParity:
         ).score_response(task, response)
         assert score == reference
 
-    def test_process_backend_with_custom_model_builder_downgrades_safely(self):
-        """A closure model builder cannot ship to workers; scores must still match it."""
+    def test_process_backend_with_custom_model_builder_downgrades_safely(self, monkeypatch):
+        """A closure model builder cannot ship to workers: the service scores
+        its misses on the serial loop, and the scores still match it."""
+        import repro.serving.scheduler as scheduler
         from repro.driving import scenario_model
 
         def patched_builder(name):
@@ -96,7 +100,20 @@ class TestBackendParity:
             config=ServingConfig(enabled=False),
             model_builder=patched_builder,
         )
+        real_run_serial = scheduler.run_serial
+        serial_batches = []
+
+        def spy_run_serial(scorer, batch):
+            serial_batches.append(len(batch))
+            return real_run_serial(scorer, batch)
+
+        monkeypatch.setattr(scheduler, "run_serial", spy_run_serial)
+        assert patched._payload is None
         assert patched.score_batch(jobs) == reference.score_batch(jobs)
+        assert patched._pool is None, "a custom model builder must never start a worker pool"
+        # One serial call for the patched service's misses, one for the
+        # disabled reference.
+        assert serial_batches == [patched.metrics.cache_misses, len(jobs)]
 
     def test_process_backend_with_custom_verifier_downgrades_safely(self):
         """A verifier that disagrees with the feedback config must not ship to
@@ -138,12 +155,13 @@ class TestBackendParity:
         )
         assert service._payload is not None
 
-    def test_run_process_preserves_submission_order(self):
+    def test_worker_pool_preserves_submission_order(self):
         """Chunked dispatch must concatenate chunk results in submission order."""
         jobs = _mixed_scenario_jobs()
         payload = WorkerPayload.from_feedback(core_specifications(), FeedbackConfig(), seed=0)
         fallback = payload.build_scorer()
-        scores = run_process(payload, jobs, max_workers=2, fallback=fallback, min_batch=2)
+        with WorkerPool(payload, max_workers=2, min_batch=2) as pool:
+            scores = pool.run(jobs, fallback=fallback)
         assert scores == [fallback.score(j.task, j.scenario, j.response) for j in jobs]
 
     def test_payload_round_trips_through_pickle(self):
@@ -209,14 +227,16 @@ class TestCacheDirectory:
         assert directory.load(fp).get("k") == 5
 
     def test_atomic_save_survives_unserializable_payload(self, tmp_path):
-        """A failing save must leave the previous persisted cache intact."""
-        path = tmp_path / "cache.json"
+        """A failing store must leave the previous shard intact."""
+        directory = CacheDirectory(tmp_path)
+        fp = self._fingerprint()
         good = FeedbackCache(); good.put("k", 6)
-        good.save(path)
+        directory.store(fp, good)
         bad = FeedbackCache(); bad.put("k", object())  # not JSON-serializable
         with pytest.raises(TypeError):
-            bad.save(path)
-        assert FeedbackCache.load(path).get("k") == 6
+            directory.store(fp, bad)
+        assert directory.load(fp).get("k") == 6
+        assert list(tmp_path.glob("*.tmp.*")) == []
 
 
 class TestSharedCacheAcrossRuns:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.config import FeedbackConfig
 from repro.driving import core_specifications, response_templates, task_by_name
-from repro.serving import Dispatcher, FeedbackJob, FeedbackService, ServingConfig, as_completed
+from repro.serving import Dispatcher, FeedbackJob, FeedbackService, ServingConfig
 
 
 def _service(dispatcher=None) -> FeedbackService:
@@ -110,9 +110,23 @@ class TestServiceFairness:
         completion_order = []
         gate = threading.Event()
 
+        def record_completions(service, label):
+            # The dispatcher runs one batch at a time, so the order batches
+            # finish scoring in is the order they complete in.
+            score_batch = service.score_batch
+
+            def recording(jobs):
+                scores = score_batch(jobs)
+                completion_order.append(label(jobs))
+                return scores
+
+            service.score_batch = recording
+
         with Dispatcher() as dispatcher:
             chatty = _service(dispatcher)
             quiet = _service(dispatcher)
+            record_completions(chatty, lambda jobs: f"chatty{chatty_batches.index(jobs)}")
+            record_completions(quiet, lambda jobs: "quiet")
             original = chatty._scorer.score
 
             def gated_score(*args, **kwargs):
@@ -121,13 +135,11 @@ class TestServiceFairness:
 
             chatty._scorer.score = gated_score
             try:
-                chatty_handles = [chatty.submit_batch(batch) for batch in chatty_batches]
-                quiet_handle = quiet.submit_batch(quiet_batch)
+                handles = [chatty.submit_batch(batch) for batch in chatty_batches]
+                handles.append(quiet.submit_batch(quiet_batch))
                 gate.set()
-                labelled = {handle: f"chatty{i}" for i, handle in enumerate(chatty_handles)}
-                labelled[quiet_handle] = "quiet"
-                for handle in as_completed(labelled):
-                    completion_order.append(labelled[handle])
+                for handle in handles:
+                    handle.result(timeout=30)
             finally:
                 gate.set()
                 chatty.close()

@@ -7,6 +7,8 @@ from repro.driving import core_specifications, response_templates, task_by_name
 from repro.feedback import EmpiricalEvaluator, FormalVerifier
 from repro.glm2fsa import build_controller_from_text
 from repro.serving import (
+    BACKENDS,
+    CacheDirectory,
     FeedbackCache,
     FeedbackJob,
     FeedbackService,
@@ -59,7 +61,7 @@ class TestCacheKey:
         assert cache_key("roundabout", "1. stop", empirical_fp) != base
 
     def test_model_digest_invalidates_stale_entries(self, tmp_path):
-        """An edited world model must not collide with a persisted cache."""
+        """An edited world model must not collide with a persisted shard."""
         from repro.driving import scenario_model
 
         def patched_builder(name):
@@ -68,7 +70,7 @@ class TestCacheKey:
             model.add_transition(model.states[0], "digest_probe")
             return model
 
-        config = ServingConfig(persist_path=str(tmp_path / "cache.json"))
+        config = ServingConfig(shared_cache_dir=str(tmp_path / "shared"))
         original = FeedbackService(core_specifications(), feedback=FeedbackConfig(), config=config)
         job = FeedbackJob(task="t", scenario="roundabout", response="1. If there is a pedestrian, stop.")
         original.score_batch([job])
@@ -76,6 +78,7 @@ class TestCacheKey:
         edited = FeedbackService(
             core_specifications(), feedback=FeedbackConfig(), config=config, model_builder=patched_builder
         )
+        assert edited.metrics.warm_start_entries == 1  # same shard, stale model
         edited.score_batch([job])
         assert edited.metrics.cache_hits == 0 and edited.metrics.cache_misses == 1
 
@@ -112,14 +115,6 @@ class TestFeedbackCache:
         with pytest.raises(ValueError):
             FeedbackCache(max_entries=0)
 
-    def test_persistence_roundtrip(self, tmp_path):
-        cache = FeedbackCache(max_entries=8)
-        cache.put("x", 3)
-        cache.put("y", 0)
-        path = cache.save(tmp_path / "cache.json")
-        loaded = FeedbackCache.load(path)
-        assert loaded.get("x") == 3 and loaded.get("y") == 0 and len(loaded) == 2
-
     def test_merge_reports_retained_not_adopted(self):
         """Keys `put` immediately evicts must not inflate the warm-start count."""
         cache = FeedbackCache(max_entries=2)
@@ -127,24 +122,6 @@ class TestFeedbackCache:
         assert retained == 2 == len(cache)
         # Merging the survivors again adopts nothing new.
         assert cache.merge([["k3", 3], ["k4", 4]]) == 0
-
-    def test_load_honors_explicit_zero_max_entries(self, tmp_path):
-        """`max_entries=0` must surface the constructor's ValueError, not be
-        silently replaced by the persisted default (falsy-`or` bug)."""
-        cache = FeedbackCache(max_entries=8)
-        cache.put("x", 1)
-        path = cache.save(tmp_path / "cache.json")
-        with pytest.raises(ValueError):
-            FeedbackCache.load(path, max_entries=0)
-        # A corrupt payload bound of 0 is likewise an error, not a fallback.
-        import json
-
-        payload = json.loads(path.read_text())
-        payload["max_entries"] = 0
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
-            FeedbackCache.load(path)
-        assert FeedbackCache.load(path, max_entries=4).max_entries == 4
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +171,7 @@ class TestFeedbackService:
             service = FeedbackService(core_specifications(), feedback=feedback)
             assert service.score_response(right_turn_task, "Please drive safely out there.") == 0
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_batch_order_is_deterministic(self, right_turn_task, batch_responses, backend):
         config = ServingConfig(backend=backend, max_workers=3)
         service = FeedbackService(core_specifications(), feedback=FeedbackConfig(), config=config)
@@ -246,19 +223,6 @@ class TestFeedbackService:
         metrics.reset()
         assert metrics.uncached_jobs == 0 and metrics.snapshot()["uncached_jobs"] == 0
 
-    def test_metrics_reset_clears_stage_seconds_in_place(self):
-        """reset() must clear the live dict, not rebind it — a provider (or
-        test) holding a reference keeps observing the same mapping."""
-        from repro.serving import ServingMetrics
-
-        metrics = ServingMetrics()
-        metrics.record_stage("encode", 1.5)
-        held = metrics.stage_seconds
-        metrics.reset()
-        assert held == {} and metrics.stage_seconds is held
-        metrics.record_stage("encode", 0.5)
-        assert held == {"encode": 0.5}
-
     def test_metrics_mutation_is_thread_safe(self):
         import threading
 
@@ -268,18 +232,16 @@ class TestFeedbackService:
 
         def record():
             for _ in range(500):
-                metrics.record_batch(jobs=1, unique=1, hits=0, misses=1, seconds=0.0)
-                metrics.record_backpressure(0.001)
-                metrics.record_stage("encode", 0.001)
+                metrics.record_batch(jobs=2, unique=1, hits=0, misses=1, seconds=0.001)
 
         threads = [threading.Thread(target=record) for _ in range(4)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert metrics.jobs == 2000
-        assert metrics.backpressure_waits == 2000
-        assert metrics.stage_seconds["encode"] == pytest.approx(2.0)
+        assert metrics.batches == 2000 and metrics.jobs == 4000
+        assert metrics.unique_jobs == metrics.cache_misses == 2000
+        assert metrics.total_seconds == pytest.approx(2.0)
 
     def test_evaluator_and_model_built_once_per_scenario(self, right_turn_task):
         service = FeedbackService(
@@ -289,9 +251,10 @@ class TestFeedbackService:
         assert service.evaluator(right_turn_task.scenario) is service.evaluator(right_turn_task.scenario)
 
     def test_corrupt_persisted_cache_is_ignored(self, right_turn_task, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("garbage{{{")
-        config = ServingConfig(persist_path=str(path))
+        shared = tmp_path / "shared"
+        fingerprint = feedback_fingerprint(FeedbackConfig(), core_specifications())
+        CacheDirectory(shared).shard_path(fingerprint).write_text("garbage{{{")
+        config = ServingConfig(shared_cache_dir=str(shared))
         service = FeedbackService(core_specifications(), feedback=FeedbackConfig(), config=config)
         response = response_templates(right_turn_task.name, "compliant")[0]
         score = service.score_response(right_turn_task, response)
@@ -302,7 +265,7 @@ class TestFeedbackService:
         assert warmed.metrics.cache_hits == 1
 
     def test_persisted_cache_warms_new_service(self, right_turn_task, tmp_path):
-        config = ServingConfig(persist_path=str(tmp_path / "cache.json"))
+        config = ServingConfig(shared_cache_dir=str(tmp_path / "shared"))
         first = FeedbackService(core_specifications(), feedback=FeedbackConfig(), config=config)
         response = response_templates(right_turn_task.name, "compliant")[0]
         score = first.score_response(right_turn_task, response)
@@ -312,15 +275,40 @@ class TestFeedbackService:
         assert warmed.metrics.cache_misses == 0 and warmed.metrics.cache_hits == 1
 
     def test_flush_failure_is_not_fatal(self, right_turn_task, tmp_path):
-        """An unwritable cache path must not destroy the scoring results."""
+        """An unwritable cache directory must not destroy the scoring results."""
         blocked = tmp_path / "not_a_dir"
         blocked.write_text("a file where the cache's parent dir should be")
-        config = ServingConfig(persist_path=str(blocked / "cache.json"))
+        config = ServingConfig(shared_cache_dir=str(blocked / "shared"))
         service = FeedbackService(core_specifications(), feedback=FeedbackConfig(), config=config)
         response = response_templates(right_turn_task.name, "compliant")[0]
         score = service.score_response(right_turn_task, response)
         assert service.flush() is False
         assert score > 0
+
+    def test_flush_reports_whether_a_shard_was_written(self, right_turn_task, tmp_path):
+        response = response_templates(right_turn_task.name, "compliant")[0]
+        unpersisted = FeedbackService(core_specifications(), feedback=FeedbackConfig())
+        unpersisted.score_response(right_turn_task, response)
+        assert unpersisted.flush() is False  # no cache directory configured
+        persisted = FeedbackService(
+            core_specifications(),
+            feedback=FeedbackConfig(),
+            config=ServingConfig(shared_cache_dir=str(tmp_path / "shared")),
+        )
+        persisted.score_response(right_turn_task, response)
+        assert persisted.flush() is True
+        assert len(list((tmp_path / "shared").glob("*.json"))) == 1
+
+    def test_metrics_snapshot_carries_the_counters_consumers_read(self, right_turn_task, batch_responses):
+        """The counters the benchmark sums across services and the report
+        formats are all in the snapshot."""
+        service = FeedbackService(core_specifications(), feedback=FeedbackConfig())
+        service.score_responses(right_turn_task, batch_responses)
+        snapshot = service.metrics.snapshot()
+        for key in ("jobs", "unique_jobs", "cache_hits", "cache_misses", "total_seconds",
+                    "throughput", "hit_rate", "dedup_rate", "warm_start_entries"):
+            assert key in snapshot, key
+        assert snapshot["cache_hits"] + snapshot["cache_misses"] == snapshot["unique_jobs"]
 
     def test_metrics_snapshot_shape(self, right_turn_task, batch_responses):
         service = FeedbackService(core_specifications(), feedback=FeedbackConfig())
@@ -334,6 +322,17 @@ class TestFeedbackService:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             ServingConfig(backend="gpu")
+
+    def test_serial_is_the_default_backend(self):
+        """The reference loop is the default everywhere; process is the one
+        alternative, for multi-core hosts."""
+        from repro.serving.cli import build_parser
+
+        assert BACKENDS == ("serial", "process")
+        assert ServingConfig().backend == "serial"
+        assert build_parser().parse_args(["in.jsonl"]).backend == "serial"
+        with pytest.raises(ValueError):
+            ServingConfig(backend="thread")
 
 
 class TestCli:
@@ -413,6 +412,16 @@ class TestCli:
         assert main([str(bad)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_deeply_nested_line_is_an_invalid_json_error(self, tmp_path, capsys):
+        """json.loads raises RecursionError, not ValueError, past its nesting
+        limit; the CLI must still report the line and exit 2."""
+        from repro.serving.cli import main
+
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text('{"task": "enter_roundabout", "response": "1. Stop."}\n' + "[" * 100_000 + "\n")
+        assert main([str(deep)]) == 2
+        assert capsys.readouterr().err.startswith(f"repro-serve: {deep}:2: invalid JSON")
+
     def test_failed_run_leaves_no_truncated_output(self, tmp_path, capsys):
         import json
 
@@ -442,7 +451,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert "hit rate 100%" in err and "warm-started" in err
 
-    def _streaming_workload(self, tmp_path):
+    def _pairs_workload(self, tmp_path):
         import json
 
         from repro.driving import response_templates
@@ -455,41 +464,13 @@ class TestCli:
         jsonl.write_text("".join(json.dumps(record) + "\n" for record in records))
         return jsonl, records
 
-    def test_batch_size_streaming_matches_single_batch_output(self, tmp_path, capsys):
-        """--batch-size submits through the async dispatcher; the output must
-        be byte-identical to the default single score_batch call."""
-        from repro.serving.cli import main
-
-        jsonl, _ = self._streaming_workload(tmp_path)
-        blocking_out = tmp_path / "blocking.jsonl"
-        streaming_out = tmp_path / "streaming.jsonl"
-        base = [str(jsonl), "--core-specs", "--backend", "serial"]
-        assert main(base + ["-o", str(blocking_out)]) == 0
-        assert (
-            main(
-                base
-                + ["-o", str(streaming_out), "--batch-size", "3", "--max-inflight-batches", "2"]
-            )
-            == 0
-        )
-        assert streaming_out.read_text() == blocking_out.read_text()
-
-    def test_inflight_flags_require_batch_size(self, tmp_path, capsys):
-        from repro.serving.cli import main
-
-        jsonl, _ = self._streaming_workload(tmp_path)
-        assert main([str(jsonl), "--max-inflight-batches", "2"]) == 2
-        assert "require --batch-size" in capsys.readouterr().err
-        assert main([str(jsonl), "--batch-size", "0"]) == 2
-        assert "--batch-size must be positive" in capsys.readouterr().err
-
     def test_pairs_output_writes_encoded_preference_pairs(self, tmp_path, capsys):
         """--pairs-output emits per-task canonically ranked pairs, reloadable
         as EncodedPair records."""
         from repro.dpo import read_encoded_pairs
         from repro.serving.cli import main
 
-        jsonl, records = self._streaming_workload(tmp_path)
+        jsonl, records = self._pairs_workload(tmp_path)
         pairs_path = tmp_path / "pairs.jsonl"
         argv = [str(jsonl), "--core-specs", "--backend", "serial",
                 "-o", str(tmp_path / "out.jsonl"), "--pairs-output", str(pairs_path)]
@@ -503,39 +484,19 @@ class TestCli:
             assert pair.chosen_ids and pair.rejected_ids
             assert 0 < pair.chosen_response_start < len(pair.chosen_ids)
 
-    def test_pairs_output_is_byte_identical_blocking_vs_streaming(self, tmp_path, capsys):
-        """Acceptance: the encoded-pair file must not depend on how the
-        scores were obtained (one blocking batch vs async streaming)."""
-        from repro.serving.cli import main
-
-        jsonl, _ = self._streaming_workload(tmp_path)
-        blocking_pairs = tmp_path / "blocking-pairs.jsonl"
-        streaming_pairs = tmp_path / "streaming-pairs.jsonl"
-        base = [str(jsonl), "--core-specs", "--backend", "serial", "-o"]
-        assert main(base + [str(tmp_path / "b.jsonl"), "--pairs-output", str(blocking_pairs)]) == 0
-        assert (
-            main(
-                base
-                + [str(tmp_path / "s.jsonl"), "--pairs-output", str(streaming_pairs),
-                   "--batch-size", "2", "--max-inflight-batches", "2"]
-            )
-            == 0
-        )
-        assert streaming_pairs.read_bytes() == blocking_pairs.read_bytes()
-
     #: SHA-256 of --pairs-output for the workload above, scored against all 15
     #: rules (against the core five every compliant template ties, which would
     #: pin an empty file).  Any change to ranking, tokenisation or the record
     #: format changes these bytes.
     PAIRS_OUTPUT_SHA256 = "1347bd88ee0557196d993e3f4313adf0fd180eda5d8ba357d9fad89ec5514e9d"
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_pairs_output_bytes_are_pinned(self, tmp_path, capsys, backend):
         import hashlib
 
         from repro.serving.cli import main
 
-        jsonl, _ = self._streaming_workload(tmp_path)
+        jsonl, _ = self._pairs_workload(tmp_path)
         pairs_path = tmp_path / "pairs.jsonl"
         argv = [str(jsonl), "--backend", backend, "--max-workers", "2", "-o", str(tmp_path / "out.jsonl"),
                 "--pairs-output", str(pairs_path)]
@@ -550,7 +511,7 @@ class TestCli:
         import repro.dpo.dataset as dataset
         from repro.serving.cli import main
 
-        jsonl, _ = self._streaming_workload(tmp_path)
+        jsonl, _ = self._pairs_workload(tmp_path)
         pairs_path = tmp_path / "pairs.jsonl"
         argv = [str(jsonl), "--backend", "serial", "-o", str(tmp_path / "out.jsonl"),
                 "--pairs-output", str(pairs_path)]

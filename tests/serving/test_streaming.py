@@ -1,14 +1,10 @@
-"""Streaming pair construction, submit_batch back-pressure, shared Dispatcher.
+"""Pair construction from submitted batches, and the shared Dispatcher.
 
 The contracts under test:
 
-* pairs built from ``as_completed`` streaming are identical — same pair list,
-  bitwise-identical scores — to pairs built from the blocking ``score_batch``
-  path, on every backend (possible because ``rank_to_pairs`` is
-  order-independent);
-* ``submit_batch`` blocks at ``ServingConfig.max_inflight_batches`` /
-  ``max_inflight_jobs`` and unblocks as the dispatcher drains, with the
-  blocked time telemetered;
+* pairs built from ``submit_batch`` handles drained in submission order are
+  identical — same pair list, bitwise-identical scores — to pairs built from
+  the blocking ``score_batch`` path, on every backend;
 * one :class:`Dispatcher` can serve several :class:`FeedbackService`
   instances, and closing a service never tears down a shared dispatcher.
 """
@@ -21,13 +17,7 @@ from repro.core.config import FeedbackConfig
 from repro.driving import core_specifications, response_templates, task_by_name
 from repro.feedback import rank_to_pairs
 from repro.lm import format_prompt
-from repro.serving import (
-    Dispatcher,
-    FeedbackJob,
-    FeedbackService,
-    ServingConfig,
-    as_completed,
-)
+from repro.serving import BACKENDS, Dispatcher, FeedbackJob, FeedbackService, ServingConfig
 
 TASK_NAMES = ("turn_right_traffic_light", "enter_roundabout", "merge_onto_highway")
 
@@ -63,7 +53,7 @@ def _distinct_miss_batches(count: int, size: int = 3) -> list:
     """``count`` batches of canonically distinct, parseable responses.
 
     Every response is unique across all batches, so each batch is pure cache
-    misses — each must actually reach the (gateable) scorer.
+    misses — each must actually reach the scorer.
     """
     task = task_by_name("enter_roundabout")
     base = response_templates(task.name, "compliant")[0].rstrip("\n")
@@ -82,24 +72,11 @@ def _distinct_miss_batches(count: int, size: int = 3) -> list:
     return batches
 
 
-class GatedScorer:
-    """Wraps a service's scorer so verification blocks until the test allows it."""
-
-    def __init__(self, service):
-        self.gate = threading.Event()
-        self._original = service._scorer.score
-        service._scorer.score = self._gated
-
-    def _gated(self, *args, **kwargs):
-        assert self.gate.wait(timeout=30), "test never opened the scoring gate"
-        return self._original(*args, **kwargs)
-
-
 class TestStreamingPairConstruction:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_streamed_pairs_match_blocking_pairs(self, backend):
-        """Acceptance: as_completed streaming yields the same pair lists —
-        same pair set, bitwise-identical scores — as the blocking path."""
+        """Submitted batches, ranked as each handle resolves, yield the same
+        pair lists — bitwise-identical scores — as the blocking path."""
         batches = _task_batches()
 
         blocking = []
@@ -115,20 +92,16 @@ class TestStreamingPairConstruction:
                 (task, responses, service.submit_responses(task, responses))
                 for task, responses in batches
             ]
-            index_of = {handle: i for i, (_, _, handle) in enumerate(pending)}
-            streamed: list = [None] * len(pending)
-            for handle in as_completed([handle for _, _, handle in pending]):
-                i = index_of[handle]
-                task, responses, _ = pending[i]
-                streamed[i] = rank_to_pairs(
-                    format_prompt(task), responses, handle.result(), task=task.name
-                )
+            streamed = [
+                rank_to_pairs(format_prompt(task), responses, handle.result(), task=task.name)
+                for task, responses, handle in pending
+            ]
 
         assert streamed == blocking, backend
 
     def test_pipeline_streaming_matches_task_order_assembly(self):
-        """collect_preference_pairs streams completions yet must return the
-        same list a task-ordered drain would have produced."""
+        """augment_with_templates submits every task's batch up front yet must
+        return the same list a synchronous task-by-task loop produces."""
         from repro.core import DPOAFPipeline
         from repro.core.config import quick_pipeline_config
         from repro.driving import training_tasks
@@ -156,111 +129,43 @@ class TestStreamingPairConstruction:
                 expected.extend(rank_to_pairs(prompt, candidates, scores, task=task.name)[:3])
         assert augmented == expected
 
+    def test_pipeline_ranks_a_task_while_the_next_verifies(self, monkeypatch):
+        """Handles drain in task order, so task *k* is ranked while task
+        *k+1* verifies.  Here task 1's scoring waits until task 0 has been
+        ranked — which times out if ranking waited for every batch."""
+        import repro.core.pipeline as pipeline_module
+        from repro.core import DPOAFPipeline
+        from repro.core.config import quick_pipeline_config
+        from repro.driving import training_tasks
 
-class TestBackPressure:
-    def test_submit_blocks_at_max_inflight_batches_and_unblocks_on_drain(self):
-        """Acceptance: submit_batch provably blocks at the configured bound."""
-        batches = _distinct_miss_batches(3)
-        service = _service("serial", max_inflight_batches=2)
-        gated = GatedScorer(service)
-        try:
-            first = service.submit_batch(batches[0])
-            second = service.submit_batch(batches[1])
+        tasks = training_tasks()[:2]
+        first_ranked = threading.Event()
+        gated_scores = []
+        real_rank = pipeline_module.rank_to_pairs
 
-            blocked_handle: dict = {}
+        def rank(prompt, responses, scores, *, task):
+            if task == tasks[0].name:
+                first_ranked.set()
+            return real_rank(prompt, responses, scores, task=task)
 
-            def third_submission():
-                blocked_handle["handle"] = service.submit_batch(batches[2])
+        monkeypatch.setattr(pipeline_module, "rank_to_pairs", rank)
+        with DPOAFPipeline(
+            quick_pipeline_config(seed=0),
+            specifications=core_specifications(),
+            tasks=tasks,
+            validation=(),
+        ) as pipeline:
+            score = pipeline.serving._scorer.score
 
-            producer = threading.Thread(target=third_submission, daemon=True)
-            producer.start()
-            producer.join(timeout=1.0)
-            # Two batches are in flight and verification is gated shut, so
-            # the third submission must still be blocked in _admit.
-            assert producer.is_alive(), "submit_batch did not block at max_inflight_batches"
-            assert "handle" not in blocked_handle
+            def gated(task, scenario, response):
+                if task == tasks[1].name:
+                    assert first_ranked.wait(timeout=30), "task 1 verified before task 0 was ranked"
+                    gated_scores.append(response)
+                return score(task, scenario, response)
 
-            gated.gate.set()  # drain: completions release the bound
-            producer.join(timeout=30)
-            assert not producer.is_alive(), "submit_batch never unblocked after the drain"
-            assert blocked_handle["handle"].result() == _reference_scores(batches[2])
-            assert first.result() == _reference_scores(batches[0])
-            assert second.result() == _reference_scores(batches[1])
-            assert service.metrics.backpressure_waits >= 1
-            assert service.metrics.backpressure_seconds > 0
-        finally:
-            gated.gate.set()
-            service.close()
-
-    def test_max_inflight_jobs_blocks_job_heavy_producers(self):
-        batches = _distinct_miss_batches(2, size=4)
-        service = _service("serial", max_inflight_jobs=4)
-        gated = GatedScorer(service)
-        try:
-            service.submit_batch(batches[0])  # 4 jobs: fills the bound
-
-            def second_submission():
-                service.submit_batch(batches[1])
-
-            producer = threading.Thread(target=second_submission, daemon=True)
-            producer.start()
-            producer.join(timeout=1.0)
-            assert producer.is_alive(), "submit_batch did not block at max_inflight_jobs"
-            gated.gate.set()
-            producer.join(timeout=30)
-            assert not producer.is_alive()
-        finally:
-            gated.gate.set()
-            service.close()
-
-    def test_oversized_batch_is_admitted_when_idle(self):
-        """A batch larger than max_inflight_jobs must run (delayed, never
-        deadlocked) once nothing is in flight."""
-        jobs = [job for batch in _distinct_miss_batches(2) for job in batch]
-        with _service("serial", max_inflight_jobs=2) as service:
-            handle = service.submit_batch(jobs)  # len(jobs) > 2; must not block
-            assert handle.result() == _reference_scores(jobs)
-
-    def test_unbounded_submission_records_no_backpressure(self):
-        batches = _distinct_miss_batches(3)
-        with _service("serial") as service:
-            handles = [service.submit_batch(batch) for batch in batches]
-            for handle in handles:
-                handle.result()
-            assert service.metrics.backpressure_waits == 0
-            assert service.metrics.backpressure_seconds == 0.0
-            snapshot = service.metrics.snapshot()
-        assert snapshot["backpressure_waits"] == 0
-        assert "backpressure_seconds" in snapshot
-
-    def test_bounded_scores_match_unbounded_scores(self):
-        batches = _distinct_miss_batches(4)
-        expected = [_reference_scores(batch) for batch in batches]
-        with _service("serial", max_inflight_batches=1) as service:
-            results = [service.submit_batch(batch).result() for batch in batches]
-        assert results == expected
-
-    def test_config_rejects_nonpositive_bounds(self):
-        with pytest.raises(ValueError):
-            ServingConfig(max_inflight_batches=0)
-        with pytest.raises(ValueError):
-            ServingConfig(max_inflight_jobs=-1)
-
-    def test_score_batch_async_respects_backpressure(self):
-        """The asyncio adapter must yield, not wedge the loop, while blocked."""
-        import asyncio
-
-        batches = _distinct_miss_batches(3)
-        expected = [_reference_scores(batch) for batch in batches]
-        with _service("serial", max_inflight_batches=1) as service:
-
-            async def run():
-                return await asyncio.gather(
-                    *(service.score_batch_async(batch) for batch in batches)
-                )
-
-            results = asyncio.run(run())
-        assert sorted(map(tuple, results)) == sorted(map(tuple, expected))
+            pipeline.serving._scorer.score = gated
+            assert pipeline.augment_with_templates([], per_task=3)
+        assert gated_scores, "task 1 never reached the scorer"
 
 
 class TestSharedDispatcher:
@@ -303,6 +208,47 @@ class TestSharedDispatcher:
             dispatcher.submit(lambda: None)
         with pytest.raises(RuntimeError):
             _service("serial", dispatcher=dispatcher)
+
+    def test_close_waits_for_its_batches_on_a_borrowed_dispatcher(self):
+        """close() on a shared dispatcher drains this service's batches — it
+        must not return while one is still queued behind another service's."""
+        first_batch, second_batch = _distinct_miss_batches(2)
+        with Dispatcher() as dispatcher:
+            blocker = _service("serial", dispatcher=dispatcher)
+            service = _service("serial", dispatcher=dispatcher)
+            gate = threading.Event()
+            score = blocker._scorer.score
+
+            def gated(*args):
+                assert gate.wait(timeout=30), "test never opened the scoring gate"
+                return score(*args)
+
+            blocker._scorer.score = gated
+            blocker.submit_batch(first_batch)  # holds the dispatcher thread
+            handle = service.submit_batch(second_batch)  # queued behind it
+            closer = threading.Thread(target=service.close)
+            closer.start()
+            closer.join(timeout=0.5)
+            assert closer.is_alive(), "close() returned while its batch was still queued"
+            gate.set()
+            closer.join(timeout=30)
+            assert not closer.is_alive()
+            assert handle.done() and handle.result() == _reference_scores(second_batch)
+            blocker.close()
+            assert dispatcher.active_services == 0 and not dispatcher.closed
+
+    def test_failed_submission_does_not_wedge_close(self):
+        """A batch the dispatcher refused is uncounted, so close() has
+        nothing of it to wait for."""
+        dispatcher = Dispatcher()
+        service = _service("serial", dispatcher=dispatcher)
+        dispatcher.close()
+        with pytest.raises(RuntimeError):
+            service.submit_batch(_distinct_miss_batches(1)[0])
+        closer = threading.Thread(target=service.close)
+        closer.start()
+        closer.join(timeout=30)
+        assert not closer.is_alive(), "close() waited on a batch that was never submitted"
 
     def test_private_dispatcher_closes_with_its_service(self):
         service = _service("serial")
