@@ -2,6 +2,9 @@
 #
 #   make tier1            repro-lint + fast unit/integration suite (what CI
 #                         gates on)
+#   make slow             the slow-marked tests tier-1 deselects: long fuzz
+#                         sweeps and the paper-scale headline claim on seeds
+#                         0-2 (~20 s per seed)
 #   make lint             AST lint + lock-order analysis of src/repro
 #                         (repro-lint; also runs as a tier-1 test)
 #   make bench            paper-figure + serving benchmarks (CPU-minutes);
@@ -32,13 +35,16 @@ PYTHON ?= python
 PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m pytest
 PYRUN := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON)
 
-.PHONY: tier1 lint bench bench-multicore bench-modelcheck bench-lm perfbench trace-demo jobs-demo
+.PHONY: tier1 slow lint bench bench-multicore bench-modelcheck bench-lm perfbench trace-demo jobs-demo
 
 lint:
 	$(PYRUN) -m repro.analysis.cli src/repro
 
 tier1: lint
 	$(PYTEST) -x -q
+
+slow:
+	$(PYTEST) tests -q -m slow
 
 bench:
 	$(PYTEST) benchmarks -q -s -m "not multicore"

@@ -9,7 +9,7 @@ from repro.dpo.dataset import (
 )
 from repro.dpo.loss import DPOBatchMetrics, dpo_step, sigmoid, stack_pair_batch
 from repro.dpo.metrics import MultiSeedCurves, TrainingHistory
-from repro.dpo.trainer import DPOConfig, DPOResult, DPOTrainer, run_dpo
+from repro.dpo.trainer import DPOConfig, DPOResult, DPOTrainer, ReferenceMemo, run_dpo
 
 __all__ = [
     "DPODataset",
@@ -26,5 +26,6 @@ __all__ = [
     "DPOConfig",
     "DPOResult",
     "DPOTrainer",
+    "ReferenceMemo",
     "run_dpo",
 ]

@@ -66,12 +66,36 @@ def encoded_pair_record(encoded: EncodedPair) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _token_ids(record: dict, key: str) -> list:
+    """``record[key]`` if it is a list of at least two non-negative ints."""
+    ids = record[key]
+    if not isinstance(ids, list) or len(ids) < 2 or not all(_is_int(i) and i >= 0 for i in ids):
+        raise ValueError(f"{key} must be a list of at least 2 non-negative ints")
+    return ids
+
+
+def _response_start(record: dict, key: str, ids: list) -> int:
+    """``record[key]`` if it is an int indexing a target position of ``ids``."""
+    start = record[key]
+    if not _is_int(start) or not 0 <= start <= len(ids) - 1:
+        raise ValueError(f"{key} must be an int in [0, {len(ids) - 1}]")
+    return start
+
+
 def read_encoded_pairs(path: str | Path) -> list:
     """Load the :class:`EncodedPair` list of a JSONL pairs file.
 
     A later process can rebuild a :class:`DPODataset` from the file (plus the
     tokenizer it was encoded with) without re-ranking or re-tokenising.  A
-    malformed line raises ``ValueError`` naming the file and line.
+    malformed line raises ``ValueError`` naming the file and line: token ids
+    must be lists of at least two non-negative ints, and each response start
+    an int in ``[0, len(ids) - 1]``.  Ids beyond the model's vocabulary are
+    caught when training starts
+    (:meth:`repro.dpo.trainer.DPOTrainer.train`).
     """
     pairs = []
     with Path(path).open() as shard:  # line-by-line: pair files can exceed memory
@@ -84,12 +108,14 @@ def read_encoded_pairs(path: str | Path) -> list:
             # where an int belongs raises OverflowError.
             try:
                 record = json.loads(line)
+                chosen_ids = _token_ids(record, "chosen_ids")
+                rejected_ids = _token_ids(record, "rejected_ids")
                 pairs.append(
                     EncodedPair(
-                        chosen_ids=list(record["chosen_ids"]),
-                        rejected_ids=list(record["rejected_ids"]),
-                        chosen_response_start=int(record["chosen_response_start"]),
-                        rejected_response_start=int(record["rejected_response_start"]),
+                        chosen_ids=chosen_ids,
+                        rejected_ids=rejected_ids,
+                        chosen_response_start=_response_start(record, "chosen_response_start", chosen_ids),
+                        rejected_response_start=_response_start(record, "rejected_response_start", rejected_ids),
                         task=record.get("task", ""),
                     )
                 )

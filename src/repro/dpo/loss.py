@@ -15,12 +15,14 @@ The three reported metrics follow Section 5.2 of the paper:
 
 :func:`dpo_step` stacks the chosen and rejected sequences into one ``(2B, T)``
 batch per model, so a step costs one policy forward+backward and one
-reference forward.  Stacking is loss- and gradient-exact: the response mask
-zeroes every padded target position, and with zero ``dlogits`` there the pad
-rows contribute nothing to any parameter gradient.  (Summation order over the
-doubled batch may differ in the last float bit from running each half on its
-own, which is why the two-pass oracle in the test suite compares with
-``allclose`` rather than ``==``.)
+reference call: a forward of the reference model, or, under
+:class:`~repro.dpo.trainer.DPOTrainer`, a lookup in its
+:class:`~repro.dpo.trainer.ReferenceMemo`.  Stacking is loss- and
+gradient-exact: the response mask zeroes every padded target position, and
+with zero ``dlogits`` there the pad rows contribute nothing to any parameter
+gradient.  (Summation order over the doubled batch may differ in the last
+float bit from running each half on its own, which is why the two-pass
+oracle in the test suite compares with ``allclose`` rather than ``==``.)
 """
 
 from __future__ import annotations
@@ -102,7 +104,9 @@ def dpo_step(
     log-probability is ``-β σ(-βh)/B`` for the chosen response and the opposite
     sign for the rejected response, where ``h`` is the preference margin.
     Both halves run as one stacked batch per model, and one backward closure
-    applies both coefficient signs at once.
+    applies both coefficient signs at once.  ``reference`` is anything with
+    the model's ``sequence_log_probs(tokens, mask)``: the frozen model itself
+    or a :class:`~repro.dpo.trainer.ReferenceMemo` of it.
     """
     tokens, mask = stack_pair_batch(batch)
 

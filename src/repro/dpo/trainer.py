@@ -5,11 +5,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.obs import tracer as obs
 from repro.dpo.dataset import DPODataset
 from repro.dpo.loss import dpo_step
 from repro.dpo.metrics import TrainingHistory
 from repro.errors import TrainingError
+from repro.lm.layers import DTYPE
 from repro.lm.lora import LoRAConfig, apply_lora
 from repro.lm.optim import Adam
 from repro.lm.tokenizer import Tokenizer
@@ -58,13 +61,65 @@ class DPOResult:
         return model
 
 
+class ReferenceMemo:
+    """The frozen reference's log-probs, computed once per distinct sequence.
+
+    DPO's reference policy never changes, so a log-prob computed once stays
+    exact for every epoch.  The memo stands in for the reference model in
+    :func:`~repro.dpo.loss.dpo_step`, which only calls
+    :meth:`sequence_log_probs`.
+
+    It stores *per-token* values from :meth:`TransformerLM.token_log_probs`,
+    not per-sequence sums: numpy's pairwise row sum pairs its terms by the
+    padded width, so a cached sum would drift from the in-batch value in the
+    last bits.  Per-token values are row-stable, so re-summing them under each
+    batch's mask, at that batch's width, gives bitwise what the live model
+    returns.
+    """
+
+    def __init__(self, model: TransformerLM):
+        self.model = model
+        self._per_token: dict = {}  # row prefix bytes -> per-token log-probs
+
+    def sequence_log_probs(self, tokens, response_mask) -> np.ndarray:
+        """``model.sequence_log_probs(tokens, response_mask)``, from the memo.
+
+        A row is keyed on its tokens up to its last masked target: causality
+        makes its values there depend on nothing after it.  Rows not seen
+        before run through the model in one forward — at most this batch's
+        rows — under a ``dpo.reference_forward`` span.
+        """
+        tokens = np.asarray(tokens, dtype=np.int64)
+        masked = np.asarray(response_mask) != 0
+        # Target columns each row needs: up to and including its last masked one.
+        needed = np.where(masked.any(axis=1), masked.shape[1] - np.argmax(masked[:, ::-1], axis=1), 0)
+        keys = [tokens[row, : count + 1].tobytes() for row, count in enumerate(needed)]
+        missing = {}
+        for row, key in enumerate(keys):
+            if needed[row] and key not in self._per_token:
+                missing.setdefault(key, row)
+        if missing:
+            rows = list(missing.values())
+            with obs.span("dpo.reference_forward", category="train", rows=len(rows)):
+                values = self.model.token_log_probs(tokens[rows, : int(needed[rows].max()) + 1])
+            for key, row, row_values in zip(missing, rows, values):
+                self._per_token[key] = row_values[: needed[row]].copy()
+
+        per_token = np.zeros(masked.shape, dtype=DTYPE)
+        for row, key in enumerate(keys):
+            if needed[row]:
+                per_token[row, : needed[row]] = self._per_token[key]
+        return (per_token * response_mask).sum(axis=1)
+
+
 class DPOTrainer:
     """Runs DPO on a pre-trained policy against a frozen reference copy.
 
     The reference model is a deep copy of the pre-trained policy taken before
     any update (the ``π_ref`` of the DPO objective); with ``use_lora`` the
     policy's base weights are frozen and only the adapters are updated,
-    following Appendix E.
+    following Appendix E.  Frozen parameters receive no gradient: the policy's
+    gradients start cleared and only the adapters' ever accumulate.
     """
 
     def __init__(self, model: TransformerLM, tokenizer: Tokenizer, config: DPOConfig | None = None):
@@ -78,6 +133,7 @@ class DPOTrainer:
                 self.policy,
                 LoRAConfig(rank=self.config.lora_rank, seed=self.config.seed),
             )
+        self.policy.zero_grad()
         self.optimizer = Adam(self.policy.parameters(), learning_rate=self.config.learning_rate)
 
     # ------------------------------------------------------------------ #
@@ -88,16 +144,28 @@ class DPOTrainer:
         takes one optimiser step per mini-batch.  The policy is checkpointed
         before training, every ``checkpoint_every`` epochs and after the last
         epoch; ``max_steps`` ends training early, after checkpointing the
-        epoch it stopped in.
+        epoch it stopped in.  Reference log-probs come from a
+        :class:`ReferenceMemo`, so the reference model runs only on sequences
+        it has not seen — in the first epoch.  A token id outside the
+        policy's vocabulary raises :class:`TrainingError` naming its pair.
         """
         if len(dataset) == 0:
             raise TrainingError("cannot run DPO on an empty preference dataset")
+        vocab_size = self.policy.config.vocab_size
+        for index, pair in enumerate(dataset.pairs):
+            bad = [token for token in (*pair.chosen_ids, *pair.rejected_ids) if not 0 <= token < vocab_size]
+            if bad:
+                raise TrainingError(
+                    f"preference pair {index} (task {pair.task!r}) holds token id {bad[0]}, "
+                    f"outside the policy's vocabulary of {vocab_size}"
+                )
 
         config = self.config
         max_steps = config.max_steps if config.max_steps is not None else float("inf")
         rng = seeded_rng(config.seed)
         history = TrainingHistory()
         checkpoints: dict = {0: self.policy.state_dict()}
+        reference = ReferenceMemo(self.reference)
         total_steps = total_pairs = 0
         started = time.perf_counter()
 
@@ -105,7 +173,7 @@ class DPOTrainer:
             for batch in dataset.batches(config.batch_size, rng=rng, shuffle=True):
                 with obs.span("dpo.step", category="train", epoch=epoch, step=total_steps + 1):
                     self.optimizer.zero_grad()
-                    metrics = dpo_step(self.policy, self.reference, batch, beta=config.beta)
+                    metrics = dpo_step(self.policy, reference, batch, beta=config.beta)
                     grad_norm = self.optimizer.step()
                 history.record(metrics, grad_norm)
                 total_steps += 1
@@ -118,9 +186,10 @@ class DPOTrainer:
                 if total_steps >= max_steps:
                     break
             history.mark_epoch()
-            if epoch % config.checkpoint_every == 0 or epoch == config.num_epochs:
+            stopping = total_steps >= max_steps
+            if stopping or epoch % config.checkpoint_every == 0 or epoch == config.num_epochs:
                 checkpoints[epoch] = self.policy.state_dict()
-            if total_steps >= max_steps:
+            if stopping:
                 break
 
         seconds = time.perf_counter() - started

@@ -29,6 +29,9 @@ DTYPE = np.float32
 class Parameter:
     """A trainable tensor with its accumulated gradient.
 
+    ``trainable=False`` freezes it (a LoRA base): backward passes leave its
+    ``grad`` at zero and the optimizers hold no state for it.
+
     ``version`` is a monotonic counter identifying the current contents of
     ``value``.  Every code path that changes the value — optimizer steps,
     ``load_state_dict``, explicit callers of :meth:`bump` — increments it, and
@@ -258,8 +261,11 @@ class Linear(Layer):
             raise TrainingError(f"backward called before forward on {self.name}")
         flat_x = x.reshape(-1, self.in_features)
         flat_d = dout.reshape(-1, self.out_features)
-        self.weight.grad += flat_x.T @ flat_d
-        if self.bias is not None:
+        # Frozen parameters (a LoRA base) get no gradient: dx alone carries
+        # the backward pass through them.
+        if self.weight.trainable:
+            self.weight.grad += flat_x.T @ flat_d
+        if self.bias is not None and self.bias.trainable:
             self.bias.grad += flat_d.sum(axis=0)
         if self.has_lora:
             # d/dA = x^T dout B^T * scale ; d/dB = (xA)^T dout * scale
@@ -288,7 +294,8 @@ class Embedding(Layer):
         ids = self._cache_ids
         if ids is None:
             raise TrainingError("backward called before forward on embedding")
-        np.add.at(self.weight.grad, ids.reshape(-1), dout.reshape(-1, self.dim))
+        if self.weight.trainable:
+            np.add.at(self.weight.grad, ids.reshape(-1), dout.reshape(-1, self.dim))
         return None
 
 
@@ -312,8 +319,10 @@ class LayerNorm(Layer):
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         normalised, inv_std = self._cache
-        self.gain.grad += (dout * normalised).reshape(-1, self.dim).sum(axis=0)
-        self.shift.grad += dout.reshape(-1, self.dim).sum(axis=0)
+        if self.gain.trainable:
+            self.gain.grad += (dout * normalised).reshape(-1, self.dim).sum(axis=0)
+        if self.shift.trainable:
+            self.shift.grad += dout.reshape(-1, self.dim).sum(axis=0)
         dnorm = dout * self.gain.value
         # Standard layer-norm backward over the last axis.
         mean_dnorm = dnorm.mean(axis=-1, keepdims=True)

@@ -11,8 +11,10 @@ from repro.lm.layers import Parameter
 class Adam:
     """Adam optimizer over a fixed set of :class:`Parameter` objects.
 
-    Only parameters with ``trainable=True`` are updated, which is how LoRA
-    fine-tuning freezes the base model while adapting the low-rank matrices.
+    Only the parameters that are ``trainable`` when the optimizer is built are
+    kept — zeroed, clipped, updated and given moment buffers — which is how
+    LoRA fine-tuning freezes the base model while adapting the low-rank
+    matrices.
     """
 
     def __init__(
@@ -28,7 +30,7 @@ class Adam:
     ):
         if learning_rate <= 0:
             raise TrainingError(f"learning_rate must be positive, got {learning_rate}")
-        self.parameters = [p for p in parameters if isinstance(p, Parameter)]
+        self.parameters = [p for p in parameters if isinstance(p, Parameter) and p.trainable]
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
@@ -48,8 +50,7 @@ class Adam:
         """Global L2 norm of the trainable gradients."""
         total = 0.0
         for param in self.parameters:
-            if param.trainable:
-                total += float((param.grad ** 2).sum())
+            total += float((param.grad ** 2).sum())
         return float(np.sqrt(total))
 
     def clip_gradients(self) -> float:
@@ -58,8 +59,7 @@ class Adam:
         if self.max_grad_norm is not None and norm > self.max_grad_norm > 0:
             scale = self.max_grad_norm / (norm + 1e-12)
             for param in self.parameters:
-                if param.trainable:
-                    param.grad *= scale
+                param.grad *= scale
         return norm
 
     def step(self) -> float:
@@ -69,8 +69,6 @@ class Adam:
         bias1 = 1.0 - self.beta1 ** self.step_count
         bias2 = 1.0 - self.beta2 ** self.step_count
         for i, param in enumerate(self.parameters):
-            if not param.trainable:
-                continue
             grad = param.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.value

@@ -146,6 +146,23 @@ class TransformerLM(Layer):
             self.backward(dlogits)
         return loss
 
+    def token_log_probs(self, tokens: np.ndarray) -> np.ndarray:
+        """Per-token target log-probs ``log π(tokens[:, j + 1] | tokens[:, :j + 1])``.
+
+        Returns shape ``(batch, time - 1)``; no gradients are accumulated.
+        Attention is causal and every kernel is row-stable (see
+        ``docs/lm.md``), so entry ``j`` of a row carries the same bits however
+        wide the batch is, whatever follows position ``j + 1`` and whatever
+        the other rows hold — which is what lets
+        :class:`repro.dpo.trainer.ReferenceMemo` store these values once.
+        """
+        tokens = np.asarray(tokens, dtype=np.int64)
+        logits = self.forward(tokens[:, :-1])
+        targets = tokens[:, 1:]
+        log_probs = np.log(np.clip(softmax(logits, axis=-1), 1e-12, None))
+        batch, time = targets.shape
+        return log_probs[np.arange(batch)[:, None], np.arange(time)[None, :], targets]
+
     def sequence_log_probs(self, tokens: np.ndarray, response_mask: np.ndarray) -> np.ndarray:
         """``log π(y|x)`` per sequence: sum of target log-probs where the mask is 1.
 
@@ -153,13 +170,7 @@ class TransformerLM(Layer):
         *target* positions belonging to the response ``y`` (same shape as the
         targets, i.e. ``time - 1`` columns).  No gradients are accumulated.
         """
-        tokens = np.asarray(tokens, dtype=np.int64)
-        logits = self.forward(tokens[:, :-1])
-        targets = tokens[:, 1:]
-        log_probs = np.log(np.clip(softmax(logits, axis=-1), 1e-12, None))
-        batch, time = targets.shape
-        per_token = log_probs[np.arange(batch)[:, None], np.arange(time)[None, :], targets]
-        return (per_token * response_mask).sum(axis=1)
+        return (self.token_log_probs(tokens) * response_mask).sum(axis=1)
 
     def sequence_log_probs_with_grad(self, tokens: np.ndarray, response_mask: np.ndarray) -> tuple:
         """Like :meth:`sequence_log_probs` but also returns a backward closure.

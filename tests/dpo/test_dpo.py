@@ -10,6 +10,7 @@ from repro.dpo import (
     DPODataset,
     DPOTrainer,
     MultiSeedCurves,
+    ReferenceMemo,
     TrainingHistory,
     dpo_step,
     encoded_pair_record,
@@ -18,10 +19,13 @@ from repro.dpo import (
     sigmoid,
     stack_pair_batch,
 )
+from repro.dpo.dataset import EncodedPair
 from repro.dpo.loss import DPOBatchMetrics
 from repro.errors import TrainingError
 from repro.feedback import PreferencePair
 from repro.lm import ModelConfig, Tokenizer, TransformerLM
+from repro.lm.lora import LoRAConfig, apply_lora
+from repro.utils.rng import seeded_rng
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +117,19 @@ class TestEncodedPairFile:
             pytest.param(json.dumps({**GOOD_RECORD, "chosen_response_start": "x"}), id="start-not-an-int"),
             pytest.param("[" * 100_000, id="nested-past-the-parser-limit"),
             pytest.param(json.dumps({**GOOD_RECORD, "chosen_response_start": float("inf")}), id="start-infinite"),
+            pytest.param(json.dumps({**GOOD_RECORD, "chosen_response_start": -3}), id="start-negative"),
+            pytest.param(json.dumps({**GOOD_RECORD, "chosen_response_start": 3}), id="start-past-the-last-target"),
+            pytest.param(json.dumps({**GOOD_RECORD, "rejected_response_start": 2}), id="rejected-start-past-its-ids"),
+            pytest.param(json.dumps({**GOOD_RECORD, "chosen_response_start": 2.9}), id="start-a-float"),
+            pytest.param(json.dumps({**GOOD_RECORD, "chosen_response_start": True}), id="start-a-bool"),
+            pytest.param(json.dumps({**GOOD_RECORD, "chosen_ids": [1, 5.7, 3]}), id="id-a-float"),
+            pytest.param(json.dumps({**GOOD_RECORD, "chosen_ids": [1, True, 3]}), id="id-true"),
+            pytest.param(json.dumps({**GOOD_RECORD, "rejected_ids": [1, False]}), id="id-false"),
+            pytest.param(json.dumps({**GOOD_RECORD, "chosen_ids": [1, -1, 3]}), id="id-negative"),
+            pytest.param(json.dumps({**GOOD_RECORD, "chosen_ids": "abc"}), id="ids-a-string"),
+            pytest.param(json.dumps({**GOOD_RECORD, "rejected_ids": []}), id="ids-empty"),
+            pytest.param(json.dumps({**GOOD_RECORD, "rejected_ids": [1], "rejected_response_start": 0}), id="ids-one-token"),
+            pytest.param(json.dumps([GOOD_RECORD]), id="record-not-an-object"),
         ],
     )
     def test_read_encoded_pairs_rejects_corrupt_lines(self, tmp_path, line):
@@ -121,6 +138,17 @@ class TestEncodedPairFile:
         path.write_text(json.dumps(self.GOOD_RECORD) + "\n" + line + "\n")
         with pytest.raises(ValueError, match=r"pairs\.jsonl:2: invalid encoded-pair record"):
             read_encoded_pairs(path)
+
+    def test_training_rejects_an_id_outside_the_vocabulary(self, toy_model, toy_tokenizer, tmp_path):
+        """A well-formed file can still hold ids the policy has no embedding
+        for: training refuses it up front, naming the pair."""
+        path = tmp_path / "pairs.jsonl"
+        records = [self.GOOD_RECORD, {**self.GOOD_RECORD, "task": "far", "rejected_ids": [1, 500]}]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        dataset = DPODataset(pairs=read_encoded_pairs(path), tokenizer=toy_tokenizer, max_seq_len=48)
+        trainer = DPOTrainer(toy_model, toy_tokenizer, DPOConfig(num_epochs=1, lora_rank=2))
+        with pytest.raises(TrainingError, match=r"preference pair 1 \(task 'far'\) holds token id 500"):
+            trainer.train(dataset)
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
@@ -334,9 +362,15 @@ class TestTrainer:
             trainer.train(DPODataset(pairs=[], tokenizer=toy_tokenizer))
 
     def test_max_steps_caps_training(self, toy_model, toy_pairs, toy_tokenizer):
+        """Training stops after step 4, in epoch 2, and checkpoints that
+        epoch although it is not a ``checkpoint_every`` epoch."""
         config = DPOConfig(num_epochs=50, batch_size=1, max_steps=4, checkpoint_every=100, lora_rank=2, seed=0)
         result = run_dpo(toy_model, toy_tokenizer, toy_pairs, config, max_seq_len=48)
         assert result.history.num_steps == 4
+        assert result.checkpoint_epochs() == [0, 2]
+        final = result.policy.state_dict()
+        for key, value in result.checkpoints[2].items():
+            assert np.array_equal(final[key], value), key
 
     def test_every_epoch_is_a_seeded_shuffle_of_every_pair(self, toy_model, toy_pairs, toy_tokenizer):
         """The first epoch is shuffled like the rest: epoch ``e`` visits the
@@ -360,6 +394,114 @@ class TestTrainer:
         assert [len(batch) for batch in visited] == [4, 4, 1] * config.num_epochs
         assert epochs == expected
         assert all(sorted(epoch) == list(range(len(pairs))) for epoch in epochs)
+
+
+def stable_model(tokenizer: Tokenizer, seed: int = 0) -> TransformerLM:
+    """A toy model in the row-stable kernel domain (``head_dim = 16``, see
+    ``docs/lm.md``), where a row's log-probs do not depend on its batch."""
+    config = ModelConfig(vocab_size=tokenizer.vocab_size, max_seq_len=48, dim=32, num_heads=2, num_layers=1, hidden_dim=32)
+    return TransformerLM(config, seed=seed)
+
+
+class TestReferenceMemo:
+    """The trainer's memo of the frozen reference is bitwise the live model."""
+
+    def test_trainer_matches_a_loop_over_the_live_reference(self, toy_pairs, toy_tokenizer):
+        dataset = DPODataset.from_preference_pairs(toy_pairs * 3, toy_tokenizer, max_seq_len=48)
+        config = DPOConfig(num_epochs=3, batch_size=4, learning_rate=5e-3, lora_rank=2, seed=2)
+        result = DPOTrainer(stable_model(toy_tokenizer), toy_tokenizer, config).train(dataset)
+
+        live = DPOTrainer(stable_model(toy_tokenizer), toy_tokenizer, config)
+        rng = seeded_rng(config.seed)
+        losses = []
+        for _ in range(config.num_epochs):
+            for batch in dataset.batches(config.batch_size, rng=rng, shuffle=True):
+                live.optimizer.zero_grad()
+                losses.append(dpo_step(live.policy, live.reference, batch, beta=config.beta).loss)
+                live.optimizer.step()
+
+        assert result.history.losses == losses
+        trained = result.policy.state_dict()
+        for key, value in live.policy.state_dict().items():
+            assert np.array_equal(trained[key], value), key
+
+    def test_memo_equals_the_model_for_any_batch(self, toy_pairs, toy_tokenizer):
+        """Batches of different width and composition, including a row whose
+        last masked target is the pad id (only a pairs file can hold one):
+        its trailing pad is a token, not padding."""
+        dataset = DPODataset.from_preference_pairs(toy_pairs, toy_tokenizer, max_seq_len=48)
+        ends_in_pad = dataset.pairs[2].chosen_ids[:5] + [toy_tokenizer.pad_id]
+        dataset.pairs.append(
+            EncodedPair(
+                chosen_ids=ends_in_pad,
+                rejected_ids=ends_in_pad[:3],
+                chosen_response_start=2,
+                rejected_response_start=1,
+            )
+        )
+        model = stable_model(toy_tokenizer, seed=1)
+        memo = ReferenceMemo(model)
+        for indices in ([3], [0, 3], [3, 1, 2], [2], [0, 1, 2, 3], [1, 0]):
+            tokens, mask = stack_pair_batch(dataset.batch(indices))
+            assert np.array_equal(memo.sequence_log_probs(tokens, mask), model.sequence_log_probs(tokens, mask)), indices
+
+    def test_the_model_runs_once_per_distinct_sequence(self, toy_pairs, toy_tokenizer, monkeypatch):
+        dataset = DPODataset.from_preference_pairs(toy_pairs, toy_tokenizer, max_seq_len=48)
+        model = stable_model(toy_tokenizer)
+        forwarded = []
+
+        def counting(tokens):
+            forwarded.append(len(tokens))
+            return TransformerLM.token_log_probs(model, tokens)
+
+        monkeypatch.setattr(model, "token_log_probs", counting)
+        memo = ReferenceMemo(model)
+        rng = seeded_rng(0)
+        for epoch in range(3):
+            for batch in dataset.batches(2, rng=rng, shuffle=True):
+                memo.sequence_log_probs(*stack_pair_batch(batch))
+            if epoch == 0:
+                first_epoch = list(forwarded)
+        distinct = {tuple(ids) for pair in dataset.pairs for ids in (pair.chosen_ids, pair.rejected_ids)}
+        assert forwarded == first_epoch  # nothing runs after the first epoch
+        assert sum(forwarded) == len(distinct) == 3
+        assert max(forwarded) <= 4  # never more rows than one stacked batch
+
+
+class TestFrozenParameters:
+    """Under LoRA the base receives no gradient, and the adapters' gradients
+    are exactly what they would be with the base trainable."""
+
+    def test_frozen_gradients_are_zero_after_a_lora_step(self, toy_pairs, toy_tokenizer):
+        dataset = DPODataset.from_preference_pairs(toy_pairs, toy_tokenizer, max_seq_len=48)
+        model = stable_model(toy_tokenizer)
+        # Leave the gradients of a pretraining step on every parameter.
+        model.cross_entropy(stack_pair_batch(dataset.batch([0, 1]))[0], pad_id=toy_tokenizer.pad_id)
+        assert model.head.weight.grad.any() and model.token_embedding.weight.grad.any()
+        config = DPOConfig(num_epochs=1, batch_size=3, lora_rank=2, max_steps=1)
+        DPOTrainer(model, toy_tokenizer, config).train(dataset)
+        frozen = [p for p in model.parameters() if not p.trainable]
+        assert frozen
+        assert not [p.name for p in frozen if p.grad.any()]
+        assert model.head.lora_b.grad.any()
+
+    def test_lora_gradients_equal_a_fully_trainable_run(self, toy_pairs, toy_tokenizer):
+        batch = DPODataset.from_preference_pairs(toy_pairs, toy_tokenizer, max_seq_len=48).batch([0, 1, 2])
+        models = []
+        for freeze_base in (True, False):
+            model = stable_model(toy_tokenizer)
+            reference = model.clone()
+            apply_lora(model, LoRAConfig(rank=2, seed=0, freeze_base=freeze_base))
+            # Move the adapters off zero so policy and reference differ.
+            model.load_state_dict({k: v + 0.05 if ".lora_b" in k else v for k, v in model.state_dict().items()})
+            dpo_step(model, reference, batch, beta=0.5)
+            models.append(model)
+        frozen, trainable = models
+        assert all(p.trainable for p in trainable.parameters())
+        adapters = [(a, b) for a, b in zip(frozen.parameters(), trainable.parameters()) if ".lora_" in a.name]
+        assert adapters
+        for a, b in adapters:
+            assert np.array_equal(a.grad, b.grad), a.name
 
 
 class TestMetricsContainers:

@@ -13,7 +13,7 @@ from repro.core import DPOAFPipeline
 from repro.core.config import FeedbackConfig, quick_pipeline_config
 from repro.driving import core_specifications, response_templates, training_tasks
 from repro.obs import tracer as obs
-from repro.obs.export import load_chrome_trace
+from repro.obs.export import load_chrome_trace, spans_from_trace
 from repro.obs.tracer import Tracer
 from repro.serving import FeedbackJob, FeedbackService, ServingConfig
 
@@ -120,6 +120,27 @@ class TestPipelineParity:
         assert {"pipeline.pretrain", "pipeline.train", "serving.score_batch", "mc.check"} <= names
         metrics = document["otherData"]["metrics"]
         assert metrics["serving"]["jobs"] > 0
+
+    def test_training_spans_nest_where_the_work_runs(self, pipeline_parity):
+        """One ``pretrain.step`` per pretraining step, inside
+        ``pipeline.pretrain``; reference forwards only inside first-epoch
+        ``dpo.step`` spans, because later epochs read the memo."""
+        _, trace_path = pipeline_parity[True]
+        spans = spans_from_trace(load_chrome_trace(trace_path))
+        by_id = {s.span_id: s for s in spans}
+        pretrain_config = quick_pipeline_config(seed=0).pretrain
+        (stage,) = [s for s in spans if s.name == "pipeline.pretrain"]
+        steps = [s for s in spans if s.name == "pretrain.step"]
+        assert len(steps) == pretrain_config.num_steps
+        assert all(s.parent_id == stage.span_id and s.category == "train" for s in steps)
+        widths = [s.attributes["width"] for s in steps]
+        assert max(widths) <= pretrain_config.max_seq_len and min(widths) < pretrain_config.max_seq_len
+        forwards = [s for s in spans if s.name == "dpo.reference_forward"]
+        assert forwards
+        for forward in forwards:
+            step = by_id[forward.parent_id]
+            assert (step.name, step.attributes["epoch"]) == ("dpo.step", 1)
+            assert forward.category == "train" and forward.attributes["rows"] > 0
 
     def test_untraced_run_leaves_the_null_tracer_installed(self, pipeline_parity):
         assert not obs.tracing_enabled()
