@@ -56,6 +56,16 @@ from repro.utils.retry import RetryPolicy, call_with_retry
 #: Bumped when the request/response shapes change incompatibly.
 PROTOCOL_VERSION = 1
 
+#: Longest request line the daemon reads, newline excluded.  The largest
+#: request the jobs CLI sends is ``repro-serve submit``'s ``create_batch``:
+#: one line holding every record of its JSONL input.  A record is one
+#: response of at most ``max_seq_len`` (96) LM tokens, under 2 KiB as JSON —
+#: the catalogue's response templates average 183 bytes and reach 407 — so
+#: 16 MiB admits a batch of over 8,000 maximal responses (some 90,000
+#: templates) while bounding what one connection can make the daemon hold.
+#: A longer line is answered ``invalid-request`` and skipped; split the batch.
+MAX_REQUEST_BYTES = 16 * 1024 * 1024
+
 #: Error types a response's ``error.type`` field may carry.
 ERROR_TYPES = (
     "invalid-request",
@@ -567,7 +577,23 @@ class JobsDaemon:
             # Bytes, not text: json.loads decodes each line itself, so a line
             # of invalid UTF-8 is one bad request, not a dead connection.
             reader = conn.makefile("rb")
-            for line in reader:
+            while True:
+                line = reader.readline(MAX_REQUEST_BYTES + 1)
+                if not line:
+                    return
+                if len(line) > MAX_REQUEST_BYTES and not line.endswith(b"\n"):
+                    # Over the cap: drain the rest of the line in bounded
+                    # reads, then answer it once.
+                    while line and not line.endswith(b"\n"):
+                        line = reader.readline(MAX_REQUEST_BYTES + 1)
+                    self._send(
+                        conn,
+                        _error_response(
+                            "invalid-request",
+                            f"request line exceeds {MAX_REQUEST_BYTES} bytes; split the batch",
+                        ),
+                    )
+                    continue
                 line = line.strip()
                 if not line:
                     continue

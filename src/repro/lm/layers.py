@@ -89,6 +89,15 @@ class Layer:
         for param in self.parameters():
             param.zero_grad()
 
+    def sublayers(self) -> list:
+        """This layer and every :class:`Layer` nested in it, depth first."""
+        layers: list[Layer] = [self]
+        for attr in vars(self).values():
+            for item in attr if isinstance(attr, (list, tuple)) else (attr,):
+                if isinstance(item, Layer):
+                    layers.extend(item.sublayers())
+        return layers
+
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     scale = math.sqrt(2.0 / (fan_in + fan_out))
@@ -272,8 +281,9 @@ class Linear(Layer):
             xa = flat_x @ self.lora_a.value
             self.lora_a.grad += self.lora_scale * (flat_x.T @ (flat_d @ self.lora_b.value.T))
             self.lora_b.grad += self.lora_scale * (xa.T @ flat_d)
-        dx = dout @ self.effective_weight().T
-        return dx
+        # One collapsed gemm, as in forward.  dx is a gradient, so unlike the
+        # forward it need not be row-stable.
+        return (flat_d @ self.effective_weight().T).reshape(x.shape)
 
 
 class Embedding(Layer):
@@ -310,10 +320,13 @@ class LayerNorm(Layer):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        # Bitwise ``x.mean`` and ``x.var`` (numpy divides the same float32
+        # row sums by the count), without their per-call Python overhead and
+        # with the mean computed once.
+        centred = x - x.sum(axis=-1, keepdims=True) / self.dim
+        var = (centred * centred).sum(axis=-1, keepdims=True) / self.dim
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        normalised = (x - mean) * inv_std
+        normalised = centred * inv_std
         self._cache = (normalised, inv_std)
         return normalised * self.gain.value + self.shift.value
 
@@ -325,8 +338,8 @@ class LayerNorm(Layer):
             self.shift.grad += dout.reshape(-1, self.dim).sum(axis=0)
         dnorm = dout * self.gain.value
         # Standard layer-norm backward over the last axis.
-        mean_dnorm = dnorm.mean(axis=-1, keepdims=True)
-        mean_dnorm_norm = (dnorm * normalised).mean(axis=-1, keepdims=True)
+        mean_dnorm = dnorm.sum(axis=-1, keepdims=True) / self.dim
+        mean_dnorm_norm = (dnorm * normalised).sum(axis=-1, keepdims=True) / self.dim
         return (dnorm - mean_dnorm - normalised * mean_dnorm_norm) * inv_std
 
 
@@ -382,10 +395,15 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-#: Chunk width of the length-stable row reduction.  Any fixed power of two
-#: wide enough to amortise the chunk loop works; 128 covers a whole
-#: ``max_seq_len`` row in one chunk for every config this repo ships.
+#: Widest row the length-stable sum reduces in one pass: numpy's pairwise
+#: summation block (``PW_BLOCKSIZE``), inside which its float sum keeps the
+#: fixed 8-accumulator pairing :func:`_length_stable_row_sum` relies on.
+#: Wider rows are summed per 128-column chunk; every ``max_seq_len`` this
+#: repo ships (96) fits in one.
 _STABLE_SUM_CHUNK = 128
+
+#: Accumulators of numpy's pairwise sum within one block.
+_PAIRWISE_LANES = 8
 
 
 def _length_stable_row_sum(exp: np.ndarray) -> np.ndarray:
@@ -396,18 +414,31 @@ def _length_stable_row_sum(exp: np.ndarray) -> np.ndarray:
     exact-zero padding can differ in the last ulp.  Incremental decoding needs
     the opposite: an attention row computed against ``S`` cached keys must get
     bit-for-bit the denominator the full-context forward computes over a
-    longer masked row.  Rows are therefore zero-padded to a multiple of a
-    *fixed* chunk width, pairwise-summed within each chunk (fixed width ⇒
-    fixed pairing), and the chunk sums accumulated strictly left-to-right —
-    trailing zeros then only ever append exact ``+0.0`` terms.
+    longer masked row — and so must a training row run at its length group's
+    width rather than the batch's.
+
+    For ``n <= 128`` columns numpy's float sum does not recurse: with
+    ``n >= 8`` it keeps 8 accumulators, accumulator ``j`` adding columns
+    ``j, j + 8, j + 16, …`` left to right up to the last multiple of 8, then
+    combines them in the fixed tree ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7))`` and adds the ``n mod 8`` leftover columns one by one.  So a
+    row zero-padded to a multiple of 8 (at least 8) has no leftovers, and
+    padding it further, up to 128 columns, only adds exact ``+0.0`` to the
+    accumulators: its sum is bitwise the sum of the row padded to 128, for
+    every row length.  Wider rows are padded to a multiple of 128, summed per
+    chunk, and the chunk sums accumulated strictly left to right.  The kernel
+    probe in the test suite checks the property on the installed numpy.
     """
     length = exp.shape[-1]
-    chunks = -(-length // _STABLE_SUM_CHUNK)
-    padded = np.zeros(exp.shape[:-1] + (chunks * _STABLE_SUM_CHUNK,), dtype=exp.dtype)
+    block = _PAIRWISE_LANES if length <= _STABLE_SUM_CHUNK else _STABLE_SUM_CHUNK
+    width = max(block, -(-length // block) * block)
+    if width == length <= _STABLE_SUM_CHUNK and exp.flags.c_contiguous:
+        return exp.sum(axis=-1, keepdims=True)  # already a multiple of 8: no copy
+    padded = np.zeros(exp.shape[:-1] + (width,), dtype=exp.dtype)
     padded[..., :length] = exp
-    if chunks == 1:
+    if width <= _STABLE_SUM_CHUNK:
         return padded.sum(axis=-1, keepdims=True)
-    chunked = padded.reshape(exp.shape[:-1] + (chunks, _STABLE_SUM_CHUNK)).sum(axis=-1)
+    chunked = padded.reshape(exp.shape[:-1] + (width // _STABLE_SUM_CHUNK, _STABLE_SUM_CHUNK)).sum(axis=-1)
     return np.cumsum(chunked, axis=-1)[..., -1:]
 
 

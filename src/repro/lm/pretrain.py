@@ -59,18 +59,15 @@ def encode_documents(corpus: Corpus, max_seq_len: int) -> np.ndarray:
 def pretrain(corpus: Corpus, config: PretrainConfig | None = None, *, progress_every: int = 0) -> PretrainResult:
     """Train a fresh :class:`TransformerLM` on the corpus with Adam.
 
-    Each step samples ``batch_size`` documents and cuts the batch to its
-    longest one: the pad columns past it carry zero loss and zero gradient,
-    so the step computes the same loss and gradients as at the full
-    ``max_seq_len`` width, up to float summation order.  Returns the trained
-    model, its tokenizer and the per-step loss curve.
+    Each step samples ``batch_size`` documents;
+    :meth:`TransformerLM.cross_entropy` runs them as length groups, so no
+    step computes the pad past a document's end.  Returns the trained model,
+    its tokenizer and the per-step loss curve.
     """
     config = config or PretrainConfig()
     rng = seeded_rng(config.seed)
     pad_id = corpus.tokenizer.pad_id
     data = encode_documents(corpus, config.max_seq_len)
-    # Each document's length: up to and including its last non-pad token.
-    lengths = data.shape[1] - np.argmax(data[:, ::-1] != pad_id, axis=1)
 
     model = TransformerLM(
         ModelConfig(
@@ -89,10 +86,9 @@ def pretrain(corpus: Corpus, config: PretrainConfig | None = None, *, progress_e
     num_documents = data.shape[0]
     for step in range(config.num_steps):
         batch_idx = rng.integers(0, num_documents, size=min(config.batch_size, num_documents))
-        width = int(lengths[batch_idx].max())
-        with obs.span("pretrain.step", category="train", step=step + 1, width=width):
+        with obs.span("pretrain.step", category="train", step=step + 1):
             optimizer.zero_grad()
-            loss = model.cross_entropy(data[batch_idx, :width], pad_id=pad_id, backward=True)
+            loss = model.cross_entropy(data[batch_idx], pad_id=pad_id, backward=True)
             optimizer.step()
         losses.append(loss)
         if progress_every and (step + 1) % progress_every == 0:  # pragma: no cover - console feedback only

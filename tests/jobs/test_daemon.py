@@ -18,6 +18,7 @@ from repro.jobs import (
     QuotaExceededError,
     UnknownJobError,
 )
+from repro.jobs.server import MAX_REQUEST_BYTES
 from repro.utils.retry import RetryPolicy
 
 TASK = "turn_right_traffic_light"  # resolves to scenario traffic_light_intersection
@@ -319,6 +320,23 @@ class TestWireProtocol:
         assert reply["ok"] and reply["result"]["protocol"] == 1
         (stats,) = connection.request('{"op": "stats"}')
         assert stats["ok"]
+
+    def test_an_over_long_line_is_refused_and_the_connection_kept(self, daemon_factory, wire):
+        """A line over ``MAX_REQUEST_BYTES`` is answered ``invalid-request``
+        without being parsed — even one that would be a valid request — and
+        the next line on the same connection is served.  A line of exactly
+        the cap is read whole."""
+        daemon_factory()
+        connection = wire()
+        stats = b'{"op": "stats"}'
+        over = stats + b" " * (MAX_REQUEST_BYTES + 1 - len(stats))
+        (reply,) = connection.request(over)
+        assert reply["ok"] is False and reply["error"]["type"] == "invalid-request"
+        assert str(MAX_REQUEST_BYTES) in reply["error"]["message"]
+        (reply,) = connection.request(stats)
+        assert reply["ok"] and reply["result"]["protocol"] == 1
+        (reply,) = connection.request(over[:MAX_REQUEST_BYTES])
+        assert reply["ok"] and reply["result"]["protocol"] == 1
 
     def test_deeply_nested_request_is_bad_json(self, daemon_factory, wire):
         daemon_factory()

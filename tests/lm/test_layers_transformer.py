@@ -218,28 +218,6 @@ class TestTransformer:
             ModelConfig(vocab_size=10, dim=10, num_heads=3)
 
 
-class TestPretrainBatchCut:
-    def test_cut_batch_matches_the_full_width_batch(self):
-        """Pretraining cuts each batch to its longest document.  The pad
-        columns past it carry zero loss and zero gradient, so the loss and
-        every gradient match the full-width batch up to summation order."""
-        config = ModelConfig(vocab_size=30, max_seq_len=40, dim=32, num_heads=2, num_layers=2, hidden_dim=64)
-        rng = np.random.default_rng(0)
-        lengths = [9, 23, 17, 5]
-        full = np.zeros((len(lengths), config.max_seq_len), dtype=np.int64)
-        for row, length in enumerate(lengths):
-            full[row, :length] = rng.integers(1, config.vocab_size, size=length)
-        runs = []
-        for batch in (full, full[:, : max(lengths)]):
-            model = TransformerLM(config, seed=0)
-            runs.append((model.cross_entropy(batch, pad_id=0, backward=True), model.parameters()))
-        (full_loss, full_params), (cut_loss, cut_params) = runs
-        assert cut_loss == pytest.approx(full_loss, abs=1e-5)
-        for cut, whole in zip(cut_params, full_params):
-            scale = max(float(np.max(np.abs(whole.grad))), 1e-3)
-            assert np.allclose(cut.grad, whole.grad, atol=scale * 1e-4), cut.name
-
-
 class TestOptimizers:
     def test_adam_only_updates_trainable(self, tiny_model, tiny_tokens):
         tiny_model.add_lora_adapters(2, seed=0)

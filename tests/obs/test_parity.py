@@ -133,14 +133,42 @@ class TestPipelineParity:
         steps = [s for s in spans if s.name == "pretrain.step"]
         assert len(steps) == pretrain_config.num_steps
         assert all(s.parent_id == stage.span_id and s.category == "train" for s in steps)
-        widths = [s.attributes["width"] for s in steps]
-        assert max(widths) <= pretrain_config.max_seq_len and min(widths) < pretrain_config.max_seq_len
+        assert sorted(s.attributes["step"] for s in steps) == list(range(1, pretrain_config.num_steps + 1))
         forwards = [s for s in spans if s.name == "dpo.reference_forward"]
         assert forwards
         for forward in forwards:
             step = by_id[forward.parent_id]
             assert (step.name, step.attributes["epoch"]) == ("dpo.step", 1)
             assert forward.category == "train" and forward.attributes["rows"] > 0
+
+    def test_length_group_spans_nest_in_their_step(self, pipeline_parity):
+        """One ``train.forward`` and one ``train.backward`` per length group,
+        each directly inside its ``pretrain.step`` or ``dpo.step``; a step's
+        groups cover exactly the batch's rows that have a target, each at a
+        width the model can run."""
+        result, trace_path = pipeline_parity[True]
+        spans = spans_from_trace(load_chrome_trace(trace_path))
+        by_id = {s.span_id: s for s in spans}
+        config = quick_pipeline_config(seed=0)
+        rows = {"train.forward": {}, "train.backward": {}}
+        for span in spans:
+            if span.name in rows:
+                step = by_id[span.parent_id]
+                assert step.name in ("pretrain.step", "dpo.step") and span.category == "train"
+                assert 1 <= span.attributes["width"] < config.pretrain.max_seq_len
+                step_rows = rows[span.name].setdefault(span.parent_id, [])
+                step_rows.append(span.attributes["rows"])
+        assert rows["train.forward"] == rows["train.backward"]
+        per_step = {by_id[step].name: [] for step in rows["train.forward"]}
+        steps = sorted(rows["train.forward"], key=lambda step: by_id[step].start_ns)
+        for step in steps:
+            per_step[by_id[step].name].append(sum(rows["train.forward"][step]))
+        # Every pretraining document and every DPO response has a target.
+        assert per_step["pretrain.step"] == [config.pretrain.batch_size] * config.pretrain.num_steps
+        pairs = result.dpo_result.throughput["pairs"] // config.dpo.num_epochs
+        full, rest = divmod(pairs, config.dpo.batch_size)
+        epoch = [2 * config.dpo.batch_size] * full + ([2 * rest] if rest else [])
+        assert per_step["dpo.step"] == epoch * config.dpo.num_epochs
 
     def test_untraced_run_leaves_the_null_tracer_installed(self, pipeline_parity):
         assert not obs.tracing_enabled()
