@@ -8,7 +8,7 @@ Sub-packages
 ``repro.logic``
     LTL: AST, parser, NNF, LTL→Büchi translation, finite-trace semantics.
 ``repro.modelcheck``
-    The NuSMV-substitute LTL model checker and an SMV-like module language.
+    The NuSMV-substitute LTL model checker.
 ``repro.glm2fsa``
     Semantic parsing and alignment of step-by-step responses into controllers.
 ``repro.driving``

@@ -13,7 +13,7 @@ This package implements Section 3 and Appendix A of the paper:
 
 from repro.automata.alphabet import EPSILON, Symbol, Vocabulary, canonical, format_symbol, make_symbol, powerset_symbols
 from repro.automata.buchi import BuchiAutomaton, GeneralizedBuchiAutomaton, LabelConstraint
-from repro.automata.fsa import ControllerTransition, FSAController, always_controller
+from repro.automata.fsa import ControllerTransition, FSAController
 from repro.automata.guards import (
     FALSE,
     TRUE,
@@ -26,15 +26,13 @@ from repro.automata.guards import (
     conj,
     disj,
     parse_guard,
-    symbol_guard,
 )
 from repro.automata.kripke import KripkeStructure
-from repro.automata.product import ProductState, build_product, product_statistics
+from repro.automata.product import ProductState, build_product
 from repro.automata.transition_system import (
     TransitionSystem,
     build_model_from_labels,
     build_model_from_system,
-    describe_model,
 )
 
 __all__ = [
@@ -50,7 +48,6 @@ __all__ = [
     "LabelConstraint",
     "ControllerTransition",
     "FSAController",
-    "always_controller",
     "FALSE",
     "TRUE",
     "Guard",
@@ -62,13 +59,10 @@ __all__ = [
     "conj",
     "disj",
     "parse_guard",
-    "symbol_guard",
     "KripkeStructure",
     "ProductState",
     "build_product",
-    "product_statistics",
     "TransitionSystem",
     "build_model_from_labels",
     "build_model_from_system",
-    "describe_model",
 ]

@@ -7,13 +7,13 @@ describing controller actions.  A *symbol* is an element of ``2^P`` (or
 
 We canonicalise proposition names (lower case, spaces become underscores) so
 the same proposition written as ``"green traffic light"`` in prose and
-``green_traffic_light`` in a formula or an SMV module refers to one entity.
+``green_traffic_light`` in a formula refers to one entity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from repro.errors import AutomatonError
@@ -104,29 +104,3 @@ class Vocabulary:
         if unknown:
             raise AutomatonError(f"unknown atoms in symbol: {sorted(unknown)}")
         return sym
-
-    def merged_with(self, other: "Vocabulary") -> "Vocabulary":
-        """Union of two vocabularies (used when integrating scenario models)."""
-        return Vocabulary(
-            propositions=self.propositions | other.propositions,
-            actions=self.actions | other.actions,
-        )
-
-    def environment_part(self, symbol: Symbol) -> Symbol:
-        """Restrict a mixed symbol to the environment propositions ``P``."""
-        return frozenset(symbol) & self.propositions
-
-    def action_part(self, symbol: Symbol) -> Symbol:
-        """Restrict a mixed symbol to the action propositions ``PA``."""
-        return frozenset(symbol) & self.actions
-
-
-def iter_symbol_pairs(symbols: Iterable[Symbol]) -> Iterator[tuple[Symbol, Symbol]]:
-    """All ordered pairs of symbols (used by conservative model construction)."""
-    symbols = list(symbols)
-    return ((a, b) for a in symbols for b in symbols)
-
-
-def flatten_symbols(symbols: Iterable[Symbol]) -> frozenset:
-    """Union of a collection of symbols."""
-    return frozenset(chain.from_iterable(symbols))

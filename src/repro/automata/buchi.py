@@ -10,7 +10,7 @@ the tableau construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import Hashable
 
 from repro.automata.alphabet import Symbol
 from repro.errors import AutomatonError
@@ -83,10 +83,6 @@ class BuchiAutomaton:
 
     def transitions_from(self, state: Hashable) -> list:
         return [t for t in self.transitions if t.source == state]
-
-    def successors_on(self, state: Hashable, symbol: Symbol) -> list:
-        """States reachable from ``state`` by reading ``symbol``."""
-        return [t.target for t in self.transitions_from(state) if t.constraint.satisfied_by(symbol)]
 
     @property
     def num_states(self) -> int:
@@ -178,11 +174,3 @@ class GeneralizedBuchiAutomaton:
             f"GeneralizedBuchiAutomaton(name={self.name!r}, states={self.num_states}, "
             f"acceptance_sets={len(self.acceptance_sets)})"
         )
-
-
-def constraint_from_literals(literals: Iterable[tuple]) -> LabelConstraint:
-    """Build a constraint from ``(atom, polarity)`` pairs."""
-    pos, neg = set(), set()
-    for atom_name, polarity in literals:
-        (pos if polarity else neg).add(atom_name)
-    return LabelConstraint(frozenset(pos), frozenset(neg))

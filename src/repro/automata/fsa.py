@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.automata.alphabet import EPSILON, Symbol, Vocabulary, format_symbol, make_symbol
-from repro.automata.guards import TRUE, Guard, parse_guard
+from repro.automata.guards import Guard, parse_guard
 from repro.errors import AutomatonError
 
 
@@ -124,40 +124,9 @@ class FSAController:
         """Non-deterministic step: list of ``(action, next_state)`` pairs."""
         return [(t.action, t.target) for t in self.enabled_transitions(state, observation)]
 
-    def actions_used(self) -> frozenset:
-        """All action propositions appearing on any transition."""
-        atoms = frozenset()
-        for t in self._transitions:
-            atoms |= t.action
-        return atoms
-
-    def input_atoms(self) -> frozenset:
-        """All propositions mentioned in any guard."""
-        atoms = frozenset()
-        for t in self._transitions:
-            atoms |= t.guard.atoms()
-        return atoms
-
     # ------------------------------------------------------------------ #
     # Structural checks
     # ------------------------------------------------------------------ #
-    def is_deterministic(self, symbols: Iterable[Symbol]) -> bool:
-        """True if at most one transition is enabled in every (state, symbol)."""
-        for state in self._states:
-            for symbol in symbols:
-                if len(self.enabled_transitions(state, symbol)) > 1:
-                    return False
-        return True
-
-    def is_complete(self, symbols: Iterable[Symbol]) -> bool:
-        """True if at least one transition is enabled in every (state, symbol)."""
-        symbols = list(symbols)
-        for state in self._states:
-            for symbol in symbols:
-                if not self.enabled_transitions(state, symbol):
-                    return False
-        return True
-
     def blocking_pairs(self, symbols: Iterable[Symbol]) -> list:
         """(state, symbol) pairs with no enabled transition — potential deadlocks."""
         out = []
@@ -192,12 +161,3 @@ class FSAController:
             f"FSAController(name={self.name!r}, states={self.num_states}, "
             f"transitions={self.num_transitions}, initial={self.initial_state!r})"
         )
-
-
-def always_controller(name: str, action: str, vocabulary: Vocabulary | None = None) -> FSAController:
-    """A single-state controller that always outputs ``action`` (testing helper)."""
-    controller = FSAController(name=name, vocabulary=vocabulary or Vocabulary(actions=frozenset({action})))
-    controller.add_state("q0", initial=True)
-    controller.add_transition("q0", TRUE, action, "q0")
-    controller.validate()
-    return controller

@@ -13,7 +13,6 @@ automata package stays import-independent from the logic package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.automata.alphabet import Symbol, canonical
 from repro.errors import AutomatonError
@@ -184,13 +183,6 @@ def disj(*guards: Guard) -> Guard:
     if len(guards) == 1:
         return guards[0]
     return GuardOr(guards)
-
-
-def symbol_guard(positive: Iterable[str], negative: Iterable[str] = ()) -> Guard:
-    """Guard requiring every ``positive`` atom and forbidding every ``negative`` atom."""
-    pos = [atom(p) for p in positive]
-    neg = [GuardNot(atom(p)) for p in negative]
-    return conj(*pos, *neg)
 
 
 # --------------------------------------------------------------------------- #

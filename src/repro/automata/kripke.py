@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator
 
-import networkx as nx
-
 from repro.automata.alphabet import Symbol, format_symbol, make_symbol
 from repro.errors import AutomatonError
 
@@ -89,30 +87,6 @@ class KripkeStructure:
             self._successors[s].add(s)
         return len(deadlocks)
 
-    def reachable_states(self) -> set:
-        """States reachable from some initial state."""
-        seen: set = set()
-        stack = list(self.initial_states)
-        while stack:
-            state = stack.pop()
-            if state in seen:
-                continue
-            seen.add(state)
-            stack.extend(self._successors.get(state, ()))
-        return seen
-
-    def restrict_to_reachable(self) -> "KripkeStructure":
-        """Return a copy containing only states reachable from the initial set."""
-        reachable = self.reachable_states()
-        restricted = KripkeStructure(name=self.name)
-        for state in self.states:
-            if state in reachable:
-                restricted.add_state(state, self.label(state), initial=state in self.initial_states)
-        for src, dst in self.transitions():
-            if src in reachable and dst in reachable:
-                restricted.add_transition(src, dst)
-        return restricted
-
     def atoms(self) -> frozenset:
         """All atomic propositions appearing in any label."""
         out = frozenset()
@@ -126,13 +100,6 @@ class KripkeStructure:
         for s in self.initial_states:
             if s not in self._labels:
                 raise AutomatonError(f"initial state {s!r} is not a state")
-
-    def to_networkx(self) -> nx.DiGraph:
-        graph = nx.DiGraph(name=self.name)
-        for state in self.states:
-            graph.add_node(state, label=sorted(self.label(state)), initial=state in self.initial_states)
-        graph.add_edges_from(self.transitions())
-        return graph
 
     def describe(self, limit: int = 50) -> str:
         """Readable rendering (truncated to ``limit`` states)."""

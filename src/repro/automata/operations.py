@@ -1,25 +1,8 @@
-"""Graph-level operations shared by automata: reachability, SCCs, lassos."""
+"""Graph-level operations shared by automata: reachability and SCCs."""
 
 from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable
-
-import networkx as nx
-
-from repro.automata.kripke import KripkeStructure
-
-
-def reachable_from(start: Iterable[Hashable], successors: Callable[[Hashable], Iterable[Hashable]]) -> set:
-    """Generic forward reachability over a successor function."""
-    seen: set = set()
-    stack = list(start)
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(successors(node))
-    return seen
 
 
 def strongly_connected_subgraphs(
@@ -130,64 +113,3 @@ def backward_reachable(
                 seen.add(pred)
                 stack.append(pred)
     return seen
-
-
-def strongly_connected_components(kripke: KripkeStructure) -> list:
-    """SCCs of a Kripke structure (each returned as a set of states)."""
-    return [set(c) for c in nx.strongly_connected_components(kripke.to_networkx())]
-
-
-def nontrivial_sccs(kripke: KripkeStructure) -> list:
-    """SCCs that contain at least one internal edge (can sustain an infinite run)."""
-    graph = kripke.to_networkx()
-    out = []
-    for comp in nx.strongly_connected_components(graph):
-        comp = set(comp)
-        if len(comp) > 1:
-            out.append(comp)
-        else:
-            (state,) = comp
-            if graph.has_edge(state, state):
-                out.append(comp)
-    return out
-
-
-def shortest_path(
-    kripke: KripkeStructure, sources: Iterable[Hashable], target_predicate: Callable[[Hashable], bool]
-) -> list:
-    """BFS shortest path from any source to a state satisfying the predicate.
-
-    Returns the path as a list of states (empty if unreachable).
-    """
-    from collections import deque
-
-    parents: dict = {}
-    queue = deque()
-    for s in sources:
-        if s not in parents:
-            parents[s] = None
-            queue.append(s)
-    while queue:
-        state = queue.popleft()
-        if target_predicate(state):
-            path = [state]
-            while parents[path[-1]] is not None:
-                path.append(parents[path[-1]])
-            return list(reversed(path))
-        for succ in kripke.successors(state):
-            if succ not in parents:
-                parents[succ] = state
-                queue.append(succ)
-    return []
-
-
-def find_cycle_through(kripke: KripkeStructure, state: Hashable) -> list:
-    """A cycle starting and ending at ``state`` (empty list if none exists)."""
-    path = shortest_path(
-        kripke,
-        kripke.successors(state),
-        lambda s: s == state,
-    )
-    if not path:
-        return []
-    return [state] + path

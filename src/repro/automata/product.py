@@ -151,15 +151,3 @@ def build_product(
         kripke.make_total()
     kripke.validate()
     return kripke
-
-
-def product_statistics(kripke: KripkeStructure) -> dict:
-    """Summary statistics of a product automaton (used in reports/benchmarks)."""
-    deadlocks = {s for s in kripke.states if kripke.successors(s) == frozenset({s})}
-    return {
-        "states": kripke.num_states,
-        "transitions": kripke.num_transitions,
-        "initial_states": len(kripke.initial_states),
-        "stutter_states": len(deadlocks),
-        "atoms": sorted(kripke.atoms()),
-    }

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Mapping
 
 import networkx as nx
 
-from repro.automata.alphabet import Symbol, Vocabulary, format_symbol, make_symbol, powerset_symbols
+from repro.automata.alphabet import Symbol, Vocabulary, make_symbol, powerset_symbols
 from repro.errors import AutomatonError
 
 
@@ -101,10 +101,6 @@ class TransitionSystem:
             raise AutomatonError(f"unknown state {state!r}")
         return frozenset(s for s, succ in self._successors.items() if state in succ)
 
-    def has_transition(self, src: str, dst: str) -> bool:
-        """``δ_M(src, dst) = 1``?"""
-        return dst in self._successors.get(src, ())
-
     def transitions(self) -> list:
         """All transitions as ``(src, dst)`` pairs."""
         return [(s, d) for s, dsts in self._successors.items() for d in sorted(dsts)]
@@ -151,29 +147,8 @@ class TransitionSystem:
                 raise AutomatonError(f"initial state {s!r} is not a state")
 
     # ------------------------------------------------------------------ #
-    # Composition & export
+    # Export
     # ------------------------------------------------------------------ #
-    def union(self, other: "TransitionSystem", name: str | None = None) -> "TransitionSystem":
-        """Disjoint union of two models (used to form the universal model).
-
-        States are prefixed with their model of origin so scenario models with
-        overlapping state names (``p0``, ``p1``, ...) stay distinguishable.
-        """
-        merged = TransitionSystem(
-            name=name or f"{self.name}+{other.name}",
-            vocabulary=self.vocabulary.merged_with(other.vocabulary),
-        )
-        for model, prefix in ((self, self.name), (other, other.name)):
-            for state in model.states:
-                merged.add_state(
-                    f"{prefix}::{state}",
-                    model.label(state),
-                    initial=state in model.initial_states,
-                )
-            for src, dst in model.transitions():
-                merged.add_transition(f"{prefix}::{src}", f"{prefix}::{dst}")
-        return merged
-
     def to_networkx(self) -> nx.DiGraph:
         """Export to a :class:`networkx.DiGraph` with ``label`` node attributes."""
         graph = nx.DiGraph(name=self.name)
@@ -264,13 +239,3 @@ def build_model_from_labels(
     model.mark_initial(*(initial_states if initial_states is not None else labels.keys()))
     model.validate()
     return model
-
-
-def describe_model(model: TransitionSystem) -> str:
-    """Multi-line human-readable description of a model (used by examples)."""
-    lines = [f"Model {model.name}: {model.num_states} states, {model.num_transitions} transitions"]
-    for state in model.states:
-        mark = "*" if state in model.initial_states else " "
-        succ = ", ".join(sorted(model.successors(state))) or "-"
-        lines.append(f"  {mark}{state}: {format_symbol(model.label(state))} -> {succ}")
-    return "\n".join(lines)

@@ -1,6 +1,5 @@
-"""The DPO-AF pipeline: configuration, prompting, orchestration, persistence."""
+"""The DPO-AF pipeline: configuration and orchestration."""
 
-from repro.core.checkpoints import load_model, save_model
 from repro.core.config import (
     FeedbackConfig,
     PipelineConfig,
@@ -10,12 +9,9 @@ from repro.core.config import (
     quick_pipeline_config,
 )
 from repro.core.pipeline import DPOAFPipeline, ModelEvaluation, PipelineResult, TaskEvaluation
-from repro.core.prompting import LLAMA2_SYSTEM_MESSAGE, alignment_prompt, llama2_chat_prompt, steps_prompt
-from repro.core.system_model import conservative_driving_model, pruned_driving_model
+from repro.core.system_model import conservative_driving_model
 
 __all__ = [
-    "load_model",
-    "save_model",
     "FeedbackConfig",
     "PipelineConfig",
     "SamplingConfig",
@@ -26,10 +22,5 @@ __all__ = [
     "ModelEvaluation",
     "PipelineResult",
     "TaskEvaluation",
-    "LLAMA2_SYSTEM_MESSAGE",
-    "alignment_prompt",
-    "llama2_chat_prompt",
-    "steps_prompt",
     "conservative_driving_model",
-    "pruned_driving_model",
 ]

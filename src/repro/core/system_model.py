@@ -24,20 +24,3 @@ def conservative_driving_model(propositions: Iterable[str], *, name: str = "cons
         vocabulary=DRIVING_VOCABULARY,
     )
 
-
-def pruned_driving_model(
-    propositions: Iterable[str],
-    transition_allowed,
-    *,
-    name: str = "pruned_model",
-    initial_labels=None,
-) -> TransitionSystem:
-    """Algorithm 1 with pruning of isolated states (the default construction)."""
-    return build_model_from_system(
-        propositions,
-        transition_allowed,
-        name=name,
-        conservative=False,
-        vocabulary=DRIVING_VOCABULARY,
-        initial_labels=initial_labels,
-    )

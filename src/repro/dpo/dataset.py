@@ -206,7 +206,3 @@ class DPODataset:
             order = rng.permutation(order)
         for start in range(0, len(order), batch_size):
             yield self.batch(order[start: start + batch_size])
-
-    def num_batches(self, batch_size: int) -> int:
-        """Mini-batches per epoch: the last one may be short."""
-        return (len(self.pairs) + batch_size - 1) // batch_size

@@ -64,10 +64,6 @@ class MultiSeedCurves:
     def add(self, history: TrainingHistory) -> None:
         self.histories.append(history)
 
-    @property
-    def num_seeds(self) -> int:
-        return len(self.histories)
-
     def _stack(self, metric: str) -> np.ndarray:
         series = [np.asarray(getattr(h, metric), dtype=np.float64) for h in self.histories]
         if not series:

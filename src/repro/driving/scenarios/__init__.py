@@ -6,7 +6,7 @@ from repro.driving.scenarios.pedestrian_crossing import pedestrian_crossing_mode
 from repro.driving.scenarios.roundabout import roundabout_model
 from repro.driving.scenarios.traffic_light import traffic_light_intersection_model
 from repro.driving.scenarios.two_way_stop import two_way_stop_model
-from repro.driving.scenarios.universal import SCENARIO_BUILDERS, scenario_model, universal_model
+from repro.driving.scenarios.universal import SCENARIO_BUILDERS, scenario_model
 from repro.driving.scenarios.wide_median import wide_median_model
 
 __all__ = [
@@ -18,6 +18,5 @@ __all__ = [
     "two_way_stop_model",
     "SCENARIO_BUILDERS",
     "scenario_model",
-    "universal_model",
     "wide_median_model",
 ]

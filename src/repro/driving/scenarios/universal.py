@@ -1,13 +1,6 @@
-"""The universal model: the disjoint union of every scenario model.
-
-Section 5.1: "We integrate these models together to form a universal model
-representing the entire system."  A controller verified against the universal
-model is checked from every initial state of every scenario.
-"""
+"""The scenario registry: every scenario model, built by name."""
 
 from __future__ import annotations
-
-from functools import reduce
 
 from repro.automata.transition_system import TransitionSystem
 from repro.driving.scenarios.highway_merge import highway_merge_model
@@ -35,11 +28,3 @@ def scenario_model(name: str) -> TransitionSystem:
         return SCENARIO_BUILDERS[name]()
     except KeyError as exc:
         raise KeyError(f"unknown scenario {name!r}; known: {sorted(SCENARIO_BUILDERS)}") from exc
-
-
-def universal_model() -> TransitionSystem:
-    """Build the universal model (disjoint union of all scenario models)."""
-    models = [builder() for builder in SCENARIO_BUILDERS.values()]
-    merged = reduce(lambda a, b: a.union(b), models)
-    merged.name = "universal_driving_model"
-    return merged

@@ -48,21 +48,3 @@ CORE_SPECIFICATION_NAMES: tuple = ("phi_1", "phi_2", "phi_3", "phi_4", "phi_5")
 def core_specifications() -> dict:
     """Φ1 ... Φ5 as ``{name: Formula}``."""
     return {name: specification(name) for name in CORE_SPECIFICATION_NAMES}
-
-
-#: Safety-style specifications (no liveness obligation) — useful for ablations.
-SAFETY_SPECIFICATION_NAMES: tuple = (
-    "phi_2",
-    "phi_3",
-    "phi_5",
-    "phi_9",
-    "phi_11",
-    "phi_12",
-    "phi_14",
-    "phi_15",
-)
-
-
-def safety_specifications() -> dict:
-    """The purely safety-shaped subset of the rule book."""
-    return {name: specification(name) for name in SAFETY_SPECIFICATION_NAMES}

@@ -15,10 +15,6 @@ class LTLSyntaxError(ReproError):
     """Raised when an LTL formula string cannot be parsed."""
 
 
-class SMVSyntaxError(ReproError):
-    """Raised when an SMV-like module description cannot be parsed."""
-
-
 class AutomatonError(ReproError):
     """Raised for malformed automata (unknown states, bad symbols, ...)."""
 

@@ -3,7 +3,6 @@
 from repro.feedback.empirical import EmpiricalEvaluator, EmpiricalFeedback, trace_satisfaction
 from repro.feedback.formal import FormalFeedback, FormalVerifier
 from repro.feedback.ranker import (
-    FeedbackRanker,
     PreferencePair,
     canonical_ranking,
     max_pairs,
@@ -17,7 +16,6 @@ __all__ = [
     "trace_satisfaction",
     "FormalFeedback",
     "FormalVerifier",
-    "FeedbackRanker",
     "PreferencePair",
     "canonical_ranking",
     "max_pairs",

@@ -10,7 +10,7 @@ a threshold plays the same ranking role as the formal-verification count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.logic.finite_trace import evaluate_trace
 
@@ -87,16 +87,3 @@ class EmpiricalEvaluator:
         """Run the controller through the grounding method and evaluate its traces."""
         traces = self.grounding(controller, num_traces, seed)
         return self.evaluate_traces(traces, task=task or getattr(controller, "name", ""))
-
-    def rank_controllers(self, controllers: Iterable, *, num_traces: int = 20, seed: int | None = None) -> list:
-        """Feedback for several controllers, best first (by satisfied count, then mean)."""
-        feedback = [
-            self.evaluate_controller(c, num_traces=num_traces, seed=seed, task=getattr(c, "name", str(i)))
-            for i, c in enumerate(controllers)
-        ]
-        order = sorted(
-            range(len(feedback)),
-            key=lambda i: (feedback[i].num_satisfied, feedback[i].mean_satisfaction),
-            reverse=True,
-        )
-        return [(i, feedback[i]) for i in order]

@@ -8,8 +8,8 @@ responses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from repro.automata.fsa import FSAController
 from repro.automata.transition_system import TransitionSystem
@@ -102,26 +102,6 @@ class FormalVerifier:
             controller_states=controller.num_states,
         )
 
-    def satisfies_at_least(
-        self, model: TransitionSystem, controller: FSAController, threshold: int
-    ) -> bool:
-        """Does the controller satisfy at least ``threshold`` specifications?
-
-        The ordering-only fast query: rankers comparing candidate responses
-        need "is this one's score ≥ k", not the exact satisfied set, and
-        :meth:`ModelChecker.verify_controller_at_least
-        <repro.modelcheck.checker.ModelChecker.verify_controller_at_least>`
-        stops checking as soon as the answer is decided.
-        """
-        return self.checker.verify_controller_at_least(
-            model,
-            controller,
-            self.specifications.values(),
-            threshold,
-            restart_on_termination=self.restart_on_termination,
-            spec_names=list(self.specifications),
-        )
-
     def verify_response(self, model: TransitionSystem, response_text: str, *, task: str = "") -> FormalFeedback:
         """Feedback for a raw language-model response (parse → build → verify).
 
@@ -145,9 +125,3 @@ class FormalVerifier:
                 parse_failed=True,
             )
         return self.verify_controller(model, controller, task=task)
-
-    def rank_responses(self, model: TransitionSystem, responses: Iterable[str], *, task: str = "") -> list:
-        """Feedback for several responses, sorted best-first (stable order)."""
-        feedback = [self.verify_response(model, response, task=task) for response in responses]
-        order = sorted(range(len(feedback)), key=lambda i: feedback[i].num_satisfied, reverse=True)
-        return [(i, feedback[i]) for i in order]

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -126,27 +126,3 @@ def max_pairs(num_tasks: int, responses_per_task: int) -> int:
     """The paper's bound ``N · C2(m)`` on the number of preference points."""
     m = responses_per_task
     return num_tasks * (m * (m - 1)) // 2
-
-
-class FeedbackRanker:
-    """Builds preference pairs from a scoring function over responses.
-
-    ``score_fn(task, response) -> float`` is typically the number of
-    specifications satisfied, supplied by :class:`~repro.feedback.formal.
-    FormalVerifier` or :class:`~repro.feedback.empirical.EmpiricalEvaluator`.
-    """
-
-    def __init__(self, score_fn: Callable):
-        self.score_fn = score_fn
-
-    def pairs_for_task(self, task, prompt: str, responses: Sequence[str]) -> list:
-        """Score ``responses`` for one task and build its canonical pair list."""
-        scores = [self.score_fn(task, response) for response in responses]
-        return rank_to_pairs(prompt, list(responses), scores, task=getattr(task, "name", str(task)))
-
-    def pairs_for_dataset(self, items: Iterable) -> list:
-        """``items`` yields ``(task, prompt, responses)`` triples."""
-        all_pairs = []
-        for task, prompt, responses in items:
-            all_pairs.extend(self.pairs_for_task(task, prompt, responses))
-        return all_pairs

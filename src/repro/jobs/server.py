@@ -280,12 +280,6 @@ class JobsDaemon:
         for thread in threads:
             thread.join(timeout=10)
 
-    def serve_forever(self) -> None:
-        """``start()``, block until a shutdown request, then ``stop()``."""
-        self.start()
-        self.wait()
-        self.stop()
-
     # ------------------------------------------------------------------ #
     # job execution (dispatcher thread)
     # ------------------------------------------------------------------ #

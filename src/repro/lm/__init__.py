@@ -10,7 +10,6 @@ from repro.lm.layers import (
     Linear,
     Parameter,
     TransformerBlock,
-    gelu,
     softmax,
 )
 from repro.lm.decode import (
@@ -18,12 +17,11 @@ from repro.lm.decode import (
     LaneSpec,
     LayerKV,
     sample_response_frontier,
-    sample_responses_batched,
     sample_tokens_batched,
     sample_tokens_cached,
 )
 from repro.lm.lora import LoRAConfig, apply_lora, merge_lora
-from repro.lm.optim import SGD, Adam
+from repro.lm.optim import Adam
 from repro.lm.pretrain import PretrainConfig, PretrainResult, encode_documents, pretrain
 from repro.lm.sampling import (
     sample_from_logits,
@@ -49,12 +47,10 @@ __all__ = [
     "Linear",
     "Parameter",
     "TransformerBlock",
-    "gelu",
     "softmax",
     "LoRAConfig",
     "apply_lora",
     "merge_lora",
-    "SGD",
     "Adam",
     "PretrainConfig",
     "PretrainResult",
@@ -64,7 +60,6 @@ __all__ = [
     "LaneSpec",
     "LayerKV",
     "sample_response_frontier",
-    "sample_responses_batched",
     "sample_tokens_batched",
     "sample_tokens_cached",
     "sample_from_logits",

@@ -239,35 +239,6 @@ def _decode_group(model: TransformerLM, lanes: list) -> list:
     return results
 
 
-def sample_responses_batched(
-    model: TransformerLM,
-    tokenizer: Tokenizer,
-    prompt: str,
-    num_samples: int,
-    *,
-    temperature: float = 0.9,
-    top_k: int | None = 20,
-    max_new_tokens: int = 72,
-    seed: int | np.random.Generator | None = None,
-) -> list:
-    """Batched drop-in for :func:`repro.lm.sampling.sample_responses`.
-
-    All ``num_samples`` lanes decode in one wave; per-sample text is identical
-    to the serial path because both spawn the same per-lane RNG streams.
-    """
-    (responses,) = sample_response_frontier(
-        model,
-        tokenizer,
-        [prompt],
-        [num_samples],
-        temperature=temperature,
-        top_k=top_k,
-        max_new_tokens=max_new_tokens,
-        rng=seed,
-    )
-    return responses
-
-
 def sample_response_frontier(
     model: TransformerLM,
     tokenizer: Tokenizer,

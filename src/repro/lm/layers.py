@@ -353,11 +353,6 @@ def _gelu_with_cache(x: np.ndarray) -> tuple:
     return 0.5 * x * (1.0 + tanh_inner), tanh_inner
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Gaussian Error Linear Unit (tanh approximation)."""
-    return _gelu_with_cache(x)[0]
-
-
 def gelu_grad(x: np.ndarray, tanh_inner: np.ndarray | None = None) -> np.ndarray:
     """Derivative of the tanh-approximated GELU."""
     if tanh_inner is None:

@@ -79,25 +79,3 @@ class Adam:
             param.value -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
             param.bump()
         return norm
-
-
-class SGD:
-    """Plain (optionally momentum) SGD — used by gradient-checking tests."""
-
-    def __init__(self, parameters: list, *, learning_rate: float = 1e-2, momentum: float = 0.0):
-        self.parameters = [p for p in parameters if isinstance(p, Parameter)]
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.value) for p in self.parameters]
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
-
-    def step(self) -> None:
-        for i, param in enumerate(self.parameters):
-            if not param.trainable:
-                continue
-            self._velocity[i] = self.momentum * self._velocity[i] - self.learning_rate * param.grad
-            param.value += self._velocity[i]
-            param.bump()

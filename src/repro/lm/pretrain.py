@@ -38,10 +38,6 @@ class PretrainResult:
     tokenizer: Tokenizer
     losses: list = field(default_factory=list)
 
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1] if self.losses else float("nan")
-
 
 def encode_documents(corpus: Corpus, max_seq_len: int) -> np.ndarray:
     """Encode every document to a fixed-length id matrix (padded / truncated)."""

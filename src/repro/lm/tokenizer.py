@@ -103,11 +103,3 @@ class Tokenizer:
         # Re-attach punctuation for readability.
         text = re.sub(r"\s+([.,:;!?])", r"\1", text)
         return text
-
-    def to_dict(self) -> dict:
-        return {"vocabulary": list(self.id_to_token)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Tokenizer":
-        vocabulary = list(payload["vocabulary"])
-        return cls(token_to_id={t: i for i, t in enumerate(vocabulary)}, id_to_token=vocabulary)

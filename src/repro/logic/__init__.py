@@ -18,7 +18,6 @@ from repro.logic.ast import (
     G,
     Always,
     Implies,
-    Neg,
     Next,
     Not,
     Or,
@@ -29,11 +28,10 @@ from repro.logic.ast import (
     Until,
     X,
     conjunction,
-    disjunction,
 )
 from repro.logic.finite_trace import evaluate_trace, normalize_trace, satisfaction_fraction
 from repro.logic.ltl2buchi import ltl_to_buchi, ltl_to_generalized_buchi
-from repro.logic.nnf import is_nnf, negate, simplify_propositional, to_nnf
+from repro.logic.nnf import is_nnf, negate, to_nnf
 from repro.logic.parser import parse_ltl
 
 __all__ = [
@@ -49,7 +47,6 @@ __all__ = [
     "G",
     "Always",
     "Implies",
-    "Neg",
     "Next",
     "Not",
     "Or",
@@ -60,7 +57,6 @@ __all__ = [
     "Until",
     "X",
     "conjunction",
-    "disjunction",
     "evaluate_trace",
     "normalize_trace",
     "satisfaction_fraction",
@@ -68,7 +64,6 @@ __all__ = [
     "ltl_to_generalized_buchi",
     "is_nnf",
     "negate",
-    "simplify_propositional",
     "to_nnf",
     "parse_ltl",
 ]

@@ -34,10 +34,6 @@ class Formula:
         """Immediate sub-formulas."""
         return ()
 
-    def is_propositional(self) -> bool:
-        """True if the formula contains no temporal operator."""
-        return not any(isinstance(n, (Next, Eventually, Always, Until, Release)) for n in self.walk())
-
     def size(self) -> int:
         """Number of syntax-tree nodes."""
         return sum(1 for _ in self.walk())
@@ -253,11 +249,6 @@ def R(left: Formula, right: Formula) -> Release:
     return Release(left, right)
 
 
-def Neg(operand: Formula) -> Not:
-    """``¬`` (negation)."""
-    return Not(operand)
-
-
 def conjunction(formulas: list) -> Formula:
     """Fold a list of formulas into a conjunction (``true`` if empty)."""
     if not formulas:
@@ -265,14 +256,4 @@ def conjunction(formulas: list) -> Formula:
     result = formulas[0]
     for f in formulas[1:]:
         result = And(result, f)
-    return result
-
-
-def disjunction(formulas: list) -> Formula:
-    """Fold a list of formulas into a disjunction (``false`` if empty)."""
-    if not formulas:
-        return FALSE
-    result = formulas[0]
-    for f in formulas[1:]:
-        result = Or(result, f)
     return result

@@ -114,47 +114,3 @@ def is_nnf(formula: Formula) -> bool:
         if isinstance(node, Not) and not isinstance(node.operand, Atom):
             return False
     return True
-
-
-def simplify_propositional(formula: Formula) -> Formula:
-    """Light syntactic simplification of ∧/∨ with constants (no normal forms)."""
-    if isinstance(formula, And):
-        left = simplify_propositional(formula.left)
-        right = simplify_propositional(formula.right)
-        if isinstance(left, FalseFormula) or isinstance(right, FalseFormula):
-            return FALSE
-        if isinstance(left, TrueFormula):
-            return right
-        if isinstance(right, TrueFormula):
-            return left
-        return And(left, right)
-    if isinstance(formula, Or):
-        left = simplify_propositional(formula.left)
-        right = simplify_propositional(formula.right)
-        if isinstance(left, TrueFormula) or isinstance(right, TrueFormula):
-            return TRUE
-        if isinstance(left, FalseFormula):
-            return right
-        if isinstance(right, FalseFormula):
-            return left
-        return Or(left, right)
-    if isinstance(formula, Not):
-        inner = simplify_propositional(formula.operand)
-        if isinstance(inner, TrueFormula):
-            return FALSE
-        if isinstance(inner, FalseFormula):
-            return TRUE
-        return Not(inner)
-    if isinstance(formula, Implies):
-        return simplify_propositional(Or(Not(formula.left), formula.right))
-    if isinstance(formula, Next):
-        return Next(simplify_propositional(formula.operand))
-    if isinstance(formula, Eventually):
-        return Eventually(simplify_propositional(formula.operand))
-    if isinstance(formula, Always):
-        return Always(simplify_propositional(formula.operand))
-    if isinstance(formula, Until):
-        return Until(simplify_propositional(formula.left), simplify_propositional(formula.right))
-    if isinstance(formula, Release):
-        return Release(simplify_propositional(formula.left), simplify_propositional(formula.right))
-    return formula

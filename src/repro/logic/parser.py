@@ -153,12 +153,6 @@ class _Parser:
         self.pos += 1
         return token
 
-    def expect(self, kind: str) -> _Token:
-        token = self.advance()
-        if token.kind != kind:
-            raise LTLSyntaxError(f"expected {kind} but found {token.text!r} in {self.source!r}")
-        return token
-
     # Grammar: iff -> implies -> or -> and -> until -> unary -> primary
     def parse(self) -> Formula:
         formula = self.parse_iff()

@@ -1,4 +1,4 @@
-"""Model checking: the NuSMV-substitute LTL checker and the SMV-like DSL.
+"""Model checking: the NuSMV-substitute LTL checker.
 
 Two checker classes share one verdict semantics: :class:`ModelChecker` (the
 optimized default — memoized Büchi construction, automaton pruning, compiled
@@ -12,7 +12,6 @@ from repro.modelcheck.checker import (
     NaiveModelChecker,
     VerificationReport,
     VerificationResult,
-    verify_controller_against_specs,
 )
 from repro.modelcheck.counterexample import Counterexample, CounterexampleStep, make_counterexample
 from repro.modelcheck.fastpath import (
@@ -32,7 +31,6 @@ __all__ = [
     "NaiveModelChecker",
     "VerificationReport",
     "VerificationResult",
-    "verify_controller_against_specs",
     "Counterexample",
     "CounterexampleStep",
     "make_counterexample",

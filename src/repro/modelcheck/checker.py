@@ -248,85 +248,6 @@ class ModelChecker:
 
         return self._report_for(compiled, specs, names, scope)
 
-    def check_at_least(
-        self,
-        kripke: KripkeStructure,
-        specifications: Iterable,
-        threshold: int,
-        *,
-        spec_names: Iterable | None = None,
-    ) -> bool:
-        """Early-exit batch check: do at least ``threshold`` specs hold?
-
-        Stops as soon as the answer is decided — after enough satisfied specs,
-        or once the remaining specs cannot reach the threshold — so callers
-        that only need score *ordering* (is this response at least as good as
-        that one?) skip the tail of the rule book.  Exact counts require
-        :meth:`check_all`.
-        """
-        specs = list(specifications)
-        names = list(spec_names) if spec_names is not None else [None] * len(specs)
-        if self.use_fastpath:
-            kripke.validate()
-            compiled = fastpath.compile_kripke(kripke)
-            check_one = lambda spec, label: self._check_compiled(  # noqa: E731
-                lambda: compiled, spec, label, None
-            )
-        else:
-            check_one = lambda spec, label: self._check_naive(kripke, spec, label)  # noqa: E731
-        return self._count_at_least(check_one, specs, names, threshold)
-
-    def verify_controller_at_least(
-        self,
-        model: TransitionSystem,
-        controller: FSAController,
-        specifications: Iterable,
-        threshold: int,
-        *,
-        restart_on_termination: bool = True,
-        spec_names: Iterable | None = None,
-    ) -> bool:
-        """Early-exit :meth:`verify_controller`: at least ``threshold`` specs?
-
-        The ordering-only mode of the ROADMAP's hot-path item: rankers
-        comparing two responses need "is one score ≥ k", not the exact count,
-        and this stops verifying as soon as that is decided.  Verified specs
-        still populate the result cache, so a later exact
-        :meth:`verify_controller` pays only for the skipped tail.
-        """
-        specs = list(specifications)
-        names = list(spec_names) if spec_names is not None else [None] * len(specs)
-        if not self.use_fastpath:
-            product = build_product(
-                model, controller, restart_on_termination=restart_on_termination
-            )
-            check_one = lambda spec, label: self._check_naive(product, spec, label)  # noqa: E731
-            return self._count_at_least(check_one, specs, names, threshold)
-
-        scope = None
-        if self._results is not None:
-            scope = (
-                self._model_fingerprint(model),
-                fastpath.controller_fingerprint(controller),
-                restart_on_termination,
-            )
-        compiled_box: list = []
-
-        def compiled():
-            if not compiled_box:
-                with obs.span(
-                    "mc.build_model", category="modelcheck", controller=controller.name
-                ):
-                    compiled_box.append(
-                        fastpath.compile_product(
-                            model, controller, restart_on_termination=restart_on_termination
-                        )
-                    )
-            return compiled_box[0]
-
-        check_one = lambda spec, label: self._check_compiled(compiled, spec, label, scope)  # noqa: E731
-        return self._count_at_least(check_one, specs, names, threshold)
-
     # ------------------------------------------------------------------ #
     # Fast path internals
     # ------------------------------------------------------------------ #
@@ -341,18 +262,6 @@ class ModelChecker:
                 self._check_compiled(compiled, formula, self._spec_label(formula, name), scope)
             )
         return VerificationReport(tuple(results))
-
-    def _count_at_least(self, check_one, specs, names, threshold: int) -> bool:
-        satisfied = 0
-        for i, (spec, name) in enumerate(zip(specs, names)):
-            if satisfied >= threshold:
-                return True
-            if satisfied + (len(specs) - i) < threshold:
-                return False
-            formula = parse_ltl(spec) if isinstance(spec, str) else spec
-            if check_one(formula, self._spec_label(formula, name)).holds:
-                satisfied += 1
-        return satisfied >= threshold
 
     def _formula_entry(self, formula: Formula) -> tuple:
         """``(negated, memo_key, spec_key)`` for a formula, interned by identity."""
@@ -604,14 +513,3 @@ class NaiveModelChecker(ModelChecker):
     def __init__(self, max_product_states: int = 200_000):
         super().__init__(max_product_states, use_fastpath=False, result_cache_size=0)
 
-
-def verify_controller_against_specs(
-    model: TransitionSystem,
-    controller: FSAController,
-    specifications: Iterable,
-    *,
-    checker: ModelChecker | None = None,
-) -> VerificationReport:
-    """Module-level convenience wrapper around :meth:`ModelChecker.verify_controller`."""
-    checker = checker or ModelChecker()
-    return checker.verify_controller(model, controller, specifications)

@@ -8,7 +8,7 @@ from repro.perception.calibration import (
     compare_domains,
 )
 from repro.perception.detector import Detection, SimulatedDetector, detection_accuracy
-from repro.perception.grounding import PerceptionNoiseModel, perfect_perception
+from repro.perception.grounding import PerceptionNoiseModel
 from repro.perception.scenes import (
     CATEGORIES,
     Scene,
@@ -28,7 +28,6 @@ __all__ = [
     "SimulatedDetector",
     "detection_accuracy",
     "PerceptionNoiseModel",
-    "perfect_perception",
     "CATEGORIES",
     "Scene",
     "SceneObject",

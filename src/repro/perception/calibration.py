@@ -30,13 +30,6 @@ class CalibrationCurve:
     counts: np.ndarray            # detections per bin
     smoothed: np.ndarray          # kernel-smoothed estimate
 
-    def as_rows(self) -> list:
-        """``(confidence, accuracy, smoothed, count)`` rows (printable table)."""
-        rows = []
-        for center, accuracy, smooth, count in zip(self.bin_centers, self.accuracies, self.smoothed, self.counts):
-            rows.append((float(center), float(accuracy), float(smooth), int(count)))
-        return rows
-
 
 def _bin_accuracy(confidences: np.ndarray, correct: np.ndarray, centers: np.ndarray) -> tuple:
     """Empirical accuracy and count per confidence bin (nearest-center binning)."""

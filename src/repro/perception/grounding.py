@@ -65,8 +65,3 @@ class PerceptionNoiseModel:
         else:
             detected.discard("pedestrian")
         return frozenset(detected)
-
-
-def perfect_perception(observations: frozenset, rng: np.random.Generator) -> frozenset:  # noqa: ARG001
-    """The identity observation filter (no perception noise)."""
-    return frozenset(observations)

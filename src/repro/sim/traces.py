@@ -44,10 +44,6 @@ class Trace:
         """The combined proposition/action symbols, one per tick (LTLf input)."""
         return [step.combined for step in self.steps]
 
-    def actions_taken(self) -> list:
-        """The action symbols in order (ε steps included as empty sets)."""
-        return [step.actions for step in self.steps]
-
     def count_action(self, action: str) -> int:
         """How many ticks chose the given action."""
         return sum(1 for step in self.steps if action in step.actions)

@@ -2,7 +2,7 @@
 
 Every durable artifact this codebase writes — persisted caches, cache-
 directory shards, exported traces, scored-record output, encoded preference
-pairs, model checkpoints — must appear *atomically*: a crash, a full disk or
+pairs — must appear *atomically*: a crash, a full disk or
 a concurrent reader mid-write must observe either the previous complete file
 or the new complete file, never a truncated hybrid.  The idiom is always the
 same (write a sibling ``<name>.tmp.<pid>``, then ``os.replace`` it into

@@ -8,8 +8,6 @@ independent child generators for multi-seed experiments.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 
@@ -54,14 +52,3 @@ def spawn_lane_rngs(
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     return list(seeded_rng(seed).spawn(count))
-
-
-def choice_without_replacement(
-    rng: np.random.Generator, items: Sequence, size: int
-) -> list:
-    """Sample ``size`` distinct items; returns all items if ``size`` exceeds them."""
-    items = list(items)
-    if size >= len(items):
-        return items
-    idx = rng.choice(len(items), size=size, replace=False)
-    return [items[i] for i in idx]

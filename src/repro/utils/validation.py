@@ -2,34 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
-
-def check_positive(name: str, value: float, allow_zero: bool = False) -> None:
-    """Raise ``ValueError`` unless ``value`` is positive (or non-negative)."""
-    if allow_zero:
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-    elif value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
-
 
 def check_probability(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``value`` lies in [0, 1]."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be a probability in [0, 1], got {value}")
-
-
-def check_in_options(name: str, value, options: Iterable) -> None:
-    """Raise ``ValueError`` unless ``value`` is one of ``options``."""
-    options = list(options)
-    if value not in options:
-        raise ValueError(f"{name} must be one of {options}, got {value!r}")
-
-
-def check_identifier(name: str, value: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is a non-empty identifier-like string."""
-    if not isinstance(value, str) or not value:
-        raise ValueError(f"{name} must be a non-empty string, got {value!r}")
-    if any(ch.isspace() for ch in value.strip()) and " " not in value:
-        raise ValueError(f"{name} may not contain non-space whitespace: {value!r}")

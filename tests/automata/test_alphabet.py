@@ -88,16 +88,3 @@ class TestVocabulary:
         vocab = Vocabulary(propositions=frozenset({"p"}), actions=frozenset({"a"}))
         with pytest.raises(AutomatonError):
             vocab.validate_symbol(["a"], allow_actions=False)
-
-    def test_merge_unions_both_sides(self):
-        left = Vocabulary(propositions=frozenset({"p"}), actions=frozenset({"a"}))
-        right = Vocabulary(propositions=frozenset({"q"}), actions=frozenset({"b"}))
-        merged = left.merged_with(right)
-        assert merged.propositions == frozenset({"p", "q"})
-        assert merged.actions == frozenset({"a", "b"})
-
-    def test_environment_and_action_parts(self):
-        vocab = Vocabulary(propositions=frozenset({"p"}), actions=frozenset({"a"}))
-        symbol = frozenset({"p", "a"})
-        assert vocab.environment_part(symbol) == frozenset({"p"})
-        assert vocab.action_part(symbol) == frozenset({"a"})

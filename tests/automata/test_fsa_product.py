@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.automata import FSAController, KripkeStructure, Vocabulary, always_controller, build_product
-from repro.automata.product import ProductState, product_statistics
+from repro.automata import FSAController, KripkeStructure, Vocabulary, build_product
+from repro.automata.product import ProductState
 from repro.errors import AutomatonError
 
 
@@ -51,19 +51,9 @@ class TestFSAController:
         moves = safe_controller.step("q0", frozenset({"green", "ped"}))
         assert moves == [(frozenset({"stop"}), "q0")]
 
-    def test_determinism_and_completeness(self, safe_controller):
+    def test_no_blocking_pairs(self, safe_controller):
         symbols = [frozenset(), frozenset({"green"}), frozenset({"ped"}), frozenset({"green", "ped"})]
-        assert safe_controller.is_deterministic(symbols)
-        assert safe_controller.is_complete(symbols)
         assert safe_controller.blocking_pairs(symbols) == []
-
-    def test_actions_and_input_atoms(self, safe_controller):
-        assert safe_controller.actions_used() == frozenset({"go", "stop"})
-        assert safe_controller.input_atoms() == frozenset({"green", "ped"})
-
-    def test_always_controller(self):
-        controller = always_controller("always_go", "go")
-        assert controller.step("q0", frozenset()) == [(frozenset({"go"}), "q0")]
 
     def test_validate_empty_controller(self, simple_vocabulary):
         with pytest.raises(AutomatonError):
@@ -75,7 +65,7 @@ class TestFSAController:
 
 
 class TestKripkeStructure:
-    def test_reachability_and_totalisation(self):
+    def test_deadlocks_and_totalisation(self):
         kripke = KripkeStructure(name="k")
         kripke.add_state("a", ["x"], initial=True)
         kripke.add_state("b", [])
@@ -84,9 +74,6 @@ class TestKripkeStructure:
         assert kripke.deadlock_states() == {"b", "c"}
         added = kripke.make_total()
         assert added == 2
-        assert kripke.reachable_states() == {"a", "b"}
-        restricted = kripke.restrict_to_reachable()
-        assert set(restricted.states) == {"a", "b"}
 
     def test_validate_requires_initial(self):
         kripke = KripkeStructure()
@@ -118,11 +105,6 @@ class TestProduct:
         product = build_product(simple_model, reckless_controller)
         labels = {product.label(s) for s in product.states}
         assert frozenset({"ped", "go"}) in labels
-
-    def test_statistics(self, simple_model, safe_controller):
-        stats = product_statistics(build_product(simple_model, safe_controller))
-        assert stats["states"] > 0
-        assert stats["initial_states"] >= len(simple_model.initial_states)
 
     def test_blocking_controller_raises(self, simple_model, simple_vocabulary):
         blocked = FSAController(name="blocked", vocabulary=simple_vocabulary)

@@ -13,7 +13,6 @@ from repro.automata.guards import (
     conj,
     disj,
     parse_guard,
-    symbol_guard,
 )
 from repro.errors import AutomatonError
 
@@ -43,11 +42,6 @@ class TestGuardEvaluation:
     def test_atoms_collection(self):
         guard = parse_guard("a & (b | !c)")
         assert guard.atoms() == frozenset({"a", "b", "c"})
-
-    def test_symbol_guard(self):
-        guard = symbol_guard(["a"], ["b"])
-        assert guard.evaluate(frozenset({"a"}))
-        assert not guard.evaluate(frozenset({"a", "b"}))
 
     def test_conj_disj_simplification(self):
         assert conj() is TRUE

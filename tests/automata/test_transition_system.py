@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.automata import TransitionSystem, Vocabulary, build_model_from_labels, build_model_from_system
-from repro.automata.transition_system import describe_model
 from repro.errors import AutomatonError
 
 
@@ -39,10 +38,6 @@ class TestTransitionSystem:
         assert light_model.successors("g") == frozenset({"r"})
         assert light_model.predecessors("g") == frozenset({"y"})
 
-    def test_has_transition(self, light_model):
-        assert light_model.has_transition("g", "r")
-        assert not light_model.has_transition("r", "g")
-
     def test_states_with_label(self, light_model):
         assert light_model.states_with_label(["green"]) == ["g"]
 
@@ -61,24 +56,10 @@ class TestTransitionSystem:
         assert removed == 1
         assert "island" not in light_model.states
 
-    def test_union_prefixes_states(self, light_model):
-        other = TransitionSystem(name="other", vocabulary=light_model.vocabulary)
-        other.add_state("g", ["red"], initial=True)
-        other.add_transition("g", "g")
-        merged = light_model.union(other)
-        assert merged.num_states == 4
-        assert merged.label("light::g") == frozenset({"green"})
-        assert merged.label("other::g") == frozenset({"red"})
-
     def test_to_networkx(self, light_model):
         graph = light_model.to_networkx()
         assert graph.number_of_nodes() == 3
         assert graph.number_of_edges() == 3
-
-    def test_describe_mentions_every_state(self, light_model):
-        text = describe_model(light_model)
-        for state in light_model.states:
-            assert state in text
 
 
 class TestAlgorithmOne:

@@ -1,38 +1,15 @@
-"""Tests for configuration, prompting, persistence, and pipeline components."""
+"""Tests for configuration, system-model helpers and pipeline components."""
 
-import numpy as np
 import pytest
 
-from repro.core import (
-    DPOAFPipeline,
-    conservative_driving_model,
-    llama2_chat_prompt,
-    load_model,
-    paper_scale_config,
-    pruned_driving_model,
-    quick_pipeline_config,
-    save_model,
-    steps_prompt,
-    alignment_prompt,
-)
+from repro.automata.transition_system import build_model_from_system
+from repro.core import DPOAFPipeline, conservative_driving_model, paper_scale_config, quick_pipeline_config
 from repro.core.pipeline import ModelEvaluation, TaskEvaluation
 from repro.driving import core_specifications, task_by_name, training_tasks
+from repro.driving.propositions import DRIVING_VOCABULARY
 from repro.driving.responses import response_templates
 from repro.errors import TrainingError
 from repro.lm import ModelConfig, Tokenizer, TransformerLM
-
-
-class TestPrompting:
-    def test_steps_prompt_matches_paper_format(self):
-        assert steps_prompt("turn right at traffic light").startswith('Steps for "turn right at traffic light"')
-
-    def test_alignment_prompt_lists_vocabulary(self):
-        prompt = alignment_prompt(["step one"], ["green_traffic_light"], ["stop"])
-        assert "green_traffic_light" in prompt and "stop" in prompt and "1. step one" in prompt
-
-    def test_llama2_wrapper_tokens(self):
-        prompt = llama2_chat_prompt("Steps for \"turn right\":")
-        assert prompt.startswith("<s>[INST]") and "<<SYS>>" in prompt and prompt.endswith("[/INST]")
 
 
 class TestSystemModelHelpers:
@@ -42,98 +19,14 @@ class TestSystemModelHelpers:
         assert model.num_transitions == 16
 
     def test_pruned_model_removes_isolated_states(self):
-        model = pruned_driving_model(
+        model = build_model_from_system(
             ["green_traffic_light", "car_from_left"],
             lambda a, b: a != b and len(a) <= 1 and len(b) <= 1,
+            conservative=False,
+            vocabulary=DRIVING_VOCABULARY,
         )
         # The {green, car} state has no allowed transition, so Algorithm 1 prunes it.
         assert model.num_states == 3
-
-
-class TestCheckpoints:
-    def test_save_and_load_roundtrip(self, tmp_path):
-        tokenizer = Tokenizer.fit(["turn right at the light"])
-        model = TransformerLM(ModelConfig(vocab_size=tokenizer.vocab_size, max_seq_len=16, dim=8, num_heads=2, num_layers=1, hidden_dim=16), seed=0)
-        save_model(model, tokenizer, tmp_path / "ckpt")
-        loaded_model, loaded_tokenizer = load_model(tmp_path / "ckpt")
-        tokens = np.array([tokenizer.encode("turn right", add_bos=True)])
-        mask = np.ones((1, tokens.shape[1] - 1), dtype=np.float32)
-        assert np.allclose(model.sequence_log_probs(tokens, mask), loaded_model.sequence_log_probs(tokens, mask), atol=1e-5)
-        assert loaded_tokenizer.vocab_size == tokenizer.vocab_size
-
-    def test_missing_checkpoint_raises(self, tmp_path):
-        with pytest.raises(TrainingError):
-            load_model(tmp_path / "nowhere")
-
-    def test_failed_save_keeps_previous_weights_loadable(self, tmp_path, monkeypatch):
-        """A save that dies while serialising the weights must leave the
-        previous checkpoint's weights.npz complete and unchanged."""
-        tokenizer = Tokenizer.fit(["turn right at the light"])
-        config = ModelConfig(vocab_size=tokenizer.vocab_size, max_seq_len=16, dim=8, num_heads=2, num_layers=1, hidden_dim=16)
-        first, second = TransformerLM(config, seed=0), TransformerLM(config, seed=1)
-        save_model(first, tokenizer, tmp_path / "ckpt")
-
-        class Unserialisable:
-            def __reduce__(self):
-                raise OSError("disk full")
-
-        # The poisoned array comes last, so every real weight is serialised
-        # before the failure — a save in place would have truncated the file.
-        state = dict(second.state_dict(), zz_crash=np.array(Unserialisable(), dtype=object))
-        monkeypatch.setattr(second, "state_dict", lambda: state)
-        with pytest.raises(OSError, match="disk full"):
-            save_model(second, tokenizer, tmp_path / "ckpt")
-
-        loaded, _ = load_model(tmp_path / "ckpt")
-        expected = first.state_dict()
-        assert loaded.state_dict().keys() == expected.keys()
-        for key, value in expected.items():
-            assert np.array_equal(loaded.state_dict()[key], value), key
-        assert list((tmp_path / "ckpt").glob("*.tmp.*")) == []
-
-    def test_failed_tokenizer_serialisation_writes_nothing(self, tmp_path, monkeypatch):
-        """Everything is serialised before the first write: a tokenizer that
-        cannot be serialised must not leave new weights beside old JSON."""
-        tokenizer = Tokenizer.fit(["turn right at the light"])
-        config = ModelConfig(vocab_size=tokenizer.vocab_size, max_seq_len=16, dim=8, num_heads=2, num_layers=1, hidden_dim=16)
-        save_model(TransformerLM(config, seed=0), tokenizer, tmp_path / "ckpt")
-        before = {path.name: path.read_bytes() for path in (tmp_path / "ckpt").iterdir()}
-
-        def unserialisable():
-            raise ValueError("tokenizer state is corrupt")
-
-        monkeypatch.setattr(tokenizer, "to_dict", unserialisable)
-        with pytest.raises(ValueError, match="corrupt"):
-            save_model(TransformerLM(config, seed=1), tokenizer, tmp_path / "ckpt")
-        after = {path.name: path.read_bytes() for path in (tmp_path / "ckpt").iterdir()}
-        assert after == before
-
-    def test_save_over_a_checkpoint_loads_the_new_weights(self, tmp_path):
-        tokenizer = Tokenizer.fit(["turn right at the light"])
-        config = ModelConfig(vocab_size=tokenizer.vocab_size, max_seq_len=16, dim=8, num_heads=2, num_layers=1, hidden_dim=16)
-        save_model(TransformerLM(config, seed=0), tokenizer, tmp_path / "ckpt")
-        newer = TransformerLM(config, seed=1)
-        save_model(newer, tokenizer, tmp_path / "ckpt")
-        loaded, _ = load_model(tmp_path / "ckpt")
-        for key, value in newer.state_dict().items():
-            assert np.array_equal(loaded.state_dict()[key], value), key
-
-    def test_lora_checkpoint_round_trips_with_its_adapters(self, tmp_path):
-        from repro.lm.lora import LoRAConfig, apply_lora
-
-        tokenizer = Tokenizer.fit(["turn right at the light"])
-        model = TransformerLM(ModelConfig(vocab_size=tokenizer.vocab_size, max_seq_len=16, dim=8, num_heads=2, num_layers=1, hidden_dim=16), seed=0)
-        apply_lora(model, LoRAConfig(rank=2, seed=0))
-        state = model.state_dict()
-        # Non-zero adapters, so a load that dropped them would change outputs.
-        state = {key: value + 0.01 if ".lora_b" in key else value for key, value in state.items()}
-        model.load_state_dict(state)
-        save_model(model, tokenizer, tmp_path / "ckpt")
-        loaded, _ = load_model(tmp_path / "ckpt")
-        assert loaded.state_dict().keys() == state.keys()
-        tokens = np.array([tokenizer.encode("turn right", add_bos=True)])
-        mask = np.ones((1, tokens.shape[1] - 1), dtype=np.float32)
-        assert np.array_equal(model.sequence_log_probs(tokens, mask), loaded.sequence_log_probs(tokens, mask))
 
 
 class TestEvaluationContainers:

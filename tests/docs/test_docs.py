@@ -122,7 +122,6 @@ class TestDocumentationFiles:
             "FASTPATH_SCHEMA_VERSION",
             "NaiveModelChecker",
             "mc.construct_cached",      # honest span attribution is documented
-            "verify_controller_at_least",  # the early-exit mode
             "satisfaction_ratio",       # the vacuous-true decision is recorded
             "test_differential",
             "slow",                     # the fuzz marker is documented

@@ -84,10 +84,6 @@ class TestDataset:
         with pytest.raises(TrainingError):
             next(dataset.batches(2, shuffle=False))
 
-    def test_num_batches(self, toy_pairs, toy_tokenizer):
-        dataset = DPODataset.from_preference_pairs(toy_pairs, toy_tokenizer)
-        assert dataset.num_batches(2) == 2
-
 
 class TestEncodedPairFile:
     """The JSONL pairs file ``repro-serve --pairs-output`` writes and
@@ -524,7 +520,6 @@ class TestMetricsContainers:
             history.accuracies = [0.5, 0.9]
             history.marginal_preferences = [0.0, 1.0]
             curves.add(history)
-        assert curves.num_seeds == 2
         assert curves.mean("losses")[0] == pytest.approx(1.5)
         assert curves.minimum("losses")[1] == pytest.approx(0.5)
         assert curves.maximum("losses")[1] == pytest.approx(1.5)

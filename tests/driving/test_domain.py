@@ -11,14 +11,12 @@ from repro.driving import (
     all_tasks,
     core_specifications,
     response_templates,
-    safety_specifications,
     sample_mixture_response,
     sample_response,
     scenario_model,
     task_by_name,
     task_prompt,
     training_tasks,
-    universal_model,
     validation_tasks,
     with_derived_propositions,
 )
@@ -45,9 +43,6 @@ class TestSpecifications:
 
     def test_core_subset(self):
         assert list(core_specifications()) == ["phi_1", "phi_2", "phi_3", "phi_4", "phi_5"]
-
-    def test_safety_subset_is_subset(self):
-        assert set(safety_specifications()) <= set(all_specifications())
 
     def test_spec_atoms_are_known(self):
         known = DRIVING_VOCABULARY.all_atoms
@@ -82,11 +77,6 @@ class TestScenarios:
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
             scenario_model("the_moon")
-
-    def test_universal_model_unions_everything(self):
-        merged = universal_model()
-        assert merged.num_states == sum(scenario_model(n).num_states for n in SCENARIO_BUILDERS)
-        assert merged.initial_states
 
 
 class TestTasks:

@@ -5,9 +5,7 @@ import pytest
 from repro.driving import all_specifications, core_specifications, response_templates
 from repro.feedback import (
     EmpiricalEvaluator,
-    FeedbackRanker,
     FormalVerifier,
-    PreferencePair,
     max_pairs,
     rank_to_pairs,
     trace_satisfaction,
@@ -33,14 +31,6 @@ class TestFormalVerifier:
         assert feedback.parse_failed
         assert feedback.num_satisfied == 0
         assert feedback.num_specifications == 15
-
-    def test_rank_responses_orders_by_score(self, verifier, right_turn_task):
-        responses = [
-            response_templates(right_turn_task.name, "flawed")[0],
-            response_templates(right_turn_task.name, "compliant")[0],
-        ]
-        ranked = verifier.rank_responses(right_turn_task.model(), responses, task=right_turn_task.name)
-        assert ranked[0][0] == 1  # the compliant response comes first
 
     def test_verify_controller_reports_names(self, verifier, right_turn_task, right_turn_good_controller):
         feedback = verifier.verify_controller(right_turn_task.model(), right_turn_good_controller, task="good")
@@ -162,11 +152,3 @@ class TestRanker:
     def test_max_pairs_formula(self):
         assert max_pairs(num_tasks=10, responses_per_task=3) == 30
         assert max_pairs(num_tasks=1, responses_per_task=2) == 1
-
-    def test_feedback_ranker_over_dataset(self):
-        ranker = FeedbackRanker(lambda task, response: len(response))
-        items = [("task", "prompt", ["aa", "aaaa", "a"])]
-        pairs = ranker.pairs_for_dataset(items)
-        assert len(pairs) == 3
-        assert all(isinstance(p, PreferencePair) for p in pairs)
-        assert all(len(p.chosen) > len(p.rejected) for p in pairs)

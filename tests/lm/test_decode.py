@@ -24,7 +24,6 @@ from repro.lm import (
     TransformerLM,
     sample_response_frontier,
     sample_responses,
-    sample_responses_batched,
     sample_tokens,
     sample_tokens_batched,
     sample_tokens_cached,
@@ -236,13 +235,6 @@ class TestResponseFrontier:
         )
         config = ModelConfig(vocab_size=tokenizer.vocab_size, max_seq_len=32, dim=16, num_heads=1, num_layers=1, hidden_dim=24)
         return TransformerLM(config, seed=9), tokenizer
-
-    def test_sample_responses_batched_matches_serial(self, text_model):
-        model, tokenizer = text_model
-        prompt = 'Steps for "turn right" :'
-        serial = sample_responses(model, tokenizer, prompt, 3, max_new_tokens=16, seed=21)
-        batched = sample_responses_batched(model, tokenizer, prompt, 3, max_new_tokens=16, seed=21)
-        assert batched == serial
 
     def test_frontier_matches_per_prompt_serial_loop(self, text_model):
         """The pipeline contract: one shared rng walked prompt by prompt gives

@@ -18,7 +18,6 @@ from repro.logic import (
     Release,
     Until,
     conjunction,
-    disjunction,
     parse_ltl,
 )
 
@@ -44,13 +43,8 @@ class TestAST:
         assert formula.size() == 5
         assert len(list(formula.walk())) == 5
 
-    def test_is_propositional(self):
-        assert (A("a") & ~A("b")).is_propositional()
-        assert not F(A("a")).is_propositional()
-
-    def test_conjunction_disjunction_helpers(self):
+    def test_conjunction_helper(self):
         assert str(conjunction([])) == "true"
-        assert str(disjunction([])) == "false"
         assert conjunction([A("a"), A("b")]).atoms() == frozenset({"a", "b"})
 
     def test_str_roundtrips_through_parser(self):

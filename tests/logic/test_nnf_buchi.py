@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.logic import Atom, F, G, Neg, Not, Release, Until, X, is_nnf, negate, parse_ltl, to_nnf
+from repro.logic import Atom, F, G, Not, Release, Until, X, is_nnf, negate, parse_ltl, to_nnf
 from repro.logic.ltl2buchi import ltl_to_buchi, ltl_to_generalized_buchi
-from repro.logic.nnf import eliminate_derived_operators, simplify_propositional
+from repro.logic.nnf import eliminate_derived_operators
 
 
 class TestNNF:
@@ -32,11 +32,6 @@ class TestNNF:
 
     def test_negate_is_nnf(self):
         assert is_nnf(negate(parse_ltl("G(ped -> F stop)")))
-
-    def test_simplify_constants(self):
-        assert str(simplify_propositional(parse_ltl("a & true"))) == "a"
-        assert str(simplify_propositional(parse_ltl("a & false"))) == "false"
-        assert str(simplify_propositional(parse_ltl("a | true"))) == "true"
 
     @given(st.sampled_from(["a", "!a", "a & b", "a | !b", "X a", "F a", "G a", "a U b", "a R b", "a -> b"]))
     def test_to_nnf_always_produces_nnf(self, text):

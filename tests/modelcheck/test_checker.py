@@ -5,7 +5,7 @@ import pytest
 from repro.automata import KripkeStructure, build_product
 from repro.errors import VerificationError
 from repro.logic import parse_ltl
-from repro.modelcheck import ModelChecker, verify_controller_against_specs
+from repro.modelcheck import ModelChecker
 
 
 @pytest.fixture(scope="module")
@@ -108,10 +108,11 @@ class TestReportsAndLimits:
         with pytest.raises(VerificationError):
             tiny.check(kripke, "G F a")
 
-    def test_verify_controller_wrapper(self, simple_model, safe_controller, reckless_controller):
+    def test_verify_controller(self, simple_model, safe_controller, reckless_controller):
         specs = [parse_ltl("G(!green -> !go)"), parse_ltl("G(ped -> F stop)")]
-        safe_report = verify_controller_against_specs(simple_model, safe_controller, specs)
-        reckless_report = verify_controller_against_specs(simple_model, reckless_controller, specs)
+        checker = ModelChecker()
+        safe_report = checker.verify_controller(simple_model, safe_controller, specs)
+        reckless_report = checker.verify_controller(simple_model, reckless_controller, specs)
         assert safe_report.num_satisfied == 2
         assert reckless_report.num_satisfied == 0
 

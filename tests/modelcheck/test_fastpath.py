@@ -3,7 +3,7 @@
 The differential and fuzz suites prove verdict agreement end to end; these
 tests cover the fast path's building blocks directly — pruning, serialization,
 the construction memo and its persisted shard, compiled products, result
-caching, fingerprints, and the early-exit (``at_least``) API.
+caching and fingerprints.
 """
 
 import pytest
@@ -305,37 +305,6 @@ class TestResultCacheIntegration:
         checker.verify_controller(model, one, specs)
         checker.verify_controller(model, two, specs)
         assert checker._results.stats()["hits"] == 1
-
-
-class TestAtLeast:
-    @pytest.fixture(scope="class")
-    def scenario(self):
-        task = task_by_name("turn_left_unprotected")
-        model = task.model()
-        controller = build_controller_from_text(
-            "1. If pedestrian, stop.\n2. Otherwise, proceed.", task=task.name
-        )
-        return model, controller
-
-    def test_threshold_agrees_with_the_full_report(self, scenario):
-        model, controller = scenario
-        specs = [parse_ltl(t) for t in ["G (ped -> F stop)", "G F go", "F crash", "G a"]]
-        for use_fastpath in (True, False):
-            checker = ModelChecker(use_fastpath=use_fastpath, memo=BuchiMemo())
-            satisfied = checker.verify_controller(model, controller, specs).num_satisfied
-            for threshold in range(len(specs) + 2):
-                assert checker.verify_controller_at_least(
-                    model, controller, specs, threshold
-                ) == (satisfied >= threshold)
-
-    def test_check_at_least_on_a_kripke_structure(self):
-        kripke = lasso([{"a"}, {"a", "b"}])
-        specs = ["G a", "F b", "G b"]
-        for use_fastpath in (True, False):
-            checker = ModelChecker(use_fastpath=use_fastpath, memo=BuchiMemo())
-            assert checker.check_at_least(kripke, specs, 2)
-            assert not checker.check_at_least(kripke, specs, 3)
-        assert ModelChecker(memo=BuchiMemo()).check_at_least(kripke, [], 0)
 
 
 class TestEmptyReportRatio:

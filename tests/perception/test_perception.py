@@ -14,7 +14,6 @@ from repro.perception import (
     detection_accuracy,
     generate_dataset,
     generate_scene,
-    perfect_perception,
 )
 from repro.utils.rng import seeded_rng
 
@@ -85,7 +84,6 @@ class TestCalibration:
     def test_curve_shape(self, detections):
         curve = calibration_curve(detections, domain="simulation")
         assert len(curve.bin_centers) == 7
-        assert len(curve.as_rows()) == 7
 
     def test_curves_are_increasing_overall(self, detections):
         curve = calibration_curve(detections, domain="real")
@@ -112,10 +110,6 @@ class TestCalibration:
 
 
 class TestPerceptionNoise:
-    def test_perfect_perception_identity(self):
-        observations = frozenset({"green_traffic_light"})
-        assert perfect_perception(observations, seeded_rng(0)) == observations
-
     def test_noise_model_probabilities_validated(self):
         with pytest.raises(ValueError):
             PerceptionNoiseModel(miss_rate={"car": 1.4})

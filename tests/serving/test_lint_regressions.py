@@ -6,8 +6,6 @@ the sweep fixed; the corresponding rule now keeps it fixed.
 
 from __future__ import annotations
 
-import json
-
 from repro.serving.scheduler import FeedbackJob, FeedbackService
 
 
@@ -73,24 +71,3 @@ def test_scenario_digest_memo_is_thread_safe(monkeypatch):
     # The lock serialises the check-then-insert: one computation, not eight.
     assert len(calls) == 1
 
-
-def test_save_model_writes_config_and_tokenizer_atomically(tmp_path):
-    """`save_model` wrote config/tokenizer with bare write_text — a crash
-    mid-write left a truncated JSON next to already-replaced weights."""
-    from repro.core.checkpoints import load_model, save_model
-    from repro.lm.tokenizer import Tokenizer
-    from repro.lm.transformer import ModelConfig, TransformerLM
-
-    tokenizer = Tokenizer.fit(["a b c d"])
-    config = ModelConfig(
-        vocab_size=tokenizer.vocab_size, max_seq_len=16, dim=8, num_heads=2, num_layers=1, hidden_dim=16
-    )
-    model = TransformerLM(config, seed=0)
-    save_model(model, tokenizer, tmp_path / "ckpt")
-    # Saving twice over the same checkpoint must go through tmp + replace:
-    # no tmp litter, and the artifacts stay valid JSON.
-    save_model(model, tokenizer, tmp_path / "ckpt")
-    assert list(tmp_path.rglob("*.tmp.*")) == []
-    json.loads((tmp_path / "ckpt" / "config.json").read_text())
-    json.loads((tmp_path / "ckpt" / "tokenizer.json").read_text())
-    load_model(tmp_path / "ckpt")

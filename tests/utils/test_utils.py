@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.utils import check_in_options, check_positive, check_probability, seeded_rng, spawn_rngs
+from repro.utils import check_probability, seeded_rng, spawn_rngs
 from repro.utils.serialization import dump_json, load_json, to_jsonable
 
 
@@ -29,23 +29,10 @@ class TestRng:
 
 
 class TestValidation:
-    def test_check_positive(self):
-        check_positive("x", 1.0)
-        check_positive("x", 0.0, allow_zero=True)
-        with pytest.raises(ValueError):
-            check_positive("x", 0.0)
-        with pytest.raises(ValueError):
-            check_positive("x", -1.0, allow_zero=True)
-
     def test_check_probability(self):
         check_probability("p", 0.5)
         with pytest.raises(ValueError):
             check_probability("p", 1.5)
-
-    def test_check_in_options(self):
-        check_in_options("mode", "a", ["a", "b"])
-        with pytest.raises(ValueError):
-            check_in_options("mode", "c", ["a", "b"])
 
 
 class TestSerialization:
