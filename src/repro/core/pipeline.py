@@ -40,7 +40,6 @@ from repro.dpo.trainer import DPOResult, run_dpo
 from repro.driving.specifications import all_specifications
 from repro.driving.tasks import DrivingTask, training_tasks, validation_tasks
 from repro.errors import TrainingError
-from repro.feedback.formal import FormalVerifier
 from repro.feedback.ranker import rank_to_pairs
 from repro.lm.corpus import build_corpus, format_prompt
 from repro.lm.decode import sample_response_frontier
@@ -116,11 +115,6 @@ class DPOAFPipeline:
         self.specifications = dict(specifications) if specifications is not None else all_specifications()
         self.tasks = tuple(tasks) if tasks is not None else training_tasks()
         self.validation = tuple(validation) if validation is not None else validation_tasks()
-        self.verifier = FormalVerifier(
-            self.specifications,
-            wait_action=self.config.feedback.wait_action,
-            restart_on_termination=self.config.feedback.restart_on_termination,
-        )
         # Tracing must be live before the serving layer is built: the
         # FeedbackService captures the tracer's shard directory into its
         # worker payload at construction, which is how worker processes know
@@ -139,7 +133,6 @@ class DPOAFPipeline:
             feedback=self.config.feedback,
             config=self.config.serving,
             seed=self.config.seed,
-            verifier=self.verifier,
             dispatcher=self.dispatcher,
         )
         # One registry federates every subsystem's telemetry; run() takes a

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,7 +45,6 @@ from repro.errors import AlignmentError
 from repro.feedback.empirical import EmpiricalEvaluator
 from repro.feedback.formal import FormalVerifier
 from repro.glm2fsa.builder import build_controller_from_text
-from repro.utils.retry import RetryPolicy
 
 #: Miss batches smaller than this are scored inline by the process backend:
 #: the fork/initializer cost would dominate the verification work saved.
@@ -73,7 +71,6 @@ class ResponseScorer:
         empirical_threshold: float = 0.9,
         seed: int = 0,
         model_builder=None,
-        verifier: FormalVerifier | None = None,
     ):
         if model_builder is None:
             from repro.driving.scenarios.universal import scenario_model
@@ -87,7 +84,7 @@ class ResponseScorer:
         self.empirical_threshold = empirical_threshold
         self.seed = seed
         self.model_builder = model_builder
-        self.verifier = verifier or FormalVerifier(
+        self.verifier = FormalVerifier(
             self.specifications,
             wait_action=wait_action,
             restart_on_termination=restart_on_termination,
@@ -96,7 +93,7 @@ class ResponseScorer:
         self._evaluators: dict = {}
 
     @classmethod
-    def from_feedback(cls, specifications, feedback, *, seed=0, model_builder=None, verifier=None):
+    def from_feedback(cls, specifications, feedback, *, seed=0, model_builder=None):
         """Construct from a :class:`~repro.core.config.FeedbackConfig`-like object."""
         return cls(
             specifications,
@@ -107,7 +104,6 @@ class ResponseScorer:
             empirical_threshold=feedback.empirical_threshold,
             seed=seed,
             model_builder=model_builder,
-            verifier=verifier,
         )
 
     # ------------------------------------------------------------------ #
@@ -269,12 +265,8 @@ class WorkerPool:
     Degradation is always toward the serial reference, never toward wrong
     scores: batches below ``min_batch`` are scored inline, and a closed pool
     keeps answering via the fallback scorer.  A pool whose construction fails
-    or whose workers die (``OSError`` / ``BrokenExecutor``) is *retried*
-    first — the broken executor is discarded and a fresh one forked under the
-    shared backoff policy (``retry``, a
-    :class:`~repro.utils.retry.RetryPolicy`; ``restarts`` counts the
-    rebuilds) — and only after the policy's attempts are spent does the pool
-    mark itself broken and degrade to the serial loop for good.
+    or whose workers die (``OSError`` / ``BrokenExecutor``) marks itself
+    broken and scores that batch, and every later one, with the serial loop.
     """
 
     def __init__(
@@ -283,22 +275,14 @@ class WorkerPool:
         *,
         max_workers: int,
         min_batch: int = PROCESS_MIN_BATCH,
-        retry: RetryPolicy | None = None,
-        sleep=time.sleep,
     ):
         self.payload = payload
         self.max_workers = max_workers
         self.min_batch = min_batch
-        #: Backoff policy for rebuilding a broken executor; ``None`` keeps
-        #: the historical behavior (one failure degrades straight to serial).
-        self.retry = retry
-        self._sleep = sleep
         self._executor: ProcessPoolExecutor | None = None
         #: Executor launches over this pool's lifetime (fork/initializer cost
         #: is paid ``starts × max_workers`` times, so reuse keeps this at 1).
         self.starts = 0
-        #: Executor *rebuilds* after worker failure (0 for a healthy run).
-        self.restarts = 0
         self.closed = False
         self._broken = False
         # Guards the closed/broken flags and executor creation/teardown, so a
@@ -322,20 +306,18 @@ class WorkerPool:
                 self.starts += 1
             return self._executor
 
-    def _discard_executor(self, *, permanent: bool = True) -> None:
-        """Tear down the current executor; ``permanent`` marks the pool broken
-        (every later batch takes the serial path) while ``False`` leaves it
-        eligible for a retry rebuild."""
+    def _discard_executor(self) -> None:
+        """Tear down the current executor and mark the pool broken: every
+        later batch takes the serial path."""
         with self._lock:
             executor, self._executor = self._executor, None
-            if permanent:
-                self._broken = True
+            self._broken = True
         if executor is not None:
             try:
                 executor.shutdown(wait=False)
             # Best-effort teardown of an already-broken pool: the caller is
-            # about to rebuild or fall back, and a shutdown error here would
-            # mask the original worker failure.
+            # about to fall back, and a shutdown error here would mask the
+            # original worker failure.
             # repro: allow[swallowed-exception] — best-effort teardown of a broken pool
             except Exception:
                 pass
@@ -357,40 +339,18 @@ class WorkerPool:
         triples = [(job.task, job.scenario, job.response) for job in jobs]
         chunk_size = max(1, -(-len(triples) // (self.max_workers * 4)))
         chunks = [triples[i : i + chunk_size] for i in range(0, len(triples), chunk_size)]
-        # A worker failure (OSError / BrokenExecutor) is retried by rebuilding
-        # the executor under the backoff policy — a transiently dead worker
-        # (OOM kill, restricted sandbox hiccup) should cost one re-fork, not
-        # the rest of the run's parallelism.  Only after the policy's attempts
-        # are spent (or with no policy at all) does the pool mark itself
-        # broken and degrade to the serial loop — still never to wrong scores.
-        attempts = self.retry.max_attempts if self.retry is not None else 1
-        for failures in range(1, attempts + 1):
-            try:
-                pool = self._acquire_executor()
-            except OSError:
-                pool = None
-            if pool is None and not (self.closed or self._broken):
-                pass  # construction failed: fall through to retry/give-up below
-            elif pool is None:  # closed or broken: correctness over parallelism
-                return run_serial(fallback, jobs)
-            else:
-                try:
-                    scores: list = []
-                    for chunk_scores in pool.map(_score_chunk, chunks):
-                        scores.extend(chunk_scores)
-                    return scores
-                except (OSError, BrokenExecutor):
-                    pass  # fall through to retry/give-up below
-            if failures >= attempts:
-                self._discard_executor(permanent=True)
-                return run_serial(fallback, jobs)
-            self._discard_executor(permanent=False)
-            with self._lock:
-                self.restarts += 1
-            delay = self.retry.delay(failures)
-            obs.counter("worker_pool.restarts", self.restarts)
-            self._sleep(delay)
-        return run_serial(fallback, jobs)  # unreachable; defensive
+        try:
+            pool = self._acquire_executor()
+            if pool is not None:  # None: closed or broken, so serial below
+                scores: list = []
+                for chunk_scores in pool.map(_score_chunk, chunks):
+                    scores.extend(chunk_scores)
+                return scores
+        except (OSError, BrokenExecutor):
+            # The workers could not be forked, or one died: correctness over
+            # parallelism, for this batch and every later one.
+            self._discard_executor()
+        return run_serial(fallback, jobs)
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:

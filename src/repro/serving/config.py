@@ -51,13 +51,6 @@ class ServingConfig:
         recently written first, until the directory fits.  Composes with
         ``shared_cache_max_entries`` (entries are trimmed before shards are
         evicted); either, both or neither may be set.
-    worker_retries:
-        How many times a *failed* process-backend worker pool (workers died,
-        ``BrokenExecutor``) is rebuilt — with the shared jittered-backoff
-        policy from :mod:`repro.utils.retry` — before the batch (and every
-        later one) degrades to the serial reference loop.  ``0`` (default)
-        keeps the historical degrade-on-first-failure behavior.  Scores are
-        identical either way; only the parallelism is at stake.
     automata_cache_dir:
         Optional directory for the Büchi construction memo's persisted shard
         (:func:`repro.modelcheck.fastpath.configure_automata_cache`).  The
@@ -76,7 +69,6 @@ class ServingConfig:
     shared_cache_dir: str | None = None
     shared_cache_max_entries: int | None = None
     shared_cache_max_bytes: int | None = None
-    worker_retries: int = 0
     automata_cache_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -103,5 +95,3 @@ class ServingConfig:
             raise ValueError(
                 "shared_cache_max_entries/shared_cache_max_bytes require shared_cache_dir"
             )
-        if self.worker_retries < 0:
-            raise ValueError(f"worker_retries must be non-negative, got {self.worker_retries}")

@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from repro.obs import tracer as obs
-from repro.feedback.formal import FormalVerifier
 from repro.serving.backends import ResponseScorer, WorkerPayload, WorkerPool, run_serial
 from repro.serving.cache import (
     CacheDirectory,
@@ -66,7 +65,6 @@ from repro.serving.cache import (
 from repro.serving.config import ServingConfig
 from repro.serving.dedup import canonicalize_response, first_occurrence
 from repro.serving.metrics import ServingMetrics
-from repro.utils.retry import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -302,10 +300,6 @@ class FeedbackService:
         scenario catalogue.  A custom builder cannot be shipped to worker
         processes, so it silently downgrades the ``"process"`` backend to the
         serial loop.
-    verifier:
-        Optional pre-built :class:`FormalVerifier` to share (e.g. with a
-        pipeline that also exposes one); constructed from ``feedback``
-        otherwise.
     dispatcher:
         Optional shared :class:`Dispatcher` to run ``submit_batch`` batches
         on.  When omitted the service lazily creates a private dispatcher and
@@ -322,7 +316,6 @@ class FeedbackService:
         config: ServingConfig | None = None,
         seed: int = 0,
         model_builder=None,
-        verifier: FormalVerifier | None = None,
         dispatcher: Dispatcher | None = None,
     ):
         if feedback is None:
@@ -338,20 +331,11 @@ class FeedbackService:
             feedback,
             seed=seed,
             model_builder=model_builder,
-            verifier=verifier,
         )
         self.model_builder = self._scorer.model_builder
-        self.verifier = self._scorer.verifier
         # Worker processes rebuild the scorer from this payload.  Only the
         # default (catalogue) model builder is reproducible in a fresh
-        # process, and a supplied verifier must agree with what the payload
-        # would rebuild (the pipeline shares one constructed from the same
-        # feedback config — fine; a genuinely custom verifier is not).
-        verifier_matches_payload = verifier is None or (
-            dict(verifier.specifications) == self.specifications
-            and verifier.wait_action == feedback.wait_action
-            and verifier.restart_on_termination == feedback.restart_on_termination
-        )
+        # process.
         # Workers inherit the trace destination at construction time: the
         # tracer installed *now* decides whether (and where) worker processes
         # shard their spans, which is why the pipeline/CLI install the tracer
@@ -365,7 +349,7 @@ class FeedbackService:
                 trace_shard_dir=None if shard_dir is None else str(shard_dir),
                 automata_cache_dir=self.config.automata_cache_dir,
             )
-            if model_builder is None and verifier_matches_payload
+            if model_builder is None
             else None
         )
         if self.config.automata_cache_dir is not None:
@@ -378,24 +362,6 @@ class FeedbackService:
             configure_automata_cache(self.config.automata_cache_dir)
         self.metrics = ServingMetrics()
         self._fingerprint = feedback_fingerprint(feedback, self.specifications, seed=seed)
-        if not verifier_matches_payload:
-            # A divergent verifier changes formal scores, so it must also
-            # change the cache identity — otherwise this service would share
-            # persisted entries with a default-config run.
-            import json as _json
-
-            self._fingerprint += _json.dumps(
-                {
-                    "verifier": {
-                        "wait_action": self.verifier.wait_action,
-                        "restart_on_termination": self.verifier.restart_on_termination,
-                        "specifications": sorted(
-                            f"{name}={formula}" for name, formula in self.verifier.specifications.items()
-                        ),
-                    }
-                },
-                sort_keys=True,
-            )
         self.cache = self._initial_cache()
         self._digests: dict = {}
         # Guards the digest memo: scenario_digest is reachable both from the
@@ -478,29 +444,15 @@ class FeedbackService:
     # ------------------------------------------------------------------ #
     # Scoring
     # ------------------------------------------------------------------ #
-    def _score_uncached(self, job: FeedbackJob) -> int:
-        """Verify one job from scratch (the serial reference computation)."""
-        return self._scorer.score(job.task, job.scenario, job.response)
-
     def _score_misses(self, jobs: Sequence[FeedbackJob]) -> list:
         """Fan the unique cache misses out to the configured backend."""
         backend = self.config.backend
         if backend == "process" and self._payload is not None:
             if self._pool is None:
-                # ``worker_retries`` rebuilds a broken pool (jittered backoff,
-                # shared policy) before degrading to the serial loop for good.
-                retry = (
-                    RetryPolicy(max_attempts=self.config.worker_retries + 1)
-                    if self.config.worker_retries
-                    else None
-                )
-                self._pool = WorkerPool(
-                    self._payload, max_workers=self.config.max_workers, retry=retry
-                )
+                self._pool = WorkerPool(self._payload, max_workers=self.config.max_workers)
             return self._pool.run(jobs, fallback=self._scorer)
-        # "process" lands here too when no payload could be built — a custom
-        # model builder or a verifier diverging from the feedback config,
-        # neither of which can be rebuilt inside a worker.
+        # "process" lands here too when no payload could be built: a custom
+        # model builder cannot be rebuilt inside a worker.
         return run_serial(self._scorer, jobs)
 
     def score_batch(self, jobs: Sequence[FeedbackJob]) -> list:

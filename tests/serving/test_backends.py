@@ -115,45 +115,19 @@ class TestBackendParity:
         # disabled reference.
         assert serial_batches == [patched.metrics.cache_misses, len(jobs)]
 
-    def test_process_backend_with_custom_verifier_downgrades_safely(self):
-        """A verifier that disagrees with the feedback config must not ship to
-        workers (they would rebuild a default one and score differently)."""
-        from repro.feedback import FormalVerifier
+    def test_pipeline_service_keeps_process_backend(self):
+        """The pipeline's service is built from its feedback config alone, so
+        worker processes can rebuild its scorer: the process backend stays on."""
+        import dataclasses
 
-        jobs = _mixed_scenario_jobs()
-        custom = FormalVerifier(core_specifications(), wait_action=None)
-        served = FeedbackService(
-            core_specifications(),
-            feedback=FeedbackConfig(),
-            config=ServingConfig(backend="process", max_workers=2),
-            verifier=custom,
-        )
-        reference = FeedbackService(
-            core_specifications(),
-            feedback=FeedbackConfig(),
-            config=ServingConfig(enabled=False),
-            verifier=FormalVerifier(core_specifications(), wait_action=None),
-        )
-        assert served.score_batch(jobs) == reference.score_batch(jobs)
+        from repro.core import DPOAFPipeline
+        from repro.core.config import quick_pipeline_config
 
-    def test_pipeline_style_shared_verifier_keeps_process_backend(self):
-        """A shared verifier built from the same config (the pipeline's case)
-        must not disable the process backend."""
-        from repro.feedback import FormalVerifier
-
-        feedback = FeedbackConfig()
-        shared = FormalVerifier(
-            core_specifications(),
-            wait_action=feedback.wait_action,
-            restart_on_termination=feedback.restart_on_termination,
+        config = dataclasses.replace(
+            quick_pipeline_config(seed=0), serving=ServingConfig(backend="process", max_workers=2)
         )
-        service = FeedbackService(
-            core_specifications(),
-            feedback=feedback,
-            config=ServingConfig(backend="process", max_workers=2),
-            verifier=shared,
-        )
-        assert service._payload is not None
+        with DPOAFPipeline(config, specifications=core_specifications()) as pipeline:
+            assert pipeline.serving._payload is not None
 
     def test_worker_pool_preserves_submission_order(self):
         """Chunked dispatch must concatenate chunk results in submission order."""
@@ -174,6 +148,43 @@ class TestBackendParity:
         assert clone == payload
         scorer = clone.build_scorer()
         assert scorer.use_empirical and scorer.seed == 7
+
+
+class TestBrokenPoolFallback:
+    """A pool that cannot fork its workers, or whose workers die, marks itself
+    broken and scores every batch from then on with the serial loop."""
+
+    @pytest.mark.parametrize("failure", ["workers_die", "fork_refused"])
+    def test_broken_pool_scores_serially_and_never_rebuilds(self, monkeypatch, failure):
+        from concurrent.futures import BrokenExecutor
+
+        import repro.serving.backends as backends
+
+        constructed = []
+
+        class FailingExecutor:
+            def __init__(self, **kwargs):
+                constructed.append(kwargs)
+                if failure == "fork_refused":
+                    raise OSError("fork refused")
+
+            def map(self, fn, chunks):
+                raise BrokenExecutor("a worker died")
+
+            def shutdown(self, wait=True):
+                pass
+
+        monkeypatch.setattr(backends, "ProcessPoolExecutor", FailingExecutor)
+        payload = WorkerPayload.from_feedback(core_specifications(), FeedbackConfig(), seed=0)
+        fallback = payload.build_scorer()
+        jobs = _mixed_scenario_jobs()
+        first, second = jobs[:8], jobs[8:]
+        with WorkerPool(payload, max_workers=2, min_batch=2) as pool:
+            assert pool.run(first, fallback=fallback) == backends.run_serial(fallback, first)
+            assert pool._broken
+            assert pool.run(second, fallback=fallback) == backends.run_serial(fallback, second)
+            assert len(constructed) == 1
+            assert pool.starts == (1 if failure == "workers_die" else 0)
 
 
 class TestCacheDirectory:
