@@ -16,7 +16,7 @@ from repro.lm.layers import DTYPE
 from repro.lm.lora import LoRAConfig, apply_lora
 from repro.lm.optim import Adam
 from repro.lm.tokenizer import Tokenizer
-from repro.lm.transformer import TransformerLM
+from repro.lm.transformer import TransformerLM, target_widths
 from repro.utils.rng import seeded_rng
 
 
@@ -90,9 +90,7 @@ class ReferenceMemo:
         rows — under a ``dpo.reference_forward`` span.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
-        masked = np.asarray(response_mask) != 0
-        # Target columns each row needs: up to and including its last masked one.
-        needed = np.where(masked.any(axis=1), masked.shape[1] - np.argmax(masked[:, ::-1], axis=1), 0)
+        needed = target_widths(response_mask)
         keys = [tokens[row, : count + 1].tobytes() for row, count in enumerate(needed)]
         missing = {}
         for row, key in enumerate(keys):
@@ -105,7 +103,7 @@ class ReferenceMemo:
             for key, row, row_values in zip(missing, rows, values):
                 self._per_token[key] = row_values[: needed[row]].copy()
 
-        per_token = np.zeros(masked.shape, dtype=DTYPE)
+        per_token = np.zeros(np.shape(response_mask), dtype=DTYPE)
         for row, key in enumerate(keys):
             if needed[row]:
                 per_token[row, : needed[row]] = self._per_token[key]

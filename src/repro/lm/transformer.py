@@ -26,7 +26,7 @@ from repro.utils.rng import seeded_rng
 _GROUP_COST_CELLS = 48
 
 
-def _target_widths(mask: np.ndarray) -> np.ndarray:
+def target_widths(mask: np.ndarray) -> np.ndarray:
     """Target columns each row needs: through its last masked one (0 if none)."""
     masked = np.asarray(mask) != 0
     return np.where(masked.any(axis=1), masked.shape[1] - np.argmax(masked[:, ::-1], axis=1), 0)
@@ -193,7 +193,7 @@ class TransformerLM(Layer):
         mask = (tokens[:, 1:] != pad_id).astype(DTYPE)
         denom = DTYPE(max(mask.sum(), 1.0))
         losses = np.zeros(mask.shape, dtype=DTYPE)
-        for rows, width in plan_length_groups(_target_widths(mask)):
+        for rows, width in plan_length_groups(target_widths(mask)):
             group = tokens[rows, : width + 1]
             index = _target_index(group[:, 1:])
             group_mask = mask[rows, :width]
@@ -246,7 +246,7 @@ class TransformerLM(Layer):
         response_mask = np.asarray(response_mask)
         per_token = np.zeros(response_mask.shape, dtype=np.result_type(DTYPE, response_mask.dtype))
         groups = []
-        for rows, width in plan_length_groups(_target_widths(response_mask)):
+        for rows, width in plan_length_groups(target_widths(response_mask)):
             index = _target_index(tokens[rows, 1 : width + 1])
             group_mask = response_mask[rows, :width]
             with obs.span("train.forward", category="train", rows=len(rows), width=width):
