@@ -34,7 +34,8 @@ def _digest(value) -> str:
 
 def run_digests(seed: int) -> dict:
     """The four pinned digests of one quick pipeline run, plus its pair count."""
-    result = DPOAFPipeline(quick_pipeline_config(seed)).run()
+    with DPOAFPipeline(quick_pipeline_config(seed)) as pipeline:
+        result = pipeline.run()
     pairs = [(p.task, p.chosen, p.rejected, p.chosen_score, p.rejected_score) for p in result.preference_pairs]
     counts = [
         [(t.task, t.satisfied_counts) for t in evaluation.per_task]
