@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.obs import tracer as obs
 from repro.obs.metrics import MetricsRegistry
-from repro.core.config import FeedbackConfig, PipelineConfig, SamplingConfig
+from repro.core.config import PipelineConfig, SamplingConfig
 from repro.dpo.trainer import DPOResult, run_dpo
 from repro.driving.specifications import all_specifications
 from repro.driving.tasks import DrivingTask, training_tasks, validation_tasks

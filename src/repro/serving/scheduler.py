@@ -334,8 +334,7 @@ class FeedbackService:
         )
         self.model_builder = self._scorer.model_builder
         # Worker processes rebuild the scorer from this payload.  Only the
-        # default (catalogue) model builder is reproducible in a fresh
-        # process.
+        # default (catalogue) model builder is reproducible in a fresh process.
         # Workers inherit the trace destination at construction time: the
         # tracer installed *now* decides whether (and where) worker processes
         # shard their spans, which is why the pipeline/CLI install the tracer
