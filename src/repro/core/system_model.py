@@ -23,4 +23,3 @@ def conservative_driving_model(propositions: Iterable[str], *, name: str = "cons
         conservative=True,
         vocabulary=DRIVING_VOCABULARY,
     )
-

@@ -512,4 +512,3 @@ class NaiveModelChecker(ModelChecker):
 
     def __init__(self, max_product_states: int = 200_000):
         super().__init__(max_product_states, use_fastpath=False, result_cache_size=0)
-

@@ -70,4 +70,3 @@ def test_scenario_digest_memo_is_thread_safe(monkeypatch):
     assert results == ["digest-intersection"] * 8
     # The lock serialises the check-then-insert: one computation, not eight.
     assert len(calls) == 1
-
