@@ -20,6 +20,7 @@ from repro.driving import (
     validation_tasks,
     with_derived_propositions,
 )
+from repro.driving.propositions import PEDESTRIAN_PROPOSITIONS
 from repro.driving.responses import CATEGORIES, FINETUNED_MIXTURE, PRETRAINED_MIXTURE, RESPONSE_LIBRARY
 
 
@@ -73,6 +74,28 @@ class TestScenarios:
         assert all(len(c) == 1 for c in nx.strongly_connected_components(sub)) and not any(
             sub.has_edge(s, s) for s in ped_states
         )
+
+    @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+    def test_every_state_is_reachable(self, name):
+        """No state is dead weight: each is reachable from an initial state."""
+        import networkx as nx
+
+        model = scenario_model(name)
+        graph = model.to_networkx()
+        reached = set(model.initial_states)
+        for state in model.initial_states:
+            reached |= nx.descendants(graph, state)
+        assert reached == set(model.states)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+    def test_labels_are_observations_with_derived_pedestrian(self, name):
+        """Labels hold propositions only (actions come from the controller),
+        and ``pedestrian`` holds exactly where some pedestrian proposition does."""
+        model = scenario_model(name)
+        for state in model.states:
+            label = model.label(state)
+            assert label <= frozenset(DRIVING_PROPOSITIONS), state
+            assert ("pedestrian" in label) == bool(label & set(PEDESTRIAN_PROPOSITIONS)), state
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.driving import all_specifications, core_specifications, response_templates
+from repro.driving import all_specifications, all_tasks, core_specifications, response_templates
 from repro.feedback import (
     EmpiricalEvaluator,
     FormalVerifier,
@@ -36,6 +36,34 @@ class TestFormalVerifier:
         feedback = verifier.verify_controller(right_turn_task.model(), right_turn_good_controller, task="good")
         assert set(feedback.satisfied) | set(feedback.violated) == set(all_specifications())
         assert "specifications satisfied" in feedback.describe()
+
+
+class TestCatalogueFeedback:
+    """On every catalogue task the templates give DPO-AF a ranking signal:
+    compliant responses outscore flawed ones, and vague ones score zero."""
+
+    @pytest.fixture(scope="class")
+    def verifier(self):
+        return FormalVerifier(all_specifications())
+
+    @pytest.mark.parametrize("task", all_tasks(), ids=lambda task: task.name)
+    def test_compliant_outscore_flawed_and_vague_score_zero(self, verifier, task):
+        model = task.model()
+
+        def feedback(category):
+            return [
+                verifier.verify_response(model, text, task=task.name)
+                for text in response_templates(task.name, category)
+            ]
+
+        def mean_satisfied(items):
+            return sum(item.num_satisfied for item in items) / len(items)
+
+        compliant, flawed, vague = feedback("compliant"), feedback("flawed"), feedback("vague")
+        assert not any(item.parse_failed for item in compliant + flawed)
+        assert all(item.parse_failed and item.num_satisfied == 0 for item in vague)
+        assert min(item.num_satisfied for item in compliant) > 0
+        assert mean_satisfied(compliant) > mean_satisfied(flawed)
 
 
 class TestEmpiricalFeedback:
