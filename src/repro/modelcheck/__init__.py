@@ -20,7 +20,6 @@ from repro.modelcheck.fastpath import (
     ResultCache,
     automata_memo,
     automaton_accepts_lasso,
-    configure_automata_cache,
     controller_fingerprint,
     model_fingerprint,
     prune_automaton,
@@ -39,7 +38,6 @@ __all__ = [
     "ResultCache",
     "automata_memo",
     "automaton_accepts_lasso",
-    "configure_automata_cache",
     "controller_fingerprint",
     "model_fingerprint",
     "prune_automaton",

@@ -323,20 +323,10 @@ class ModelChecker:
         memo = self._memo
         cached = memo.lookup(key)
         if cached is not None:
-            with obs.span(
-                "mc.construct_cached", category="modelcheck", spec=spec_label, source="memory"
-            ):
+            with obs.span("mc.construct_cached", category="modelcheck", spec=spec_label):
                 pass
             self._emit_memo_counters()
             return cached
-        if memo.has_persisted(key):
-            with obs.span(
-                "mc.construct_cached", category="modelcheck", spec=spec_label, source="disk"
-            ):
-                cached = memo.load_persisted(key)
-            if cached is not None:
-                self._emit_memo_counters()
-                return cached
         with obs.span("mc.construct", category="modelcheck", spec=spec_label):
             cached = memo.translate_and_store(key, negated, name=f"neg({formula})")
         self._emit_memo_counters()
@@ -345,7 +335,7 @@ class ModelChecker:
     def _emit_memo_counters(self) -> None:
         if obs.tracing_enabled():
             stats = self._memo.stats()
-            obs.counter("mc.memo.hits", stats["hits_memory"] + stats["hits_disk"])
+            obs.counter("mc.memo.hits", stats["hits_memory"])
             obs.counter("mc.memo.misses", stats["misses"])
 
     def _emit_cache_counters(self) -> None:

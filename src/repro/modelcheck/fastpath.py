@@ -10,11 +10,9 @@ Three independent optimizations compose (see ``docs/modelcheck.md``):
 
 * **Büchi construction memo** (:class:`BuchiMemo`): LTL→NBA translation is
   ~a third of a cold check and the rule book is fixed, so translated (and
-  pruned) automata are memoized process-wide, keyed on the *canonical formula
-  text* (``str(formula)`` is unambiguous — binary operators parenthesize).
-  The memo optionally persists through a
-  :class:`~repro.serving.cache.CacheDirectory` shard so worker processes and
-  later runs skip translation entirely (:func:`configure_automata_cache`).
+  pruned) automata are memoized in memory, process-wide, keyed on the
+  *canonical formula text* (``str(formula)`` is unambiguous — binary
+  operators parenthesize).
 * **Automaton pruning** (:func:`prune_automaton`): NBA states that cannot
   reach an accepting state lying on a cycle can never contribute to an
   accepting run; dropping them — and then merging direct-bisimilar states —
@@ -41,7 +39,7 @@ import threading
 from collections import OrderedDict, deque
 from typing import Sequence
 
-from repro.automata.buchi import BuchiAutomaton, LabelConstraint
+from repro.automata.buchi import BuchiAutomaton
 from repro.automata.fsa import FSAController
 from repro.automata.kripke import KripkeStructure
 from repro.automata.operations import (
@@ -54,26 +52,6 @@ from repro.errors import AutomatonError, VerificationError
 from repro.logic.ast import Formula
 from repro.logic.ltl2buchi import ltl_to_buchi
 from repro.obs import tracer as obs
-
-#: Serialization schema of persisted automata; bump on any change to the
-#: translation, pruning or payload layout so stale shards are ignored.
-FASTPATH_SCHEMA_VERSION = 1
-
-
-def automata_cache_fingerprint() -> str:
-    """Shard identity for the persisted automata memo.
-
-    Includes the library version and the payload schema so a code change that
-    could alter translation output invalidates every previously stored
-    automaton rather than silently reusing it.
-    """
-    from repro import __version__
-
-    return json.dumps(
-        {"kind": "buchi-memo", "schema": FASTPATH_SCHEMA_VERSION, "version": __version__},
-        sort_keys=True,
-    )
-
 
 # ---------------------------------------------------------------------- #
 # Automaton pruning
@@ -93,7 +71,7 @@ def prune_automaton(nba: BuchiAutomaton) -> BuchiAutomaton:
        accepted language exactly.
 
     The result's states are consecutive ints assigned in BFS order from the
-    initial states — a deterministic, serialization-friendly naming.  An NBA
+    initial states — a deterministic naming.  An NBA
     with an *empty language* prunes to an automaton with no states at all
     (``num_states == 0``); callers can then skip the product entirely because
     ``L(M ⊗ C) ∩ L(A) = ∅`` holds trivially.
@@ -185,52 +163,6 @@ def prune_automaton(nba: BuchiAutomaton) -> BuchiAutomaton:
     return pruned
 
 
-def serialize_automaton(nba: BuchiAutomaton) -> dict:
-    """JSON payload for a pruned automaton (int states ``0..n-1``).
-
-    The inverse of :func:`deserialize_automaton`; stored as a
-    :class:`~repro.serving.cache.CacheDirectory` shard value by
-    :class:`BuchiMemo`.
-    """
-    return {
-        "schema": FASTPATH_SCHEMA_VERSION,
-        "states": nba.num_states,
-        "initial": sorted(nba.initial_states),
-        "accepting": sorted(nba.accepting_states),
-        "transitions": [
-            [t.source, sorted(t.constraint.positive), sorted(t.constraint.negative), t.target]
-            for t in nba.transitions
-        ],
-    }
-
-
-def deserialize_automaton(payload) -> BuchiAutomaton | None:
-    """Rebuild a pruned automaton from its payload; ``None`` if unusable.
-
-    A payload from a different schema version, or one that is structurally
-    malformed, yields ``None`` — the caller falls back to translating from
-    scratch, so a stale or corrupt shard can never produce a wrong automaton.
-    """
-    try:
-        if payload["schema"] != FASTPATH_SCHEMA_VERSION:
-            return None
-        nba = BuchiAutomaton(name="buchi_cached")
-        num_states = payload["states"]
-        initial = set(payload["initial"])
-        accepting = set(payload["accepting"])
-        for i in range(num_states):
-            nba.add_state(i, initial=i in initial, accepting=i in accepting)
-        for src, positive, negative, dst in payload["transitions"]:
-            nba.add_transition(
-                src, LabelConstraint(frozenset(positive), frozenset(negative)), dst
-            )
-    except (KeyError, TypeError, ValueError, AutomatonError):
-        # Malformed payloads degrade to a fresh translation, never to a
-        # wrong automaton.
-        return None
-    return nba
-
-
 class CachedAutomaton:
     """A pruned NBA compiled for the emptiness check, as stored in the memo.
 
@@ -292,63 +224,13 @@ class BuchiMemo:
     translation no matter which checker instance asks.  Thread-safe: the
     memo is process-wide, so services scoring on different threads (a
     dispatcher thread, a direct ``score_batch`` caller) share it.
-
-    :meth:`configure_directory` attaches a
-    :class:`~repro.serving.cache.CacheDirectory` shard: existing entries are
-    preloaded (lazily deserialized on first use), in-memory entries are
-    flushed out, and every later translation is written through — so a
-    forked worker or a later run starts with the whole rule book already
-    translated.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._memory: dict = {}
-        self._persisted: dict = {}
-        self._directory = None
         self._hits_memory = 0
-        self._hits_disk = 0
         self._misses = 0
-        self._write_errors = 0
-
-    # ------------------------------------------------------------------ #
-    def configure_directory(self, root) -> int:
-        """Attach (or with ``None`` detach) a persistence directory.
-
-        Returns the number of serialized automata preloaded from the shard.
-        Entries already translated in memory are flushed to the shard so the
-        directory converges on the union regardless of configuration order.
-        """
-        if root is None:
-            with self._lock:
-                self._directory = None
-            return 0
-        from repro.serving.cache import CacheDirectory  # deferred: serving sits above modelcheck
-
-        directory = CacheDirectory(root)
-        entries = directory.shard_entries(automata_cache_fingerprint())
-        with self._lock:
-            self._directory = directory
-            loaded = 0
-            shard_keys = set()
-            for key, payload in entries:
-                if not isinstance(payload, dict):
-                    continue
-                shard_keys.add(key)
-                if key not in self._persisted:
-                    self._persisted[key] = payload
-                    loaded += 1
-            # Everything translated before the directory attached (its payload
-            # is staged in _persisted at translation time) but absent from the
-            # shard flushes out now, so the directory converges on the union.
-            to_flush = {
-                key: payload
-                for key, payload in self._persisted.items()
-                if key not in shard_keys
-            }
-        if to_flush:
-            self._store(to_flush)
-        return loaded
 
     def lookup(self, key: str):
         """The in-memory :class:`CachedAutomaton` for ``key``, or ``None``."""
@@ -358,79 +240,38 @@ class BuchiMemo:
                 self._hits_memory += 1
         return cached
 
-    def has_persisted(self, key: str) -> bool:
-        """True when a serialized (not yet deserialized) entry exists for ``key``."""
-        with self._lock:
-            return key in self._persisted and key not in self._memory
-
-    def load_persisted(self, key: str):
-        """Deserialize a persisted entry into memory; ``None`` when unusable."""
-        with self._lock:
-            payload = self._persisted.get(key)
-        automaton = deserialize_automaton(payload) if payload is not None else None
-        if automaton is None:
-            return None
-        cached = CachedAutomaton(automaton)
-        with self._lock:
-            cached = self._memory.setdefault(key, cached)
-            self._hits_disk += 1
-        return cached
-
     def translate_and_store(self, key: str, formula: Formula, *, name: str = "buchi"):
-        """Translate + prune ``formula``, memoize under ``key``, write through.
+        """Translate + prune ``formula`` and memoize it under ``key``.
 
         ``formula`` is the (negated) formula whose language the automaton
         must accept.  The first translation for a key wins; concurrent
         translators converge on the same object.
         """
-        pruned = prune_automaton(ltl_to_buchi(formula, name=name))
-        cached = CachedAutomaton(pruned)
-        payload = serialize_automaton(pruned)
+        cached = CachedAutomaton(prune_automaton(ltl_to_buchi(formula, name=name)))
         with self._lock:
             cached = self._memory.setdefault(key, cached)
             self._misses += 1
-            self._persisted.setdefault(key, payload)
-            directory = self._directory
-        if directory is not None:
-            self._store({key: payload})
         return cached
 
-    def _store(self, payloads: dict) -> None:
-        from repro.serving.cache import FeedbackCache  # deferred: serving sits above modelcheck
-
-        with self._lock:
-            directory = self._directory
-        if directory is None:
-            return
-        cache = FeedbackCache(max_entries=max(len(payloads), 1))
-        for key, payload in payloads.items():
-            cache.put(key, payload)
-        try:
-            directory.store(automata_cache_fingerprint(), cache)
-        except OSError:
-            # Persistence is an optimization: a read-only or vanished cache
-            # directory must never fail verification itself.
-            with self._lock:
-                self._write_errors += 1
-
     def stats(self) -> dict:
-        """Hit/miss counters: memory hits, disk hits, misses, write errors."""
+        """Hit/miss counters and the entry count.
+
+        ``hits_disk`` is always 0, since the memo lives in memory only; the
+        key stays because ``perfbench/probe.py`` reads it.
+        """
         with self._lock:
             return {
                 "hits_memory": self._hits_memory,
-                "hits_disk": self._hits_disk,
+                "hits_disk": 0,
                 "misses": self._misses,
-                "write_errors": self._write_errors,
                 "entries": len(self._memory),
-                "persisted": len(self._persisted),
             }
 
     def clear(self) -> None:
         """Drop every memoized automaton and counter (tests / benchmarks)."""
         with self._lock:
             self._memory.clear()
-            self._persisted.clear()
-            self._hits_memory = self._hits_disk = self._misses = self._write_errors = 0
+            self._hits_memory = self._misses = 0
 
 
 _GLOBAL_MEMO = BuchiMemo()
@@ -439,18 +280,6 @@ _GLOBAL_MEMO = BuchiMemo()
 def automata_memo() -> BuchiMemo:
     """The process-wide :class:`BuchiMemo` every default checker shares."""
     return _GLOBAL_MEMO
-
-
-def configure_automata_cache(root) -> int:
-    """Point the process-wide memo at a persistence directory (``None`` detaches).
-
-    This is what :class:`~repro.serving.config.ServingConfig.automata_cache_dir`
-    calls — in the parent service at construction time and in every forked
-    worker's initializer — so the fixed rule book is translated once per
-    *cache directory lifetime* rather than once per process.  Returns the
-    number of preloaded automata.
-    """
-    return _GLOBAL_MEMO.configure_directory(root)
 
 
 # ---------------------------------------------------------------------- #

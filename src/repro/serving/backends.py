@@ -172,12 +172,6 @@ class WorkerPayload:
     #: Directory worker processes write per-PID trace shards into; ``None``
     #: keeps workers untraced (the default — tracing is opt-in).
     trace_shard_dir: str | None = None
-    #: Directory of the persisted Büchi construction memo
-    #: (:func:`repro.modelcheck.fastpath.configure_automata_cache`); a freshly
-    #: spawned worker preloads the rule book's pruned automata from its shard
-    #: instead of re-translating every formula.  ``None`` leaves the worker's
-    #: process-wide memo memory-only.
-    automata_cache_dir: str | None = None
 
     @classmethod
     def from_feedback(
@@ -187,7 +181,6 @@ class WorkerPayload:
         *,
         seed: int = 0,
         trace_shard_dir: str | None = None,
-        automata_cache_dir: str | None = None,
     ) -> "WorkerPayload":
         return cls(
             specifications=tuple(sorted(specifications.items())),
@@ -198,7 +191,6 @@ class WorkerPayload:
             empirical_threshold=feedback.empirical_threshold,
             seed=seed,
             trace_shard_dir=trace_shard_dir,
-            automata_cache_dir=automata_cache_dir,
         )
 
     def build_scorer(self) -> ResponseScorer:
@@ -230,10 +222,6 @@ def _initialize_worker(payload: WorkerPayload) -> None:
         obs.install_tracer(obs.Tracer(jsonl_path=shard_dir / f"pid-{os.getpid()}.jsonl"))
     else:
         obs.uninstall_tracer()
-    if payload.automata_cache_dir is not None:
-        from repro.modelcheck.fastpath import configure_automata_cache  # deferred: keep import light
-
-        configure_automata_cache(payload.automata_cache_dir)
     _WORKER_SCORER = payload.build_scorer()
 
 

@@ -109,10 +109,6 @@ def add_service_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache-max-bytes", type=int, default=None,
         help="compact the shared cache directory to this many total bytes",
     )
-    parser.add_argument(
-        "--automata-cache-dir", type=Path, default=None,
-        help="persist the Büchi construction memo here (skips LTL re-translation across runs/workers)",
-    )
     parser.add_argument("--seed", type=int, default=0, help="seed for empirical trace collection")
 
 
@@ -144,7 +140,6 @@ def serving_config_from_args(args):
         shared_cache_dir=str(args.cache_dir) if args.cache_dir else None,
         shared_cache_max_entries=args.cache_max_entries,
         shared_cache_max_bytes=args.cache_max_bytes,
-        automata_cache_dir=str(args.automata_cache_dir) if args.automata_cache_dir else None,
     )
 
 

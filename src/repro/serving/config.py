@@ -51,15 +51,6 @@ class ServingConfig:
         recently written first, until the directory fits.  Composes with
         ``shared_cache_max_entries`` (entries are trimmed before shards are
         evicted); either, both or neither may be set.
-    automata_cache_dir:
-        Optional directory for the Büchi construction memo's persisted shard
-        (:func:`repro.modelcheck.fastpath.configure_automata_cache`).  The
-        service configures the process-wide memo at startup and threads the
-        directory through :class:`~repro.serving.backends.WorkerPayload`, so
-        freshly forked process-backend workers load the rule book's pruned
-        automata from disk instead of re-translating LTL on every init.
-        Distinct from ``shared_cache_dir`` (which caches *scores*); this
-        caches the automata themselves, keyed on canonical formula text.
     """
 
     enabled: bool = True
@@ -69,7 +60,6 @@ class ServingConfig:
     shared_cache_dir: str | None = None
     shared_cache_max_entries: int | None = None
     shared_cache_max_bytes: int | None = None
-    automata_cache_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:

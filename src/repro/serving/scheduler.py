@@ -346,19 +346,10 @@ class FeedbackService:
                 feedback,
                 seed=seed,
                 trace_shard_dir=None if shard_dir is None else str(shard_dir),
-                automata_cache_dir=self.config.automata_cache_dir,
             )
             if model_builder is None
             else None
         )
-        if self.config.automata_cache_dir is not None:
-            # Attach the process-wide Büchi memo to its persisted shard now,
-            # so this process loads previously translated rule-book automata
-            # and flushes its own translations for future runs (and for the
-            # workers, which configure the same directory in their init).
-            from repro.modelcheck.fastpath import configure_automata_cache  # deferred: avoid cycle
-
-            configure_automata_cache(self.config.automata_cache_dir)
         self.metrics = ServingMetrics()
         self._fingerprint = feedback_fingerprint(feedback, self.specifications, seed=seed)
         self.cache = self._initial_cache()

@@ -118,8 +118,6 @@ class TestDocumentationFiles:
             "formula_key",              # memo keying
             "prune_automaton",
             "Soundness argument",       # the pruning soundness section survives
-            "automata_cache_dir",       # cache dir layout + wiring
-            "FASTPATH_SCHEMA_VERSION",
             "NaiveModelChecker",
             "mc.construct_cached",      # honest span attribution is documented
             "satisfaction_ratio",       # the vacuous-true decision is recorded

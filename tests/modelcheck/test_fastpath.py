@@ -1,9 +1,8 @@
 """Tests for the verification fast path (repro.modelcheck.fastpath).
 
 The differential and fuzz suites prove verdict agreement end to end; these
-tests cover the fast path's building blocks directly — pruning, serialization,
-the construction memo and its persisted shard, compiled products, result
-caching and fingerprints.
+tests cover the fast path's building blocks directly — pruning, the
+construction memo, compiled products, result caching and fingerprints.
 """
 
 import pytest
@@ -23,11 +22,9 @@ from repro.modelcheck.fastpath import (
     automaton_accepts_lasso,
     compile_product,
     controller_fingerprint,
-    deserialize_automaton,
     find_accepting_lasso,
     model_fingerprint,
     prune_automaton,
-    serialize_automaton,
 )
 
 
@@ -119,25 +116,6 @@ class TestPruning:
         assert automaton_accepts_lasso(prune_automaton(raw), prefix_labels, cycle_labels)
 
 
-class TestSerialization:
-    def test_round_trip_preserves_the_language_machinery(self):
-        raw = prune_automaton(negated_automaton("G (a -> F b)"))
-        restored = deserialize_automaton(serialize_automaton(raw))
-        assert restored is not None
-        assert restored.num_states == raw.num_states
-        assert len(restored.transitions) == len(raw.transitions)
-        assert {s for s in restored.accepting_states} == set(raw.accepting_states)
-
-    def test_schema_mismatch_is_rejected(self):
-        payload = serialize_automaton(prune_automaton(negated_automaton("G a")))
-        payload["schema"] = 999
-        assert deserialize_automaton(payload) is None
-
-    @pytest.mark.parametrize("payload", [None, 7, {}, {"schema": 1}, {"schema": 1, "states": "x"}])
-    def test_malformed_payloads_are_rejected_not_raised(self, payload):
-        assert deserialize_automaton(payload) is None
-
-
 class TestBuchiMemo:
     def test_first_translation_is_a_miss_then_memory_hits(self):
         memo = BuchiMemo()
@@ -149,45 +127,7 @@ class TestBuchiMemo:
         stats = memo.stats()
         assert stats["misses"] == 1
         assert stats["hits_memory"] == 1
-
-    def test_persisted_shard_round_trip(self, tmp_path):
-        formula = Not(parse_ltl("G (ped -> F stop)"))
-        key = formula_key(formula)
-        writer = BuchiMemo()
-        assert writer.configure_directory(tmp_path) == 0
-        first = writer.translate_and_store(key, formula)
-
-        reader = BuchiMemo()
-        assert reader.configure_directory(tmp_path) == 1
-        assert reader.has_persisted(key)
-        loaded = reader.load_persisted(key)
-        assert loaded is not None
-        assert loaded.num_states == first.num_states
-        assert reader.stats()["hits_disk"] == 1
-        # Once deserialized it lives in memory: no second disk load.
-        assert not reader.has_persisted(key)
-        assert reader.lookup(key) is loaded
-
-    def test_memory_entries_flush_when_a_directory_attaches_later(self, tmp_path):
-        formula = Not(parse_ltl("F b"))
-        key = formula_key(formula)
-        early = BuchiMemo()
-        early.translate_and_store(key, formula)
-        early.configure_directory(tmp_path)
-
-        later = BuchiMemo()
-        assert later.configure_directory(tmp_path) == 1
-
-    def test_corrupt_persisted_entry_falls_back_to_none(self, tmp_path):
-        memo = BuchiMemo()
-        memo._persisted["bad-key"] = {"schema": 999}
-        assert memo.load_persisted("bad-key") is None
-
-    def test_detach_with_none(self, tmp_path):
-        memo = BuchiMemo()
-        memo.configure_directory(tmp_path)
-        assert memo.configure_directory(None) == 0
-        assert memo._directory is None
+        assert stats["hits_disk"] == 0
 
 
 class TestCompiledProduct:

@@ -38,22 +38,6 @@ class TestConstructSpans:
         assert names.count("mc.construct_cached") == 1
         cached_span = next(s for s in tracer.spans() if s.name == "mc.construct_cached")
         assert cached_span.attributes["spec"] == "phi"
-        assert cached_span.attributes["source"] == "memory"
-
-    def test_disk_hit_is_attributed_to_its_source(self, tmp_path):
-        formula = parse_ltl("G (a -> F b)")
-        writer = BuchiMemo()
-        writer.configure_directory(tmp_path)
-        ModelChecker(memo=writer).check(simple_kripke(), formula)
-
-        reader = BuchiMemo()
-        reader.configure_directory(tmp_path)
-        tracer = obs.install_tracer(Tracer())
-        ModelChecker(memo=reader).check(simple_kripke(), formula, name="phi")
-        cached = [s for s in tracer.spans() if s.name == "mc.construct_cached"]
-        assert len(cached) == 1
-        assert cached[0].attributes["source"] == "disk"
-        assert not any(s.name == "mc.construct" for s in tracer.spans())
 
     def test_result_cache_hit_emits_check_cached(self):
         task = task_by_name("turn_left_unprotected")

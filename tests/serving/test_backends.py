@@ -318,57 +318,3 @@ class TestSharedCacheAcrossRuns:
 
         config = quick_pipeline_config(seed=0, shared_cache_dir=str(tmp_path / "shared"))
         assert config.serving.shared_cache_dir == str(tmp_path / "shared")
-
-
-class TestAutomataCacheThreading:
-    """ServingConfig.automata_cache_dir reaches the memo and the workers."""
-
-    def test_service_populates_the_automata_shard(self, tmp_path):
-        from repro.modelcheck.fastpath import configure_automata_cache
-
-        cache_dir = tmp_path / "automata"
-        try:
-            service = FeedbackService(
-                core_specifications(),
-                feedback=FeedbackConfig(),
-                config=ServingConfig(automata_cache_dir=str(cache_dir)),
-            )
-            jobs = _mixed_scenario_jobs()[:3]
-            service.score_batch(jobs)
-        finally:
-            configure_automata_cache(None)  # detach the process-wide memo
-        shards = list(cache_dir.glob("*.json"))
-        assert shards, "verification never persisted any automata"
-        document = json.loads(shards[0].read_text())
-        assert document["entries"], "the automata shard is empty"
-
-    def test_payload_carries_the_directory_to_workers(self, tmp_path):
-        from repro.modelcheck.fastpath import automata_memo, configure_automata_cache
-
-        cache_dir = tmp_path / "automata"
-        try:
-            service = FeedbackService(
-                core_specifications(),
-                feedback=FeedbackConfig(),
-                config=ServingConfig(automata_cache_dir=str(cache_dir)),
-            )
-            assert service._payload is not None
-            assert service._payload.automata_cache_dir == str(cache_dir)
-        finally:
-            configure_automata_cache(None)
-
-    def test_warm_shard_preloads_the_memo(self, tmp_path):
-        from repro.modelcheck.fastpath import BuchiMemo, configure_automata_cache
-
-        cache_dir = tmp_path / "automata"
-        try:
-            warm = FeedbackService(
-                core_specifications(),
-                feedback=FeedbackConfig(),
-                config=ServingConfig(automata_cache_dir=str(cache_dir)),
-            )
-            warm.score_batch(_mixed_scenario_jobs()[:3])
-        finally:
-            configure_automata_cache(None)
-        fresh = BuchiMemo()
-        assert fresh.configure_directory(cache_dir) >= len(core_specifications())
