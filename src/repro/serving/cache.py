@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -22,25 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from repro.utils.retry import RetryPolicy, call_with_retry
 from repro.utils.serialization import dump_json_atomic, load_json
 
 #: Bump when the key layout changes so stale persisted caches are ignored.
 CACHE_SCHEMA_VERSION = 1
-
-#: Backoff between compaction-lock acquisition attempts: a takeover that wins
-#: the rename-aside claim still has to win the fresh ``O_EXCL`` create, and a
-#: holder observed releasing between ``open`` and ``stat`` deserves one more
-#: look — both retry once, after a short fixed pause (no jitter: the rename
-#: already arbitrates races, so determinism wins over spread).
-COMPACTION_LOCK_RETRY = RetryPolicy(
-    max_attempts=2, base_delay=0.01, multiplier=1.0, max_delay=0.01, jitter=0.0
-)
-
-
-class _LockContended(Exception):
-    """Internal: the compaction lock is worth one more acquisition attempt."""
-
 
 def feedback_fingerprint(feedback, specifications: Mapping, *, seed: int = 0) -> str:
     """Canonical string identifying one feedback configuration.
@@ -212,13 +196,15 @@ class CacheDirectory:
     write-first past a byte budget, and the lock/tmp litter that ``store``'s
     atomic writes can leave behind is swept up.  ``FeedbackService.flush()``
     runs it automatically when ``ServingConfig.shared_cache_max_entries`` /
-    ``shared_cache_max_bytes`` are set.
+    ``shared_cache_max_bytes`` are set.  Both kinds of writer lock with POSIX
+    ``flock``: ``store`` on the shard's ``*.lock`` file, ``compact`` on the
+    directory's ``compact.lock``.
     """
 
     #: Hex digits of the fingerprint digest used as the shard file name.
     DIGEST_PREFIX = 16
 
-    #: Directory-level compaction lock file (never a shard, never swept while fresh).
+    #: Directory-level compaction lock file (never a shard, never unlinked).
     COMPACT_LOCK_NAME = "compact.lock"
 
     def __init__(self, root: str | Path):
@@ -320,125 +306,54 @@ class CacheDirectory:
                 continue  # evicted between glob and stat
         return [path for _mtime, _name, path in sorted(stamped)]
 
-    def _directory_bytes(self) -> int:
-        """Total size of the surviving shards, tolerant of concurrent eviction."""
-        total = 0
+    def _shard_sizes(self) -> dict:
+        """``{shard: bytes}`` of the surviving shards, oldest write first.
+
+        Like :meth:`shard_files`, tolerant of concurrent eviction: a shard
+        removed between the listing and its ``stat`` is left out.
+        """
+        sizes = {}
         for shard in self.shard_files():
             try:
-                total += shard.stat().st_size
+                sizes[shard] = shard.stat().st_size
             except OSError:
                 continue
-        return total
+        return sizes
+
+    def _directory_bytes(self) -> int:
+        """Total size of the surviving shards, tolerant of concurrent eviction."""
+        return sum(self._shard_sizes().values())
 
     # ------------------------------------------------------------------ #
-    def _try_acquire_compaction_lock(self, stale_after: float, *, sleep=time.sleep) -> bool:
-        """Atomically claim the directory-wide compaction lock, or report busy.
+    @contextmanager
+    def _compaction_lock(self):
+        """Take the directory-wide compaction lock; yields whether it is held.
 
-        The lock is a file created with ``O_CREAT | O_EXCL`` (atomic on every
-        platform), holding the owner's pid and start time for debuggability.
-        If the file already exists, the holder is presumed live and this
-        process *skips* compaction — unless the lock's mtime is older than
-        ``stale_after`` seconds, in which case the holder is presumed dead
-        (crashed mid-compaction) and the lock is taken over via
-        :meth:`_takeover_stale_lock`: an atomic rename-aside claim that
-        exactly one of several racing takeover attempts can win, followed by
-        one fresh ``O_EXCL`` attempt.  Retry timing (one extra attempt, after
-        a short pause) is :data:`COMPACTION_LOCK_RETRY` driven through the
-        shared :func:`repro.utils.retry.call_with_retry`; ``sleep`` is
-        injectable so tests assert the backoff without waiting it out.
+        A non-blocking ``flock`` on ``compact.lock``.  It yields False when
+        another holder has the lock: another process, or another open of the
+        file in this one (``flock`` locks each open file description, so two
+        threads exclude each other too).  The kernel drops the lock when its
+        holder exits, crashed or not, so a dead compactor never blocks the
+        next one and a live one is never taken over.  The file is never
+        unlinked: a later opener would lock a fresh inode beside a live
+        holder.  Without ``fcntl`` (non-POSIX) it always yields False, so
+        compaction never runs unlocked.
         """
         try:
-            return call_with_retry(
-                lambda: self._attempt_compaction_lock(stale_after),
-                policy=COMPACTION_LOCK_RETRY,
-                retry_on=(_LockContended,),
-                sleep=sleep,
-            )
-        except _LockContended:
-            return False  # still contended after the policy's attempts: busy
-
-    def _attempt_compaction_lock(self, stale_after: float) -> bool:
-        """One acquisition attempt: True (held), False (live holder — give
-        up), or :class:`_LockContended` (a retry may succeed)."""
-        lock = self.root / self.COMPACT_LOCK_NAME
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            import fcntl
+        except ImportError:
+            yield False
+            return
+        with (self.root / self.COMPACT_LOCK_NAME).open("a") as lock_file:
             try:
-                age = time.time() - lock.stat().st_mtime
-            except OSError:
-                raise _LockContended("holder released between open and stat") from None
-            if age <= stale_after:
-                return False  # a live process is compacting; skip this round
-            if not self._takeover_stale_lock(lock, stale_after):
-                return False
-            raise _LockContended("stale lock taken over; re-attempt the create")
-        try:
-            os.write(fd, self._lock_owner_tag())
-        finally:
-            os.close(fd)
-        return True
-
-    def _lock_owner_tag(self) -> bytes:
-        """This process's identity, written into the lock it holds."""
-        return f"pid={os.getpid()}\n".encode()
-
-    def _touch_compaction_lock(self) -> None:
-        """Refresh the held lock's mtime — a lease renewal.
-
-        Called between compaction passes (and per shard inside the trim
-        loop), so a legitimately long-running compaction keeps its lock
-        fresh and cannot be mistaken for a crashed holder by another
-        process's staleness check.
-        """
-        try:
-            os.utime(self.root / self.COMPACT_LOCK_NAME)
-        except OSError:
-            pass
-
-    def _takeover_stale_lock(self, lock: Path, stale_after: float) -> bool:
-        """Claim a stale lock without ever deleting a live one.
-
-        The stale file is *renamed* to a private name — an atomic claim only
-        one of several racing takeover attempts can win — and then re-checked:
-        if the renamed file turns out to be fresh (the stale lock was replaced
-        by a new holder between our staleness check and the rename), the live
-        holder's file is restored via ``os.link`` (same inode, so its own
-        release still works; the link fails harmlessly if a third process
-        already re-created the lock) and the takeover backs off.
-        """
-        claimed = lock.with_name(f"{lock.name}.stale.{os.getpid()}")
-        try:
-            os.rename(lock, claimed)
-        except OSError:
-            return False  # a concurrent takeover won the rename
-        try:
-            stole_live_lock = time.time() - claimed.stat().st_mtime <= stale_after
-        except OSError:
-            stole_live_lock = False
-        if stole_live_lock:
+                fcntl.flock(lock_file, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                yield False
+                return
             try:
-                os.link(claimed, lock)
-            except OSError:
-                pass
-            claimed.unlink(missing_ok=True)
-            return False
-        claimed.unlink(missing_ok=True)
-        return True
-
-    def _release_compaction_lock(self) -> None:
-        """Drop the directory-wide compaction lock (best-effort).
-
-        Only a lock this process still owns is unlinked: if the lock went
-        stale anyway and another process took it over, the file now carries
-        the new owner's pid and must not be deleted out from under it.
-        """
-        lock = self.root / self.COMPACT_LOCK_NAME
-        try:
-            if lock.read_bytes() == self._lock_owner_tag():
-                lock.unlink(missing_ok=True)
-        except OSError:
-            pass
+                yield True
+            finally:
+                fcntl.flock(lock_file, fcntl.LOCK_UN)
 
     def compact(
         self,
@@ -446,18 +361,16 @@ class CacheDirectory:
         max_entries: int | None = None,
         max_bytes: int | None = None,
         tmp_grace_seconds: float = 3600.0,
-        stale_lock_seconds: float = 600.0,
     ) -> "CompactionReport":
         """Bound the directory's size and sweep up ``store``'s litter.
 
-        Compaction is coordinated *across processes* by a directory-level
-        lock (``compact.lock``, created atomically with ``O_EXCL``): two
-        services flushing the same ``shared_cache_dir`` can never evict or
-        rewrite shards concurrently.  A process that finds the lock held
-        skips compaction for this round — the holder is already doing the
-        work — and returns a report with ``skipped=True``; a lock older than
-        ``stale_lock_seconds`` is presumed to belong to a crashed process and
-        is taken over.
+        One compactor runs at a time, across processes and threads: the
+        passes run under :meth:`_compaction_lock`, a non-blocking ``flock``
+        on ``compact.lock``.  A call that finds the lock held skips this
+        round — the holder is already doing the work — and returns a report
+        with ``skipped=True``.  The lock is released when its holder exits,
+        so a crashed compactor never blocks the next call.  Without
+        ``fcntl`` (non-POSIX) every call is skipped; ``store`` still works.
 
         Three passes then run, each independently best-effort (a shard
         another process is rewriting concurrently is simply skipped this
@@ -479,21 +392,19 @@ class CacheDirectory:
            ``tmp_grace_seconds``.  The grace window keeps the sweep from
            racing a live ``store``: a brand-new fingerprint's lock exists
            before its shard does, but it was also created (fresh mtime)
-           moments ago.
+           moments ago.  ``compact.lock`` itself is never swept.
 
         Either bound may be ``None`` (unbounded); the sweep always runs.
         Returns a :class:`CompactionReport` of what was done.
         """
-        if not self._try_acquire_compaction_lock(stale_lock_seconds):
-            return CompactionReport(skipped=True, total_bytes=self._directory_bytes())
-        try:
+        with self._compaction_lock() as held:
+            if not held:
+                return CompactionReport(skipped=True, total_bytes=self._directory_bytes())
             return self._compact_locked(
                 max_entries=max_entries,
                 max_bytes=max_bytes,
                 tmp_grace_seconds=tmp_grace_seconds,
             )
-        finally:
-            self._release_compaction_lock()
 
     def _compact_locked(
         self,
@@ -507,7 +418,6 @@ class CacheDirectory:
 
         if max_entries is not None:
             for shard in self.shard_files():
-                self._touch_compaction_lock()  # lease renewal per shard
                 try:
                     with self._store_lock(shard):
                         payload = load_json(shard)
@@ -524,11 +434,9 @@ class CacheDirectory:
                     continue
 
         if max_bytes is not None:
-            self._touch_compaction_lock()
-            shards = self.shard_files()
-            sizes = {shard: shard.stat().st_size for shard in shards}
+            sizes = self._shard_sizes()
             total = sum(sizes.values())
-            for shard in shards:  # oldest write first
+            for shard in sizes:  # oldest write first
                 if total <= max_bytes:
                     break
                 try:
@@ -538,12 +446,11 @@ class CacheDirectory:
                 total -= sizes[shard]
                 evicted += 1
 
-        self._touch_compaction_lock()
         now = time.time()
         surviving = {shard.name for shard in self.shard_files()}
         for lock in self.root.glob("*.lock"):
             if lock.name == self.COMPACT_LOCK_NAME:
-                continue  # the directory lock this very pass is holding
+                continue  # the directory lock; never unlinked
             try:
                 if (
                     lock.name[: -len(".lock")] not in surviving
@@ -560,15 +467,6 @@ class CacheDirectory:
                     removed_tmp += 1
             except OSError:
                 continue
-        # Rename-aside claims from crashed takeover attempts are litter too.
-        for stale_claim in self.root.glob(f"{self.COMPACT_LOCK_NAME}.stale.*"):
-            try:
-                if now - stale_claim.stat().st_mtime > tmp_grace_seconds:
-                    stale_claim.unlink(missing_ok=True)
-                    removed_locks += 1
-            except OSError:
-                continue
-
         return CompactionReport(
             trimmed_shards=trimmed,
             evicted_shards=evicted,
@@ -582,8 +480,9 @@ class CacheDirectory:
 class CompactionReport:
     """What one :meth:`CacheDirectory.compact` pass did.
 
-    ``skipped`` is True when another live process held the directory's
-    compaction lock, so this call did nothing but measure the current size.
+    ``skipped`` is True when the directory's compaction lock was held
+    elsewhere (or ``fcntl`` is missing), so this call did nothing but measure
+    the current size.
     """
 
     trimmed_shards: int = 0

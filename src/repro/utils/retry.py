@@ -1,12 +1,8 @@
 """Capped, jittered exponential backoff — the one retry policy in the tree.
 
-Transient failures show up in three places that used to each improvise their
-own timing: a worker process pool whose workers died mid-batch, the
-cache-directory compaction lock contended by a concurrent (or crashed)
-process, and now the job daemon re-running a verification attempt that
-raised.  All three share the same shape — try, wait a growing bounded delay,
-try again, give up after a fixed number of attempts — so the policy lives
-here once, with every time source injectable:
+The job daemon re-runs a verification attempt that raised: try, wait a
+growing bounded delay, try again, give up after a fixed number of attempts.
+The policy lives here, with every time source injectable:
 
 * ``sleep`` is a parameter, so tests retry instantly;
 * jitter comes from a caller-supplied ``random.Random`` (``None`` disables

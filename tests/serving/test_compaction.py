@@ -2,12 +2,18 @@
 
 The contract under test: :meth:`CacheDirectory.compact` trims each shard to
 its *newest* entries, evicts whole shards least-recently-written first under
-a byte budget, sweeps the lock/tmp litter ``store`` can leave behind, and
-never mistakes a lock or tmp file for a shard — and ``FeedbackService.flush``
-runs it automatically when the ``ServingConfig`` bounds are set.
+a byte budget, sweeps the lock/tmp litter ``store`` can leave behind, never mistakes a lock
+or tmp file for a shard, and runs one compactor at a time — and
+``FeedbackService.flush`` runs it automatically when the ``ServingConfig``
+bounds are set.
 """
 
 import os
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +75,19 @@ class TestShardEviction:
         assert not directory.shard_path("fp1").exists()
         assert directory.shard_entries("fp2") and directory.shard_entries("fp3")
         assert report.total_bytes <= 2 * shard_size
+
+    def test_byte_pass_tolerates_a_vanished_shard(self, tmp_path, monkeypatch):
+        """A shard removed between the listing and its stat (another
+        process's eviction) is skipped, not raised out of compact()."""
+        directory = CacheDirectory(tmp_path)
+        for index in range(3):
+            _store_numbered_shard(directory, f"fp{index}", 10)
+        listed = directory.shard_files()
+        listed[0].unlink()
+        monkeypatch.setattr(directory, "shard_files", lambda: listed)
+        report = directory.compact(max_bytes=10)
+        assert report.evicted_shards == 2
+        assert not any(path.exists() for path in listed)
 
     def test_eviction_leaves_the_lock_for_the_graced_sweep(self, tmp_path):
         """The shard goes at once; its lock only after the grace window, so a
@@ -181,125 +200,150 @@ class TestConfiguredCompaction:
         assert sum(path.stat().st_size for path in directory.shard_files()) <= budget
 
 
-class TestCrossProcessCompactionLock:
-    """Two processes compacting one ``shared_cache_dir`` must coordinate:
-    the directory-level ``compact.lock`` admits one compactor at a time,
-    and a lock left by a crashed process is taken over after it goes stale."""
+class TestCompactionLock:
+    """Compactors of one ``shared_cache_dir`` coordinate through a
+    non-blocking ``flock`` on ``compact.lock``: one compactor at a time,
+    across processes and threads, and a dead holder never blocks."""
 
     def test_held_lock_skips_compaction(self, tmp_path):
         directory = CacheDirectory(tmp_path)
         _store_numbered_shard(directory, "fp", 10)
-        lock = tmp_path / CacheDirectory.COMPACT_LOCK_NAME
-        lock.write_text("pid=12345 started=now\n")  # a live peer, mid-compaction
-        report = directory.compact(max_entries=3)
+        with _FlockHolder(tmp_path):
+            report = directory.compact(max_entries=3)
         assert report.skipped is True
         assert report.trimmed_shards == 0
         assert len(directory.shard_entries("fp")) == 10, "a skipped pass must not touch shards"
-        assert lock.exists(), "a held lock must never be stolen while fresh"
 
-    def test_stale_lock_is_taken_over(self, tmp_path):
+    def test_killed_holder_does_not_block(self, tmp_path):
+        """The kernel drops a SIGKILLed holder's flock: the next compaction
+        runs at once, with no stale timeout to wait out."""
         directory = CacheDirectory(tmp_path)
         _store_numbered_shard(directory, "fp", 10)
-        lock = tmp_path / CacheDirectory.COMPACT_LOCK_NAME
-        lock.write_text("pid=12345 started=long-ago\n")
-        os.utime(lock, (1_000_000, 1_000_000))  # crashed holder: ancient mtime
-        report = directory.compact(max_entries=3, stale_lock_seconds=60)
+        with _FlockHolder(tmp_path) as holder:
+            holder.kill()
+            report = directory.compact(max_entries=3)
         assert report.skipped is False
         assert report.trimmed_shards == 1
         assert len(directory.shard_entries("fp")) == 3
-        assert not lock.exists(), "the winner must release the taken-over lock"
 
-    def test_release_never_deletes_a_lock_owned_by_another_process(self, tmp_path):
-        """Regression: a holder whose lock was taken over (it outlived the
-        stale timeout) must not unlink the new owner's lock on release."""
+    def test_a_second_holder_in_this_process_is_excluded(self, tmp_path):
+        """flock locks each open file description, so a thread compacting
+        while another holds the lock skips, like a second process."""
         directory = CacheDirectory(tmp_path)
-        assert directory._try_acquire_compaction_lock(60.0)
-        lock = tmp_path / CacheDirectory.COMPACT_LOCK_NAME
-        lock.write_text("pid=999999\n")  # a takeover re-owned the lock
-        directory._release_compaction_lock()
-        assert lock.exists(), "release must leave another owner's lock alone"
-        lock.unlink()
+        _store_numbered_shard(directory, "fp", 10)
+        reports = []
+        with directory._compaction_lock() as held:
+            assert held
+            thread = threading.Thread(target=lambda: reports.append(directory.compact(max_entries=3)))
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert reports[0].skipped is True
+        assert len(directory.shard_entries("fp")) == 10
 
-    def test_compaction_renews_its_lease_while_running(self, tmp_path):
+    def test_without_fcntl_compaction_is_skipped(self, tmp_path, monkeypatch):
         directory = CacheDirectory(tmp_path)
-        assert directory._try_acquire_compaction_lock(60.0)
-        lock = tmp_path / CacheDirectory.COMPACT_LOCK_NAME
-        os.utime(lock, (1_000_000, 1_000_000))  # pretend the work ran long
-        directory._touch_compaction_lock()
-        import time as _time
-
-        assert _time.time() - lock.stat().st_mtime < 60, "touch must refresh the lease"
-        directory._release_compaction_lock()
-        assert not lock.exists()
-
-    def test_takeover_backs_off_from_a_fresh_lock(self, tmp_path):
-        """The rename-aside claim re-checks freshness: a live lock that
-        replaced the stale one between stat and rename is restored."""
-        directory = CacheDirectory(tmp_path)
-        lock = tmp_path / CacheDirectory.COMPACT_LOCK_NAME
-        lock.write_text("pid=424242\n")  # fresh mtime: a live holder
-        assert directory._takeover_stale_lock(lock, stale_after=3600) is False
-        assert lock.exists(), "a live holder's lock must be restored"
-        assert lock.read_text() == "pid=424242\n"
-        assert not list(tmp_path.glob(f"{CacheDirectory.COMPACT_LOCK_NAME}.stale.*"))
+        _store_numbered_shard(directory, "fp", 10)
+        stale_tmp = tmp_path / "abcd.json.tmp.111"
+        stale_tmp.write_text("{")
+        os.utime(stale_tmp, (1, 1))
+        monkeypatch.setitem(sys.modules, "fcntl", None)  # `import fcntl` now fails
+        report = directory.compact(max_entries=3, max_bytes=1)
+        assert report.skipped is True
+        assert len(directory.shard_entries("fp")) == 10
+        assert stale_tmp.exists(), "compaction must never run unlocked"
+        _store_numbered_shard(directory, "fp2", 2)  # store() still works
+        assert len(directory.shard_entries("fp2")) == 2
 
     def test_compaction_releases_its_lock(self, tmp_path):
         directory = CacheDirectory(tmp_path)
         _store_numbered_shard(directory, "fp", 10)
-        directory.compact(max_entries=3)
-        assert not (tmp_path / CacheDirectory.COMPACT_LOCK_NAME).exists()
+        assert directory.compact(max_entries=5).trimmed_shards == 1
+        assert (tmp_path / CacheDirectory.COMPACT_LOCK_NAME).exists(), "the lock file is never unlinked"
+        report = directory.compact(max_entries=3)
+        assert report.skipped is False and report.trimmed_shards == 1
 
     def test_two_live_processes_one_compactor(self, tmp_path):
-        """A real second process holds the lock while this one tries to
-        compact; once the peer exits (lock released), compaction proceeds."""
-        import subprocess
-        import sys
-
+        """A real second process compacting holds the lock while this one
+        tries; once the peer releases it, compaction proceeds."""
         directory = CacheDirectory(tmp_path)
         _store_numbered_shard(directory, "fp", 10)
-        child = subprocess.Popen(
-            [
-                sys.executable,
-                "-c",
-                (
-                    "import sys\n"
-                    "from repro.serving import CacheDirectory\n"
-                    "directory = CacheDirectory(sys.argv[1])\n"
-                    "assert directory._try_acquire_compaction_lock(60.0)\n"
-                    "print('held', flush=True)\n"
-                    "sys.stdin.readline()  # hold until the parent says so\n"
-                    "directory._release_compaction_lock()\n"
-                    "print('released', flush=True)\n"
-                ),
-                str(tmp_path),
-            ],
+        script = (
+            "import sys\n"
+            "from repro.serving import CacheDirectory\n"
+            "with CacheDirectory(sys.argv[1])._compaction_lock() as held:\n"
+            "    assert held\n"
+            "    print('held', flush=True)\n"
+            "    sys.stdin.readline()  # hold until the parent says so\n"
+            "print('released', flush=True)\n"
+        )
+        with _FlockHolder(tmp_path, script=script) as holder:
+            blocked = directory.compact(max_entries=3)
+            assert blocked.skipped is True
+            assert len(directory.shard_entries("fp")) == 10
+            holder.release()
+            assert holder.child.stdout.readline().strip() == "released"
+
+            report = directory.compact(max_entries=3)
+            assert report.skipped is False
+            assert report.trimmed_shards == 1
+            assert len(directory.shard_entries("fp")) == 3
+
+
+#: A child process that takes the flock on ``compact.lock`` directly and
+#: holds it until told to stop.
+_RAW_FLOCK_HOLDER = (
+    "import fcntl, sys\n"
+    "lock = open(sys.argv[1] + '/compact.lock', 'a')\n"
+    "fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)\n"
+    "print('held', flush=True)\n"
+    "sys.stdin.readline()\n"
+)
+
+
+class _FlockHolder:
+    """Runs a child process that holds ``compact.lock`` until released."""
+
+    def __init__(self, root, *, script: str = _RAW_FLOCK_HOLDER):
+        self.root = root
+        self.script = script
+        self.child = None
+        self.released = False
+
+    def start(self) -> "_FlockHolder":
+        self.child = subprocess.Popen(
+            [sys.executable, "-c", self.script, str(self.root)],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             text=True,
             env={**os.environ, "PYTHONPATH": str(_repo_src())},
         )
+        assert self.child.stdout.readline().strip() == "held"
+        return self
+
+    def release(self) -> None:
+        self.released = True
+        self.child.stdin.write("done\n")
+        self.child.stdin.flush()
+
+    def kill(self) -> None:
+        self.child.send_signal(signal.SIGKILL)
+        self.child.wait(timeout=10)
+
+    def __enter__(self) -> "_FlockHolder":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
         try:
-            assert child.stdout.readline().strip() == "held"
-            blocked = directory.compact(max_entries=3, stale_lock_seconds=60)
-            assert blocked.skipped is True
-            assert len(directory.shard_entries("fp")) == 10
-
-            child.stdin.write("done\n")
-            child.stdin.flush()
-            assert child.stdout.readline().strip() == "released"
-            child.wait(timeout=10)
-
-            report = directory.compact(max_entries=3, stale_lock_seconds=60)
-            assert report.skipped is False
-            assert report.trimmed_shards == 1
-            assert len(directory.shard_entries("fp")) == 3
+            if not self.released and self.child.poll() is None:
+                self.release()
+            self.child.wait(timeout=10)
+        except (OSError, subprocess.TimeoutExpired):
+            self.kill()
         finally:
-            if child.poll() is None:
-                child.kill()
-                child.wait(timeout=10)
+            self.child.stdin.close()
+            self.child.stdout.close()
 
 
 def _repo_src():
-    from pathlib import Path
-
     return Path(__file__).resolve().parents[2] / "src"
