@@ -14,7 +14,7 @@ quickstart; see ``docs/serving.md`` for the architecture behind it):
    first's fingerprint shard, so its hit rate is 100% and nothing is
    re-verified.
 2. *Python submission API* — the same workload is scored through
-   ``FeedbackService.submit_batch``: batches are queued on a shared
+   ``FeedbackService.submit_batch``: batches are queued on the service's own
    :class:`~repro.serving.scheduler.Dispatcher` and their handles drained in
    submission order — the shape the pipeline uses to rank one task's
    responses while the next task's verify.
@@ -61,39 +61,34 @@ def demo_cli(workdir: Path) -> None:
 
 
 def demo_submit() -> None:
-    """The Python-side submission API: submit_batch on a shared Dispatcher."""
+    """The Python-side submission API: submit_batch on the service's dispatcher."""
     from repro.core.config import FeedbackConfig
     from repro.driving import all_specifications
-    from repro.serving import Dispatcher, FeedbackService
+    from repro.serving import FeedbackService
 
-    print("\n== submission API (submit_batch on a shared Dispatcher) ==", file=sys.stderr)
-    # One shared dispatcher could serve several services (e.g. a formal and an
-    # empirical channel); here one service demonstrates the lifecycle.
-    with Dispatcher(name="example-dispatch") as dispatcher:
-        with FeedbackService(
-            all_specifications(),
-            feedback=FeedbackConfig(),
-            dispatcher=dispatcher,
-        ) as service:
-            # Submit one batch per task; each call returns a PendingBatch
-            # future handle immediately.
-            handles = []
-            for task in _demo_tasks():
-                responses = list(response_templates(task.name, "compliant"))
-                responses += list(response_templates(task.name, "flawed"))
-                handles.append((task.name, service.submit_responses(task, responses)))
+    print("\n== submission API (submit_batch on the service's dispatcher) ==", file=sys.stderr)
+    # The service starts its dispatcher thread on the first submit_batch and
+    # closes it when the `with` block ends.
+    with FeedbackService(all_specifications(), feedback=FeedbackConfig()) as service:
+        # Submit one batch per task; each call returns a PendingBatch future
+        # handle immediately.
+        handles = []
+        for task in _demo_tasks():
+            responses = list(response_templates(task.name, "compliant"))
+            responses += list(response_templates(task.name, "flawed"))
+            handles.append((task.name, service.submit_responses(task, responses)))
 
-            # The dispatcher runs a service's batches in submission order, so
-            # draining the handles in that order works on each batch as soon
-            # as it is scored.
-            for name, handle in handles:
-                scores = handle.result()
-                print(
-                    f"  {name:30s} {len(scores):2d} responses, "
-                    f"scores {min(scores)}..{max(scores)}",
-                    file=sys.stderr,
-                )
-            telemetry = service.metrics.snapshot()
+        # The dispatcher runs a service's batches in submission order, so
+        # draining the handles in that order works on each batch as soon as
+        # it is scored.
+        for name, handle in handles:
+            scores = handle.result()
+            print(
+                f"  {name:30s} {len(scores):2d} responses, "
+                f"scores {min(scores)}..{max(scores)}",
+                file=sys.stderr,
+            )
+        telemetry = service.metrics.snapshot()
     print(
         f"  {telemetry['jobs']} jobs, dedup rate {telemetry['dedup_rate']:.0%}",
         file=sys.stderr,

@@ -16,7 +16,7 @@ The pipeline wires every substrate together:
    misses, and ``serving.shared_cache_dir`` warm-starts runs from a cache
    directory shared with the benchmarks and the ``repro-serve`` CLI).
    Each task's responses are submitted (``FeedbackService.submit_batch``)
-   and verify on the pipeline's dispatcher in submission order, keeping
+   and verify on the service's dispatcher in submission order, keeping
    every score bitwise-identical to a serial loop;
 4. turn the feedback ranking into preference pairs — handles are drained in
    task order, so task *k* is ranked while task *k+1* still verifies — then
@@ -46,7 +46,7 @@ from repro.lm.decode import sample_response_frontier
 from repro.lm.pretrain import PretrainResult, pretrain
 from repro.lm.tokenizer import Tokenizer
 from repro.lm.transformer import TransformerLM
-from repro.serving.scheduler import Dispatcher, FeedbackService
+from repro.serving.scheduler import FeedbackService
 from repro.utils.rng import seeded_rng
 
 
@@ -123,25 +123,16 @@ class DPOAFPipeline:
         if self.config.trace_path is not None:
             self._tracer = obs.Tracer.for_trace_file(self.config.trace_path)
             obs.install_tracer(self._tracer)
-        # The pipeline owns one Dispatcher and shares it with its service;
-        # callers that build extra FeedbackServices (e.g. an empirical channel
-        # next to the formal one) can pass the same `pipeline.dispatcher` and
-        # serve several task streams over this single submission thread.
-        self.dispatcher = Dispatcher(name="pipeline-dispatch")
         self.serving = FeedbackService(
             self.specifications,
             feedback=self.config.feedback,
             config=self.config.serving,
             seed=self.config.seed,
-            dispatcher=self.dispatcher,
         )
         # One registry federates every subsystem's telemetry; run() takes a
         # single snapshot at the end and embeds it in the exported trace.
         self.metrics_registry = MetricsRegistry()
         self.metrics_registry.register_provider("serving", self.serving.metrics.snapshot)
-        self.metrics_registry.register_provider(
-            "dispatcher", lambda: {"queued_batches": self.dispatcher.queued_batches}
-        )
 
     # ------------------------------------------------------------------ #
     # Stage 1: the pre-trained model
@@ -180,7 +171,7 @@ class DPOAFPipeline:
         The whole frontier decodes as one KV-cached batched wave, then the
         batches are submitted for verification in task order.  Returns
         ``(task, prompt, responses, PendingBatch)`` tuples in task order;
-        verification runs on the pipeline's dispatcher, which executes the
+        verification runs on the service's dispatcher, which executes the
         batches in that order, so a caller draining the handles in order
         works on task *k* while task *k+1* verifies.
         """
@@ -359,15 +350,11 @@ class DPOAFPipeline:
 
         ``run()`` leaves the pipeline reusable (its flush is part of the run);
         call this — or use the pipeline as a context manager — when done, so a
-        process-backend pool does not outlive the experiment.  The service
-        only *borrows* ``self.dispatcher`` (it drains and unregisters), so the
-        pipeline, as the owner, shuts the dispatch thread down afterwards.
+        process-backend pool does not outlive the experiment.
         """
         try:
             self.serving.close()
         finally:
-            # Even a failed flush must not leak the dispatch thread.
-            self.dispatcher.close()
             if self._tracer is not None:
                 # Only uninstall the tracer this pipeline installed: a later
                 # pipeline (or test) may have replaced it already.

@@ -125,7 +125,6 @@ def cmd_daemon(args) -> int:
                 feedback=build_feedback(args),
                 config=config,
                 seed=args.seed,
-                dispatcher=dispatcher,
             ) as service:
                 daemon = JobsDaemon(
                     args.socket,

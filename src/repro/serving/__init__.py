@@ -40,14 +40,12 @@ This package turns it into a standalone service with four layers:
     :class:`~repro.serving.scheduler.PendingBatch` future handle immediately,
     so a producer ranks one batch while the next verifies; batches execute
     in submission order, so scores stay bitwise-identical to the synchronous
-    path.  The dispatch thread is a first-class
-    :class:`~repro.serving.scheduler.Dispatcher` that several services can
-    share, serving multiple task streams over one thread; admission across
-    services is round-robin (one batch per service in rotation), so a chatty
-    service can never starve another's stream, while each service's own
-    batches still run in its submission order.  Services own
-    threads/processes once those paths are used; release them with
-    ``close()`` or a ``with`` block.
+    path.  Each service owns its dispatch thread, a
+    :class:`~repro.serving.scheduler.Dispatcher`, which runs each key's
+    calls in submission order and rotates round-robin between keys (the
+    jobs daemon's per-client fairness).  Services own threads/processes
+    once those paths are used; release them with ``close()`` or a ``with``
+    block.
 ``metrics``
     Throughput / latency / hit-rate telemetry
     (:class:`~repro.serving.metrics.ServingMetrics`), surfaced on

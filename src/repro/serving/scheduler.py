@@ -26,28 +26,21 @@ Two submission styles share one execution path:
   synchronous ones, and draining handles in submission order is draining
   them in completion order.
 
-The dispatcher thread itself is a first-class object: a :class:`Dispatcher`
-can be shared by several services (pass it to the :class:`FeedbackService`
-constructor), serialising all their batches on one thread so the pipeline or
-the jobs daemon can serve multiple task streams without spawning a thread per
-service.  Admission across services is round-robin — one batch per service
-in rotation, so a chatty service cannot starve another's stream — while each
-service's own batches still execute strictly in its submission order (the
-property determinism rests on).  A service constructed without one lazily
-creates — and owns — a private dispatcher.
+Each service lazily creates, and owns, its :class:`Dispatcher`.  The
+dispatcher runs the calls submitted under one key strictly in submission
+order and rotates round-robin between keys; the jobs daemon builds its own
+and submits each client's jobs under a per-client key, so a chatty client
+cannot starve another.
 
 A service owns OS resources once the submit or process paths are used
 (dispatcher thread, worker processes); release them with
 :meth:`FeedbackService.close` or by using the service as a context manager.
-A *shared* dispatcher outlives the services registered with it and is closed
-by whoever constructed it.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import weakref
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -105,75 +98,38 @@ class PendingBatch:
 
 
 class Dispatcher:
-    """A single-threaded, service-fair batch executor services submit through.
+    """A single-threaded executor, round-robin fair between submission keys.
 
-    Every batch a :class:`FeedbackService` accepts through ``submit_batch``
-    runs on a dispatcher: one worker thread executing each *service's*
-    batches strictly in that service's submission order, which is what keeps
-    submitted scores bitwise-identical to sequential ``score_batch`` calls.
-    A service constructed without a dispatcher lazily creates a private one;
-    constructing a ``Dispatcher`` explicitly and passing it to several
-    services *shares* that thread between them::
+    One worker thread runs every submitted call.  Calls submitted under the
+    same key run strictly in submission order, which is what keeps a
+    service's submitted scores bitwise-identical to sequential
+    ``score_batch`` calls.  Between keys, admission is **round-robin**, not
+    FIFO: each key owns a queue, and the thread takes one call from each
+    non-empty queue in rotation.  A key that has queued a hundred calls
+    therefore delays another key's next call by at most one, not a hundred.
 
-        with Dispatcher() as dispatcher:
-            formal = FeedbackService(specs, dispatcher=dispatcher)
-            empirical = FeedbackService(specs, feedback=empirical_cfg,
-                                        dispatcher=dispatcher)
-            handles = [formal.submit_batch(a), empirical.submit_batch(b)]
-
-    Admission across services is **round-robin**, not FIFO: each service owns
-    a queue, and the worker thread takes one batch from each non-empty queue
-    in rotation.  A chatty service that has queued a hundred batches
-    therefore delays another service's next batch by at most one batch, not
-    a hundred — no registered stream can be starved.  Within one service the
-    queue is strictly FIFO, preserving the per-service submission-order
-    execution that determinism depends on.  Each service keeps its own
-    cache, worker pool and telemetry — only the submission thread is shared.
-
-    Lifecycle: services :meth:`register` on construction and
-    :meth:`unregister` when closed; closing a service never tears down a
-    shared dispatcher (it drains only its own in-flight batches).  The owner
-    — whoever constructed the dispatcher — releases the thread with
-    :meth:`close` or a ``with`` block.  ``close()`` waits for everything
-    already submitted, then rejects new submissions with ``RuntimeError``.
+    A :class:`FeedbackService` lazily creates its own dispatcher and closes
+    it with the service.  The jobs daemon builds one and submits each
+    client's jobs under a per-client key, which makes this rotation its
+    cross-client fairness.  ``close()`` (or a ``with`` block) waits for
+    everything already submitted, then rejects new submissions with
+    ``RuntimeError``.
     """
 
     def __init__(self, *, name: str = "feedback-dispatch"):
         self.name = name
         self._lock = threading.Lock()
         self._executor: ThreadPoolExecutor | None = None
-        # Weak references: a service dropped without close() falls out of the
-        # registry on GC instead of leaving a stale entry (or, with id()
-        # keys, aliasing a later allocation at the same address).
-        self._services: weakref.WeakSet = weakref.WeakSet()
-        # Round-robin state: one FIFO deque of (future, fn, args) per
-        # submitter, and a rotation of the submitter keys.  A key is the
-        # id() of the submitting service (kept alive by the bound method in
-        # its queued items, so ids cannot alias while a queue is non-empty);
-        # direct `submit()` callers without a service share the None key.
+        # Round-robin state: one FIFO deque of (future, fn, args) per key,
+        # and a rotation of the keys.  A key is the id() of the caller's
+        # `service` object, which the caller keeps alive while its calls are
+        # queued (the jobs daemon holds its client tokens for its lifetime),
+        # so ids cannot alias; calls without one share the None key.
         self._queues: dict = {}
         self._rotation: deque = deque()
         self._closed = False
 
     # ------------------------------------------------------------------ #
-    def register(self, service) -> None:
-        """Record ``service`` as a user of this dispatcher."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("register on a closed Dispatcher")
-            self._services.add(service)
-
-    def unregister(self, service) -> None:
-        """Forget ``service``; the dispatcher keeps running for the others."""
-        with self._lock:
-            self._services.discard(service)
-
-    @property
-    def active_services(self) -> int:
-        """How many registered services are currently using this dispatcher."""
-        with self._lock:
-            return len(self._services)
-
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has run; a closed dispatcher rejects submits."""
@@ -190,9 +146,9 @@ class Dispatcher:
     def submit(self, fn, *args, service=None) -> Future:
         """Queue ``fn(*args)`` on the dispatch thread; returns its future.
 
-        ``service`` identifies the fairness queue the call joins: batches
-        from the same service run in their submission order, while distinct
-        services are interleaved round-robin.  Callers without a service
+        ``service`` is the fairness key (any object) whose queue the call
+        joins: calls under one key run in their submission order, while
+        distinct keys are interleaved round-robin.  Calls without a key
         (``service=None``) share one queue.  The worker thread is started
         lazily on the first submission, so a dispatcher that is constructed
         but never used costs nothing.
@@ -228,15 +184,15 @@ class Dispatcher:
                 if queue:
                     item = queue.popleft()
                     if not queue:
-                        # Drop the empty queue so a departed service's key
-                        # can't linger (or alias a recycled id) forever.
+                        # Drop the empty queue so a departed key can't
+                        # linger (or alias a recycled id) forever.
                         del self._queues[key]
                         self._rotation.remove(key)
                     return item
         return None
 
     def _run_next(self) -> None:
-        """Execute one queued batch, chosen round-robin across services."""
+        """Execute one queued call, chosen round-robin across keys."""
         item = self._pop_round_robin()
         if item is None:  # every queue drained (shutdown already ran the rest)
             return
@@ -256,16 +212,14 @@ class Dispatcher:
     def close(self, *, wait: bool = True) -> None:
         """Drain submitted batches (when ``wait``) and stop the thread.
 
-        Idempotent.  After ``close()`` every ``submit`` — from any service —
-        raises ``RuntimeError``; services themselves remain usable through
-        their synchronous ``score_batch`` path.
+        Idempotent.  After ``close()`` every ``submit`` raises
+        ``RuntimeError``.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             executor, self._executor = self._executor, None
-            self._services.clear()
         if executor is not None:
             # Shutdown waits for the already-submitted _run_next calls —
             # exactly one per queued batch — so every admitted batch still
@@ -300,12 +254,6 @@ class FeedbackService:
         scenario catalogue.  A custom builder cannot be shipped to worker
         processes, so it silently downgrades the ``"process"`` backend to the
         serial loop.
-    dispatcher:
-        Optional shared :class:`Dispatcher` to run ``submit_batch`` batches
-        on.  When omitted the service lazily creates a private dispatcher and
-        closes it with the service; a supplied dispatcher is *borrowed* —
-        ``close()`` drains this service's in-flight batches and unregisters,
-        leaving the dispatcher running for its other services.
     """
 
     def __init__(
@@ -316,7 +264,6 @@ class FeedbackService:
         config: ServingConfig | None = None,
         seed: int = 0,
         model_builder=None,
-        dispatcher: Dispatcher | None = None,
     ):
         if feedback is None:
             from repro.core.config import FeedbackConfig  # deferred: core sits above serving
@@ -360,26 +307,18 @@ class FeedbackService:
         self._digest_lock = threading.Lock()
         # One persistent process pool per service lifetime (forked lazily on
         # the first large miss batch, reused for every batch after that) and
-        # one dispatcher for submitted batches — private by default, shared
-        # when the caller passed one in.  The lock serialises score_batch
-        # bodies so direct calls and dispatcher-thread calls can interleave
-        # without racing the cache or the metrics.
+        # one dispatcher for submitted batches, created on the first submit.
+        # The lock serialises score_batch bodies so direct calls and
+        # dispatcher-thread calls can interleave without racing the cache or
+        # the metrics.
         self._pool: WorkerPool | None = None
-        self._dispatcher: Dispatcher | None = dispatcher
-        self._owns_dispatcher = dispatcher is None
-        if dispatcher is not None:
-            dispatcher.register(self)
+        self._dispatcher: Dispatcher | None = None
         self._batch_lock = threading.Lock()
         # Guards lazy dispatcher creation and the closed flag, so concurrent
         # submit_batch callers share one dispatcher (order determinism) and
         # submit can never race past close() into a shut-down executor.
         self._submit_lock = threading.Lock()
         self._closed = False
-        # Batches submitted and not yet resolved; close() waits on the
-        # condition for this to reach zero before leaving a borrowed
-        # dispatcher.
-        self._inflight = threading.Condition()
-        self._inflight_batches = 0
 
     def _initial_cache(self) -> FeedbackCache:
         cache = FeedbackCache(max_entries=self.config.cache_size)
@@ -528,40 +467,24 @@ class FeedbackService:
     # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
-    def _release(self) -> None:
-        """Uncount one resolved (or never-submitted) batch and wake close()."""
-        with self._inflight:
-            self._inflight_batches -= 1
-            self._inflight.notify_all()
-
     def submit_batch(self, jobs: Sequence[FeedbackJob]) -> PendingBatch:
         """Queue ``jobs`` for scoring and return a :class:`PendingBatch`.
 
-        Batches are executed in submission order on the service's
-        :class:`Dispatcher` (a single thread, possibly shared with other
-        services), so interleaved ``submit_batch`` / ``score_batch`` calls
-        see the cache evolve exactly as sequential ``score_batch`` calls
-        would — the handle's ``result()`` is bitwise-identical to the
-        synchronous score list.  The producer is free to keep working (the
-        pipeline ranks task *k* while task *k+1* verifies here).
+        Batches are executed in submission order on the service's own
+        :class:`Dispatcher` (a single thread), so interleaved
+        ``submit_batch`` / ``score_batch`` calls see the cache evolve exactly
+        as sequential ``score_batch`` calls would — the handle's ``result()``
+        is bitwise-identical to the synchronous score list.  The producer is
+        free to keep working (the pipeline ranks task *k* while task *k+1*
+        verifies here).
         """
         jobs = list(jobs)
-        with self._inflight:
-            self._inflight_batches += 1
-        try:
-            with self._submit_lock:
-                if self._closed:
-                    raise RuntimeError("submit_batch on a closed FeedbackService")
-                if self._dispatcher is None:
-                    self._dispatcher = Dispatcher()
-                    self._dispatcher.register(self)
-                future = self._dispatcher.submit(self.score_batch, jobs, service=self)
-        except BaseException:
-            # The batch never reached the dispatcher; uncount it so a failed
-            # submission cannot wedge close().
-            self._release()
-            raise
-        future.add_done_callback(lambda _future: self._release())
+        with self._submit_lock:
+            if self._closed:
+                raise RuntimeError("submit_batch on a closed FeedbackService")
+            if self._dispatcher is None:
+                self._dispatcher = Dispatcher()
+            future = self._dispatcher.submit(self.score_batch, jobs)
         return PendingBatch(jobs, future)
 
     def submit_responses(self, task, responses: Iterable[str]) -> PendingBatch:
@@ -576,31 +499,20 @@ class FeedbackService:
     def close(self, *, flush: bool = True) -> None:
         """Drain submitted batches and release threads/worker processes.
 
-        Waits for every batch this service already submitted, optionally
-        flushes the cache to its shared cache directory, then shuts down the
-        dispatcher (if this service owns it — a *shared* dispatcher is only
-        unregistered from, and keeps serving its other services) and the
-        persistent process pool.  Idempotent; after ``close()`` the
-        synchronous ``score_batch`` path still works (the process backend
-        degrades to serial scoring) but ``submit_batch`` raises.
+        Closing the service's dispatcher waits for every batch already
+        submitted; then the cache is optionally flushed to its shared cache
+        directory and the persistent process pool shut down.  Idempotent;
+        after ``close()`` the synchronous ``score_batch`` path still works
+        (the process backend degrades to serial scoring) but
+        ``submit_batch`` raises.
         """
         with self._submit_lock:
             if self._closed:
                 return
             self._closed = True
             dispatcher, self._dispatcher = self._dispatcher, None
-            owned = self._owns_dispatcher
         if dispatcher is not None:
-            if owned:
-                dispatcher.close(wait=True)
-            else:
-                # Drain only this service's batches — the in-flight counter
-                # falls to zero exactly when the last one resolves — and
-                # leave the shared dispatcher running for its other users.
-                with self._inflight:
-                    while self._inflight_batches > 0:
-                        self._inflight.wait()
-                dispatcher.unregister(self)
+            dispatcher.close(wait=True)
         # Serialise against any in-flight synchronous score_batch: flushing
         # while a batch mutates the cache, or closing the pool under a
         # running pool.map, would corrupt the flush or crash the batch.

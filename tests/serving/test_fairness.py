@@ -1,8 +1,9 @@
-"""Round-robin fairness of the shared :class:`Dispatcher`.
+"""Round-robin fairness of the :class:`Dispatcher`.
 
-A chatty service that queues a deep backlog must not starve another
-service's stream: admission rotates one batch per service, while each
-service's own batches still execute strictly in its submission order.
+A chatty submitter that queues a deep backlog must not starve another key's
+stream: admission rotates one call per key, while each key's own calls still
+execute strictly in its submission order.  The jobs daemon relies on this,
+submitting each client's ``score_batch`` work under a per-client key.
 """
 
 import threading
@@ -14,13 +15,12 @@ from repro.driving import core_specifications, response_templates, task_by_name
 from repro.serving import Dispatcher, FeedbackJob, FeedbackService, ServingConfig
 
 
-def _service(dispatcher=None) -> FeedbackService:
+def _service() -> FeedbackService:
     return FeedbackService(
         core_specifications(),
         feedback=FeedbackConfig(),
         config=ServingConfig(backend="serial"),
         seed=0,
-        dispatcher=dispatcher,
     )
 
 
@@ -101,49 +101,46 @@ class TestDispatcherRoundRobin:
                 future.result(timeout=10)
 
 
-class TestServiceFairness:
-    def test_chatty_service_does_not_starve_a_second_stream(self):
-        """Regression: one service queueing many batches while gated must not
-        push another service's single batch to the back of the line."""
+class TestClientFairness:
+    """One service scoring for two clients, each under its own key — the
+    jobs daemon's shape."""
+
+    def test_chatty_client_does_not_starve_a_second_stream(self):
+        """Regression: one client queueing many batches while gated must not
+        push another client's single batch to the back of the line."""
         chatty_batches = _distinct_batches(5)
         quiet_batch = _distinct_batches(1, size=3)[0]
         completion_order = []
         gate = threading.Event()
+        service = _service()
+        original = service._scorer.score
 
-        def record_completions(service, label):
-            # The dispatcher runs one batch at a time, so the order batches
-            # finish scoring in is the order they complete in.
-            score_batch = service.score_batch
-
-            def recording(jobs):
-                scores = score_batch(jobs)
-                completion_order.append(label(jobs))
-                return scores
-
-            service.score_batch = recording
-
-        with Dispatcher() as dispatcher:
-            chatty = _service(dispatcher)
-            quiet = _service(dispatcher)
-            record_completions(chatty, lambda jobs: f"chatty{chatty_batches.index(jobs)}")
-            record_completions(quiet, lambda jobs: "quiet")
-            original = chatty._scorer.score
-
-            def gated_score(*args, **kwargs):
+        def gated_score(task, scenario, response):
+            if any(job.response == response for batch in chatty_batches for job in batch):
                 assert gate.wait(timeout=30), "test never opened the gate"
-                return original(*args, **kwargs)
+            return original(task, scenario, response)
 
-            chatty._scorer.score = gated_score
-            try:
-                handles = [chatty.submit_batch(batch) for batch in chatty_batches]
-                handles.append(quiet.submit_batch(quiet_batch))
+        def scored(jobs, label):
+            scores = service.score_batch(jobs)
+            # One call runs at a time, so finishing order is completion order.
+            completion_order.append(label)
+            return scores
+
+        service._scorer.score = gated_score
+        chatty, quiet = object(), object()
+        try:
+            with Dispatcher() as dispatcher:
+                futures = [
+                    dispatcher.submit(scored, batch, f"chatty{i}", service=chatty)
+                    for i, batch in enumerate(chatty_batches)
+                ]
+                futures.append(dispatcher.submit(scored, quiet_batch, "quiet", service=quiet))
                 gate.set()
-                for handle in handles:
-                    handle.result(timeout=30)
-            finally:
-                gate.set()
-                chatty.close()
-                quiet.close()
+                for future in futures:
+                    future.result(timeout=30)
+        finally:
+            gate.set()
+            service.close()
 
         # Round-robin: the quiet batch completes after at most two chatty
         # batches (one already executing, one more from the rotation) — under
@@ -151,7 +148,7 @@ class TestServiceFairness:
         assert completion_order.index("quiet") <= 2, completion_order
         assert [c for c in completion_order if c.startswith("chatty")] == [
             f"chatty{i}" for i in range(5)
-        ], "per-service submission order must survive the rotation"
+        ], "per-key submission order must survive the rotation"
 
     def test_fair_interleaving_preserves_scores(self):
         """Fairness must never change what a batch scores — only when."""
@@ -163,15 +160,10 @@ class TestServiceFairness:
             seed=0,
         )
         expected = [reference.score_batch(batch) for batch in batches]
-        with Dispatcher() as dispatcher:
-            first = _service(dispatcher)
-            second = _service(dispatcher)
-            try:
-                handles = [
-                    (first if i % 2 == 0 else second).submit_batch(batch)
-                    for i, batch in enumerate(batches)
-                ]
-                assert [handle.result(timeout=30) for handle in handles] == expected
-            finally:
-                first.close()
-                second.close()
+        clients = (object(), object())
+        with _service() as service, Dispatcher() as dispatcher:
+            futures = [
+                dispatcher.submit(service.score_batch, batch, service=clients[i % 2])
+                for i, batch in enumerate(batches)
+            ]
+            assert [future.result(timeout=30) for future in futures] == expected

@@ -1,12 +1,12 @@
-"""Pair construction from submitted batches, and the shared Dispatcher.
+"""Pair construction from submitted batches, and the service's Dispatcher.
 
 The contracts under test:
 
 * pairs built from ``submit_batch`` handles drained in submission order are
   identical — same pair list, bitwise-identical scores — to pairs built from
   the blocking ``score_batch`` path, on every backend;
-* one :class:`Dispatcher` can serve several :class:`FeedbackService`
-  instances, and closing a service never tears down a shared dispatcher.
+* every :class:`FeedbackService` owns its :class:`Dispatcher`, and closing
+  the service (or the pipeline around it) stops that dispatcher's thread.
 """
 
 import threading
@@ -22,13 +22,12 @@ from repro.serving import BACKENDS, Dispatcher, FeedbackJob, FeedbackService, Se
 TASK_NAMES = ("turn_right_traffic_light", "enter_roundabout", "merge_onto_highway")
 
 
-def _service(backend: str = "serial", dispatcher=None, **config_kwargs) -> FeedbackService:
+def _service(backend: str = "serial", **config_kwargs) -> FeedbackService:
     return FeedbackService(
         core_specifications(),
         feedback=FeedbackConfig(),
         config=ServingConfig(backend=backend, max_workers=2, **config_kwargs),
         seed=0,
-        dispatcher=dispatcher,
     )
 
 
@@ -168,109 +167,81 @@ class TestStreamingPairConstruction:
         assert gated_scores, "task 1 never reached the scorer"
 
 
-class TestSharedDispatcher:
-    def test_two_services_share_one_dispatcher(self):
-        batches = _task_batches()
-        with Dispatcher() as dispatcher:
-            first = _service("serial", dispatcher=dispatcher)
-            second = _service("serial", dispatcher=dispatcher)
-            assert dispatcher.active_services == 2
-
-            task_a, responses_a = batches[0]
-            task_b, responses_b = batches[1]
+class TestServiceDispatcher:
+    def test_each_service_owns_its_dispatcher(self):
+        """Two services never share a dispatcher: closing one stops only its
+        own, and the other keeps serving."""
+        (task_a, responses_a), (task_b, responses_b) = _task_batches()[:2]
+        first, second = _service("serial"), _service("serial")
+        try:
             handle_a = first.submit_responses(task_a, responses_a)
             handle_b = second.submit_responses(task_b, responses_b)
-            jobs_a = [
-                FeedbackJob(task=task_a.name, scenario=task_a.scenario, response=r)
-                for r in responses_a
-            ]
+            assert first._dispatcher is not second._dispatcher
             jobs_b = [
                 FeedbackJob(task=task_b.name, scenario=task_b.scenario, response=r)
                 for r in responses_b
             ]
-            assert handle_a.result() == _reference_scores(jobs_a)
             assert handle_b.result() == _reference_scores(jobs_b)
 
-            # Closing one service drains only its own work; the dispatcher
-            # keeps serving the other.
+            first_dispatcher = first._dispatcher
             first.close()
-            assert dispatcher.active_services == 1
-            again = second.submit_responses(task_b, responses_b)
-            assert again.result() == _reference_scores(jobs_b)
+            assert handle_a.done() and first_dispatcher.closed
+            assert not second._dispatcher.closed
+            assert second.submit_responses(task_b, responses_b).result() == _reference_scores(jobs_b)
+        finally:
+            first.close()
             second.close()
-            assert dispatcher.active_services == 0
-        assert dispatcher.closed
 
-    def test_closed_dispatcher_rejects_submissions_and_registration(self):
+    def test_closed_dispatcher_rejects_submissions(self):
         dispatcher = Dispatcher()
         dispatcher.close()
         with pytest.raises(RuntimeError):
             dispatcher.submit(lambda: None)
-        with pytest.raises(RuntimeError):
-            _service("serial", dispatcher=dispatcher)
-
-    def test_close_waits_for_its_batches_on_a_borrowed_dispatcher(self):
-        """close() on a shared dispatcher drains this service's batches — it
-        must not return while one is still queued behind another service's."""
-        first_batch, second_batch = _distinct_miss_batches(2)
-        with Dispatcher() as dispatcher:
-            blocker = _service("serial", dispatcher=dispatcher)
-            service = _service("serial", dispatcher=dispatcher)
-            gate = threading.Event()
-            score = blocker._scorer.score
-
-            def gated(*args):
-                assert gate.wait(timeout=30), "test never opened the scoring gate"
-                return score(*args)
-
-            blocker._scorer.score = gated
-            blocker.submit_batch(first_batch)  # holds the dispatcher thread
-            handle = service.submit_batch(second_batch)  # queued behind it
-            closer = threading.Thread(target=service.close)
-            closer.start()
-            closer.join(timeout=0.5)
-            assert closer.is_alive(), "close() returned while its batch was still queued"
-            gate.set()
-            closer.join(timeout=30)
-            assert not closer.is_alive()
-            assert handle.done() and handle.result() == _reference_scores(second_batch)
-            blocker.close()
-            assert dispatcher.active_services == 0 and not dispatcher.closed
-
-    def test_failed_submission_does_not_wedge_close(self):
-        """A batch the dispatcher refused is uncounted, so close() has
-        nothing of it to wait for."""
-        dispatcher = Dispatcher()
-        service = _service("serial", dispatcher=dispatcher)
-        dispatcher.close()
-        with pytest.raises(RuntimeError):
-            service.submit_batch(_distinct_miss_batches(1)[0])
-        closer = threading.Thread(target=service.close)
-        closer.start()
-        closer.join(timeout=30)
-        assert not closer.is_alive(), "close() waited on a batch that was never submitted"
 
     def test_private_dispatcher_closes_with_its_service(self):
         service = _service("serial")
         handle = service.submit_batch(_distinct_miss_batches(1)[0])
         dispatcher = service._dispatcher
-        assert dispatcher is not None and service._owns_dispatcher
+        assert dispatcher is not None
         service.close()
         assert handle.done()
         assert dispatcher.closed
 
-    def test_pipeline_shares_its_dispatcher_with_the_service(self):
+    def test_close_leaves_no_live_dispatcher_thread(self):
+        before = set(threading.enumerate())
+        service = _service("serial")
+        service.submit_batch(_distinct_miss_batches(1)[0]).result(timeout=30)
+        started = _dispatch_threads(before)
+        assert started, "submit_batch never started a dispatcher thread"
+        service.close()
+        for thread in started:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_pipeline_close_leaves_no_live_dispatcher_thread(self):
         from repro.core import DPOAFPipeline
         from repro.core.config import quick_pipeline_config
         from repro.driving import training_tasks
 
+        before = set(threading.enumerate())
         with DPOAFPipeline(
             quick_pipeline_config(seed=0),
             specifications=core_specifications(),
             tasks=training_tasks()[:1],
             validation=(),
         ) as pipeline:
-            assert pipeline.serving._dispatcher is pipeline.dispatcher
-            assert pipeline.dispatcher.active_services == 1
             assert pipeline.augment_with_templates([], per_task=2)
-        assert pipeline.dispatcher.closed
+            started = _dispatch_threads(before)
+            assert started, "the pipeline never submitted through its service"
+        for thread in started:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in started)
+
+
+def _dispatch_threads(before: set) -> list:
+    """Dispatcher threads started since ``before`` was taken."""
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread not in before and thread.name.startswith("feedback-dispatch")
+    ]
