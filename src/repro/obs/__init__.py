@@ -18,11 +18,10 @@ layer every other subsystem reports into:
     exactly like serial or thread execution.
 
 ``metrics``
-    :class:`MetricsRegistry` — named :class:`Counter` / :class:`Gauge` /
-    :class:`Histogram` instruments plus snapshot-shaped *providers*
-    (:class:`~repro.serving.metrics.ServingMetrics`, streaming telemetry,
-    dispatcher queue depth), collapsed by one ``snapshot()`` into the whole
-    run's telemetry dict.
+    :class:`MetricsRegistry` — named :class:`Gauge` instruments plus
+    snapshot-shaped *providers*
+    (:class:`~repro.serving.metrics.ServingMetrics`), collapsed by one
+    ``snapshot()`` into the whole run's telemetry dict.
 
 ``export``
     Chrome/Perfetto trace-event JSON (:func:`write_chrome_trace` /
@@ -50,7 +49,7 @@ from repro.obs.export import (
     spans_from_trace,
     write_chrome_trace,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.obs.report import (
     format_report,
     format_serving_summary,
@@ -83,9 +82,7 @@ __all__ = [
     "tracing_enabled",
     "span",
     "counter",
-    "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "chrome_trace_events",
     "write_chrome_trace",

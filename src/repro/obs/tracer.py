@@ -147,9 +147,6 @@ class _NullSpan:
     def __exit__(self, *exc_info) -> bool:
         return False
 
-    def set_attribute(self, key: str, value) -> None:
-        """Discard the attribute (tracing is disabled)."""
-
 
 _NULL_SPAN = _NullSpan()
 
@@ -187,10 +184,6 @@ class _SpanHandle:
         self._name = name
         self._category = category
         self._attributes = attributes
-
-    def set_attribute(self, key: str, value) -> None:
-        """Attach (or overwrite) one attribute before the span closes."""
-        self._attributes[key] = value
 
     def __enter__(self) -> "_SpanHandle":
         tracer = self._tracer

@@ -97,10 +97,3 @@ class ServingMetrics:
                 "throughput": self.throughput,
                 "mean_batch_latency": self.mean_batch_latency,
             }
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        with self._lock:
-            self.batches = self.jobs = self.unique_jobs = 0
-            self.cache_hits = self.cache_misses = self.uncached_jobs = self.warm_start_entries = 0
-            self.total_seconds = 0.0

@@ -331,9 +331,9 @@ class TestPublicApiDocstrings:
         assert not undocumented, f"repro.obs symbols missing docstrings: {undocumented}"
 
     def test_obs_public_methods_are_documented(self):
-        from repro.obs import Histogram, MetricsRegistry, NullTracer, Span, Tracer
+        from repro.obs import Gauge, MetricsRegistry, NullTracer, Span, Tracer
 
-        for cls in (Tracer, NullTracer, Span, MetricsRegistry, Histogram):
+        for cls in (Tracer, NullTracer, Span, MetricsRegistry, Gauge):
             undocumented = [
                 f"{cls.__name__}.{name}"
                 for name, member in vars(cls).items()

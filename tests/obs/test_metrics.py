@@ -1,68 +1,28 @@
-"""MetricsRegistry tests: instruments, providers, and the run snapshot."""
+"""MetricsRegistry tests: gauges, providers, and the run snapshot."""
 
-import threading
-
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Gauge, MetricsRegistry
 
 
-class TestInstruments:
-    def test_counter_accumulates(self):
-        counter = Counter("jobs")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5.0
-
-    def test_gauge_sets_and_shifts(self):
+class TestGauge:
+    def test_gauge_keeps_the_last_value(self):
         gauge = Gauge("depth")
+        assert gauge.value == 0.0
         gauge.set(3)
-        gauge.inc(-1)
+        gauge.set(2)
         assert gauge.value == 2.0
-
-    def test_histogram_summary(self):
-        histogram = Histogram("latency")
-        for value in (1.0, 3.0, 2.0):
-            histogram.observe(value)
-        summary = histogram.summary()
-        assert summary == {"count": 3, "total": 6.0, "mean": 2.0, "min": 1.0, "max": 3.0}
-        assert histogram.mean == 2.0
-
-    def test_empty_histogram_mean_is_zero(self):
-        assert Histogram("empty").mean == 0.0
-        assert Histogram("empty").summary()["count"] == 0
-
-    def test_counter_is_thread_safe(self):
-        counter = Counter("races")
-
-        def bump():
-            for _ in range(1000):
-                counter.inc()
-
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert counter.value == 4000.0
 
 
 class TestRegistry:
-    def test_instruments_are_created_once_per_name(self):
+    def test_gauges_are_created_once_per_name(self):
         registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
         assert registry.gauge("g") is registry.gauge("g")
-        assert registry.histogram("h") is registry.histogram("h")
 
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
-        registry.counter("jobs").inc(3)
         registry.gauge("depth").set(2)
-        registry.histogram("latency").observe(0.5)
         registry.register_provider("serving", lambda: {"hit_rate": 1.0})
         snapshot = registry.snapshot()
-        assert snapshot["counters"] == {"jobs": 3.0}
-        assert snapshot["gauges"] == {"depth": 2.0}
-        assert snapshot["histograms"]["latency"]["count"] == 1
-        assert snapshot["serving"] == {"hit_rate": 1.0}
+        assert snapshot == {"gauges": {"depth": 2.0}, "serving": {"hit_rate": 1.0}}
 
     def test_reregistering_a_provider_replaces_it(self):
         registry = MetricsRegistry()

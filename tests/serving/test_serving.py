@@ -214,15 +214,6 @@ class TestFeedbackService:
         assert snapshot["uncached_jobs"] == 0
         assert snapshot["cache_misses"] > 0
 
-    def test_metrics_reset_clears_uncached_jobs(self):
-        from repro.serving import ServingMetrics
-
-        metrics = ServingMetrics()
-        metrics.record_batch(jobs=3, unique=3, hits=0, misses=0, uncached=3, seconds=0.1)
-        assert metrics.uncached_jobs == 3
-        metrics.reset()
-        assert metrics.uncached_jobs == 0 and metrics.snapshot()["uncached_jobs"] == 0
-
     def test_metrics_mutation_is_thread_safe(self):
         import threading
 
