@@ -31,7 +31,6 @@ class DPOConfig:
     checkpoint_every: int = 4          # in epochs, mirroring the paper's every-20-epochs checkpoints
     max_steps: int | None = None       # optional hard cap on descent steps
     lora_rank: int = 4
-    use_lora: bool = True
     seed: int = 0
 
 
@@ -114,9 +113,9 @@ class DPOTrainer:
     """Runs DPO on a pre-trained policy against a frozen reference copy.
 
     The reference model is a deep copy of the pre-trained policy taken before
-    any update (the ``π_ref`` of the DPO objective); with ``use_lora`` the
-    policy's base weights are frozen and only the adapters are updated,
-    following Appendix E.  Frozen parameters receive no gradient: the policy's
+    any update (the ``π_ref`` of the DPO objective).  LoRA adapters of rank
+    ``lora_rank`` are applied to the policy, its base weights are frozen and
+    only the adapters are updated, following Appendix E.  Frozen parameters receive no gradient: the policy's
     gradients start cleared and only the adapters' ever accumulate.
     """
 
@@ -125,12 +124,9 @@ class DPOTrainer:
         self.tokenizer = tokenizer
         self.policy = model
         self.reference = model.clone()
-        self.lora_summary: dict = {}
-        if self.config.use_lora:
-            self.lora_summary = apply_lora(
-                self.policy,
-                LoRAConfig(rank=self.config.lora_rank, seed=self.config.seed),
-            )
+        self.lora_summary = apply_lora(
+            self.policy, LoRAConfig(rank=self.config.lora_rank, seed=self.config.seed)
+        )
         self.policy.zero_grad()
         self.optimizer = Adam(self.policy.parameters(), learning_rate=self.config.learning_rate)
 

@@ -9,12 +9,11 @@ possible initial state, exactly the verdict NuSMV would report.
 
 Two implementations of that algorithm live here:
 
-* the **naive path** (:class:`NaiveModelChecker`, or
-  ``ModelChecker(use_fastpath=False)``) — the original object-graph BFS,
-  kept frozen as the differential-testing reference;
-* the **fast path** (the :class:`ModelChecker` default) — memoized Büchi
-  construction, automaton pruning, integer-compiled products and a
-  verification-result cache, built from :mod:`repro.modelcheck.fastpath`.
+* the **naive path** (:class:`NaiveModelChecker`) — the original
+  object-graph BFS, kept frozen as the differential-testing reference;
+* the **fast path** (:class:`ModelChecker`) — memoized Büchi construction,
+  automaton pruning, integer-compiled products and a verification-result
+  cache, built from :mod:`repro.modelcheck.fastpath`.
   Verdicts are identical (``tests/modelcheck/test_differential.py`` holds the
   two paths to the same ``holds`` on every catalogue task and a fuzz corpus);
   counterexamples may differ in the particular lasso chosen but are always
@@ -110,16 +109,10 @@ class ModelChecker:
     max_product_states:
         Safety limit on the size of the Kripke × Büchi product; exceeded sizes
         raise :class:`~repro.errors.VerificationError` rather than hanging.
-    use_fastpath:
-        When True (default), check through :mod:`repro.modelcheck.fastpath`:
-        memoized + pruned Büchi construction, integer-compiled products and
-        the verification-result cache.  When False, run the original
-        object-graph algorithm — the frozen reference the differential suite
-        compares against (see :class:`NaiveModelChecker`).
     result_cache_size:
         Bound on the per-checker :class:`~repro.modelcheck.fastpath.ResultCache`
         of ``(model, controller, restart, spec) → VerificationResult`` entries;
-        ``0`` disables result caching.  Fast path only.
+        ``0`` disables result caching.
     memo:
         The :class:`~repro.modelcheck.fastpath.BuchiMemo` construction memo to
         use; defaults to the process-wide one
@@ -131,18 +124,12 @@ class ModelChecker:
         self,
         max_product_states: int = 200_000,
         *,
-        use_fastpath: bool = True,
         result_cache_size: int = 512,
         memo: fastpath.BuchiMemo | None = None,
     ):
         self.max_product_states = max_product_states
-        self.use_fastpath = use_fastpath
         self._memo = memo if memo is not None else fastpath.automata_memo()
-        self._results = (
-            fastpath.ResultCache(result_cache_size)
-            if use_fastpath and result_cache_size > 0
-            else None
-        )
+        self._results = fastpath.ResultCache(result_cache_size) if result_cache_size > 0 else None
         # Memoized model fingerprints and formula keys, keyed by object
         # identity; the stored strong reference keeps an id from being reused
         # while its entry lives.  Rendering str(formula) dominates memo-hit
@@ -166,8 +153,6 @@ class ModelChecker:
         """
         formula = parse_ltl(specification) if isinstance(specification, str) else specification
         spec_label = self._spec_label(formula, name)
-        if not self.use_fastpath:
-            return self._check_naive(kripke, formula, spec_label)
         kripke.validate()
         compiled = fastpath.compile_kripke(kripke)
         return self._check_compiled(lambda: compiled, formula, spec_label, None)
@@ -179,14 +164,11 @@ class ModelChecker:
 
         ``spec_names`` optionally supplies one trace label per specification
         (same order); unnamed specs are labelled by their formula text when
-        tracing is enabled.  The fast path compiles the structure to integers
-        once and reuses it for every specification in the batch.
+        tracing is enabled.  The structure is compiled to integers once and
+        reused for every specification in the batch.
         """
         specs = list(specifications)
         names = list(spec_names) if spec_names is not None else [None] * len(specs)
-        if not self.use_fastpath:
-            results = tuple(self.check(kripke, spec, name=name) for spec, name in zip(specs, names))
-            return VerificationReport(results)
         kripke.validate()
         compiled = fastpath.compile_kripke(kripke)
         return self._report_for(lambda: compiled, specs, names, None)
@@ -207,23 +189,14 @@ class ModelChecker:
         :func:`repro.automata.product.build_product`.  ``spec_names``
         optionally labels each specification's trace spans.
 
-        On the fast path the product is compiled directly into integer space
-        (never materializing the intermediate Kripke structure), results are
-        cached under the (model, controller, restart, spec) fingerprint, and —
-        when every specification hits that cache — the product is not rebuilt
-        at all.
+        The product is compiled directly into integer space (never
+        materializing the intermediate Kripke structure), results are cached
+        under the (model, controller, restart, spec) fingerprint, and — when
+        every specification hits that cache — the product is not rebuilt at
+        all.
         """
         specs = list(specifications)
         names = list(spec_names) if spec_names is not None else [None] * len(specs)
-        if not self.use_fastpath:
-            with obs.span(
-                "mc.build_model", category="modelcheck", controller=controller.name
-            ):
-                product = build_product(
-                    model, controller, restart_on_termination=restart_on_termination
-                )
-            return self.check_all(product, specs, spec_names=names)
-
         scope = None
         if self._results is not None:
             scope = (
@@ -354,10 +327,28 @@ class ModelChecker:
             self._model_fingerprints[id(model)] = (model, digest)
         return digest
 
-    # ------------------------------------------------------------------ #
-    # Naive path (the frozen differential-testing reference)
-    # ------------------------------------------------------------------ #
-    def _check_naive(self, kripke: KripkeStructure, formula: Formula, spec_label: str) -> VerificationResult:
+
+class NaiveModelChecker(ModelChecker):
+    """The unoptimized reference checker: no memo, no pruning, no caches.
+
+    Exactly the pre-fastpath algorithm — an object-graph product, a BFS over
+    it, then one cycle search per reachable accepting state — kept frozen so
+    the differential suite, and anyone debugging a suspected fast-path
+    divergence, can reach for it explicitly.  It overrides every public
+    method of :class:`ModelChecker`, so none of the fast path runs here.
+    Every optimization in :mod:`repro.modelcheck.fastpath` is held to this
+    checker's verdicts.
+    """
+
+    def __init__(self, max_product_states: int = 200_000):
+        super().__init__(max_product_states, result_cache_size=0)
+
+    def check(
+        self, kripke: KripkeStructure, specification: Formula | str, *, name: str | None = None
+    ) -> VerificationResult:
+        """Check one LTL specification against a Kripke structure."""
+        formula = parse_ltl(specification) if isinstance(specification, str) else specification
+        spec_label = self._spec_label(formula, name)
         with obs.span("mc.construct", category="modelcheck", spec=spec_label):
             negated_automaton = ltl_to_buchi(Not(formula), name=f"neg({formula})")
         lasso, stats = self._find_accepting_lasso(kripke, negated_automaton, spec_label=spec_label)
@@ -370,6 +361,30 @@ class ModelChecker:
             kripke.label,
         )
         return VerificationResult(formula, False, counterexample, stats)
+
+    def check_all(
+        self, kripke: KripkeStructure, specifications: Iterable, *, spec_names: Iterable | None = None
+    ) -> VerificationReport:
+        """Check each specification in turn and return a combined report."""
+        specs = list(specifications)
+        names = list(spec_names) if spec_names is not None else [None] * len(specs)
+        return VerificationReport(
+            tuple(self.check(kripke, spec, name=name) for spec, name in zip(specs, names))
+        )
+
+    def verify_controller(
+        self,
+        model: TransitionSystem,
+        controller: FSAController,
+        specifications: Iterable,
+        *,
+        restart_on_termination: bool = True,
+        spec_names: Iterable | None = None,
+    ) -> VerificationReport:
+        """``M ⊗ C |= Φ_i`` for every Φ_i, over the materialized product."""
+        with obs.span("mc.build_model", category="modelcheck", controller=controller.name):
+            product = build_product(model, controller, restart_on_termination=restart_on_termination)
+        return self.check_all(product, specifications, spec_names=spec_names)
 
     # ------------------------------------------------------------------ #
     # Emptiness check of KS × NBA
@@ -489,16 +504,3 @@ class ModelChecker:
         while parents[path[-1]] is not None:
             path.append(parents[path[-1]])
         return list(reversed(path))
-
-
-class NaiveModelChecker(ModelChecker):
-    """The unoptimized reference checker: no memo, no pruning, no caches.
-
-    Exactly the pre-fastpath algorithm (``ModelChecker(use_fastpath=False)``),
-    named so the differential suite — and anyone debugging a suspected
-    fast-path divergence — can reach for it explicitly.  Every optimization
-    in :mod:`repro.modelcheck.fastpath` is held to this checker's verdicts.
-    """
-
-    def __init__(self, max_product_states: int = 200_000):
-        super().__init__(max_product_states, use_fastpath=False, result_cache_size=0)

@@ -2,9 +2,10 @@
 
 Every score the pipeline produces is "how many of the 15 LTL rules hold of
 ``M ⊗ C``", so :meth:`~repro.modelcheck.checker.ModelChecker.verify_controller`
-dominates every cold benchmark.  This module holds the machinery the checker's
-fast path (its default) is built from; the naive path — the frozen reference —
-lives untouched in :mod:`repro.modelcheck.checker`.
+dominates every cold benchmark.  This module holds the machinery
+:class:`~repro.modelcheck.checker.ModelChecker` is built from; the naive
+path — the frozen reference — is
+:class:`~repro.modelcheck.checker.NaiveModelChecker`.
 
 Three independent optimizations compose (see ``docs/modelcheck.md``):
 

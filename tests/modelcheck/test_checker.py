@@ -1,16 +1,23 @@
-"""Tests for the LTL model checker (the NuSMV substitute)."""
+"""Tests for the LTL model checker (the NuSMV substitute).
+
+Every verdict here is worked out by hand, and both checkers must reach it:
+the fast :class:`ModelChecker` and the frozen :class:`NaiveModelChecker`,
+which implements ``check``, ``check_all`` and ``verify_controller`` itself.
+"""
 
 import pytest
 
 from repro.automata import KripkeStructure, build_product
 from repro.errors import VerificationError
 from repro.logic import parse_ltl
-from repro.modelcheck import ModelChecker
+from repro.modelcheck import ModelChecker, NaiveModelChecker
+
+CHECKERS = pytest.mark.parametrize("checker_class", [ModelChecker, NaiveModelChecker], ids=["fast", "naive"])
 
 
-@pytest.fixture(scope="module")
-def checker() -> ModelChecker:
-    return ModelChecker()
+@pytest.fixture(scope="module", params=[ModelChecker, NaiveModelChecker], ids=["fast", "naive"])
+def checker(request) -> ModelChecker:
+    return request.param()
 
 
 def lasso(labels, loop_from=0):
@@ -102,15 +109,17 @@ class TestReportsAndLimits:
         assert report.satisfaction_ratio == pytest.approx(2 / 3)
         assert len(report.violated) == 1
 
-    def test_product_state_limit(self):
-        tiny = ModelChecker(max_product_states=2)
+    @CHECKERS
+    def test_product_state_limit(self, checker_class):
+        tiny = checker_class(max_product_states=2)
         kripke = lasso([{"a"}, {"b"}, {"c"}, {"d"}])
         with pytest.raises(VerificationError):
             tiny.check(kripke, "G F a")
 
-    def test_verify_controller(self, simple_model, safe_controller, reckless_controller):
+    @CHECKERS
+    def test_verify_controller(self, checker_class, simple_model, safe_controller, reckless_controller):
         specs = [parse_ltl("G(!green -> !go)"), parse_ltl("G(ped -> F stop)")]
-        checker = ModelChecker()
+        checker = checker_class()
         safe_report = checker.verify_controller(simple_model, safe_controller, specs)
         reckless_report = checker.verify_controller(simple_model, reckless_controller, specs)
         assert safe_report.num_satisfied == 2
