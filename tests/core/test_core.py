@@ -62,6 +62,11 @@ class TestPipelinePieces:
         vague = pipeline.score_response(task, "1. Just drive nicely.")
         assert good > bad >= vague
 
+    def test_metrics_registry_holds_the_serving_provider(self, pipeline):
+        snapshot = pipeline.metrics_registry.snapshot()
+        assert set(snapshot) == {"gauges", "serving"}
+        assert snapshot["serving"].keys() == pipeline.serving.metrics.snapshot().keys()
+
     def test_task_model_is_cached(self, pipeline):
         task = task_by_name("turn_right_traffic_light")
         assert pipeline.task_model(task) is pipeline.task_model(task)

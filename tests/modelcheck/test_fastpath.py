@@ -5,6 +5,9 @@ tests cover the fast path's building blocks directly — pruning, the
 construction memo, compiled products, result caching and fingerprints.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.automata import KripkeStructure, build_product
@@ -128,6 +131,45 @@ class TestBuchiMemo:
         assert stats["misses"] == 1
         assert stats["hits_memory"] == 1
         assert stats["hits_disk"] == 0
+
+    def test_clear_drops_entries_and_counters(self):
+        memo = BuchiMemo()
+        formula = Not(parse_ltl("F b"))
+        key = formula_key(formula)
+        memo.translate_and_store(key, formula)
+        memo.lookup(key)
+        memo.clear()
+        assert memo.lookup(key) is None
+        assert memo.stats() == {"hits_memory": 0, "hits_disk": 0, "misses": 0, "entries": 0}
+
+    def test_concurrent_translators_converge_on_one_automaton(self):
+        """Racing translations of one key all return the first stored object."""
+        memo = BuchiMemo()
+        formula = Not(parse_ltl("G (a -> F b)"))
+        key = formula_key(formula)
+        workers = 8
+        barrier = threading.Barrier(workers)
+        results = []
+
+        def translate():
+            barrier.wait(timeout=30)
+            results.append(memo.translate_and_store(key, formula))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=translate) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == workers
+        assert all(result is results[0] for result in results)
+        assert memo.lookup(key) is results[0]
+        assert memo.stats()["misses"] == workers and memo.stats()["entries"] == 1
 
 
 class TestCompiledProduct:

@@ -11,8 +11,8 @@ from repro.automata import KripkeStructure
 from repro.driving import response_templates, task_by_name
 from repro.glm2fsa.builder import build_controller_from_text
 from repro.logic import parse_ltl
-from repro.modelcheck import ModelChecker
-from repro.modelcheck.fastpath import BuchiMemo
+from repro.modelcheck import ModelChecker, NaiveModelChecker
+from repro.modelcheck.fastpath import BuchiMemo, automata_memo
 from repro.obs import tracer as obs
 from repro.obs.report import per_spec_profile
 from repro.obs.tracer import Tracer
@@ -38,6 +38,20 @@ class TestConstructSpans:
         assert names.count("mc.construct_cached") == 1
         cached_span = next(s for s in tracer.spans() if s.name == "mc.construct_cached")
         assert cached_span.attributes["spec"] == "phi"
+
+    def test_naive_checker_translates_every_time_and_never_uses_the_memo(self):
+        """The reference path runs none of the fast path: every check is a
+        fresh translation, and the process-wide memo is left alone."""
+        before = automata_memo().stats()
+        tracer = obs.install_tracer(Tracer())
+        checker = NaiveModelChecker()
+        formula = parse_ltl("G a")
+        checker.check(simple_kripke(), formula, name="phi")
+        checker.check_all(simple_kripke(), [formula], spec_names=["phi"])
+        names = [s.name for s in tracer.spans()]
+        assert names.count("mc.construct") == 2
+        assert "mc.construct_cached" not in names and "mc.check_cached" not in names
+        assert automata_memo().stats() == before
 
     def test_result_cache_hit_emits_check_cached(self):
         task = task_by_name("turn_left_unprotected")

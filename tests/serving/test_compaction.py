@@ -255,6 +255,17 @@ class TestCompactionLock:
         _store_numbered_shard(directory, "fp2", 2)  # store() still works
         assert len(directory.shard_entries("fp2")) == 2
 
+    def test_lock_file_is_never_swept(self, tmp_path):
+        """Unlinking compact.lock would let a later opener lock a fresh inode
+        beside a live holder, so even an ancient one stays."""
+        directory = CacheDirectory(tmp_path)
+        directory.compact()
+        lock = tmp_path / CacheDirectory.COMPACT_LOCK_NAME
+        os.utime(lock, (1, 1))
+        report = directory.compact(tmp_grace_seconds=0.0)
+        assert report.removed_lock_files == 0
+        assert lock.exists()
+
     def test_compaction_releases_its_lock(self, tmp_path):
         directory = CacheDirectory(tmp_path)
         _store_numbered_shard(directory, "fp", 10)

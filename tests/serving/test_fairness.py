@@ -75,6 +75,34 @@ class TestDispatcherRoundRobin:
         a_order = [label for label in executed if label.startswith("a")]
         assert a_order == ["a0", "a1", "a2", "a3", "a4", "a5"]
 
+    def test_three_keys_rotate_one_call_each(self):
+        """With every key's backlog queued behind a running call, the thread
+        takes one call per key in the order the keys arrived."""
+        executed = []
+        running, gate = threading.Event(), threading.Event()
+
+        def record(label):
+            def run():
+                executed.append(label)
+
+            return run
+
+        def gated_first():
+            running.set()
+            assert gate.wait(timeout=30)
+            executed.append("a0")
+
+        a, b, c = object(), object(), object()
+        with Dispatcher() as dispatcher:
+            futures = [dispatcher.submit(gated_first, service=a)]
+            assert running.wait(timeout=30)
+            for key, name in ((a, "a"), (b, "b"), (c, "c")):
+                futures += [dispatcher.submit(record(f"{name}{i}"), service=key) for i in (1, 2)]
+            gate.set()
+            for future in futures:
+                future.result(timeout=30)
+        assert executed == ["a0", "a1", "b1", "c1", "a2", "b2", "c2"]
+
     def test_direct_submissions_share_one_queue(self):
         with Dispatcher() as dispatcher:
             results = [dispatcher.submit(lambda i=i: i) for i in range(4)]
