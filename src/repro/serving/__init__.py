@@ -62,6 +62,7 @@ shard file::
         <sha256(fingerprint)[:16]>.json     # {"schema", "fingerprint", "entries"}
         <…>.json.tmp.<pid>                  # in-flight atomic writes; never read
         <…>.json.lock                       # advisory flush locks; never read
+        compact.lock                        # compaction's flock; never deleted
 
 Services warm-start from their own shard at construction and merge results
 back on ``flush()``; shards are written with tmp-file + ``os.replace``, so a
@@ -71,7 +72,8 @@ by :meth:`CacheDirectory.compact <repro.serving.cache.CacheDirectory.compact>`
 (run automatically at flush time when ``ServingConfig.shared_cache_max_entries``
 / ``shared_cache_max_bytes`` are set): shards are trimmed to their newest
 entries, evicted whole oldest-write-first past the byte budget, and orphaned
-lock/tmp litter is swept.
+lock/tmp litter is swept.  One compactor runs at a time, under a
+non-blocking ``flock`` on ``compact.lock``.
 
 Scores produced with serving enabled are bitwise-identical to the serial
 reference path (``ServingConfig(enabled=False)``): the cache key covers every
