@@ -3,7 +3,7 @@
 from repro.obs.metrics import Gauge, MetricsRegistry
 
 
-class TestGauge:
+class TestInstruments:
     def test_gauge_keeps_the_last_value(self):
         gauge = Gauge("depth")
         assert gauge.value == 0.0
@@ -13,7 +13,7 @@ class TestGauge:
 
 
 class TestRegistry:
-    def test_gauges_are_created_once_per_name(self):
+    def test_instruments_are_created_once_per_name(self):
         registry = MetricsRegistry()
         assert registry.gauge("g") is registry.gauge("g")
 

@@ -200,7 +200,7 @@ class TestConfiguredCompaction:
         assert sum(path.stat().st_size for path in directory.shard_files()) <= budget
 
 
-class TestCompactionLock:
+class TestCrossProcessCompactionLock:
     """Compactors of one ``shared_cache_dir`` coordinate through a
     non-blocking ``flock`` on ``compact.lock``: one compactor at a time,
     across processes and threads, and a dead holder never blocks."""
