@@ -115,8 +115,9 @@ class DPOTrainer:
     The reference model is a deep copy of the pre-trained policy taken before
     any update (the ``π_ref`` of the DPO objective).  LoRA adapters of rank
     ``lora_rank`` are applied to the policy, its base weights are frozen and
-    only the adapters are updated, following Appendix E.  Frozen parameters receive no gradient: the policy's
-    gradients start cleared and only the adapters' ever accumulate.
+    only the adapters are updated, following Appendix E.  Frozen parameters
+    receive no gradient: the policy's gradients start cleared and only the
+    adapters' ever accumulate.
     """
 
     def __init__(self, model: TransformerLM, tokenizer: Tokenizer, config: DPOConfig | None = None):

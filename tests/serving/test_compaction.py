@@ -9,10 +9,10 @@ bounds are set.
 """
 
 import os
-import signal
 import subprocess
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -208,7 +208,7 @@ class TestCrossProcessCompactionLock:
     def test_held_lock_skips_compaction(self, tmp_path):
         directory = CacheDirectory(tmp_path)
         _store_numbered_shard(directory, "fp", 10)
-        with _FlockHolder(tmp_path):
+        with _lock_holder(tmp_path):
             report = directory.compact(max_entries=3)
         assert report.skipped is True
         assert report.trimmed_shards == 0
@@ -219,8 +219,9 @@ class TestCrossProcessCompactionLock:
         runs at once, with no stale timeout to wait out."""
         directory = CacheDirectory(tmp_path)
         _store_numbered_shard(directory, "fp", 10)
-        with _FlockHolder(tmp_path) as holder:
-            holder.kill()
+        with _lock_holder(tmp_path) as holder:
+            holder.kill()  # SIGKILL: no chance to release anything itself
+            holder.wait(timeout=10)
             report = directory.compact(max_entries=3)
         assert report.skipped is False
         assert report.trimmed_shards == 1
@@ -288,12 +289,13 @@ class TestCrossProcessCompactionLock:
             "    sys.stdin.readline()  # hold until the parent says so\n"
             "print('released', flush=True)\n"
         )
-        with _FlockHolder(tmp_path, script=script) as holder:
+        with _lock_holder(tmp_path, script=script) as holder:
             blocked = directory.compact(max_entries=3)
             assert blocked.skipped is True
             assert len(directory.shard_entries("fp")) == 10
-            holder.release()
-            assert holder.child.stdout.readline().strip() == "released"
+            holder.stdin.write("done\n")
+            holder.stdin.flush()
+            assert holder.stdout.readline().strip() == "released"
 
             report = directory.compact(max_entries=3)
             assert report.skipped is False
@@ -301,8 +303,8 @@ class TestCrossProcessCompactionLock:
             assert len(directory.shard_entries("fp")) == 3
 
 
-#: A child process that takes the flock on ``compact.lock`` directly and
-#: holds it until told to stop.
+#: A child script that takes the flock on ``compact.lock`` directly and
+#: holds it until its stdin gets a line.
 _RAW_FLOCK_HOLDER = (
     "import fcntl, sys\n"
     "lock = open(sys.argv[1] + '/compact.lock', 'a')\n"
@@ -312,48 +314,25 @@ _RAW_FLOCK_HOLDER = (
 )
 
 
-class _FlockHolder:
-    """Runs a child process that holds ``compact.lock`` until released."""
-
-    def __init__(self, root, *, script: str = _RAW_FLOCK_HOLDER):
-        self.root = root
-        self.script = script
-        self.child = None
-        self.released = False
-
-    def start(self) -> "_FlockHolder":
-        self.child = subprocess.Popen(
-            [sys.executable, "-c", self.script, str(self.root)],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(_repo_src())},
-        )
-        assert self.child.stdout.readline().strip() == "held"
-        return self
-
-    def release(self) -> None:
-        self.released = True
-        self.child.stdin.write("done\n")
-        self.child.stdin.flush()
-
-    def kill(self) -> None:
-        self.child.send_signal(signal.SIGKILL)
-        self.child.wait(timeout=10)
-
-    def __enter__(self) -> "_FlockHolder":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        try:
-            if not self.released and self.child.poll() is None:
-                self.release()
-            self.child.wait(timeout=10)
-        except (OSError, subprocess.TimeoutExpired):
-            self.kill()
-        finally:
-            self.child.stdin.close()
-            self.child.stdout.close()
+@contextmanager
+def _lock_holder(root, *, script: str = _RAW_FLOCK_HOLDER):
+    """A child process that holds ``compact.lock`` for the ``with`` block."""
+    child = subprocess.Popen(
+        [sys.executable, "-c", script, str(root)],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(_repo_src())},
+    )
+    try:
+        assert child.stdout.readline().strip() == "held"
+        yield child
+    finally:
+        if child.poll() is None:
+            child.kill()
+        child.wait(timeout=10)
+        child.stdin.close()
+        child.stdout.close()
 
 
 def _repo_src():

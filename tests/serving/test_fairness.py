@@ -142,9 +142,10 @@ class TestClientFairness:
         gate = threading.Event()
         service = _service()
         original = service._scorer.score
+        chatty_responses = {job.response for batch in chatty_batches for job in batch}
 
         def gated_score(task, scenario, response):
-            if any(job.response == response for batch in chatty_batches for job in batch):
+            if response in chatty_responses:
                 assert gate.wait(timeout=30), "test never opened the gate"
             return original(task, scenario, response)
 
