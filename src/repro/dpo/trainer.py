@@ -132,7 +132,7 @@ class DPOTrainer:
         self.optimizer = Adam(self.policy.parameters(), learning_rate=self.config.learning_rate)
 
     # ------------------------------------------------------------------ #
-    def train(self, dataset: DPODataset, *, progress_every: int = 0) -> DPOResult:
+    def train(self, dataset: DPODataset) -> DPOResult:
         """Fine-tune on a tokenised preference dataset.
 
         Every epoch shuffles ``dataset`` with the config seed's generator and
@@ -173,11 +173,6 @@ class DPOTrainer:
                 history.record(metrics, grad_norm)
                 total_steps += 1
                 total_pairs += int(len(batch["indices"]))
-                if progress_every and total_steps % progress_every == 0:  # pragma: no cover - console feedback
-                    print(
-                        f"[dpo] epoch {epoch} step {total_steps} "
-                        f"loss={metrics.loss:.3f} acc={metrics.accuracy:.2f} margin={metrics.marginal_preference:.2f}"
-                    )
                 if total_steps >= max_steps:
                     break
             history.mark_epoch()

@@ -20,7 +20,7 @@ from repro.lm.decode import (
     sample_tokens_batched,
     sample_tokens_cached,
 )
-from repro.lm.lora import LoRAConfig, apply_lora, merge_lora
+from repro.lm.lora import LoRAConfig, apply_lora
 from repro.lm.optim import Adam
 from repro.lm.pretrain import PretrainConfig, PretrainResult, encode_documents, pretrain
 from repro.lm.sampling import (
@@ -50,7 +50,6 @@ __all__ = [
     "softmax",
     "LoRAConfig",
     "apply_lora",
-    "merge_lora",
     "Adam",
     "PretrainConfig",
     "PretrainResult",

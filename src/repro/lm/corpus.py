@@ -74,7 +74,6 @@ def build_corpus(
     samples_per_task: int = 40,
     mixture: dict | None = None,
     seed: int = 0,
-    extra_texts: tuple = (),
 ) -> Corpus:
     """Sample a pre-training corpus and fit a tokenizer over it.
 
@@ -86,9 +85,6 @@ def build_corpus(
         Number of (prompt, response) documents per task.
     mixture:
         Category mixture; defaults to :data:`PRETRAINED_MIXTURE`.
-    extra_texts:
-        Additional texts folded into the tokenizer vocabulary (e.g. validation
-        task prompts, so sampling on held-out prompts never hits ``<unk>``).
     """
     rng = seeded_rng(seed)
     tasks = list(tasks) if tasks is not None else list(training_tasks())
@@ -113,7 +109,6 @@ def build_corpus(
         for templates in per_task.values():
             vocabulary_texts.extend(templates)
     vocabulary_texts.extend(VAGUE_RESPONSES)
-    vocabulary_texts.extend(extra_texts)
 
     tokenizer = Tokenizer.fit(vocabulary_texts)
     return Corpus(examples=examples, tokenizer=tokenizer)

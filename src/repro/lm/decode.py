@@ -66,7 +66,7 @@ class DecodeState:
     Invalidation rules:
 
     * The state is bound to one model's current weights — any parameter update
-      (optimizer step, ``load_state_dict``, ``merge_lora``) invalidates it;
+      (optimizer step, ``load_state_dict``) invalidates it;
       callers allocate a fresh state per sampling wave, never across training.
     * All lanes share one ``length``; uniform-length groups are what keep the
       attention softmax rows exact-length (see module docstring).

@@ -156,10 +156,10 @@ def _rowsafe_matmul(flat: np.ndarray, weight: np.ndarray) -> np.ndarray:
 class Linear(Layer):
     """Affine map ``y = x W + b`` with optional LoRA adapters.
 
-    When LoRA is enabled (``add_lora``), the effective weight is
-    ``W + (alpha / r) * A @ B`` with ``A ∈ R^{in×r}``, ``B ∈ R^{r×out}``;
-    typically the base ``W``/``b`` are frozen and only ``A``/``B`` receive
-    optimizer updates (Appendix E of the paper / Hu et al. 2021).
+    When LoRA is enabled (``add_lora``), the effective weight is ``W + A @ B``
+    with ``A ∈ R^{in×r}``, ``B ∈ R^{r×out}``; the base ``W``/``b`` are frozen
+    and only ``A``/``B`` receive optimizer updates (Appendix E of the paper /
+    Hu et al. 2021).
     """
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, *, bias: bool = True, name: str = "linear"):
@@ -170,7 +170,6 @@ class Linear(Layer):
         self.bias = Parameter(np.zeros(out_features), name=f"{name}.bias") if bias else None
         self.lora_a: Parameter | None = None
         self.lora_b: Parameter | None = None
-        self.lora_scale: float = 0.0
         self._cache_x: np.ndarray | None = None
         self._effective_cache: np.ndarray | None = None
         self._effective_key: tuple | None = None
@@ -179,55 +178,39 @@ class Linear(Layer):
         self._column_pad = (-out_features) % _GEMM_COL_BLOCK
 
     # ------------------------------------------------------------------ #
-    def add_lora(self, rank: int, rng: np.random.Generator, *, alpha: float | None = None, freeze_base: bool = True) -> None:
-        """Attach a rank-``rank`` LoRA adapter (A is random, B starts at zero)."""
+    def add_lora(self, rank: int, rng: np.random.Generator) -> None:
+        """Attach a rank-``rank`` LoRA adapter (A is random, B starts at zero)
+        and freeze the base weight and bias."""
         if rank <= 0:
             raise TrainingError(f"LoRA rank must be positive, got {rank}")
-        alpha = float(alpha if alpha is not None else rank)
         self.lora_a = Parameter(rng.normal(0.0, 0.02, size=(self.in_features, rank)), name=f"{self.name}.lora_a")
         self.lora_b = Parameter(np.zeros((rank, self.out_features)), name=f"{self.name}.lora_b")
-        self.lora_scale = alpha / rank
         self._effective_cache = None
         self._effective_key = None
         self._padded_cache = None
         self._padded_key = None
-        if freeze_base:
-            self.weight.trainable = False
-            if self.bias is not None:
-                self.bias.trainable = False
-
-    def merge_lora(self) -> None:
-        """Fold the adapter into the base weight and drop it (inference-time merge)."""
-        if self.lora_a is None or self.lora_b is None:
-            return
-        self.weight.value = self.weight.value + self.lora_scale * (self.lora_a.value @ self.lora_b.value)
-        self.weight.bump()
-        self.lora_a = None
-        self.lora_b = None
-        self.lora_scale = 0.0
-        self._effective_cache = None
-        self._effective_key = None
-        self._padded_cache = None
-        self._padded_key = None
+        self.weight.trainable = False
+        if self.bias is not None:
+            self.bias.trainable = False
 
     @property
     def has_lora(self) -> bool:
         return self.lora_a is not None
 
     def effective_weight(self) -> np.ndarray:
-        """The weight actually applied: ``W`` or ``W + scale * A @ B``.
+        """The weight actually applied: ``W`` or ``W + A @ B``.
 
         With LoRA attached the materialised sum is cached and keyed on the
         three parameters' :attr:`Parameter.version` counters, so repeated
         forwards/backwards between optimizer updates reuse one array instead
-        of re-materialising ``W + scale * A @ B`` on every call.  Treat the
-        returned array as read-only.
+        of re-materialising ``W + A @ B`` on every call.  Treat the returned
+        array as read-only.
         """
         if not self.has_lora:
             return self.weight.value
         key = (self.weight.version, self.lora_a.version, self.lora_b.version)
         if self._effective_cache is None or self._effective_key != key:
-            self._effective_cache = self.weight.value + self.lora_scale * (self.lora_a.value @ self.lora_b.value)
+            self._effective_cache = self.weight.value + self.lora_a.value @ self.lora_b.value
             self._effective_key = key
         return self._effective_cache
 
@@ -277,10 +260,10 @@ class Linear(Layer):
         if self.bias is not None and self.bias.trainable:
             self.bias.grad += flat_d.sum(axis=0)
         if self.has_lora:
-            # d/dA = x^T dout B^T * scale ; d/dB = (xA)^T dout * scale
+            # d/dA = x^T dout B^T ; d/dB = (xA)^T dout
             xa = flat_x @ self.lora_a.value
-            self.lora_a.grad += self.lora_scale * (flat_x.T @ (flat_d @ self.lora_b.value.T))
-            self.lora_b.grad += self.lora_scale * (xa.T @ flat_d)
+            self.lora_a.grad += flat_x.T @ (flat_d @ self.lora_b.value.T)
+            self.lora_b.grad += xa.T @ flat_d
         # One collapsed gemm, as in forward.  dx is a gradient, so unlike the
         # forward it need not be row-stable.
         return (flat_d @ self.effective_weight().T).reshape(x.shape)

@@ -15,14 +15,20 @@ from repro.obs import tracer as obs
 from repro.utils.rng import seeded_rng
 
 
+#: Adam learning rate of every pre-training run.
+LEARNING_RATE = 3e-3
+
+
 @dataclass(frozen=True)
 class PretrainConfig:
-    """Hyper-parameters for the pre-training loop."""
+    """Hyper-parameters for the pre-training loop.
+
+    Documents are cut to the model's context window,
+    :attr:`ModelConfig.max_seq_len <repro.lm.transformer.ModelConfig>`.
+    """
 
     num_steps: int = 400
     batch_size: int = 16
-    learning_rate: float = 3e-3
-    max_seq_len: int = 96
     dim: int = 64
     num_heads: int = 4
     num_layers: int = 2
@@ -52,7 +58,7 @@ def encode_documents(corpus: Corpus, max_seq_len: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
-def pretrain(corpus: Corpus, config: PretrainConfig | None = None, *, progress_every: int = 0) -> PretrainResult:
+def pretrain(corpus: Corpus, config: PretrainConfig | None = None) -> PretrainResult:
     """Train a fresh :class:`TransformerLM` on the corpus with Adam.
 
     Each step samples ``batch_size`` documents;
@@ -63,12 +69,9 @@ def pretrain(corpus: Corpus, config: PretrainConfig | None = None, *, progress_e
     config = config or PretrainConfig()
     rng = seeded_rng(config.seed)
     pad_id = corpus.tokenizer.pad_id
-    data = encode_documents(corpus, config.max_seq_len)
-
     model = TransformerLM(
         ModelConfig(
             vocab_size=corpus.tokenizer.vocab_size,
-            max_seq_len=config.max_seq_len,
             dim=config.dim,
             num_heads=config.num_heads,
             num_layers=config.num_layers,
@@ -76,7 +79,8 @@ def pretrain(corpus: Corpus, config: PretrainConfig | None = None, *, progress_e
         ),
         seed=config.seed,
     )
-    optimizer = Adam(model.parameters(), learning_rate=config.learning_rate)
+    data = encode_documents(corpus, model.config.max_seq_len)
+    optimizer = Adam(model.parameters(), learning_rate=LEARNING_RATE)
 
     losses: list[float] = []
     num_documents = data.shape[0]
@@ -87,7 +91,5 @@ def pretrain(corpus: Corpus, config: PretrainConfig | None = None, *, progress_e
             loss = model.cross_entropy(data[batch_idx], pad_id=pad_id, backward=True)
             optimizer.step()
         losses.append(loss)
-        if progress_every and (step + 1) % progress_every == 0:  # pragma: no cover - console feedback only
-            print(f"[pretrain] step {step + 1}/{config.num_steps} loss={loss:.3f}")
 
     return PretrainResult(model=model, tokenizer=corpus.tokenizer, losses=losses)

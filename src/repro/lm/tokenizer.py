@@ -88,15 +88,16 @@ class Tokenizer:
             ids.append(self.eos_id)
         return ids
 
-    def decode(self, ids, *, skip_special: bool = True) -> str:
-        """Decode ids back to text (joining words with spaces, ``<nl>`` as newline)."""
+    def decode(self, ids) -> str:
+        """Decode ids back to text (joining words with spaces, ``<nl>`` as
+        newline, other special tokens dropped)."""
         pieces = []
         for idx in ids:
             token = self.id_to_token[int(idx)] if 0 <= int(idx) < self.vocab_size else UNK
             if token == NEWLINE:
                 pieces.append("\n")
                 continue
-            if skip_special and token in SPECIAL_TOKENS:
+            if token in SPECIAL_TOKENS:
                 continue
             pieces.append(token)
         text = " ".join(pieces).replace(" \n ", "\n").replace(" \n", "\n").replace("\n ", "\n")

@@ -290,27 +290,22 @@ class TransformerLM(Layer):
         layers.append(self.head)
         return layers
 
-    def add_lora_adapters(self, rank: int, *, alpha: float | None = None, seed: int = 0, freeze_base: bool = True) -> int:
-        """Attach LoRA adapters to every linear layer; returns trainable-parameter count."""
+    def add_lora_adapters(self, rank: int, *, seed: int = 0) -> int:
+        """Attach LoRA adapters to every linear layer and freeze every base
+        parameter; returns the trainable-parameter count."""
         rng = seeded_rng(seed)
         for layer in self.linear_layers():
-            layer.add_lora(rank, rng, alpha=alpha, freeze_base=freeze_base)
-        if freeze_base:
-            self.token_embedding.weight.trainable = False
-            self.position_embedding.weight.trainable = False
-            for block in self.blocks:
-                block.ln_1.gain.trainable = False
-                block.ln_1.shift.trainable = False
-                block.ln_2.gain.trainable = False
-                block.ln_2.shift.trainable = False
-            self.ln_final.gain.trainable = False
-            self.ln_final.shift.trainable = False
+            layer.add_lora(rank, rng)
+        self.token_embedding.weight.trainable = False
+        self.position_embedding.weight.trainable = False
+        for block in self.blocks:
+            block.ln_1.gain.trainable = False
+            block.ln_1.shift.trainable = False
+            block.ln_2.gain.trainable = False
+            block.ln_2.shift.trainable = False
+        self.ln_final.gain.trainable = False
+        self.ln_final.shift.trainable = False
         return self.num_trainable_parameters()
-
-    def merge_lora(self) -> None:
-        """Fold every adapter into its base weight (for cheap inference)."""
-        for layer in self.linear_layers():
-            layer.merge_lora()
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())

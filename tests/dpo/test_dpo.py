@@ -484,10 +484,13 @@ class TestFrozenParameters:
     def test_lora_gradients_equal_a_fully_trainable_run(self, toy_pairs, toy_tokenizer):
         batch = DPODataset.from_preference_pairs(toy_pairs, toy_tokenizer, max_seq_len=48).batch([0, 1, 2])
         models = []
-        for freeze_base in (True, False):
+        for unfreeze in (False, True):
             model = stable_model(toy_tokenizer)
             reference = model.clone()
-            apply_lora(model, LoRAConfig(rank=2, seed=0, freeze_base=freeze_base))
+            apply_lora(model, LoRAConfig(rank=2, seed=0))
+            if unfreeze:
+                for param in model.parameters():
+                    param.trainable = True
             # Move the adapters off zero so policy and reference differ.
             model.load_state_dict({k: v + 0.05 if ".lora_b" in k else v for k, v in model.state_dict().items()})
             dpo_step(model, reference, batch, beta=0.5)

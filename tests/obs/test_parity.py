@@ -155,7 +155,7 @@ class TestPipelineParity:
             if span.name in rows:
                 step = by_id[span.parent_id]
                 assert step.name in ("pretrain.step", "dpo.step") and span.category == "train"
-                assert 1 <= span.attributes["width"] < config.pretrain.max_seq_len
+                assert 1 <= span.attributes["width"] < result.pretrain_result.model.config.max_seq_len
                 step_rows = rows[span.name].setdefault(span.parent_id, [])
                 step_rows.append(span.attributes["rows"])
         assert rows["train.forward"] == rows["train.backward"]
