@@ -1,5 +1,7 @@
 """Tests for the batched feedback-serving subsystem (cache, dedup, scheduler)."""
 
+import json
+
 import pytest
 
 from repro.core.config import FeedbackConfig
@@ -90,6 +92,29 @@ class TestCacheKey:
         empirical = FeedbackConfig(use_empirical=True)
         assert feedback_fingerprint(empirical, specs, seed=0) != feedback_fingerprint(empirical, specs, seed=1)
         assert feedback_fingerprint(FeedbackConfig(), specs, seed=0) == feedback_fingerprint(FeedbackConfig(), specs, seed=1)
+
+    @pytest.mark.parametrize(
+        "feedback, expected",
+        [
+            (
+                FeedbackConfig(),
+                {"mode": "formal", "wait_action": "stop", "restart_on_termination": True,
+                 "empirical_traces": None, "empirical_threshold": None, "seed": None},
+            ),
+            (
+                FeedbackConfig(use_empirical=True),
+                {"mode": "empirical", "wait_action": "stop", "restart_on_termination": True,
+                 "empirical_traces": 10, "empirical_threshold": 0.9, "seed": 0},
+            ),
+        ],
+        ids=["formal", "empirical"],
+    )
+    def test_fingerprint_pins_its_shard_naming_inputs(self, feedback, expected):
+        """Shard files are named by a digest of the fingerprint's JSON, so any
+        change to these values renames every existing shard."""
+        parts = json.loads(feedback_fingerprint(feedback, core_specifications()))
+        del parts["version"], parts["specifications"]
+        assert json.dumps(parts, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 class TestFeedbackCache:
