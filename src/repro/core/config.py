@@ -21,13 +21,14 @@ class SamplingConfig:
 
 @dataclass(frozen=True)
 class FeedbackConfig:
-    """How automated feedback is computed."""
+    """How automated feedback is computed.
 
-    wait_action: str | None = "stop"
-    restart_on_termination: bool = True
-    use_empirical: bool = False        # rank with simulator traces instead of model checking
-    empirical_traces: int = 10
-    empirical_threshold: float = 0.9
+    Formal verification (the default) model-checks each response's
+    controller; ``use_empirical`` ranks with simulator traces instead, at the
+    fixed trace count and threshold of :mod:`repro.serving.config`.
+    """
+
+    use_empirical: bool = False
 
 
 @dataclass(frozen=True)

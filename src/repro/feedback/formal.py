@@ -53,32 +53,21 @@ class FormalFeedback:
 class FormalVerifier:
     """Computes :class:`FormalFeedback` for responses or controllers.
 
+    A controller built from a response emits ``stop`` while it waits or
+    observes (:func:`repro.glm2fsa.builder.build_controller`'s default), and
+    the checker restarts it after its last step.
+
     Parameters
     ----------
     specifications:
         Mapping ``{name: Formula}`` (e.g. the paper's Φ1 ... Φ15).
     checker:
         Optional shared :class:`ModelChecker` instance.
-    wait_action:
-        Output emitted while a constructed controller waits/observes; see
-        :func:`repro.glm2fsa.builder.build_controller`.
-    restart_on_termination:
-        Passed to the product construction; see
-        :func:`repro.automata.product.build_product`.
     """
 
-    def __init__(
-        self,
-        specifications: Mapping,
-        *,
-        checker: ModelChecker | None = None,
-        wait_action: str | None = "stop",
-        restart_on_termination: bool = True,
-    ):
+    def __init__(self, specifications: Mapping, *, checker: ModelChecker | None = None):
         self.specifications = dict(specifications)
         self.checker = checker or ModelChecker()
-        self.wait_action = wait_action
-        self.restart_on_termination = restart_on_termination
 
     # ------------------------------------------------------------------ #
     def verify_controller(self, model: TransitionSystem, controller: FSAController, *, task: str = "") -> FormalFeedback:
@@ -88,7 +77,6 @@ class FormalVerifier:
             model,
             controller,
             self.specifications.values(),
-            restart_on_termination=self.restart_on_termination,
             spec_names=names,
         )
         satisfied = tuple(name for name, result in zip(names, report.results) if result.holds)
@@ -114,7 +102,6 @@ class FormalVerifier:
                 response_text,
                 task=task,
                 name=task or "response_controller",
-                wait_action=self.wait_action,
             )
         except AlignmentError:
             return FormalFeedback(

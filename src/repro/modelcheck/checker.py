@@ -111,7 +111,7 @@ class ModelChecker:
         raise :class:`~repro.errors.VerificationError` rather than hanging.
     result_cache_size:
         Bound on the per-checker :class:`~repro.modelcheck.fastpath.ResultCache`
-        of ``(model, controller, restart, spec) → VerificationResult`` entries;
+        of ``(model, controller, spec) → VerificationResult`` entries;
         ``0`` disables result caching.
     memo:
         The :class:`~repro.modelcheck.fastpath.BuchiMemo` construction memo to
@@ -179,21 +179,19 @@ class ModelChecker:
         controller: FSAController,
         specifications: Iterable,
         *,
-        restart_on_termination: bool = True,
         spec_names: Iterable | None = None,
     ) -> VerificationReport:
         """``M ⊗ C |= Φ_i`` for every Φ_i: the feedback primitive of DPO-AF.
 
-        ``restart_on_termination`` keeps the transition relation total after
-        the controller's final step (the paper's SMV default case); see
+        The controller restarts from ``q0`` after its final step, which keeps
+        the transition relation total (the paper's SMV default case); see
         :func:`repro.automata.product.build_product`.  ``spec_names``
         optionally labels each specification's trace spans.
 
         The product is compiled directly into integer space (never
         materializing the intermediate Kripke structure), results are cached
-        under the (model, controller, restart, spec) fingerprint, and — when
-        every specification hits that cache — the product is not rebuilt at
-        all.
+        under the (model, controller, spec) fingerprint, and — when every
+        specification hits that cache — the product is not rebuilt at all.
         """
         specs = list(specifications)
         names = list(spec_names) if spec_names is not None else [None] * len(specs)
@@ -202,7 +200,6 @@ class ModelChecker:
             scope = (
                 self._model_fingerprint(model),
                 fastpath.controller_fingerprint(controller),
-                restart_on_termination,
             )
 
         compiled_box: list = []
@@ -213,9 +210,7 @@ class ModelChecker:
                     "mc.build_model", category="modelcheck", controller=controller.name
                 ):
                     compiled_box.append(
-                        fastpath.compile_product(
-                            model, controller, restart_on_termination=restart_on_termination
-                        )
+                        fastpath.compile_product(model, controller, restart_on_termination=True)
                     )
             return compiled_box[0]
 
@@ -378,12 +373,11 @@ class NaiveModelChecker(ModelChecker):
         controller: FSAController,
         specifications: Iterable,
         *,
-        restart_on_termination: bool = True,
         spec_names: Iterable | None = None,
     ) -> VerificationReport:
         """``M ⊗ C |= Φ_i`` for every Φ_i, over the materialized product."""
         with obs.span("mc.build_model", category="modelcheck", controller=controller.name):
-            product = build_product(model, controller, restart_on_termination=restart_on_termination)
+            product = build_product(model, controller, restart_on_termination=True)
         return self.check_all(product, specifications, spec_names=spec_names)
 
     # ------------------------------------------------------------------ #

@@ -27,9 +27,9 @@ Three independent optimizations compose (see ``docs/modelcheck.md``):
   rows are cached on the :class:`CachedAutomaton`).
 
 A bounded :class:`ResultCache` keyed on (model fingerprint, controller
-fingerprint, restart flag, spec key) lets the m sampled responses sharing an
-FSA structure skip re-exploration entirely — the "incremental product reuse"
-of the ROADMAP.
+fingerprint, spec key) lets the m sampled responses sharing an FSA structure
+skip re-exploration entirely — the "incremental product reuse" of the
+ROADMAP.
 """
 
 from __future__ import annotations
@@ -709,8 +709,8 @@ def model_fingerprint(model: TransitionSystem) -> str:
 class ResultCache:
     """Bounded LRU of :class:`~repro.modelcheck.checker.VerificationResult`.
 
-    Keyed on ``(model fingerprint, controller fingerprint, restart flag,
-    spec key)``; results are frozen dataclasses, safe to share between hits.
+    Keyed on ``(model fingerprint, controller fingerprint, spec key)``;
+    results are frozen dataclasses, safe to share between hits.
     Thread-safe: a checker can be reached from a dispatcher thread and from
     direct ``score_batch`` callers at once.
     """

@@ -45,6 +45,7 @@ from repro.errors import AlignmentError
 from repro.feedback.empirical import EmpiricalEvaluator
 from repro.feedback.formal import FormalVerifier
 from repro.glm2fsa.builder import build_controller_from_text
+from repro.serving.config import EMPIRICAL_THRESHOLD, EMPIRICAL_TRACES
 
 #: Miss batches smaller than this are scored inline by the process backend:
 #: the fork/initializer cost would dominate the verification work saved.
@@ -54,21 +55,19 @@ PROCESS_MIN_BATCH = 4
 class ResponseScorer:
     """Builds the verification stack once and scores ``(task, scenario, response)`` jobs.
 
-    Parameters mirror the fields of :class:`~repro.core.config.FeedbackConfig`
-    (passed individually so this module never imports the pipeline layer) plus
-    the empirical seed.  World models and evaluators are built lazily, once
-    per scenario, and reused for every subsequent job.
+    ``use_empirical`` mirrors :class:`~repro.core.config.FeedbackConfig`'s
+    one field (passed on its own so this module never imports the pipeline
+    layer); empirical mode collects :data:`EMPIRICAL_TRACES` traces per
+    response from the empirical ``seed`` and counts a specification as
+    satisfied at :data:`EMPIRICAL_THRESHOLD`.  World models and evaluators
+    are built lazily, once per scenario, and reused for every subsequent job.
     """
 
     def __init__(
         self,
         specifications: Mapping,
         *,
-        wait_action: str | None = "stop",
-        restart_on_termination: bool = True,
         use_empirical: bool = False,
-        empirical_traces: int = 10,
-        empirical_threshold: float = 0.9,
         seed: int = 0,
         model_builder=None,
     ):
@@ -77,34 +76,12 @@ class ResponseScorer:
 
             model_builder = scenario_model
         self.specifications = dict(specifications)
-        self.wait_action = wait_action
-        self.restart_on_termination = restart_on_termination
         self.use_empirical = use_empirical
-        self.empirical_traces = empirical_traces
-        self.empirical_threshold = empirical_threshold
         self.seed = seed
         self.model_builder = model_builder
-        self.verifier = FormalVerifier(
-            self.specifications,
-            wait_action=wait_action,
-            restart_on_termination=restart_on_termination,
-        )
+        self.verifier = FormalVerifier(self.specifications)
         self._models: dict = {}
         self._evaluators: dict = {}
-
-    @classmethod
-    def from_feedback(cls, specifications, feedback, *, seed=0, model_builder=None):
-        """Construct from a :class:`~repro.core.config.FeedbackConfig`-like object."""
-        return cls(
-            specifications,
-            wait_action=feedback.wait_action,
-            restart_on_termination=feedback.restart_on_termination,
-            use_empirical=feedback.use_empirical,
-            empirical_traces=feedback.empirical_traces,
-            empirical_threshold=feedback.empirical_threshold,
-            seed=seed,
-            model_builder=model_builder,
-        )
 
     # ------------------------------------------------------------------ #
     def scenario_model(self, scenario: str):
@@ -121,7 +98,7 @@ class ResponseScorer:
             self._evaluators[scenario] = EmpiricalEvaluator(
                 self.specifications,
                 SimulationGrounding(scenario),
-                threshold=self.empirical_threshold,
+                threshold=EMPIRICAL_THRESHOLD,
             )
         return self._evaluators[scenario]
 
@@ -137,13 +114,11 @@ class ResponseScorer:
         """Verify one response from scratch (the serial reference computation)."""
         if self.use_empirical:
             try:
-                controller = build_controller_from_text(
-                    response, task=task, wait_action=self.wait_action
-                )
+                controller = build_controller_from_text(response, task=task)
             except AlignmentError:
                 return 0
             feedback = self.evaluator(scenario).evaluate_controller(
-                controller, num_traces=self.empirical_traces, seed=self.seed
+                controller, num_traces=EMPIRICAL_TRACES, seed=self.seed
             )
             return feedback.num_satisfied
         feedback = self.verifier.verify_response(self.scenario_model(scenario), response, task=task)
@@ -163,11 +138,7 @@ class WorkerPayload:
     """
 
     specifications: tuple  # ((name, formula), ...) in a stable order
-    wait_action: str | None
-    restart_on_termination: bool
     use_empirical: bool
-    empirical_traces: int
-    empirical_threshold: float
     seed: int
     #: Directory worker processes write per-PID trace shards into; ``None``
     #: keeps workers untraced (the default — tracing is opt-in).
@@ -184,24 +155,14 @@ class WorkerPayload:
     ) -> "WorkerPayload":
         return cls(
             specifications=tuple(sorted(specifications.items())),
-            wait_action=feedback.wait_action,
-            restart_on_termination=feedback.restart_on_termination,
             use_empirical=feedback.use_empirical,
-            empirical_traces=feedback.empirical_traces,
-            empirical_threshold=feedback.empirical_threshold,
             seed=seed,
             trace_shard_dir=trace_shard_dir,
         )
 
     def build_scorer(self) -> ResponseScorer:
         return ResponseScorer(
-            dict(self.specifications),
-            wait_action=self.wait_action,
-            restart_on_termination=self.restart_on_termination,
-            use_empirical=self.use_empirical,
-            empirical_traces=self.empirical_traces,
-            empirical_threshold=self.empirical_threshold,
-            seed=self.seed,
+            dict(self.specifications), use_empirical=self.use_empirical, seed=self.seed
         )
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+from repro.serving.config import EMPIRICAL_THRESHOLD, EMPIRICAL_TRACES
 from repro.utils.serialization import dump_json_atomic, load_json
 
 #: Bump when the key layout changes so stale persisted caches are ignored.
@@ -39,13 +40,16 @@ def feedback_fingerprint(feedback, specifications: Mapping, *, seed: int = 0) ->
     from repro import __version__
 
     specs = sorted(f"{name}={formula}" for name, formula in specifications.items())
+    # Shard file names hash this JSON.  The controller's wait action and
+    # restart convention are fixed, but their keys stay, at their one value,
+    # so every shard written with them keeps its name and its entries.
     parts = {
         "version": __version__,
         "mode": "empirical" if feedback.use_empirical else "formal",
-        "wait_action": feedback.wait_action,
-        "restart_on_termination": feedback.restart_on_termination,
-        "empirical_traces": feedback.empirical_traces if feedback.use_empirical else None,
-        "empirical_threshold": feedback.empirical_threshold if feedback.use_empirical else None,
+        "wait_action": "stop",
+        "restart_on_termination": True,
+        "empirical_traces": EMPIRICAL_TRACES if feedback.use_empirical else None,
+        "empirical_threshold": EMPIRICAL_THRESHOLD if feedback.use_empirical else None,
         "seed": seed if feedback.use_empirical else None,
         "specifications": specs,
     }

@@ -13,6 +13,11 @@ from dataclasses import dataclass
 #: Supported worker-pool backends for scoring cache misses.
 BACKENDS: tuple = ("serial", "process")
 
+#: Empirical mode: simulator traces collected per response, and the share of
+#: them a specification must hold on to count as satisfied.
+EMPIRICAL_TRACES = 10
+EMPIRICAL_THRESHOLD = 0.9
+
 
 @dataclass(frozen=True)
 class ServingConfig:

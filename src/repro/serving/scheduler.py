@@ -242,7 +242,7 @@ class FeedbackService:
         Mapping ``{name: Formula}`` every job is scored against.
     feedback:
         A :class:`~repro.core.config.FeedbackConfig` selecting formal
-        verification or empirical (simulator) evaluation and its parameters.
+        verification or empirical (simulator) evaluation.
     config:
         A :class:`~repro.serving.config.ServingConfig`; defaults to the
         cached, serial configuration.
@@ -273,9 +273,9 @@ class FeedbackService:
         self.feedback = feedback
         self.config = config or ServingConfig()
         self.seed = seed
-        self._scorer = ResponseScorer.from_feedback(
+        self._scorer = ResponseScorer(
             self.specifications,
-            feedback,
+            use_empirical=feedback.use_empirical,
             seed=seed,
             model_builder=model_builder,
         )

@@ -51,7 +51,7 @@ def _service(backend: str, feedback: FeedbackConfig, **config_kwargs) -> Feedbac
 class TestBackendParity:
     @pytest.mark.parametrize(
         "feedback",
-        [FeedbackConfig(), FeedbackConfig(use_empirical=True, empirical_traces=3)],
+        [FeedbackConfig(), FeedbackConfig(use_empirical=True)],
         ids=["formal", "empirical"],
     )
     def test_three_backends_are_bitwise_identical(self, feedback):
@@ -292,7 +292,7 @@ class TestSharedCacheAcrossRuns:
         formal.flush()
         empirical = FeedbackService(
             core_specifications(),
-            feedback=FeedbackConfig(use_empirical=True, empirical_traces=3),
+            feedback=FeedbackConfig(use_empirical=True),
             config=ServingConfig(shared_cache_dir=shared),
         )
         assert empirical.metrics.warm_start_entries == 0

@@ -20,6 +20,7 @@ from repro.serving import (
     dedupe_responses,
     feedback_fingerprint,
 )
+from repro.serving.config import EMPIRICAL_THRESHOLD, EMPIRICAL_TRACES
 from repro.sim import SimulationGrounding
 
 
@@ -174,7 +175,7 @@ class TestFeedbackService:
         assert service.cache.stats().hits == 1
 
     def test_cached_empirical_score_matches_recomputation(self, right_turn_task):
-        feedback = FeedbackConfig(use_empirical=True, empirical_traces=5)
+        feedback = FeedbackConfig(use_empirical=True)
         service = FeedbackService(core_specifications(), feedback=feedback, seed=0)
         response = response_templates(right_turn_task.name, "compliant")[0]
         first = service.score_response(right_turn_task, response)
@@ -182,17 +183,15 @@ class TestFeedbackService:
         evaluator = EmpiricalEvaluator(
             core_specifications(),
             SimulationGrounding(right_turn_task.scenario),
-            threshold=feedback.empirical_threshold,
+            threshold=EMPIRICAL_THRESHOLD,
         )
-        controller = build_controller_from_text(
-            response, task=right_turn_task.name, wait_action=feedback.wait_action
-        )
-        direct = evaluator.evaluate_controller(controller, num_traces=5, seed=0)
+        controller = build_controller_from_text(response, task=right_turn_task.name)
+        direct = evaluator.evaluate_controller(controller, num_traces=EMPIRICAL_TRACES, seed=0)
         assert first == second == direct.num_satisfied
         assert service.cache.stats().hits == 1
 
     def test_unparseable_response_scores_zero(self, right_turn_task):
-        for feedback in (FeedbackConfig(), FeedbackConfig(use_empirical=True, empirical_traces=3)):
+        for feedback in (FeedbackConfig(), FeedbackConfig(use_empirical=True)):
             service = FeedbackService(core_specifications(), feedback=feedback)
             assert service.score_response(right_turn_task, "Please drive safely out there.") == 0
 
@@ -261,7 +260,7 @@ class TestFeedbackService:
 
     def test_evaluator_and_model_built_once_per_scenario(self, right_turn_task):
         service = FeedbackService(
-            core_specifications(), feedback=FeedbackConfig(use_empirical=True, empirical_traces=3)
+            core_specifications(), feedback=FeedbackConfig(use_empirical=True)
         )
         assert service.scenario_model(right_turn_task.scenario) is service.scenario_model(right_turn_task.scenario)
         assert service.evaluator(right_turn_task.scenario) is service.evaluator(right_turn_task.scenario)
