@@ -48,20 +48,18 @@ def build_product(
     model: TransitionSystem,
     controller: FSAController,
     *,
-    stutter_on_deadlock: bool = True,
     restart_on_termination: bool = False,
 ) -> KripkeStructure:
     """Construct the product ``M ⊗ C`` as a state-labeled Kripke structure.
+
+    Product states from which no joint move exists get a self-loop, so all
+    paths are infinite — the convention NuSMV enforces via a total
+    transition relation.
 
     Parameters
     ----------
     model, controller:
         The world model and the FSA controller to compose.
-    stutter_on_deadlock:
-        If True (default), product states from which no joint move exists get a
-        self-loop so all paths are infinite — the convention NuSMV enforces via
-        a total transition relation.  If False, deadlocks are left in place and
-        the caller may inspect them.
     restart_on_termination:
         If True, a product state whose controller component has no outgoing
         move (the controller finished its step list) restarts the controller
@@ -69,8 +67,7 @@ def build_product(
         that repeatedly re-encounters the scenario.  This mirrors the default
         ``TRUE : next(action) = ...`` case of the paper's Appendix-D SMV
         modules, which keeps the transition relation total after the listed
-        steps are exhausted.  If False, such states stutter (when
-        ``stutter_on_deadlock``) or are left deadlocked.
+        steps are exhausted.  If False, such states stutter.
 
     Raises
     ------
@@ -144,10 +141,9 @@ def build_product(
                     kripke.add_transition(current, successor)
                     added_successor = True
 
-        if not added_successor and stutter_on_deadlock:
+        if not added_successor:
             kripke.add_transition(current, current)
 
-    if stutter_on_deadlock:
-        kripke.make_total()
+    kripke.make_total()
     kripke.validate()
     return kripke

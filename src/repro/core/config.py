@@ -21,12 +21,8 @@ class SamplingConfig:
 
 @dataclass(frozen=True)
 class FeedbackConfig:
-    """How automated feedback is computed.
-
-    Formal verification (the default) model-checks each response's
-    controller; ``use_empirical`` ranks with simulator traces instead, at the
-    fixed trace count and threshold of :mod:`repro.serving.config`.
-    """
+    """How automated feedback is computed: model checking, or simulator traces
+    (:mod:`repro.serving.config` fixes their count and threshold)."""
 
     use_empirical: bool = False
 

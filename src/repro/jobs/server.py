@@ -18,7 +18,7 @@ a one-shot CLI run does not:
   service token, so the dispatcher's round-robin interleaves clients: a
   greedy client at its cap cannot starve another client's jobs.
 * **Retries** — a failed scoring attempt is retried with the shared
-  jittered-backoff policy from :mod:`repro.utils.retry`
+  capped exponential backoff from :mod:`repro.utils.retry`
   (``RUNNING → RETRYING → RUNNING``), and only becomes ``FAILED`` when the
   policy is exhausted.
 * **Observability** — ``job.submit`` / ``job.run`` / ``job.retry`` spans in

@@ -39,6 +39,9 @@ SNAPSHOT_SCHEMA = 1
 class JobStore:
     """Crash-safe map of jobs and batches, backed by journal + snapshot.
 
+    Every append is fsynced before it returns: the durability the
+    crash-recovery contract relies on.
+
     Parameters
     ----------
     root:
@@ -48,22 +51,17 @@ class JobStore:
     snapshot_every:
         Journal appends between snapshots.  Smaller keeps replay shorter at
         the cost of more full-state rewrites.
-    fsync:
-        When True (default) every append is fsynced before returning — the
-        durability the crash-recovery contract relies on.  Tests that hammer
-        the store may disable it for speed.
     """
 
     JOURNAL_NAME = "journal.jsonl"
     SNAPSHOT_NAME = "snapshot.json"
 
-    def __init__(self, root: str | Path, *, snapshot_every: int = 64, fsync: bool = True):
+    def __init__(self, root: str | Path, *, snapshot_every: int = 64):
         if snapshot_every <= 0:
             raise ValueError(f"snapshot_every must be positive, got {snapshot_every}")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.snapshot_every = snapshot_every
-        self.fsync = fsync
         self._lock = threading.Lock()
         self._jobs: dict = {}
         self._batches: dict = {}
@@ -138,8 +136,7 @@ class JobStore:
             self._apply_locked(record)
             self._journal.write(line + "\n")
             self._journal.flush()
-            if self.fsync:
-                os.fsync(self._journal.fileno())
+            os.fsync(self._journal.fileno())
             self._appends_since_snapshot += 1
             if self._appends_since_snapshot >= self.snapshot_every:
                 self._snapshot_locked()
@@ -164,8 +161,7 @@ class JobStore:
         self._journal.seek(0)
         self._journal.truncate()
         self._journal.flush()
-        if self.fsync:
-            os.fsync(self._journal.fileno())
+        os.fsync(self._journal.fileno())
         self._appends_since_snapshot = 0
 
     # ------------------------------------------------------------------ #

@@ -11,7 +11,6 @@ from repro.lm.layers import Parameter
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-
 #: Global L2 norm the trainable gradients are clipped to before each step.
 MAX_GRAD_NORM = 1.0
 
@@ -22,8 +21,7 @@ class Adam:
     Only the parameters that are ``trainable`` when the optimizer is built are
     kept — zeroed, clipped, updated and given moment buffers — which is how
     LoRA fine-tuning freezes the base model while adapting the low-rank
-    matrices.  Gradients are clipped to :data:`MAX_GRAD_NORM` before every
-    update.
+    matrices.
     """
 
     def __init__(self, parameters: list, *, learning_rate: float = 1e-3):

@@ -21,11 +21,7 @@ LEARNING_RATE = 3e-3
 
 @dataclass(frozen=True)
 class PretrainConfig:
-    """Hyper-parameters for the pre-training loop.
-
-    Documents are cut to the model's context window,
-    :attr:`ModelConfig.max_seq_len <repro.lm.transformer.ModelConfig>`.
-    """
+    """Hyper-parameters for the pre-training loop."""
 
     num_steps: int = 400
     batch_size: int = 16

@@ -344,7 +344,6 @@ def compile_product(
     model: TransitionSystem,
     controller: FSAController,
     *,
-    stutter_on_deadlock: bool = True,
     restart_on_termination: bool = False,
 ) -> CompiledStructure:
     """Build ``M ⊗ C`` directly in integer space.
@@ -425,7 +424,7 @@ def compile_product(
                 for next_action, _ in moves(q0, p_next):
                     out.append(ensure(p_next, q0, next_action))
                     added = True
-        if not added and stutter_on_deadlock:
+        if not added:
             out.append(sid)
 
     labels: list = []

@@ -11,7 +11,7 @@ This package turns it into a standalone service with four layers:
     Score-preserving response canonicalisation, so the many identical
     responses a small model samples verify exactly once per batch
     (:func:`~repro.serving.dedup.canonicalize_response`,
-    :func:`~repro.serving.dedup.dedupe_responses`).
+    :func:`~repro.serving.dedup.first_occurrence`).
 ``cache``
     A content-addressed LRU result cache keyed by a SHA-256 digest of
     ``(scenario, canonical response, feedback fingerprint)``, with hit/miss
@@ -92,7 +92,7 @@ from repro.serving.cache import (
     model_digest,
 )
 from repro.serving.config import BACKENDS, ServingConfig
-from repro.serving.dedup import canonicalize_response, dedupe_responses, first_occurrence
+from repro.serving.dedup import canonicalize_response, first_occurrence
 from repro.serving.metrics import ServingMetrics
 from repro.serving.scheduler import Dispatcher, FeedbackJob, FeedbackService, PendingBatch
 
@@ -110,7 +110,6 @@ __all__ = [
     "WorkerPayload",
     "WorkerPool",
     "canonicalize_response",
-    "dedupe_responses",
     "first_occurrence",
     "ServingMetrics",
     "Dispatcher",

@@ -55,12 +55,10 @@ PROCESS_MIN_BATCH = 4
 class ResponseScorer:
     """Builds the verification stack once and scores ``(task, scenario, response)`` jobs.
 
-    ``use_empirical`` mirrors :class:`~repro.core.config.FeedbackConfig`'s
-    one field (passed on its own so this module never imports the pipeline
-    layer); empirical mode collects :data:`EMPIRICAL_TRACES` traces per
-    response from the empirical ``seed`` and counts a specification as
-    satisfied at :data:`EMPIRICAL_THRESHOLD`.  World models and evaluators
-    are built lazily, once per scenario, and reused for every subsequent job.
+    ``use_empirical`` is :class:`~repro.core.config.FeedbackConfig`'s field
+    (passed alone so this module never imports the pipeline layer); ``seed``
+    seeds the empirical traces.  World models and evaluators are built
+    lazily, once per scenario, and reused for every subsequent job.
     """
 
     def __init__(
@@ -212,22 +210,16 @@ class WorkerPool:
     (1 for a healthy run), which the tests and benchmarks assert on.
 
     Degradation is always toward the serial reference, never toward wrong
-    scores: batches below ``min_batch`` are scored inline, and a closed pool
-    keeps answering via the fallback scorer.  A pool whose construction fails
-    or whose workers die (``OSError`` / ``BrokenExecutor``) marks itself
-    broken and scores that batch, and every later one, with the serial loop.
+    scores: batches below :data:`PROCESS_MIN_BATCH` are scored inline, and a
+    closed pool keeps answering via the fallback scorer.  A pool whose
+    construction fails or whose workers die (``OSError`` / ``BrokenExecutor``)
+    marks itself broken and scores that batch, and every later one, with the
+    serial loop.
     """
 
-    def __init__(
-        self,
-        payload: WorkerPayload,
-        *,
-        max_workers: int,
-        min_batch: int = PROCESS_MIN_BATCH,
-    ):
+    def __init__(self, payload: WorkerPayload, *, max_workers: int):
         self.payload = payload
         self.max_workers = max_workers
-        self.min_batch = min_batch
         self._executor: ProcessPoolExecutor | None = None
         #: Executor launches over this pool's lifetime (fork/initializer cost
         #: is paid ``starts × max_workers`` times, so reuse keeps this at 1).
@@ -279,11 +271,11 @@ class WorkerPool:
         (enough slack for work-stealing across uneven verification times
         without paying per-job IPC); ``pool.map`` preserves chunk order, so
         concatenating the per-chunk score lists reproduces submission order
-        exactly.  Batches smaller than ``min_batch`` are scored inline with
-        ``fallback`` — identical scores, none of the dispatch cost.
+        exactly.  Batches smaller than :data:`PROCESS_MIN_BATCH` are scored
+        inline with ``fallback`` — identical scores, none of the dispatch cost.
         """
         jobs = list(jobs)
-        if len(jobs) < max(self.min_batch, 2):
+        if len(jobs) < PROCESS_MIN_BATCH:
             return run_serial(fallback, jobs)
         triples = [(job.task, job.scenario, job.response) for job in jobs]
         chunk_size = max(1, -(-len(triples) // (self.max_workers * 4)))

@@ -27,6 +27,10 @@ from repro.utils.serialization import dump_json_atomic, load_json
 #: Bump when the key layout changes so stale persisted caches are ignored.
 CACHE_SCHEMA_VERSION = 1
 
+#: Age in seconds before compaction sweeps a tmp or orphaned lock file.
+TMP_GRACE_SECONDS = 3600.0
+
+
 def feedback_fingerprint(feedback, specifications: Mapping, *, seed: int = 0) -> str:
     """Canonical string identifying one feedback configuration.
 
@@ -123,9 +127,6 @@ class FeedbackCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
     def get(self, key: str):
         """The cached score for ``key`` (refreshing recency), or None."""
         if key not in self._entries:
@@ -152,9 +153,6 @@ class FeedbackCache:
             size=len(self._entries),
             max_entries=self.max_entries,
         )
-
-    def clear(self) -> None:
-        self._entries.clear()
 
     def entries(self) -> list:
         """``[key, score]`` pairs in recency order (least recent first)."""
@@ -221,12 +219,6 @@ class CacheDirectory:
         return self.root / f"{digest[: self.DIGEST_PREFIX]}.json"
 
     # ------------------------------------------------------------------ #
-    def load(self, fingerprint: str, *, max_entries: int = 4096) -> FeedbackCache:
-        """The shard for ``fingerprint`` as a cache; empty when unusable."""
-        cache = FeedbackCache(max_entries=max_entries)
-        cache.merge(self.shard_entries(fingerprint))
-        return cache
-
     def store(self, fingerprint: str, cache: FeedbackCache) -> Path:
         """Merge ``cache`` into the shard for ``fingerprint`` and write it atomically.
 
@@ -272,9 +264,9 @@ class CacheDirectory:
         """Raw ``[key, score]`` pairs of the shard for ``fingerprint``.
 
         Empty when the shard is missing, corrupt, stale-schema, or records a
-        different fingerprint — never a partial result.  Unlike :meth:`load`,
-        no LRU bound is applied, so callers merging into an arbitrarily sized
-        cache see every entry.
+        different fingerprint — never a partial result.  No LRU bound is
+        applied, so callers merging into an arbitrarily sized cache see every
+        entry.
         """
         path = self.shard_path(fingerprint)
         try:
@@ -360,11 +352,7 @@ class CacheDirectory:
                 fcntl.flock(lock_file, fcntl.LOCK_UN)
 
     def compact(
-        self,
-        *,
-        max_entries: int | None = None,
-        max_bytes: int | None = None,
-        tmp_grace_seconds: float = 3600.0,
+        self, *, max_entries: int | None = None, max_bytes: int | None = None
     ) -> "CompactionReport":
         """Bound the directory's size and sweep up ``store``'s litter.
 
@@ -393,7 +381,7 @@ class CacheDirectory:
         3. *Sweep*: ``*.tmp.<pid>`` files (crashed writers) and orphaned
            ``*.lock`` files (no surviving shard — ``store`` creates locks it
            never deletes) are removed, both only once older than
-           ``tmp_grace_seconds``.  The grace window keeps the sweep from
+           :data:`TMP_GRACE_SECONDS`.  The grace window keeps the sweep from
            racing a live ``store``: a brand-new fingerprint's lock exists
            before its shard does, but it was also created (fresh mtime)
            moments ago.  ``compact.lock`` itself is never swept.
@@ -404,18 +392,10 @@ class CacheDirectory:
         with self._compaction_lock() as held:
             if not held:
                 return CompactionReport(skipped=True, total_bytes=self._directory_bytes())
-            return self._compact_locked(
-                max_entries=max_entries,
-                max_bytes=max_bytes,
-                tmp_grace_seconds=tmp_grace_seconds,
-            )
+            return self._compact_locked(max_entries=max_entries, max_bytes=max_bytes)
 
     def _compact_locked(
-        self,
-        *,
-        max_entries: int | None,
-        max_bytes: int | None,
-        tmp_grace_seconds: float,
+        self, *, max_entries: int | None, max_bytes: int | None
     ) -> "CompactionReport":
         """The trim/evict/sweep passes, run under the directory lock."""
         trimmed = evicted = removed_locks = removed_tmp = 0
@@ -458,7 +438,7 @@ class CacheDirectory:
             try:
                 if (
                     lock.name[: -len(".lock")] not in surviving
-                    and now - lock.stat().st_mtime > tmp_grace_seconds
+                    and now - lock.stat().st_mtime > TMP_GRACE_SECONDS
                 ):
                     lock.unlink(missing_ok=True)
                     removed_locks += 1
@@ -466,7 +446,7 @@ class CacheDirectory:
                 continue
         for tmp in self.root.glob("*.tmp.*"):
             try:
-                if now - tmp.stat().st_mtime > tmp_grace_seconds:
+                if now - tmp.stat().st_mtime > TMP_GRACE_SECONDS:
                     tmp.unlink(missing_ok=True)
                     removed_tmp += 1
             except OSError:

@@ -36,8 +36,8 @@ def first_occurrence(items) -> tuple:
     """Collapse a sequence to its distinct items, preserving first-seen order.
 
     Returns ``(unique, assignment)`` where ``assignment[i]`` is the index into
-    ``unique`` for the ``i``-th input — the scatter map shared by
-    :func:`dedupe_responses` and the scheduler's per-key dedup.
+    ``unique`` for the ``i``-th input — the scatter map of the scheduler's
+    per-key dedup.
     """
     unique: list = []
     index_of: dict = {}
@@ -49,17 +49,3 @@ def first_occurrence(items) -> tuple:
         assignment.append(index_of[item])
     return unique, assignment
 
-
-def dedupe_responses(responses) -> tuple:
-    """Collapse a batch to its unique canonical responses.
-
-    Returns ``(unique, assignment)`` where ``unique`` is the list of distinct
-    canonical forms in first-appearance order and ``assignment[i]`` is the
-    index into ``unique`` for the ``i``-th input response — so scores computed
-    for ``unique`` scatter back to the original order deterministically::
-
-        unique, assignment = dedupe_responses(batch)
-        scores = [score(u) for u in unique]
-        per_response = [scores[j] for j in assignment]
-    """
-    return first_occurrence(canonicalize_response(response) for response in responses)

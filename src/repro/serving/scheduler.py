@@ -209,8 +209,8 @@ class Dispatcher:
             future.set_result(result)
 
     # ------------------------------------------------------------------ #
-    def close(self, *, wait: bool = True) -> None:
-        """Drain submitted batches (when ``wait``) and stop the thread.
+    def close(self) -> None:
+        """Drain submitted batches and stop the thread.
 
         Idempotent.  After ``close()`` every ``submit`` raises
         ``RuntimeError``.
@@ -224,7 +224,7 @@ class Dispatcher:
             # Shutdown waits for the already-submitted _run_next calls —
             # exactly one per queued batch — so every admitted batch still
             # executes (and resolves its future) before the thread stops.
-            executor.shutdown(wait=wait)
+            executor.shutdown(wait=True)
 
     def __enter__(self) -> "Dispatcher":
         return self
@@ -496,12 +496,12 @@ class FeedbackService:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def close(self, *, flush: bool = True) -> None:
+    def close(self) -> None:
         """Drain submitted batches and release threads/worker processes.
 
         Closing the service's dispatcher waits for every batch already
-        submitted; then the cache is optionally flushed to its shared cache
-        directory and the persistent process pool shut down.  Idempotent;
+        submitted; then the cache is flushed to its shared cache directory
+        and the persistent process pool shut down.  Idempotent;
         after ``close()`` the synchronous ``score_batch`` path still works
         (the process backend degrades to serial scoring) but
         ``submit_batch`` raises.
@@ -512,13 +512,12 @@ class FeedbackService:
             self._closed = True
             dispatcher, self._dispatcher = self._dispatcher, None
         if dispatcher is not None:
-            dispatcher.close(wait=True)
+            dispatcher.close()
         # Serialise against any in-flight synchronous score_batch: flushing
         # while a batch mutates the cache, or closing the pool under a
         # running pool.map, would corrupt the flush or crash the batch.
         with self._batch_lock:
-            if flush:
-                self.flush()
+            self.flush()
             if self._pool is not None:
                 self._pool.close()
 

@@ -88,7 +88,7 @@ def daemon_factory(jobs_root):
         dispatcher = Dispatcher(name="test-jobs")
         stub = StubService(fail_times)
         if store is None:
-            store = JobStore(jobs_root / "store", fsync=False)
+            store = JobStore(jobs_root / "store")
         if not real_sleep:
             daemon_kwargs.setdefault("sleep", lambda _seconds: None)
         daemon = JobsDaemon(

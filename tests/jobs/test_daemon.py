@@ -87,7 +87,7 @@ class TestLifecycle:
 class TestRetries:
     def test_transient_failures_retry_to_success(self, daemon_factory, client):
         daemon, store, stub = daemon_factory(
-            fail_times={"1. Stop.": 2}, retry=RetryPolicy(max_attempts=3, base_delay=0.01)
+            fail_times={"1. Stop.": 2}, retry=RetryPolicy(max_attempts=3)
         )
         job = client.create_job(TASK, "1. Stop.")
         final = client.wait([job["job_id"]])[job["job_id"]]
@@ -98,7 +98,7 @@ class TestRetries:
     def test_exhausted_retries_fail_and_release_quota(self, daemon_factory, client):
         daemon, store, stub = daemon_factory(
             fail_times={"1. Stop.": 99},
-            retry=RetryPolicy(max_attempts=2, base_delay=0.01),
+            retry=RetryPolicy(max_attempts=2),
             max_inflight_per_client=1,
         )
         job = client.create_job(TASK, "1. Stop.")
@@ -112,7 +112,7 @@ class TestRetries:
 
     def test_retry_states_are_journaled(self, daemon_factory, client, jobs_root):
         daemon, store, stub = daemon_factory(
-            fail_times={"1. Stop.": 1}, retry=RetryPolicy(max_attempts=2, base_delay=0.01)
+            fail_times={"1. Stop.": 1}, retry=RetryPolicy(max_attempts=2)
         )
         job = client.create_job(TASK, "1. Stop.")
         client.wait([job["job_id"]])
@@ -248,7 +248,7 @@ class TestRestart:
         assert [job.job_id for job in store1.pending_jobs()] == queued["job_ids"]
         store1.close()
 
-        store2 = JobStore(jobs_root / "store", fsync=False)
+        store2 = JobStore(jobs_root / "store")
         daemon2, _store, stub2 = daemon_factory(store=store2)
         final = client.wait(queued["job_ids"])
         assert all(job["state"] == SUCCEEDED for job in final.values())
@@ -258,7 +258,7 @@ class TestRestart:
 
     def test_restart_requeues_job_killed_mid_attempt(self, daemon_factory, client, jobs_root):
         # Simulate dying mid-RUNNING: write the RUNNING record, never finish.
-        store1 = JobStore(jobs_root / "store", fsync=False)
+        store1 = JobStore(jobs_root / "store")
         from repro.jobs import Job
 
         job = Job(
@@ -274,7 +274,7 @@ class TestRestart:
         store1.append_job(job.transition(RUNNING, at=2.0, attempts=1))
         store1._journal.close()  # abandon without close(): no final snapshot
 
-        store2 = JobStore(jobs_root / "store", fsync=False)
+        store2 = JobStore(jobs_root / "store")
         daemon, _store, stub = daemon_factory(store=store2)
         final = client.wait(["j-000001"])["j-000001"]
         assert final["state"] == SUCCEEDED

@@ -69,7 +69,7 @@ class TestJournalReplay:
 
 class TestSnapshot:
     def test_periodic_snapshot_truncates_journal(self, tmp_path):
-        store = JobStore(tmp_path / "s", snapshot_every=3, fsync=False)
+        store = JobStore(tmp_path / "s", snapshot_every=3)
         for n in range(1, 4):
             store.append_job(_job(n))
         journal = tmp_path / "s" / JobStore.JOURNAL_NAME
@@ -86,7 +86,7 @@ class TestSnapshot:
     def test_snapshot_is_idempotent_with_journal_replay(self, tmp_path):
         # A crash *between* snapshot and truncation replays journal records
         # already in the snapshot; last-wins replay makes that harmless.
-        store = JobStore(tmp_path / "s", fsync=False)
+        store = JobStore(tmp_path / "s")
         job = _job(1)
         store.append_job(job)
         store.snapshot()

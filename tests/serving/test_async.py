@@ -19,6 +19,7 @@ from repro.serving import (
     WorkerPayload,
     WorkerPool,
 )
+from repro.serving.backends import PROCESS_MIN_BATCH
 
 
 def _mixed_scenario_jobs() -> list:
@@ -188,7 +189,7 @@ class TestWorkerPoolReuse:
     def test_pool_forks_once_across_batches(self):
         """The tentpole claim: one executor launch per service lifetime."""
         all_jobs = _mixed_scenario_jobs()
-        # Three batches of distinct responses so every batch has >= min_batch
+        # Three batches of distinct responses so every batch has >= PROCESS_MIN_BATCH
         # cold misses and must reach the process pool.
         batches = [all_jobs[0:5], all_jobs[5:10], all_jobs[10:15]]
         with _service("process") as service:
@@ -204,7 +205,7 @@ class TestWorkerPoolReuse:
         payload = WorkerPayload.from_feedback(core_specifications(), FeedbackConfig(), seed=0)
         fallback = payload.build_scorer()
         expected = [fallback.score(j.task, j.scenario, j.response) for j in jobs]
-        with WorkerPool(payload, max_workers=2, min_batch=2) as pool:
+        with WorkerPool(payload, max_workers=2) as pool:
             assert pool.run(jobs[:8], fallback=fallback) == expected[:8]
             assert pool.run(jobs[8:], fallback=fallback) == expected[8:]
             assert pool.starts <= 1
@@ -212,8 +213,8 @@ class TestWorkerPoolReuse:
     def test_small_batches_never_start_the_pool(self):
         payload = WorkerPayload.from_feedback(core_specifications(), FeedbackConfig(), seed=0)
         fallback = payload.build_scorer()
-        jobs = _mixed_scenario_jobs()[:2]
-        with WorkerPool(payload, max_workers=2, min_batch=4) as pool:
+        jobs = _mixed_scenario_jobs()[: PROCESS_MIN_BATCH - 1]
+        with WorkerPool(payload, max_workers=2) as pool:
             scores = pool.run(jobs, fallback=fallback)
             assert pool.starts == 0
             assert scores == [fallback.score(j.task, j.scenario, j.response) for j in jobs]
@@ -222,7 +223,7 @@ class TestWorkerPoolReuse:
         payload = WorkerPayload.from_feedback(core_specifications(), FeedbackConfig(), seed=0)
         fallback = payload.build_scorer()
         jobs = _mixed_scenario_jobs()[:6]
-        pool = WorkerPool(payload, max_workers=2, min_batch=2)
+        pool = WorkerPool(payload, max_workers=2)
         pool.close()
         assert pool.run(jobs, fallback=fallback) == [
             fallback.score(j.task, j.scenario, j.response) for j in jobs

@@ -134,7 +134,7 @@ class TestBackendParity:
         jobs = _mixed_scenario_jobs()
         payload = WorkerPayload.from_feedback(core_specifications(), FeedbackConfig(), seed=0)
         fallback = payload.build_scorer()
-        with WorkerPool(payload, max_workers=2, min_batch=2) as pool:
+        with WorkerPool(payload, max_workers=2) as pool:
             scores = pool.run(jobs, fallback=fallback)
         assert scores == [fallback.score(j.task, j.scenario, j.response) for j in jobs]
 
@@ -179,7 +179,7 @@ class TestBrokenPoolFallback:
         fallback = payload.build_scorer()
         jobs = _mixed_scenario_jobs()
         first, second = jobs[:8], jobs[8:]
-        with WorkerPool(payload, max_workers=2, min_batch=2) as pool:
+        with WorkerPool(payload, max_workers=2) as pool:
             assert pool.run(first, fallback=fallback) == backends.run_serial(fallback, first)
             assert pool._broken
             assert pool.run(second, fallback=fallback) == backends.run_serial(fallback, second)
@@ -198,8 +198,7 @@ class TestCacheDirectory:
         directory.store(fp, first)
         second = FeedbackCache(); second.put("b", 2)
         directory.store(fp, second)
-        loaded = directory.load(fp)
-        assert loaded.get("a") == 1 and loaded.get("b") == 2
+        assert dict(directory.shard_entries(fp)) == {"a": 1, "b": 2}
 
     def test_distinct_fingerprints_use_distinct_shards(self, tmp_path):
         directory = CacheDirectory(tmp_path)
@@ -207,17 +206,17 @@ class TestCacheDirectory:
         cache = FeedbackCache(); cache.put("k", 3)
         directory.store(formal, cache)
         assert directory.shard_path(formal) != directory.shard_path(empirical)
-        assert len(directory.load(empirical)) == 0
+        assert directory.shard_entries(empirical) == []
 
     def test_corrupt_shard_loads_empty(self, tmp_path):
         directory = CacheDirectory(tmp_path)
         fp = self._fingerprint()
         directory.shard_path(fp).write_text("garbage{{{")
-        assert len(directory.load(fp)) == 0
+        assert directory.shard_entries(fp) == []
         # And storing over the corrupt shard repairs it.
         cache = FeedbackCache(); cache.put("k", 4)
         directory.store(fp, cache)
-        assert directory.load(fp).get("k") == 4
+        assert directory.shard_entries(fp) == [["k", 4]]
 
     def test_fingerprint_mismatch_inside_shard_is_ignored(self, tmp_path):
         """A hand-edited (or prefix-colliding) shard must never serve scores."""
@@ -226,7 +225,7 @@ class TestCacheDirectory:
         directory.shard_path(fp).write_text(
             json.dumps({"schema": 1, "fingerprint": "someone else's", "entries": [["k", 9]]})
         )
-        assert len(directory.load(fp)) == 0
+        assert directory.shard_entries(fp) == []
 
     def test_partial_tmp_files_are_never_read(self, tmp_path):
         directory = CacheDirectory(tmp_path)
@@ -235,7 +234,7 @@ class TestCacheDirectory:
         directory.store(fp, cache)
         shard = directory.shard_path(fp)
         (shard.parent / f"{shard.name}.tmp.12345").write_text('{"truncated": ')
-        assert directory.load(fp).get("k") == 5
+        assert directory.shard_entries(fp) == [["k", 5]]
 
     def test_atomic_save_survives_unserializable_payload(self, tmp_path):
         """A failing store must leave the previous shard intact."""
@@ -246,7 +245,7 @@ class TestCacheDirectory:
         bad = FeedbackCache(); bad.put("k", object())  # not JSON-serializable
         with pytest.raises(TypeError):
             directory.store(fp, bad)
-        assert directory.load(fp).get("k") == 6
+        assert directory.shard_entries(fp) == [["k", 6]]
         assert list(tmp_path.glob("*.tmp.*")) == []
 
 

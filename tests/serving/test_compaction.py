@@ -55,8 +55,9 @@ class TestShardTrimming:
         directory = CacheDirectory(tmp_path)
         _store_numbered_shard(directory, "fp", 8)
         directory.compact(max_entries=4)
-        loaded = directory.load("fp")
-        assert len(loaded) == 4 and loaded.get("fp-key-7") == 7
+        cache = FeedbackCache()
+        assert cache.merge(directory.shard_entries("fp")) == 4
+        assert cache.get("fp-key-7") == 7
 
 
 class TestShardEviction:
@@ -263,7 +264,7 @@ class TestCrossProcessCompactionLock:
         directory.compact()
         lock = tmp_path / CacheDirectory.COMPACT_LOCK_NAME
         os.utime(lock, (1, 1))
-        report = directory.compact(tmp_grace_seconds=0.0)
+        report = directory.compact()
         assert report.removed_lock_files == 0
         assert lock.exists()
 

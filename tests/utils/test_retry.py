@@ -1,6 +1,4 @@
-"""The shared jittered-backoff policy and retry loop."""
-
-import random
+"""The shared capped-backoff policy and retry loop."""
 
 import pytest
 
@@ -9,36 +7,16 @@ from repro.utils import RetryPolicy, call_with_retry
 
 class TestRetryPolicy:
     def test_delay_progression_caps_at_max(self):
-        policy = RetryPolicy(max_attempts=5, base_delay=0.1, multiplier=2.0, max_delay=0.35)
-        assert [policy.delay(n) for n in (1, 2, 3, 4)] == [0.1, 0.2, 0.35, 0.35]
-
-    def test_jitter_stays_within_band(self):
-        policy = RetryPolicy(base_delay=1.0, multiplier=1.0, max_delay=1.0, jitter=0.25)
-        rng = random.Random(7)
-        for _ in range(100):
-            assert 0.75 <= policy.delay(1, rng) <= 1.25
-
-    def test_no_rng_means_deterministic(self):
-        policy = RetryPolicy(base_delay=0.5, jitter=0.5)
-        assert policy.delay(1) == 0.5
-
-    def test_delays_enumerates_the_waits(self):
-        policy = RetryPolicy(max_attempts=4, base_delay=0.1, multiplier=2.0, max_delay=10.0, jitter=0.0)
-        assert list(policy.delays()) == [pytest.approx(0.1), pytest.approx(0.2), pytest.approx(0.4)]
+        policy = RetryPolicy(max_attempts=9)
+        assert [policy.delay(n) for n in range(1, 9)] == pytest.approx(
+            [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(base_delay=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_delay=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
+            RetryPolicy().delay(0)
 
 
 class TestCallWithRetry:
@@ -54,12 +32,12 @@ class TestCallWithRetry:
         slept = []
         result = call_with_retry(
             flaky,
-            policy=RetryPolicy(max_attempts=3, base_delay=0.1, multiplier=2.0, max_delay=9.0),
+            policy=RetryPolicy(max_attempts=3),
             sleep=slept.append,
         )
         assert result == "ok"
         assert len(attempts) == 3
-        assert slept == [pytest.approx(0.1), pytest.approx(0.2)]
+        assert slept == [pytest.approx(0.05), pytest.approx(0.1)]
 
     def test_exhaustion_raises_the_last_error(self):
         def always_fails():
@@ -68,7 +46,7 @@ class TestCallWithRetry:
         with pytest.raises(RuntimeError, match="permanent"):
             call_with_retry(
                 always_fails,
-                policy=RetryPolicy(max_attempts=2, base_delay=0.01),
+                policy=RetryPolicy(max_attempts=2),
                 sleep=lambda _s: None,
             )
 
@@ -82,7 +60,7 @@ class TestCallWithRetry:
         with pytest.raises(TypeError):
             call_with_retry(
                 raises_type_error,
-                policy=RetryPolicy(max_attempts=5, base_delay=0.01),
+                policy=RetryPolicy(max_attempts=5),
                 retry_on=(RuntimeError,),
                 sleep=lambda _s: None,
             )
@@ -98,28 +76,12 @@ class TestCallWithRetry:
 
         result = call_with_retry(
             fail_twice,
-            policy=RetryPolicy(max_attempts=3, base_delay=0.5, multiplier=2.0, max_delay=9.0),
+            policy=RetryPolicy(max_attempts=3),
             sleep=lambda _s: None,
             on_retry=lambda failures, exc, wait: seen.append((failures, str(exc), wait)),
         )
         assert result == 42
         assert seen == [
-            (1, "boom 0", pytest.approx(0.5)),
-            (2, "boom 1", pytest.approx(1.0)),
+            (1, "boom 0", pytest.approx(0.05)),
+            (2, "boom 1", pytest.approx(0.1)),
         ]
-
-    def test_jittered_sleeps_use_the_supplied_rng(self):
-        failures = []
-
-        def fail_once():
-            if not failures:
-                failures.append(1)
-                raise RuntimeError("once")
-            return True
-
-        slept = []
-        policy = RetryPolicy(max_attempts=2, base_delay=1.0, multiplier=1.0, max_delay=1.0, jitter=0.5)
-        assert call_with_retry(
-            fail_once, policy=policy, sleep=slept.append, rng=random.Random(3)
-        )
-        assert len(slept) == 1 and 0.5 <= slept[0] <= 1.5
