@@ -186,8 +186,8 @@ class CacheDirectory:
     ``os.replace``) and merged with whatever a concurrent run already stored,
     so the directory only ever accumulates valid, complete shards:
 
-    * a missing, corrupt or stale-schema shard loads as an *empty* cache —
-      never a partial one;
+    * a missing, corrupt or stale-schema shard, or one holding a malformed
+      entry, loads as an *empty* cache — never a partial one;
     * in-flight ``*.tmp.<pid>`` files and advisory ``*.lock`` files are never
       read as shards;
     * a shard whose recorded fingerprint does not match the requester's
@@ -263,19 +263,26 @@ class CacheDirectory:
     def shard_entries(self, fingerprint: str) -> list:
         """Raw ``[key, score]`` pairs of the shard for ``fingerprint``.
 
-        Empty when the shard is missing, corrupt, stale-schema, or records a
-        different fingerprint — never a partial result.  No LRU bound is
-        applied, so callers merging into an arbitrarily sized cache see every
-        entry.
+        Empty when the shard is missing, corrupt, stale-schema, records a
+        different fingerprint, or holds any entry that is not a ``[str, int]``
+        pair — never a partial result.  No LRU bound is applied, so callers
+        merging into an arbitrarily sized cache see every entry.
         """
         path = self.shard_path(fingerprint)
         try:
             payload = load_json(path)
+            entries = payload.get("entries", [])
             if (
                 payload.get("schema") == CACHE_SCHEMA_VERSION
                 and payload.get("fingerprint") == fingerprint
+                and isinstance(entries, list)
+                and all(
+                    isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                    and type(entry[1]) is int  # not isinstance: a bool is never a score
+                    for entry in entries
+                )
             ):
-                return [entry for entry in payload.get("entries", []) if len(entry) == 2]
+                return entries
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             pass
         return []

@@ -249,6 +249,45 @@ class TestCacheDirectory:
         assert list(tmp_path.glob("*.tmp.*")) == []
 
 
+class TestMalformedShardEntries:
+    """A shard with the right schema and fingerprint whose entries are not
+    all ``[str, int]`` pairs loads empty, and the next flush rewrites it."""
+
+    def _poison(self, root, entries) -> str:
+        fingerprint = feedback_fingerprint(FeedbackConfig(), core_specifications())
+        CacheDirectory(root).shard_path(fingerprint).write_text(
+            json.dumps({"schema": 1, "fingerprint": fingerprint, "entries": entries})
+        )
+        return fingerprint
+
+    def _service(self, root) -> FeedbackService:
+        config = ServingConfig(shared_cache_dir=str(root))
+        return FeedbackService(core_specifications(), feedback=FeedbackConfig(), config=config)
+
+    def test_unhashable_key_does_not_break_construction(self, tmp_path):
+        self._poison(tmp_path, [["fine", 3], [["a", "list"], 3]])
+        service = self._service(tmp_path)
+        assert service.metrics.warm_start_entries == 0 and len(service.cache) == 0
+
+    def test_non_integer_score_is_never_served(self, tmp_path):
+        job = _mixed_scenario_jobs()[0]
+        first = self._service(tmp_path)
+        [score] = first.score_batch([job])
+        assert first.flush()
+        [[key, _]] = CacheDirectory(tmp_path).shard_entries(first._fingerprint)
+        self._poison(tmp_path, [[key, "fifteen"]])
+        second = self._service(tmp_path)
+        assert second.score_batch([job]) == [score]
+        assert second.metrics.cache_misses == 1
+
+    def test_flush_rewrites_a_malformed_shard(self, tmp_path):
+        service = self._service(tmp_path)
+        [score] = service.score_batch([_mixed_scenario_jobs()[0]])
+        fingerprint = self._poison(tmp_path, [[["a", "list"], 3], ["k", True]])
+        assert service.flush()
+        assert [s for _, s in CacheDirectory(tmp_path).shard_entries(fingerprint)] == [score]
+
+
 class TestSharedCacheAcrossRuns:
     def test_two_runs_warm_start_each_other(self, tmp_path):
         jobs = _mixed_scenario_jobs()
