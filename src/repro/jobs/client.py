@@ -5,15 +5,17 @@
 request (so a client object is trivially thread-safe and never holds a stale
 socket across a daemon restart), plus a persistent connection for
 :meth:`JobsClient.stream_progress`, which yields events as the daemon pushes
-them.  Protocol errors surface as typed exceptions —
-:class:`QuotaExceededError`, :class:`UnknownJobError`, or the base
-:class:`JobsError` carrying the wire error type — never as silent ``None``.
+them.  Protocol errors, and a stalled or dropped connection, surface as
+typed exceptions — :class:`QuotaExceededError`, :class:`UnknownJobError`,
+or the base :class:`JobsError` carrying the error type — never as silent
+``None``.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -47,6 +49,17 @@ def _raise_for_error(error: dict) -> None:
     raise _ERROR_CLASSES.get(error_type, JobsError)(error_type, message)
 
 
+@contextmanager
+def _typed_socket_errors(op: str):
+    """Raise a stalled or dropped daemon connection as a :class:`JobsError`."""
+    try:
+        yield
+    except TimeoutError as exc:
+        raise JobsError("timeout", f"daemon did not answer during {op!r}") from exc
+    except (ConnectionResetError, BrokenPipeError) as exc:
+        raise JobsError("disconnected", f"daemon dropped the connection during {op!r}: {exc}") from exc
+
+
 class JobsClient:
     """Blocking access to a running jobs daemon.
 
@@ -59,8 +72,8 @@ class JobsClient:
         round-robin fairness are keyed on it.
     timeout:
         Socket timeout (seconds) for each request *and* for each streamed
-        event; a daemon that stops answering raises ``TimeoutError`` rather
-        than hanging the caller forever.
+        event; a daemon that stops answering raises a ``"timeout"``
+        :class:`JobsError` rather than hanging the caller forever.
     """
 
     def __init__(self, socket_path: str | Path, *, client_id: str = "default", timeout: float = 60.0):
@@ -77,7 +90,7 @@ class JobsClient:
 
     def _request(self, op: str, params: dict) -> dict:
         """One request/response round trip on a fresh connection."""
-        with self._connect() as conn:
+        with _typed_socket_errors(op), self._connect() as conn:
             conn.sendall((json.dumps({"op": op, "params": params}) + "\n").encode("utf-8"))
             reader = conn.makefile("r", encoding="utf-8")
             line = reader.readline()
@@ -149,7 +162,7 @@ class JobsClient:
             params["batch_id"] = batch_id
         if job_ids is not None:
             params["job_ids"] = list(job_ids)
-        with self._connect() as conn:
+        with _typed_socket_errors("stream_progress"), self._connect() as conn:
             conn.sendall(
                 (json.dumps({"op": "stream_progress", "params": params}) + "\n").encode("utf-8")
             )

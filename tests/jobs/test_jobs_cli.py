@@ -9,10 +9,13 @@ backend.  The daemon is a *service* wrapper, never a different scorer.
 import json
 import os
 import shutil
+import socket
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -167,6 +170,53 @@ def test_unreachable_daemon_is_a_clean_error(cli_root):
     result = _cli("submit", str(inputs), "--socket", str(cli_root / "nowhere.sock"))
     assert result.returncode == 1
     assert "cannot reach a daemon" in result.stderr
+
+
+@contextmanager
+def _misbehaving_daemon(socket_path: Path, behaviour: str):
+    """A Unix socket that accepts requests and then, per ``behaviour``,
+    never answers (``"stall"``) or reads part of one and hangs up with the
+    rest unread, which resets the client's connection (``"reset"``)."""
+    server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    server.bind(str(socket_path))
+    server.listen()
+    server.settimeout(0.1)
+    stop = threading.Event()
+    held = []
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = server.accept()
+            except TimeoutError:
+                continue
+            if behaviour == "stall":
+                held.append(conn)
+            else:
+                conn.recv(1)
+                conn.close()
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        for conn in held:
+            conn.close()
+        server.close()
+
+
+@pytest.mark.parametrize("behaviour", ["stall", "reset"])
+def test_a_stalled_or_dropped_connection_is_a_clean_error(cli_root, behaviour):
+    socket_path = cli_root / "bad.sock"
+    with _misbehaving_daemon(socket_path, behaviour):
+        result = _cli("status", "--socket", str(socket_path), "--timeout", "0.5", timeout=60)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1, result.stderr
 
 
 def test_daemon_and_oneshot_share_the_service_arguments():
