@@ -14,7 +14,6 @@ from repro.lm.transformer import ModelConfig, TransformerLM
 from repro.obs import tracer as obs
 from repro.utils.rng import seeded_rng
 
-
 #: Adam learning rate of every pre-training run.
 LEARNING_RATE = 3e-3
 

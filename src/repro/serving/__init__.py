@@ -55,8 +55,8 @@ Cross-run shared cache layout
 -----------------------------
 ``ServingConfig(shared_cache_dir="…")`` names a directory the pipeline, the
 benchmarks and the ``repro-serve`` CLI can all share.  Each distinct feedback
-fingerprint (mode + parameters + spec set + seed + package version) owns one
-shard file::
+fingerprint (mode + spec set + seed + package version) owns one shard
+file::
 
     <shared_cache_dir>/
         <sha256(fingerprint)[:16]>.json     # {"schema", "fingerprint", "entries"}
@@ -66,8 +66,8 @@ shard file::
 
 Services warm-start from their own shard at construction and merge results
 back on ``flush()``; shards are written with tmp-file + ``os.replace``, so a
-crash can never leave a partial shard, and corrupt or foreign shards load as
-empty rather than serving stale scores.  Long-lived directories are bounded
+crash can never leave a partial shard, and corrupt, foreign or malformed
+shards load as empty rather than serving stale scores.  Long-lived directories are bounded
 by :meth:`CacheDirectory.compact <repro.serving.cache.CacheDirectory.compact>`
 (run automatically at flush time when ``ServingConfig.shared_cache_max_entries``
 / ``shared_cache_max_bytes`` are set): shards are trimmed to their newest
