@@ -19,6 +19,7 @@ scores are bitwise-identical to scoring the same file one-shot.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import signal
 import sys
@@ -160,7 +161,7 @@ def cmd_daemon(args) -> int:
 
 def cmd_submit(args) -> int:
     """Validate the input like one-shot, submit as one batch, optionally wait."""
-    from repro.serving.cli import load_jobs, write_records
+    from repro.serving.cli import load_jobs, scored_record, write_records
 
     try:
         jobs = load_jobs(args.jsonl)
@@ -168,12 +169,7 @@ def cmd_submit(args) -> int:
         print(f"repro-serve submit: {exc}", file=sys.stderr)
         return 2
     client = JobsClient(args.socket, client_id=args.client, timeout=args.timeout)
-    result = client.create_batch(
-        [
-            {"task": record["task"], "scenario": scenario, "response": record["response"]}
-            for record, scenario in jobs
-        ]
-    )
+    result = client.create_batch([dataclasses.asdict(job) for _record, job in jobs])
     batch = result["batch"]
     print(
         f"repro-serve submit: batch {batch['batch_id']} "
@@ -195,13 +191,10 @@ def cmd_submit(args) -> int:
                 file=sys.stderr,
             )
         return 1
-    # Identical construction to the one-shot path's output records, so a
-    # submitted-and-awaited file is byte-for-byte the one-shot result.
+    # The one-shot path's output records, so a submitted-and-awaited file is
+    # byte-for-byte the one-shot result.
     write_records(
-        (
-            {**record, "scenario": scenario, "score": job["score"]}
-            for (record, scenario), job in zip(jobs, ordered)
-        ),
+        (scored_record(record, job, done["score"]) for (record, job), done in zip(jobs, ordered)),
         args.output,
     )
     return 0
@@ -236,9 +229,6 @@ def cmd_watch(args) -> int:
             reason = event.get("reason")
     return 0 if reason == "done" else 1
 
-
-#: Subcommand names the ``repro-serve`` entry point routes here.
-JOBS_COMMANDS = ("daemon", "submit", "status", "watch")
 
 _HANDLERS = {
     "daemon": (build_daemon_parser, cmd_daemon),

@@ -400,14 +400,14 @@ class JobsDaemon:
                 self._next_batch_seq += 1
                 batch_id = f"b-{self._next_batch_seq:06d}"
             jobs = []
-            for task, scenario, response in resolved:
+            for spec in resolved:
                 self._next_job_seq += 1
                 job = Job(
                     job_id=f"j-{self._next_job_seq:06d}",
                     client_id=client_id,
-                    task=task,
-                    scenario=scenario,
-                    response=response,
+                    task=spec.task,
+                    scenario=spec.scenario,
+                    response=spec.response,
                     batch_id=batch_id,
                     created_at=now,
                     updated_at=now,
@@ -432,43 +432,19 @@ class JobsDaemon:
         return batch_record, [job.to_record() for job in jobs]
 
     def _validate_spec(self, spec):
-        """``{task, response[, scenario]}`` → ``(task, scenario, response)``.
+        """The :class:`~repro.serving.scheduler.FeedbackJob` a job spec asks for.
 
-        Same resolution rules as the one-shot CLI input: an explicit
-        ``scenario`` must exist in the catalogue; otherwise the task must.
+        :meth:`FeedbackJob.from_record
+        <repro.serving.scheduler.FeedbackJob.from_record>` resolves it, so a
+        bad spec is answered in the one-shot CLI's words, as
+        ``invalid-request``.
         """
-        if not isinstance(spec, dict):
-            raise RequestError(
-                "invalid-request", f"each job must be an object, got {type(spec).__name__}"
-            )
-        task = spec.get("task")
-        response = spec.get("response")
-        if not isinstance(task, str) or not isinstance(response, str):
-            raise RequestError(
-                "invalid-request", "each job needs string 'task' and 'response' fields"
-            )
-        scenario = spec.get("scenario")
-        if scenario is not None and not isinstance(scenario, str):
-            raise RequestError(
-                "invalid-request", f"'scenario' must be a string, got {type(scenario).__name__}"
-            )
-        from repro.driving.scenarios.universal import SCENARIO_BUILDERS
-        from repro.driving.tasks import task_by_name
+        from repro.serving import FeedbackJob  # deferred: serving imports are heavy
 
-        if scenario is None:
-            try:
-                scenario = task_by_name(task).scenario
-            except KeyError as exc:
-                raise RequestError(
-                    "invalid-request",
-                    f"{exc.args[0]} (or pass an explicit 'scenario' field)",
-                ) from exc
-        elif scenario not in SCENARIO_BUILDERS:
-            raise RequestError(
-                "invalid-request",
-                f"unknown scenario {scenario!r}; known: {sorted(SCENARIO_BUILDERS)}",
-            )
-        return task, scenario, response
+        try:
+            return FeedbackJob.from_record(spec)
+        except ValueError as exc:
+            raise RequestError("invalid-request", str(exc)) from exc
 
     # ------------------------------------------------------------------ #
     # ops

@@ -166,14 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_jobs(path: Path) -> list:
-    """Parse the input JSONL into ``(record, scenario)`` pairs.
+    """Parse the input JSONL into ``(record, FeedbackJob)`` pairs.
 
     The full input record is kept so the output can preserve caller metadata;
-    ``scenario`` is the resolved verification scenario (from the record or the
-    task catalogue).
+    :meth:`FeedbackJob.from_record <repro.serving.scheduler.FeedbackJob.from_record>`
+    resolves its scenario.  A bad line raises ``ValueError`` prefixed with
+    ``path:line:``.
     """
-    from repro.driving.scenarios.universal import SCENARIO_BUILDERS
-    from repro.driving.tasks import task_by_name
+    from repro.serving.scheduler import FeedbackJob
 
     jobs = []
     for line_number, line in enumerate(path.read_text().splitlines(), start=1):
@@ -186,32 +186,10 @@ def load_jobs(path: Path) -> list:
             record = json.loads(line)
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}:{line_number}: invalid JSON ({exc})") from exc
-        if not isinstance(record, dict):
-            raise ValueError(f"{path}:{line_number}: each line must be a JSON object, got {type(record).__name__}")
-        if "task" not in record or "response" not in record:
-            raise ValueError(f"{path}:{line_number}: each record needs 'task' and 'response' fields")
-        for field in ("task", "response"):
-            if not isinstance(record[field], str):
-                raise ValueError(
-                    f"{path}:{line_number}: {field!r} must be a string, got {type(record[field]).__name__}"
-                )
-        scenario = record.get("scenario")
-        if scenario is not None and not isinstance(scenario, str):
-            raise ValueError(
-                f"{path}:{line_number}: 'scenario' must be a string, got {type(scenario).__name__}"
-            )
-        if scenario is None:
-            try:
-                scenario = task_by_name(record["task"]).scenario
-            except KeyError as exc:
-                raise ValueError(
-                    f"{path}:{line_number}: {exc.args[0]} (or add a 'scenario' field to the record)"
-                ) from exc
-        elif scenario not in SCENARIO_BUILDERS:
-            raise ValueError(
-                f"{path}:{line_number}: unknown scenario {scenario!r}; known: {sorted(SCENARIO_BUILDERS)}"
-            )
-        jobs.append((record, scenario))
+        try:
+            jobs.append((record, FeedbackJob.from_record(record)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_number}: {exc}") from exc
     return jobs
 
 
@@ -236,7 +214,7 @@ def write_pairs(jobs, scores, output: Path) -> tuple:
     from repro.utils.atomic import write_text_atomic
 
     grouped: dict = {}
-    for (record, _scenario), score in zip(jobs, scores):
+    for (record, _job), score in zip(jobs, scores):
         grouped.setdefault(record["task"], ([], []))
         responses, task_scores = grouped[record["task"]]
         responses.append(record["response"])
@@ -271,6 +249,12 @@ def write_pairs(jobs, scores, output: Path) -> tuple:
     return len(pairs), encode_seconds
 
 
+def scored_record(record: dict, job, score: int) -> dict:
+    """The output line for one input record: every input field, plus the
+    resolved ``scenario`` and the ``score``."""
+    return {**record, "scenario": job.scenario, "score": score}
+
+
 def write_records(records, output: Path | None) -> None:
     """Write scored records to ``output`` (atomically) or stdout."""
     lines = "".join(json.dumps(record) + "\n" for record in records)
@@ -301,7 +285,7 @@ def main(argv=None) -> int:
         print(f"repro-serve: {exc}", file=sys.stderr)
         return 2
 
-    from repro.serving import FeedbackJob, FeedbackService
+    from repro.serving import FeedbackService
 
     specifications = build_specifications(args)
     try:
@@ -309,10 +293,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"repro-serve: {exc}", file=sys.stderr)
         return 2
-    feedback_jobs = [
-        FeedbackJob(task=record["task"], scenario=scenario, response=record["response"])
-        for record, scenario in jobs
-    ]
     from repro.obs import tracer as obs
 
     # Tracing must be live before the service is built: the service captures
@@ -330,10 +310,10 @@ def main(argv=None) -> int:
         config=config,
         seed=args.seed,
     ) as service:
-        scores = service.score_batch(feedback_jobs)
+        scores = service.score_batch([job for _record, job in jobs])
 
     write_records(
-        ({**record, "scenario": scenario, "score": score} for (record, scenario), score in zip(jobs, scores)),
+        (scored_record(record, job, score) for (record, job), score in zip(jobs, scores)),
         args.output,
     )
     if args.pairs_output is not None:

@@ -68,6 +68,37 @@ class FeedbackJob:
     scenario: str
     response: str
 
+    @classmethod
+    def from_record(cls, record) -> "FeedbackJob":
+        """The job a ``{task, response[, scenario]}`` input record asks for.
+
+        An explicit ``scenario`` must be in the scenario catalogue; without
+        one, the task must be in the task catalogue.  Raises ``ValueError``
+        naming what is wrong, in the words both ``repro-serve`` and the jobs
+        daemon report.
+        """
+        from repro.driving.scenarios.universal import SCENARIO_BUILDERS
+        from repro.driving.tasks import task_by_name
+
+        if not isinstance(record, dict):
+            raise ValueError(f"each record must be a JSON object, got {type(record).__name__}")
+        if "task" not in record or "response" not in record:
+            raise ValueError("each record needs 'task' and 'response' fields")
+        for field in ("task", "response"):
+            if not isinstance(record[field], str):
+                raise ValueError(f"{field!r} must be a string, got {type(record[field]).__name__}")
+        scenario = record.get("scenario")
+        if scenario is None:
+            try:
+                scenario = task_by_name(record["task"]).scenario
+            except KeyError as exc:
+                raise ValueError(f"{exc.args[0]} (or add a 'scenario' field to the record)") from exc
+        elif not isinstance(scenario, str):
+            raise ValueError(f"'scenario' must be a string, got {type(scenario).__name__}")
+        elif scenario not in SCENARIO_BUILDERS:
+            raise ValueError(f"unknown scenario {scenario!r}; known: {sorted(SCENARIO_BUILDERS)}")
+        return cls(task=record["task"], scenario=scenario, response=record["response"])
+
 
 class PendingBatch:
     """Future handle for a batch submitted with :meth:`FeedbackService.submit_batch`.

@@ -23,6 +23,16 @@ from repro.utils.retry import RetryPolicy
 
 TASK = "turn_right_traffic_light"  # resolves to scenario traffic_light_intersection
 
+#: One malformed ``{task, response[, scenario]}`` record per way to be wrong.
+BAD_RECORDS = {
+    "non-object": [TASK, "1. Stop."],
+    "missing-task": {"response": "1. Stop."},
+    "non-string-response": {"task": TASK, "response": 1},
+    "non-string-scenario": {"task": TASK, "response": "1. Stop.", "scenario": 9},
+    "unknown-task": {"task": "no_such_task", "response": "1. Stop."},
+    "unknown-scenario": {"task": TASK, "response": "1. Stop.", "scenario": "no_such_scenario"},
+}
+
 
 class TestLifecycle:
     def test_job_runs_to_success(self, daemon_factory, client):
@@ -64,6 +74,24 @@ class TestLifecycle:
             client.get_status("j-999999")
         with pytest.raises(UnknownJobError):
             client.get_batch("b-999999")
+
+    @pytest.mark.parametrize("record", BAD_RECORDS.values(), ids=BAD_RECORDS)
+    def test_cli_and_daemon_reject_a_bad_record_with_the_same_words(
+        self, daemon_factory, client, tmp_path, record
+    ):
+        from repro.serving.cli import load_jobs
+
+        path = tmp_path / "in.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError) as cli_error:
+            load_jobs(path)
+        prefix = f"{path}:1: "
+        assert str(cli_error.value).startswith(prefix)
+        daemon_factory()
+        with pytest.raises(JobsError) as daemon_error:
+            client.create_batch([record])
+        assert daemon_error.value.error_type == "invalid-request"
+        assert str(daemon_error.value) == str(cli_error.value)[len(prefix):]
 
     def test_list_jobs_filters(self, daemon_factory, client):
         daemon_factory()
