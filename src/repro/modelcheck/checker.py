@@ -198,7 +198,7 @@ class ModelChecker:
         scope = None
         if self._results is not None:
             scope = (
-                self._model_fingerprint(model),
+                self.model_fingerprint(model),
                 fastpath.controller_fingerprint(controller),
             )
 
@@ -312,15 +312,18 @@ class ModelChecker:
             obs.counter("mc.result_cache.hits", stats["hits"])
             obs.counter("mc.result_cache.misses", stats["misses"])
 
-    def _model_fingerprint(self, model: TransitionSystem) -> str:
+    def model_fingerprint(self, model: TransitionSystem) -> str:
+        """:func:`~repro.modelcheck.fastpath.model_fingerprint` of ``model``, memoized.
+
+        Computed under the lock, so concurrent callers asking for the same
+        model compute it once.
+        """
         with self._fingerprint_lock:
             entry = self._model_fingerprints.get(id(model))
-            if entry is not None and entry[0] is model:
-                return entry[1]
-        digest = fastpath.model_fingerprint(model)
-        with self._fingerprint_lock:
-            self._model_fingerprints[id(model)] = (model, digest)
-        return digest
+            if entry is None or entry[0] is not model:
+                entry = (model, fastpath.model_fingerprint(model))
+                self._model_fingerprints[id(model)] = entry
+            return entry[1]
 
 
 class NaiveModelChecker(ModelChecker):

@@ -696,13 +696,22 @@ def controller_fingerprint(controller: FSAController) -> str:
 
 
 def model_fingerprint(model: TransitionSystem) -> str:
-    """Digest of a world model's structure and labeling (name excluded)."""
+    """Digest of a world model: name, states, labels, transitions, initial states.
+
+    Keys this module's :class:`ResultCache` and every persisted feedback
+    score (:func:`repro.serving.cache.cache_key`), so editing a scenario
+    model, or supplying a custom ``model_builder``, cannot make a persisted
+    cache serve scores computed against the old model.  The payload is part
+    of those persisted keys: changing it turns every cache directory cold.
+    """
     payload = {
-        "states": [[s, sorted(model.label(s))] for s in model.states],
+        "name": model.name,
+        "states": sorted(model.states),
+        "labels": {state: sorted(model.label(state)) for state in model.states},
+        "transitions": sorted(model.transitions()),
         "initial": sorted(model.initial_states),
-        "transitions": model.transitions(),
     }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 class ResultCache:

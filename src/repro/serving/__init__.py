@@ -89,7 +89,6 @@ from repro.serving.cache import (
     FeedbackCache,
     cache_key,
     feedback_fingerprint,
-    model_digest,
 )
 from repro.serving.config import BACKENDS, ServingConfig
 from repro.serving.dedup import canonicalize_response, first_occurrence
@@ -104,7 +103,6 @@ __all__ = [
     "FeedbackCache",
     "cache_key",
     "feedback_fingerprint",
-    "model_digest",
     "ResponseScorer",
     "ServingConfig",
     "WorkerPayload",

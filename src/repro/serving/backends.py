@@ -88,6 +88,10 @@ class ResponseScorer:
             self._models[scenario] = self.model_builder(scenario)
         return self._models[scenario]
 
+    def scenario_digest(self, scenario: str) -> str:
+        """The digest of ``scenario``'s world model, memoized by the checker."""
+        return self.verifier.checker.model_fingerprint(self.scenario_model(scenario))
+
     def evaluator(self, scenario: str) -> EmpiricalEvaluator:
         """The (cached) empirical evaluator for ``scenario``."""
         if scenario not in self._evaluators:

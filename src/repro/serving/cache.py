@@ -60,26 +60,6 @@ def feedback_fingerprint(feedback, specifications: Mapping, *, seed: int = 0) ->
     return json.dumps(parts, sort_keys=True)
 
 
-def model_digest(model) -> str:
-    """Digest of a world model's structure (states, labels, transitions).
-
-    Part of the cache key so that editing a scenario model — or supplying a
-    custom ``model_builder`` — cannot make a persisted cache serve scores
-    computed against the old model.
-    """
-    payload = json.dumps(
-        {
-            "name": model.name,
-            "states": sorted(model.states),
-            "labels": {state: sorted(model.label(state)) for state in model.states},
-            "transitions": sorted(model.transitions()),
-            "initial": sorted(model.initial_states),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def cache_key(scenario: str, canonical_response: str, fingerprint: str, scenario_digest: str = "") -> str:
     """Content address of one feedback result."""
     payload = json.dumps(

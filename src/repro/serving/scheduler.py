@@ -48,13 +48,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.obs import tracer as obs
 from repro.serving.backends import ResponseScorer, WorkerPayload, WorkerPool, run_serial
-from repro.serving.cache import (
-    CacheDirectory,
-    FeedbackCache,
-    cache_key,
-    feedback_fingerprint,
-    model_digest,
-)
+from repro.serving.cache import CacheDirectory, FeedbackCache, cache_key, feedback_fingerprint
 from repro.serving.config import ServingConfig
 from repro.serving.dedup import canonicalize_response, first_occurrence
 from repro.serving.metrics import ServingMetrics
@@ -331,11 +325,6 @@ class FeedbackService:
         self.metrics = ServingMetrics()
         self._fingerprint = feedback_fingerprint(feedback, self.specifications, seed=seed)
         self.cache = self._initial_cache()
-        self._digests: dict = {}
-        # Guards the digest memo: scenario_digest is reachable both from the
-        # public API (off-lock) and from inside the batch path (under
-        # _batch_lock), so it needs its own consistently-held lock.
-        self._digest_lock = threading.Lock()
         # One persistent process pool per service lifetime (forked lazily on
         # the first large miss batch, reused for every batch after that) and
         # one dispatcher for submitted batches, created on the first submit.
@@ -376,21 +365,20 @@ class FeedbackService:
         return self._scorer.evaluator(scenario)
 
     def scenario_digest(self, scenario: str) -> str:
-        """The (cached) structural digest of a scenario's world model.
+        """The (cached) digest of a scenario's world model.
 
         Part of every cache key in formal mode, so edited world models (or a
         custom ``model_builder``) never collide with a stale persisted cache.
-        Empirical scores never touch the formal model — its digest would both
-        be meaningless and force simulator-only scenarios to have one — so
-        empirical mode keys on the fingerprint (mode, traces, seed, version)
-        alone.
+        The scorer's model checker computes and memoizes it
+        (:meth:`~repro.modelcheck.checker.ModelChecker.model_fingerprint`),
+        the same digest its result cache keys on.  Empirical scores never
+        touch the formal model — its digest would both be meaningless and
+        force simulator-only scenarios to have one — so empirical mode keys
+        on the fingerprint (mode, traces, seed, version) alone.
         """
         if self.feedback.use_empirical:
             return ""
-        with self._digest_lock:
-            if scenario not in self._digests:
-                self._digests[scenario] = model_digest(self.scenario_model(scenario))
-            return self._digests[scenario]
+        return self._scorer.scenario_digest(scenario)
 
     def _prepare_scenarios(self, jobs: Sequence[FeedbackJob]) -> None:
         """Build each scenario's model/evaluator once, before any fan-out.

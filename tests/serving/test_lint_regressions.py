@@ -33,27 +33,20 @@ def test_prepare_scenarios_runs_in_sorted_order():
 def test_scenario_digest_memo_is_thread_safe(monkeypatch):
     """`scenario_digest` mutated its memo off-lock while the batch path
     mutated it under `_batch_lock` — concurrent public callers could race the
-    check-then-insert.  The memo now has its own lock."""
+    check-then-insert.  The digest is now the model checker's fingerprint,
+    whose memo computes under the checker's lock."""
     import threading
 
-    import repro.serving.scheduler as scheduler_module
+    from repro.modelcheck import fastpath
 
     calls = []
 
-    def fake_digest(model):
+    def fake_fingerprint(model):
         calls.append(model)
         return f"digest-{model}"
 
-    monkeypatch.setattr(scheduler_module, "model_digest", fake_digest)
-
-    class Feedback:
-        use_empirical = False
-
-    service = object.__new__(FeedbackService)
-    service.feedback = Feedback()
-    service._digests = {}
-    service._digest_lock = threading.Lock()
-    service.scenario_model = lambda scenario: scenario
+    monkeypatch.setattr(fastpath, "model_fingerprint", fake_fingerprint)
+    service = FeedbackService({}, model_builder=lambda scenario: scenario)
 
     barrier = threading.Barrier(8)
     results = []
@@ -66,7 +59,8 @@ def test_scenario_digest_memo_is_thread_safe(monkeypatch):
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
     assert results == ["digest-intersection"] * 8
     # The lock serialises the check-then-insert: one computation, not eight.
     assert len(calls) == 1
