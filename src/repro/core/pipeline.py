@@ -28,7 +28,6 @@ The pipeline wires every substrate together:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,7 +319,6 @@ class DPOAFPipeline:
         )
         self.serving.flush()
         serving_metrics = self.serving.metrics.snapshot()
-        serving_metrics["cache"] = dataclasses.asdict(self.serving.cache.stats())
         self._export_trace()
         return PipelineResult(
             pretrain_result=pretrain_result,

@@ -18,8 +18,8 @@ Layers, bottom-up:
   snapshot; replay-on-open is the restart semantics.
 * :mod:`repro.jobs.quota`  — per-client max-inflight admission
   (:class:`QuotaLedger`); rejections are explicit, never silent.
-* :mod:`repro.jobs.server` — the thread-per-connection daemon; per-client
-  dispatcher tokens make the existing round-robin the fairness policy, and
+* :mod:`repro.jobs.server` — the thread-per-connection daemon; keying the
+  dispatcher by client id makes its round-robin the fairness policy, and
   failed attempts retry via :mod:`repro.utils.retry`.
 * :mod:`repro.jobs.client` — blocking :class:`JobsClient` with typed errors.
 * :mod:`repro.jobs.cli`    — the ``repro-serve daemon|submit|status|watch``

@@ -37,7 +37,7 @@ SUCCEEDED = "succeeded"
 FAILED = "failed"
 CANCELLED = "cancelled"
 
-#: Every state, in lifecycle order (useful for stable per-state gauges).
+#: Every state, in lifecycle order (the ``stats`` op counts jobs per state).
 JOB_STATES = (PENDING, RUNNING, RETRYING, SUCCEEDED, FAILED, CANCELLED)
 
 #: States from which no further transition is legal.

@@ -6,10 +6,9 @@ either fits entirely under the client's cap or is rejected whole with
 :class:`QuotaExceeded` (never silently trimmed), so a client always knows
 exactly which of its jobs the daemon owns.  The ledger only handles
 *admission*; *fairness between admitted clients* is the round-robin of
-:class:`repro.serving.scheduler.Dispatcher`, which the daemon submits each
-client's work under its own service token.  Together: a greedy client can
-neither flood the queue past its cap nor starve another client's admitted
-jobs.
+:class:`repro.serving.scheduler.Dispatcher`, to which the daemon submits each
+client's work keyed by its client id.  Together: a greedy client can neither
+flood the queue past its cap nor starve another client's admitted jobs.
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ class QuotaLedger:
     """Thread-safe count of inflight (non-terminal) jobs per client.
 
     ``max_inflight=None`` disables the cap — :meth:`admit` always succeeds
-    but the ledger still counts, so inflight gauges stay meaningful.
+    but the ledger still counts, so the daemon's ``stats`` op reports
+    inflight jobs either way.
     """
 
     def __init__(self, max_inflight: int | None = None):
@@ -82,11 +82,6 @@ class QuotaLedger:
                 self._inflight[client_id] = remaining
             else:
                 del self._inflight[client_id]
-
-    def inflight(self, client_id: str) -> int:
-        """Current inflight count for ``client_id`` (0 if unknown)."""
-        with self._lock:
-            return self._inflight.get(client_id, 0)
 
     def snapshot(self) -> dict:
         """``{client_id: inflight}`` for every client with inflight jobs."""

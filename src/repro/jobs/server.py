@@ -14,16 +14,16 @@ a one-shot CLI run does not:
   rejected whole with a typed ``quota-exceeded`` error, never trimmed or
   silently queued.
 * **Fairness** — each client's jobs are submitted to the shared
-  :class:`~repro.serving.scheduler.Dispatcher` under that client's own
-  service token, so the dispatcher's round-robin interleaves clients: a
-  greedy client at its cap cannot starve another client's jobs.
+  :class:`~repro.serving.scheduler.Dispatcher` keyed by that client's id,
+  so the dispatcher's round-robin interleaves clients: a greedy client at
+  its cap cannot starve another client's jobs.
 * **Retries** — a failed scoring attempt is retried with the shared
   capped exponential backoff from :mod:`repro.utils.retry`
   (``RUNNING → RETRYING → RUNNING``), and only becomes ``FAILED`` when the
   policy is exhausted.
 * **Observability** — ``job.submit`` / ``job.run`` / ``job.retry`` spans in
-  the ``"jobs"`` category, plus registry gauges for queue depth, per-state
-  job counts and per-client inflight.
+  the ``"jobs"`` category; the ``stats`` op reports per-state job counts,
+  queue depth and per-client inflight.
 
 Wire protocol (documented in full in ``docs/jobs.md``): newline-delimited
 JSON over a Unix stream socket.  Each request line is
@@ -34,9 +34,9 @@ JSON over a Unix stream socket.  Each request line is
 
 Locking: the daemon has one condition, ``_state_cond``, guarding job state,
 the event log and the id counters.  While holding it the daemon may take the
-store's, the quota ledger's or a metric instrument's internal lock — never
-the reverse — and **scoring always runs outside every daemon lock**, so a
-slow verification cannot block submissions, status queries or streams.
+store's or the quota ledger's internal lock — never the reverse — and
+**scoring always runs outside every daemon lock**, so a slow verification
+cannot block submissions, status queries or streams.
 """
 
 from __future__ import annotations
@@ -98,13 +98,6 @@ class _ScoringFailed(Exception):
     """Internal: one scoring attempt raised (wrapped so only these retry)."""
 
 
-class _ClientToken:
-    """Identity object keyed into the dispatcher's round-robin per client."""
-
-    def __init__(self, client_id: str):
-        self.client_id = client_id
-
-
 class JobsDaemon:
     """Durable, fair, observable job service over a ``FeedbackService``.
 
@@ -123,7 +116,7 @@ class JobsDaemon:
         one-shot ``repro-serve`` runs with the same configuration.  Borrowed.
     dispatcher:
         The :class:`~repro.serving.scheduler.Dispatcher` jobs execute on;
-        each client's jobs are submitted under a per-client token, so the
+        each client's jobs are submitted keyed by the client id, so the
         dispatcher's round-robin is the daemon's cross-client fairness.
         Borrowed — close it (draining job execution) after :meth:`stop`.
     max_inflight_per_client:
@@ -138,9 +131,6 @@ class JobsDaemon:
     clock / sleep:
         Injectable time sources (``time.time`` / ``time.sleep``) so tests can
         freeze timestamps and skip real backoff waits.
-    registry:
-        :class:`~repro.obs.metrics.MetricsRegistry` receiving the gauges;
-        a private one is created when omitted (exposed as ``registry``).
     """
 
     def __init__(
@@ -155,7 +145,6 @@ class JobsDaemon:
         throttle_seconds: float = 0.0,
         clock=time.time,
         sleep=time.sleep,
-        registry=None,
     ):
         if throttle_seconds < 0:
             raise ValueError(f"throttle_seconds must be non-negative, got {throttle_seconds}")
@@ -166,17 +155,10 @@ class JobsDaemon:
         self.quota = QuotaLedger(max_inflight_per_client)
         self.retry = retry if retry is not None else RetryPolicy()
         self.throttle_seconds = throttle_seconds
-        if registry is None:
-            from repro.obs.metrics import MetricsRegistry
-
-            registry = MetricsRegistry()
-        self.registry = registry
         self._clock = clock
         self._sleep = sleep
         self._state_cond = threading.Condition()
         self._events: list = []
-        self._state_counts = {state: 0 for state in models.JOB_STATES}
-        self._client_tokens: dict = {}
         self._conn_threads: list = []
         self._connections: list = []
         self._next_job_seq = 0
@@ -223,9 +205,8 @@ class JobsDaemon:
         self._accept_thread.start()
 
     def _seed_from_store_locked(self) -> None:
-        """Rebuild counters/ids from a replayed store and resubmit open jobs."""
+        """Rebuild the id counters from a replayed store and resubmit open jobs."""
         for job in self.store.jobs():
-            self._state_counts[job.state] += 1
             self._next_job_seq = max(self._next_job_seq, _id_sequence(job.job_id, "j"))
         for batch in self.store.batches():
             self._next_batch_seq = max(self._next_batch_seq, _id_sequence(batch.batch_id, "b"))
@@ -237,9 +218,7 @@ class JobsDaemon:
                     job, models.RETRYING, error="daemon restarted mid-attempt"
                 )
             self.quota.admit(job.client_id, force=True)
-            self._set_inflight_gauge(job.client_id)
             self._submit_job_locked(job)
-        self._update_gauges_locked()
 
     def request_stop(self) -> None:
         """Ask the daemon to stop (signal-handler/shutdown-op safe, idempotent)."""
@@ -284,12 +263,8 @@ class JobsDaemon:
     # job execution (dispatcher thread)
     # ------------------------------------------------------------------ #
     def _submit_job_locked(self, job: Job) -> None:
-        """Queue ``job`` on the dispatcher under its client's fairness token."""
-        token = self._client_tokens.get(job.client_id)
-        if token is None:
-            token = _ClientToken(job.client_id)
-            self._client_tokens[job.client_id] = token
-        self.dispatcher.submit(self._execute_job, job.job_id, service=token)
+        """Queue ``job`` on the dispatcher, keyed by its client for fairness."""
+        self.dispatcher.submit(self._execute_job, job.job_id, key=job.client_id)
 
     def _execute_job(self, job_id: str) -> None:
         """Run one job to a terminal state: attempts, retries, journaling."""
@@ -349,28 +324,14 @@ class JobsDaemon:
             job = self.store.get(job_id)
             self._transition_locked(job, state, score=score, error=error)
             self.quota.release(job.client_id)
-            self._set_inflight_gauge(job.client_id)
 
     def _transition_locked(self, job: Job, state: str, **kwargs) -> Job:
-        """Apply + journal one state change; update counts, events, gauges."""
+        """Apply + journal one state change and log its event."""
         updated = job.transition(state, at=self._clock(), **kwargs)
         self.store.append_job(updated)
-        self._state_counts[job.state] -= 1
-        self._state_counts[state] += 1
         self._events.append({"type": "job", "job": updated.to_record()})
-        self._update_gauges_locked()
         self._state_cond.notify_all()
         return updated
-
-    def _update_gauges_locked(self) -> None:
-        depth = self._state_counts[models.PENDING] + self._state_counts[models.RETRYING]
-        self.registry.gauge("jobs.queue_depth").set(depth)
-        for state in models.JOB_STATES:
-            self.registry.gauge(f"jobs.state.{state}").set(self._state_counts[state])
-        obs.counter("jobs.queue_depth", depth)
-
-    def _set_inflight_gauge(self, client_id: str) -> None:
-        self.registry.gauge(f"jobs.inflight.{client_id}").set(self.quota.inflight(client_id))
 
     # ------------------------------------------------------------------ #
     # admission
@@ -387,12 +348,10 @@ class JobsDaemon:
             self.quota.admit(client_id, len(resolved))
         except QuotaExceeded as exc:
             raise RequestError("quota-exceeded", str(exc)) from exc
-        self._set_inflight_gauge(client_id)
         now = self._clock()
         with self._state_cond:
             if self._stopping:
                 self.quota.release(client_id, len(resolved))
-                self._set_inflight_gauge(client_id)
                 raise RequestError("shutting-down", "daemon is shutting down")
             batch = None
             batch_id = None
@@ -413,7 +372,6 @@ class JobsDaemon:
                     updated_at=now,
                 )
                 self.store.append_job(job)
-                self._state_counts[models.PENDING] += 1
                 self._events.append({"type": "job", "job": job.to_record()})
                 jobs.append(job)
             if with_batch:
@@ -424,7 +382,6 @@ class JobsDaemon:
                     created_at=now,
                 )
                 self.store.append_batch(batch)
-            self._update_gauges_locked()
             for job in jobs:
                 self._submit_job_locked(job)
             self._state_cond.notify_all()
@@ -507,12 +464,12 @@ class JobsDaemon:
                 job, models.CANCELLED, error="cancelled by client"
             )
             self.quota.release(job.client_id)
-            self._set_inflight_gauge(job.client_id)
         return {"job": updated.to_record()}
 
     def _op_stats(self, params: dict) -> dict:
-        with self._state_cond:
-            counts = dict(self._state_counts)
+        counts = {state: 0 for state in models.JOB_STATES}
+        for job in self.store.jobs():
+            counts[job.state] += 1
         inflight = self.quota.snapshot()
         return {
             "protocol": PROTOCOL_VERSION,

@@ -18,8 +18,7 @@ layer every other subsystem reports into:
     exactly like serial or thread execution.
 
 ``metrics``
-    :class:`MetricsRegistry` — named :class:`Gauge` instruments plus
-    snapshot-shaped *providers*
+    :class:`MetricsRegistry` — snapshot-shaped *providers*
     (:class:`~repro.serving.metrics.ServingMetrics`), collapsed by one
     ``snapshot()`` into the whole run's telemetry dict.
 
@@ -49,7 +48,7 @@ from repro.obs.export import (
     spans_from_trace,
     write_chrome_trace,
 )
-from repro.obs.metrics import Gauge, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import (
     format_report,
     format_serving_summary,
@@ -82,7 +81,6 @@ __all__ = [
     "tracing_enabled",
     "span",
     "counter",
-    "Gauge",
     "MetricsRegistry",
     "chrome_trace_events",
     "write_chrome_trace",

@@ -14,8 +14,8 @@ This package turns it into a standalone service with four layers:
     :func:`~repro.serving.dedup.first_occurrence`).
 ``cache``
     A content-addressed LRU result cache keyed by a SHA-256 digest of
-    ``(scenario, canonical response, feedback fingerprint)``, with hit/miss
-    stats (:class:`~repro.serving.cache.FeedbackCache`), persisted across
+    ``(scenario, canonical response, feedback fingerprint, world-model
+    digest)`` (:class:`~repro.serving.cache.FeedbackCache`), persisted across
     runs by a managed cache directory
     (:class:`~repro.serving.cache.CacheDirectory`, below).
 ``backends``
@@ -84,7 +84,6 @@ whitespace the step parser provably ignores.
 from repro.serving.backends import ResponseScorer, WorkerPayload, WorkerPool
 from repro.serving.cache import (
     CacheDirectory,
-    CacheStats,
     CompactionReport,
     FeedbackCache,
     cache_key,
@@ -98,7 +97,6 @@ from repro.serving.scheduler import Dispatcher, FeedbackJob, FeedbackService, Pe
 __all__ = [
     "BACKENDS",
     "CacheDirectory",
-    "CacheStats",
     "CompactionReport",
     "FeedbackCache",
     "cache_key",

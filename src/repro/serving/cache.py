@@ -75,33 +75,18 @@ def cache_key(scenario: str, canonical_response: str, fingerprint: str, scenario
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """Hit/miss/eviction counters of a :class:`FeedbackCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    size: int = 0
-    max_entries: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-
 class FeedbackCache:
-    """LRU-bounded mapping from cache key to feedback score."""
+    """LRU-bounded mapping from cache key to feedback score.
+
+    Hits and misses are counted by the service that looks keys up
+    (:class:`~repro.serving.metrics.ServingMetrics`), not here.
+    """
 
     def __init__(self, max_entries: int = 4096):
         if max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_entries = max_entries
         self._entries: OrderedDict = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -110,9 +95,7 @@ class FeedbackCache:
     def get(self, key: str):
         """The cached score for ``key`` (refreshing recency), or None."""
         if key not in self._entries:
-            self._misses += 1
             return None
-        self._hits += 1
         self._entries.move_to_end(key)
         return self._entries[key]
 
@@ -123,23 +106,13 @@ class FeedbackCache:
         self._entries[key] = score
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-            self._evictions += 1
-
-    def stats(self) -> CacheStats:
-        return CacheStats(
-            hits=self._hits,
-            misses=self._misses,
-            evictions=self._evictions,
-            size=len(self._entries),
-            max_entries=self.max_entries,
-        )
 
     def entries(self) -> list:
         """``[key, score]`` pairs in recency order (least recent first)."""
         return [[key, score] for key, score in self._entries.items()]
 
     def merge(self, entries) -> int:
-        """Fold ``[key, score]`` pairs in without touching hit/miss counters.
+        """Fold ``[key, score]`` pairs in (a warm start, not a lookup).
 
         Existing keys keep their current score (the in-memory entry is at
         least as fresh as a persisted one).  Returns the number of new keys

@@ -146,10 +146,7 @@ class Dispatcher:
         self._lock = threading.Lock()
         self._executor: ThreadPoolExecutor | None = None
         # Round-robin state: one FIFO deque of (future, fn, args) per key,
-        # and a rotation of the keys.  A key is the id() of the caller's
-        # `service` object, which the caller keeps alive while its calls are
-        # queued (the jobs daemon holds its client tokens for its lifetime),
-        # so ids cannot alias; calls without one share the None key.
+        # and a rotation of the keys.
         self._queues: dict = {}
         self._rotation: deque = deque()
         self._closed = False
@@ -168,13 +165,13 @@ class Dispatcher:
             return sum(len(queue) for queue in self._queues.values())
 
     # ------------------------------------------------------------------ #
-    def submit(self, fn, *args, service=None) -> Future:
+    def submit(self, fn, *args, key=None) -> Future:
         """Queue ``fn(*args)`` on the dispatch thread; returns its future.
 
-        ``service`` is the fairness key (any object) whose queue the call
+        ``key`` is the fairness key (any hashable value) whose queue the call
         joins: calls under one key run in their submission order, while
         distinct keys are interleaved round-robin.  Calls without a key
-        (``service=None``) share one queue.  The worker thread is started
+        (``key=None``) share one queue.  The worker thread is started
         lazily on the first submission, so a dispatcher that is constructed
         but never used costs nothing.
         """
@@ -186,7 +183,6 @@ class Dispatcher:
                 self._executor = ThreadPoolExecutor(
                     max_workers=1, thread_name_prefix=self.name
                 )
-            key = None if service is None else id(service)
             if key not in self._queues:
                 self._queues[key] = deque()
                 self._rotation.append(key)
@@ -210,7 +206,7 @@ class Dispatcher:
                     item = queue.popleft()
                     if not queue:
                         # Drop the empty queue so a departed key can't
-                        # linger (or alias a recycled id) forever.
+                        # linger forever.
                         del self._queues[key]
                         self._rotation.remove(key)
                     return item

@@ -64,7 +64,7 @@ class TestPipelinePieces:
 
     def test_metrics_registry_holds_the_serving_provider(self, pipeline):
         snapshot = pipeline.metrics_registry.snapshot()
-        assert set(snapshot) == {"gauges", "serving"}
+        assert set(snapshot) == {"serving"}
         assert snapshot["serving"].keys() == pipeline.serving.metrics.snapshot().keys()
 
     def test_task_model_is_cached(self, pipeline):

@@ -1,28 +1,14 @@
-"""MetricsRegistry tests: gauges, providers, and the run snapshot."""
+"""MetricsRegistry tests: providers and the run snapshot."""
 
-from repro.obs.metrics import Gauge, MetricsRegistry
-
-
-class TestInstruments:
-    def test_gauge_keeps_the_last_value(self):
-        gauge = Gauge("depth")
-        assert gauge.value == 0.0
-        gauge.set(3)
-        gauge.set(2)
-        assert gauge.value == 2.0
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestRegistry:
-    def test_instruments_are_created_once_per_name(self):
-        registry = MetricsRegistry()
-        assert registry.gauge("g") is registry.gauge("g")
-
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
-        registry.gauge("depth").set(2)
         registry.register_provider("serving", lambda: {"hit_rate": 1.0})
         snapshot = registry.snapshot()
-        assert snapshot == {"gauges": {"depth": 2.0}, "serving": {"hit_rate": 1.0}}
+        assert snapshot == {"serving": {"hit_rate": 1.0}}
 
     def test_reregistering_a_provider_replaces_it(self):
         registry = MetricsRegistry()

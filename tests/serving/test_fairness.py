@@ -61,12 +61,12 @@ class TestDispatcherRoundRobin:
 
         a, b = object(), object()
         with Dispatcher() as dispatcher:
-            futures = [dispatcher.submit(gated_first, service=a)]
-            futures += [dispatcher.submit(record(f"a{i}"), service=a) for i in range(1, 6)]
+            futures = [dispatcher.submit(gated_first, key=a)]
+            futures += [dispatcher.submit(record(f"a{i}"), key=a) for i in range(1, 6)]
             # a0 is already executing (blocked on the gate); the backlog a1-a5
             # is queued.  B's task arrives late but must not wait out the
             # whole backlog.
-            futures.append(dispatcher.submit(record("b0"), service=b))
+            futures.append(dispatcher.submit(record("b0"), key=b))
             gate.set()
             for future in futures:
                 future.result(timeout=30)
@@ -94,10 +94,10 @@ class TestDispatcherRoundRobin:
 
         a, b, c = object(), object(), object()
         with Dispatcher() as dispatcher:
-            futures = [dispatcher.submit(gated_first, service=a)]
+            futures = [dispatcher.submit(gated_first, key=a)]
             assert running.wait(timeout=30)
             for key, name in ((a, "a"), (b, "b"), (c, "c")):
-                futures += [dispatcher.submit(record(f"{name}{i}"), service=key) for i in (1, 2)]
+                futures += [dispatcher.submit(record(f"{name}{i}"), key=key) for i in (1, 2)]
             gate.set()
             for future in futures:
                 future.result(timeout=30)
@@ -160,10 +160,10 @@ class TestClientFairness:
         try:
             with Dispatcher() as dispatcher:
                 futures = [
-                    dispatcher.submit(scored, batch, f"chatty{i}", service=chatty)
+                    dispatcher.submit(scored, batch, f"chatty{i}", key=chatty)
                     for i, batch in enumerate(chatty_batches)
                 ]
-                futures.append(dispatcher.submit(scored, quiet_batch, "quiet", service=quiet))
+                futures.append(dispatcher.submit(scored, quiet_batch, "quiet", key=quiet))
                 gate.set()
                 for future in futures:
                     future.result(timeout=30)
@@ -192,7 +192,7 @@ class TestClientFairness:
         clients = (object(), object())
         with _service() as service, Dispatcher() as dispatcher:
             futures = [
-                dispatcher.submit(service.score_batch, batch, service=clients[i % 2])
+                dispatcher.submit(service.score_batch, batch, key=clients[i % 2])
                 for i, batch in enumerate(batches)
             ]
             assert [future.result(timeout=30) for future in futures] == expected

@@ -51,7 +51,7 @@ class TestServingParity:
         assert metrics["jobs"] > 0
         # Template augmentation and repeated evaluation guarantee repeats.
         assert metrics["cache_hits"] > 0 and metrics["hit_rate"] > 0
-        assert pipeline.serving.cache.stats().size > 0
+        assert len(pipeline.serving.cache) > 0
 
     def test_serial_run_reports_no_cache_work(self, parity_runs):
         _, serial = parity_runs[False]
