@@ -10,8 +10,7 @@ This package turns it into a standalone service with four layers:
 ``dedup``
     Score-preserving response canonicalisation, so the many identical
     responses a small model samples verify exactly once per batch
-    (:func:`~repro.serving.dedup.canonicalize_response`,
-    :func:`~repro.serving.dedup.first_occurrence`).
+    (:func:`~repro.serving.dedup.canonicalize_response`).
 ``cache``
     A content-addressed LRU result cache keyed by a SHA-256 digest of
     ``(scenario, canonical response, feedback fingerprint, world-model
@@ -90,7 +89,7 @@ from repro.serving.cache import (
     feedback_fingerprint,
 )
 from repro.serving.config import BACKENDS, ServingConfig
-from repro.serving.dedup import canonicalize_response, first_occurrence
+from repro.serving.dedup import canonicalize_response
 from repro.serving.metrics import ServingMetrics
 from repro.serving.scheduler import Dispatcher, FeedbackJob, FeedbackService, PendingBatch
 
@@ -106,7 +105,6 @@ __all__ = [
     "WorkerPayload",
     "WorkerPool",
     "canonicalize_response",
-    "first_occurrence",
     "ServingMetrics",
     "Dispatcher",
     "FeedbackJob",

@@ -30,22 +30,3 @@ def canonicalize_response(text: str) -> str:
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     canonical = [line.strip() for line in lines]
     return "\n".join(line for line in canonical if line)
-
-
-def first_occurrence(items) -> tuple:
-    """Collapse a sequence to its distinct items, preserving first-seen order.
-
-    Returns ``(unique, assignment)`` where ``assignment[i]`` is the index into
-    ``unique`` for the ``i``-th input — the scatter map of the scheduler's
-    per-key dedup.
-    """
-    unique: list = []
-    index_of: dict = {}
-    assignment: list = []
-    for item in items:
-        if item not in index_of:
-            index_of[item] = len(unique)
-            unique.append(item)
-        assignment.append(index_of[item])
-    return unique, assignment
-

@@ -50,7 +50,7 @@ from repro.obs import tracer as obs
 from repro.serving.backends import ResponseScorer, WorkerPayload, WorkerPool, run_serial
 from repro.serving.cache import CacheDirectory, FeedbackCache, cache_key, feedback_fingerprint
 from repro.serving.config import ServingConfig
-from repro.serving.dedup import canonicalize_response, first_occurrence
+from repro.serving.dedup import canonicalize_response
 from repro.serving.metrics import ServingMetrics
 
 
@@ -300,7 +300,6 @@ class FeedbackService:
             seed=seed,
             model_builder=model_builder,
         )
-        self.model_builder = self._scorer.model_builder
         # Worker processes rebuild the scorer from this payload.  Only the
         # default (catalogue) model builder is reproducible in a fresh process.
         # Workers inherit the trace destination at construction time: the
@@ -428,8 +427,9 @@ class FeedbackService:
             )
             return scores
 
-        # Dedup: first occurrence of each (scenario, canonical text) key is
-        # the representative whose score every duplicate receives.
+        # Dedup: the first job with each (scenario, canonical text) key is
+        # the representative whose score every duplicate receives; the dict
+        # keeps the unique keys in first-seen order.
         self._prepare_scenarios(jobs)
         keys = [
             cache_key(
@@ -440,17 +440,16 @@ class FeedbackService:
             )
             for job in jobs
         ]
-        unique_keys, _ = first_occurrence(keys)
         representative: dict = {}
-        for index, key in enumerate(keys):
-            representative.setdefault(key, jobs[index])
+        for key, job in zip(keys, jobs):
+            representative.setdefault(key, job)
 
         resolved: dict = {}
         misses: list = []
-        for key in unique_keys:
+        for key, job in representative.items():
             cached = self.cache.get(key)
             if cached is None:
-                misses.append((key, representative[key]))
+                misses.append((key, job))
             else:
                 resolved[key] = cached
 
@@ -462,8 +461,8 @@ class FeedbackService:
 
         self.metrics.record_batch(
             jobs=len(jobs),
-            unique=len(unique_keys),
-            hits=len(unique_keys) - len(misses),
+            unique=len(representative),
+            hits=len(representative) - len(misses),
             misses=len(misses),
             seconds=time.perf_counter() - start,
         )

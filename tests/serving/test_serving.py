@@ -18,7 +18,6 @@ from repro.serving import (
     cache_key,
     canonicalize_response,
     feedback_fingerprint,
-    first_occurrence,
 )
 from repro.serving.config import EMPIRICAL_THRESHOLD, EMPIRICAL_TRACES
 from repro.sim import SimulationGrounding
@@ -42,12 +41,6 @@ class TestCanonicalization:
         a = canonicalize_response("1. If there is no car  from the left, turn right.")
         b = canonicalize_response("1. If there is no car from the left, turn right.")
         assert a != b
-
-    def test_dedupe_assignment_reconstructs_batch(self):
-        batch = ["r1", "r2", "r1\n", " r2 ", "r3", "r1"]
-        unique, assignment = first_occurrence(canonicalize_response(r) for r in batch)
-        assert unique == ["r1", "r2", "r3"]
-        assert [unique[j] for j in assignment] == ["r1", "r2", "r1", "r2", "r3", "r1"]
 
 
 class TestCacheKey:
