@@ -112,6 +112,12 @@ def cmd_daemon(args) -> int:
 
     try:
         config = serving_config_from_args(args)
+        if args.backend != "serial":
+            raise ValueError(
+                f"--backend {args.backend} is not supported: the daemon scores one job per "
+                "batch, which the process backend scores inline without starting its "
+                "worker pool; use --backend serial"
+            )
         if args.job_retries < 0:
             raise ValueError(f"--job-retries must be non-negative, got {args.job_retries}")
         retry = RetryPolicy(max_attempts=args.job_retries + 1)

@@ -78,21 +78,31 @@ class JobStore:
     # replay
     # ------------------------------------------------------------------ #
     def _replay(self) -> None:
-        """Load snapshot then journal into memory; tolerate a torn last line."""
+        """Load snapshot then journal into memory; tolerate a torn last line.
+
+        Any other record that does not decode, such as valid JSON of the
+        wrong shape, raises ``ValueError`` naming the file (and, in the
+        journal, the line).
+        """
         snapshot_path = self.root / self.SNAPSHOT_NAME
         if snapshot_path.exists():
-            snapshot = load_json(snapshot_path)
-            for record in snapshot.get("jobs", []):
-                job = Job.from_record(record)
-                self._jobs[job.job_id] = job
-            for record in snapshot.get("batches", []):
-                batch = Batch.from_record(record)
-                self._batches[batch.batch_id] = batch
+            try:
+                snapshot = load_json(snapshot_path)
+                for record in snapshot.get("jobs", []):
+                    job = Job.from_record(record)
+                    self._jobs[job.job_id] = job
+                for record in snapshot.get("batches", []):
+                    batch = Batch.from_record(record)
+                    self._batches[batch.batch_id] = batch
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{snapshot_path}: malformed snapshot ({type(exc).__name__}: {exc})"
+                ) from exc
         journal_path = self.root / self.JOURNAL_NAME
         if not journal_path.exists():
             return
         with journal_path.open("r", encoding="utf-8") as handle:
-            for line in handle:
+            for line_number, line in enumerate(handle, start=1):
                 text = line.strip()
                 if not text:
                     continue
@@ -102,7 +112,12 @@ class JobStore:
                     # A crash mid-append leaves at most one torn trailing
                     # line; everything the daemon acknowledged is complete.
                     break
-                self._apply_locked(record)
+                try:
+                    self._apply_locked(record)
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(
+                        f"{journal_path}:{line_number}: malformed record ({type(exc).__name__}: {exc})"
+                    ) from exc
                 self._appends_since_snapshot += 1
 
     def _apply_locked(self, record: dict) -> None:

@@ -7,7 +7,7 @@ some are not, restart on the same store, and check that
 * every job ends in exactly one terminal journal record (no re-scoring of
   completed work, no lost jobs), and
 * the recovered scores are identical to a one-shot ``repro-serve`` run on
-  the same records — on every worker-pool backend.
+  the same records.
 """
 
 import json
@@ -47,7 +47,7 @@ def _write_jsonl(path: Path, records) -> None:
             handle.write(json.dumps(record) + "\n")
 
 
-def _spawn_daemon(socket_path: Path, store_dir: Path, backend: str, *, throttle: float):
+def _spawn_daemon(socket_path: Path, store_dir: Path, *, throttle: float):
     proc = subprocess.Popen(
         [
             sys.executable,
@@ -58,8 +58,6 @@ def _spawn_daemon(socket_path: Path, store_dir: Path, backend: str, *, throttle:
             str(socket_path),
             "--store",
             str(store_dir),
-            "--backend",
-            backend,
             "--throttle-seconds",
             str(throttle),
             # Keep the whole history in the journal so the test can audit it.
@@ -102,14 +100,13 @@ def oneshot_scores(tmp_path_factory):
     return {record["response"]: record["score"] for record in scored}
 
 
-@pytest.mark.parametrize("backend", ["serial", "process"])
-def test_sigkill_midbatch_recovers_exactly_once(backend, oneshot_scores):
+def test_sigkill_midbatch_recovers_exactly_once(oneshot_scores):
     root = Path(tempfile.mkdtemp(prefix="repro-crash-", dir="/tmp"))
     socket_path = root / "daemon.sock"
     store_dir = root / "store"
     proc2 = None
     try:
-        proc, client = _spawn_daemon(socket_path, store_dir, backend, throttle=0.3)
+        proc, client = _spawn_daemon(socket_path, store_dir, throttle=0.3)
         batch = client.create_batch(_records())["batch"]
 
         # Let some — but not all — jobs finish, then pull the plug.
@@ -125,7 +122,7 @@ def test_sigkill_midbatch_recovers_exactly_once(backend, oneshot_scores):
         proc.wait(timeout=30)
 
         # A fresh daemon on the same store resumes the leftovers.
-        proc2, client = _spawn_daemon(socket_path, store_dir, backend, throttle=0.0)
+        proc2, client = _spawn_daemon(socket_path, store_dir, throttle=0.0)
         final = client.wait_batch(batch["batch_id"])
         assert sorted(final) == batch["job_ids"]
         assert all(job["state"] == "succeeded" for job in final.values())

@@ -2,8 +2,8 @@
 
 The headline assertion: ``submit --wait -o`` through a daemon produces a
 byte-identical output file to the plain one-shot ``repro-serve`` run on the
-same input — same records, same order, same JSON formatting — on every
-backend.  The daemon is a *service* wrapper, never a different scorer.
+same input — same records, same order, same JSON formatting.  The daemon is
+a *service* wrapper, never a different scorer.
 """
 
 import json
@@ -103,7 +103,7 @@ def daemon(cli_root):
 
 @pytest.fixture(scope="module")
 def oneshot_output(tmp_path_factory):
-    """The one-shot scored file every daemon backend must reproduce exactly."""
+    """The one-shot scored file the daemon must reproduce exactly."""
     root = tmp_path_factory.mktemp("cli-oneshot")
     inputs = root / "in.jsonl"
     output = root / "out.jsonl"
@@ -113,9 +113,8 @@ def oneshot_output(tmp_path_factory):
     return output.read_bytes()
 
 
-@pytest.mark.parametrize("backend", ["serial", "process"])
-def test_submit_wait_matches_oneshot_bytes(daemon, cli_root, oneshot_output, backend):
-    socket_path, _client = daemon("--backend", backend)
+def test_submit_wait_matches_oneshot_bytes(daemon, cli_root, oneshot_output):
+    socket_path, _client = daemon()
     inputs = cli_root / "in.jsonl"
     output = cli_root / "out.jsonl"
     _write_inputs(inputs)
@@ -162,6 +161,33 @@ def test_submit_validates_before_contacting_the_daemon(cli_root):
     result = _cli("submit", str(inputs), "--socket", str(cli_root / "nowhere.sock"))
     assert result.returncode == 2
     assert "no_such_task" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "store_files, extra_args",
+    [
+        ({}, ("--backend", "process")),
+        ({"journal.jsonl": '{"kind": "job", "job": {"job_id": "j-000001"}}\n'}, ()),
+    ],
+    ids=["process-backend", "malformed-store"],
+)
+def test_daemon_refuses_to_start_in_one_line(cli_root, store_files, extra_args):
+    """A backend the daemon cannot use, or a store record of the wrong
+    shape, ends the daemon with exit 2 and one stderr line, before any
+    socket (or, for the backend, the store directory) is created."""
+    store = cli_root / "store"
+    for name, text in store_files.items():
+        store.mkdir(exist_ok=True)
+        (store / name).write_text(text)
+    socket_path = cli_root / "daemon.sock"
+    result = _cli(
+        "daemon", "--socket", str(socket_path), "--store", str(store), *extra_args, timeout=60
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1, result.stderr
+    assert not socket_path.exists()
+    assert store.exists() == bool(store_files)
 
 
 def test_unreachable_daemon_is_a_clean_error(cli_root):

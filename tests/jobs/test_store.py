@@ -57,6 +57,27 @@ class TestJournalReplay:
         with JobStore(tmp_path / "s") as reopened:
             assert [job.job_id for job in reopened.jobs()] == ["j-000001", "j-000002"]
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            {"kind": "job", "job": {"job_id": "j-000002"}},
+            {"kind": "batch", "batch": {"batch_id": "b-000001", "client_id": "c", "job_ids": 5}},
+            [1, 2],
+        ],
+        ids=["job-without-fields", "batch-ids-not-a-list", "not-an-object"],
+    )
+    def test_wrong_shaped_record_names_its_line(self, tmp_path, line):
+        """Valid JSON of the wrong shape is a ValueError naming the journal
+        line, which ``repro-serve daemon`` reports in one line."""
+        root = tmp_path / "s"
+        root.mkdir()
+        journal = root / JobStore.JOURNAL_NAME
+        journal.write_text(
+            json.dumps({"kind": "job", "job": _job(1).to_record()}) + "\n" + json.dumps(line) + "\n"
+        )
+        with pytest.raises(ValueError, match=f"{journal}:2: malformed record"):
+            JobStore(root)
+
     def test_unknown_record_kind_rejected(self, tmp_path):
         store = JobStore(tmp_path / "s")
         journal = tmp_path / "s" / JobStore.JOURNAL_NAME
@@ -105,6 +126,14 @@ class TestSnapshot:
         assert (tmp_path / "s" / JobStore.SNAPSHOT_NAME).exists()
         with pytest.raises(ValueError, match="closed JobStore"):
             store.append_job(_job(2))
+
+    def test_wrong_shaped_snapshot_names_its_file(self, tmp_path):
+        root = tmp_path / "s"
+        root.mkdir()
+        snapshot = root / JobStore.SNAPSHOT_NAME
+        snapshot.write_text(json.dumps({"schema": 1, "jobs": [{"job_id": "j-1"}]}))
+        with pytest.raises(ValueError, match=f"{snapshot}: malformed snapshot"):
+            JobStore(root)
 
     def test_snapshot_every_validated(self, tmp_path):
         with pytest.raises(ValueError, match="snapshot_every"):
