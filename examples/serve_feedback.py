@@ -19,8 +19,8 @@ quickstart; see ``docs/serving.md`` for the architecture behind it):
    submission order — the shape the pipeline uses to rank one task's
    responses while the next task's verify.
 
-On a multi-core machine, add ``--backend process`` to any CLI invocation to
-verify cold batches in parallel worker processes.
+On a multi-core machine, add ``--backend process`` to a one-shot CLI
+invocation to verify cold batches in parallel worker processes.
 """
 
 from __future__ import annotations

@@ -389,13 +389,8 @@ class JobsDaemon:
         return batch_record, [job.to_record() for job in jobs]
 
     def _validate_spec(self, spec):
-        """The :class:`~repro.serving.scheduler.FeedbackJob` a job spec asks for.
-
-        :meth:`FeedbackJob.from_record
-        <repro.serving.scheduler.FeedbackJob.from_record>` resolves it, so a
-        bad spec is answered in the one-shot CLI's words, as
-        ``invalid-request``.
-        """
+        """The ``FeedbackJob`` a job spec asks for; a bad spec is answered in
+        the one-shot CLI's words, as ``invalid-request``."""
         from repro.serving import FeedbackJob  # deferred: serving imports are heavy
 
         try:

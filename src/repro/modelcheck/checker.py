@@ -313,11 +313,8 @@ class ModelChecker:
             obs.counter("mc.result_cache.misses", stats["misses"])
 
     def model_fingerprint(self, model: TransitionSystem) -> str:
-        """:func:`~repro.modelcheck.fastpath.model_fingerprint` of ``model``, memoized.
-
-        Computed under the lock, so concurrent callers asking for the same
-        model compute it once.
-        """
+        """:func:`~repro.modelcheck.fastpath.model_fingerprint` of ``model``,
+        memoized; computed under the lock, so concurrent callers compute it once."""
         with self._fingerprint_lock:
             entry = self._model_fingerprints.get(id(model))
             if entry is None or entry[0] is not model:

@@ -3,7 +3,8 @@
 Feedback is a pure function of ``(scenario, canonical response text, feedback
 mode, feedback configuration, specification set)`` — the controller built from
 a response and the world model it is checked against are both deterministic.
-The cache therefore keys entries by a SHA-256 digest of exactly those inputs
+The cache therefore keys entries by a SHA-256 digest of exactly those inputs,
+plus the world model's :func:`~repro.modelcheck.fastpath.model_fingerprint`,
 and evicts least-recently-used entries past a size bound.  A
 :class:`CacheDirectory` of per-fingerprint JSON shards (written via
 :mod:`repro.utils.serialization`) is the one way a warm cache survives across

@@ -58,7 +58,8 @@ daemon mode:
                       every job is journaled before it is acknowledged, so a
                       killed daemon restarted on the same --store resumes and
                       finishes every accepted job exactly once, with scores
-                      identical to a one-shot run
+                      identical to a one-shot run (serial backend only: the
+                      daemon scores one job per batch)
   repro-serve submit|status|watch --socket S
                       submit a JSONL file as a batch (--wait writes the same
                       scored records a one-shot run would), query job/batch/
@@ -168,10 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 def load_jobs(path: Path) -> list:
     """Parse the input JSONL into ``(record, FeedbackJob)`` pairs.
 
-    The full input record is kept so the output can preserve caller metadata;
-    :meth:`FeedbackJob.from_record <repro.serving.scheduler.FeedbackJob.from_record>`
-    resolves its scenario.  A bad line raises ``ValueError`` prefixed with
-    ``path:line:``.
+    The full input record is kept so the output can preserve caller metadata.
+    A bad line raises ``ValueError`` prefixed with ``path:line:``.
     """
     from repro.serving.scheduler import FeedbackJob
 

@@ -66,10 +66,9 @@ class FeedbackJob:
     def from_record(cls, record) -> "FeedbackJob":
         """The job a ``{task, response[, scenario]}`` input record asks for.
 
-        An explicit ``scenario`` must be in the scenario catalogue; without
-        one, the task must be in the task catalogue.  Raises ``ValueError``
-        naming what is wrong, in the words both ``repro-serve`` and the jobs
-        daemon report.
+        An explicit ``scenario`` must be in the scenario catalogue, else the
+        task must be in the task catalogue.  Raises ``ValueError`` in the
+        words both ``repro-serve`` and the jobs daemon report.
         """
         from repro.driving.scenarios.universal import SCENARIO_BUILDERS
         from repro.driving.tasks import task_by_name
@@ -363,13 +362,11 @@ class FeedbackService:
         """The (cached) digest of a scenario's world model.
 
         Part of every cache key in formal mode, so edited world models (or a
-        custom ``model_builder``) never collide with a stale persisted cache.
-        The scorer's model checker computes and memoizes it
-        (:meth:`~repro.modelcheck.checker.ModelChecker.model_fingerprint`),
-        the same digest its result cache keys on.  Empirical scores never
-        touch the formal model — its digest would both be meaningless and
-        force simulator-only scenarios to have one — so empirical mode keys
-        on the fingerprint (mode, traces, seed, version) alone.
+        custom ``model_builder``) never collide with a stale persisted cache;
+        the scorer's model checker memoizes it.  Empirical scores never touch
+        the formal model — its digest would both be meaningless and force
+        simulator-only scenarios to have one — so empirical mode keys on the
+        fingerprint (mode, traces, seed, version) alone.
         """
         if self.feedback.use_empirical:
             return ""
