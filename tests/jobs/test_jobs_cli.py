@@ -63,7 +63,7 @@ def daemon(cli_root):
     """A live subprocess daemon; yields (socket_path, client)."""
     procs = []
 
-    def start(*extra_args):
+    def start():
         socket_path = cli_root / "daemon.sock"
         proc = subprocess.Popen(
             [
@@ -75,7 +75,6 @@ def daemon(cli_root):
                 str(socket_path),
                 "--store",
                 str(cli_root / "store"),
-                *extra_args,
             ],
             env=ENV,
             cwd=REPO_ROOT,

@@ -1,6 +1,7 @@
 """Durability of the journal + snapshot job store."""
 
 import json
+import re
 
 import pytest
 
@@ -75,7 +76,7 @@ class TestJournalReplay:
         journal.write_text(
             json.dumps({"kind": "job", "job": _job(1).to_record()}) + "\n" + json.dumps(line) + "\n"
         )
-        with pytest.raises(ValueError, match=f"{journal}:2: malformed record"):
+        with pytest.raises(ValueError, match=re.escape(f"{journal}:2: malformed record")):
             JobStore(root)
 
     def test_unknown_record_kind_rejected(self, tmp_path):
@@ -132,7 +133,7 @@ class TestSnapshot:
         root.mkdir()
         snapshot = root / JobStore.SNAPSHOT_NAME
         snapshot.write_text(json.dumps({"schema": 1, "jobs": [{"job_id": "j-1"}]}))
-        with pytest.raises(ValueError, match=f"{snapshot}: malformed snapshot"):
+        with pytest.raises(ValueError, match=re.escape(f"{snapshot}: malformed snapshot")):
             JobStore(root)
 
     def test_snapshot_every_validated(self, tmp_path):

@@ -44,7 +44,7 @@ def _distinct_batches(count: int, size: int = 2) -> list:
 
 class TestDispatcherRoundRobin:
     def test_round_robin_across_submitters(self):
-        """With service A's backlog queued ahead, B's single task must run
+        """With key A's backlog queued ahead, B's single task must run
         after at most one more A task — not after the whole backlog."""
         executed = []
         gate = threading.Event()
@@ -71,7 +71,7 @@ class TestDispatcherRoundRobin:
             for future in futures:
                 future.result(timeout=30)
         assert executed.index("b0") <= 2, f"b0 was starved: {executed}"
-        # Per-service FIFO is preserved.
+        # Per-key FIFO is preserved.
         a_order = [label for label in executed if label.startswith("a")]
         assert a_order == ["a0", "a1", "a2", "a3", "a4", "a5"]
 
