@@ -142,12 +142,24 @@ NEGATION_CUES: tuple = (
 UNALIGNED_MARKERS: frozenset = frozenset({"intersection_clear"})
 
 
-def _phrase_pattern(phrase: str) -> re.Pattern:
-    return re.compile(r"\b" + re.escape(phrase) + r"\b")
+def _phrase_table(lexicon: dict) -> tuple:
+    """``(phrase, value, pattern)`` for every phrase of ``lexicon``, longest first.
+
+    Compiled once: the matchers run on every clause of every response.  A
+    ``\b``-bounded phrase can match only where its literal text occurs, so
+    the matchers test ``phrase in text`` before running the pattern.
+    """
+    return tuple(
+        (phrase, lexicon[phrase], re.compile(r"\b" + re.escape(phrase) + r"\b"))
+        for phrase in sorted(lexicon, key=len, reverse=True)
+    )
 
 
-_SORTED_PROPOSITIONS = sorted(PROPOSITION_LEXICON, key=len, reverse=True)
-_SORTED_ACTIONS = sorted(ACTION_LEXICON, key=len, reverse=True)
+_PROPOSITION_TABLE = _phrase_table(PROPOSITION_LEXICON)
+_ACTION_TABLE = _phrase_table(ACTION_LEXICON)
+
+#: Any negation cue as a whole word; ``_is_negated`` only asks whether one occurs.
+_NEGATION_CUE_RE = re.compile(r"\b(?:" + "|".join(map(re.escape, NEGATION_CUES)) + r")\b")
 
 
 #: Patterns after a proposition phrase that negate it ("the light is not green").
@@ -171,13 +183,14 @@ def find_propositions(text: str) -> list:
     def overlaps(start: int, end: int) -> bool:
         return any(not (end <= s or start >= e) for s, e in claimed)
 
-    for phrase in _SORTED_PROPOSITIONS:
-        for match in _phrase_pattern(phrase).finditer(text):
+    for phrase, proposition, pattern in _PROPOSITION_TABLE:
+        if phrase not in text:
+            continue
+        for match in pattern.finditer(text):
             start, end = match.span()
             if overlaps(start, end):
                 continue
             claimed.append((start, end))
-            proposition = PROPOSITION_LEXICON[phrase]
             negated = _is_negated(text, start, end)
             matches.append((start, proposition, negated))
     matches.sort(key=lambda item: item[0])
@@ -189,7 +202,7 @@ def _is_negated(text: str, start: int, end: int) -> bool:
     window = text[max(0, start - 28): start]
     window_tokens = window.replace(",", " ").split()
     tail = " ".join(window_tokens[-4:])
-    if any(re.search(r"\b" + re.escape(cue) + r"\b", tail) for cue in NEGATION_CUES):
+    if _NEGATION_CUE_RE.search(tail):
         return True
     return bool(_POST_NEGATION_RE.search(text[end: end + 24]))
 
@@ -203,13 +216,15 @@ def find_action(text: str) -> str | None:
     """
     text = text.lower().replace("-", " ")
     best: tuple | None = None
-    for phrase in _SORTED_ACTIONS:
-        match = _phrase_pattern(phrase).search(text)
+    for phrase, action, pattern in _ACTION_TABLE:
+        if phrase not in text:
+            continue
+        match = pattern.search(text)
         if match is None:
             continue
         key = (match.start(), -len(phrase))
         if best is None or key < best[0]:
-            best = (key, ACTION_LEXICON[phrase])
+            best = (key, action)
     return None if best is None else best[1]
 
 

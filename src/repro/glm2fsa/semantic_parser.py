@@ -34,6 +34,8 @@ from repro.glm2fsa.grammar import (
 
 _NUMBER_PREFIX_RE = re.compile(r"^\d+[.)]\s*")
 _ACTIONS = set(DRIVING_ACTIONS)
+#: The first action or ``observe`` token, longest alternative first.
+_CONSEQUENCE_RE = re.compile(r"\b(" + "|".join(sorted(_ACTIONS | {"observe"}, key=len, reverse=True)) + r")\b")
 
 
 def strip_numbering(line: str) -> str:
@@ -74,7 +76,7 @@ def parse_aligned_step(text: str) -> Step:
             condition_text, consequence = body.split(",", 1)
         else:
             # Fall back to splitting before the final action/observe token.
-            match = re.search(r"\b(" + "|".join(sorted(_ACTIONS | {"observe"}, key=len, reverse=True)) + r")\b", body)
+            match = _CONSEQUENCE_RE.search(body)
             if not match:
                 raise AlignmentError(f"conditional step has no consequence: {text!r}")
             condition_text, consequence = body[: match.start()], body[match.start():]
