@@ -146,20 +146,24 @@ class Job:
 
     @classmethod
     def from_record(cls, record: dict) -> "Job":
-        """Rebuild a job from :meth:`to_record` output (journal replay)."""
+        """Rebuild a job from :meth:`to_record` output (journal replay).
+
+        Raises ``KeyError`` for a missing required field and ``TypeError``
+        for a field of the wrong type.
+        """
         return cls(
-            job_id=record["job_id"],
-            client_id=record["client_id"],
-            task=record["task"],
-            scenario=record["scenario"],
-            response=record["response"],
-            state=record.get("state", PENDING),
-            attempts=int(record.get("attempts", 0)),
-            score=record.get("score"),
-            error=record.get("error"),
-            batch_id=record.get("batch_id"),
-            created_at=float(record.get("created_at", 0.0)),
-            updated_at=float(record.get("updated_at", 0.0)),
+            job_id=_field(record, "job_id", str),
+            client_id=_field(record, "client_id", str),
+            task=_field(record, "task", str),
+            scenario=_field(record, "scenario", str),
+            response=_field(record, "response", str),
+            state=_field(record, "state", str, PENDING),
+            attempts=_field(record, "attempts", int, 0),
+            score=_field(record, "score", (int, type(None)), None),
+            error=_field(record, "error", (str, type(None)), None),
+            batch_id=_field(record, "batch_id", (str, type(None)), None),
+            created_at=float(_field(record, "created_at", (int, float), 0.0)),
+            updated_at=float(_field(record, "updated_at", (int, float), 0.0)),
         )
 
 
@@ -183,10 +187,29 @@ class Batch:
 
     @classmethod
     def from_record(cls, record: dict) -> "Batch":
-        """Rebuild a batch from :meth:`to_record` output (journal replay)."""
+        """Rebuild a batch from :meth:`to_record` output (journal replay).
+
+        Raises like :meth:`Job.from_record`.
+        """
+        job_ids = _field(record, "job_ids", list)
+        if not all(isinstance(job_id, str) for job_id in job_ids):
+            raise TypeError("'job_ids' must hold only str ids")
         return cls(
-            batch_id=record["batch_id"],
-            client_id=record["client_id"],
-            job_ids=tuple(record["job_ids"]),
-            created_at=float(record.get("created_at", 0.0)),
+            batch_id=_field(record, "batch_id", str),
+            client_id=_field(record, "client_id", str),
+            job_ids=tuple(job_ids),
+            created_at=float(_field(record, "created_at", (int, float), 0.0)),
         )
+
+
+def _field(record: dict, name: str, types, *default):
+    """``record[name]``, or ``default`` when given and the field is absent.
+
+    Raises ``TypeError`` unless the value is an instance of ``types``; a
+    JSON ``true``/``false`` never passes for a number.
+    """
+    value = record.get(name, *default) if default else record[name]
+    if isinstance(value, bool) or not isinstance(value, types):
+        wanted = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
+        raise TypeError(f"{name!r} must be {wanted}, got {type(value).__name__}")
+    return value

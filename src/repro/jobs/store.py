@@ -14,8 +14,10 @@ Durability model
 * The journal is opened in append mode and each record is ``flush`` +
   ``os.fsync``\\ ed before :meth:`JobStore.append` returns — a job the daemon
   acknowledged survives ``SIGKILL``.
-* A torn final line (crash mid-append) is tolerated at replay and dropped;
-  every *complete* line is honored.
+* A record is complete once its newline is on disk.  A torn tail (crash
+  mid-append) was never acknowledged: replay drops it and cuts it off the
+  file before the next append, which would otherwise be glued onto it.  A
+  complete line that does not decode fails the open with ``ValueError``.
 * The snapshot is written with :func:`repro.utils.serialization.dump_json_atomic`
   and the journal is truncated only *after* the snapshot is durably in place,
   so a crash between the two merely replays a journal whose records are
@@ -70,7 +72,7 @@ class JobStore:
             self._replay()
         # Append mode: the journal is the one durable file that *grows* rather
         # than being rewritten, so it does not go through repro.utils.atomic —
-        # torn trailing lines are handled at replay instead.
+        # replay cuts a torn tail off instead.
         self._journal = (self.root / self.JOURNAL_NAME).open("a", encoding="utf-8")
         self._closed = False
 
@@ -78,11 +80,11 @@ class JobStore:
     # replay
     # ------------------------------------------------------------------ #
     def _replay(self) -> None:
-        """Load snapshot then journal into memory; tolerate a torn last line.
+        """Load snapshot then journal into memory; cut off a torn tail.
 
-        Any other record that does not decode, such as valid JSON of the
-        wrong shape, raises ``ValueError`` naming the file (and, in the
-        journal, the line).
+        Any complete record that does not decode, whether it is not JSON or
+        JSON of the wrong shape, raises ``ValueError`` naming the file (and,
+        in the journal, the line).
         """
         snapshot_path = self.root / self.SNAPSHOT_NAME
         if snapshot_path.exists():
@@ -101,24 +103,25 @@ class JobStore:
         journal_path = self.root / self.JOURNAL_NAME
         if not journal_path.exists():
             return
-        with journal_path.open("r", encoding="utf-8") as handle:
+        complete = 0  # bytes up to the end of the last complete record
+        with journal_path.open("rb") as handle:
             for line_number, line in enumerate(handle, start=1):
-                text = line.strip()
-                if not text:
+                if not line.endswith(b"\n"):
+                    break  # torn by a crash mid-append: never acknowledged
+                complete += len(line)
+                if not line.strip():
                     continue
                 try:
-                    record = json.loads(text)
-                except json.JSONDecodeError:
-                    # A crash mid-append leaves at most one torn trailing
-                    # line; everything the daemon acknowledged is complete.
-                    break
-                try:
-                    self._apply_locked(record)
+                    self._apply_locked(json.loads(line))
                 except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise ValueError(
                         f"{journal_path}:{line_number}: malformed record ({type(exc).__name__}: {exc})"
                     ) from exc
                 self._appends_since_snapshot += 1
+        if journal_path.stat().st_size > complete:
+            with journal_path.open("r+b") as handle:
+                handle.truncate(complete)
+                os.fsync(handle.fileno())
 
     def _apply_locked(self, record: dict) -> None:
         """Fold one journal record into the in-memory maps (last wins)."""

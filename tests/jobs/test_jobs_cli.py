@@ -33,6 +33,12 @@ RESPONSES = (
     "1. If the traffic light is green, turn right.",
 )
 
+#: A journal job with every field but a number for its id.
+WRONG_TYPED_JOB = {
+    "job_id": 5, "client_id": "c", "task": TASK, "scenario": "traffic_light_intersection",
+    "response": "1. Go.", "state": "succeeded", "attempts": 1, "score": 0,
+}
+
 
 def _cli(*args, **kwargs):
     return subprocess.run(
@@ -167,8 +173,9 @@ def test_submit_validates_before_contacting_the_daemon(cli_root):
     [
         ({}, ("--backend", "process")),
         ({"journal.jsonl": '{"kind": "job", "job": {"job_id": "j-000001"}}\n'}, ()),
+        ({"journal.jsonl": json.dumps({"kind": "job", "job": WRONG_TYPED_JOB}) + "\n"}, ()),
     ],
-    ids=["process-backend", "malformed-store"],
+    ids=["process-backend", "malformed-store", "wrong-typed-job-id"],
 )
 def test_daemon_refuses_to_start_in_one_line(cli_root, store_files, extra_args):
     """A backend the daemon cannot use, or a store record of the wrong

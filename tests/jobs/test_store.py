@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 
 import pytest
 
@@ -58,23 +59,54 @@ class TestJournalReplay:
         with JobStore(tmp_path / "s") as reopened:
             assert [job.job_id for job in reopened.jobs()] == ["j-000001", "j-000002"]
 
+    def test_a_torn_append_is_cut_off_before_the_next(self, tmp_path):
+        """A crash mid-append tears the journal at any byte.  Cut a 5-job
+        journal at every offset, reopen, append a sixth job and crash again
+        (no snapshot): the first replay holds exactly the complete records,
+        and the second holds them plus the sixth job."""
+        source = JobStore(tmp_path / "source")
+        for n in range(1, 6):
+            source.append_job(_job(n, response=f"response {n} " * n))
+        data = (tmp_path / "source" / JobStore.JOURNAL_NAME).read_bytes()
+        source.close()
+        for cut in range(len(data) + 1):
+            complete = [json.loads(line)["job"] for line in data[:cut].split(b"\n")[:-1]]
+            root = tmp_path / f"cut-{cut}"
+            root.mkdir()
+            (root / JobStore.JOURNAL_NAME).write_bytes(data[:cut])
+            store = JobStore(root)
+            assert [job.to_record() for job in store.jobs()] == complete, cut
+            store.append_job(_job(6))
+            crashed = root.with_name(f"crashed-{cut}")
+            crashed.mkdir()
+            shutil.copy(root / JobStore.JOURNAL_NAME, crashed / JobStore.JOURNAL_NAME)
+            store.close()
+            with JobStore(crashed) as reopened:
+                assert [job.to_record() for job in reopened.jobs()] == complete + [_job(6).to_record()], cut
+
     @pytest.mark.parametrize(
         "line",
         [
-            {"kind": "job", "job": {"job_id": "j-000002"}},
-            {"kind": "batch", "batch": {"batch_id": "b-000001", "client_id": "c", "job_ids": 5}},
-            [1, 2],
+            json.dumps({"kind": "job", "job": {"job_id": "j-000002"}}),
+            json.dumps({"kind": "batch", "batch": {"batch_id": "b-000001", "client_id": "c", "job_ids": 5}}),
+            json.dumps([1, 2]),
+            '{"kind": "job", "job": {"job_id": "j-0000',
+            json.dumps({"kind": "job", "job": {**_job(2).to_record(), "job_id": 5}}),
         ],
-        ids=["job-without-fields", "batch-ids-not-a-list", "not-an-object"],
+        ids=["job-without-fields", "batch-ids-not-a-list", "not-an-object", "not-json", "wrong-typed-job-id"],
     )
     def test_wrong_shaped_record_names_its_line(self, tmp_path, line):
-        """Valid JSON of the wrong shape is a ValueError naming the journal
-        line, which ``repro-serve daemon`` reports in one line."""
+        """A complete line that is not JSON, or is JSON of the wrong shape,
+        is a ValueError naming the journal line, which ``repro-serve
+        daemon`` reports in one line; the records after it are not dropped
+        silently."""
         root = tmp_path / "s"
         root.mkdir()
         journal = root / JobStore.JOURNAL_NAME
         journal.write_text(
-            json.dumps({"kind": "job", "job": _job(1).to_record()}) + "\n" + json.dumps(line) + "\n"
+            json.dumps({"kind": "job", "job": _job(1).to_record()}) + "\n"
+            + line + "\n"
+            + json.dumps({"kind": "job", "job": _job(3).to_record()}) + "\n"
         )
         with pytest.raises(ValueError, match=re.escape(f"{journal}:2: malformed record")):
             JobStore(root)
@@ -128,11 +160,16 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="closed JobStore"):
             store.append_job(_job(2))
 
-    def test_wrong_shaped_snapshot_names_its_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "job",
+        [{"job_id": "j-1"}, {**_job(1).to_record(), "job_id": 5}],
+        ids=["job-without-fields", "wrong-typed-job-id"],
+    )
+    def test_wrong_shaped_snapshot_names_its_file(self, tmp_path, job):
         root = tmp_path / "s"
         root.mkdir()
         snapshot = root / JobStore.SNAPSHOT_NAME
-        snapshot.write_text(json.dumps({"schema": 1, "jobs": [{"job_id": "j-1"}]}))
+        snapshot.write_text(json.dumps({"schema": 1, "jobs": [job]}))
         with pytest.raises(ValueError, match=re.escape(f"{snapshot}: malformed snapshot")):
             JobStore(root)
 
