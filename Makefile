@@ -1,7 +1,8 @@
 # Convenience targets matching the ROADMAP's canonical commands.
 #
 #   make tier1            repro-lint + fast unit/integration suite (what CI
-#                         gates on)
+#                         gates on); tier1, slow and the bench targets pin
+#                         BLAS threads and the hash seed (PINNED below)
 #   make slow             the slow-marked tests tier-1 deselects: long fuzz
 #                         sweeps and the paper-scale headline claim on seeds
 #                         0-2 (~20 s per seed)
@@ -34,6 +35,13 @@
 PYTHON ?= python
 PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m pytest
 PYRUN := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON)
+# One BLAS thread and a fixed hash seed, set before NumPy loads, as
+# perfbench/run.py sets them: paper-scale outputs depend on the BLAS thread
+# count (seed 0's pretraining digest is af8445a8ba99366f at 2 threads and
+# 2fc96f261274be38 at 1), so unpinned suites check a different program on
+# hosts with more cores.
+PINNED := OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+	VECLIB_MAXIMUM_THREADS=1 NUMEXPR_NUM_THREADS=1 PYTHONHASHSEED=0
 
 .PHONY: tier1 slow lint bench bench-multicore bench-modelcheck bench-lm perfbench trace-demo jobs-demo
 
@@ -41,22 +49,22 @@ lint:
 	$(PYRUN) -m repro.analysis.cli src/repro
 
 tier1: lint
-	$(PYTEST) -x -q
+	$(PINNED) $(PYTEST) -x -q
 
 slow:
-	$(PYTEST) tests -q -m slow
+	$(PINNED) $(PYTEST) tests -q -m slow
 
 bench:
-	$(PYTEST) benchmarks -q -s -m "not multicore"
+	$(PINNED) $(PYTEST) benchmarks -q -s -m "not multicore"
 
 bench-multicore:
-	$(PYTEST) benchmarks -q -s -m multicore
+	$(PINNED) $(PYTEST) benchmarks -q -s -m multicore
 
 bench-modelcheck:
-	$(PYTEST) benchmarks/test_bench_modelcheck.py -q -s
+	$(PINNED) $(PYTEST) benchmarks/test_bench_modelcheck.py -q -s
 
 bench-lm:
-	$(PYTEST) benchmarks/test_bench_lm.py -q -s
+	$(PINNED) $(PYTEST) benchmarks/test_bench_lm.py -q -s
 
 perfbench:
 	$(PYTHON) perfbench/all.py --seed 0 --seconds 20 --trace 1
