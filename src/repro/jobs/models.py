@@ -202,13 +202,16 @@ class Batch:
         )
 
 
-def _field(record: dict, name: str, types, *default):
-    """``record[name]``, or ``default`` when given and the field is absent.
+_REQUIRED = object()
+
+
+def _field(record: dict, name: str, types, default=_REQUIRED):
+    """``record[name]``, or ``default`` when one is given and the field is absent.
 
     Raises ``TypeError`` unless the value is an instance of ``types``; a
     JSON ``true``/``false`` never passes for a number.
     """
-    value = record.get(name, *default) if default else record[name]
+    value = record[name] if default is _REQUIRED else record.get(name, default)
     if isinstance(value, bool) or not isinstance(value, types):
         wanted = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
         raise TypeError(f"{name!r} must be {wanted}, got {type(value).__name__}")

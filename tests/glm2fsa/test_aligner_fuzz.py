@@ -23,7 +23,7 @@ import pytest
 
 from repro.driving.responses import RESPONSE_LIBRARY, VAGUE_RESPONSES
 from repro.errors import AlignmentError
-from repro.glm2fsa import align_response, find_action, find_propositions, parse_response
+from repro.glm2fsa import align_response, find_action, find_propositions, parse_response, strip_numbering
 from repro.glm2fsa.aligner import ACTION_LEXICON, NEGATION_CUES, OBSERVE_VERBS, PROPOSITION_LEXICON
 
 FILLERS = (
@@ -35,13 +35,9 @@ FILLERS = (
 )
 CONNECTIVES = ("if", "when", "then", "and", "or", ",")
 
+TEMPLATES = [text for per_task in RESPONSE_LIBRARY.values() for texts in per_task.values() for text in texts]
 TEMPLATE_STEPS = sorted(
-    {
-        line.split(". ", 1)[1]
-        for text in [t for per_task in RESPONSE_LIBRARY.values() for ts in per_task.values() for t in ts]
-        + list(VAGUE_RESPONSES)
-        for line in text.splitlines()
-    }
+    {strip_numbering(line) for text in TEMPLATES + list(VAGUE_RESPONSES) for line in text.splitlines()}
 )
 
 #: Token sources and their weights.
