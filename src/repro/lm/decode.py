@@ -202,7 +202,7 @@ def _decode_group(model: TransformerLM, lanes: list) -> list:
             state = None
             with obs.span("lm.decode_step", category="lm", lanes=len(live), prefill=True):
                 windows = np.asarray([lane.prompt_ids[-max_context:] for lane in lanes], dtype=np.int64)
-                logits = model.forward(windows)[:, -1, :]
+                logits = model.forward(windows)[0][:, -1, :]
 
         while True:
             finished = set()
@@ -234,7 +234,7 @@ def _decode_group(model: TransformerLM, lanes: list) -> list:
                     logits = model.forward_step(step_tokens, state)
                 else:
                     windows = np.asarray([ids[i][-max_context:] for i in live], dtype=np.int64)
-                    logits = model.forward(windows)[:, -1, :]
+                    logits = model.forward(windows)[0][:, -1, :]
 
     return results
 

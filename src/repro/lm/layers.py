@@ -1,9 +1,12 @@
 """Neural-network layers in pure numpy with explicit backpropagation.
 
-Each layer stores its :class:`Parameter` objects and the forward-pass cache it
-needs for the backward pass.  The design follows the guidance of the ml-systems
-coding guide: vectorised numpy everywhere, no Python loops over batch or time
-dimensions.
+A layer holds its :class:`Parameter` objects and nothing a forward pass
+leaves behind.  ``forward(x)`` returns ``(y, cache)``, and ``backward(cache,
+dy)`` takes that cache back and returns ``dx``, adding the parameter
+gradients into :attr:`Parameter.grad`.  :class:`Linear` and
+:class:`Embedding` need only their input, so their ``forward`` returns ``y``
+and their ``backward`` takes ``(x, dy)``.  Vectorised numpy everywhere, no
+Python loops over batch or time dimensions.
 
 The layers implement exactly what the DPO-AF pipeline needs — a small GPT-style
 causal transformer with optional LoRA adapters on its linear projections — and
@@ -89,15 +92,6 @@ class Layer:
         for param in self.parameters():
             param.zero_grad()
 
-    def sublayers(self) -> list:
-        """This layer and every :class:`Layer` nested in it, depth first."""
-        layers: list[Layer] = [self]
-        for attr in vars(self).values():
-            for item in attr if isinstance(attr, (list, tuple)) else (attr,):
-                if isinstance(item, Layer):
-                    layers.extend(item.sublayers())
-        return layers
-
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     scale = math.sqrt(2.0 / (fan_in + fan_out))
@@ -170,7 +164,6 @@ class Linear(Layer):
         self.bias = Parameter(np.zeros(out_features), name=f"{name}.bias") if bias else None
         self.lora_a: Parameter | None = None
         self.lora_b: Parameter | None = None
-        self._cache_x: np.ndarray | None = None
         self._effective_cache: np.ndarray | None = None
         self._effective_key: tuple | None = None
         self._padded_cache: np.ndarray | None = None
@@ -234,7 +227,6 @@ class Linear(Layer):
 
     # ------------------------------------------------------------------ #
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache_x = x
         flat = x.reshape(-1, self.in_features)
         # One collapsed gemm over all (batch × time) rows: bitwise-identical to
         # numpy's per-batch matmul loop (gemm rows are independent) and faster,
@@ -247,10 +239,7 @@ class Linear(Layer):
             y = y + self.bias.value
         return y
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        x = self._cache_x
-        if x is None:
-            raise TrainingError(f"backward called before forward on {self.name}")
+    def backward(self, x: np.ndarray, dout: np.ndarray) -> np.ndarray:
         flat_x = x.reshape(-1, self.in_features)
         flat_d = dout.reshape(-1, self.out_features)
         # Frozen parameters (a LoRA base) get no gradient: dx alone carries
@@ -276,20 +265,13 @@ class Embedding(Layer):
         self.num_embeddings = num_embeddings
         self.dim = dim
         self.weight = Parameter(rng.normal(0.0, 0.02, size=(num_embeddings, dim)), name=f"{name}.weight")
-        self._cache_ids: np.ndarray | None = None
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        self._cache_ids = ids
-        return self.weight.value[ids]
+        return self.weight.value[np.asarray(ids, dtype=np.int64)]
 
-    def backward(self, dout: np.ndarray) -> None:
-        ids = self._cache_ids
-        if ids is None:
-            raise TrainingError("backward called before forward on embedding")
+    def backward(self, ids: np.ndarray, dout: np.ndarray) -> None:
         if self.weight.trainable:
-            np.add.at(self.weight.grad, ids.reshape(-1), dout.reshape(-1, self.dim))
-        return None
+            np.add.at(self.weight.grad, np.asarray(ids, dtype=np.int64).reshape(-1), dout.reshape(-1, self.dim))
 
 
 class LayerNorm(Layer):
@@ -300,9 +282,8 @@ class LayerNorm(Layer):
         self.eps = eps
         self.gain = Parameter(np.ones(dim), name=f"{name}.gain")
         self.shift = Parameter(np.zeros(dim), name=f"{name}.shift")
-        self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple:
         # Bitwise ``x.mean`` and ``x.var`` (numpy divides the same float32
         # row sums by the count), without their per-call Python overhead and
         # with the mean computed once.
@@ -310,11 +291,10 @@ class LayerNorm(Layer):
         var = (centred * centred).sum(axis=-1, keepdims=True) / self.dim
         inv_std = 1.0 / np.sqrt(var + self.eps)
         normalised = centred * inv_std
-        self._cache = (normalised, inv_std)
-        return normalised * self.gain.value + self.shift.value
+        return normalised * self.gain.value + self.shift.value, (normalised, inv_std)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        normalised, inv_std = self._cache
+    def backward(self, cache: tuple, dout: np.ndarray) -> np.ndarray:
+        normalised, inv_std = cache
         if self.gain.trainable:
             self.gain.grad += (dout * normalised).reshape(-1, self.dim).sum(axis=0)
         if self.shift.trainable:
@@ -336,10 +316,8 @@ def _gelu_with_cache(x: np.ndarray) -> tuple:
     return 0.5 * x * (1.0 + tanh_inner), tanh_inner
 
 
-def gelu_grad(x: np.ndarray, tanh_inner: np.ndarray | None = None) -> np.ndarray:
-    """Derivative of the tanh-approximated GELU."""
-    if tanh_inner is None:
-        tanh_inner = np.tanh(_GELU_C * (x + 0.044715 * x * x * x))
+def gelu_grad(x: np.ndarray, tanh_inner: np.ndarray) -> np.ndarray:
+    """Derivative of the tanh-approximated GELU, given its forward tanh term."""
     sech2 = 1.0 - tanh_inner ** 2
     return 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x * x)
 
@@ -350,20 +328,17 @@ class FeedForward(Layer):
     def __init__(self, dim: int, hidden_dim: int, rng: np.random.Generator, *, name: str = "mlp"):
         self.fc_in = Linear(dim, hidden_dim, rng, name=f"{name}.fc_in")
         self.fc_out = Linear(hidden_dim, dim, rng, name=f"{name}.fc_out")
-        self._cache_pre: np.ndarray | None = None
-        self._cache_tanh: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple:
         pre = self.fc_in.forward(x)
         activated, tanh_inner = _gelu_with_cache(pre)
-        self._cache_pre = pre
-        self._cache_tanh = tanh_inner
-        return self.fc_out.forward(activated)
+        return self.fc_out.forward(activated), (x, pre, tanh_inner, activated)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        dhidden = self.fc_out.backward(dout)
-        dpre = dhidden * gelu_grad(self._cache_pre, self._cache_tanh)
-        return self.fc_in.backward(dpre)
+    def backward(self, cache: tuple, dout: np.ndarray) -> np.ndarray:
+        x, pre, tanh_inner, activated = cache
+        dhidden = self.fc_out.backward(activated, dout)
+        dpre = dhidden * gelu_grad(pre, tanh_inner)
+        return self.fc_in.backward(x, dpre)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -444,11 +419,11 @@ class CausalSelfAttention(Layer):
         self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
+        self.scale = 1.0 / math.sqrt(self.head_dim)
         self.w_q = Linear(dim, dim, rng, name=f"{name}.w_q")
         self.w_k = Linear(dim, dim, rng, name=f"{name}.w_k")
         self.w_v = Linear(dim, dim, rng, name=f"{name}.w_v")
         self.w_o = Linear(dim, dim, rng, name=f"{name}.w_o")
-        self._cache: tuple | None = None
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
         batch, time, _ = x.shape
@@ -458,30 +433,36 @@ class CausalSelfAttention(Layer):
         batch, heads, time, head_dim = x.shape
         return x.transpose(0, 2, 1, 3).reshape(batch, time, heads * head_dim)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, time, _ = x.shape
-        q = self._split_heads(self.w_q.forward(x))
-        k = self._split_heads(self.w_k.forward(x))
-        v = self._split_heads(self.w_v.forward(x))
+    def _attend(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple:
+        """``(context, attention)`` of ``time`` queries over ``total`` keys.
 
-        scale = 1.0 / math.sqrt(self.head_dim)
+        The queries sit at the last ``time`` of the ``total`` positions, so
+        the causal mask is :func:`causal_mask` ``(time, total)``: the square
+        mask in training, the rectangular one in incremental decoding.
+        """
+        time, total = q.shape[2], k.shape[2]
         # A lone query row would hit the gemv kernel; duplicate it so the
-        # score/context matmuls stay on the row-stable gemm path, mirroring
-        # forward_step (see _rowsafe_matmul).
+        # score/context matmuls stay on the row-stable gemm path (see
+        # _rowsafe_matmul).  One query attends every key: nothing to mask.
         duplicated = time == 1
         q_rows = np.concatenate([q, q], axis=2) if duplicated else q
         # (b, h, t, d) @ (b, h, d, s) -> (b, h, t, s); matmul dispatches to BLAS.
-        scores = (q_rows @ k.transpose(0, 1, 3, 2)) * scale
+        scores = (q_rows @ k.transpose(0, 1, 3, 2)) * self.scale
         if not duplicated:
-            scores = np.where(causal_mask(time), -1e30, scores)
+            scores = np.where(causal_mask(time, total), -1e30, scores)
         attention = attention_softmax(scores)
         context = attention @ v
         if duplicated:
-            attention = attention[:, :, :1]
-            context = context[:, :, :1]
+            return context[:, :, :1], attention[:, :, :1]
+        return context, attention
 
-        self._cache = (q, k, v, attention, scale)
-        return self.w_o.forward(self._merge_heads(context))
+    def forward(self, x: np.ndarray) -> tuple:
+        q = self._split_heads(self.w_q.forward(x))
+        k = self._split_heads(self.w_k.forward(x))
+        v = self._split_heads(self.w_v.forward(x))
+        context, attention = self._attend(q, k, v)
+        merged = self._merge_heads(context)
+        return self.w_o.forward(merged), (x, q, k, v, attention, merged)
 
     def forward_step(self, x: np.ndarray, kv, offset: int) -> np.ndarray:
         """Incremental forward: attend ``x``'s tokens against the KV cache.
@@ -491,47 +472,33 @@ class CausalSelfAttention(Layer):
         ``kv`` (a :class:`repro.lm.decode.LayerKV`) in place and attention runs
         over exactly ``offset + t_new`` cached positions — the softmax axis has
         no padding, which keeps its reduction bitwise-identical to the
-        full-context forward.  No backward cache is written.
+        full-context forward.
         """
-        batch, t_new, _ = x.shape
+        t_new = x.shape[1]
         q = self._split_heads(self.w_q.forward(x))
         kv.k[:, :, offset:offset + t_new] = self._split_heads(self.w_k.forward(x))
         kv.v[:, :, offset:offset + t_new] = self._split_heads(self.w_v.forward(x))
         total = offset + t_new
-        k = kv.k[:, :, :total]
-        v = kv.v[:, :, :total]
-
-        scale = 1.0 / math.sqrt(self.head_dim)
-        # Duplicate a lone query row so the score/context matmuls stay on the
-        # row-stable gemm kernels (see _rowsafe_matmul).
-        duplicated = t_new == 1
-        if duplicated:
-            q = np.concatenate([q, q], axis=2)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-        if t_new > 1:
-            scores = np.where(causal_mask(t_new, total), -1e30, scores)
-        context = attention_softmax(scores) @ v
-        if duplicated:
-            context = context[:, :, :1]
+        context, _ = self._attend(q, kv.k[:, :, :total], kv.v[:, :, :total])
         return self.w_o.forward(self._merge_heads(context))
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        q, k, v, attention, scale = self._cache
-        dcontext = self._split_heads(self.w_o.backward(dout))
+    def backward(self, cache: tuple, dout: np.ndarray) -> np.ndarray:
+        x, q, k, v, attention, merged = cache
+        dcontext = self._split_heads(self.w_o.backward(merged, dout))
 
         dattention = dcontext @ v.transpose(0, 1, 3, 2)
         dv = attention.transpose(0, 1, 3, 2) @ dcontext
 
         # Softmax backward: dscore = att * (datt - sum(datt * att)).
         dscores = attention * (dattention - (dattention * attention).sum(axis=-1, keepdims=True))
-        dscores = dscores * scale
+        dscores = dscores * self.scale
 
         dq = dscores @ k
         dk = dscores.transpose(0, 1, 3, 2) @ q
 
-        dx = self.w_q.backward(self._merge_heads(dq))
-        dx = dx + self.w_k.backward(self._merge_heads(dk))
-        dx = dx + self.w_v.backward(self._merge_heads(dv))
+        dx = self.w_q.backward(x, self._merge_heads(dq))
+        dx = dx + self.w_k.backward(x, self._merge_heads(dk))
+        dx = dx + self.w_v.backward(x, self._merge_heads(dv))
         return dx
 
 
@@ -544,10 +511,13 @@ class TransformerBlock(Layer):
         self.ln_2 = LayerNorm(dim, name=f"{name}.ln_2")
         self.mlp = FeedForward(dim, hidden_dim, rng, name=f"{name}.mlp")
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = x + self.attention.forward(self.ln_1.forward(x))
-        x = x + self.mlp.forward(self.ln_2.forward(x))
-        return x
+    def forward(self, x: np.ndarray) -> tuple:
+        normed, ln_1 = self.ln_1.forward(x)
+        attended, attention = self.attention.forward(normed)
+        x = x + attended
+        normed, ln_2 = self.ln_2.forward(x)
+        mixed, mlp = self.mlp.forward(normed)
+        return x + mixed, (ln_1, attention, ln_2, mlp)
 
     def forward_step(self, x: np.ndarray, kv, offset: int) -> np.ndarray:
         """Incremental forward against a :class:`repro.lm.decode.LayerKV` cache.
@@ -555,12 +525,13 @@ class TransformerBlock(Layer):
         LayerNorm and the MLP are position-wise, so only attention needs the
         cache; both normalisations see exactly the rows being decoded.
         """
-        x = x + self.attention.forward_step(self.ln_1.forward(x), kv, offset)
-        x = x + self.mlp.forward(self.ln_2.forward(x))
+        x = x + self.attention.forward_step(self.ln_1.forward(x)[0], kv, offset)
+        x = x + self.mlp.forward(self.ln_2.forward(x)[0])[0]
         return x
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        dmlp = self.mlp.backward(dout)
-        dx = dout + self.ln_2.backward(dmlp)
-        dattn = self.attention.backward(dx)
-        return dx + self.ln_1.backward(dattn)
+    def backward(self, cache: tuple, dout: np.ndarray) -> np.ndarray:
+        ln_1, attention, ln_2, mlp = cache
+        dmlp = self.mlp.backward(mlp, dout)
+        dx = dout + self.ln_2.backward(ln_2, dmlp)
+        dattn = self.attention.backward(attention, dx)
+        return dx + self.ln_1.backward(ln_1, dattn)

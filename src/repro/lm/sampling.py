@@ -80,7 +80,7 @@ def sample_tokens(
     max_context = model.config.max_seq_len
     for _ in range(max_new_tokens):
         context = ids[-max_context:]
-        logits = model.forward(np.asarray([context], dtype=np.int64))[0, -1]
+        logits = model.forward(np.asarray([context], dtype=np.int64))[0][0, -1]
         next_id = sample_from_logits(logits, rng, temperature=temperature, top_k=top_k)
         ids.append(next_id)
         generated.append(next_id)

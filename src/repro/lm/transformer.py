@@ -99,32 +99,29 @@ class TransformerLM(Layer):
         ]
         self.ln_final = LayerNorm(config.dim, name="ln_final")
         self.head = Linear(config.dim, config.vocab_size, rng, bias=False, name="head")
-        self._cache_tokens: np.ndarray | None = None
-        # (layer, names of its ``_cache*`` attributes) for every layer that
-        # keeps a forward cache; the model's structure is fixed from here on.
-        self._forward_cache_slots = [
-            (layer, names)
-            for layer in self.sublayers()
-            if (names := tuple(name for name in vars(layer) if name.startswith("_cache")))
-        ]
 
     # ------------------------------------------------------------------ #
     # Forward / backward
     # ------------------------------------------------------------------ #
-    def forward(self, tokens: np.ndarray) -> np.ndarray:
-        """Logits of shape ``(batch, time, vocab)`` for input ids ``(batch, time)``."""
+    def forward(self, tokens: np.ndarray) -> tuple:
+        """``(logits, cache)`` for input ids ``(batch, time)``.
+
+        The logits have shape ``(batch, time, vocab)``; ``cache`` holds the
+        activations :meth:`backward` reads, and nothing else keeps them.
+        """
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
         time = tokens.shape[1]
         if time > self.config.max_seq_len:
             raise TrainingError(f"sequence length {time} exceeds max_seq_len {self.config.max_seq_len}")
-        self._cache_tokens = tokens
         x = self.token_embedding.forward(tokens) + self.position_embedding.weight.value[:time]
+        blocks = []
         for block in self.blocks:
-            x = block.forward(x)
-        x = self.ln_final.forward(x)
-        return self.head.forward(x)
+            x, cache = block.forward(x)
+            blocks.append(cache)
+        x, ln_final = self.ln_final.forward(x)
+        return self.head.forward(x), (tokens, blocks, ln_final, x)
 
     def forward_step(self, tokens: np.ndarray, state) -> np.ndarray:
         """Incremental forward for decoding: extend ``state`` and return logits.
@@ -142,7 +139,6 @@ class TransformerLM(Layer):
         Because absolute position embeddings cap the context, the extended
         length must stay within ``max_seq_len``; callers fall back to
         full-window forwards past that point (see ``repro.lm.decode``).
-        No backward caches survive; never interleave with training passes.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim == 1:
@@ -161,16 +157,18 @@ class TransformerLM(Layer):
         for block, kv in zip(self.blocks, state.layers):
             x = block.forward_step(x, kv, offset)
         state.length = offset + t_new
-        x = self.ln_final.forward(x[:, -1:, :])
+        x = self.ln_final.forward(x[:, -1:, :])[0]
         return self.head.forward(x)[:, 0, :]
 
-    def backward(self, dlogits: np.ndarray) -> None:
-        """Backpropagate a gradient w.r.t. the logits through the whole model."""
-        dx = self.head.backward(dlogits)
-        dx = self.ln_final.backward(dx)
-        for block in reversed(self.blocks):
-            dx = block.backward(dx)
-        self.token_embedding.backward(dx)
+    def backward(self, cache: tuple, dlogits: np.ndarray) -> None:
+        """Backpropagate a gradient w.r.t. the logits of the forward that
+        returned ``cache``, adding into every parameter's ``grad``."""
+        tokens, blocks, ln_final, x = cache
+        dx = self.head.backward(x, dlogits)
+        dx = self.ln_final.backward(ln_final, dx)
+        for block, block_cache in zip(reversed(self.blocks), reversed(blocks)):
+            dx = block.backward(block_cache, dx)
+        self.token_embedding.backward(tokens, dx)
         # Every row sits at positions 0 .. time - 1, so the position table's
         # gradient is the batch sum (no scatter).
         if self.position_embedding.weight.trainable:
@@ -198,14 +196,17 @@ class TransformerLM(Layer):
             index = _target_index(group[:, 1:])
             group_mask = mask[rows, :width]
             with obs.span("train.forward", category="train", rows=len(rows), width=width):
-                probs = softmax(self.forward(group[:, :-1]), axis=-1)
+                logits, cache = self.forward(group[:, :-1])
+                probs = softmax(logits, axis=-1)
                 losses[rows, :width] = -np.log(np.clip(probs[index], 1e-12, None)) * group_mask
             if backward:
                 with obs.span("train.backward", category="train", rows=len(rows), width=width):
                     dlogits = probs  # consumed: probs is not read again
                     dlogits[index] -= 1.0
                     dlogits *= (group_mask / denom)[..., None]
-                    self.backward(dlogits)
+                    self.backward(cache, dlogits)
+            # Free this group's activations before the next group's forward.
+            del logits, cache
         return float(losses.sum() / denom)
 
     def token_log_probs(self, tokens: np.ndarray) -> np.ndarray:
@@ -219,7 +220,7 @@ class TransformerLM(Layer):
         :class:`repro.dpo.trainer.ReferenceMemo` store these values once.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
-        log_probs = np.log(np.clip(softmax(self.forward(tokens[:, :-1]), axis=-1), 1e-12, None))
+        log_probs = np.log(np.clip(softmax(self.forward(tokens[:, :-1])[0], axis=-1), 1e-12, None))
         return log_probs[_target_index(tokens[:, 1:])]
 
     def sequence_log_probs(self, tokens: np.ndarray, response_mask: np.ndarray) -> np.ndarray:
@@ -237,10 +238,8 @@ class TransformerLM(Layer):
         The closure takes per-sequence coefficients ``c`` (shape ``(batch,)``)
         and backpropagates ``sum_i c_i * log π(y_i|x_i)`` through the model.
         Every length group's forward runs here, because the coefficients
-        depend on every row's log-prob; the closure runs their backwards.  It
-        owns its groups' forward caches and restores each before that group's
-        backward, so forwards run in between — another batch's, the
-        reference's — cannot change the gradients it accumulates.
+        depend on every row's log-prob; the closure runs their backwards from
+        the caches those forwards returned, one per group.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         response_mask = np.asarray(response_mask)
@@ -250,33 +249,24 @@ class TransformerLM(Layer):
             index = _target_index(tokens[rows, 1 : width + 1])
             group_mask = response_mask[rows, :width]
             with obs.span("train.forward", category="train", rows=len(rows), width=width):
-                probs = softmax(self.forward(tokens[rows, :width]), axis=-1)
+                logits, cache = self.forward(tokens[rows, :width])
+                probs = softmax(logits, axis=-1)
                 per_token[rows, :width] = np.log(np.clip(probs[index], 1e-12, None)) * group_mask
-            groups.append((rows, width, index, group_mask, probs, self._forward_caches()))
+            groups.append((rows, width, index, group_mask, probs, cache))
         log_probs = per_token.sum(axis=1)
 
         def backward_fn(coefficients: np.ndarray) -> None:
             coefficients = np.asarray(coefficients, dtype=DTYPE)
-            for rows, width, index, group_mask, probs, caches in groups:
+            for rows, width, index, group_mask, probs, cache in groups:
                 with obs.span("train.backward", category="train", rows=len(rows), width=width):
-                    self._restore_forward_caches(caches)
                     # d log p(target) / d logits = onehot(target) - softmax(logits)
                     dlogits = -probs
                     dlogits[index] += 1.0
                     dlogits *= np.asarray(group_mask, dtype=DTYPE)[..., None]
                     dlogits *= coefficients[rows].reshape(-1, 1, 1)
-                    self.backward(dlogits)
+                    self.backward(cache, dlogits)
 
         return log_probs, backward_fn
-
-    def _forward_caches(self) -> list:
-        """Every layer's forward cache: the ``_cache*`` attributes backward reads."""
-        return [(layer, {name: getattr(layer, name) for name in names}) for layer, names in self._forward_cache_slots]
-
-    @staticmethod
-    def _restore_forward_caches(caches: list) -> None:
-        for layer, saved in caches:
-            vars(layer).update(saved)
 
     # ------------------------------------------------------------------ #
     # LoRA management and cloning
@@ -314,7 +304,8 @@ class TransformerLM(Layer):
         return sum(p.size for p in self.parameters() if p.trainable)
 
     def clone(self) -> "TransformerLM":
-        """Deep copy (used to snapshot the frozen reference model for DPO)."""
+        """Deep copy of the weights (used to snapshot the frozen reference
+        model for DPO); a model holds no activations to copy."""
         return copy.deepcopy(self)
 
     # ------------------------------------------------------------------ #

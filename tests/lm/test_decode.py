@@ -71,7 +71,7 @@ class TestForwardStep:
                 step = min(int(rng.integers(1, 4)), total - position)
                 step_logits = model.forward_step(tokens[:, position : position + step], state)
                 position += step
-                full = model.forward(tokens[:, :position])[:, -1, :]
+                full = model.forward(tokens[:, :position])[0][:, -1, :]
                 assert np.array_equal(step_logits, full), (
                     f"trial {trial}: logits diverged at position {position}"
                 )

@@ -25,7 +25,8 @@ def full_width_cross_entropy(model, tokens, pad_id) -> float:
     """The pre-grouping ``cross_entropy``: every row at the batch's width."""
     targets = tokens[:, 1:]
     mask = (targets != pad_id).astype(DTYPE)
-    probs = softmax(model.forward(tokens[:, :-1]), axis=-1)
+    logits, cache = model.forward(tokens[:, :-1])
+    probs = softmax(logits, axis=-1)
     batch, time = targets.shape
     index = (np.arange(batch)[:, None], np.arange(time)[None, :], targets)
     losses = -np.log(np.clip(probs[index], 1e-12, None)) * mask
@@ -33,7 +34,7 @@ def full_width_cross_entropy(model, tokens, pad_id) -> float:
     dlogits = probs.copy()
     dlogits[index] -= 1.0
     dlogits *= (mask / DTYPE(denom))[..., None]
-    model.backward(dlogits)
+    model.backward(cache, dlogits)
     return float(losses.sum() / denom)
 
 
@@ -41,7 +42,8 @@ def full_width_log_probs_with_grad(model, tokens, response_mask) -> tuple:
     """The pre-grouping ``sequence_log_probs_with_grad``."""
     tokens = np.asarray(tokens, dtype=np.int64)
     targets = tokens[:, 1:]
-    probs = softmax(model.forward(tokens[:, :-1]), axis=-1)
+    logits, cache = model.forward(tokens[:, :-1])
+    probs = softmax(logits, axis=-1)
     batch, time = targets.shape
     index = (np.arange(batch)[:, None], np.arange(time)[None, :], targets)
     log_probs = (np.log(np.clip(probs[index], 1e-12, None)) * response_mask).sum(axis=1)
@@ -51,7 +53,7 @@ def full_width_log_probs_with_grad(model, tokens, response_mask) -> tuple:
         dlogits[index] += 1.0
         dlogits *= np.asarray(response_mask, dtype=DTYPE)[..., None]
         dlogits *= np.asarray(coefficients, dtype=DTYPE).reshape(batch, 1, 1)
-        model.backward(dlogits)
+        model.backward(cache, dlogits)
 
     return log_probs, backward_fn
 
