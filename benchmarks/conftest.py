@@ -12,11 +12,9 @@ import os
 
 import pytest
 
-from repro.core import DPOAFPipeline, PipelineConfig
-from repro.core.config import FeedbackConfig, SamplingConfig
-from repro.dpo import DPOConfig
+from repro.core import DPOAFPipeline
+from repro.core.config import paper_scale_config
 from repro.driving import all_specifications
-from repro.lm import PretrainConfig
 
 
 def pytest_collection_modifyitems(config, items):
@@ -38,35 +36,11 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 
-def benchmark_pipeline_config(seed: int = 0) -> PipelineConfig:
-    """The configuration used to regenerate the paper's figures.
-
-    Scaled from the paper's Llama2-7B / ~3000-pair / 200-epoch setup down to a
-    few CPU-minutes.  The paper-figure tests assert the qualitative trends on
-    seed 0; ``test_headline_60_to_90_percent`` asserts the headline's shape.
-    """
-    return PipelineConfig(
-        pretrain=PretrainConfig(num_steps=280, batch_size=16, seed=seed),
-        dpo=DPOConfig(
-            num_epochs=25,
-            batch_size=12,
-            learning_rate=3e-3,
-            beta=1.0,
-            lora_rank=8,
-            checkpoint_every=5,
-            seed=seed,
-        ),
-        sampling=SamplingConfig(responses_per_prompt=4),
-        feedback=FeedbackConfig(),
-        corpus_samples_per_task=28,
-        seed=seed,
-    )
-
-
 @pytest.fixture(scope="session")
 def dpoaf_run():
-    """One full DPO-AF pipeline run shared by the model-level benchmarks."""
-    pipeline = DPOAFPipeline(benchmark_pipeline_config(seed=0), specifications=all_specifications())
+    """One full DPO-AF pipeline run at paper scale (seed 0), shared by the
+    model-level benchmarks."""
+    pipeline = DPOAFPipeline(paper_scale_config(seed=0), specifications=all_specifications())
     result = pipeline.run(evaluate_checkpoints=True)
     yield pipeline, result
     # Release the serving layer's dispatcher thread / worker pool at session

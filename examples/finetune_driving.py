@@ -1,31 +1,23 @@
 """End-to-end DPO-AF: fine-tune the language model with formal-methods feedback.
 
-Runs the full Figure-2 pipeline at a small scale (a few minutes on a laptop
-CPU): pre-train the numpy language model on the synthetic driving corpus,
-sample responses for every training task, rank them by model checking, run DPO
-with LoRA, and report specification satisfaction before vs after fine-tuning.
+Runs the full Figure-2 pipeline at paper scale (``paper_scale_config``, under
+a minute on a laptop CPU): pre-train the numpy language model on the synthetic
+driving corpus, sample responses for every training task, rank them by model
+checking, run DPO with LoRA, and report specification satisfaction before vs
+after fine-tuning.
 
 Run with::
 
     python examples/finetune_driving.py
 """
 
-from repro.core import DPOAFPipeline, PipelineConfig
-from repro.core.config import SamplingConfig
-from repro.dpo import DPOConfig
-from repro.lm import PretrainConfig
+from repro.core import DPOAFPipeline
+from repro.core.config import paper_scale_config
 
 
 def main() -> None:
-    config = PipelineConfig(
-        pretrain=PretrainConfig(num_steps=250, batch_size=16, seed=0),
-        dpo=DPOConfig(num_epochs=20, batch_size=12, learning_rate=3e-3, beta=1.0, lora_rank=8, checkpoint_every=5, seed=0),
-        sampling=SamplingConfig(responses_per_prompt=3),
-        corpus_samples_per_task=24,
-        seed=0,
-    )
     print("Running DPO-AF (pre-train → sample → verify → rank → DPO) ...")
-    with DPOAFPipeline(config) as pipeline:
+    with DPOAFPipeline(paper_scale_config(0)) as pipeline:
         result = pipeline.run(evaluate_checkpoints=True)
 
     history = result.dpo_result.history

@@ -42,7 +42,6 @@ class PipelineConfig:
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     dpo: DPOConfig = field(default_factory=DPOConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
     serving: ServingConfig = field(default_factory=ServingConfig)
     corpus_samples_per_task: int = 32
     seed: int = 0

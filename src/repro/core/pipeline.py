@@ -9,8 +9,8 @@ The pipeline wires every substrate together:
    (:func:`repro.lm.decode.sample_response_frontier`), token-identical to the
    serial :func:`repro.lm.sampling.sample_responses` oracle;
 3. construct a controller from every response (GLM2FSA) and compute
-   *automated feedback* — formal verification against the task's world model,
-   or empirical evaluation in the simulator; all scoring routes through the
+   *automated feedback* by formal verification against the task's world
+   model; all scoring routes through the
    batched, cached :class:`~repro.serving.scheduler.FeedbackService`
    (``serving.backend`` selects serial or process execution of cache
    misses, and ``serving.shared_cache_dir`` warm-starts runs from a cache
@@ -124,7 +124,6 @@ class DPOAFPipeline:
             obs.install_tracer(self._tracer)
         self.serving = FeedbackService(
             self.specifications,
-            feedback=self.config.feedback,
             config=self.config.serving,
             seed=self.config.seed,
         )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import DPOAFPipeline, PipelineConfig
-from repro.core.config import FeedbackConfig, SamplingConfig, paper_scale_config
+from repro.core.config import SamplingConfig, paper_scale_config
 from repro.dpo import DPOConfig
 from repro.driving import core_specifications, response_templates, task_by_name, training_tasks
 from repro.feedback import FormalVerifier, rank_to_pairs
@@ -86,7 +86,6 @@ class TestPipelineEndToEnd:
             pretrain=PretrainConfig(num_steps=150, batch_size=12, seed=1),
             dpo=DPOConfig(num_epochs=10, batch_size=8, learning_rate=3e-3, beta=1.0, lora_rank=4, checkpoint_every=5, seed=1),
             sampling=SamplingConfig(responses_per_prompt=3, max_new_tokens=64),
-            feedback=FeedbackConfig(),
             corpus_samples_per_task=16,
             seed=1,
         )

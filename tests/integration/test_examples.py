@@ -3,7 +3,7 @@
 Each example runs as its own process, the way a reader runs it
 (``PYTHONPATH=src python examples/<name>.py``), from a scratch working
 directory so nothing it writes lands in the checkout.  The slow or
-process-killing examples stay out: ``finetune_driving`` trains for minutes,
+process-killing examples stay out: ``finetune_driving`` trains at paper scale,
 ``jobs_demo`` kills a daemon (``make jobs-demo`` runs it) and ``trace_demo``
 is ``make trace-demo``.
 """
