@@ -84,16 +84,20 @@ class JobsClient:
     # ------------------------------------------------------------------ #
     def _connect(self) -> socket.socket:
         conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        conn.settimeout(self.timeout)
-        conn.connect(self.socket_path)
+        try:
+            conn.settimeout(self.timeout)
+            conn.connect(self.socket_path)
+        except BaseException:
+            conn.close()
+            raise
         return conn
 
     def _request(self, op: str, params: dict) -> dict:
         """One request/response round trip on a fresh connection."""
         with _typed_socket_errors(op), self._connect() as conn:
             conn.sendall((json.dumps({"op": op, "params": params}) + "\n").encode("utf-8"))
-            reader = conn.makefile("r", encoding="utf-8")
-            line = reader.readline()
+            with conn.makefile("r", encoding="utf-8") as reader:
+                line = reader.readline()
         if not line:
             raise JobsError("disconnected", f"daemon closed the connection during {op!r}")
         response = json.loads(line)
@@ -166,18 +170,18 @@ class JobsClient:
             conn.sendall(
                 (json.dumps({"op": "stream_progress", "params": params}) + "\n").encode("utf-8")
             )
-            reader = conn.makefile("r", encoding="utf-8")
-            for line in reader:
-                line = line.strip()
-                if not line:
-                    continue
-                response = json.loads(line)
-                if not response.get("ok"):
-                    _raise_for_error(response.get("error", {}))
-                event = response["event"]
-                yield event
-                if event.get("type") == "end":
-                    return
+            with conn.makefile("r", encoding="utf-8") as reader:
+                for line in reader:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    response = json.loads(line)
+                    if not response.get("ok"):
+                        _raise_for_error(response.get("error", {}))
+                    event = response["event"]
+                    yield event
+                    if event.get("type") == "end":
+                        return
         raise JobsError("disconnected", "daemon closed the stream before the end event")
 
     def wait(self, job_ids: list) -> dict:

@@ -146,10 +146,11 @@ def test_sigkill_midbatch_recovers_exactly_once(oneshot_scores):
 
         client.shutdown()
         assert proc2.wait(timeout=30) == 0
-        proc2 = None
     finally:
-        for running in (locals().get("proc"), proc2):
-            if running is not None and running.poll() is None:
-                running.kill()
-                running.wait(timeout=10)
+        for daemon in (locals().get("proc"), proc2):
+            if daemon is not None:
+                if daemon.poll() is None:
+                    daemon.kill()
+                    daemon.wait(timeout=10)
+                daemon.stderr.close()
         shutil.rmtree(root, ignore_errors=True)

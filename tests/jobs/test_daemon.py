@@ -374,3 +374,13 @@ class TestWireProtocol:
         assert reply["error"]["message"].startswith("bad JSON")
         (stats,) = connection.request('{"op": "stats"}')
         assert stats["ok"]
+
+
+class TestClient:
+    def test_polling_an_absent_daemon_leaks_no_socket(self, tmp_path):
+        """Each refused connect closes its socket; a leaked one fails the
+        test under pytest.ini's ResourceWarning filter."""
+        client = JobsClient(tmp_path / "absent.sock", timeout=1)
+        for _ in range(3):
+            with pytest.raises(FileNotFoundError):
+                client.stats()

@@ -104,6 +104,7 @@ def daemon(cli_root):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+        proc.stderr.close()
 
 
 @pytest.fixture(scope="module")

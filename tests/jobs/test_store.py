@@ -58,6 +58,7 @@ class TestJournalReplay:
             handle.write('{"kind": "job", "job": {"job_id": "j-0000')
         with JobStore(tmp_path / "s") as reopened:
             assert [job.job_id for job in reopened.jobs()] == ["j-000001", "j-000002"]
+        store.close()
 
     def test_a_torn_append_is_cut_off_before_the_next(self, tmp_path):
         """A crash mid-append tears the journal at any byte.  Cut a 5-job
