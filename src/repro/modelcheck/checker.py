@@ -112,7 +112,10 @@ class ModelChecker:
     result_cache_size:
         Bound on the per-checker :class:`~repro.modelcheck.fastpath.ResultCache`
         of ``(model, controller, spec) → VerificationResult`` entries;
-        ``0`` disables result caching.
+        ``0`` disables result caching.  It serves callers that build a
+        checker themselves: :class:`~repro.feedback.formal.FormalVerifier`
+        reuses whole verdicts one level up and builds its default checker
+        with ``0``.
     memo:
         The :class:`~repro.modelcheck.fastpath.BuchiMemo` construction memo to
         use; defaults to the process-wide one

@@ -26,10 +26,13 @@ Three independent optimizations compose (see ``docs/modelcheck.md``):
   no tuple hashing, no repeated constraint evaluation (per-symbol NBA move
   rows are cached on the :class:`CachedAutomaton`).
 
-A bounded :class:`ResultCache` keyed on (model fingerprint, controller
-fingerprint, spec key) lets the m sampled responses sharing an FSA structure
-skip re-exploration entirely — the "incremental product reuse" of the
-ROADMAP.
+:func:`controller_fingerprint` and :func:`model_fingerprint` digest a
+controller's structure and a world model, and :class:`ResultCache` is a
+bounded LRU under a caller's key.  :class:`~repro.feedback.formal.FormalVerifier`
+keys its verdict cache on the two fingerprints, so the m sampled responses
+sharing an FSA structure are model-checked once; a ``ModelChecker`` built
+with a ``result_cache_size`` keeps per-spec results under the two plus a
+spec key.
 """
 
 from __future__ import annotations
@@ -715,12 +718,16 @@ def model_fingerprint(model: TransitionSystem) -> str:
 
 
 class ResultCache:
-    """Bounded LRU of :class:`~repro.modelcheck.checker.VerificationResult`.
+    """Bounded LRU from a caller's key to an immutable verification outcome.
 
-    Keyed on ``(model fingerprint, controller fingerprint, spec key)``;
-    results are frozen dataclasses, safe to share between hits.
-    Thread-safe: a checker can be reached from a dispatcher thread and from
-    direct ``score_batch`` callers at once.
+    :class:`~repro.feedback.formal.FormalVerifier` keys it on ``(model
+    fingerprint, controller fingerprint)`` and stores the satisfied and
+    violated rule names; :class:`~repro.modelcheck.checker.ModelChecker`
+    adds a spec key and stores the frozen
+    :class:`~repro.modelcheck.checker.VerificationResult`.  Values are
+    shared between hits, so they must not be mutated.  Thread-safe: a
+    verifier can be reached from a dispatcher thread and from direct
+    ``score_batch`` callers at once.
     """
 
     def __init__(self, max_entries: int = 512):

@@ -11,7 +11,7 @@ The JSON object format understood by ``chrome://tracing``, `Perfetto
              "args": {"value": ...}},
             ...
         ],
-        "otherData": {... metrics snapshot ...},
+        "otherData": {"schema": ..., "metrics": {...}, "host": {...}},
         "displayTimeUnit": "ms",
     }
 
@@ -21,18 +21,54 @@ dislikes raw multi-hour ``CLOCK_MONOTONIC`` offsets — and emitted sorted, so
 consumers can rely on monotonically non-decreasing ``ts``.  The span's id,
 parent id and attributes travel in ``args``, which is how
 :mod:`repro.obs.report` reconstructs per-spec aggregates from an exported
-file.
+file.  ``otherData.host`` records the facts a trace's timings are read
+against (:func:`host_facts`).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 from pathlib import Path
 
 from repro.obs.tracer import CounterSample, Span
 
 #: Trace-format version stamped into ``otherData`` (bump on shape changes).
 TRACE_SCHEMA = 1
+
+#: The BLAS thread variables: the thread count changes both the speed and,
+#: through the summation order, the numbers of a run.
+BLAS_THREAD_ENV = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+
+def host_facts() -> dict:
+    """Usable cores, Python, NumPy, the BLAS and its thread variables.
+
+    The facts perfbench prints with every run, so timings from two traces
+    can be compared only when these agree.
+    """
+    import numpy as np  # deferred: nothing else in repro.obs loads NumPy
+
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        cores = os.cpu_count() or 1
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "nproc": cores,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "env": {name: os.environ.get(name) for name in BLAS_THREAD_ENV},
+    }
 
 
 def chrome_trace_events(spans, counter_samples=()) -> list:
@@ -82,10 +118,10 @@ def write_chrome_trace(path, tracer, *, metrics: dict | None = None) -> Path:
     """Export ``tracer``'s spans (parent + worker shards) to ``path``.
 
     ``metrics`` — typically a :meth:`~repro.obs.metrics.MetricsRegistry.
-    snapshot` — lands in ``otherData`` so one file carries both the timeline
-    and the run's aggregate telemetry.  Written atomically (tmp +
-    ``os.replace``), so a crash mid-export never leaves a truncated trace.
-    Returns the path written.
+    snapshot` — lands in ``otherData`` beside :func:`host_facts`, so one
+    file carries the timeline, the run's aggregate telemetry and the host it
+    ran on.  Written atomically (tmp + ``os.replace``), so a crash
+    mid-export never leaves a truncated trace.  Returns the path written.
     """
     shard_spans, shard_counters = tracer.read_shards()
     events = chrome_trace_events(
@@ -94,7 +130,7 @@ def write_chrome_trace(path, tracer, *, metrics: dict | None = None) -> Path:
     document = {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": {"schema": TRACE_SCHEMA, "metrics": metrics or {}},
+        "otherData": {"schema": TRACE_SCHEMA, "metrics": metrics or {}, "host": host_facts()},
     }
     from repro.utils.atomic import write_text_atomic
 

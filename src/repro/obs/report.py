@@ -63,8 +63,8 @@ def per_spec_profile(spans) -> dict:
 
     where ``checks`` counts completed emptiness checks (one per controller ×
     spec verification) and ``cache_hits`` counts checks answered from the
-    construction memo or the verification-result cache
-    (``mc.construct_cached`` + ``mc.check_cached`` spans).
+    construction memo, a checker's result cache or a verifier's verdict
+    cache (``mc.construct_cached`` + ``mc.check_cached`` spans).
     """
     profile: dict = {}
     for span in spans:

@@ -26,8 +26,11 @@ class ServingConfig:
     Parameters
     ----------
     enabled:
-        When False the service scores every job serially with no cache or
-        dedup — the bitwise reference path the cached path must match.
+        When False the service scores every job serially with no service
+        cache and no dedup — the bitwise reference path the cached path must
+        match.  The verifier's verdict cache
+        (:class:`~repro.feedback.formal.FormalVerifier`) still answers
+        repeated controller structures.
     cache_size:
         LRU bound on the result cache (entries are a hash key plus an int).
     backend:

@@ -1,8 +1,21 @@
 """Tests for formal/empirical feedback and preference-pair construction."""
 
+import random
+import sys
+import threading
+
 import pytest
 
-from repro.driving import all_specifications, all_tasks, core_specifications, response_templates
+from repro.driving import (
+    RESPONSE_LIBRARY,
+    VAGUE_RESPONSES,
+    all_specifications,
+    all_tasks,
+    core_specifications,
+    response_templates,
+    task_by_name,
+)
+from repro.errors import AlignmentError
 from repro.feedback import (
     EmpiricalEvaluator,
     FormalVerifier,
@@ -10,7 +23,9 @@ from repro.feedback import (
     rank_to_pairs,
     trace_satisfaction,
 )
+from repro.glm2fsa.builder import build_controller_from_text
 from repro.logic import parse_ltl
+from repro.modelcheck import ModelChecker, controller_fingerprint
 
 
 class TestFormalVerifier:
@@ -36,6 +51,148 @@ class TestFormalVerifier:
         feedback = verifier.verify_controller(right_turn_task.model(), right_turn_good_controller, task="good")
         assert set(feedback.satisfied) | set(feedback.violated) == set(all_specifications())
         assert "specifications satisfied" in feedback.describe()
+
+
+def recombined_responses(seed: int, count: int) -> list:
+    """``count`` seeded ``(task, response)`` step-level recombinations of the templates.
+
+    perfbench's ``feedback_serve`` recipe: start from one of the task's
+    compliant, flawed or vague templates, swap each step for a random step
+    of the task's pool (p = 0.55) or drop it (p = 0.10), insert pool steps
+    while a draw falls below 0.75, and renumber.
+    """
+    rng = random.Random(seed)
+    tasks = [task for task in all_tasks() if task.name in RESPONSE_LIBRARY]
+    stream = []
+    for _ in range(count):
+        task = rng.choice(tasks)
+        texts = response_templates(task.name, "compliant") + response_templates(task.name, "flawed")
+        templates = [[line.split(". ", 1)[1] for line in text.splitlines()] for text in texts + VAGUE_RESPONSES]
+        pool = sorted({step for steps in templates for step in steps})
+        steps = []
+        for step in rng.choice(templates):
+            draw = rng.random()
+            if draw < 0.55:
+                steps.append(rng.choice(pool))
+            elif draw >= 0.65:
+                steps.append(step)
+        while rng.random() < 0.75 or not steps:
+            steps.insert(rng.randint(0, len(steps)), rng.choice(pool))
+        stream.append((task, "\n".join(f"{i}. {step}" for i, step in enumerate(steps, 1))))
+    return stream
+
+
+class CountingChecker(ModelChecker):
+    """A checker with no result cache that counts its ``verify_controller`` calls."""
+
+    def __init__(self):
+        super().__init__(result_cache_size=0)
+        self.calls = 0
+
+    def verify_controller(self, *args, **kwargs):
+        self.calls += 1
+        return super().verify_controller(*args, **kwargs)
+
+
+class TestVerdictReuse:
+    """A verifier model-checks each controller structure once per world model
+    and reuses the verdict, under its own task, for every later response that
+    compiles to it."""
+
+    def test_reused_verdicts_equal_a_fresh_check(self):
+        specs = all_specifications()
+        names = list(specs)
+        verifier = FormalVerifier(specs)
+        stream = recombined_responses(seed=5, count=300)
+        models = {task.scenario: task.model() for task, _ in stream}
+        assert set(models) == {task.scenario for task in all_tasks()}
+        tasks_by_structure: dict = {}
+        for task, text in stream:
+            model = models[task.scenario]
+            feedback = verifier.verify_response(model, text, task=task.name)
+            try:
+                controller = build_controller_from_text(text, task=task.name, name=task.name)
+            except AlignmentError:
+                assert feedback.parse_failed
+                continue
+            structure = (task.scenario, controller_fingerprint(controller))
+            tasks_by_structure.setdefault(structure, set()).add(task.name)
+            report = ModelChecker(result_cache_size=0).verify_controller(
+                model, controller, specs.values(), spec_names=names
+            )
+            expected = (
+                report.num_satisfied,
+                tuple(name for name, result in zip(names, report.results) if result.holds),
+                tuple(name for name, result in zip(names, report.results) if not result.holds),
+                controller.num_states,
+                task.name,
+            )
+            actual = (
+                feedback.num_satisfied,
+                feedback.satisfied,
+                feedback.violated,
+                feedback.controller_states,
+                feedback.task,
+            )
+            assert actual == expected, text
+        # The stream exercises reuse across tasks (and so controller names).
+        assert any(len(tasks) > 1 for tasks in tasks_by_structure.values())
+
+    def test_threads_sharing_a_verifier_get_the_serial_feedback(self):
+        stream = recombined_responses(seed=9, count=60)
+        models = {task.scenario: task.model() for task, _ in stream}
+        specs = all_specifications()
+        reference = FormalVerifier(specs)
+        expected = [reference.verify_response(models[t.scenario], text, task=t.name) for t, text in stream]
+        shared = FormalVerifier(specs)
+        results: dict = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda k=k: results.__setitem__(
+                        k, [shared.verify_response(models[t.scenario], text, task=t.name) for t, text in stream]
+                    )
+                )
+                for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results[k] for k in range(4)] == [expected] * 4
+        assert shared._verdicts.stats()["entries"] == reference._verdicts.stats()["entries"]
+
+    def test_one_structure_is_checked_once_under_each_task(self):
+        first, second = task_by_name("stop_sign_go_straight"), task_by_name("turn_right_stop_sign")
+        assert first.scenario == second.scenario
+        text = response_templates(first.name, "compliant")[0]
+        variant = text.upper()
+        assert controller_fingerprint(build_controller_from_text(text)) == controller_fingerprint(
+            build_controller_from_text(variant)
+        )
+        checker = CountingChecker()
+        verifier = FormalVerifier(all_specifications(), checker=checker)
+        model = first.model()
+        one = verifier.verify_response(model, text, task=first.name)
+        two = verifier.verify_response(model, variant, task=second.name)
+        assert checker.calls == 1
+        assert (one.task, two.task) == (first.name, second.name)
+        assert (one.satisfied, one.violated) == (two.satisfied, two.violated)
+
+    def test_one_controller_against_two_models_is_checked_twice(self):
+        first, second = task_by_name("stop_sign_go_straight"), task_by_name("yield_crosswalk")
+        assert first.scenario != second.scenario
+        checker = CountingChecker()
+        verifier = FormalVerifier(all_specifications(), checker=checker)
+        text = response_templates(first.name, "compliant")[0]
+        verifier.verify_response(first.model(), text, task=first.name)
+        verifier.verify_response(second.model(), text, task=first.name)
+        assert checker.calls == 2
 
 
 class TestCatalogueFeedback:

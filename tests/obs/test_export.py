@@ -1,12 +1,16 @@
 """Chrome trace-event export tests: validity, round trips, and the report CLI."""
 
 import json
+import os
+import platform
 
+import numpy
 import pytest
 
 from repro.obs import tracer as obs
 from repro.obs.cli import main as trace_main
 from repro.obs.export import (
+    BLAS_THREAD_ENV,
     TRACE_SCHEMA,
     chrome_trace_events,
     counters_from_trace,
@@ -71,6 +75,13 @@ class TestWriteAndLoad:
         document = load_chrome_trace(path)
         assert document["displayTimeUnit"] == "ms"
         assert document["otherData"]["schema"] == TRACE_SCHEMA
+        host = document["otherData"]["host"]
+        assert set(host) == {"nproc", "python", "numpy", "blas", "blas_version", "env"}
+        assert host["nproc"] >= 1
+        assert host["python"] == platform.python_version()
+        assert host["numpy"] == numpy.__version__
+        assert set(host["env"]) == set(BLAS_THREAD_ENV)
+        assert all(host["env"][name] == os.environ.get(name) for name in BLAS_THREAD_ENV)
         timestamps = [e["ts"] for e in document["traceEvents"]]
         assert timestamps == sorted(timestamps)
 

@@ -4,11 +4,13 @@ The fast path must attribute work honestly: an actual LTL→Büchi translation
 emits ``mc.construct``; answering from the construction memo emits
 ``mc.construct_cached`` (never a second ``mc.construct``, which would
 misattribute translation time in the trace report); a verification-result
-cache hit emits ``mc.check_cached``.
+cache hit emits ``mc.check_cached``, and so does a verifier's reuse of a
+controller structure's verdict, once per rule.
 """
 
 from repro.automata import KripkeStructure
-from repro.driving import response_templates, task_by_name
+from repro.driving import all_specifications, response_templates, task_by_name
+from repro.feedback import FormalVerifier
 from repro.glm2fsa.builder import build_controller_from_text
 from repro.logic import parse_ltl
 from repro.modelcheck import ModelChecker, NaiveModelChecker
@@ -69,6 +71,22 @@ class TestConstructSpans:
         assert names.count("mc.check_cached") == 1
         # The cached pass never rebuilds the product.
         assert names.count("mc.build_model") == 1
+
+    def test_verdict_reuse_emits_check_cached_per_spec(self):
+        task = task_by_name("turn_left_unprotected")
+        model = task.model()
+        text = response_templates(task.name, "compliant")[0]
+        specs = all_specifications()
+        verifier = FormalVerifier(specs)
+        tracer = obs.install_tracer(Tracer())
+        verifier.verify_response(model, text, task=task.name)
+        verifier.verify_response(model, text.upper(), task="same_structure")
+        names = [s.name for s in tracer.spans()]
+        assert names.count("mc.build_model") == 1
+        cached = [s.attributes["spec"] for s in tracer.spans() if s.name == "mc.check_cached"]
+        assert cached == list(specs)
+        profile = per_spec_profile(tracer.spans())
+        assert all(profile[name]["cache_hits"] >= 1 for name in specs)
 
     def test_profile_counts_cache_hits_and_cached_checks(self):
         tracer = obs.install_tracer(Tracer())
