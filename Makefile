@@ -1,8 +1,10 @@
 # Convenience targets matching the ROADMAP's canonical commands.
 #
 #   make tier1            repro-lint + fast unit/integration suite (what CI
-#                         gates on); tier1, slow and the bench targets pin
-#                         BLAS threads and the hash seed (PINNED below)
+#                         gates on), under `python -X dev` (debug-mode
+#                         warnings, unclosed-file checks); tier1, slow and
+#                         the bench targets pin BLAS threads and the hash
+#                         seed (PINNED below)
 #   make slow             the slow-marked tests tier-1 deselects: long fuzz
 #                         sweeps and the paper-scale headline claim on seeds
 #                         0-2 (~20 s per seed)
@@ -34,6 +36,9 @@
 
 PYTHON ?= python
 PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m pytest
+# Tier-1 runs in development mode (debug warnings, unclosed-file checks);
+# benchmarks never do, since it slows them.
+PYTEST_DEV := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -X dev -m pytest
 PYRUN := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON)
 # One BLAS thread and a fixed hash seed, set before NumPy loads, as
 # perfbench/run.py sets them: paper-scale outputs depend on the BLAS thread
@@ -49,7 +54,7 @@ lint:
 	$(PYRUN) -m repro.analysis.cli src/repro
 
 tier1: lint
-	$(PINNED) $(PYTEST) -x -q
+	$(PINNED) $(PYTEST_DEV) -x -q
 
 slow:
 	$(PINNED) $(PYTEST) tests -q -m slow

@@ -15,7 +15,7 @@ from repro.automata.fsa import FSAController
 from repro.automata.transition_system import TransitionSystem
 from repro.errors import AlignmentError
 from repro.glm2fsa.builder import build_controller_from_text
-from repro.modelcheck.checker import ModelChecker, VerificationReport
+from repro.modelcheck.checker import ModelChecker
 from repro.modelcheck.fastpath import ResultCache, controller_fingerprint
 from repro.obs import tracer as obs
 
@@ -70,8 +70,10 @@ class FormalVerifier:
     the controller's structure fingerprints keeps the satisfied and violated
     rule names, and every later controller with that structure reuses them
     under its own task.  The rule book is fixed at construction, so a
-    verdict is a function of that key.  Reports are not kept: nothing on
-    the scoring path reads counterexamples or statistics.
+    verdict is a function of that key.  A miss asks the checker for
+    :meth:`~repro.modelcheck.checker.ModelChecker.verdicts`, which decides
+    every weak rule in one pass over the product and builds no
+    counterexample or statistics: nothing on the scoring path reads them.
 
     Parameters
     ----------
@@ -95,15 +97,12 @@ class FormalVerifier:
         verdict = self._verdicts.get(key)
         if verdict is None:
             names = list(self.specifications)
-            report: VerificationReport = self.checker.verify_controller(
-                model,
-                controller,
-                self.specifications.values(),
-                spec_names=names,
+            holds = self.checker.verdicts(
+                model, controller, self.specifications.values(), spec_names=names
             )
             verdict = (
-                tuple(name for name, result in zip(names, report.results) if result.holds),
-                tuple(name for name, result in zip(names, report.results) if not result.holds),
+                tuple(name for name, rule_holds in zip(names, holds) if rule_holds),
+                tuple(name for name, rule_holds in zip(names, holds) if not rule_holds),
             )
             self._verdicts.put(key, verdict)
         elif obs.tracing_enabled():

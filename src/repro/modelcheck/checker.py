@@ -12,8 +12,9 @@ Two implementations of that algorithm live here:
 * the **naive path** (:class:`NaiveModelChecker`) — the original
   object-graph BFS, kept frozen as the differential-testing reference;
 * the **fast path** (:class:`ModelChecker`) — memoized Büchi construction,
-  automaton pruning, integer-compiled products and a verification-result
-  cache, built from :mod:`repro.modelcheck.fastpath`.
+  automaton pruning, integer-compiled products, every weak rule decided in
+  one bit-parallel pass and a verification-result cache, built from
+  :mod:`repro.modelcheck.fastpath`.
   Verdicts are identical (``tests/modelcheck/test_differential.py`` holds the
   two paths to the same ``holds`` on every catalogue task and a fuzz corpus);
   counterexamples may differ in the particular lasso chosen but are always
@@ -23,7 +24,7 @@ Two implementations of that algorithm live here:
 from __future__ import annotations
 
 import threading
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -101,8 +102,68 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+#: Entries each checker keeps in its identity-keyed memos of model
+#: fingerprints and formula keys.  A verifier passes the same rule-book
+#: formulas and one model per scenario on every call, far fewer than this;
+#: a caller passing fresh objects each time evicts old entries instead of
+#: keeping every object it ever passed alive.
+IDENTITY_MEMO_SIZE = 64
+
+#: Rule books (:class:`~repro.modelcheck.fastpath.RuleBook`) each checker
+#: keeps: one per distinct batch of automata it is asked to decide at once.
+RULE_BOOK_MEMO_SIZE = 8
+
+
+class _BoundedMemo:
+    """A thread-safe LRU of computed values; the value is computed under the lock.
+
+    Not a :class:`~repro.modelcheck.fastpath.ResultCache`: perfbench counts
+    every ``ResultCache.get`` as a verdict lookup.
+    """
+
+    def __init__(self, max_entries: int):
+        self.max_entries = max_entries
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, compute, *args):
+        """The value memoized under ``key``, or ``compute(*args)`` stored there."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                value = self._entries[key] = compute(*args)
+                if len(self._entries) > self.max_entries:
+                    self._entries.popitem(last=False)
+            else:
+                self._entries.move_to_end(key)
+            return value
+
+    def by_identity(self, obj, compute):
+        """``compute(obj)``, memoized under ``id(obj)``.
+
+        The entry holds ``obj``, so its id cannot be reused by another
+        object while the entry lives.
+        """
+        return self.get(id(obj), _with_object, compute, obj)[1]
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+def _with_object(compute, obj) -> tuple:
+    return obj, compute(obj)
+
+
 class ModelChecker:
     """Explicit-state LTL model checker over Kripke structures.
+
+    Every method decides its specifications in one pass over the structure:
+    the weak automata (every rule of the paper's book) together, through
+    :func:`~repro.modelcheck.fastpath.check_rule_book`, any other one by its
+    own :func:`~repro.modelcheck.fastpath.find_accepting_lasso`.
+    :meth:`verdicts` stops there; the report methods then search each
+    violated rule again for its counterexample.
 
     Parameters
     ----------
@@ -111,11 +172,11 @@ class ModelChecker:
         raise :class:`~repro.errors.VerificationError` rather than hanging.
     result_cache_size:
         Bound on the per-checker :class:`~repro.modelcheck.fastpath.ResultCache`
-        of ``(model, controller, spec) → VerificationResult`` entries;
-        ``0`` disables result caching.  It serves callers that build a
-        checker themselves: :class:`~repro.feedback.formal.FormalVerifier`
-        reuses whole verdicts one level up and builds its default checker
-        with ``0``.
+        of ``(model, controller, spec) → VerificationResult`` entries that
+        :meth:`verify_controller` reuses; ``0`` disables result caching.  It
+        serves callers that build a checker themselves:
+        :class:`~repro.feedback.formal.FormalVerifier` reuses whole verdicts
+        one level up and builds its default checker with ``0``.
     memo:
         The :class:`~repro.modelcheck.fastpath.BuchiMemo` construction memo to
         use; defaults to the process-wide one
@@ -133,14 +194,11 @@ class ModelChecker:
         self.max_product_states = max_product_states
         self._memo = memo if memo is not None else fastpath.automata_memo()
         self._results = fastpath.ResultCache(result_cache_size) if result_cache_size > 0 else None
-        # Memoized model fingerprints and formula keys, keyed by object
-        # identity; the stored strong reference keeps an id from being reused
-        # while its entry lives.  Rendering str(formula) dominates memo-hit
-        # cost otherwise — the rule book's 15 formulas are the same objects
-        # on every verify_controller call.
-        self._model_fingerprints: dict = {}
-        self._formula_keys: dict = {}
-        self._fingerprint_lock = threading.Lock()
+        # Rendering str(formula) dominates memo-hit cost otherwise: the rule
+        # book's 15 formulas are the same objects on every call.
+        self._model_fingerprints = _BoundedMemo(IDENTITY_MEMO_SIZE)
+        self._formula_keys = _BoundedMemo(IDENTITY_MEMO_SIZE)
+        self._rule_books = _BoundedMemo(RULE_BOOK_MEMO_SIZE)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -154,11 +212,7 @@ class ModelChecker:
         rule-book name Φ1…Φ15); it defaults to the formula's text when
         tracing is enabled and is never computed otherwise.
         """
-        formula = parse_ltl(specification) if isinstance(specification, str) else specification
-        spec_label = self._spec_label(formula, name)
-        kripke.validate()
-        compiled = fastpath.compile_kripke(kripke)
-        return self._check_compiled(lambda: compiled, formula, spec_label, None)
+        return self.check_all(kripke, [specification], spec_names=[name]).results[0]
 
     def check_all(
         self, kripke: KripkeStructure, specifications: Iterable, *, spec_names: Iterable | None = None
@@ -168,7 +222,7 @@ class ModelChecker:
         ``spec_names`` optionally supplies one trace label per specification
         (same order); unnamed specs are labelled by their formula text when
         tracing is enabled.  The structure is compiled to integers once and
-        reused for every specification in the batch.
+        every specification is decided in one pass over it.
         """
         specs = list(specifications)
         names = list(spec_names) if spec_names is not None else [None] * len(specs)
@@ -184,7 +238,7 @@ class ModelChecker:
         *,
         spec_names: Iterable | None = None,
     ) -> VerificationReport:
-        """``M ⊗ C |= Φ_i`` for every Φ_i: the feedback primitive of DPO-AF.
+        """``M ⊗ C |= Φ_i`` for every Φ_i, with counterexamples and statistics.
 
         The controller restarts from ``q0`` after its final step, which keeps
         the transition relation total (the paper's SMV default case); see
@@ -204,20 +258,37 @@ class ModelChecker:
                 self.model_fingerprint(model),
                 fastpath.controller_fingerprint(controller),
             )
-
         compiled_box: list = []
 
         def compiled():
             if not compiled_box:
-                with obs.span(
-                    "mc.build_model", category="modelcheck", controller=controller.name
-                ):
-                    compiled_box.append(
-                        fastpath.compile_product(model, controller, restart_on_termination=True)
-                    )
+                compiled_box.append(self._compile_product(model, controller))
             return compiled_box[0]
 
         return self._report_for(compiled, specs, names, scope)
+
+    def verdicts(
+        self,
+        model: TransitionSystem,
+        controller: FSAController,
+        specifications: Iterable,
+        *,
+        spec_names: Iterable | None = None,
+    ) -> tuple:
+        """Whether each specification holds of ``M ⊗ C``: the scoring primitive.
+
+        The same verdicts as :meth:`verify_controller`, from the same pass,
+        without building a counterexample or counting statistics.  It skips
+        the per-spec result cache, whose entries carry counterexamples.
+        """
+        formulas = [parse_ltl(s) if isinstance(s, str) else s for s in specifications]
+        if not formulas:
+            return ()  # as verify_controller, an empty rule book builds no product
+        names = list(spec_names) if spec_names is not None else [None] * len(formulas)
+        labels = [self._spec_label(formula, name) for formula, name in zip(formulas, names)]
+        automata = [self._construct_automaton(f, label) for f, label in zip(formulas, labels)]
+        structure = self._compile_product(model, controller)
+        return self._decide(structure, automata, labels, explained=False)[0]
 
     # ------------------------------------------------------------------ #
     # Fast path internals
@@ -225,68 +296,103 @@ class ModelChecker:
     def _spec_label(self, formula: Formula, name: str | None) -> str:
         return name if name is not None else (str(formula) if obs.tracing_enabled() else "")
 
+    def _compile_product(self, model: TransitionSystem, controller: FSAController):
+        with obs.span("mc.build_model", category="modelcheck", controller=controller.name):
+            return fastpath.compile_product(model, controller, restart_on_termination=True)
+
     def _report_for(self, compiled, specs, names, scope) -> VerificationReport:
-        results = []
-        for spec, name in zip(specs, names):
-            formula = parse_ltl(spec) if isinstance(spec, str) else spec
-            results.append(
-                self._check_compiled(compiled, formula, self._spec_label(formula, name), scope)
-            )
+        """Results for ``specs``; ``compiled`` is a thunk so full cache hits skip it."""
+        formulas = [parse_ltl(s) if isinstance(s, str) else s for s in specs]
+        labels = [self._spec_label(formula, name) for formula, name in zip(formulas, names)]
+        results: list = [None] * len(formulas)
+        if scope is not None:
+            for i, formula in enumerate(formulas):
+                results[i] = self._results.get(scope + (self._formula_entry(formula)[2],))
+                if results[i] is not None:
+                    with obs.span("mc.check_cached", category="modelcheck", spec=labels[i]):
+                        pass
+                    self._emit_cache_counters()
+        todo = [i for i, result in enumerate(results) if result is None]
+        if not todo:
+            return VerificationReport(tuple(results))
+        automata = [self._construct_automaton(formulas[i], labels[i]) for i in todo]
+        structure = compiled()
+        todo_labels = [labels[i] for i in todo]
+        holds, searches, counts = self._decide(structure, automata, todo_labels, explained=True)
+        for j, i in enumerate(todo):
+            if j in searches:
+                lasso, stats = searches[j]
+            elif holds[j]:
+                lasso, stats = None, {
+                    "product_states": counts.get(j, 0),
+                    "nba_states": automata[j].num_states,
+                    "kripke_states": structure.num_states,
+                }
+            else:
+                # The shared pass found the violation; search for its lasso.
+                lasso, stats = fastpath.find_accepting_lasso(
+                    structure,
+                    automata[j],
+                    spec_label=todo_labels[j],
+                    max_product_states=self.max_product_states,
+                )
+                if lasso is None:
+                    raise VerificationError(
+                        "internal error: the lasso search missed a violation the shared pass found"
+                    )  # pragma: no cover - both decide the same product exactly
+            counterexample = None if lasso is None else make_counterexample(*lasso, structure.label_of)
+            results[i] = VerificationResult(formulas[i], lasso is None, counterexample, stats)
+            if scope is not None:
+                self._results.put(scope + (self._formula_entry(formulas[i])[2],), results[i])
         return VerificationReport(tuple(results))
 
-    def _formula_entry(self, formula: Formula) -> tuple:
-        """``(negated, memo_key, spec_key)`` for a formula, interned by identity."""
-        with self._fingerprint_lock:
-            entry = self._formula_keys.get(id(formula))
-            if entry is not None and entry[0] is formula:
-                return entry[1]
-        negated = Not(formula)
-        keys = (negated, formula_key(negated), formula_key(formula))
-        with self._fingerprint_lock:
-            self._formula_keys[id(formula)] = (formula, keys)
-        return keys
+    def _decide(self, structure, automata, labels, *, explained: bool) -> tuple:
+        """Every rule's verdict on ``structure``: ``(holds, searches, counts)``.
 
-    def _check_compiled(self, compiled, formula, spec_label, scope) -> VerificationResult:
-        """One fast-path check; ``compiled`` is a thunk so full cache hits skip it."""
-        spec_key = self._formula_entry(formula)[2]
-        if scope is not None:
-            hit = self._results.get(scope + (spec_key,))
-            if hit is not None:
-                with obs.span("mc.check_cached", category="modelcheck", spec=spec_label):
-                    pass
-                self._emit_cache_counters()
-                return hit
-        automaton = self._construct_automaton(formula, spec_label)
-        structure = compiled()
-        if automaton.is_empty:
-            # ¬Φ has an empty language, so no behaviour can violate Φ: the
-            # product would be empty and the spec holds for any structure.
-            result = VerificationResult(
-                formula,
-                True,
-                None,
-                {"product_states": 0, "nba_states": 0, "kripke_states": structure.num_states},
-            )
-        else:
-            lasso, stats = fastpath.find_accepting_lasso(
-                structure,
-                automaton,
-                spec_label=spec_label,
-                max_product_states=self.max_product_states,
-            )
-            if lasso is None:
-                result = VerificationResult(formula, True, None, stats)
-            else:
-                prefix_states, cycle_states = lasso
-                result = VerificationResult(
-                    formula,
-                    False,
-                    make_counterexample(prefix_states, cycle_states, structure.label_of),
-                    stats,
+        The weak non-empty automata are decided together by one
+        :func:`~repro.modelcheck.fastpath.check_rule_book` pass under one
+        ``mc.product`` span; every other non-empty automaton by its own
+        :func:`~repro.modelcheck.fastpath.find_accepting_lasso`, whose
+        ``(lasso, stats)`` ``searches`` keeps by index.  An empty automaton
+        holds.  With ``explained``, ``counts`` maps each rule of the shared
+        pass to its product-state count.  While tracing, each rule the shared
+        pass decides gets one ``mc.check`` span, except, when ``explained``, a
+        violated one: its counterexample search emits its own.
+        """
+        holds = [True] * len(automata)
+        searches: dict = {}
+        counts: dict = {}
+        weak = [i for i, automaton in enumerate(automata) if automaton.weak and not automaton.is_empty]
+        if weak:
+            rules = tuple(automata[i] for i in weak)
+            book = self._rule_books.get(rules, fastpath.RuleBook, rules)
+            with obs.span("mc.product", category="modelcheck", rules=len(rules)):
+                book_holds, reach = fastpath.check_rule_book(
+                    structure, book, max_product_states=self.max_product_states
                 )
-        if scope is not None:
-            self._results.put(scope + (spec_key,), result)
-        return result
+            for i, rule_holds in zip(weak, book_holds):
+                holds[i] = rule_holds
+            if explained:
+                counts = dict(zip(weak, book.product_states(reach)))
+            if obs.tracing_enabled():
+                for i in weak:
+                    if holds[i] or not explained:
+                        with obs.span("mc.check", category="modelcheck", spec=labels[i]):
+                            pass
+        for i, automaton in enumerate(automata):
+            if not automaton.weak and not automaton.is_empty:
+                searches[i] = fastpath.find_accepting_lasso(
+                    structure,
+                    automaton,
+                    spec_label=labels[i],
+                    max_product_states=self.max_product_states,
+                )
+                holds[i] = searches[i][0] is None
+        return tuple(holds), searches, counts
+
+    def _formula_entry(self, formula: Formula) -> tuple:
+        """``(negated, memo_key, spec_key)`` for a formula, memoized by identity."""
+        return self._formula_keys.by_identity(formula, _formula_keys)
 
     def _construct_automaton(self, formula: Formula, spec_label: str):
         """The memoized pruned NBA for ``¬formula``, with distinct hit/miss spans."""
@@ -318,12 +424,12 @@ class ModelChecker:
     def model_fingerprint(self, model: TransitionSystem) -> str:
         """:func:`~repro.modelcheck.fastpath.model_fingerprint` of ``model``,
         memoized; computed under the lock, so concurrent callers compute it once."""
-        with self._fingerprint_lock:
-            entry = self._model_fingerprints.get(id(model))
-            if entry is None or entry[0] is not model:
-                entry = (model, fastpath.model_fingerprint(model))
-                self._model_fingerprints[id(model)] = entry
-            return entry[1]
+        return self._model_fingerprints.by_identity(model, fastpath.model_fingerprint)
+
+
+def _formula_keys(formula: Formula) -> tuple:
+    negated = Not(formula)
+    return negated, formula_key(negated), formula_key(formula)
 
 
 class NaiveModelChecker(ModelChecker):
@@ -382,6 +488,18 @@ class NaiveModelChecker(ModelChecker):
         with obs.span("mc.build_model", category="modelcheck", controller=controller.name):
             product = build_product(model, controller, restart_on_termination=True)
         return self.check_all(product, specifications, spec_names=spec_names)
+
+    def verdicts(
+        self,
+        model: TransitionSystem,
+        controller: FSAController,
+        specifications: Iterable,
+        *,
+        spec_names: Iterable | None = None,
+    ) -> tuple:
+        """Whether each specification holds, read off :meth:`verify_controller`'s report."""
+        report = self.verify_controller(model, controller, specifications, spec_names=spec_names)
+        return tuple(result.holds for result in report.results)
 
     # ------------------------------------------------------------------ #
     # Emptiness check of KS × NBA

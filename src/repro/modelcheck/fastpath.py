@@ -7,7 +7,7 @@ dominates every cold benchmark.  This module holds the machinery
 path — the frozen reference — is
 :class:`~repro.modelcheck.checker.NaiveModelChecker`.
 
-Three independent optimizations compose (see ``docs/modelcheck.md``):
+Four optimizations compose (see ``docs/modelcheck.md``):
 
 * **Büchi construction memo** (:class:`BuchiMemo`): LTL→NBA translation is
   ~a third of a cold check and the rule book is fixed, so translated (and
@@ -25,6 +25,11 @@ Three independent optimizations compose (see ``docs/modelcheck.md``):
   ``s * m + b``, and emptiness is a BFS plus an iterative Tarjan SCC pass —
   no tuple hashing, no repeated constraint evaluation (per-symbol NBA move
   rows are cached on the :class:`CachedAutomaton`).
+* **One pass for every weak rule** (:class:`RuleBook` /
+  :func:`check_rule_book`): every automaton of the paper's rule book is
+  weak, so one bit-parallel reachability pass and one greatest fixpoint
+  decide all of them at once; the per-rule search above remains for
+  non-weak automata and for counterexamples.
 
 :func:`controller_fingerprint` and :func:`model_fingerprint` digest a
 controller's structure and a world model, and :class:`ResultCache` is a
@@ -49,6 +54,7 @@ from repro.automata.kripke import KripkeStructure
 from repro.automata.operations import (
     backward_reachable,
     cycle_nodes,
+    strongly_connected_subgraphs,
 )
 from repro.automata.product import ProductState
 from repro.automata.transition_system import TransitionSystem
@@ -175,6 +181,11 @@ class CachedAutomaton:
     per-symbol move row (which targets each state reaches on a given symbol)
     so repeated products over the same scenario labels stop re-evaluating
     constraints.
+
+    ``weak`` is true when every strongly connected component is all
+    accepting or all rejecting.  A run ends in one component, so a weak
+    automaton accepts exactly the runs that eventually stay in accepting
+    states, which :func:`check_rule_book` decides with one greatest fixpoint.
     """
 
     def __init__(self, automaton: BuchiAutomaton):
@@ -186,6 +197,12 @@ class CachedAutomaton:
         self.out = tuple(tuple(row) for row in rows)
         self.initial = tuple(sorted(automaton.initial_states))
         self.accepting = frozenset(automaton.accepting_states)
+        self.weak = all(
+            len({b in self.accepting for b in component}) == 1
+            for component in strongly_connected_subgraphs(
+                range(n), lambda b: [target for _, target in self.out[b]]
+            )
+        )
         self._symbol_rows: dict = {}
         self._rows_lock = threading.Lock()
 
@@ -621,6 +638,169 @@ def _cycle_through(target, adjacency):
     raise VerificationError(
         "internal error: accepting SCC member has no cycle back to itself"
     )  # pragma: no cover - Tarjan guarantees a cycle exists
+
+
+# ---------------------------------------------------------------------- #
+# Every weak rule in one pass
+# ---------------------------------------------------------------------- #
+class RuleBook:
+    """A batch of weak, non-empty pruned automata laid out as bit columns.
+
+    With ``width`` rules, bit ``b * width + i`` of an int stands for NBA
+    state ``b`` of rule ``i``, so one int per structure state holds every
+    rule's product states there.  Reading a symbol moves state ``b`` to
+    ``b + d``; :meth:`transfer` groups a symbol's moves by ``d`` into one
+    mask per shift and memoizes them, keyed on the symbol (a scenario's
+    labels recur across every controller checked against it).
+    """
+
+    def __init__(self, automata: Sequence[CachedAutomaton]):
+        self.automata = tuple(automata)
+        width = self.width = len(self.automata)
+        self.depth = max(automaton.num_states for automaton in self.automata)
+        self.initial = self.accepting = 0
+        self.columns = []
+        for i, automaton in enumerate(self.automata):
+            self.initial |= sum(1 << (b * width + i) for b in automaton.initial)
+            self.accepting |= sum(1 << (b * width + i) for b in automaton.accepting)
+            self.columns.append(sum(1 << (b * width + i) for b in range(automaton.num_states)))
+        self._transfers: dict = {}
+        self._lock = threading.Lock()
+
+    def transfer(self, symbol) -> tuple:
+        """``(up, down)`` shift terms of reading ``symbol``, memoized per symbol.
+
+        Each term is ``(mask, shift)``: the source bits whose move on
+        ``symbol`` goes ``shift`` bits up (``up``, shift 0 included) or down
+        (``down``).  :func:`_post` and :func:`_pre` apply them.
+        """
+        with self._lock:
+            terms = self._transfers.get(symbol)
+        if terms is not None:
+            return terms
+        width = self.width
+        masks: dict = {}
+        for i, automaton in enumerate(self.automata):
+            for b, targets in enumerate(automaton.row_for(symbol)):
+                for target in targets:
+                    masks[target - b] = masks.get(target - b, 0) | 1 << (b * width + i)
+        terms = (
+            tuple((mask, d * width) for d, mask in sorted(masks.items()) if d >= 0),
+            tuple((mask, -d * width) for d, mask in sorted(masks.items()) if d < 0),
+        )
+        with self._lock:
+            return self._transfers.setdefault(symbol, terms)
+
+    def product_states(self, reach: Sequence) -> list:
+        """Each rule's reachable product-state count, from :func:`check_rule_book`'s sets."""
+        return [sum((states & column).bit_count() for states in reach) for column in self.columns]
+
+
+def _post(states: int, terms: tuple) -> int:
+    """The bits ``states`` move to on the symbol ``terms`` describes."""
+    up, down = terms
+    moved = 0
+    for mask, shift in up:
+        moved |= (states & mask) << shift
+    for mask, shift in down:
+        moved |= (states & mask) >> shift
+    return moved
+
+
+def _pre(states: int, terms: tuple) -> int:
+    """The bits with a move into ``states`` on the symbol ``terms`` describes."""
+    up, down = terms
+    sources = 0
+    for mask, shift in up:
+        sources |= (states >> shift) & mask
+    for mask, shift in down:
+        sources |= (states << shift) & mask
+    return sources
+
+
+def check_rule_book(
+    compiled: CompiledStructure,
+    book: RuleBook,
+    *,
+    max_product_states: int = 200_000,
+) -> tuple:
+    """Decide every rule of ``book`` on ``compiled`` at once: ``(holds, reach)``.
+
+    ``holds[i]`` is true when rule ``i``'s product has no accepting run;
+    ``reach[s]`` holds the bits of the product states ``(s, b)`` reachable
+    in each rule (:meth:`RuleBook.product_states` counts them).  Forward
+    reachability runs over every rule together.  The greatest fixpoint
+    ``Z = R ∩ Acc ∩ pre(Z)`` is then peeled with a worklist; it is the set
+    of reachable product states with an infinite path through accepting
+    states only.  For weak automata that set is non-empty exactly when an
+    accepting lasso exists, which is why the book admits weak automata only.
+
+    Raises :class:`~repro.errors.VerificationError` when a rule's product
+    exceeds ``max_product_states``, as :func:`find_accepting_lasso` does;
+    products are counted only when ``states × depth`` could exceed it.
+    """
+    moves = [book.transfer(symbol) for symbol in compiled.labels]
+    label_ids = compiled.label_ids
+    succ = compiled.succ
+    n = compiled.num_states
+    reach = [0] * n
+    pending = [0] * n
+    stack: list = []
+    for s in compiled.initial:
+        new = _post(book.initial, moves[label_ids[s]]) & ~reach[s]
+        if new:
+            reach[s] |= new
+            if not pending[s]:
+                stack.append(s)
+            pending[s] |= new
+    while stack:
+        s = stack.pop()
+        delta = pending[s]
+        pending[s] = 0
+        for t in succ[s]:
+            new = _post(delta, moves[label_ids[t]]) & ~reach[t]
+            if new:
+                reach[t] |= new
+                if not pending[t]:
+                    stack.append(t)
+                pending[t] |= new
+
+    if n * book.depth > max_product_states and max(book.product_states(reach)) > max_product_states:
+        raise VerificationError(
+            f"product exceeded {max_product_states} states; "
+            "increase max_product_states or simplify the specification"
+        )
+
+    accepting = book.accepting
+    alive = [states & accepting for states in reach]
+    live = [s for s in range(n) if alive[s]]
+    if live:
+        preds: list = [[] for _ in range(n)]
+        for s in live:
+            for t in succ[s]:
+                if alive[t]:
+                    preds[t].append(s)
+        sources = [_pre(alive[t], moves[label_ids[t]]) if alive[t] else 0 for t in range(n)]
+        queued = [bool(z) for z in alive]
+        while live:
+            s = live.pop()
+            queued[s] = False
+            kept = 0
+            for t in succ[s]:
+                kept |= sources[t]
+            kept &= alive[s]
+            if kept != alive[s]:
+                alive[s] = kept
+                sources[s] = _pre(kept, moves[label_ids[s]])
+                for p in preds[s]:
+                    if alive[p] and not queued[p]:
+                        queued[p] = True
+                        live.append(p)
+
+    violated = 0
+    for states in alive:
+        violated |= states
+    return tuple(not (violated & column) for column in book.columns), reach
 
 
 def automaton_accepts_lasso(

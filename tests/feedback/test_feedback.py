@@ -83,15 +83,15 @@ def recombined_responses(seed: int, count: int) -> list:
 
 
 class CountingChecker(ModelChecker):
-    """A checker with no result cache that counts its ``verify_controller`` calls."""
+    """A checker with no result cache that counts its ``verdicts`` calls."""
 
     def __init__(self):
         super().__init__(result_cache_size=0)
         self.calls = 0
 
-    def verify_controller(self, *args, **kwargs):
+    def verdicts(self, *args, **kwargs):
         self.calls += 1
-        return super().verify_controller(*args, **kwargs)
+        return super().verdicts(*args, **kwargs)
 
 
 class TestVerdictReuse:

@@ -3,7 +3,8 @@
 Every catalogue task × response category × template is verified against the
 full 15-rule book by both :class:`NaiveModelChecker` (the reference) and the
 optimized :class:`ModelChecker`, asserting identical ``holds`` verdicts and
-``satisfaction_ratio``.  Counterexamples are additionally *validated*, not
+``satisfaction_ratio``, from the optimized report and from its
+counterexample-free ``verdicts``.  Counterexamples are additionally *validated*, not
 compared: the two paths may pick different lassos, so instead each reported
 lasso is replayed through the naive product (every step must be a real edge)
 and re-checked as a one-path Kripke structure to confirm it genuinely
@@ -82,6 +83,8 @@ def test_fast_path_matches_naive_on_catalogue(task, controller):
 
     assert [r.holds for r in fast_report.results] == [r.holds for r in naive_report.results]
     assert fast_report.satisfaction_ratio == naive_report.satisfaction_ratio
+    fast_verdicts = fast.verdicts(model, controller, specs, spec_names=names)
+    assert list(fast_verdicts) == [r.holds for r in naive_report.results]
 
     product = build_product(model, controller, restart_on_termination=True)
     for (name, formula), fast_result in zip(SPEC_ITEMS, fast_report.results):

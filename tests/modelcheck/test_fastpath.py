@@ -5,24 +5,31 @@ tests cover the fast path's building blocks directly — pruning, the
 construction memo, compiled products, result caching and fingerprints.
 """
 
+import gc
 import sys
 import threading
+import weakref
 
 import pytest
 
 from repro.automata import KripkeStructure, build_product
 from repro.automata.buchi import BuchiAutomaton, LabelConstraint
-from repro.driving import task_by_name
+from repro.driving import all_specifications, all_tasks, response_templates, task_by_name
+from repro.errors import VerificationError
+from repro.feedback import FormalVerifier
 from repro.glm2fsa.builder import build_controller_from_text
 from repro.logic import parse_ltl
 from repro.logic.ast import Not
 from repro.logic.ltl2buchi import formula_key, ltl_to_buchi
 from repro.modelcheck import ModelChecker, NaiveModelChecker
+from repro.modelcheck.checker import IDENTITY_MEMO_SIZE, RULE_BOOK_MEMO_SIZE
 from repro.modelcheck.fastpath import (
     BuchiMemo,
     CachedAutomaton,
     ResultCache,
+    RuleBook,
     automaton_accepts_lasso,
+    check_rule_book,
     compile_product,
     controller_fingerprint,
     find_accepting_lasso,
@@ -43,6 +50,11 @@ def lasso(labels, loop_from=0):
 
 def negated_automaton(text):
     return ltl_to_buchi(Not(parse_ltl(text)), name="neg")
+
+
+def memoized_automaton(formula):
+    """The pruned automaton of ``¬formula``, as the checker memoizes it."""
+    return CachedAutomaton(prune_automaton(ltl_to_buchi(Not(formula))))
 
 
 class TestPruning:
@@ -222,6 +234,64 @@ class TestCompiledProduct:
             find_accepting_lasso(compiled, cached, max_product_states=1)
 
 
+class TestWeakAutomata:
+    def test_every_rule_of_the_book_is_weak(self):
+        assert all(memoized_automaton(formula).weak for formula in all_specifications().values())
+
+    def test_a_four_state_safety_automaton_is_weak(self):
+        cached = memoized_automaton(parse_ltl("G (a -> X X b)"))
+        assert cached.num_states == 4
+        assert cached.weak
+
+    def test_an_infinitely_often_automaton_is_not_weak(self):
+        # ¬(F G a) is G F !a: one component holds an accepting and a
+        # rejecting state.
+        assert not memoized_automaton(parse_ltl("F G a")).weak
+
+
+class TestRuleBook:
+    """The shared pass against one :func:`find_accepting_lasso` per rule."""
+
+    @pytest.fixture(scope="class")
+    def book(self):
+        return RuleBook([memoized_automaton(formula) for formula in all_specifications().values()])
+
+    @pytest.fixture(scope="class")
+    def structures(self):
+        structures = []
+        for task in all_tasks()[:4]:
+            for category in ("compliant", "flawed"):
+                for text in response_templates(task.name, category):
+                    controller = build_controller_from_text(text, task=task.name)
+                    structures.append(
+                        compile_product(task.model(), controller, restart_on_termination=True)
+                    )
+        return structures
+
+    def test_verdicts_and_product_sizes_match_one_search_per_rule(self, book, structures):
+        violations = 0
+        for structure in structures:
+            holds, reach = check_rule_book(structure, book)
+            searches = [find_accepting_lasso(structure, automaton) for automaton in book.automata]
+            assert list(holds) == [lasso is None for lasso, _ in searches]
+            assert book.product_states(reach) == [stats["product_states"] for _, stats in searches]
+            violations += holds.count(False)
+        assert violations > 0
+
+    def test_a_product_past_the_bound_raises_and_one_at_it_does_not(self, book, structures):
+        # A structure no rule's product fills, so a bound between its largest
+        # product and states × depth makes the pass count.
+        structure, largest = next(
+            (structure, largest)
+            for structure in structures
+            for largest in [max(book.product_states(check_rule_book(structure, book)[1]))]
+            if largest < structure.num_states * book.depth
+        )
+        check_rule_book(structure, book, max_product_states=largest)
+        with pytest.raises(VerificationError, match="product exceeded"):
+            check_rule_book(structure, book, max_product_states=largest - 1)
+
+
 class TestResultCache:
     def test_lru_eviction_and_stats(self):
         cache = ResultCache(max_entries=2)
@@ -287,6 +357,36 @@ class TestResultCacheIntegration:
         checker.verify_controller(model, one, specs)
         checker.verify_controller(model, two, specs)
         assert checker._results.stats()["hits"] == 1
+
+
+class TestBoundedMemos:
+    """A long-lived checker keeps at most a bound of the objects it was given."""
+
+    def test_fresh_models_and_formulas_are_evicted_not_kept_alive(self):
+        task = task_by_name("turn_left_unprotected")
+        text = response_templates(task.name, "compliant")[0]
+        controller = build_controller_from_text(text, task=task.name)
+        verifier = FormalVerifier(all_specifications())
+        checker = verifier.checker
+        first_model, first_specs = task.model(), all_specifications()
+        watched = [weakref.ref(first_model), *map(weakref.ref, first_specs.values())]
+        verifier.verify_response(first_model, text, task=task.name)
+        checker.verdicts(first_model, controller, first_specs.values())
+        del first_model, first_specs
+        for _ in range(IDENTITY_MEMO_SIZE):
+            verifier.verify_response(task.model(), text, task=task.name)
+            checker.verdicts(task.model(), controller, all_specifications().values())
+        gc.collect()
+        assert all(ref() is None for ref in watched)
+        assert len(checker._model_fingerprints) <= IDENTITY_MEMO_SIZE
+        assert len(checker._formula_keys) <= IDENTITY_MEMO_SIZE
+
+    def test_rule_books_are_bounded(self):
+        checker = ModelChecker(memo=BuchiMemo())
+        kripke = lasso([{"p0"}, {"p1"}])
+        for k in range(RULE_BOOK_MEMO_SIZE + 4):
+            checker.check(kripke, f"G !p{k + 2}")
+        assert len(checker._rule_books) == RULE_BOOK_MEMO_SIZE
 
 
 class TestEmptyReportRatio:

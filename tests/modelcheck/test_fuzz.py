@@ -2,9 +2,10 @@
 
 A seeded generator draws bounded-depth formulas over the spec grammar and
 small random Kripke structures; the optimized checker must agree with the
-naive reference on every ``holds`` verdict, repeated formulas must hit the
-construction memo, and pruning must preserve the language on every reported
-lasso.  A small fixed seed set runs in tier-1; the 200-case sweep rides
+naive reference on every ``holds`` verdict, checked one formula at a time
+and in batches that mix weak and non-weak automata, repeated formulas must
+hit the construction memo, and pruning must preserve the language on every
+reported lasso.  A small fixed seed set runs in tier-1; the 200-case sweep rides
 behind the ``slow`` marker (``pytest -m slow``).
 """
 
@@ -54,11 +55,17 @@ def random_kripke(rng: random.Random, max_states: int = 6) -> KripkeStructure:
     return kripke
 
 
+#: Random formulas checked together on each structure by ``check_all``.
+BATCH = 6
+
+
 def run_cases(seed: int, cases: int) -> None:
     rng = random.Random(seed)
+    batch_rng = random.Random(f"{seed}-batch")
     naive = NaiveModelChecker()
     memo = BuchiMemo()
     fast = ModelChecker(memo=memo)
+    weak_flags: set = set()
     for _ in range(cases):
         formula = random_formula(rng, depth=rng.randrange(1, 4))
         kripke = random_kripke(rng)
@@ -70,6 +77,20 @@ def run_cases(seed: int, cases: int) -> None:
         )
         if not fast_result.holds:
             assert fast_result.counterexample is not None
+        # A batch decides its weak automata in one shared pass and every
+        # other one by its own search; deeper formulas make non-weak ones.
+        batch = [random_formula(batch_rng, depth=batch_rng.randrange(1, 5)) for _ in range(BATCH)]
+        report = fast.check_all(kripke, batch)
+        for batch_formula, result in zip(batch, report.results):
+            assert result.holds == naive.check(kripke, batch_formula).holds, (
+                f"batch divergence on {batch_formula} over {kripke.name}"
+            )
+            if not result.holds:
+                assert result.counterexample is not None
+            automaton = memo.lookup(formula_key(Not(batch_formula)))
+            if not automaton.is_empty:
+                weak_flags.add(automaton.weak)
+    assert weak_flags == {True, False}, "the batches never mixed weak and non-weak automata"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -43,7 +43,8 @@ class TestConstructSpans:
 
     def test_naive_checker_translates_every_time_and_never_uses_the_memo(self):
         """The reference path runs none of the fast path: every check is a
-        fresh translation, and the process-wide memo is left alone."""
+        fresh translation, and the process-wide memo is left alone, also when
+        a verifier scores through it (perfbench's naive-checker gate)."""
         before = automata_memo().stats()
         tracer = obs.install_tracer(Tracer())
         checker = NaiveModelChecker()
@@ -53,6 +54,14 @@ class TestConstructSpans:
         names = [s.name for s in tracer.spans()]
         assert names.count("mc.construct") == 2
         assert "mc.construct_cached" not in names and "mc.check_cached" not in names
+        task = task_by_name("turn_left_unprotected")
+        specs = all_specifications()
+        verifier = FormalVerifier(specs, checker=NaiveModelChecker())
+        for category in ("compliant", "flawed"):
+            verifier.verify_response(task.model(), response_templates(task.name, category)[0], task=task.name)
+        names = [s.name for s in tracer.spans()]
+        assert names.count("mc.construct") == 2 + 2 * len(specs)
+        assert "mc.construct_cached" not in names
         assert automata_memo().stats() == before
 
     def test_result_cache_hit_emits_check_cached(self):
@@ -71,6 +80,40 @@ class TestConstructSpans:
         assert names.count("mc.check_cached") == 1
         # The cached pass never rebuilds the product.
         assert names.count("mc.build_model") == 1
+
+    def test_shared_pass_emits_one_product_span_and_one_check_per_rule(self):
+        task = task_by_name("turn_left_unprotected")
+        model = task.model()
+        specs = all_specifications()
+        controller = build_controller_from_text(
+            response_templates(task.name, "flawed")[0], task=task.name
+        )
+        checker = ModelChecker(memo=BuchiMemo(), result_cache_size=0)
+        tracer = obs.install_tracer(Tracer())
+        holds = checker.verdicts(model, controller, specs.values(), spec_names=list(specs))
+        report = checker.verify_controller(model, controller, specs.values(), spec_names=list(specs))
+        assert not all(holds)
+        assert [result.holds for result in report.results] == list(holds)
+        spans = tracer.spans()
+        products = [s for s in spans if s.name == "mc.product" and "rules" in s.attributes]
+        assert [s.attributes["rules"] for s in products] == [len(specs)] * 2
+        checks = [s.attributes["spec"] for s in spans if s.name == "mc.check"]
+        # Each call checks every rule once; a violated rule's counterexample
+        # search in verify_controller emits its check, not the shared pass.
+        assert sorted(checks) == sorted(list(specs) * 2)
+        profile = per_spec_profile(spans)
+        assert all(profile[name]["checks"] == 2 for name in specs)
+
+    def test_an_empty_rule_book_builds_no_product(self):
+        task = task_by_name("turn_left_unprotected")
+        controller = build_controller_from_text(
+            response_templates(task.name, "compliant")[0], task=task.name
+        )
+        tracer = obs.install_tracer(Tracer())
+        checker = ModelChecker(memo=BuchiMemo())
+        assert checker.verdicts(task.model(), controller, []) == ()
+        assert checker.verify_controller(task.model(), controller, []).results == ()
+        assert tracer.spans() == []
 
     def test_verdict_reuse_emits_check_cached_per_spec(self):
         task = task_by_name("turn_left_unprotected")
