@@ -1,9 +1,9 @@
 """Cold verification throughput: optimized checker vs the naive reference.
 
 The ROADMAP's hot-path target: ≥5× cold ``verify_controller`` throughput on
-the paper tasks.  "Cold" means a fresh :class:`BuchiMemo` and result cache —
+the paper tasks.  "Cold" means a fresh :class:`BuchiMemo` and checker —
 every automaton is translated, pruned and product-checked from scratch within
-the measured pass — against the frozen :class:`NaiveModelChecker` on the
+the measured pass (``verify_controller`` reports are never cached) — against the frozen :class:`NaiveModelChecker` on the
 identical workload: every parseable template of every catalogue task × the
 full 15-rule book.  Verdicts must agree exactly; the differential suite
 (`tests/modelcheck/test_differential.py`) holds per-spec agreement and

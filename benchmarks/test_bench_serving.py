@@ -138,7 +138,7 @@ def _unique_cold_workload(copies: int = 4) -> list:
     two share a canonical form (no dedup, no service-cache hits) while all
     remain parseable controllers.  Variants of different templates can
     still compile to one controller: at ``copies=4``, 12 of the 140
-    responses reach a structure seen earlier in the batch, and a verifier
+    responses reach a structure seen earlier in the batch, and a checker
     that has checked it answers them from its verdict cache.  Serially the
     batch takes 0.2–0.4 s on a 2-core host, of which the process pool's
     start-up (fork, initializer, first dispatch) is ~15 ms.
@@ -159,9 +159,9 @@ def test_bench_serving_process_backend_worker_scaling(benchmark):
 
     No two responses share a canonical text (no dedup, no service-cache
     hits), so the batch is GLM2FSA and verification work — the workload the
-    serial loop cannot spread across cores.  The serial verifier answers the
+    serial loop cannot spread across cores.  The serial checker answers the
     12 of 140 responses whose controller it has already checked from its
-    verdict cache; a process worker only those whose first occurrence it
+    verdict cache; a process worker's only those whose first occurrence it
     scored itself.  Scores must be bitwise-identical across the sweep; the
     multi-core speedup is asserted only when the machine actually has the
     cores to show it.

@@ -16,14 +16,6 @@ from repro.automata.transition_system import TransitionSystem
 from repro.errors import AlignmentError
 from repro.glm2fsa.builder import build_controller_from_text
 from repro.modelcheck.checker import ModelChecker
-from repro.modelcheck.fastpath import ResultCache, controller_fingerprint
-from repro.obs import tracer as obs
-
-#: Bound on each verifier's verdict cache.  perfbench's ``feedback_serve``
-#: stream holds 2,876 distinct (world model, controller structure) pairs at
-#: seed 0; an entry (two fingerprints and two tuples of rule names) is
-#: ~500 B, so a full cache is ~2 MB.
-VERDICT_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -65,59 +57,40 @@ class FormalVerifier:
     observes (:func:`repro.glm2fsa.builder.build_controller`'s default), and
     the checker restarts it after its last step.
 
-    Each controller structure is model-checked once per verifier: a bounded
-    LRU (:data:`VERDICT_CACHE_SIZE` entries) keyed on the world model's and
-    the controller's structure fingerprints keeps the satisfied and violated
-    rule names, and every later controller with that structure reuses them
-    under its own task.  The rule book is fixed at construction, so a
-    verdict is a function of that key.  A miss asks the checker for
-    :meth:`~repro.modelcheck.checker.ModelChecker.verdicts`, which decides
-    every weak rule in one pass over the product and builds no
-    counterexample or statistics: nothing on the scoring path reads them.
+    Scoring is parse → :meth:`~repro.modelcheck.checker.ModelChecker.verdicts`
+    → feedback, and the verifier keeps no state of its own.  The checker
+    decides every weak rule in one pass over the product, builds no
+    counterexample or statistics (nothing on the scoring path reads them),
+    and caches the verdicts under the world model's and the controller's
+    structure fingerprints and the rule book's text: every later controller
+    with an already-checked structure reuses them under its own task.
 
     Parameters
     ----------
     specifications:
         Mapping ``{name: Formula}`` (e.g. the paper's Φ1 ... Φ15).
     checker:
-        Optional shared :class:`ModelChecker` instance, used as given.  The
-        default keeps no per-spec result cache of its own, since the verdict
-        cache answers every repeat it could.
+        Optional shared :class:`ModelChecker` instance, used as given;
+        verifiers sharing one also share its verdict cache, each under its
+        own rule book's text.
     """
 
     def __init__(self, specifications: Mapping, *, checker: ModelChecker | None = None):
         self.specifications = dict(specifications)
-        self.checker = checker or ModelChecker(result_cache_size=0)
-        self._verdicts = ResultCache(VERDICT_CACHE_SIZE)
+        self.checker = checker or ModelChecker()
 
     # ------------------------------------------------------------------ #
     def verify_controller(self, model: TransitionSystem, controller: FSAController, *, task: str = "") -> FormalFeedback:
         """Feedback for an already-constructed controller."""
-        key = (self.checker.model_fingerprint(model), controller_fingerprint(controller))
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            names = list(self.specifications)
-            holds = self.checker.verdicts(
-                model, controller, self.specifications.values(), spec_names=names
-            )
-            verdict = (
-                tuple(name for name, rule_holds in zip(names, holds) if rule_holds),
-                tuple(name for name, rule_holds in zip(names, holds) if not rule_holds),
-            )
-            self._verdicts.put(key, verdict)
-        elif obs.tracing_enabled():
-            # One span per rule, as a checker's result-cache hit emits, so
-            # the trace report counts the reuse under each spec.
-            for name in self.specifications:
-                with obs.span("mc.check_cached", category="modelcheck", spec=name):
-                    pass
-        satisfied, violated = verdict
+        names = list(self.specifications)
+        holds = self.checker.verdicts(model, controller, self.specifications.values(), spec_names=names)
+        satisfied = tuple(name for name, rule_holds in zip(names, holds) if rule_holds)
         return FormalFeedback(
             task=task or controller.name,
             num_satisfied=len(satisfied),
-            num_specifications=len(self.specifications),
+            num_specifications=len(names),
             satisfied=satisfied,
-            violated=violated,
+            violated=tuple(name for name, rule_holds in zip(names, holds) if not rule_holds),
             controller_states=controller.num_states,
         )
 

@@ -67,66 +67,67 @@ class _Translator:
         return node
 
     def translate(self, formula: Formula) -> list:
-        initial = self.fresh_node({INIT_NODE}, {formula}, set(), set())
-        self.expand(initial)
+        # Nodes wait on an explicit stack, not the interpreter's: a tableau
+        # can nest hundreds of expansions deep.  LIFO order expands them as
+        # the recursive formulation would, so node ids and merges match it.
+        pending = [self.fresh_node({INIT_NODE}, {formula}, set(), set())]
+        while pending:
+            self.expand(pending.pop(), pending)
         return list(self.nodes.values())
 
     # ------------------------------------------------------------------ #
-    def expand(self, node: _Node) -> None:
-        if not node.new:
-            # All obligations for this position processed: merge or commit.
-            key = (frozenset(node.old), frozenset(node.next))
-            existing = self._by_obligations.get(key)
-            if existing is not None:
-                existing.incoming |= node.incoming
-                return
-            self.nodes[node.node_id] = node
-            self._by_obligations[key] = node
-            successor = self.fresh_node({node.node_id}, set(node.next), set(), set())
-            self.expand(successor)
-            return
+    def expand(self, node: _Node, pending: list) -> None:
+        """Expand ``node`` until it is discarded, merged or committed.
 
-        formula = node.new.pop()
+        A split continues with its first branch and pushes the second onto
+        ``pending``; a commit pushes the node's successor.
+        """
+        while node.new:
+            formula = node.new.pop()
+            if isinstance(formula, TrueFormula):
+                node.old.add(formula)
+            elif isinstance(formula, FalseFormula):
+                return  # contradiction: discard this node
+            elif isinstance(formula, (Atom, Not)):
+                if self._contradicts(formula, node.old):
+                    return
+                node.old.add(formula)
+            elif isinstance(formula, And):
+                node.old.add(formula)
+                for part in (formula.left, formula.right):
+                    if part not in node.old:
+                        node.new.add(part)
+            elif isinstance(formula, Next):
+                node.old.add(formula)
+                node.next.add(formula.operand)
+            elif isinstance(formula, Or):
+                node = self._split(node, formula, pending, new1={formula.left}, next1=set(), new2={formula.right})
+            elif isinstance(formula, Until):
+                # φ U ψ  ≡  ψ ∨ (φ ∧ X(φ U ψ))
+                node = self._split(node, formula, pending, new1={formula.left}, next1={formula}, new2={formula.right})
+            elif isinstance(formula, Release):
+                # φ R ψ  ≡  (φ ∧ ψ) ∨ (ψ ∧ X(φ R ψ))
+                node = self._split(
+                    node, formula, pending, new1={formula.right}, next1={formula}, new2={formula.left, formula.right}
+                )
+            else:
+                raise TypeError(f"formula not in negation normal form: {formula!r}")
 
-        if isinstance(formula, TrueFormula):
-            node.old.add(formula)
-            self.expand(node)
+        # All obligations for this position processed: merge or commit.
+        key = (frozenset(node.old), frozenset(node.next))
+        existing = self._by_obligations.get(key)
+        if existing is not None:
+            existing.incoming |= node.incoming
             return
-        if isinstance(formula, FalseFormula):
-            return  # contradiction: discard this node
-        if isinstance(formula, (Atom, Not)):
-            if self._contradicts(formula, node.old):
-                return
-            node.old.add(formula)
-            self.expand(node)
-            return
-        if isinstance(formula, And):
-            node.old.add(formula)
-            for part in (formula.left, formula.right):
-                if part not in node.old:
-                    node.new.add(part)
-            self.expand(node)
-            return
-        if isinstance(formula, Next):
-            node.old.add(formula)
-            node.next.add(formula.operand)
-            self.expand(node)
-            return
-        if isinstance(formula, Or):
-            self._split(node, formula, new1={formula.left}, next1=set(), new2={formula.right})
-            return
-        if isinstance(formula, Until):
-            # φ U ψ  ≡  ψ ∨ (φ ∧ X(φ U ψ))
-            self._split(node, formula, new1={formula.left}, next1={formula}, new2={formula.right})
-            return
-        if isinstance(formula, Release):
-            # φ R ψ  ≡  (φ ∧ ψ) ∨ (ψ ∧ X(φ R ψ))
-            self._split(node, formula, new1={formula.right}, next1={formula}, new2={formula.left, formula.right})
-            return
-        raise TypeError(f"formula not in negation normal form: {formula!r}")
+        self.nodes[node.node_id] = node
+        self._by_obligations[key] = node
+        pending.append(self.fresh_node({node.node_id}, set(node.next), set(), set()))
 
-    def _split(self, node: _Node, formula: Formula, *, new1: set, next1: set, new2: set) -> None:
-        """Branch the node into the two disjuncts of an Or/Until/Release expansion."""
+    def _split(self, node: _Node, formula: Formula, pending: list, *, new1: set, next1: set, new2: set) -> _Node:
+        """Branch the node into the two disjuncts of an Or/Until/Release expansion.
+
+        Returns the first branch and pushes the second onto ``pending``.
+        """
         node1 = self.fresh_node(
             node.incoming,
             node.new | (new1 - node.old),
@@ -139,8 +140,8 @@ class _Translator:
             node.old | {formula},
             set(node.next),
         )
-        self.expand(node1)
-        self.expand(node2)
+        pending.append(node2)
+        return node1
 
     @staticmethod
     def _contradicts(literal: Formula, old: set) -> bool:

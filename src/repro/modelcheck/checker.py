@@ -13,7 +13,7 @@ Two implementations of that algorithm live here:
   object-graph BFS, kept frozen as the differential-testing reference;
 * the **fast path** (:class:`ModelChecker`) — memoized Büchi construction,
   automaton pruning, integer-compiled products, every weak rule decided in
-  one bit-parallel pass and a verification-result cache, built from
+  one bit-parallel pass and a verdict cache, built from
   :mod:`repro.modelcheck.fastpath`.
   Verdicts are identical (``tests/modelcheck/test_differential.py`` holds the
   two paths to the same ``holds`` on every catalogue task and a fuzz corpus);
@@ -102,16 +102,22 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-#: Entries each checker keeps in its identity-keyed memos of model
-#: fingerprints and formula keys.  A verifier passes the same rule-book
-#: formulas and one model per scenario on every call, far fewer than this;
-#: a caller passing fresh objects each time evicts old entries instead of
-#: keeping every object it ever passed alive.
+#: Bound on each checker's verdict cache (``result_cache_size``'s default).
+#: perfbench's ``feedback_serve`` stream holds 2,876 distinct (world model,
+#: controller structure) pairs at seed 0; an entry (two fingerprints, the
+#: rule book's text and a tuple of verdicts) is ~500 B, so a full cache is
+#: ~2 MB.
+VERDICT_CACHE_SIZE = 4096
+
+#: Model fingerprints each checker memoizes by model identity.  A verifier
+#: passes one model per scenario on every call, far fewer than this; a
+#: caller passing a fresh model each time evicts old entries instead of
+#: keeping every model it ever passed alive.
 IDENTITY_MEMO_SIZE = 64
 
-#: Rule books (:class:`~repro.modelcheck.fastpath.RuleBook`) each checker
-#: keeps: one per distinct batch of automata it is asked to decide at once.
-RULE_BOOK_MEMO_SIZE = 8
+#: Compiled batches (:class:`_Batch`) each checker keeps: one per distinct
+#: set of specification objects it is asked to decide at once.
+BATCH_MEMO_SIZE = 8
 
 
 class _BoundedMemo:
@@ -138,21 +144,29 @@ class _BoundedMemo:
                 self._entries.move_to_end(key)
             return value
 
-    def by_identity(self, obj, compute):
-        """``compute(obj)``, memoized under ``id(obj)``.
-
-        The entry holds ``obj``, so its id cannot be reused by another
-        object while the entry lives.
-        """
-        return self.get(id(obj), _with_object, compute, obj)[1]
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
 
-def _with_object(compute, obj) -> tuple:
-    return obj, compute(obj)
+@dataclass(frozen=True)
+class _Batch:
+    """A batch of specifications compiled once per checker.
+
+    ``specs`` are the objects the caller passed (formulas, or their text),
+    which the checker's memo keys by identity: the batch holds them, so
+    their ids cannot be reused while it lives.  ``key`` is each formula's
+    canonical text (:func:`~repro.logic.ltl2buchi.formula_key`), which keys
+    the verdict cache without holding a formula.  ``weak`` indexes the weak,
+    non-empty automata that ``book`` decides in one pass.
+    """
+
+    specs: tuple
+    formulas: tuple
+    key: tuple
+    automata: tuple
+    weak: tuple
+    book: fastpath.RuleBook | None
 
 
 class ModelChecker:
@@ -162,8 +176,10 @@ class ModelChecker:
     the weak automata (every rule of the paper's book) together, through
     :func:`~repro.modelcheck.fastpath.check_rule_book`, any other one by its
     own :func:`~repro.modelcheck.fastpath.find_accepting_lasso`.
-    :meth:`verdicts` stops there; the report methods then search each
-    violated rule again for its counterexample.
+    :meth:`verdicts` stops there and caches what it decided; the report
+    methods then search each violated rule again for its counterexample.
+    A batch of specifications is translated and laid out once per checker,
+    memoized on the identities of the specification objects.
 
     Parameters
     ----------
@@ -171,12 +187,10 @@ class ModelChecker:
         Safety limit on the size of the Kripke × Büchi product; exceeded sizes
         raise :class:`~repro.errors.VerificationError` rather than hanging.
     result_cache_size:
-        Bound on the per-checker :class:`~repro.modelcheck.fastpath.ResultCache`
-        of ``(model, controller, spec) → VerificationResult`` entries that
-        :meth:`verify_controller` reuses; ``0`` disables result caching.  It
-        serves callers that build a checker themselves:
-        :class:`~repro.feedback.formal.FormalVerifier` reuses whole verdicts
-        one level up and builds its default checker with ``0``.
+        Bound on the verdict cache, a
+        :class:`~repro.modelcheck.fastpath.ResultCache` of :meth:`verdicts`
+        keyed on the world model's and the controller's structure
+        fingerprints and the specifications' text; ``0`` disables it.
     memo:
         The :class:`~repro.modelcheck.fastpath.BuchiMemo` construction memo to
         use; defaults to the process-wide one
@@ -188,17 +202,14 @@ class ModelChecker:
         self,
         max_product_states: int = 200_000,
         *,
-        result_cache_size: int = 512,
+        result_cache_size: int = VERDICT_CACHE_SIZE,
         memo: fastpath.BuchiMemo | None = None,
     ):
         self.max_product_states = max_product_states
         self._memo = memo if memo is not None else fastpath.automata_memo()
-        self._results = fastpath.ResultCache(result_cache_size) if result_cache_size > 0 else None
-        # Rendering str(formula) dominates memo-hit cost otherwise: the rule
-        # book's 15 formulas are the same objects on every call.
+        self._verdicts = fastpath.ResultCache(result_cache_size) if result_cache_size > 0 else None
         self._model_fingerprints = _BoundedMemo(IDENTITY_MEMO_SIZE)
-        self._formula_keys = _BoundedMemo(IDENTITY_MEMO_SIZE)
-        self._rule_books = _BoundedMemo(RULE_BOOK_MEMO_SIZE)
+        self._batches = _BoundedMemo(BATCH_MEMO_SIZE)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -210,7 +221,7 @@ class ModelChecker:
 
         ``name`` optionally labels the specification in trace spans (the
         rule-book name Φ1…Φ15); it defaults to the formula's text when
-        tracing is enabled and is never computed otherwise.
+        tracing is enabled.
         """
         return self.check_all(kripke, [specification], spec_names=[name]).results[0]
 
@@ -224,11 +235,10 @@ class ModelChecker:
         tracing is enabled.  The structure is compiled to integers once and
         every specification is decided in one pass over it.
         """
-        specs = list(specifications)
-        names = list(spec_names) if spec_names is not None else [None] * len(specs)
         kripke.validate()
         compiled = fastpath.compile_kripke(kripke)
-        return self._report_for(lambda: compiled, specs, names, None)
+        batch, labels = self._batch(specifications, spec_names)
+        return self._report(compiled, batch, labels)
 
     def verify_controller(
         self,
@@ -245,27 +255,15 @@ class ModelChecker:
         :func:`repro.automata.product.build_product`.  ``spec_names``
         optionally labels each specification's trace spans.
 
-        The product is compiled directly into integer space (never
-        materializing the intermediate Kripke structure), results are cached
-        under the (model, controller, spec) fingerprint, and — when every
-        specification hits that cache — the product is not rebuilt at all.
+        The product is compiled directly into integer space, never
+        materializing the intermediate Kripke structure.  Reports are not
+        cached: their counterexamples and statistics are ~8 KB a controller,
+        and the scoring path reads only :meth:`verdicts`.
         """
-        specs = list(specifications)
-        names = list(spec_names) if spec_names is not None else [None] * len(specs)
-        scope = None
-        if self._results is not None:
-            scope = (
-                self.model_fingerprint(model),
-                fastpath.controller_fingerprint(controller),
-            )
-        compiled_box: list = []
-
-        def compiled():
-            if not compiled_box:
-                compiled_box.append(self._compile_product(model, controller))
-            return compiled_box[0]
-
-        return self._report_for(compiled, specs, names, scope)
+        batch, labels = self._batch(specifications, spec_names)
+        if not batch.formulas:
+            return VerificationReport(())  # an empty rule book builds no product
+        return self._report(self._compile_product(model, controller), batch, labels)
 
     def verdicts(
         self,
@@ -278,62 +276,71 @@ class ModelChecker:
         """Whether each specification holds of ``M ⊗ C``: the scoring primitive.
 
         The same verdicts as :meth:`verify_controller`, from the same pass,
-        without building a counterexample or counting statistics.  It skips
-        the per-spec result cache, whose entries carry counterexamples.
+        without building a counterexample or counting statistics.  They are
+        cached under the world model's and the controller's structure
+        fingerprints and the specifications' text, so every later controller
+        with an already-checked structure skips the product; a hit emits one
+        ``mc.check_cached`` span per specification while tracing.
         """
-        formulas = [parse_ltl(s) if isinstance(s, str) else s for s in specifications]
-        if not formulas:
+        batch, labels = self._batch(specifications, spec_names)
+        if not batch.formulas:
             return ()  # as verify_controller, an empty rule book builds no product
-        names = list(spec_names) if spec_names is not None else [None] * len(formulas)
-        labels = [self._spec_label(formula, name) for formula, name in zip(formulas, names)]
-        automata = [self._construct_automaton(f, label) for f, label in zip(formulas, labels)]
-        structure = self._compile_product(model, controller)
-        return self._decide(structure, automata, labels, explained=False)[0]
+        key = None
+        if self._verdicts is not None:
+            key = (self.model_fingerprint(model), fastpath.controller_fingerprint(controller), batch.key)
+            holds = self._verdicts.get(key)
+            if holds is not None:
+                if obs.tracing_enabled():
+                    for label in labels:
+                        with obs.span("mc.check_cached", category="modelcheck", spec=label):
+                            pass
+                return holds
+        holds = self._decide(self._compile_product(model, controller), batch, labels, explained=False)[0]
+        if key is not None:
+            self._verdicts.put(key, holds)
+        return holds
 
     # ------------------------------------------------------------------ #
     # Fast path internals
     # ------------------------------------------------------------------ #
-    def _spec_label(self, formula: Formula, name: str | None) -> str:
-        return name if name is not None else (str(formula) if obs.tracing_enabled() else "")
+    def _batch(self, specifications: Iterable, spec_names: Iterable | None) -> tuple:
+        """``(batch, labels)``: the compiled batch and this call's span labels."""
+        specs = tuple(specifications)
+        names = list(spec_names) if spec_names is not None else [None] * len(specs)
+        batch = self._batches.get(tuple(map(id, specs)), self._compile_batch, specs, names)
+        return batch, _labels(names, batch.key)
+
+    def _compile_batch(self, specs: tuple, names: list) -> _Batch:
+        formulas = tuple(parse_ltl(s) if isinstance(s, str) else s for s in specs)
+        key = tuple(formula_key(formula) for formula in formulas)
+        automata = tuple(map(self._construct_automaton, formulas, _labels(names, key)))
+        weak = tuple(i for i, automaton in enumerate(automata) if automaton.weak and not automaton.is_empty)
+        book = fastpath.RuleBook([automata[i] for i in weak]) if weak else None
+        return _Batch(specs, formulas, key, automata, weak, book)
 
     def _compile_product(self, model: TransitionSystem, controller: FSAController):
         with obs.span("mc.build_model", category="modelcheck", controller=controller.name):
             return fastpath.compile_product(model, controller, restart_on_termination=True)
 
-    def _report_for(self, compiled, specs, names, scope) -> VerificationReport:
-        """Results for ``specs``; ``compiled`` is a thunk so full cache hits skip it."""
-        formulas = [parse_ltl(s) if isinstance(s, str) else s for s in specs]
-        labels = [self._spec_label(formula, name) for formula, name in zip(formulas, names)]
-        results: list = [None] * len(formulas)
-        if scope is not None:
-            for i, formula in enumerate(formulas):
-                results[i] = self._results.get(scope + (self._formula_entry(formula)[2],))
-                if results[i] is not None:
-                    with obs.span("mc.check_cached", category="modelcheck", spec=labels[i]):
-                        pass
-                    self._emit_cache_counters()
-        todo = [i for i, result in enumerate(results) if result is None]
-        if not todo:
-            return VerificationReport(tuple(results))
-        automata = [self._construct_automaton(formulas[i], labels[i]) for i in todo]
-        structure = compiled()
-        todo_labels = [labels[i] for i in todo]
-        holds, searches, counts = self._decide(structure, automata, todo_labels, explained=True)
-        for j, i in enumerate(todo):
-            if j in searches:
-                lasso, stats = searches[j]
-            elif holds[j]:
+    def _report(self, structure, batch: _Batch, labels: list) -> VerificationReport:
+        """The batch's results on ``structure``, with counterexamples and statistics."""
+        holds, searches, counts = self._decide(structure, batch, labels, explained=True)
+        results = []
+        for i, (formula, automaton) in enumerate(zip(batch.formulas, batch.automata)):
+            if i in searches:
+                lasso, stats = searches[i]
+            elif holds[i]:
                 lasso, stats = None, {
-                    "product_states": counts.get(j, 0),
-                    "nba_states": automata[j].num_states,
+                    "product_states": counts.get(i, 0),
+                    "nba_states": automaton.num_states,
                     "kripke_states": structure.num_states,
                 }
             else:
                 # The shared pass found the violation; search for its lasso.
                 lasso, stats = fastpath.find_accepting_lasso(
                     structure,
-                    automata[j],
-                    spec_label=todo_labels[j],
+                    automaton,
+                    spec_label=labels[i],
                     max_product_states=self.max_product_states,
                 )
                 if lasso is None:
@@ -341,15 +348,13 @@ class ModelChecker:
                         "internal error: the lasso search missed a violation the shared pass found"
                     )  # pragma: no cover - both decide the same product exactly
             counterexample = None if lasso is None else make_counterexample(*lasso, structure.label_of)
-            results[i] = VerificationResult(formulas[i], lasso is None, counterexample, stats)
-            if scope is not None:
-                self._results.put(scope + (self._formula_entry(formulas[i])[2],), results[i])
+            results.append(VerificationResult(formula, lasso is None, counterexample, stats))
         return VerificationReport(tuple(results))
 
-    def _decide(self, structure, automata, labels, *, explained: bool) -> tuple:
+    def _decide(self, structure, batch: _Batch, labels: list, *, explained: bool) -> tuple:
         """Every rule's verdict on ``structure``: ``(holds, searches, counts)``.
 
-        The weak non-empty automata are decided together by one
+        The batch's weak non-empty automata are decided together by one
         :func:`~repro.modelcheck.fastpath.check_rule_book` pass under one
         ``mc.product`` span; every other non-empty automaton by its own
         :func:`~repro.modelcheck.fastpath.find_accepting_lasso`, whose
@@ -359,27 +364,24 @@ class ModelChecker:
         pass decides gets one ``mc.check`` span, except, when ``explained``, a
         violated one: its counterexample search emits its own.
         """
-        holds = [True] * len(automata)
+        holds = [True] * len(batch.automata)
         searches: dict = {}
         counts: dict = {}
-        weak = [i for i, automaton in enumerate(automata) if automaton.weak and not automaton.is_empty]
-        if weak:
-            rules = tuple(automata[i] for i in weak)
-            book = self._rule_books.get(rules, fastpath.RuleBook, rules)
-            with obs.span("mc.product", category="modelcheck", rules=len(rules)):
+        if batch.book is not None:
+            with obs.span("mc.product", category="modelcheck", rules=len(batch.weak)):
                 book_holds, reach = fastpath.check_rule_book(
-                    structure, book, max_product_states=self.max_product_states
+                    structure, batch.book, max_product_states=self.max_product_states
                 )
-            for i, rule_holds in zip(weak, book_holds):
+            for i, rule_holds in zip(batch.weak, book_holds):
                 holds[i] = rule_holds
             if explained:
-                counts = dict(zip(weak, book.product_states(reach)))
+                counts = dict(zip(batch.weak, batch.book.product_states(reach)))
             if obs.tracing_enabled():
-                for i in weak:
+                for i in batch.weak:
                     if holds[i] or not explained:
                         with obs.span("mc.check", category="modelcheck", spec=labels[i]):
                             pass
-        for i, automaton in enumerate(automata):
+        for i, automaton in enumerate(batch.automata):
             if not automaton.weak and not automaton.is_empty:
                 searches[i] = fastpath.find_accepting_lasso(
                     structure,
@@ -390,13 +392,10 @@ class ModelChecker:
                 holds[i] = searches[i][0] is None
         return tuple(holds), searches, counts
 
-    def _formula_entry(self, formula: Formula) -> tuple:
-        """``(negated, memo_key, spec_key)`` for a formula, memoized by identity."""
-        return self._formula_keys.by_identity(formula, _formula_keys)
-
     def _construct_automaton(self, formula: Formula, spec_label: str):
         """The memoized pruned NBA for ``¬formula``, with distinct hit/miss spans."""
-        negated, key, _ = self._formula_entry(formula)
+        negated = Not(formula)
+        key = formula_key(negated)
         memo = self._memo
         cached = memo.lookup(key)
         if cached is not None:
@@ -415,21 +414,22 @@ class ModelChecker:
             obs.counter("mc.memo.hits", stats["hits_memory"])
             obs.counter("mc.memo.misses", stats["misses"])
 
-    def _emit_cache_counters(self) -> None:
-        if obs.tracing_enabled() and self._results is not None:
-            stats = self._results.stats()
-            obs.counter("mc.result_cache.hits", stats["hits"])
-            obs.counter("mc.result_cache.misses", stats["misses"])
-
     def model_fingerprint(self, model: TransitionSystem) -> str:
         """:func:`~repro.modelcheck.fastpath.model_fingerprint` of ``model``,
-        memoized; computed under the lock, so concurrent callers compute it once."""
-        return self._model_fingerprints.by_identity(model, fastpath.model_fingerprint)
+        memoized by identity; computed under the lock, so concurrent callers
+        compute it once.  The entry holds ``model``, so its id cannot be
+        reused by another model while the entry lives."""
+        return self._model_fingerprints.get(id(model), _with_fingerprint, model)[1]
 
 
-def _formula_keys(formula: Formula) -> tuple:
-    negated = Not(formula)
-    return negated, formula_key(negated), formula_key(formula)
+def _with_fingerprint(model: TransitionSystem) -> tuple:
+    return model, fastpath.model_fingerprint(model)
+
+
+def _labels(names: list, texts: tuple) -> list:
+    """Span labels: each name, else the formula's text while tracing, else ``""``."""
+    tracing = obs.tracing_enabled()
+    return [name if name is not None else (text if tracing else "") for name, text in zip(names, texts, strict=True)]
 
 
 class NaiveModelChecker(ModelChecker):
@@ -452,7 +452,7 @@ class NaiveModelChecker(ModelChecker):
     ) -> VerificationResult:
         """Check one LTL specification against a Kripke structure."""
         formula = parse_ltl(specification) if isinstance(specification, str) else specification
-        spec_label = self._spec_label(formula, name)
+        spec_label = name if name is not None else (str(formula) if obs.tracing_enabled() else "")
         with obs.span("mc.construct", category="modelcheck", spec=spec_label):
             negated_automaton = ltl_to_buchi(Not(formula), name=f"neg({formula})")
         lasso, stats = self._find_accepting_lasso(kripke, negated_automaton, spec_label=spec_label)

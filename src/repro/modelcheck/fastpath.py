@@ -33,11 +33,10 @@ Four optimizations compose (see ``docs/modelcheck.md``):
 
 :func:`controller_fingerprint` and :func:`model_fingerprint` digest a
 controller's structure and a world model, and :class:`ResultCache` is a
-bounded LRU under a caller's key.  :class:`~repro.feedback.formal.FormalVerifier`
-keys its verdict cache on the two fingerprints, so the m sampled responses
-sharing an FSA structure are model-checked once; a ``ModelChecker`` built
-with a ``result_cache_size`` keeps per-spec results under the two plus a
-spec key.
+bounded LRU under a caller's key.  A
+:class:`~repro.modelcheck.checker.ModelChecker` keys its verdict cache on
+the two fingerprints and the specifications' text, so the m sampled
+responses sharing an FSA structure are model-checked once.
 """
 
 from __future__ import annotations
@@ -865,7 +864,7 @@ def controller_fingerprint(controller: FSAController) -> str:
 
     Two controllers built from the same canonical response text fingerprint
     identically, so re-verifying a repeated sampled response becomes a
-    :class:`ResultCache` hit instead of a product exploration.
+    verdict-cache hit instead of a product exploration.
     """
     payload = {
         "initial": controller.initial_state,
@@ -881,7 +880,7 @@ def controller_fingerprint(controller: FSAController) -> str:
 def model_fingerprint(model: TransitionSystem) -> str:
     """Digest of a world model: name, states, labels, transitions, initial states.
 
-    Keys this module's :class:`ResultCache` and every persisted feedback
+    Keys the checker's verdict cache and every persisted feedback
     score (:func:`repro.serving.cache.cache_key`), so editing a scenario
     model, or supplying a custom ``model_builder``, cannot make a persisted
     cache serve scores computed against the old model.  The payload is part
@@ -900,14 +899,12 @@ def model_fingerprint(model: TransitionSystem) -> str:
 class ResultCache:
     """Bounded LRU from a caller's key to an immutable verification outcome.
 
-    :class:`~repro.feedback.formal.FormalVerifier` keys it on ``(model
-    fingerprint, controller fingerprint)`` and stores the satisfied and
-    violated rule names; :class:`~repro.modelcheck.checker.ModelChecker`
-    adds a spec key and stores the frozen
-    :class:`~repro.modelcheck.checker.VerificationResult`.  Values are
-    shared between hits, so they must not be mutated.  Thread-safe: a
-    verifier can be reached from a dispatcher thread and from direct
-    ``score_batch`` callers at once.
+    :class:`~repro.modelcheck.checker.ModelChecker` keys its verdict cache
+    on ``(model fingerprint, controller fingerprint, the specifications'
+    text)`` and stores the tuple of verdicts.  Values are shared between
+    hits, so they must not be mutated.  Thread-safe: a checker can be
+    reached from a dispatcher thread and from direct ``score_batch`` callers
+    at once.
     """
 
     def __init__(self, max_entries: int = 512):

@@ -28,9 +28,9 @@ class ServingConfig:
     enabled:
         When False the service scores every job serially with no service
         cache and no dedup — the bitwise reference path the cached path must
-        match.  The verifier's verdict cache
-        (:class:`~repro.feedback.formal.FormalVerifier`) still answers
-        repeated controller structures.
+        match.  The verdict cache of the verifier's checker
+        (:meth:`~repro.modelcheck.checker.ModelChecker.verdicts`) still
+        answers repeated controller structures.
     cache_size:
         LRU bound on the result cache (entries are a hash key plus an int).
     backend:

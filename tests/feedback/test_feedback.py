@@ -83,15 +83,15 @@ def recombined_responses(seed: int, count: int) -> list:
 
 
 class CountingChecker(ModelChecker):
-    """A checker with no result cache that counts its ``verdicts`` calls."""
+    """A default checker that counts the products it builds."""
 
     def __init__(self):
-        super().__init__(result_cache_size=0)
-        self.calls = 0
+        super().__init__()
+        self.builds = 0
 
-    def verdicts(self, *args, **kwargs):
-        self.calls += 1
-        return super().verdicts(*args, **kwargs)
+    def _compile_product(self, model, controller):
+        self.builds += 1
+        return super()._compile_product(model, controller)
 
 
 class TestVerdictReuse:
@@ -165,7 +165,7 @@ class TestVerdictReuse:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert [results[k] for k in range(4)] == [expected] * 4
-        assert shared._verdicts.stats()["entries"] == reference._verdicts.stats()["entries"]
+        assert shared.checker._verdicts.stats()["entries"] == reference.checker._verdicts.stats()["entries"]
 
     def test_one_structure_is_checked_once_under_each_task(self):
         first, second = task_by_name("stop_sign_go_straight"), task_by_name("turn_right_stop_sign")
@@ -180,7 +180,7 @@ class TestVerdictReuse:
         model = first.model()
         one = verifier.verify_response(model, text, task=first.name)
         two = verifier.verify_response(model, variant, task=second.name)
-        assert checker.calls == 1
+        assert checker.builds == 1
         assert (one.task, two.task) == (first.name, second.name)
         assert (one.satisfied, one.violated) == (two.satisfied, two.violated)
 
@@ -192,7 +192,24 @@ class TestVerdictReuse:
         text = response_templates(first.name, "compliant")[0]
         verifier.verify_response(first.model(), text, task=first.name)
         verifier.verify_response(second.model(), text, task=first.name)
-        assert checker.calls == 2
+        assert checker.builds == 2
+
+    def test_verifiers_sharing_a_checker_keep_their_own_rule_books(self):
+        """The verdict cache keys on the rule book's text: two books under the
+        same names, sharing one checker and one controller structure, each
+        get their own verdicts."""
+        task = task_by_name("stop_sign_go_straight")
+        model = task.model()
+        text = response_templates(task.name, "flawed")[0]
+        specs = all_specifications()
+        swapped = dict(zip(specs, reversed(list(specs.values()))))
+        expected = [FormalVerifier(book).verify_response(model, text, task=task.name) for book in (specs, swapped)]
+        assert expected[0].satisfied != expected[1].satisfied
+        checker = ModelChecker()
+        shared = [FormalVerifier(book, checker=checker) for book in (specs, swapped)]
+        for _ in range(2):
+            assert [verifier.verify_response(model, text, task=task.name) for verifier in shared] == expected
+        assert checker._verdicts.stats() == {"hits": 2, "misses": 2, "entries": 2}
 
 
 class TestCatalogueFeedback:

@@ -93,7 +93,7 @@ def test_fast_path_matches_naive_on_catalogue(task, controller):
 
 
 def test_result_cache_does_not_change_verdicts():
-    """A warm checker (memo + result cache) reports exactly what a cold one does."""
+    """A warm checker (memo + verdict cache) reports exactly what a cold one does."""
     task = all_tasks()[0]
     model = task.model()
     controller = build_controller_from_text(
@@ -101,6 +101,8 @@ def test_result_cache_does_not_change_verdicts():
     )
     specs = [formula for _, formula in SPEC_ITEMS]
     warm = ModelChecker(memo=BuchiMemo())
-    cold_verdicts = [r.holds for r in warm.verify_controller(model, controller, specs).results]
-    warm_verdicts = [r.holds for r in warm.verify_controller(model, controller, specs).results]
+    cold_verdicts = warm.verdicts(model, controller, specs)
+    warm_verdicts = warm.verdicts(model, controller, specs)
+    assert warm._verdicts.stats()["hits"] == 1
     assert warm_verdicts == cold_verdicts
+    assert list(warm_verdicts) == [r.holds for r in warm.verify_controller(model, controller, specs).results]

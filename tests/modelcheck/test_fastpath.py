@@ -22,7 +22,7 @@ from repro.logic import parse_ltl
 from repro.logic.ast import Not
 from repro.logic.ltl2buchi import formula_key, ltl_to_buchi
 from repro.modelcheck import ModelChecker, NaiveModelChecker
-from repro.modelcheck.checker import IDENTITY_MEMO_SIZE, RULE_BOOK_MEMO_SIZE
+from repro.modelcheck.checker import BATCH_MEMO_SIZE, IDENTITY_MEMO_SIZE
 from repro.modelcheck.fastpath import (
     BuchiMemo,
     CachedAutomaton,
@@ -341,10 +341,11 @@ class TestResultCacheIntegration:
         )
         checker = ModelChecker(memo=BuchiMemo())
         specs = [parse_ltl("G (ped -> F stop)"), parse_ltl("G F go")]
-        first = checker.verify_controller(model, controller, specs)
-        second = checker.verify_controller(model, controller, specs)
-        assert [r.holds for r in first.results] == [r.holds for r in second.results]
-        assert checker._results.stats()["hits"] == len(specs)
+        first = checker.verdicts(model, controller, specs)
+        second = checker.verdicts(model, controller, specs)
+        report = checker.verify_controller(model, controller, specs)
+        assert first == second == tuple(r.holds for r in report.results)
+        assert checker._verdicts.stats()["hits"] == 1
 
     def test_same_structure_different_name_shares_cache_entries(self):
         task = task_by_name("turn_left_unprotected")
@@ -354,9 +355,9 @@ class TestResultCacheIntegration:
         two = build_controller_from_text(text, task=task.name, name="two")
         checker = ModelChecker(memo=BuchiMemo())
         specs = [parse_ltl("G (ped -> F stop)")]
-        checker.verify_controller(model, one, specs)
-        checker.verify_controller(model, two, specs)
-        assert checker._results.stats()["hits"] == 1
+        checker.verdicts(model, one, specs)
+        checker.verdicts(model, two, specs)
+        assert checker._verdicts.stats()["hits"] == 1
 
 
 class TestBoundedMemos:
@@ -379,14 +380,36 @@ class TestBoundedMemos:
         gc.collect()
         assert all(ref() is None for ref in watched)
         assert len(checker._model_fingerprints) <= IDENTITY_MEMO_SIZE
-        assert len(checker._formula_keys) <= IDENTITY_MEMO_SIZE
+        assert len(checker._batches) <= BATCH_MEMO_SIZE
 
-    def test_rule_books_are_bounded(self):
+    def test_batches_are_bounded(self):
         checker = ModelChecker(memo=BuchiMemo())
         kripke = lasso([{"p0"}, {"p1"}])
-        for k in range(RULE_BOOK_MEMO_SIZE + 4):
+        for k in range(BATCH_MEMO_SIZE + 4):
             checker.check(kripke, f"G !p{k + 2}")
-        assert len(checker._rule_books) == RULE_BOOK_MEMO_SIZE
+        assert len(checker._batches) == BATCH_MEMO_SIZE
+
+    def test_a_batch_holds_its_formulas_and_the_last_batches_stay_alive(self):
+        """The memo keys a batch on its formulas' identities, so the batch
+        keeps them alive: the last ``BATCH_MEMO_SIZE`` rule books a caller
+        dropped survive, and no earlier one does."""
+        task = task_by_name("turn_left_unprotected")
+        model = task.model()
+        controller = build_controller_from_text(response_templates(task.name, "flawed")[0], task=task.name)
+        checker = ModelChecker()
+        specs = all_specifications()
+        batch, _ = checker._batch(specs.values(), None)
+        assert all(held is given for held, given in zip(batch.formulas, specs.values(), strict=True))
+        assert batch.key == tuple(str(formula) for formula in specs.values())
+        watched = []
+        for _ in range(BATCH_MEMO_SIZE + 4):
+            specs = all_specifications()
+            watched.append([weakref.ref(formula) for formula in specs.values()])
+            checker.verdicts(model, controller, specs.values())
+        del specs, batch
+        gc.collect()
+        alive = [sum(ref() is not None for ref in refs) for refs in watched]
+        assert alive == [0] * 4 + [len(watched[0])] * BATCH_MEMO_SIZE
 
 
 class TestEmptyReportRatio:

@@ -9,13 +9,21 @@ reported lasso.  A small fixed seed set runs in tier-1; the 200-case sweep rides
 behind the ``slow`` marker (``pytest -m slow``).
 """
 
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.automata import KripkeStructure
+from repro.driving import all_specifications
 from repro.logic.ast import And, Atom, Formula, Next, Not, Or, Release, Until
 from repro.logic.ltl2buchi import formula_key, ltl_to_buchi
+from repro.logic.parser import parse_ltl
 from repro.modelcheck import ModelChecker, NaiveModelChecker
 from repro.modelcheck.fastpath import BuchiMemo, automaton_accepts_lasso, prune_automaton
 
@@ -105,12 +113,12 @@ def test_fast_matches_naive_on_the_full_sweep(seed):
 
 
 def test_repeat_formulas_hit_the_memo():
+    # A checker compiles a batch once, so each check gets a fresh checker.
     rng = random.Random(42)
     memo = BuchiMemo()
-    fast = ModelChecker(memo=memo)
     formula = random_formula(rng, depth=3)
     for _ in range(3):
-        fast.check(random_kripke(rng), formula)
+        ModelChecker(memo=memo).check(random_kripke(rng), formula)
     stats = memo.stats()
     assert stats["misses"] == 1
     assert stats["hits_memory"] == 2
@@ -148,3 +156,66 @@ def test_structurally_equal_formulas_share_a_key():
             },
         )
         assert formula_key(rebuilt) == formula_key(formula)
+
+
+#: Seeded random formulas (depth 1-4) whose tableaux, with the rule book's,
+#: :data:`TABLEAU_DIGEST` pins.
+TABLEAU_SEED, TABLEAU_DRAWS = 17, 300
+
+#: sha256 (first 16 hex digits) of ``ltl_to_buchi(Not(f))`` for every rule of
+#: the book and every seeded draw: states, initial and accepting states, and
+#: the transitions in order.  Pinned from the recursive tableau expansion,
+#: under ``PYTHONHASHSEED=0``: set iteration order, and with it the tableau's
+#: node numbering, follows the hash seed.
+TABLEAU_DIGEST = "5a209c3c043af52f"
+
+
+def tableau_digest() -> str:
+    """:data:`TABLEAU_DIGEST`, computed in this process."""
+    rng = random.Random(TABLEAU_SEED)
+    formulas = list(all_specifications().values())
+    formulas += [random_formula(rng, depth=rng.randrange(1, 5)) for _ in range(TABLEAU_DRAWS)]
+    digest = hashlib.sha256()
+    for formula in formulas:
+        nba = ltl_to_buchi(Not(formula))
+        shape = [
+            sorted(map(repr, nba.states)),
+            sorted(map(repr, nba.initial_states)),
+            sorted(map(repr, nba.accepting_states)),
+            [[repr(t.source), str(t.constraint), repr(t.target)] for t in nba.transitions],
+        ]
+        digest.update(json.dumps(shape).encode())
+    return digest.hexdigest()[:16]
+
+
+def test_the_tableau_numbers_nodes_and_merges_as_pinned():
+    """Node ids, merges and automata of the tableau equal the pinned ones."""
+    here = Path(__file__).resolve().parent
+    script = f"import sys; sys.path.insert(0, {str(here)!r}); from test_fuzz import tableau_digest; print(tableau_digest())"
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": "0",
+        "PYTHONPATH": os.pathsep.join([str(here.parents[1] / "src"), os.environ.get("PYTHONPATH", "")]),
+    }
+    completed = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert completed.stdout.strip() == TABLEAU_DIGEST
+
+
+#: Draw 86 of ``random_formula`` at depth 5, seed 0: its tableau nests 648
+#: expansions deep, past the interpreter's default recursion limit.
+DEEP_FORMULA = "!c U (a R ((!c U (a U b)) R (b U (c U c))))"
+
+
+def test_a_deep_tableau_translates_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    formula = parse_ltl(DEEP_FORMULA)
+    nba = ltl_to_buchi(Not(formula))
+    assert nba.num_states > 500
+    rng = random.Random(86)
+    fast, naive = ModelChecker(memo=BuchiMemo()), NaiveModelChecker()
+    for _ in range(3):
+        kripke = random_kripke(rng)
+        assert fast.check(kripke, formula).holds == naive.check(kripke, formula).holds

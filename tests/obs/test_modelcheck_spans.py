@@ -3,9 +3,9 @@
 The fast path must attribute work honestly: an actual LTL→Büchi translation
 emits ``mc.construct``; answering from the construction memo emits
 ``mc.construct_cached`` (never a second ``mc.construct``, which would
-misattribute translation time in the trace report); a verification-result
-cache hit emits ``mc.check_cached``, and so does a verifier's reuse of a
-controller structure's verdict, once per rule.
+misattribute translation time in the trace report); a verdict-cache hit
+emits ``mc.check_cached`` once per rule.  A checker compiles a batch of
+specifications once, so the memo tests use a second checker to reach it.
 """
 
 from repro.automata import KripkeStructure
@@ -30,11 +30,11 @@ def simple_kripke():
 class TestConstructSpans:
     def test_memo_hit_emits_construct_cached_not_construct(self):
         tracer = obs.install_tracer(Tracer())
-        checker = ModelChecker(memo=BuchiMemo())
+        memo = BuchiMemo()
         kripke = simple_kripke()
         formula = parse_ltl("G a")
-        checker.check(kripke, formula, name="phi")
-        checker.check(kripke, formula, name="phi")
+        ModelChecker(memo=memo).check(kripke, formula, name="phi")
+        ModelChecker(memo=memo).check(kripke, formula, name="phi")
         names = [s.name for s in tracer.spans()]
         assert names.count("mc.construct") == 1
         assert names.count("mc.construct_cached") == 1
@@ -64,6 +64,21 @@ class TestConstructSpans:
         assert "mc.construct_cached" not in names
         assert automata_memo().stats() == before
 
+    def test_a_verifier_on_the_naive_checker_reuses_nothing(self):
+        """The oracle keeps no verdict cache: scoring one response twice
+        translates every rule twice and answers nothing from a cache."""
+        task = task_by_name("turn_left_unprotected")
+        text = response_templates(task.name, "compliant")[0]
+        specs = all_specifications()
+        verifier = FormalVerifier(specs, checker=NaiveModelChecker())
+        tracer = obs.install_tracer(Tracer())
+        first = verifier.verify_response(task.model(), text, task=task.name)
+        second = verifier.verify_response(task.model(), text, task=task.name)
+        assert first == second
+        names = [s.name for s in tracer.spans()]
+        assert names.count("mc.construct") == 2 * len(specs)
+        assert "mc.check_cached" not in names
+
     def test_result_cache_hit_emits_check_cached(self):
         task = task_by_name("turn_left_unprotected")
         model = task.model()
@@ -72,12 +87,14 @@ class TestConstructSpans:
         )
         tracer = obs.install_tracer(Tracer())
         checker = ModelChecker(memo=BuchiMemo())
-        specs = [parse_ltl("G (ped -> F stop)")]
-        checker.verify_controller(model, controller, specs, spec_names=["phi"])
-        checker.verify_controller(model, controller, specs, spec_names=["phi"])
+        specs = all_specifications()
+        first = checker.verdicts(model, controller, specs.values(), spec_names=list(specs))
+        again = checker.verdicts(model, controller, specs.values(), spec_names=list(specs))
+        assert again == first
         names = [s.name for s in tracer.spans()]
-        assert names.count("mc.check") == 1
-        assert names.count("mc.check_cached") == 1
+        assert names.count("mc.check") == len(specs)
+        cached = [s.attributes["spec"] for s in tracer.spans() if s.name == "mc.check_cached"]
+        assert cached == list(specs)
         # The cached pass never rebuilds the product.
         assert names.count("mc.build_model") == 1
 
@@ -133,11 +150,11 @@ class TestConstructSpans:
 
     def test_profile_counts_cache_hits_and_cached_checks(self):
         tracer = obs.install_tracer(Tracer())
-        checker = ModelChecker(memo=BuchiMemo())
+        memo = BuchiMemo()
         kripke = simple_kripke()
         formula = parse_ltl("G a")
-        checker.check(kripke, formula, name="phi")
-        checker.check(kripke, formula, name="phi")
+        ModelChecker(memo=memo).check(kripke, formula, name="phi")
+        ModelChecker(memo=memo).check(kripke, formula, name="phi")
         profile = per_spec_profile(tracer.spans())
         entry = profile["phi"]
         assert entry["checks"] == 2
