@@ -8,9 +8,8 @@ score-identical, but no speedup is asserted — the hard speedup assertion
 lives in the ``multicore``-marked benchmark, selectable with ``-m multicore``
 on capable CI); a persistent :class:`WorkerPool` forks its executor once for
 a whole stream of cold batches where the per-batch path forks once *per*
-batch; async ``submit_batch`` queues batches without blocking on
-verification; and flush-time compaction keeps a bounded shared cache
-directory under its entry budget across runs.  The workload mirrors
+batch; and async ``submit_batch`` queues batches without blocking on
+verification.  The workload mirrors
 preference-pair collection: every task's response library, with duplicates,
 scored against the full 15-rule book — including the highway-merge scenario
 (``merge_onto_highway``, now in the task catalogue).
@@ -24,7 +23,6 @@ import pytest
 from repro.core.config import FeedbackConfig
 from repro.driving import all_specifications, response_templates, task_by_name, training_tasks
 from repro.serving import (
-    CacheDirectory,
     FeedbackJob,
     FeedbackService,
     ServingConfig,
@@ -433,80 +431,3 @@ def test_bench_serving_streaming_pair_construction_overlaps_verification(benchma
         f"streaming should start pair construction mid-verification: first pairs at "
         f"{first_pairs_at:.3f}s vs {blocking_verified_seconds:.3f}s of blocking verification"
     )
-
-
-def test_bench_serving_compaction_bounds_shard_size(benchmark, tmp_path):
-    """A bounded shared cache directory stays under its budget across runs."""
-    shared = str(tmp_path / "bounded_cache")
-    max_entries = 32
-
-    def run():
-        sizes = []
-        for round_index in range(3):
-            with FeedbackService(
-                all_specifications(),
-                feedback=FeedbackConfig(),
-                config=ServingConfig(
-                    shared_cache_dir=shared, shared_cache_max_entries=max_entries
-                ),
-            ) as service:
-                service.score_batch(_unique_cold_workload(copies=1 + round_index))
-            directory = CacheDirectory(shared)
-            sizes.append(
-                (
-                    round_index,
-                    len(directory.shard_entries(service._fingerprint)),
-                    sum(path.stat().st_size for path in directory.shard_files()),
-                )
-            )
-        return sizes
-
-    sizes = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_table(
-        f"Shared cache compaction (shared_cache_max_entries={max_entries})",
-        ["run", "shard entries", "directory bytes"],
-        sizes,
-    )
-    assert all(entries <= max_entries for _, entries, _ in sizes), (
-        "flush-time compaction must keep every shard under the entry budget"
-    )
-
-
-def test_bench_serving_shared_cache_dir_warm_starts_across_services(benchmark, tmp_path):
-    """Two independent services sharing a cache directory: run 2 is all hits."""
-    jobs = _workload()
-    shared = str(tmp_path / "shared_cache")
-
-    def run():
-        first = FeedbackService(
-            all_specifications(), feedback=FeedbackConfig(),
-            config=ServingConfig(shared_cache_dir=shared),
-        )
-        cold_start = time.perf_counter()
-        cold_scores = first.score_batch(jobs)
-        cold_seconds = time.perf_counter() - cold_start
-        first.flush()
-        second = FeedbackService(
-            all_specifications(), feedback=FeedbackConfig(),
-            config=ServingConfig(shared_cache_dir=shared),
-        )
-        warm_start = time.perf_counter()
-        warm_scores = second.score_batch(jobs)
-        warm_seconds = time.perf_counter() - warm_start
-        return first, second, cold_scores, warm_scores, cold_seconds, warm_seconds
-
-    first, second, cold_scores, warm_scores, cold_seconds, warm_seconds = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    print_table(
-        "Shared cache directory — independent services, same fingerprint",
-        ["run", "seconds", "responses/s", "hit rate", "warm-started"],
-        [
-            ("cold", cold_seconds, len(jobs) / cold_seconds, first.metrics.hit_rate, first.metrics.warm_start_entries),
-            ("warm", warm_seconds, len(jobs) / warm_seconds, second.metrics.hit_rate, second.metrics.warm_start_entries),
-        ],
-    )
-    assert warm_scores == cold_scores, "a shared cache must not change scores"
-    assert second.metrics.warm_start_entries > 0, "run 2 must warm-start from run 1's shard"
-    assert second.metrics.cache_misses == 0 and second.metrics.hit_rate == 1.0
-    assert warm_seconds < cold_seconds

@@ -8,11 +8,9 @@ or, after ``pip install -e .``, as the ``repro-serve`` console command.  With
 no argument, a two-part demonstration runs (the serving subsystem's
 quickstart; see ``docs/serving.md`` for the architecture behind it):
 
-1. *CLI cold/warm cycle* — a small workload is generated from the response
-   library (including the highway-merge task) and scored twice through a
-   *shared cache directory*: the second invocation warm-starts from the
-   first's fingerprint shard, so its hit rate is 100% and nothing is
-   re-verified.
+1. *CLI* — a small workload is generated from the response library
+   (including the highway-merge task) and scored in one ``repro-serve``
+   invocation, in which each duplicated response verifies once.
 2. *Python submission API* — the same workload is scored through
    ``FeedbackService.submit_batch``: batches are queued on the service's own
    :class:`~repro.serving.scheduler.Dispatcher` and their handles drained in
@@ -39,9 +37,8 @@ def _demo_tasks() -> list:
 
 
 def demo_cli(workdir: Path) -> None:
-    """The CLI quickstart: score a JSONL file cold, then warm, via a shared cache."""
+    """The CLI quickstart: score a JSONL file of responses."""
     jsonl = workdir / "responses.jsonl"
-    cache_dir = workdir / "feedback_cache"
 
     with jsonl.open("w") as out:
         for task in _demo_tasks():
@@ -52,11 +49,8 @@ def demo_cli(workdir: Path) -> None:
                 record = {"task": task.name, "response": response, "id": f"{task.name}/{index}"}
                 out.write(json.dumps(record) + "\n")
 
-    argv = [str(jsonl), "--cache-dir", str(cache_dir), "-o", str(workdir / "scored.jsonl")]
-    print("== cold run (empty shared cache directory) ==", file=sys.stderr)
-    serve_main(argv)
-    print(f"== warm run (fingerprint shard under {cache_dir}) ==", file=sys.stderr)
-    serve_main(argv)
+    print("== repro-serve ==", file=sys.stderr)
+    serve_main([str(jsonl), "-o", str(workdir / "scored.jsonl")])
     print(f"scored output: {workdir / 'scored.jsonl'}", file=sys.stderr)
 
 

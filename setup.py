@@ -5,8 +5,7 @@ from pathlib import Path
 
 from setuptools import find_packages, setup
 
-# Single source of truth: repro.__version__ also drives feedback-cache
-# invalidation (repro.serving.cache.feedback_fingerprint).
+# Single source of truth: repro.__version__.
 _init = Path(__file__).parent / "src" / "repro" / "__init__.py"
 VERSION = re.search(r'^__version__ = "([^"]+)"', _init.read_text(), re.MULTILINE).group(1)
 

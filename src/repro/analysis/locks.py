@@ -15,8 +15,8 @@ name).  An attribute counts as a lock when the class assigns it a
 ``threading`` synchronisation primitive (via
 :func:`repro.analysis.rules.class_lock_attributes` — dataclass lock fields
 included) or when its name says so (``lock`` / ``cond`` / ``mutex`` /
-``sem``), which also covers contextmanager *methods* like
-``CacheDirectory._store_lock``.  Distinct instances of one class are
+``sem``), which also covers contextmanager *methods* such as a
+``self._shard_lock(path)`` factory.  Distinct instances of one class are
 conflated — the usual conservative approximation.  Re-entrant self-edges
 (``L → L``, legal on ``RLock``/``Condition``) are excluded from the graph.
 """

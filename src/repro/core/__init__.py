@@ -4,7 +4,6 @@ from repro.core.config import (
     FeedbackConfig,
     PipelineConfig,
     SamplingConfig,
-    ServingConfig,
     paper_scale_config,
     quick_pipeline_config,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "FeedbackConfig",
     "PipelineConfig",
     "SamplingConfig",
-    "ServingConfig",
     "paper_scale_config",
     "quick_pipeline_config",
     "DPOAFPipeline",

@@ -10,11 +10,10 @@ The pipeline wires every substrate together:
    serial :func:`repro.lm.sampling.sample_responses` oracle;
 3. construct a controller from every response (GLM2FSA) and compute
    *automated feedback* by formal verification against the task's world
-   model; all scoring routes through the
-   batched, cached :class:`~repro.serving.scheduler.FeedbackService`
-   (``serving.backend`` selects serial or process execution of cache
-   misses, and ``serving.shared_cache_dir`` warm-starts runs from a cache
-   directory shared with the benchmarks and the ``repro-serve`` CLI).
+   model; all scoring routes through one batched, cached
+   :class:`~repro.serving.scheduler.FeedbackService` built with the default
+   :class:`~repro.serving.config.ServingConfig` (serial misses, an in-memory
+   cache that lives as long as the pipeline).
    Each task's responses are submitted (``FeedbackService.submit_batch``)
    and verify on the service's dispatcher in submission order, keeping
    every score bitwise-identical to a serial loop;
@@ -114,19 +113,14 @@ class DPOAFPipeline:
         self.specifications = dict(specifications) if specifications is not None else all_specifications()
         self.tasks = tuple(tasks) if tasks is not None else training_tasks()
         self.validation = tuple(validation) if validation is not None else validation_tasks()
-        # Tracing must be live before the serving layer is built: the
-        # FeedbackService captures the tracer's shard directory into its
-        # worker payload at construction, which is how worker processes know
-        # where to write their span shards.
+        # The service below runs on the default ServingConfig, which scores
+        # misses in this process, so its spans land in the tracer installed
+        # here like every other stage's.
         self._tracer: obs.Tracer | None = None
         if self.config.trace_path is not None:
             self._tracer = obs.Tracer.for_trace_file(self.config.trace_path)
             obs.install_tracer(self._tracer)
-        self.serving = FeedbackService(
-            self.specifications,
-            config=self.config.serving,
-            seed=self.config.seed,
-        )
+        self.serving = FeedbackService(self.specifications, seed=self.config.seed)
         # One registry federates every subsystem's telemetry; run() takes a
         # single snapshot at the end and embeds it in the exported trace.
         self.metrics_registry = MetricsRegistry()
@@ -316,7 +310,6 @@ class DPOAFPipeline:
         checkpoint_evaluations = (
             self.evaluate_checkpoints(dpo_result, tokenizer) if evaluate_checkpoints else {}
         )
-        self.serving.flush()
         serving_metrics = self.serving.metrics.snapshot()
         self._export_trace()
         return PipelineResult(
@@ -343,11 +336,11 @@ class DPOAFPipeline:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release the serving layer's dispatcher thread and worker processes.
+        """Release the serving layer's dispatcher thread and the tracer.
 
-        ``run()`` leaves the pipeline reusable (its flush is part of the run);
-        call this — or use the pipeline as a context manager — when done, so a
-        process-backend pool does not outlive the experiment.
+        ``run()`` leaves the pipeline reusable; call this — or use the
+        pipeline as a context manager — when done, so the dispatcher thread
+        does not outlive the experiment.
         """
         try:
             self.serving.close()

@@ -159,8 +159,8 @@ def cmd_daemon(args) -> int:
                     for signum, handler in previous:
                         signal.signal(signum, handler)
             # Exiting the contexts drains the dispatcher (jobs mid-flight
-            # finish or re-queue durably) and flushes the service cache; the
-            # store closes last, taking its final snapshot.
+            # finish or re-queue durably) and closes the service; the store
+            # closes last, taking its final snapshot.
     print("repro-jobs: stopped", file=sys.stderr)
     return 0
 

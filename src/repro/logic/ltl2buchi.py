@@ -159,7 +159,7 @@ def formula_key(formula: Formula) -> str:
     binary operator, so distinct formula trees never render identically —
     two formulas share a key exactly when they are structurally equal.  The
     fast path's :class:`~repro.modelcheck.fastpath.BuchiMemo` keys its
-    translations (and their persisted shard entries) on this string.
+    translations on this string.
     """
     return str(formula)
 

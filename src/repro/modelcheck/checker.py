@@ -469,11 +469,15 @@ class NaiveModelChecker(ModelChecker):
     def check_all(
         self, kripke: KripkeStructure, specifications: Iterable, *, spec_names: Iterable | None = None
     ) -> VerificationReport:
-        """Check each specification in turn and return a combined report."""
+        """Check each specification in turn and return a combined report.
+
+        Raises ``ValueError`` when ``spec_names`` does not name every
+        specification, as :meth:`ModelChecker.check_all` does.
+        """
         specs = list(specifications)
         names = list(spec_names) if spec_names is not None else [None] * len(specs)
         return VerificationReport(
-            tuple(self.check(kripke, spec, name=name) for spec, name in zip(specs, names))
+            tuple(self.check(kripke, spec, name=name) for spec, name in zip(specs, names, strict=True))
         )
 
     def verify_controller(

@@ -880,11 +880,10 @@ def controller_fingerprint(controller: FSAController) -> str:
 def model_fingerprint(model: TransitionSystem) -> str:
     """Digest of a world model: name, states, labels, transitions, initial states.
 
-    Keys the checker's verdict cache and every persisted feedback
-    score (:func:`repro.serving.cache.cache_key`), so editing a scenario
-    model, or supplying a custom ``model_builder``, cannot make a persisted
-    cache serve scores computed against the old model.  The payload is part
-    of those persisted keys: changing it turns every cache directory cold.
+    Keys the checker's verdict cache
+    (:meth:`~repro.modelcheck.checker.ModelChecker.verdicts`), so two models
+    share verdicts only when they are structurally equal.  No key built on
+    it outlives its process, so the payload may change freely.
     """
     payload = {
         "name": model.name,

@@ -116,17 +116,11 @@ def format_serving_summary(snapshot: dict) -> str:
     key) — the single formatting path for the ``repro-serve`` CLI and any
     other consumer of run telemetry.
     """
-    warm = (
-        f", warm-started {snapshot['warm_start_entries']} entries"
-        if snapshot.get("warm_start_entries")
-        else ""
-    )
     return (
         f"scored {snapshot['jobs']} responses ({snapshot['unique_jobs']} unique) "
         f"in {snapshot['total_seconds']:.2f}s — "
         f"{snapshot['throughput']:.1f} responses/s, "
         f"hit rate {snapshot['hit_rate']:.0%}, dedup rate {snapshot['dedup_rate']:.0%}"
-        f"{warm}"
     )
 
 

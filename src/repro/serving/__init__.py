@@ -12,11 +12,11 @@ This package turns it into a standalone service with four layers:
     responses a small model samples verify exactly once per batch
     (:func:`~repro.serving.dedup.canonicalize_response`).
 ``cache``
-    A content-addressed LRU result cache keyed by a SHA-256 digest of
-    ``(scenario, canonical response, feedback fingerprint, world-model
-    digest)`` (:class:`~repro.serving.cache.FeedbackCache`), persisted across
-    runs by a managed cache directory
-    (:class:`~repro.serving.cache.CacheDirectory`, below).
+    An in-memory LRU result cache keyed by ``(scenario, SHA-256 digest of the
+    canonical response)`` (:class:`~repro.serving.cache.FeedbackCache`).
+    Everything else a score depends on (the specifications, the feedback
+    mode, the seed and each scenario's world model) is fixed for a service's
+    lifetime, and nothing is persisted across runs.
 ``backends``
     The two execution strategies for scoring cache misses
     (:mod:`repro.serving.backends`): ``"serial"`` (the default inline
@@ -50,44 +50,14 @@ This package turns it into a standalone service with four layers:
     (:class:`~repro.serving.metrics.ServingMetrics`), surfaced on
     :class:`~repro.core.pipeline.PipelineResult` as ``serving_metrics``.
 
-Cross-run shared cache layout
------------------------------
-``ServingConfig(shared_cache_dir="…")`` names a directory the pipeline, the
-benchmarks and the ``repro-serve`` CLI can all share.  Each distinct feedback
-fingerprint (mode + spec set + seed + package version) owns one shard
-file::
-
-    <shared_cache_dir>/
-        <sha256(fingerprint)[:16]>.json     # {"schema", "fingerprint", "entries"}
-        <…>.json.tmp.<pid>                  # in-flight atomic writes; never read
-        <…>.json.lock                       # advisory flush locks; never read
-        compact.lock                        # compaction's flock; never deleted
-
-Services warm-start from their own shard at construction and merge results
-back on ``flush()``; shards are written with tmp-file + ``os.replace``, so a
-crash can never leave a partial shard, and corrupt, foreign or malformed
-shards load as empty rather than serving stale scores.  Long-lived directories are bounded
-by :meth:`CacheDirectory.compact <repro.serving.cache.CacheDirectory.compact>`
-(run automatically at flush time when ``ServingConfig.shared_cache_max_entries``
-/ ``shared_cache_max_bytes`` are set): shards are trimmed to their newest
-entries, evicted whole oldest-write-first past the byte budget, and orphaned
-lock/tmp litter is swept.  One compactor runs at a time, under a
-non-blocking ``flock`` on ``compact.lock``.
-
 Scores produced with serving enabled are bitwise-identical to the serial
 reference path (``ServingConfig(enabled=False)``): the cache key covers every
-input that can influence a score, and canonicalisation only discards
+input that varies within a service, and canonicalisation only discards
 whitespace the step parser provably ignores.
 """
 
 from repro.serving.backends import ResponseScorer, WorkerPayload, WorkerPool
-from repro.serving.cache import (
-    CacheDirectory,
-    CompactionReport,
-    FeedbackCache,
-    cache_key,
-    feedback_fingerprint,
-)
+from repro.serving.cache import FeedbackCache, cache_key
 from repro.serving.config import BACKENDS, ServingConfig
 from repro.serving.dedup import canonicalize_response
 from repro.serving.metrics import ServingMetrics
@@ -95,11 +65,8 @@ from repro.serving.scheduler import Dispatcher, FeedbackJob, FeedbackService, Pe
 
 __all__ = [
     "BACKENDS",
-    "CacheDirectory",
-    "CompactionReport",
     "FeedbackCache",
     "cache_key",
-    "feedback_fingerprint",
     "ResponseScorer",
     "ServingConfig",
     "WorkerPayload",

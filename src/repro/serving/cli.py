@@ -37,21 +37,6 @@ backends:
             large cold batches on multi-core machines (small batches fall
             back to serial automatically)
 
-caching:
-  --cache-dir DIR     shared cache directory: one JSON shard per feedback
-                      fingerprint (<sha256-prefix>.json), written atomically
-                      and merged across runs — point the pipeline, the
-                      benchmarks and repeated repro-serve invocations at the
-                      same directory and they warm-start each other.  A
-                      changed mode/spec-set/seed changes the fingerprint and
-                      therefore the shard, so stale scores are never served.
-  --cache-max-entries N / --cache-max-bytes N
-                      compact the shared directory after flushing: trim every
-                      shard to its newest N entries, then evict whole shards
-                      (least recently written first) until the directory is
-                      under N bytes — keeps long-lived cache directories from
-                      growing without bound.
-
 daemon mode:
   repro-serve daemon --socket S --store DIR [service flags]
                       run feedback scoring as a durable multi-client service:
@@ -98,18 +83,6 @@ def add_service_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--max-workers", type=int, default=4, help="worker-pool width")
     parser.add_argument("--cache-size", type=int, default=4096, help="LRU bound on the result cache")
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help="shared cross-run cache directory of per-fingerprint shards",
-    )
-    parser.add_argument(
-        "--cache-max-entries", type=int, default=None,
-        help="compact the shared cache directory to this many entries per shard",
-    )
-    parser.add_argument(
-        "--cache-max-bytes", type=int, default=None,
-        help="compact the shared cache directory to this many total bytes",
-    )
     parser.add_argument("--seed", type=int, default=0, help="seed for empirical trace collection")
 
 
@@ -138,9 +111,6 @@ def serving_config_from_args(args):
         backend=args.backend,
         max_workers=args.max_workers,
         cache_size=args.cache_size,
-        shared_cache_dir=str(args.cache_dir) if args.cache_dir else None,
-        shared_cache_max_entries=args.cache_max_entries,
-        shared_cache_max_bytes=args.cache_max_bytes,
     )
 
 
@@ -301,8 +271,7 @@ def main(argv=None) -> int:
     if args.trace is not None:
         tracer = obs.Tracer.for_trace_file(args.trace)
         obs.install_tracer(tracer)
-    # The context manager flushes the cache (and compacts the shared
-    # directory when bounded) on exit, then shuts down the worker pool.
+    # The context manager shuts down the worker pool on exit.
     with FeedbackService(
         specifications,
         feedback=build_feedback(args),

@@ -28,7 +28,6 @@ class ServingMetrics:
     cache_hits: int = 0            # unique jobs answered from the cache
     cache_misses: int = 0          # unique jobs that required verification
     uncached_jobs: int = 0         # jobs scored with serving disabled (no cache lookups)
-    warm_start_entries: int = 0    # entries retained from a shared cache directory
     total_seconds: float = 0.0
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False, compare=False)
 
@@ -51,11 +50,6 @@ class ServingMetrics:
             self.cache_misses += misses
             self.uncached_jobs += uncached
             self.total_seconds += seconds
-
-    def record_warm_start(self, entries: int) -> None:
-        """Count entries adopted from a shared cache directory at startup."""
-        with self._lock:
-            self.warm_start_entries += entries
 
     # ------------------------------------------------------------------ #
     @property
@@ -90,7 +84,6 @@ class ServingMetrics:
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
                 "uncached_jobs": self.uncached_jobs,
-                "warm_start_entries": self.warm_start_entries,
                 "total_seconds": self.total_seconds,
                 "hit_rate": self.hit_rate,
                 "dedup_rate": self.dedup_rate,

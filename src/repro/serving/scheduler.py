@@ -10,8 +10,8 @@ submission order.  World models, formal verifiers and empirical evaluators
 are built once per scenario and reused across every batch (and, for the
 process backend, once per worker process *for the service's whole lifetime*:
 the :class:`~repro.serving.backends.WorkerPool` is forked lazily on the first
-large cold batch and reused thereafter).  A ``shared_cache_dir`` of
-per-fingerprint shards warm-starts the cache across runs.
+large cold batch and reused thereafter).  The cache lives in memory for the
+service's lifetime; nothing is persisted.
 
 Two submission styles share one execution path:
 
@@ -48,7 +48,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.obs import tracer as obs
 from repro.serving.backends import ResponseScorer, WorkerPayload, WorkerPool, run_serial
-from repro.serving.cache import CacheDirectory, FeedbackCache, cache_key, feedback_fingerprint
+from repro.serving.cache import FeedbackCache, cache_key
 from repro.serving.config import ServingConfig
 from repro.serving.dedup import canonicalize_response
 from repro.serving.metrics import ServingMetrics
@@ -317,8 +317,7 @@ class FeedbackService:
             else None
         )
         self.metrics = ServingMetrics()
-        self._fingerprint = feedback_fingerprint(feedback, self.specifications, seed=seed)
-        self.cache = self._initial_cache()
+        self.cache = FeedbackCache(max_entries=self.config.cache_size)
         # One persistent process pool per service lifetime (forked lazily on
         # the first large miss batch, reused for every batch after that) and
         # one dispatcher for submitted batches, created on the first submit.
@@ -334,19 +333,6 @@ class FeedbackService:
         self._submit_lock = threading.Lock()
         self._closed = False
 
-    def _initial_cache(self) -> FeedbackCache:
-        cache = FeedbackCache(max_entries=self.config.cache_size)
-        if self.config.shared_cache_dir is not None:
-            # Warm-starting is best-effort: an unreadable cache directory must
-            # not take the service down (corrupt shards already load empty).
-            try:
-                directory = CacheDirectory(self.config.shared_cache_dir)
-                adopted = cache.merge(directory.shard_entries(self._fingerprint))
-                self.metrics.record_warm_start(adopted)
-            except OSError:
-                pass
-        return cache
-
     # ------------------------------------------------------------------ #
     # Shared per-scenario machinery
     # ------------------------------------------------------------------ #
@@ -361,12 +347,10 @@ class FeedbackService:
     def scenario_digest(self, scenario: str) -> str:
         """The (cached) digest of a scenario's world model.
 
-        Part of every cache key in formal mode, so edited world models (or a
-        custom ``model_builder``) never collide with a stale persisted cache;
-        the scorer's model checker memoizes it.  Empirical scores never touch
-        the formal model — its digest would both be meaningless and force
-        simulator-only scenarios to have one — so empirical mode keys on the
-        fingerprint (mode, traces, seed, version) alone.
+        The scorer's model checker memoizes it and keys its verdict cache on
+        it, so calling this warms that memo.  Empirical scores never touch the
+        formal model, and a simulator-only scenario has none, so empirical
+        mode returns ``""``.
         """
         if self.feedback.use_empirical:
             return ""
@@ -428,15 +412,7 @@ class FeedbackService:
         # the representative whose score every duplicate receives; the dict
         # keeps the unique keys in first-seen order.
         self._prepare_scenarios(jobs)
-        keys = [
-            cache_key(
-                job.scenario,
-                canonicalize_response(job.response),
-                self._fingerprint,
-                self.scenario_digest(job.scenario),
-            )
-            for job in jobs
-        ]
+        keys = [cache_key(job.scenario, canonicalize_response(job.response)) for job in jobs]
         representative: dict = {}
         for key, job in zip(keys, jobs):
             representative.setdefault(key, job)
@@ -511,8 +487,7 @@ class FeedbackService:
         """Drain submitted batches and release threads/worker processes.
 
         Closing the service's dispatcher waits for every batch already
-        submitted; then the cache is flushed to its shared cache directory
-        and the persistent process pool shut down.  Idempotent;
+        submitted; then the persistent process pool is shut down.  Idempotent;
         after ``close()`` the synchronous ``score_batch`` path still works
         (the process backend degrades to serial scoring) but
         ``submit_batch`` raises.
@@ -524,11 +499,9 @@ class FeedbackService:
             dispatcher, self._dispatcher = self._dispatcher, None
         if dispatcher is not None:
             dispatcher.close()
-        # Serialise against any in-flight synchronous score_batch: flushing
-        # while a batch mutates the cache, or closing the pool under a
-        # running pool.map, would corrupt the flush or crash the batch.
+        # Serialise against any in-flight synchronous score_batch: closing
+        # the pool under a running pool.map would crash the batch.
         with self._batch_lock:
-            self.flush()
             if self._pool is not None:
                 self._pool.close()
 
@@ -537,34 +510,3 @@ class FeedbackService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------ #
-    def flush(self) -> bool:
-        """Merge the cache into its ``shared_cache_dir`` shard.
-
-        Best-effort, like warm-starting: a full disk, revoked permissions or
-        an unserializable score must not destroy the results the cache merely
-        accelerates.  The shard write is atomic, so a crash mid-flush can
-        never corrupt a previously persisted shard.  When the config bounds
-        the shared directory (``shared_cache_max_entries`` /
-        ``shared_cache_max_bytes``), the directory is compacted after the
-        store so it cannot grow without bound across runs.  Returns True when
-        the shard was written.
-        """
-        wrote = False
-        if self.config.shared_cache_dir is not None:
-            try:
-                directory = CacheDirectory(self.config.shared_cache_dir)
-                directory.store(self._fingerprint, self.cache)
-                wrote = True
-                if (
-                    self.config.shared_cache_max_entries is not None
-                    or self.config.shared_cache_max_bytes is not None
-                ):
-                    directory.compact(
-                        max_entries=self.config.shared_cache_max_entries,
-                        max_bytes=self.config.shared_cache_max_bytes,
-                    )
-            except (OSError, TypeError, ValueError):
-                pass
-        return wrote

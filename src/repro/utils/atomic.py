@@ -1,10 +1,10 @@
 """The one place persistent files are (over)written: tmp file + ``os.replace``.
 
-Every durable artifact this codebase writes — persisted caches, cache-
-directory shards, exported traces, scored-record output, encoded preference
-pairs — must appear *atomically*: a crash, a full disk or
-a concurrent reader mid-write must observe either the previous complete file
-or the new complete file, never a truncated hybrid.  The idiom is always the
+Every durable artifact this codebase writes — job-store snapshots,
+exported traces, scored-record output, encoded preference pairs — must
+appear *atomically*: a crash, a full disk or a concurrent reader mid-write
+must observe either the previous complete file or the new complete file,
+never a truncated hybrid.  The idiom is always the
 same (write a sibling ``<name>.tmp.<pid>``, then ``os.replace`` it into
 place), and it lives here so every writer inherits one audited
 implementation.

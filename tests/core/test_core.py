@@ -62,6 +62,11 @@ class TestPipelinePieces:
         vague = pipeline.score_response(task, "1. Just drive nicely.")
         assert good > bad >= vague
 
+    def test_pipeline_serves_with_the_default_serving_config(self, pipeline):
+        from repro.serving import ServingConfig
+
+        assert pipeline.serving.config == ServingConfig()
+
     def test_metrics_registry_holds_the_serving_provider(self, pipeline):
         snapshot = pipeline.metrics_registry.snapshot()
         assert set(snapshot) == {"serving"}
@@ -91,44 +96,3 @@ class TestPipelinePieces:
         assert evaluation.per_task
         assert all(t.satisfied_counts == [] for t in evaluation.per_task)
         assert evaluation.satisfaction_ratio() == 0.0
-
-
-def _pipeline_fingerprint(result):
-    """Everything downstream of sampling, reduced to comparable values."""
-    return {
-        "pairs": [
-            (p.prompt, p.chosen, p.rejected, p.chosen_score, p.rejected_score)
-            for p in result.preference_pairs
-        ],
-        "before": [tuple(t.satisfied_counts) for t in result.before_evaluation.per_task],
-        "after": [tuple(t.satisfied_counts) for t in result.after_evaluation.per_task],
-        "losses": tuple(result.dpo_result.history.losses),
-    }
-
-
-class TestBackendParity:
-    """The serving backend must be invisible in the outputs: pairs, losses and
-    evaluations are bitwise-identical on the serial and process backends."""
-
-    TASKS = 2  # keep the process-backend run affordable
-
-    def _run(self, backend: str):
-        import dataclasses
-
-        from repro.serving import ServingConfig
-
-        config = dataclasses.replace(
-            quick_pipeline_config(seed=0),
-            serving=ServingConfig(backend=backend, max_workers=2),
-        )
-        with DPOAFPipeline(
-            config,
-            specifications=core_specifications(),
-            tasks=training_tasks()[: self.TASKS],
-            validation=(),
-        ) as pipeline:
-            return _pipeline_fingerprint(pipeline.run())
-
-    @pytest.mark.parametrize("backend", ["process"])
-    def test_pipeline_agrees_across_backends(self, backend):
-        assert self._run(backend) == self._run("serial")

@@ -196,9 +196,9 @@ class TestPublicApiDocstrings:
 
     def test_serving_public_methods_are_documented(self):
         """The symbols users actually call: public methods need docstrings too."""
-        from repro.serving import CacheDirectory, Dispatcher, FeedbackService, PendingBatch
+        from repro.serving import Dispatcher, FeedbackCache, FeedbackService, PendingBatch
 
-        for cls in (FeedbackService, PendingBatch, CacheDirectory, Dispatcher):
+        for cls in (FeedbackService, PendingBatch, FeedbackCache, Dispatcher):
             undocumented = [
                 f"{cls.__name__}.{name}"
                 for name, member in vars(cls).items()

@@ -255,7 +255,7 @@ def test_a_stalled_or_dropped_connection_is_a_clean_error(cli_root, behaviour):
 def test_daemon_and_oneshot_share_the_service_arguments():
     oneshot_help = _cli("--help").stdout
     daemon_help = _cli("daemon", "--help").stdout
-    for flag in ("--backend", "--mode", "--cache-dir", "--seed"):
+    for flag in ("--backend", "--mode", "--cache-size", "--seed"):
         assert flag in oneshot_help
         assert flag in daemon_help
     assert "daemon" in oneshot_help  # the epilog advertises daemon mode

@@ -125,10 +125,9 @@ class TestReportsAndLimits:
         assert safe_report.num_satisfied == 2
         assert reckless_report.num_satisfied == 0
 
-    def test_one_name_per_specification(self, simple_model, safe_controller):
+    def test_one_name_per_specification(self, checker, simple_model, safe_controller):
         """A short ``spec_names`` is refused, not read as a shorter rule book
         (nor memoized as one)."""
-        checker = ModelChecker()
         specs = [parse_ltl("G(!green -> !go)"), parse_ltl("G(ped -> F stop)")]
         with pytest.raises(ValueError):
             checker.verdicts(simple_model, safe_controller, specs, spec_names=["one"])

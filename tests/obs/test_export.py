@@ -155,12 +155,12 @@ class TestReport:
     def test_serving_summary_matches_the_cli_wording(self):
         snapshot = {
             "jobs": 10, "unique_jobs": 8, "total_seconds": 2.0, "throughput": 5.0,
-            "hit_rate": 1.0, "dedup_rate": 0.2, "warm_start_entries": 3,
+            "hit_rate": 1.0, "dedup_rate": 0.2,
         }
         line = format_serving_summary(snapshot)
         assert "scored 10 responses (8 unique)" in line
         assert "hit rate 100%" in line
-        assert "warm-started 3 entries" in line
+        assert line.endswith("dedup rate 20%")
 
     def test_report_names_the_hottest_specs(self):
         spans = [

@@ -174,16 +174,6 @@ class TestServiceLifecycle:
         service.close()
         assert handle.done() and handle.result() == _reference_scores(jobs)
 
-    def test_close_flushes_to_shared_cache_dir(self, tmp_path):
-        jobs = _mixed_scenario_jobs()[:4]
-        config = dict(shared_cache_dir=str(tmp_path / "shared"))
-        with _service("serial", **config) as service:
-            scores = service.score_batch(jobs)
-        warmed = _service("serial", **config)
-        assert warmed.metrics.warm_start_entries > 0
-        assert warmed.score_batch(jobs) == scores
-        assert warmed.metrics.cache_misses == 0
-
 
 class TestWorkerPoolReuse:
     def test_pool_forks_once_across_batches(self):

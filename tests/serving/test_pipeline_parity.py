@@ -1,12 +1,11 @@
 """Serving-enabled pipeline runs must match the serial reference seed-for-seed."""
 
-import dataclasses
-
 import pytest
 
-from repro.core import DPOAFPipeline, ServingConfig
+from repro.core import DPOAFPipeline
 from repro.core.config import quick_pipeline_config
 from repro.driving import core_specifications, training_tasks
+from repro.serving import FeedbackService, ServingConfig
 
 
 def _evaluation_counts(evaluation):
@@ -15,15 +14,26 @@ def _evaluation_counts(evaluation):
 
 @pytest.fixture(scope="module")
 def parity_runs():
-    """One full (reduced-scale) run per serving mode, identical seeds."""
+    """One full (reduced-scale) run per serving mode, identical seeds.
+
+    The pipeline always serves with the default ``ServingConfig()``; the
+    reference run swaps in an uncached service before ``run()``.
+    """
     results = {}
     for enabled in (True, False):
-        config = dataclasses.replace(
-            quick_pipeline_config(seed=0), serving=ServingConfig(enabled=enabled)
-        )
         pipeline = DPOAFPipeline(
-            config, specifications=core_specifications(), tasks=training_tasks()[:2], validation=()
+            quick_pipeline_config(seed=0),
+            specifications=core_specifications(),
+            tasks=training_tasks()[:2],
+            validation=(),
         )
+        if not enabled:
+            pipeline.serving.close()
+            pipeline.serving = FeedbackService(
+                pipeline.specifications,
+                config=ServingConfig(enabled=False),
+                seed=pipeline.config.seed,
+            )
         results[enabled] = (pipeline, pipeline.run(augment_pairs=True))
     yield results
     for pipeline, _ in results.values():
@@ -54,6 +64,7 @@ class TestServingParity:
         assert len(pipeline.serving.cache) > 0
 
     def test_serial_run_reports_no_cache_work(self, parity_runs):
-        _, serial = parity_runs[False]
+        pipeline, serial = parity_runs[False]
+        assert not pipeline.serving.config.enabled
         assert serial.serving_metrics["cache_hits"] == 0
         assert serial.serving_metrics["jobs"] > 0

@@ -1,23 +1,25 @@
 """Tests for the batched feedback-serving subsystem (cache, dedup, scheduler)."""
 
-import json
-
 import pytest
 
 from repro.core.config import FeedbackConfig
-from repro.driving import core_specifications, response_templates, task_by_name
+from repro.driving import (
+    all_specifications,
+    all_tasks,
+    core_specifications,
+    response_templates,
+    task_by_name,
+)
 from repro.feedback import EmpiricalEvaluator, FormalVerifier
 from repro.glm2fsa import build_controller_from_text
 from repro.serving import (
     BACKENDS,
-    CacheDirectory,
     FeedbackCache,
     FeedbackJob,
     FeedbackService,
     ServingConfig,
     cache_key,
     canonicalize_response,
-    feedback_fingerprint,
 )
 from repro.serving.config import EMPIRICAL_THRESHOLD, EMPIRICAL_TRACES
 from repro.sim import SimulationGrounding
@@ -45,70 +47,15 @@ class TestCanonicalization:
 
 class TestCacheKey:
     def test_key_is_stable(self):
-        fp = feedback_fingerprint(FeedbackConfig(), core_specifications())
-        assert cache_key("roundabout", "1. stop", fp) == cache_key("roundabout", "1. stop", fp)
+        assert cache_key("roundabout", "1. stop") == cache_key("roundabout", "1. stop")
+        # A 1 MB response enters the key as a fixed 32-byte digest.
+        scenario, digest = cache_key("roundabout", "1. stop\n" * (1 << 17))
+        assert scenario == "roundabout" and len(digest) == 32
 
     def test_key_separates_every_input(self):
-        fp = feedback_fingerprint(FeedbackConfig(), core_specifications())
-        base = cache_key("roundabout", "1. stop", fp)
-        assert cache_key("highway_merge", "1. stop", fp) != base
-        assert cache_key("roundabout", "1. go straight", fp) != base
-        empirical_fp = feedback_fingerprint(FeedbackConfig(use_empirical=True), core_specifications())
-        assert cache_key("roundabout", "1. stop", empirical_fp) != base
-
-    def test_model_digest_invalidates_stale_entries(self, tmp_path):
-        """An edited world model must not collide with a persisted shard."""
-        from repro.driving import scenario_model
-
-        def patched_builder(name):
-            model = scenario_model(name)
-            model.add_state("digest_probe", [])
-            model.add_transition(model.states[0], "digest_probe")
-            return model
-
-        config = ServingConfig(shared_cache_dir=str(tmp_path / "shared"))
-        original = FeedbackService(core_specifications(), feedback=FeedbackConfig(), config=config)
-        job = FeedbackJob(task="t", scenario="roundabout", response="1. If there is a pedestrian, stop.")
-        original.score_batch([job])
-        original.flush()
-        edited = FeedbackService(
-            core_specifications(), feedback=FeedbackConfig(), config=config, model_builder=patched_builder
-        )
-        assert edited.metrics.warm_start_entries == 1  # same shard, stale model
-        edited.score_batch([job])
-        assert edited.metrics.cache_hits == 0 and edited.metrics.cache_misses == 1
-
-    def test_fingerprint_covers_spec_set_and_seed(self):
-        specs = core_specifications()
-        fewer = {name: specs[name] for name in list(specs)[:2]}
-        assert feedback_fingerprint(FeedbackConfig(), specs) != feedback_fingerprint(FeedbackConfig(), fewer)
-        # The empirical seed changes traces, hence scores; the formal path ignores it.
-        empirical = FeedbackConfig(use_empirical=True)
-        assert feedback_fingerprint(empirical, specs, seed=0) != feedback_fingerprint(empirical, specs, seed=1)
-        assert feedback_fingerprint(FeedbackConfig(), specs, seed=0) == feedback_fingerprint(FeedbackConfig(), specs, seed=1)
-
-    @pytest.mark.parametrize(
-        "feedback, expected",
-        [
-            (
-                FeedbackConfig(),
-                {"mode": "formal", "wait_action": "stop", "restart_on_termination": True,
-                 "empirical_traces": None, "empirical_threshold": None, "seed": None},
-            ),
-            (
-                FeedbackConfig(use_empirical=True),
-                {"mode": "empirical", "wait_action": "stop", "restart_on_termination": True,
-                 "empirical_traces": 10, "empirical_threshold": 0.9, "seed": 0},
-            ),
-        ],
-        ids=["formal", "empirical"],
-    )
-    def test_fingerprint_pins_its_shard_naming_inputs(self, feedback, expected):
-        """Shard files are named by a digest of the fingerprint's JSON, so any
-        change to these values renames every existing shard."""
-        parts = json.loads(feedback_fingerprint(feedback, core_specifications()))
-        del parts["version"], parts["specifications"]
-        assert json.dumps(parts, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        base = cache_key("roundabout", "1. stop")
+        assert cache_key("highway_merge", "1. stop") != base
+        assert cache_key("roundabout", "1. go straight") != base
 
 
 class TestFeedbackCache:
@@ -118,20 +65,32 @@ class TestFeedbackCache:
         cache.put("b", 2)
         assert cache.get("a") == 1      # refreshes "a"; "b" is now LRU
         cache.put("c", 3)
-        assert [key for key, _ in cache.entries()] == ["a", "c"]
+        assert cache.get("b") is None
         assert len(cache) == 2
+        cache.put("d", 4)               # "a" is now the least recent
+        assert cache.get("a") is None
+        assert (cache.get("c"), cache.get("d")) == (3, 4)
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
             FeedbackCache(max_entries=0)
 
-    def test_merge_reports_retained_not_adopted(self):
-        """Keys `put` immediately evicts must not inflate the warm-start count."""
+    def test_put_refreshes_an_existing_key(self):
         cache = FeedbackCache(max_entries=2)
-        retained = cache.merge([[f"k{i}", i] for i in range(5)])
-        assert retained == 2 == len(cache)
-        # Merging the survivors again adopts nothing new.
-        assert cache.merge([["k3", 3], ["k4", 4]]) == 0
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("a", 10)              # new score, and "b" is now LRU
+        cache.put("c", 3)
+        assert len(cache) == 2
+        assert cache.get("b") is None
+        assert cache.get("a") == 10
+
+
+def _first_task_per_scenario() -> tuple:
+    first: dict = {}
+    for task in all_tasks():
+        first.setdefault(task.scenario, task)
+    return tuple(first.values())
 
 
 @pytest.fixture(scope="module")
@@ -158,18 +117,19 @@ class TestFeedbackService:
         assert first == second == direct.num_satisfied
         assert service.metrics.cache_hits == 1
 
-    def test_cached_empirical_score_matches_recomputation(self, right_turn_task):
+    @pytest.mark.parametrize("task", _first_task_per_scenario(), ids=lambda task: task.scenario)
+    def test_cached_empirical_score_matches_recomputation(self, task):
         feedback = FeedbackConfig(use_empirical=True)
         service = FeedbackService(core_specifications(), feedback=feedback, seed=0)
-        response = response_templates(right_turn_task.name, "compliant")[0]
-        first = service.score_response(right_turn_task, response)
-        second = service.score_response(right_turn_task, response)
+        response = response_templates(task.name, "compliant")[0]
+        first = service.score_response(task, response)
+        second = service.score_response(task, response)
         evaluator = EmpiricalEvaluator(
             core_specifications(),
-            SimulationGrounding(right_turn_task.scenario),
+            SimulationGrounding(task.scenario),
             threshold=EMPIRICAL_THRESHOLD,
         )
-        controller = build_controller_from_text(response, task=right_turn_task.name)
+        controller = build_controller_from_text(response, task=task.name)
         direct = evaluator.evaluate_controller(controller, num_traces=EMPIRICAL_TRACES, seed=0)
         assert first == second == direct.num_satisfied
         assert service.metrics.cache_hits == 1
@@ -249,55 +209,6 @@ class TestFeedbackService:
         assert service.scenario_model(right_turn_task.scenario) is service.scenario_model(right_turn_task.scenario)
         assert service.evaluator(right_turn_task.scenario) is service.evaluator(right_turn_task.scenario)
 
-    def test_corrupt_persisted_cache_is_ignored(self, right_turn_task, tmp_path):
-        shared = tmp_path / "shared"
-        fingerprint = feedback_fingerprint(FeedbackConfig(), core_specifications())
-        CacheDirectory(shared).shard_path(fingerprint).write_text("garbage{{{")
-        config = ServingConfig(shared_cache_dir=str(shared))
-        service = FeedbackService(core_specifications(), feedback=FeedbackConfig(), config=config)
-        response = response_templates(right_turn_task.name, "compliant")[0]
-        score = service.score_response(right_turn_task, response)
-        service.flush()
-        # The flush must leave a valid cache a fresh service can warm from.
-        warmed = FeedbackService(core_specifications(), feedback=FeedbackConfig(), config=config)
-        assert warmed.score_response(right_turn_task, response) == score
-        assert warmed.metrics.cache_hits == 1
-
-    def test_persisted_cache_warms_new_service(self, right_turn_task, tmp_path):
-        config = ServingConfig(shared_cache_dir=str(tmp_path / "shared"))
-        first = FeedbackService(core_specifications(), feedback=FeedbackConfig(), config=config)
-        response = response_templates(right_turn_task.name, "compliant")[0]
-        score = first.score_response(right_turn_task, response)
-        first.flush()
-        warmed = FeedbackService(core_specifications(), feedback=FeedbackConfig(), config=config)
-        assert warmed.score_response(right_turn_task, response) == score
-        assert warmed.metrics.cache_misses == 0 and warmed.metrics.cache_hits == 1
-
-    def test_flush_failure_is_not_fatal(self, right_turn_task, tmp_path):
-        """An unwritable cache directory must not destroy the scoring results."""
-        blocked = tmp_path / "not_a_dir"
-        blocked.write_text("a file where the cache's parent dir should be")
-        config = ServingConfig(shared_cache_dir=str(blocked / "shared"))
-        service = FeedbackService(core_specifications(), feedback=FeedbackConfig(), config=config)
-        response = response_templates(right_turn_task.name, "compliant")[0]
-        score = service.score_response(right_turn_task, response)
-        assert service.flush() is False
-        assert score > 0
-
-    def test_flush_reports_whether_a_shard_was_written(self, right_turn_task, tmp_path):
-        response = response_templates(right_turn_task.name, "compliant")[0]
-        unpersisted = FeedbackService(core_specifications(), feedback=FeedbackConfig())
-        unpersisted.score_response(right_turn_task, response)
-        assert unpersisted.flush() is False  # no cache directory configured
-        persisted = FeedbackService(
-            core_specifications(),
-            feedback=FeedbackConfig(),
-            config=ServingConfig(shared_cache_dir=str(tmp_path / "shared")),
-        )
-        persisted.score_response(right_turn_task, response)
-        assert persisted.flush() is True
-        assert len(list((tmp_path / "shared").glob("*.json"))) == 1
-
     def test_metrics_snapshot_carries_the_counters_consumers_read(self, right_turn_task, batch_responses):
         """The counters the benchmark sums across services and the report
         formats are all in the snapshot."""
@@ -305,7 +216,7 @@ class TestFeedbackService:
         service.score_responses(right_turn_task, batch_responses)
         snapshot = service.metrics.snapshot()
         for key in ("jobs", "unique_jobs", "cache_hits", "cache_misses", "total_seconds",
-                    "throughput", "hit_rate", "dedup_rate", "warm_start_entries"):
+                    "throughput", "hit_rate", "dedup_rate"):
             assert key in snapshot, key
         assert snapshot["cache_hits"] + snapshot["cache_misses"] == snapshot["unique_jobs"]
 
@@ -317,6 +228,98 @@ class TestFeedbackService:
         assert snapshot["unique_jobs"] < snapshot["jobs"]
         assert snapshot["throughput"] > 0
         assert 0.0 < snapshot["dedup_rate"] < 1.0
+
+    def test_empty_metrics_report_zero_rates(self):
+        from repro.serving import ServingMetrics
+
+        snapshot = ServingMetrics().snapshot()
+        for rate in ("hit_rate", "dedup_rate", "throughput", "mean_batch_latency"):
+            assert snapshot[rate] == 0.0, rate
+
+    def test_metrics_rates_follow_the_counters(self):
+        from repro.serving import ServingMetrics
+
+        metrics = ServingMetrics()
+        metrics.record_batch(jobs=4, unique=2, hits=1, misses=1, seconds=0.5)
+        metrics.record_batch(jobs=2, unique=2, hits=0, misses=2, seconds=1.5)
+        assert metrics.mean_batch_latency == 1.0
+        assert metrics.throughput == 3.0
+        assert metrics.hit_rate == 0.25
+        assert metrics.dedup_rate == pytest.approx(1 / 3)
+
+    def test_zero_score_is_a_cache_hit(self, right_turn_task):
+        """An unparseable response scores 0, and 0 is a cached score, not a miss."""
+        service = FeedbackService(core_specifications(), feedback=FeedbackConfig())
+        for _ in range(2):
+            assert service.score_response(right_turn_task, "Please drive safely out there.") == 0
+        assert service.metrics.cache_misses == 1 and service.metrics.cache_hits == 1
+
+    def test_same_text_in_two_scenarios_keeps_both_scores(self, right_turn_task):
+        """The scenario is part of the key: one text, two world models, two scores."""
+        texts = list(response_templates(right_turn_task.name, "compliant"))
+        texts += list(response_templates(right_turn_task.name, "flawed"))
+        jobs = [
+            FeedbackJob(task=right_turn_task.name, scenario=scenario, response=text)
+            for text in texts
+            for scenario in (right_turn_task.scenario, "roundabout")
+        ]
+        service = FeedbackService(core_specifications(), feedback=FeedbackConfig())
+        reference = FeedbackService(
+            core_specifications(), feedback=FeedbackConfig(), config=ServingConfig(enabled=False)
+        )
+        scores = service.score_batch(jobs)
+        assert scores == reference.score_batch(jobs)
+        assert any(here != there for here, there in zip(scores[::2], scores[1::2]))
+        assert service.metrics.unique_jobs == len(jobs)
+
+    @pytest.mark.parametrize("cache_size", [1, 3, 4096])
+    def test_eviction_never_changes_scores(self, right_turn_task, batch_responses, cache_size):
+        """One job per batch, so repeats reach the LRU rather than dedup."""
+        responses = batch_responses * 3
+        service = FeedbackService(
+            core_specifications(), feedback=FeedbackConfig(), config=ServingConfig(cache_size=cache_size)
+        )
+        reference = FeedbackService(
+            core_specifications(), feedback=FeedbackConfig(), config=ServingConfig(enabled=False)
+        )
+        scores = [service.score_response(right_turn_task, response) for response in responses]
+        assert scores == reference.score_responses(right_turn_task, responses)
+        distinct = len({canonicalize_response(response) for response in responses})
+        assert len(service.cache) == min(cache_size, distinct)
+        if cache_size >= distinct:
+            assert service.metrics.cache_misses == distinct
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({"specifications": core_specifications()}, {"specifications": all_specifications()}),
+            ({"feedback": FeedbackConfig()}, {"feedback": FeedbackConfig(use_empirical=True)}),
+            (
+                {"feedback": FeedbackConfig(use_empirical=True), "seed": 0},
+                {"feedback": FeedbackConfig(use_empirical=True), "seed": 1},
+            ),
+        ],
+        ids=["rule-book", "mode", "seed"],
+    )
+    def test_services_never_share_scores(self, right_turn_task, first, second):
+        """The key leaves out what is fixed for a service's lifetime, so two
+        services that differ in one such input must each score on their own."""
+        responses = list(response_templates(right_turn_task.name, "compliant"))
+        responses += list(response_templates(right_turn_task.name, "flawed"))
+        scores = []
+        for options in (first, second):
+            options = {"specifications": core_specifications(), "feedback": FeedbackConfig(), **options}
+            specifications = options.pop("specifications")
+            service = FeedbackService(specifications, **options)
+            reference = FeedbackService(specifications, config=ServingConfig(enabled=False), **options)
+            scores.append(service.score_responses(right_turn_task, responses))
+            assert scores[-1] == reference.score_responses(right_turn_task, responses)
+        assert scores[0] != scores[1], "the input under test does not change any score here"
+
+    @pytest.mark.parametrize("field", ["cache_size", "max_workers"])
+    def test_rejects_nonpositive_sizes(self, field):
+        with pytest.raises(ValueError, match=field):
+            ServingConfig(**{field: 0})
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -421,6 +424,23 @@ class TestCli:
         assert main([str(deep)]) == 2
         assert capsys.readouterr().err.startswith(f"repro-serve: {deep}:2: invalid JSON")
 
+    def test_service_flags_build_the_serving_config(self):
+        from repro.serving.cli import build_parser, serving_config_from_args
+
+        args = build_parser().parse_args(
+            ["in.jsonl", "--backend", "process", "--max-workers", "3", "--cache-size", "7"]
+        )
+        assert serving_config_from_args(args) == ServingConfig(backend="process", max_workers=3, cache_size=7)
+        assert serving_config_from_args(build_parser().parse_args(["in.jsonl"])) == ServingConfig()
+
+    def test_nonpositive_cache_size_exits_2(self, tmp_path, capsys):
+        from repro.serving.cli import main
+
+        jsonl = tmp_path / "in.jsonl"
+        jsonl.write_text('{"task": "enter_roundabout", "response": "1. Stop."}\n')
+        assert main([str(jsonl), "--cache-size", "0"]) == 2
+        assert "repro-serve: cache_size must be positive" in capsys.readouterr().err
+
     def test_failed_run_leaves_no_truncated_output(self, tmp_path, capsys):
         import json
 
@@ -434,21 +454,6 @@ class TestCli:
         # The pre-existing output is untouched and no tmp litter remains.
         assert json.loads(out.read_text())["task"] == "previous"
         assert list(tmp_path.glob("out.jsonl.tmp.*")) == []
-
-    def test_shared_cache_dir_warms_second_invocation(self, tmp_path, capsys):
-        from repro.serving.cli import main
-
-        jsonl = tmp_path / "in.jsonl"
-        jsonl.write_text(
-            '{"task": "merge_onto_highway", "response": "1. Go straight onto the highway."}\n'
-        )
-        argv = [str(jsonl), "--core-specs", "--cache-dir", str(tmp_path / "shared"),
-                "-o", str(tmp_path / "out.jsonl")]
-        assert main(argv) == 0
-        capsys.readouterr()
-        assert main(argv) == 0
-        err = capsys.readouterr().err
-        assert "hit rate 100%" in err and "warm-started" in err
 
     def _pairs_workload(self, tmp_path):
         import json
