@@ -14,12 +14,11 @@ The pipeline wires every substrate together:
    :class:`~repro.serving.scheduler.FeedbackService` built with the default
    :class:`~repro.serving.config.ServingConfig` (serial misses, an in-memory
    cache that lives as long as the pipeline).
-   Each task's responses are submitted (``FeedbackService.submit_batch``)
-   and verify on the service's dispatcher in submission order, keeping
-   every score bitwise-identical to a serial loop;
-4. turn the feedback ranking into preference pairs — handles are drained in
-   task order, so task *k* is ranked while task *k+1* still verifies — then
-   run *DPO with LoRA*;
+   Each task's responses are scored as one batch
+   (``FeedbackService.score_responses``) on the calling thread, in task
+   order, so the process training later forks from has one thread;
+4. turn the feedback ranking into preference pairs, task by task, then run
+   *DPO with LoRA*;
 5. *evaluate* checkpoints by re-sampling responses and counting satisfied
    specifications on the training and validation task splits (Figure 9) and
    in the simulator (Figure 11).
@@ -149,7 +148,7 @@ class DPOAFPipeline:
         """Number of specifications the response's controller satisfies."""
         return self.serving.score_response(task, response)
 
-    def _sample_and_submit(
+    def _sample_and_score(
         self,
         model: TransformerLM,
         tokenizer: Tokenizer,
@@ -158,14 +157,12 @@ class DPOAFPipeline:
         sampling: SamplingConfig,
         rng,
     ) -> list:
-        """Sample ``num_samples`` responses per task and submit each task's batch.
+        """Sample ``num_samples`` responses per task and score each task's batch.
 
-        The whole frontier decodes as one KV-cached batched wave, then the
-        batches are submitted for verification in task order.  Returns
-        ``(task, prompt, responses, PendingBatch)`` tuples in task order;
-        verification runs on the service's dispatcher, which executes the
-        batches in that order, so a caller draining the handles in order
-        works on task *k* while task *k+1* verifies.
+        The whole frontier decodes as one KV-cached batched wave, then each
+        task's responses are scored as one batch on the calling thread, in
+        task order.  Returns ``(task, prompt, responses, scores)`` tuples in
+        task order.
         """
         prompts = [format_prompt(task) for task in tasks]
         frontier = sample_response_frontier(
@@ -179,7 +176,7 @@ class DPOAFPipeline:
             rng=rng,
         )
         return [
-            (task, prompt, responses, self.serving.submit_responses(task, responses))
+            (task, prompt, responses, self.serving.score_responses(task, responses))
             for task, prompt, responses in zip(tasks, prompts, frontier)
         ]
 
@@ -194,12 +191,12 @@ class DPOAFPipeline:
         """Sample responses per training task, score them, and build pairs."""
         sampling = sampling if sampling is not None else self.config.sampling
         rng = seeded_rng(self.config.seed if seed is None else seed)
-        pending = self._sample_and_submit(
+        scored = self._sample_and_score(
             model, tokenizer, self.tasks, sampling.responses_per_prompt, sampling, rng
         )
         pairs = []
-        for task, prompt, responses, handle in pending:
-            pairs.extend(rank_to_pairs(prompt, responses, handle.result(), task=task.name))
+        for task, prompt, responses, scores in scored:
+            pairs.extend(rank_to_pairs(prompt, responses, scores, task=task.name))
         return pairs
 
     def augment_with_templates(self, pairs: list, *, per_task: int = 6) -> list:
@@ -214,18 +211,13 @@ class DPOAFPipeline:
         """
         from repro.driving.responses import VAGUE_RESPONSES, response_templates
 
-        pending = []
+        augmented = list(pairs)
         for task in self.tasks:
             compliant = response_templates(task.name, "compliant")
             flawed = response_templates(task.name, "flawed")
             candidates = list(compliant) + list(flawed[:2]) + [VAGUE_RESPONSES[0]]
-            pending.append(
-                (task, format_prompt(task), candidates, self.serving.submit_responses(task, candidates))
-            )
-
-        augmented = list(pairs)
-        for task, prompt, candidates, handle in pending:
-            augmented.extend(rank_to_pairs(prompt, candidates, handle.result(), task=task.name)[:per_task])
+            scores = self.serving.score_responses(task, candidates)
+            augmented.extend(rank_to_pairs(format_prompt(task), candidates, scores, task=task.name)[:per_task])
         return augmented
 
     # ------------------------------------------------------------------ #
@@ -258,7 +250,7 @@ class DPOAFPipeline:
         tasks = list(tasks) if tasks is not None else list(self.tasks) + list(self.validation)
         if num_samples is None:
             num_samples = self.config.sampling.responses_per_prompt
-        pending = self._sample_and_submit(
+        scored = self._sample_and_score(
             model, tokenizer, tasks, num_samples, self.config.sampling, seeded_rng(seed)
         )
         return ModelEvaluation(
@@ -267,9 +259,9 @@ class DPOAFPipeline:
                     task=task.name,
                     split=task.split,
                     num_specifications=len(self.specifications),
-                    satisfied_counts=handle.result(),
+                    satisfied_counts=scores,
                 )
-                for task, _prompt, _responses, handle in pending
+                for task, _prompt, _responses, scores in scored
             ]
         )
 
@@ -323,7 +315,7 @@ class DPOAFPipeline:
         )
 
     def _export_trace(self) -> None:
-        """Export the run's spans (parent + worker shards) to ``trace_path``."""
+        """Export the run's spans (with the training workers' adopted ones) to ``trace_path``."""
         if self._tracer is None:
             return
         from repro.obs.export import write_chrome_trace
@@ -336,11 +328,11 @@ class DPOAFPipeline:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release the serving layer's dispatcher thread and the tracer.
+        """Release the feedback service and the tracer.
 
         ``run()`` leaves the pipeline reusable; call this — or use the
-        pipeline as a context manager — when done, so the dispatcher thread
-        does not outlive the experiment.
+        pipeline as a context manager — when done.  The pipeline scores on
+        the calling thread, so it starts no dispatcher thread of its own.
         """
         try:
             self.serving.close()

@@ -97,6 +97,7 @@ def dpo_step(
     *,
     beta: float = 0.5,
     backward: bool = True,
+    shards=None,
 ) -> DPOBatchMetrics:
     """Compute the DPO loss for one batch and (optionally) accumulate gradients.
 
@@ -106,14 +107,17 @@ def dpo_step(
     Both halves run as one stacked batch per model, and one backward closure
     applies both coefficient signs at once.  ``reference`` is anything with
     the model's ``sequence_log_probs(tokens, mask)``: the frozen model itself
-    or a :class:`~repro.dpo.trainer.ReferenceMemo` of it.
+    or a :class:`~repro.dpo.trainer.ReferenceMemo` of it.  ``shards`` is the
+    training loop's :class:`~repro.lm.shards.TrainingShards`, if any.
     """
     tokens, mask = stack_pair_batch(batch)
 
     # Reference (frozen) log-probabilities — never receive gradients.
     ref_chosen, ref_rejected = np.split(reference.sequence_log_probs(tokens, mask), 2)
 
-    if backward:
+    if backward and shards is not None:
+        policy_both, backward_fn = policy.sequence_log_probs_with_grad(tokens, mask, shards=shards)
+    elif backward:
         policy_both, backward_fn = policy.sequence_log_probs_with_grad(tokens, mask)
     else:
         policy_both = policy.sequence_log_probs(tokens, mask)

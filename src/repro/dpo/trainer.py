@@ -15,6 +15,7 @@ from repro.errors import TrainingError
 from repro.lm.layers import DTYPE
 from repro.lm.lora import LoRAConfig, apply_lora
 from repro.lm.optim import Adam
+from repro.lm.shards import TrainingShards
 from repro.lm.tokenizer import Tokenizer
 from repro.lm.transformer import TransformerLM, target_widths
 from repro.utils.rng import seeded_rng
@@ -141,8 +142,11 @@ class DPOTrainer:
         epoch; ``max_steps`` ends training early, after checkpointing the
         epoch it stopped in.  Reference log-probs come from a
         :class:`ReferenceMemo`, so the reference model runs only on sequences
-        it has not seen — in the first epoch.  A token id outside the
-        policy's vocabulary raises :class:`TrainingError` naming its pair.
+        it has not seen — in the first epoch.  Each step's length groups are
+        split between this process and one worker
+        (:class:`repro.lm.shards.TrainingShards`) that lives as long as this
+        call.  A token id outside the policy's vocabulary raises
+        :class:`TrainingError` naming its pair.
         """
         if len(dataset) == 0:
             raise TrainingError("cannot run DPO on an empty preference dataset")
@@ -164,23 +168,25 @@ class DPOTrainer:
         total_steps = total_pairs = 0
         started = time.perf_counter()
 
-        for epoch in range(1, config.num_epochs + 1):
-            for batch in dataset.batches(config.batch_size, rng=rng, shuffle=True):
-                with obs.span("dpo.step", category="train", epoch=epoch, step=total_steps + 1):
-                    self.optimizer.zero_grad()
-                    metrics = dpo_step(self.policy, reference, batch, beta=config.beta)
-                    grad_norm = self.optimizer.step()
-                history.record(metrics, grad_norm)
-                total_steps += 1
-                total_pairs += int(len(batch["indices"]))
-                if total_steps >= max_steps:
+        with TrainingShards(self.policy, max_groups=2 * config.batch_size) as shards:
+            for epoch in range(1, config.num_epochs + 1):
+                for batch in dataset.batches(config.batch_size, rng=rng, shuffle=True):
+                    with obs.span("dpo.step", category="train", epoch=epoch, step=total_steps + 1):
+                        self.optimizer.zero_grad()
+                        metrics = dpo_step(self.policy, reference, batch, beta=config.beta, shards=shards)
+                        with obs.span("optim.step", category="train"):
+                            grad_norm = self.optimizer.step()
+                    history.record(metrics, grad_norm)
+                    total_steps += 1
+                    total_pairs += int(len(batch["indices"]))
+                    if total_steps >= max_steps:
+                        break
+                history.mark_epoch()
+                stopping = total_steps >= max_steps
+                if stopping or epoch % config.checkpoint_every == 0 or epoch == config.num_epochs:
+                    checkpoints[epoch] = self.policy.state_dict()
+                if stopping:
                     break
-            history.mark_epoch()
-            stopping = total_steps >= max_steps
-            if stopping or epoch % config.checkpoint_every == 0 or epoch == config.num_epochs:
-                checkpoints[epoch] = self.policy.state_dict()
-            if stopping:
-                break
 
         seconds = time.perf_counter() - started
         return DPOResult(

@@ -41,6 +41,14 @@ class Parameter:
     derived caches (e.g. the materialised LoRA weight in :class:`Linear`) key
     on it to know when to recompute.  Code that mutates ``param.value`` in
     place outside those paths must call :meth:`bump` itself.
+
+    While a training loop runs (:class:`repro.lm.shards.TrainingShards`),
+    ``value`` is a view into memory shared with the training worker, and
+    ``grad`` a view into one flat buffer (or, during a group's backward, into
+    that group's slab row).  So values change in place — the optimizer's
+    update and ``load_state_dict`` write into the array — never by
+    rebinding ``value``.  The worker sees those writes but not the bumps;
+    it bumps its own copies when the caller's step number changes.
     """
 
     value: np.ndarray

@@ -9,6 +9,7 @@ import numpy as np
 from repro.errors import TrainingError
 from repro.lm.corpus import Corpus
 from repro.lm.optim import Adam
+from repro.lm.shards import TrainingShards
 from repro.lm.tokenizer import Tokenizer
 from repro.lm.transformer import ModelConfig, TransformerLM
 from repro.obs import tracer as obs
@@ -58,8 +59,10 @@ def pretrain(corpus: Corpus, config: PretrainConfig | None = None) -> PretrainRe
 
     Each step samples ``batch_size`` documents;
     :meth:`TransformerLM.cross_entropy` runs them as length groups, so no
-    step computes the pad past a document's end.  Returns the trained model,
-    its tokenizer and the per-step loss curve.
+    step computes the pad past a document's end, split between this process
+    and one worker (:class:`repro.lm.shards.TrainingShards`) that lives as
+    long as this call.  Returns the trained model, its tokenizer and the
+    per-step loss curve.
     """
     config = config or PretrainConfig()
     rng = seeded_rng(config.seed)
@@ -79,12 +82,15 @@ def pretrain(corpus: Corpus, config: PretrainConfig | None = None) -> PretrainRe
 
     losses: list[float] = []
     num_documents = data.shape[0]
-    for step in range(config.num_steps):
-        batch_idx = rng.integers(0, num_documents, size=min(config.batch_size, num_documents))
-        with obs.span("pretrain.step", category="train", step=step + 1):
-            optimizer.zero_grad()
-            loss = model.cross_entropy(data[batch_idx], pad_id=pad_id, backward=True)
-            optimizer.step()
-        losses.append(loss)
+    batch_size = min(config.batch_size, num_documents)
+    with TrainingShards(model, max_groups=batch_size) as shards:
+        for step in range(config.num_steps):
+            batch_idx = rng.integers(0, num_documents, size=batch_size)
+            with obs.span("pretrain.step", category="train", step=step + 1):
+                optimizer.zero_grad()
+                loss = model.cross_entropy(data[batch_idx], pad_id=pad_id, backward=True, shards=shards)
+                with obs.span("optim.step", category="train"):
+                    optimizer.step()
+            losses.append(loss)
 
     return PretrainResult(model=model, tokenizer=corpus.tokenizer, losses=losses)

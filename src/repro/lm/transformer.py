@@ -67,6 +67,78 @@ def _target_index(targets: np.ndarray) -> tuple:
     return np.arange(batch)[:, None], np.arange(time)[None, :], targets
 
 
+def forward_groups(
+    model, tokens: np.ndarray, mask: np.ndarray, groups, *, negate: bool, denom=None, shards=None
+) -> tuple:
+    """The group loop: run each ``(slot, rows, width)`` length group forward.
+
+    Returns ``(values, kept)``: per group, the target log-probs times the
+    group's mask (negated for a loss), shape ``(rows, width)``, and what
+    :func:`backward_groups` reads.  With ``denom`` each group's cross-entropy
+    backward follows its forward, so only one group's activations are held
+    and nothing is kept.  ``shards`` is the training loop's
+    :class:`repro.lm.shards.TrainingShards` (``None`` outside one): it names
+    this process in each span's ``shard`` attribute and orders span starts.
+    """
+    shard = 0 if shards is None else shards.shard
+    values, kept = [], []
+    for slot, rows, width in groups:
+        index = _target_index(tokens[rows, 1 : width + 1])
+        group_mask = mask[rows, :width]
+        if shards is not None:
+            shards.wait_turn(0, slot)
+        with obs.span("train.forward", category="train", rows=len(rows), width=width, shard=shard):
+            if shards is not None:
+                shards.take_turn(0, slot)
+            logits, cache = model.forward(tokens[rows, :width])
+            probs = softmax(logits, axis=-1)
+            log_probs = np.log(np.clip(probs[index], 1e-12, None))
+            values.append(-log_probs * group_mask if negate else log_probs * group_mask)
+        group = (slot, rows, width, index, group_mask, probs, cache)
+        if denom is None:
+            kept.append(group)
+        else:
+            _backward_group(model, group, denom, None, shards)
+        # Free this group's activations before the next group's forward.
+        del logits, probs, cache, group
+    return values, kept
+
+
+def backward_groups(model, kept: list, *, coefficients: np.ndarray, shards=None) -> None:
+    """Backpropagate ``Σ c_row · log π(row)`` through :func:`forward_groups`' kept groups."""
+    for group in kept:
+        _backward_group(model, group, None, coefficients, shards)
+
+
+def _backward_group(model, group: tuple, denom, coefficients, shards) -> None:
+    """One group's backward: of its mean cross-entropy under ``denom`` (its
+    ``probs`` are consumed), else of its rows' log-probs times
+    ``coefficients``.  Outside a training loop the gradients go straight into
+    ``Parameter.grad``; inside one, ``shards`` keeps them in the group's own
+    slab row."""
+    slot, rows, width, index, group_mask, probs, cache = group
+    shard = 0 if shards is None else shards.shard
+    if shards is not None:
+        shards.wait_turn(1, slot)
+    with obs.span("train.backward", category="train", rows=len(rows), width=width, shard=shard):
+        if shards is not None:
+            shards.take_turn(1, slot)
+        if coefficients is None:
+            dlogits = probs  # consumed: probs is not read again
+            dlogits[index] -= 1.0
+            dlogits *= (group_mask / denom)[..., None]
+        else:
+            # d log p(target) / d logits = onehot(target) - softmax(logits)
+            dlogits = -probs
+            dlogits[index] += 1.0
+            dlogits *= np.asarray(group_mask, dtype=DTYPE)[..., None]
+            dlogits *= coefficients[rows].reshape(-1, 1, 1)
+        if shards is None:
+            model.backward(cache, dlogits)
+        else:
+            shards.backward_into_slab(slot, cache, dlogits)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Hyper-parameters of the numpy language model."""
@@ -163,50 +235,53 @@ class TransformerLM(Layer):
     def backward(self, cache: tuple, dlogits: np.ndarray) -> None:
         """Backpropagate a gradient w.r.t. the logits of the forward that
         returned ``cache``, adding into every parameter's ``grad``."""
+        self.token_embedding.backward(*self.backward_dense(cache, dlogits))
+
+    def backward_dense(self, cache: tuple, dlogits: np.ndarray) -> tuple:
+        """:meth:`backward` up to the token embedding: every gradient but that
+        table's ``np.add.at`` scatter, whose inputs ``(tokens, dx)`` it returns.
+
+        A scatter adds row by row, so a training step replays each group's
+        in plan order rather than summing them (``repro.lm.shards``).
+        """
         tokens, blocks, ln_final, x = cache
         dx = self.head.backward(x, dlogits)
         dx = self.ln_final.backward(ln_final, dx)
         for block, block_cache in zip(reversed(self.blocks), reversed(blocks)):
             dx = block.backward(block_cache, dx)
-        self.token_embedding.backward(tokens, dx)
         # Every row sits at positions 0 .. time - 1, so the position table's
         # gradient is the batch sum (no scatter).
         if self.position_embedding.weight.trainable:
             self.position_embedding.weight.grad[: dx.shape[1]] += dx.sum(axis=0)
+        return tokens, dx
 
     # ------------------------------------------------------------------ #
     # Losses and scoring
     # ------------------------------------------------------------------ #
-    def cross_entropy(self, tokens: np.ndarray, *, pad_id: int, backward: bool = True) -> float:
+    def cross_entropy(self, tokens: np.ndarray, *, pad_id: int, backward: bool = True, shards=None) -> float:
         """Next-token cross-entropy over a batch (positions with pad targets masked).
 
         Returns the mean loss over the batch's non-pad targets; when
         ``backward`` is True the corresponding gradients are accumulated into
         the parameters.  The rows run as length groups
-        (:func:`plan_length_groups`), each forward then backward at its own
-        width; per-token losses are scattered back to the batch's width before
-        the sum, so the loss is bitwise the full-width step's.
+        (:func:`plan_length_groups`), each at its own width; per-token losses
+        are scattered back to the batch's width before the sum, so the loss
+        is bitwise the full-width step's.  A training loop passes its
+        :class:`repro.lm.shards.TrainingShards`, which splits the groups
+        between two processes; the result is bitwise the same.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         mask = (tokens[:, 1:] != pad_id).astype(DTYPE)
         denom = DTYPE(max(mask.sum(), 1.0))
+        groups = plan_length_groups(target_widths(mask))
+        if shards is not None and backward:
+            values = shards.run(tokens, mask, groups, negate=True, denom=denom)
+        else:
+            plan = [(slot, rows, width) for slot, (rows, width) in enumerate(groups)]
+            values, _ = forward_groups(self, tokens, mask, plan, negate=True, denom=denom if backward else None)
         losses = np.zeros(mask.shape, dtype=DTYPE)
-        for rows, width in plan_length_groups(target_widths(mask)):
-            group = tokens[rows, : width + 1]
-            index = _target_index(group[:, 1:])
-            group_mask = mask[rows, :width]
-            with obs.span("train.forward", category="train", rows=len(rows), width=width):
-                logits, cache = self.forward(group[:, :-1])
-                probs = softmax(logits, axis=-1)
-                losses[rows, :width] = -np.log(np.clip(probs[index], 1e-12, None)) * group_mask
-            if backward:
-                with obs.span("train.backward", category="train", rows=len(rows), width=width):
-                    dlogits = probs  # consumed: probs is not read again
-                    dlogits[index] -= 1.0
-                    dlogits *= (group_mask / denom)[..., None]
-                    self.backward(cache, dlogits)
-            # Free this group's activations before the next group's forward.
-            del logits, cache
+        for (rows, width), group_losses in zip(groups, values):
+            losses[rows, :width] = group_losses
         return float(losses.sum() / denom)
 
     def token_log_probs(self, tokens: np.ndarray) -> np.ndarray:
@@ -232,41 +307,37 @@ class TransformerLM(Layer):
         """
         return (self.token_log_probs(tokens) * response_mask).sum(axis=1)
 
-    def sequence_log_probs_with_grad(self, tokens: np.ndarray, response_mask: np.ndarray) -> tuple:
+    def sequence_log_probs_with_grad(self, tokens: np.ndarray, response_mask: np.ndarray, *, shards=None) -> tuple:
         """Like :meth:`sequence_log_probs` but also returns a backward closure.
 
         The closure takes per-sequence coefficients ``c`` (shape ``(batch,)``)
         and backpropagates ``sum_i c_i * log π(y_i|x_i)`` through the model.
         Every length group's forward runs here, because the coefficients
         depend on every row's log-prob; the closure runs their backwards from
-        the caches those forwards returned, one per group.
+        the caches those forwards returned, one per group.  With ``shards``
+        (a training loop's :class:`repro.lm.shards.TrainingShards`) each
+        process keeps the caches of its own groups.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         response_mask = np.asarray(response_mask)
+        groups = plan_length_groups(target_widths(response_mask))
+        if shards is None:
+            plan = [(slot, rows, width) for slot, (rows, width) in enumerate(groups)]
+            values, kept = forward_groups(self, tokens, response_mask, plan, negate=False)
+
+            def backward_fn(coefficients: np.ndarray) -> None:
+                backward_groups(self, kept, coefficients=np.asarray(coefficients, dtype=DTYPE))
+
+        else:
+            values = shards.run(tokens, response_mask, groups, negate=False)
+
+            def backward_fn(coefficients: np.ndarray) -> None:
+                shards.run_backward(np.asarray(coefficients, dtype=DTYPE))
+
         per_token = np.zeros(response_mask.shape, dtype=np.result_type(DTYPE, response_mask.dtype))
-        groups = []
-        for rows, width in plan_length_groups(target_widths(response_mask)):
-            index = _target_index(tokens[rows, 1 : width + 1])
-            group_mask = response_mask[rows, :width]
-            with obs.span("train.forward", category="train", rows=len(rows), width=width):
-                logits, cache = self.forward(tokens[rows, :width])
-                probs = softmax(logits, axis=-1)
-                per_token[rows, :width] = np.log(np.clip(probs[index], 1e-12, None)) * group_mask
-            groups.append((rows, width, index, group_mask, probs, cache))
-        log_probs = per_token.sum(axis=1)
-
-        def backward_fn(coefficients: np.ndarray) -> None:
-            coefficients = np.asarray(coefficients, dtype=DTYPE)
-            for rows, width, index, group_mask, probs, cache in groups:
-                with obs.span("train.backward", category="train", rows=len(rows), width=width):
-                    # d log p(target) / d logits = onehot(target) - softmax(logits)
-                    dlogits = -probs
-                    dlogits[index] += 1.0
-                    dlogits *= np.asarray(group_mask, dtype=DTYPE)[..., None]
-                    dlogits *= coefficients[rows].reshape(-1, 1, 1)
-                    self.backward(cache, dlogits)
-
-        return log_probs, backward_fn
+        for (rows, width), group_values in zip(groups, values):
+            per_token[rows, :width] = group_values
+        return per_token.sum(axis=1), backward_fn
 
     # ------------------------------------------------------------------ #
     # LoRA management and cloning
@@ -323,5 +394,7 @@ class TransformerLM(Layer):
             value = np.asarray(state[name], dtype=DTYPE)
             if value.shape != param.value.shape:
                 raise TrainingError(f"shape mismatch for {name}: {value.shape} vs {param.value.shape}")
-            param.value = value.copy()
+            # In place: during training the value is a view into memory
+            # shared with the training worker.
+            param.value[...] = value
             param.bump()

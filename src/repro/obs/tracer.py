@@ -42,7 +42,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 
@@ -303,6 +303,23 @@ class Tracer:
             if self._jsonl_file is not None:
                 self._jsonl_file.write(json.dumps(sample.to_record()) + "\n")
                 self._jsonl_file.flush()
+
+    def adopt(self, spans) -> None:
+        """Record spans another process finished, under this thread's open span.
+
+        The spans come from a fresh :class:`Tracer` in a forked child (the
+        training worker), so their ids clash with this tracer's: each gets a
+        new id, links between them are kept, and a root becomes a child of
+        the span open on the calling thread.  Their ``pid`` and timestamps
+        are left as recorded.
+        """
+        stack = self._thread_stack()
+        parent = stack[-1] if stack else None
+        ids = {span.span_id: next(self._ids) for span in spans}
+        for span in spans:
+            self._emit_span(
+                replace(span, span_id=ids[span.span_id], parent_id=ids.get(span.parent_id, parent))
+            )
 
     # ------------------------------------------------------------------ #
     def spans(self) -> list:

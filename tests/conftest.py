@@ -1,6 +1,8 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and a check that no test leaks a child process."""
 
 from __future__ import annotations
+
+import glob
 
 import numpy as np
 import pytest
@@ -9,6 +11,43 @@ from repro.automata import FSAController, TransitionSystem, Vocabulary
 from repro.driving import all_specifications, core_specifications, task_by_name
 from repro.driving.responses import response_templates
 from repro.glm2fsa import build_controller_from_text
+
+
+def _children() -> set | None:
+    """PIDs of this process's children, alive or unreaped; None where the
+    kernel does not list them."""
+    listings = glob.glob("/proc/self/task/*/children")
+    if not listings:
+        return None
+    pids = set()
+    for listing in listings:
+        try:
+            with open(listing) as handle:
+                pids.update(int(pid) for pid in handle.read().split())
+        except OSError:
+            continue  # the thread ended between the glob and the read
+    return pids
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Fail a test that leaves a child process alive or unreaped."""
+    before = _children()
+    yield
+    if before is None:
+        return
+    leaked = sorted(_children() - before)
+    if leaked:
+        item.ihook.pytest_runtest_logreport(
+            report=pytest.TestReport(
+                item.nodeid,
+                item.location,
+                {},
+                "failed",
+                f"left child processes {leaked} alive or unreaped",
+                "teardown",
+            )
+        )
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from repro.driving import core_specifications, response_templates, training_task
 from repro.obs import tracer as obs
 from repro.obs.export import load_chrome_trace, spans_from_trace
 from repro.obs.tracer import Tracer
+from repro.lm.shards import worker_available
 from repro.serving import FeedbackJob, FeedbackService, ServingConfig
 
 BACKENDS = ("serial", "process")
@@ -169,6 +170,33 @@ class TestPipelineParity:
         full, rest = divmod(pairs, config.dpo.batch_size)
         epoch = [2 * config.dpo.batch_size] * full + ([2 * rest] if rest else [])
         assert per_step["dpo.step"] == epoch * config.dpo.num_epochs
+
+    def test_every_step_holds_one_optimizer_step_and_one_reduction(self, pipeline_parity):
+        """The parent's serial share of a step is named: exactly one
+        ``optim.step`` and one ``train.reduce`` directly inside every
+        ``pretrain.step`` and every ``dpo.step``."""
+        _, trace_path = pipeline_parity[True]
+        spans = spans_from_trace(load_chrome_trace(trace_path))
+        steps = {s.span_id: s for s in spans if s.name in ("pretrain.step", "dpo.step")}
+        for name in ("optim.step", "train.reduce"):
+            parents = [s.parent_id for s in spans if s.name == name]
+            assert sorted(parents) == sorted(steps), name
+            assert all(s.category == "train" for s in spans if s.name == name)
+
+    @pytest.mark.skipif(not worker_available(), reason="the training worker needs fork and two usable cores")
+    def test_both_shards_record_their_length_groups(self, pipeline_parity):
+        """With a worker, each process's group spans carry its ``shard``, the
+        worker's come from its own pid, and all sit directly in their step."""
+        _, trace_path = pipeline_parity[True]
+        spans = spans_from_trace(load_chrome_trace(trace_path))
+        by_id = {s.span_id: s for s in spans}
+        (stage,) = [s for s in spans if s.name == "pipeline.pretrain"]
+        groups = [s for s in spans if s.name in ("train.forward", "train.backward")]
+        for name in ("train.forward", "train.backward"):
+            assert {s.attributes["shard"] for s in groups if s.name == name} == {0, 1}
+        assert {s.pid for s in groups if s.attributes["shard"] == 0} == {stage.pid}
+        assert stage.pid not in {s.pid for s in groups if s.attributes["shard"] == 1}
+        assert all(by_id[s.parent_id].name in ("pretrain.step", "dpo.step") for s in groups)
 
     def test_untraced_run_leaves_the_null_tracer_installed(self, pipeline_parity):
         assert not obs.tracing_enabled()

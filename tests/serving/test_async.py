@@ -64,8 +64,8 @@ class TestSubmitBatch:
         """Several in-flight batches must resolve exactly like sequential calls."""
         jobs = _mixed_scenario_jobs()
         batches = [jobs[i::3] for i in range(3)]  # overlapping content across batches
-        sync = _service(backend)
-        expected = [sync.score_batch(batch) for batch in batches]
+        with _service(backend) as sync:
+            expected = [sync.score_batch(batch) for batch in batches]
         with _service(backend) as service:
             handles = [service.submit_batch(batch) for batch in batches]
             assert [h.result() for h in handles] == expected

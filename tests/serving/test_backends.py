@@ -55,7 +55,8 @@ class TestBackendParity:
             core_specifications(), feedback=feedback, seed=0, config=ServingConfig(enabled=False)
         ).score_batch(jobs)
         for backend in BACKENDS:
-            assert _service(backend, feedback).score_batch(jobs) == reference, backend
+            with _service(backend, feedback) as service:
+                assert service.score_batch(jobs) == reference, backend
 
     def test_process_backend_small_batch_falls_back_to_serial(self):
         """A tiny miss batch must not pay the fork cost (and still score right)."""

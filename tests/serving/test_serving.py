@@ -142,8 +142,8 @@ class TestFeedbackService:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_batch_order_is_deterministic(self, right_turn_task, batch_responses, backend):
         config = ServingConfig(backend=backend, max_workers=3)
-        service = FeedbackService(core_specifications(), feedback=FeedbackConfig(), config=config)
-        batch_scores = service.score_responses(right_turn_task, batch_responses)
+        with FeedbackService(core_specifications(), feedback=FeedbackConfig(), config=config) as service:
+            batch_scores = service.score_responses(right_turn_task, batch_responses)
         reference = FeedbackService(
             core_specifications(), feedback=FeedbackConfig(), config=ServingConfig(enabled=False)
         )

@@ -6,7 +6,8 @@ The contracts under test:
   identical — same pair list, bitwise-identical scores — to pairs built from
   the blocking ``score_batch`` path, on every backend;
 * every :class:`FeedbackService` owns its :class:`Dispatcher`, and closing
-  the service (or the pipeline around it) stops that dispatcher's thread.
+  the service stops that dispatcher's thread; the pipeline scores on the
+  calling thread and starts none.
 """
 
 import threading
@@ -128,23 +129,20 @@ class TestStreamingPairConstruction:
                 expected.extend(rank_to_pairs(prompt, candidates, scores, task=task.name)[:3])
         assert augmented == expected
 
-    def test_pipeline_ranks_a_task_while_the_next_verifies(self, monkeypatch):
-        """Handles drain in task order, so task *k* is ranked while task
-        *k+1* verifies.  Here task 1's scoring waits until task 0 has been
-        ranked — which times out if ranking waited for every batch."""
+    def test_pipeline_scores_each_task_on_the_calling_thread(self, monkeypatch):
+        """The pipeline scores on the calling thread, task by task: task 0 is
+        ranked before task 1 reaches the scorer."""
         import repro.core.pipeline as pipeline_module
         from repro.core import DPOAFPipeline
         from repro.core.config import quick_pipeline_config
         from repro.driving import training_tasks
 
         tasks = training_tasks()[:2]
-        first_ranked = threading.Event()
-        gated_scores = []
+        events = []
         real_rank = pipeline_module.rank_to_pairs
 
         def rank(prompt, responses, scores, *, task):
-            if task == tasks[0].name:
-                first_ranked.set()
+            events.append(("rank", task))
             return real_rank(prompt, responses, scores, task=task)
 
         monkeypatch.setattr(pipeline_module, "rank_to_pairs", rank)
@@ -156,15 +154,16 @@ class TestStreamingPairConstruction:
         ) as pipeline:
             score = pipeline.serving._scorer.score
 
-            def gated(task, scenario, response):
-                if task == tasks[1].name:
-                    assert first_ranked.wait(timeout=30), "task 1 verified before task 0 was ranked"
-                    gated_scores.append(response)
+            def recording(task, scenario, response):
+                assert threading.current_thread() is threading.main_thread()
+                if ("score", task) not in events:
+                    events.append(("score", task))
                 return score(task, scenario, response)
 
-            pipeline.serving._scorer.score = gated
+            pipeline.serving._scorer.score = recording
             assert pipeline.augment_with_templates([], per_task=3)
-        assert gated_scores, "task 1 never reached the scorer"
+        first, second = (task.name for task in tasks)
+        assert events == [("score", first), ("rank", first), ("score", second), ("rank", second)]
 
 
 class TestServiceDispatcher:
@@ -218,7 +217,10 @@ class TestServiceDispatcher:
             thread.join(timeout=30)
         assert not any(thread.is_alive() for thread in started)
 
-    def test_pipeline_close_leaves_no_live_dispatcher_thread(self):
+    def test_pipeline_starts_no_dispatcher_thread(self):
+        """The pipeline scores synchronously: augmenting pairs, and closing,
+        leave no dispatcher thread behind, so training forks from a process
+        with one thread."""
         from repro.core import DPOAFPipeline
         from repro.core.config import quick_pipeline_config
         from repro.driving import training_tasks
@@ -231,11 +233,9 @@ class TestServiceDispatcher:
             validation=(),
         ) as pipeline:
             assert pipeline.augment_with_templates([], per_task=2)
-            started = _dispatch_threads(before)
-            assert started, "the pipeline never submitted through its service"
-        for thread in started:
-            thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in started)
+            assert pipeline.serving._dispatcher is None
+            assert _dispatch_threads(before) == []
+        assert _dispatch_threads(before) == []
 
 
 def _dispatch_threads(before: set) -> list:
