@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs import tracer as obs
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, process_usage_provider
 from repro.core.config import PipelineConfig, SamplingConfig
 from repro.dpo.trainer import DPOResult, run_dpo
 from repro.driving.specifications import all_specifications
@@ -122,8 +122,11 @@ class DPOAFPipeline:
         self.serving = FeedbackService(self.specifications, seed=self.config.seed)
         # One registry federates every subsystem's telemetry; run() takes a
         # single snapshot at the end and embeds it in the exported trace.
+        # "process" counts from here: this process's minor faults and peak
+        # RSS, and those of the training workers reaped since.
         self.metrics_registry = MetricsRegistry()
         self.metrics_registry.register_provider("serving", self.serving.metrics.snapshot)
+        self.metrics_registry.register_provider("process", process_usage_provider())
 
     # ------------------------------------------------------------------ #
     # Stage 1: the pre-trained model

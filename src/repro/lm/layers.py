@@ -244,7 +244,7 @@ class Linear(Layer):
             y = np.ascontiguousarray(y[:, : self.out_features])
         y = y.reshape(x.shape[:-1] + (self.out_features,))
         if self.bias is not None:
-            y = y + self.bias.value
+            y += self.bias.value
         return y
 
     def backward(self, x: np.ndarray, dout: np.ndarray) -> np.ndarray:
@@ -296,10 +296,14 @@ class LayerNorm(Layer):
         # row sums by the count), without their per-call Python overhead and
         # with the mean computed once.
         centred = x - x.sum(axis=-1, keepdims=True) / self.dim
-        var = (centred * centred).sum(axis=-1, keepdims=True) / self.dim
+        out = centred * centred
+        var = out.sum(axis=-1, keepdims=True) / self.dim
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        normalised = centred * inv_std
-        return normalised * self.gain.value + self.shift.value, (normalised, inv_std)
+        normalised = centred
+        normalised *= inv_std
+        np.multiply(normalised, self.gain.value, out=out)
+        out += self.shift.value
+        return out, (normalised, inv_std)
 
     def backward(self, cache: tuple, dout: np.ndarray) -> np.ndarray:
         normalised, inv_std = cache
@@ -308,26 +312,57 @@ class LayerNorm(Layer):
         if self.shift.trainable:
             self.shift.grad += dout.reshape(-1, self.dim).sum(axis=0)
         dnorm = dout * self.gain.value
-        # Standard layer-norm backward over the last axis.
+        # Standard layer-norm backward over the last axis:
+        # ((dnorm - mean(dnorm)) - normalised * mean(dnorm * normalised)) * inv_std.
         mean_dnorm = dnorm.sum(axis=-1, keepdims=True) / self.dim
-        mean_dnorm_norm = (dnorm * normalised).sum(axis=-1, keepdims=True) / self.dim
-        return (dnorm - mean_dnorm - normalised * mean_dnorm_norm) * inv_std
+        scratch = dnorm * normalised
+        mean_dnorm_norm = scratch.sum(axis=-1, keepdims=True) / self.dim
+        np.multiply(normalised, mean_dnorm_norm, out=scratch)
+        dnorm -= mean_dnorm
+        dnorm -= scratch
+        dnorm *= inv_std
+        return dnorm
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def _gelu_with_cache(x: np.ndarray) -> tuple:
-    """GELU (tanh approximation) plus the tanh term needed by its derivative."""
-    x3 = x * x * x
-    tanh_inner = np.tanh(_GELU_C * (x + 0.044715 * x3))
-    return 0.5 * x * (1.0 + tanh_inner), tanh_inner
+    """GELU (tanh approximation) plus the tanh term needed by its derivative.
+
+    ``0.5 * x * (1 + tanh(c * (x + 0.044715 * x³)))``, each operation in that
+    order, written into three arrays of its own.
+    """
+    tanh_inner = x * x
+    tanh_inner *= x
+    tanh_inner *= 0.044715
+    tanh_inner += x
+    tanh_inner *= _GELU_C
+    np.tanh(tanh_inner, out=tanh_inner)
+    out = 0.5 * x
+    out *= 1.0 + tanh_inner
+    return out, tanh_inner
 
 
 def gelu_grad(x: np.ndarray, tanh_inner: np.ndarray) -> np.ndarray:
-    """Derivative of the tanh-approximated GELU, given its forward tanh term."""
-    sech2 = 1.0 - tanh_inner ** 2
-    return 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x * x)
+    """Derivative of the tanh-approximated GELU, given its forward tanh term.
+
+    ``0.5 * (1 + t) + 0.5 * x * (1 - t²) * c * (1 + 3 · 0.044715 · x · x)``,
+    each operation in that order, written into three arrays of its own.
+    """
+    sech2 = np.square(tanh_inner)
+    np.subtract(1.0, sech2, out=sech2)
+    grad = 0.5 * x
+    grad *= sech2
+    grad *= _GELU_C
+    poly = (3 * 0.044715) * x
+    poly *= x
+    poly += 1.0
+    grad *= poly
+    half = np.add(1.0, tanh_inner, out=sech2)
+    half *= 0.5
+    grad += half
+    return grad
 
 
 class FeedForward(Layer):
@@ -345,15 +380,17 @@ class FeedForward(Layer):
     def backward(self, cache: tuple, dout: np.ndarray) -> np.ndarray:
         x, pre, tanh_inner, activated = cache
         dhidden = self.fc_out.backward(activated, dout)
-        dpre = dhidden * gelu_grad(pre, tanh_inner)
+        dpre = gelu_grad(pre, tanh_inner)
+        dpre *= dhidden
         return self.fc_in.backward(x, dpre)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+    """Numerically stable softmax, computed in one array of its own."""
+    exp = x - x.max(axis=axis, keepdims=True)
+    np.exp(exp, out=exp)
+    exp /= exp.sum(axis=axis, keepdims=True)
+    return exp
 
 
 #: Widest row the length-stable sum reduces in one pass: numpy's pairwise
@@ -411,11 +448,13 @@ def attention_softmax(scores: np.ndarray) -> np.ndarray:
     exactly ``+0.0``, so a row's probabilities carry the same bits whether it
     is computed at its own length (incremental decode), inside a longer
     causally-masked full forward, or in any batch size.  This is what makes
-    KV-cached decoding bitwise-identical to full recompute.
+    KV-cached decoding bitwise-identical to full recompute.  It works in one
+    array of its own and leaves ``scores`` as it was.
     """
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / _length_stable_row_sum(exp)
+    exp = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(exp, out=exp)
+    exp /= _length_stable_row_sum(exp)
+    return exp
 
 
 class CausalSelfAttention(Layer):
@@ -455,9 +494,10 @@ class CausalSelfAttention(Layer):
         duplicated = time == 1
         q_rows = np.concatenate([q, q], axis=2) if duplicated else q
         # (b, h, t, d) @ (b, h, d, s) -> (b, h, t, s); matmul dispatches to BLAS.
-        scores = (q_rows @ k.transpose(0, 1, 3, 2)) * self.scale
+        scores = q_rows @ k.transpose(0, 1, 3, 2)
+        scores *= self.scale
         if not duplicated:
-            scores = np.where(causal_mask(time, total), -1e30, scores)
+            np.copyto(scores, -1e30, where=causal_mask(time, total))
         attention = attention_softmax(scores)
         context = attention @ v
         if duplicated:
@@ -498,15 +538,17 @@ class CausalSelfAttention(Layer):
         dv = attention.transpose(0, 1, 3, 2) @ dcontext
 
         # Softmax backward: dscore = att * (datt - sum(datt * att)).
-        dscores = attention * (dattention - (dattention * attention).sum(axis=-1, keepdims=True))
-        dscores = dscores * self.scale
+        dscores = dattention * attention
+        dattention -= dscores.sum(axis=-1, keepdims=True)
+        np.multiply(attention, dattention, out=dscores)
+        dscores *= self.scale
 
         dq = dscores @ k
         dk = dscores.transpose(0, 1, 3, 2) @ q
 
         dx = self.w_q.backward(x, self._merge_heads(dq))
-        dx = dx + self.w_k.backward(x, self._merge_heads(dk))
-        dx = dx + self.w_v.backward(x, self._merge_heads(dv))
+        dx += self.w_k.backward(x, self._merge_heads(dk))
+        dx += self.w_v.backward(x, self._merge_heads(dv))
         return dx
 
 
@@ -522,10 +564,11 @@ class TransformerBlock(Layer):
     def forward(self, x: np.ndarray) -> tuple:
         normed, ln_1 = self.ln_1.forward(x)
         attended, attention = self.attention.forward(normed)
-        x = x + attended
-        normed, ln_2 = self.ln_2.forward(x)
+        attended += x
+        normed, ln_2 = self.ln_2.forward(attended)
         mixed, mlp = self.mlp.forward(normed)
-        return x + mixed, (ln_1, attention, ln_2, mlp)
+        mixed += attended
+        return mixed, (ln_1, attention, ln_2, mlp)
 
     def forward_step(self, x: np.ndarray, kv, offset: int) -> np.ndarray:
         """Incremental forward against a :class:`repro.lm.decode.LayerKV` cache.
@@ -533,13 +576,18 @@ class TransformerBlock(Layer):
         LayerNorm and the MLP are position-wise, so only attention needs the
         cache; both normalisations see exactly the rows being decoded.
         """
-        x = x + self.attention.forward_step(self.ln_1.forward(x)[0], kv, offset)
-        x = x + self.mlp.forward(self.ln_2.forward(x)[0])[0]
-        return x
+        attended = self.attention.forward_step(self.ln_1.forward(x)[0], kv, offset)
+        attended += x
+        mixed = self.mlp.forward(self.ln_2.forward(attended)[0])[0]
+        mixed += attended
+        return mixed
 
     def backward(self, cache: tuple, dout: np.ndarray) -> np.ndarray:
         ln_1, attention, ln_2, mlp = cache
         dmlp = self.mlp.backward(mlp, dout)
-        dx = dout + self.ln_2.backward(ln_2, dmlp)
+        dx = self.ln_2.backward(ln_2, dmlp)
+        dx += dout
         dattn = self.attention.backward(attention, dx)
-        return dx + self.ln_1.backward(ln_1, dattn)
+        dx_in = self.ln_1.backward(ln_1, dattn)
+        dx_in += dx
+        return dx_in

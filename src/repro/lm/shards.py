@@ -23,15 +23,21 @@ backwards in the same order; untraced, neither process waits mid-step.
 The worker is used only where ``os.fork`` exists and the process may run on
 at least two cores; otherwise the caller takes every group through the same
 loop.  A worker that dies raises :class:`TrainingError`.
+
+On entry the caller also fixes glibc's heap policy (:func:`fix_heap_policy`)
+before it forks, so both processes keep a step's activations on the heap
+rather than mapping them afresh, and faulting them in again, every step.
 """
 
 from __future__ import annotations
 
+import ctypes
 import mmap
 import os
 import signal
 import sys
 import traceback
+import warnings
 from multiprocessing.connection import Pipe
 
 import numpy as np
@@ -42,6 +48,51 @@ from repro.lm.transformer import _GROUP_COST_CELLS, backward_groups, forward_gro
 from repro.obs import tracer as obs
 
 _STOP, _FORWARD, _BACKWARD = "stop", "forward", "backward"
+
+#: ``mallopt`` parameter numbers, from glibc's ``<malloc.h>``.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+#: glibc serves an allocation this large or larger with its own ``mmap`` and
+#: unmaps it on free, so every step would fault it in again.  It must exceed
+#: the largest array a step allocates: at paper scale, the widest DPO
+#: group's attention tensor, 24 rows × 4 heads × 96² × 4 B ≈ 3.5 MiB.  Some
+#: glibc versions refuse more than 32 MiB on a 64-bit host.
+MMAP_THRESHOLD = 16 << 20
+
+#: glibc returns free memory at the top of the heap to the kernel once it
+#: passes this, and the next step faults it back in.  It must exceed the heap
+#: one step frees: in a paper-scale seed-0 run, up to 15.8 MiB lay free at the
+#: top of the caller's heap when a step ended (glibc's ``keepcost``).
+TRIM_THRESHOLD = 32 << 20
+
+
+def fix_heap_policy() -> None:
+    """Set glibc's mmap and trim thresholds to the constants above, for the
+    rest of this process and every process it forks afterwards.
+
+    Both are set.  Left alone, glibc raises its mmap threshold to the largest
+    block freed so far and its trim threshold to twice that, so where the
+    allocation history happens to stop (it moves with the size of the
+    environment, or the length of a path) decides whether a step's arrays
+    are mapped afresh or its heap trimmed between steps; and setting either
+    one alone freezes the other wherever it stands.  Does nothing where libc
+    has no ``mallopt`` (macOS's has none); warns when libc refuses a value,
+    since training then still runs, and gives the same results, but faults
+    its arrays in again every step.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for name, param, value in (
+        ("M_MMAP_THRESHOLD", _M_MMAP_THRESHOLD, MMAP_THRESHOLD),
+        ("M_TRIM_THRESHOLD", _M_TRIM_THRESHOLD, TRIM_THRESHOLD),
+    ):
+        if mallopt(param, value) != 1:
+            warnings.warn(f"libc refused mallopt({name}, {value})", RuntimeWarning, stacklevel=3)
 
 
 def worker_available() -> bool:
@@ -143,6 +194,7 @@ class TrainingShards:
     # Lifetime
     # ------------------------------------------------------------------ #
     def __enter__(self) -> "TrainingShards":
+        fix_heap_policy()
         if worker_available():
             self._fork()
         return self

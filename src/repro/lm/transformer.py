@@ -111,11 +111,11 @@ def backward_groups(model, kept: list, *, coefficients: np.ndarray, shards=None)
 
 
 def _backward_group(model, group: tuple, denom, coefficients, shards) -> None:
-    """One group's backward: of its mean cross-entropy under ``denom`` (its
-    ``probs`` are consumed), else of its rows' log-probs times
-    ``coefficients``.  Outside a training loop the gradients go straight into
-    ``Parameter.grad``; inside one, ``shards`` keeps them in the group's own
-    slab row."""
+    """One group's backward: of its mean cross-entropy under ``denom``, else
+    of its rows' log-probs times ``coefficients``; either way its ``probs``
+    are consumed, becoming ``dlogits`` in place.  Outside a training loop the
+    gradients go straight into ``Parameter.grad``; inside one, ``shards``
+    keeps them in the group's own slab row."""
     slot, rows, width, index, group_mask, probs, cache = group
     shard = 0 if shards is None else shards.shard
     if shards is not None:
@@ -129,7 +129,7 @@ def _backward_group(model, group: tuple, denom, coefficients, shards) -> None:
             dlogits *= (group_mask / denom)[..., None]
         else:
             # d log p(target) / d logits = onehot(target) - softmax(logits)
-            dlogits = -probs
+            dlogits = np.negative(probs, out=probs)  # consumed: probs is not read again
             dlogits[index] += 1.0
             dlogits *= np.asarray(group_mask, dtype=DTYPE)[..., None]
             dlogits *= coefficients[rows].reshape(-1, 1, 1)
@@ -187,7 +187,8 @@ class TransformerLM(Layer):
         time = tokens.shape[1]
         if time > self.config.max_seq_len:
             raise TrainingError(f"sequence length {time} exceeds max_seq_len {self.config.max_seq_len}")
-        x = self.token_embedding.forward(tokens) + self.position_embedding.weight.value[:time]
+        x = self.token_embedding.forward(tokens)
+        x += self.position_embedding.weight.value[:time]
         blocks = []
         for block in self.blocks:
             x, cache = block.forward(x)
@@ -225,7 +226,8 @@ class TransformerLM(Layer):
             raise TrainingError(
                 f"decode length {offset + t_new} exceeds max_seq_len {self.config.max_seq_len}"
             )
-        x = self.token_embedding.forward(tokens) + self.position_embedding.weight.value[offset:offset + t_new]
+        x = self.token_embedding.forward(tokens)
+        x += self.position_embedding.weight.value[offset:offset + t_new]
         for block, kv in zip(self.blocks, state.layers):
             x = block.forward_step(x, kv, offset)
         state.length = offset + t_new

@@ -19,7 +19,8 @@ layer every other subsystem reports into:
 
 ``metrics``
     :class:`MetricsRegistry` — snapshot-shaped *providers*
-    (:class:`~repro.serving.metrics.ServingMetrics`), collapsed by one
+    (:class:`~repro.serving.metrics.ServingMetrics`,
+    :func:`~repro.obs.metrics.process_usage_provider`), collapsed by one
     ``snapshot()`` into the whole run's telemetry dict.
 
 ``export``

@@ -11,7 +11,9 @@ verification hot path actually wants:
   accepting-cycle emptiness check, and the *top-k hottest specs* ranking that
   tells you which of the 15 rules to optimise first;
 * **serving summary** — the cache/dedup line, formatted from a metrics
-  snapshot so the CLI and the pipeline report through one code path.
+  snapshot so the CLI and the pipeline report through one code path;
+* **process summary** — minor page faults and peak RSS of the run's process
+  and of its reaped training workers.
 
 :func:`format_report` renders all of it; the ``repro-trace`` CLI
 (:mod:`repro.obs.cli`) is a thin wrapper around these functions.
@@ -124,6 +126,18 @@ def format_serving_summary(snapshot: dict) -> str:
     )
 
 
+def format_process_summary(snapshot: dict) -> str:
+    """One line from a :func:`process_usage_provider
+    <repro.obs.metrics.process_usage_provider>` snapshot (the ``"process"``
+    key of a metrics snapshot)."""
+    own, children = snapshot["self"], snapshot["children"]
+    return (
+        f"self: {own['minor_faults']:,} minor faults, peak RSS {own['peak_rss_mb']:.1f} MB; "
+        f"reaped children: {children['minor_faults']:,} minor faults, "
+        f"peak RSS {children['peak_rss_mb']:.1f} MB"
+    )
+
+
 def _format_table(title: str, header, rows) -> list:
     lines = [f"== {title} ==", " | ".join(f"{h:>14}" for h in header)]
     for row in rows:
@@ -138,7 +152,8 @@ def format_report(spans, *, metrics: dict | None = None, counter_samples=(), top
     Sections: stage breakdown (wall clock per stage), the top-``top`` hottest
     LTL specs with per-phase (construction / product / emptiness-check)
     timings, dispatcher queue-depth statistics from counter samples, and —
-    when a metrics snapshot is supplied — the serving summary line.
+    when a metrics snapshot is supplied — the serving and process summary
+    lines.
     """
     spans = list(spans)
     lines: list = []
@@ -186,6 +201,12 @@ def format_report(spans, *, metrics: dict | None = None, counter_samples=(), top
         lines.append("")
         lines.append("== serving ==")
         lines.append(format_serving_summary(serving))
+
+    process = (metrics or {}).get("process")
+    if process:
+        lines.append("")
+        lines.append("== process ==")
+        lines.append(format_process_summary(process))
 
     if not lines:
         return "(empty trace: no spans recorded)"

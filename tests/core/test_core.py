@@ -69,8 +69,9 @@ class TestPipelinePieces:
 
     def test_metrics_registry_holds_the_serving_provider(self, pipeline):
         snapshot = pipeline.metrics_registry.snapshot()
-        assert set(snapshot) == {"serving"}
+        assert set(snapshot) == {"serving", "process"}
         assert snapshot["serving"].keys() == pipeline.serving.metrics.snapshot().keys()
+        assert set(snapshot["process"]) == {"self", "children"}
 
     def test_task_model_is_cached(self, pipeline):
         task = task_by_name("turn_right_traffic_light")

@@ -5,16 +5,21 @@ the caller and one forked worker.  The one-process path is reached through
 the core-count check (``os.sched_getaffinity``), so every comparison here is
 the same code on one process and on two.  Losses, weights and checkpoints
 must agree bitwise, the worker must never outlive its training call, and a
-worker that dies must raise ``TrainingError`` rather than hang.
+worker that dies must raise ``TrainingError`` rather than hang.  The heap
+policy the loop fixes on entry must keep steady-state steps from faulting
+their memory in again, in both processes.
 """
 
+import ctypes
 import itertools
 import os
+import resource
 import signal
 import subprocess
 import sys
 import textwrap
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +30,11 @@ from repro.core.config import quick_pipeline_config
 from repro.dpo import run_dpo
 from repro.driving import core_specifications, training_tasks
 from repro.errors import TrainingError
-from repro.lm import pretrain
+from repro.lm import pretrain, shards
 from repro.lm.corpus import build_corpus
 from repro.lm.optim import Adam
-from repro.lm.shards import TrainingShards, split_groups, worker_available
+from repro.lm.pretrain import PretrainConfig
+from repro.lm.shards import TrainingShards, fix_heap_policy, split_groups, worker_available
 from repro.lm.transformer import _GROUP_COST_CELLS
 
 REPO = Path(__file__).resolve().parents[2]
@@ -220,3 +226,70 @@ def test_shared_values_are_written_in_place(monkeypatch):
         assert param.value is before[param.name]
         assert np.array_equal(param.value, state[param.name])
 
+
+def libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not libc_has_mallopt(), reason="the heap policy needs glibc's mallopt")
+def test_steady_state_steps_do_not_fault_their_memory_in_again():
+    """A pretraining step at the default model dims reuses the pages the
+    step before it used: the caller (``RUSAGE_SELF``) and the reaped worker
+    (``RUSAGE_CHILDREN``) each take fewer than 100 minor faults a step.  With
+    glibc's dynamic thresholds each took about 1,000, mapping a step's
+    arrays afresh or trimming the heap between steps.  The difference
+    between a 10-step and a 30-step run cancels the fork and each page's
+    first touch."""
+    corpus, _ = quick_corpus()
+
+    def faults(steps: int) -> tuple:
+        before = [resource.getrusage(who).ru_minflt for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+        pretrain(corpus, PretrainConfig(num_steps=steps))
+        after = [resource.getrusage(who).ru_minflt for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+        return tuple(b - a for a, b in zip(before, after))
+
+    short, long = faults(10), faults(30)
+    caller, worker = ((b - a) / 20 for a, b in zip(short, long))
+    assert caller < 100, f"the caller took {caller:.0f} minor faults a step"
+    if worker_available():
+        assert worker < 100, f"the worker took {worker:.0f} minor faults a step"
+
+
+def fake_libc(monkeypatch, answer) -> list:
+    """Stand a libc whose ``mallopt`` returns ``answer`` (None: no mallopt)
+    in for the real one; returns the calls it receives."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return answer
+
+    libc = types.SimpleNamespace() if answer is None else types.SimpleNamespace(mallopt=mallopt)
+    monkeypatch.setattr(shards.ctypes, "CDLL", lambda name: libc)
+    return calls
+
+
+class TestHeapPolicy:
+    def test_both_thresholds_are_set(self, monkeypatch, recwarn):
+        calls = fake_libc(monkeypatch, 1)
+        fix_heap_policy()
+        assert calls == [(-3, shards.MMAP_THRESHOLD), (-1, shards.TRIM_THRESHOLD)]
+        assert shards.MMAP_THRESHOLD > 24 * 4 * 96 * 96 * 4  # a paper-scale DPO group's attention
+        assert len(recwarn) == 0
+
+    def test_a_refused_setting_warns_naming_it(self, monkeypatch):
+        fake_libc(monkeypatch, 0)
+        with pytest.warns(RuntimeWarning) as caught:
+            fix_heap_policy()
+        assert [str(w.message) for w in caught] == [
+            f"libc refused mallopt(M_MMAP_THRESHOLD, {shards.MMAP_THRESHOLD})",
+            f"libc refused mallopt(M_TRIM_THRESHOLD, {shards.TRIM_THRESHOLD})",
+        ]
+
+    def test_a_libc_without_mallopt_is_left_alone(self, monkeypatch, recwarn):
+        fake_libc(monkeypatch, None)
+        fix_heap_policy()
+        assert len(recwarn) == 0

@@ -19,6 +19,7 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.report import (
+    format_process_summary,
     format_report,
     format_serving_summary,
     hottest_specs,
@@ -187,10 +188,28 @@ class TestReport:
             "hit_rate": 0.25,
             "dedup_rate": 0.25,
         }
-        path = write_chrome_trace(tmp_path / "t.json", tracer, metrics={"serving": serving})
+        process = {
+            "self": {"minor_faults": 27031, "peak_rss_mb": 75.12},
+            "children": {"minor_faults": 13512, "peak_rss_mb": 56.8},
+        }
+        path = write_chrome_trace(tmp_path / "t.json", tracer, metrics={"serving": serving, "process": process})
         text = report_from_trace(load_chrome_trace(path))
         assert "phi_6" in text
         assert "scored 4 responses (3 unique)" in text
+        assert text.count("== process ==") == 1
+        assert text.splitlines()[-1] == format_process_summary(process)
+
+    def test_process_summary_names_both_sides(self):
+        line = format_process_summary(
+            {
+                "self": {"minor_faults": 27031, "peak_rss_mb": 75.12},
+                "children": {"minor_faults": 13512, "peak_rss_mb": 56.8},
+            }
+        )
+        assert line == (
+            "self: 27,031 minor faults, peak RSS 75.1 MB; "
+            "reaped children: 13,512 minor faults, peak RSS 56.8 MB"
+        )
 
 
 class TestCli:

@@ -1,6 +1,12 @@
 """MetricsRegistry tests: providers and the run snapshot."""
 
-from repro.obs.metrics import MetricsRegistry
+import subprocess
+import sys
+
+from repro.obs.metrics import MetricsRegistry, process_usage_provider
+
+#: Pages a touched 64 MiB buffer faults in, at 4 KiB a page.
+TOUCHED_PAGES = (64 << 20) // 4096
 
 
 class TestRegistry:
@@ -27,3 +33,24 @@ class TestRegistry:
         snapshot = registry.snapshot()
         assert snapshot["broken"] == {"error": "RuntimeError: boom"}
         assert snapshot["fine"] == {"ok": 1}
+
+
+class TestProcessUsage:
+    def test_counts_the_faults_this_process_takes_after_it_is_built(self):
+        usage = process_usage_provider()
+        first = usage()["self"]
+        buffer = bytearray(64 << 20)
+        buffer[::4096] = b"x" * len(buffer[::4096])  # touch every page
+        second = usage()["self"]
+        del buffer
+        assert 0 <= first["minor_faults"] < TOUCHED_PAGES
+        assert second["minor_faults"] - first["minor_faults"] >= TOUCHED_PAGES
+        assert second["peak_rss_mb"] >= 64
+
+    def test_counts_a_child_once_it_is_reaped(self):
+        usage = process_usage_provider()
+        before = usage()["children"]
+        subprocess.run([sys.executable, "-c", "b = b'x' * (64 << 20)"], check=True)
+        after = usage()["children"]
+        assert after["minor_faults"] - before["minor_faults"] >= TOUCHED_PAGES
+        assert after["peak_rss_mb"] >= 64

@@ -14,6 +14,7 @@ from repro.core.config import FeedbackConfig, quick_pipeline_config
 from repro.driving import core_specifications, response_templates, training_tasks
 from repro.obs import tracer as obs
 from repro.obs.export import load_chrome_trace, spans_from_trace
+from repro.obs.report import report_from_trace
 from repro.obs.tracer import Tracer
 from repro.lm.shards import worker_available
 from repro.serving import FeedbackJob, FeedbackService, ServingConfig
@@ -121,6 +122,18 @@ class TestPipelineParity:
         assert {"pipeline.pretrain", "pipeline.train", "serving.score_batch", "mc.check"} <= names
         metrics = document["otherData"]["metrics"]
         assert metrics["serving"]["jobs"] > 0
+
+    def test_trace_records_page_faults_and_peak_rss_of_both_processes(self, pipeline_parity):
+        _, trace_path = pipeline_parity[True]
+        document = load_chrome_trace(trace_path)
+        process = document["otherData"]["metrics"]["process"]
+        assert set(process) == {"self", "children"}
+        for side in ("self", "children"):
+            assert set(process[side]) == {"minor_faults", "peak_rss_mb"}
+        assert process["self"]["minor_faults"] > 0 and process["self"]["peak_rss_mb"] > 0
+        if worker_available():  # the run forked and reaped a training worker per loop
+            assert process["children"]["minor_faults"] > 0 and process["children"]["peak_rss_mb"] > 0
+        assert report_from_trace(document).splitlines().count("== process ==") == 1
 
     def test_training_spans_nest_where_the_work_runs(self, pipeline_parity):
         """One ``pretrain.step`` per pretraining step, inside
