@@ -11,11 +11,12 @@
 #   make lint             AST lint + lock-order analysis of src/repro
 #                         (repro-lint; also runs as a tier-1 test)
 #   make bench            paper-figure + serving benchmarks (CPU-minutes);
-#                         multicore-marked speedup assertions are excluded —
-#                         they also auto-skip on single-core hosts via
-#                         benchmarks/conftest.py
-#   make bench-multicore  only the multicore speedup assertions (needs >= 2
-#                         CPU cores; they skip themselves otherwise)
+#                         the multicore-marked jobs-daemon overhead ratio is
+#                         excluded — it also auto-skips on single-core hosts
+#                         via benchmarks/conftest.py
+#   make bench-multicore  only the multicore-marked jobs-daemon overhead
+#                         ratio (needs >= 2 CPU cores; it skips itself
+#                         otherwise)
 #   make bench-modelcheck cold verification throughput: optimized checker vs
 #                         the naive reference; asserts the >= 5x floor and
 #                         verdict equality (see docs/modelcheck.md)

@@ -18,14 +18,15 @@ from repro.driving import all_specifications
 
 
 def pytest_collection_modifyitems(config, items):
-    """Guard single-core containers from the multicore speedup assertions.
+    """Guard single-core containers from the multicore assertion.
 
-    The ``multicore``-marked benchmarks assert real process-pool *speedups*,
-    which one core cannot deliver; each already skips itself defensively, but
-    marking them skipped at collection time means even an explicit
-    ``-m multicore`` run on a single-core box reports an honest skip instead
-    of executing minutes of benchmark just to skip at the assert.  Running
-    ``pytest -m "not multicore"`` (the ``make bench`` target) excludes them
+    The one ``multicore``-marked benchmark,
+    ``test_bench_jobs_daemon_overhead_is_bounded_multicore``, bounds the jobs
+    daemon's overhead ratio, which holds only with a spare core for the
+    daemon's threads.  Marking it skipped at collection time means even an
+    explicit ``-m multicore`` run on a single-core box reports an honest skip
+    instead of running the workload just to measure the scheduler.  Running
+    ``pytest -m "not multicore"`` (the ``make bench`` target) excludes it
     outright on any machine.
     """
     if (os.cpu_count() or 1) >= 2:
@@ -43,8 +44,8 @@ def dpoaf_run():
     pipeline = DPOAFPipeline(paper_scale_config(seed=0), specifications=all_specifications())
     result = pipeline.run(evaluate_checkpoints=True)
     yield pipeline, result
-    # Release the serving layer's dispatcher thread / worker pool at session
-    # end — dependent benchmarks still score through the pipeline until then.
+    # Release the pipeline's feedback service and tracer at session end —
+    # dependent benchmarks still score through the pipeline until then.
     pipeline.close()
 
 

@@ -49,7 +49,7 @@ def _service() -> FeedbackService:
     return FeedbackService(
         all_specifications(),
         feedback=FeedbackConfig(),
-        config=ServingConfig(backend="serial"),
+        config=ServingConfig(),
     )
 
 

@@ -1,34 +1,18 @@
 """Throughput of the feedback-serving subsystem.
 
 Measured claims: a warm cache answers a repeated workload ≥2× faster than
-the cold pass; dedup alone beats the serial rescoring loop; the ``"process"``
-backend scales cold-batch formal verification with worker count on multi-core
-machines (on a single-core machine the sweep still runs and must stay
-score-identical, but no speedup is asserted — the hard speedup assertion
-lives in the ``multicore``-marked benchmark, selectable with ``-m multicore``
-on capable CI); a persistent :class:`WorkerPool` forks its executor once for
-a whole stream of cold batches where the per-batch path forks once *per*
-batch; and async ``submit_batch`` queues batches without blocking on
-verification.  The workload mirrors
-preference-pair collection: every task's response library, with duplicates,
-scored against the full 15-rule book — including the highway-merge scenario
-(``merge_onto_highway``, now in the task catalogue).
+the cold pass; dedup alone beats the serial rescoring loop; and async
+``submit_batch`` queues batches without blocking on verification.  The
+workload mirrors preference-pair collection: every task's response library,
+with duplicates, scored against the full 15-rule book — including the
+highway-merge scenario (``merge_onto_highway``, now in the task catalogue).
 """
 
-import os
 import time
-
-import pytest
 
 from repro.core.config import FeedbackConfig
 from repro.driving import all_specifications, response_templates, task_by_name, training_tasks
-from repro.serving import (
-    FeedbackJob,
-    FeedbackService,
-    ServingConfig,
-    WorkerPayload,
-    WorkerPool,
-)
+from repro.serving import FeedbackJob, FeedbackService, ServingConfig
 
 from conftest import print_table
 
@@ -127,189 +111,6 @@ def test_bench_serving_beats_serial_rescoring(benchmark):
     # answers all 73; dedup saves the service GLM2FSA and the verdict lookup
     # for the 70 copies.
     assert served_seconds < serial_seconds
-
-
-def _unique_cold_workload(copies: int = 4) -> list:
-    """``copies`` canonically-distinct variants of every template: no repeated text.
-
-    Each variant appends a different number of benign trailing steps, so no
-    two share a canonical form (no dedup, no service-cache hits) while all
-    remain parseable controllers.  Variants of different templates can
-    still compile to one controller: at ``copies=4``, 12 of the 140
-    responses reach a structure seen earlier in the batch, and a checker
-    that has checked it answers them from its verdict cache.  Serially the
-    batch takes 0.2–0.4 s on a 2-core host, of which the process pool's
-    start-up (fork, initializer, first dispatch) is ~15 ms.
-    """
-    jobs = []
-    for job in _workload(duplicates=1):
-        steps = len(job.response.splitlines())
-        for copy in range(copies):
-            suffix = "".join(
-                f"\n{steps + 1 + extra}. If there is a pedestrian, stop." for extra in range(copy)
-            )
-            jobs.append(FeedbackJob(task=job.task, scenario=job.scenario, response=job.response + suffix))
-    return jobs
-
-
-def test_bench_serving_process_backend_worker_scaling(benchmark):
-    """Cold formal batches through the process backend, sweeping pool width.
-
-    No two responses share a canonical text (no dedup, no service-cache
-    hits), so the batch is GLM2FSA and verification work — the workload the
-    serial loop cannot spread across cores.  The serial checker answers the
-    12 of 140 responses whose controller it has already checked from its
-    verdict cache; a process worker's only those whose first occurrence it
-    scored itself.  Scores must be bitwise-identical across the sweep; the
-    multi-core speedup is asserted only when the machine actually has the
-    cores to show it.
-    """
-    base_jobs = _unique_cold_workload()
-    sweeps = [("serial", 1), ("process", 1), ("process", 2), ("process", 4)]
-
-    def run():
-        results = {}
-        for backend, workers in sweeps:
-            service = FeedbackService(
-                all_specifications(),
-                feedback=FeedbackConfig(),
-                config=ServingConfig(backend=backend, max_workers=workers, cache_size=4096),
-            )
-            start = time.perf_counter()
-            scores = service.score_batch(base_jobs)
-            seconds = time.perf_counter() - start
-            results[(backend, workers)] = (scores, seconds)
-        return results
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        (backend, workers, seconds, len(base_jobs) / seconds)
-        for (backend, workers), (_, seconds) in results.items()
-    ]
-    print_table(
-        f"Process backend — cold formal batch vs workers ({os.cpu_count()} cores available)",
-        ["backend", "workers", "seconds", "responses/s"],
-        rows,
-    )
-
-    reference = results[("serial", 1)][0]
-    assert all(scores == reference for scores, _ in results.values()), (
-        "every backend/worker combination must produce bitwise-identical scores"
-    )
-    if (os.cpu_count() or 1) >= 2:
-        serial_seconds = results[("serial", 1)][1]
-        best_process = min(results[("process", w)][1] for w in (2, 4))
-        assert best_process < serial_seconds, (
-            f"on a {os.cpu_count()}-core machine the process backend should beat "
-            f"serial on a cold batch: serial {serial_seconds:.2f}s, process {best_process:.2f}s"
-        )
-
-
-def test_bench_serving_persistent_pool_amortizes_fork_cost(benchmark):
-    """The tentpole claim: a stream of cold batches pays the process-pool
-    fork/initializer cost once, not once per batch.
-
-    The per-batch path (a throwaway ``WorkerPool`` per batch, closed by its
-    ``with`` block — the pre-refactor behaviour) is measured against one
-    persistent
-    :class:`WorkerPool` scoring the same batch stream.  Scores must be
-    bitwise-identical; the launch counts (``len(batches)`` vs 1) are the
-    structural evidence, the wall-clock delta the measured one.
-    """
-    payload = WorkerPayload.from_feedback(all_specifications(), FeedbackConfig(), seed=0)
-    fallback = payload.build_scorer()
-    all_jobs = _unique_cold_workload(copies=2)
-    batch_count = 6
-    size = max(4, len(all_jobs) // batch_count)
-    batches = [all_jobs[i : i + size] for i in range(0, len(all_jobs), size)]
-    batches = [batch for batch in batches if len(batch) >= 4]
-
-    def run():
-        per_batch_start = time.perf_counter()
-        per_batch_scores = []
-        for batch in batches:
-            with WorkerPool(payload, max_workers=2) as throwaway:
-                per_batch_scores.append(throwaway.run(batch, fallback=fallback))
-        per_batch_seconds = time.perf_counter() - per_batch_start
-        pool = WorkerPool(payload, max_workers=2)
-        persistent_start = time.perf_counter()
-        persistent_scores = [pool.run(batch, fallback=fallback) for batch in batches]
-        persistent_seconds = time.perf_counter() - persistent_start
-        starts = pool.starts
-        pool.close()
-        return per_batch_scores, per_batch_seconds, persistent_scores, persistent_seconds, starts
-
-    per_batch_scores, per_batch_seconds, persistent_scores, persistent_seconds, starts = (
-        benchmark.pedantic(run, rounds=1, iterations=1)
-    )
-    jobs_total = sum(len(batch) for batch in batches)
-    print_table(
-        f"Process pool — per-batch fork vs persistent pool ({len(batches)} batches)",
-        ["path", "pool launches", "seconds", "responses/s"],
-        [
-            ("per-batch pool", len(batches), per_batch_seconds, jobs_total / per_batch_seconds),
-            ("persistent pool", starts, persistent_seconds, jobs_total / persistent_seconds),
-        ],
-    )
-    assert persistent_scores == per_batch_scores, "pool reuse must not change scores"
-    assert starts <= 1, "a persistent pool must fork its executor at most once"
-    if starts == 1:
-        # Multiprocessing works here, so the per-batch path really paid
-        # len(batches) fork+initializer rounds; reuse must not be slower.
-        assert persistent_seconds < per_batch_seconds, (
-            f"persistent pool should beat per-batch forking: "
-            f"{persistent_seconds:.2f}s vs {per_batch_seconds:.2f}s"
-        )
-
-
-@pytest.mark.multicore
-def test_bench_serving_process_pool_speedup_multicore(benchmark):
-    """Cold workload of canonically-distinct responses (no dedup, no
-    service-cache hits; 12 of 140 reuse a verdict, see
-    :func:`_unique_cold_workload`): the persistent process pool must beat
-    the serial loop when real cores are available.
-
-    Marked ``multicore`` (see pytest.ini): select it with ``-m multicore`` on
-    a CI machine with >= 2 cores; on fewer cores it skips rather than assert
-    a speedup the hardware cannot deliver.
-    """
-    if (os.cpu_count() or 1) < 2:
-        pytest.skip("needs >= 2 CPU cores to demonstrate a process-pool speedup")
-    jobs = _unique_cold_workload()
-
-    def run():
-        serial = FeedbackService(
-            all_specifications(), feedback=FeedbackConfig(), config=ServingConfig(backend="serial")
-        )
-        serial_start = time.perf_counter()
-        serial_scores = serial.score_batch(jobs)
-        serial_seconds = time.perf_counter() - serial_start
-        with FeedbackService(
-            all_specifications(),
-            feedback=FeedbackConfig(),
-            config=ServingConfig(backend="process", max_workers=min(4, os.cpu_count() or 1)),
-        ) as pooled:
-            pooled_start = time.perf_counter()
-            pooled_scores = pooled.score_batch(jobs)
-            pooled_seconds = time.perf_counter() - pooled_start
-        return serial_scores, serial_seconds, pooled_scores, pooled_seconds
-
-    serial_scores, serial_seconds, pooled_scores, pooled_seconds = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    print_table(
-        f"Process pool speedup ({os.cpu_count()} cores)",
-        ["backend", "seconds", "responses/s"],
-        [
-            ("serial", serial_seconds, len(jobs) / serial_seconds),
-            ("process", pooled_seconds, len(jobs) / pooled_seconds),
-        ],
-    )
-    assert pooled_scores == serial_scores
-    assert pooled_seconds < serial_seconds, (
-        f"process pool should beat serial on {os.cpu_count()} cores: "
-        f"{pooled_seconds:.2f}s vs {serial_seconds:.2f}s"
-    )
 
 
 def test_bench_serving_async_submission_overlaps_batches(benchmark):

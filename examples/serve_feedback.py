@@ -14,11 +14,8 @@ quickstart; see ``docs/serving.md`` for the architecture behind it):
 2. *Python submission API* — the same workload is scored through
    ``FeedbackService.submit_batch``: batches are queued on the service's own
    :class:`~repro.serving.scheduler.Dispatcher` and their handles drained in
-   submission order — the shape the pipeline uses to rank one task's
-   responses while the next task's verify.
-
-On a multi-core machine, add ``--backend process`` to a one-shot CLI
-invocation to verify cold batches in parallel worker processes.
+   submission order, each batch's scores read as soon as it is done.  (The
+   pipeline itself calls the synchronous ``score_batch`` path.)
 """
 
 from __future__ import annotations

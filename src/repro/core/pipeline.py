@@ -12,8 +12,8 @@ The pipeline wires every substrate together:
    *automated feedback* by formal verification against the task's world
    model; all scoring routes through one batched, cached
    :class:`~repro.serving.scheduler.FeedbackService` built with the default
-   :class:`~repro.serving.config.ServingConfig` (serial misses, an in-memory
-   cache that lives as long as the pipeline).
+   :class:`~repro.serving.config.ServingConfig` (an in-memory cache that
+   lives as long as the pipeline).
    Each task's responses are scored as one batch
    (``FeedbackService.score_responses``) on the calling thread, in task
    order, so the process training later forks from has one thread;
@@ -112,13 +112,9 @@ class DPOAFPipeline:
         self.specifications = dict(specifications) if specifications is not None else all_specifications()
         self.tasks = tuple(tasks) if tasks is not None else training_tasks()
         self.validation = tuple(validation) if validation is not None else validation_tasks()
-        # The service below runs on the default ServingConfig, which scores
-        # misses in this process, so its spans land in the tracer installed
-        # here like every other stage's.
         self._tracer: obs.Tracer | None = None
         if self.config.trace_path is not None:
-            self._tracer = obs.Tracer.for_trace_file(self.config.trace_path)
-            obs.install_tracer(self._tracer)
+            self._tracer = obs.install_tracer(obs.Tracer())
         self.serving = FeedbackService(self.specifications, seed=self.config.seed)
         # One registry federates every subsystem's telemetry; run() takes a
         # single snapshot at the end and embeds it in the exported trace.
@@ -345,7 +341,6 @@ class DPOAFPipeline:
                 # pipeline (or test) may have replaced it already.
                 if obs.current_tracer() is self._tracer:
                     obs.uninstall_tracer()
-                self._tracer.close()
                 self._tracer = None
 
     def __enter__(self) -> "DPOAFPipeline":

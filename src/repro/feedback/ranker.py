@@ -15,11 +15,11 @@ ranking.  Two items that compare equal under the sort key are literally the
 same ``(response, score)`` pair, so their relative order cannot matter.
 
 This property is what makes the pairs independent of how the scores were
-obtained: the pipeline ranks each task's batch as its
-:meth:`~repro.serving.scheduler.FeedbackService.submit_batch` handle
-resolves, ``repro-serve --pairs-output`` ranks records grouped from a file in
-any order, and both build exactly the pairs a blocking ``score_batch`` loop
-would have.
+obtained: the pipeline ranks the scores
+:meth:`~repro.serving.scheduler.FeedbackService.score_responses` returns for
+each task, ``repro-serve --pairs-output`` ranks records grouped from a file
+in any order, and both build exactly the pairs a task-by-task
+``score_batch`` loop would have.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 :class:`JobsDaemon` wraps an ordinary
 :class:`~repro.serving.scheduler.FeedbackService` (reused unchanged — same
-cache, same worker pool, same scores) with everything a *service* needs that
+cache, same scorer, same scores) with everything a *service* needs that
 a one-shot CLI run does not:
 
 * **Durability** — every accepted job and every state change is journaled

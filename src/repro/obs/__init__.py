@@ -1,10 +1,10 @@
 """repro.obs — unified tracing and profiling for the DPO-AF pipeline.
 
-The pipeline's wall clock disappears into LTL model checking spread across
-threads, a dispatcher, and (with the process backend) worker processes;
-coarse counters cannot say *which* of the 15 specs, which automaton phases
-or which pipeline stages dominate.  This package is the instrumentation
-layer every other subsystem reports into:
+The pipeline's wall clock disappears into training split across two
+processes and LTL model checking over 15 specs; coarse counters cannot say
+*which* of the specs, which automaton phases or which pipeline stages
+dominate.  This package is the instrumentation layer every other subsystem
+reports into:
 
 ``tracer``
     Structured :class:`Span`\\ s (name, category, start/duration, parent,
@@ -12,10 +12,9 @@ layer every other subsystem reports into:
     *installed* tracer is process-global: a :class:`NullTracer` by default —
     tracing off, near-zero overhead, results bitwise-identical to an
     uninstrumented run — or a real :class:`Tracer` installed with
-    :func:`install_tracer`.  Worker processes write per-PID JSONL shards
-    (``Tracer(jsonl_path=...)``) into the parent tracer's ``shard_dir``,
-    merged back at export, so process-backend verification is attributed
-    exactly like serial or thread execution.
+    :func:`install_tracer`.  The training worker's spans come back in its
+    replies and :meth:`Tracer.adopt` files them under the parent's open
+    span, so its work is attributed like the caller's.
 
 ``metrics``
     :class:`MetricsRegistry` — snapshot-shaped *providers*

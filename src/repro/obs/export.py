@@ -115,7 +115,7 @@ def chrome_trace_events(spans, counter_samples=()) -> list:
 
 
 def write_chrome_trace(path, tracer, *, metrics: dict | None = None) -> Path:
-    """Export ``tracer``'s spans (parent + worker shards) to ``path``.
+    """Export ``tracer``'s spans and counter samples to ``path``.
 
     ``metrics`` — typically a :meth:`~repro.obs.metrics.MetricsRegistry.
     snapshot` — lands in ``otherData`` beside :func:`host_facts`, so one
@@ -123,10 +123,7 @@ def write_chrome_trace(path, tracer, *, metrics: dict | None = None) -> Path:
     ran on.  Written atomically (tmp + ``os.replace``), so a crash
     mid-export never leaves a truncated trace.  Returns the path written.
     """
-    shard_spans, shard_counters = tracer.read_shards()
-    events = chrome_trace_events(
-        tracer.spans() + shard_spans, tracer.counter_samples() + shard_counters
-    )
+    events = chrome_trace_events(tracer.spans(), tracer.counter_samples())
     document = {
         "traceEvents": events,
         "displayTimeUnit": "ms",

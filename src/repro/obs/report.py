@@ -56,8 +56,7 @@ def per_spec_profile(spans) -> dict:
     """Aggregate model-checker spans by specification.
 
     Every ``mc.*`` phase span (:data:`MODELCHECK_PHASES`) carries a ``spec``
-    attribute naming the specification it served (workers included — their
-    spans arrive via shard merge).  Returns::
+    attribute naming the specification it served.  Returns::
 
         {spec_name: {"construct": s, "construct_cached": s, "product": s,
                      "check": s, "check_cached": s, "total": s,

@@ -17,33 +17,27 @@ through the module-level :func:`span` helper, which delegates to the
 
 Nesting is tracked per thread: a span opened while another span is open on
 the same thread records that span as its parent.  Spans opened on different
-threads (the pipeline's producer/encoder/trainer stages) are roots of their
-own thread's tree, distinguishable by ``tid``.
+threads (a service's dispatcher thread, say) are roots of their own
+thread's tree, distinguishable by ``tid``.
 
-Crossing the process-pool boundary
-----------------------------------
-Worker processes cannot append to the parent's in-memory span list.  A
-tracer constructed with ``shard_dir`` announces a directory for *per-PID
-JSONL shards*: the serving layer forwards that directory to its worker
-initializer (via :class:`~repro.serving.backends.WorkerPayload`), each worker
-installs its own ``Tracer(jsonl_path=<shard_dir>/pid-<pid>.jsonl)``, and
-every span is flushed to the shard the moment it closes.  The parent's
-:meth:`Tracer.read_shards` merges the shards back when the trace is
-exported, so process-backend verification work is attributed exactly like
-serial or thread work.  Per-PID files mean no cross-process locking is ever
-needed; ``time.perf_counter_ns`` is CLOCK_MONOTONIC-based on Linux, so
-parent and worker timestamps share one timeline.
+Crossing a process boundary
+---------------------------
+A forked child cannot append to the parent's in-memory span list.  The one
+child that does traced work, the training worker
+(:class:`repro.lm.shards.TrainingShards`), records into its own
+:class:`Tracer` and returns its finished spans in its replies; the parent
+files them under its open span with :meth:`Tracer.adopt`.
+``time.perf_counter_ns`` is CLOCK_MONOTONIC-based on Linux, so parent and
+worker timestamps share one timeline.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 
 @dataclass(frozen=True)
@@ -54,7 +48,7 @@ class Span:
     (monotonic; on Linux comparable across processes).  ``parent_id`` is the
     ``span_id`` of the span that was open on the same thread when this one
     started, or ``None`` for a root span.  ``attributes`` carry small
-    JSON-serialisable values (spec names, batch sizes, backends).
+    JSON-serialisable values (spec names, batch sizes, group widths).
     """
 
     name: str
@@ -72,36 +66,6 @@ class Span:
         """The span's wall-clock duration in seconds."""
         return self.duration_ns / 1e9
 
-    def to_record(self) -> dict:
-        """JSON-friendly dict (the JSONL shard line shape)."""
-        return {
-            "kind": "span",
-            "name": self.name,
-            "category": self.category,
-            "start_ns": self.start_ns,
-            "duration_ns": self.duration_ns,
-            "pid": self.pid,
-            "tid": self.tid,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "attributes": self.attributes,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "Span":
-        """Rebuild a span from :meth:`to_record` output (shard merging)."""
-        return cls(
-            name=record["name"],
-            category=record["category"],
-            start_ns=int(record["start_ns"]),
-            duration_ns=int(record["duration_ns"]),
-            pid=int(record["pid"]),
-            tid=int(record["tid"]),
-            span_id=int(record["span_id"]),
-            parent_id=record.get("parent_id"),
-            attributes=dict(record.get("attributes") or {}),
-        )
-
 
 @dataclass(frozen=True)
 class CounterSample:
@@ -112,28 +76,6 @@ class CounterSample:
     timestamp_ns: int
     pid: int
     tid: int
-
-    def to_record(self) -> dict:
-        """JSON-friendly dict (the JSONL shard line shape)."""
-        return {
-            "kind": "counter",
-            "name": self.name,
-            "value": self.value,
-            "timestamp_ns": self.timestamp_ns,
-            "pid": self.pid,
-            "tid": self.tid,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "CounterSample":
-        """Rebuild a sample from :meth:`to_record` output (shard merging)."""
-        return cls(
-            name=record["name"],
-            value=float(record["value"]),
-            timestamp_ns=int(record["timestamp_ns"]),
-            pid=int(record["pid"]),
-            tid=int(record["tid"]),
-        )
 
 
 class _NullSpan:
@@ -161,7 +103,6 @@ class NullTracer:
     """
 
     enabled = False
-    shard_dir = None
 
     def span(self, name: str, *, category: str = "run", **attributes) -> _NullSpan:
         """Return the shared no-op span context manager."""
@@ -169,9 +110,6 @@ class NullTracer:
 
     def counter(self, name: str, value: float) -> None:
         """Discard the sample (tracing is disabled)."""
-
-    def close(self) -> None:
-        """Nothing to release."""
 
 
 class _SpanHandle:
@@ -217,20 +155,7 @@ class _SpanHandle:
 
 
 class Tracer:
-    """Collects spans and counter samples for one process.
-
-    Parameters
-    ----------
-    jsonl_path:
-        When set, every finished span / counter sample is additionally
-        appended (and flushed) to this JSONL file the moment it lands — the
-        per-PID shard a worker process writes so the parent can attribute its
-        work.
-    shard_dir:
-        When set, announces the directory worker *processes* should write
-        their per-PID shards into; the serving layer forwards it through
-        :class:`~repro.serving.backends.WorkerPayload` and
-        :meth:`read_shards` merges the shards back at export time.
+    """Collects spans and counter samples for one process, in memory.
 
     Thread-safe: spans may open and close concurrently on any number of
     threads; nesting is tracked per thread.
@@ -238,32 +163,13 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, *, jsonl_path: str | Path | None = None, shard_dir: str | Path | None = None):
+    def __init__(self):
         self._spans: list = []
         self._counters: list = []
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._local = threading.local()
         self._pid = os.getpid()
-        self.shard_dir = Path(shard_dir) if shard_dir is not None else None
-        if self.shard_dir is not None:
-            self.shard_dir.mkdir(parents=True, exist_ok=True)
-        self.jsonl_path = Path(jsonl_path) if jsonl_path is not None else None
-        self._jsonl_file = None
-        if self.jsonl_path is not None:
-            self.jsonl_path.parent.mkdir(parents=True, exist_ok=True)
-            self._jsonl_file = self.jsonl_path.open("a")
-
-    @classmethod
-    def for_trace_file(cls, trace_path: str | Path) -> "Tracer":
-        """A parent-process tracer whose worker shards live next to ``trace_path``.
-
-        The shard directory is ``<trace_path>.shards/``; exporting with
-        :func:`repro.obs.export.write_chrome_trace` merges the shards into the
-        final trace automatically.
-        """
-        trace_path = Path(trace_path)
-        return cls(shard_dir=trace_path.with_name(trace_path.name + ".shards"))
 
     # ------------------------------------------------------------------ #
     def _thread_stack(self) -> list:
@@ -275,9 +181,6 @@ class Tracer:
     def _emit_span(self, span: Span) -> None:
         with self._lock:
             self._spans.append(span)
-            if self._jsonl_file is not None:
-                self._jsonl_file.write(json.dumps(span.to_record()) + "\n")
-                self._jsonl_file.flush()
 
     # ------------------------------------------------------------------ #
     def span(self, name: str, *, category: str = "run", **attributes) -> _SpanHandle:
@@ -300,9 +203,6 @@ class Tracer:
         )
         with self._lock:
             self._counters.append(sample)
-            if self._jsonl_file is not None:
-                self._jsonl_file.write(json.dumps(sample.to_record()) + "\n")
-                self._jsonl_file.flush()
 
     def adopt(self, spans) -> None:
         """Record spans another process finished, under this thread's open span.
@@ -323,7 +223,7 @@ class Tracer:
 
     # ------------------------------------------------------------------ #
     def spans(self) -> list:
-        """A snapshot copy of the spans recorded in this process so far."""
+        """A snapshot copy of the spans recorded so far, adopted ones included."""
         with self._lock:
             return list(self._spans)
 
@@ -331,50 +231,6 @@ class Tracer:
         """A snapshot copy of the counter samples recorded so far."""
         with self._lock:
             return list(self._counters)
-
-    def read_shards(self) -> tuple:
-        """Merge worker-process shards: ``(spans, counter_samples)``.
-
-        Reads every ``*.jsonl`` file in ``shard_dir`` (empty lists when no
-        shard dir is configured or nothing was written).  Shards are left in
-        place — workers may still be appending — so callers combine the
-        result with :meth:`spans` fresh at each export rather than mutating
-        tracer state.
-        """
-        if self.shard_dir is None or not self.shard_dir.is_dir():
-            return [], []
-        spans: list = []
-        counters: list = []
-        for shard in sorted(self.shard_dir.glob("*.jsonl")):
-            try:
-                text = shard.read_text()
-            except OSError:
-                continue
-            for line in text.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    if record.get("kind") == "counter":
-                        counters.append(CounterSample.from_record(record))
-                    else:
-                        spans.append(Span.from_record(record))
-                except (ValueError, KeyError, TypeError):
-                    continue  # a torn final line from a dying worker
-        return spans, counters
-
-    def all_spans(self) -> list:
-        """This process's spans plus every worker shard's, one flat list."""
-        shard_spans, _ = self.read_shards()
-        return self.spans() + shard_spans
-
-    def close(self) -> None:
-        """Flush and close the JSONL sink (if any).  Idempotent."""
-        with self._lock:
-            jsonl_file, self._jsonl_file = self._jsonl_file, None
-        if jsonl_file is not None:
-            jsonl_file.close()
 
 
 #: The process-wide installed tracer instrumentation reports to.
@@ -390,9 +246,7 @@ def current_tracer():
 def install_tracer(tracer):
     """Make ``tracer`` the process-wide target of :func:`span` / :func:`counter`.
 
-    Returns the tracer for chaining.  Install *before* constructing the
-    components to trace — the serving layer captures the tracer's
-    ``shard_dir`` into its worker payload at service construction.
+    Returns the tracer for chaining.
     """
     global _CURRENT
     _CURRENT = tracer

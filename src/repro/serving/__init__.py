@@ -17,33 +17,23 @@ This package turns it into a standalone service with four layers:
     Everything else a score depends on (the specifications, the feedback
     mode, the seed and each scenario's world model) is fixed for a service's
     lifetime, and nothing is persisted across runs.
-``backends``
-    The two execution strategies for scoring cache misses
-    (:mod:`repro.serving.backends`): ``"serial"`` (the default inline
-    reference loop) and ``"process"`` (a *persistent*
-    :class:`~repro.serving.backends.WorkerPool` whose worker processes
-    rebuild the verifier/world-model/evaluator stack once per process from a
-    picklable :class:`~repro.serving.backends.WorkerPayload`, then stay alive
-    across every batch the service scores — the fork/initializer cost is paid
-    once per service, not once per cold batch).  Both return
-    bitwise-identical scores in submission order; select one with
-    ``ServingConfig(backend=...)``.
 ``scheduler``
     :class:`~repro.serving.scheduler.FeedbackService` — accepts batches of
     :class:`~repro.serving.scheduler.FeedbackJob`, partitions cache hits from
-    misses, fans misses out to the configured backend, and scatters scores
+    misses, scores the misses inline with one
+    :class:`~repro.serving.scheduler.ResponseScorer`, and scatters scores
     back in deterministic submission order.  World models, formal verifiers
     and empirical evaluators are constructed once per scenario, not once per
-    response.  Besides synchronous ``score_batch``, ``submit_batch`` queues
-    a batch on a dispatcher thread and returns a
-    :class:`~repro.serving.scheduler.PendingBatch` future handle immediately,
-    so a producer ranks one batch while the next verifies; batches execute
-    in submission order, so scores stay bitwise-identical to the synchronous
-    path.  Each service owns its dispatch thread, a
+    response.  Besides synchronous ``score_batch`` (what the pipeline and the
+    one-shot CLI call), ``submit_batch`` queues a batch on a dispatcher
+    thread and returns a :class:`~repro.serving.scheduler.PendingBatch`
+    future handle immediately; batches execute in submission order, so
+    scores stay bitwise-identical to the synchronous path.  Each service
+    owns its dispatch thread, a
     :class:`~repro.serving.scheduler.Dispatcher`, which runs each key's
     calls in submission order and rotates round-robin between keys (the
-    jobs daemon's per-client fairness).  Services own threads/processes
-    once those paths are used; release them with ``close()`` or a ``with``
+    jobs daemon's per-client fairness).  A service owns that thread once
+    ``submit_batch`` is used; release it with ``close()`` or a ``with``
     block.
 ``metrics``
     Throughput / latency / hit-rate telemetry
@@ -56,21 +46,23 @@ input that varies within a service, and canonicalisation only discards
 whitespace the step parser provably ignores.
 """
 
-from repro.serving.backends import ResponseScorer, WorkerPayload, WorkerPool
 from repro.serving.cache import FeedbackCache, cache_key
-from repro.serving.config import BACKENDS, ServingConfig
+from repro.serving.config import ServingConfig
 from repro.serving.dedup import canonicalize_response
 from repro.serving.metrics import ServingMetrics
-from repro.serving.scheduler import Dispatcher, FeedbackJob, FeedbackService, PendingBatch
+from repro.serving.scheduler import (
+    Dispatcher,
+    FeedbackJob,
+    FeedbackService,
+    PendingBatch,
+    ResponseScorer,
+)
 
 __all__ = [
-    "BACKENDS",
     "FeedbackCache",
     "cache_key",
     "ResponseScorer",
     "ServingConfig",
-    "WorkerPayload",
-    "WorkerPool",
     "canonicalize_response",
     "ServingMetrics",
     "Dispatcher",

@@ -3,7 +3,7 @@
 Within one :class:`~repro.serving.scheduler.FeedbackService`, a score is a
 pure function of ``(scenario, canonical response text)``: the specifications,
 the feedback mode and the seed are fixed for the service's lifetime, and
-:class:`~repro.serving.backends.ResponseScorer` builds each scenario's world
+:class:`~repro.serving.scheduler.ResponseScorer` builds each scenario's world
 model once.  So :func:`cache_key` keys on the scenario and a SHA-256 digest of
 the canonical text, and :class:`FeedbackCache` evicts least-recently-used
 entries past a size bound.  Nothing is persisted.

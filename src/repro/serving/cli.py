@@ -29,22 +29,13 @@ import time
 from pathlib import Path
 
 EPILOG = """\
-backends:
-  serial    score cache misses inline — the default and the bitwise
-            reference path
-  process   ProcessPoolExecutor; each worker builds the verifier/world-model
-            stack once and scores chunks of misses in parallel — use this for
-            large cold batches on multi-core machines (small batches fall
-            back to serial automatically)
-
 daemon mode:
   repro-serve daemon --socket S --store DIR [service flags]
                       run feedback scoring as a durable multi-client service:
                       every job is journaled before it is acknowledged, so a
                       killed daemon restarted on the same --store resumes and
                       finishes every accepted job exactly once, with scores
-                      identical to a one-shot run (serial backend only: the
-                      daemon scores one job per batch)
+                      identical to a one-shot run
   repro-serve submit|status|watch --socket S
                       submit a JSONL file as a batch (--wait writes the same
                       scored records a one-shot run would), query job/batch/
@@ -57,8 +48,7 @@ training data:
                       into preference pairs, tokenised with a vocabulary fit
                       on the input, and emitted as one encoded pair per JSONL
                       line (token ids + response-mask starts; load it with
-                      repro.dpo.read_encoded_pairs).  The file is
-                      byte-identical on every backend.
+                      repro.dpo.read_encoded_pairs).
 """
 
 
@@ -78,10 +68,6 @@ def add_service_arguments(parser: argparse.ArgumentParser) -> None:
     """
     parser.add_argument("--mode", choices=("formal", "empirical"), default="formal", help="feedback channel")
     parser.add_argument("--core-specs", action="store_true", help="score against Φ1-Φ5 only instead of all 15 rules")
-    parser.add_argument(
-        "--backend", choices=("serial", "process"), default="serial", help="worker-pool backend"
-    )
-    parser.add_argument("--max-workers", type=int, default=4, help="worker-pool width")
     parser.add_argument("--cache-size", type=int, default=4096, help="LRU bound on the result cache")
     parser.add_argument("--seed", type=int, default=0, help="seed for empirical trace collection")
 
@@ -107,11 +93,7 @@ def serving_config_from_args(args):
     """
     from repro.serving import ServingConfig
 
-    return ServingConfig(
-        backend=args.backend,
-        max_workers=args.max_workers,
-        cache_size=args.cache_size,
-    )
+    return ServingConfig(cache_size=args.cache_size)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,14 +246,9 @@ def main(argv=None) -> int:
         return 2
     from repro.obs import tracer as obs
 
-    # Tracing must be live before the service is built: the service captures
-    # the tracer's shard directory into its worker payload, which is how
-    # process-backend workers know where to write their span shards.
     tracer = None
     if args.trace is not None:
-        tracer = obs.Tracer.for_trace_file(args.trace)
-        obs.install_tracer(tracer)
-    # The context manager shuts down the worker pool on exit.
+        tracer = obs.install_tracer(obs.Tracer())
     with FeedbackService(
         specifications,
         feedback=build_feedback(args),
@@ -307,7 +284,6 @@ def main(argv=None) -> int:
         if obs.current_tracer() is tracer:
             obs.uninstall_tracer()
         write_chrome_trace(args.trace, tracer, metrics=snapshot)
-        tracer.close()
         print(f"wrote trace to {args.trace}", file=sys.stderr)
     return 0
 

@@ -8,9 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Supported worker-pool backends for scoring cache misses.
-BACKENDS: tuple = ("serial", "process")
-
 #: Empirical mode: simulator traces collected per response, and the share of
 #: them a specification must hold on to count as satisfied.
 EMPIRICAL_TRACES = 10
@@ -32,25 +29,16 @@ class ServingConfig:
     cache_size:
         LRU bound on the result cache (each entry is a scenario name, a
         32-byte digest and an int).
-    backend:
-        ``"serial"`` (the default and the bitwise reference) scores cache
-        misses inline; ``"process"`` fans them out to a persistent
-        ``ProcessPoolExecutor`` whose workers rebuild the verification stack
-        once per process — true multi-core parallelism for the GIL-bound
-        verification work.  Both produce identical, input-order results.
     max_workers:
-        Pool width for the ``"process"`` backend.
+        Has no effect: every miss is scored inline on the calling thread.
+        Kept only because the committed benchmark (``perfbench``) still sets
+        it; it goes with that benchmark's next revision.
     """
 
     enabled: bool = True
     cache_size: int = 4096
-    backend: str = "serial"
     max_workers: int = 4
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown serving backend {self.backend!r}; known: {BACKENDS}")
         if self.cache_size <= 0:
             raise ValueError(f"cache_size must be positive, got {self.cache_size}")
-        if self.max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {self.max_workers}")

@@ -1,30 +1,26 @@
-"""The batched feedback service: dedup → cache → worker pool → scatter.
+"""The batched feedback service: dedup → cache → score → scatter.
 
 :class:`FeedbackService` is the single entry point through which the pipeline
 (and anything else) scores language-model responses.  A batch of ``(task,
 response)`` jobs is canonicalised and deduplicated, cache hits are answered
-immediately, and only the remaining unique misses are verified — serially
-(the default) or on a persistent process pool (see
-:mod:`repro.serving.backends`) — before results scatter back to the original
-submission order.  World models, formal verifiers and empirical evaluators
-are built once per scenario and reused across every batch (and, for the
-process backend, once per worker process *for the service's whole lifetime*:
-the :class:`~repro.serving.backends.WorkerPool` is forked lazily on the first
-large cold batch and reused thereafter).  The cache lives in memory for the
-service's lifetime; nothing is persisted.
+immediately, and only the remaining unique misses are verified, inline and in
+order (:func:`run_serial` over one :class:`ResponseScorer`), before results
+scatter back to the original submission order.  World models, formal
+verifiers and empirical evaluators are built once per scenario and reused
+across every batch.  The cache lives in memory for the service's lifetime;
+nothing is persisted.
 
 Two submission styles share one execution path:
 
 * :meth:`FeedbackService.score_batch` — synchronous, returns scores in
-  submission order (the reference API);
+  submission order (the reference API, and the one the pipeline calls);
 * :meth:`FeedbackService.submit_batch` — the batch is queued on a single
   dispatcher thread and a :class:`PendingBatch` future handle is returned
-  immediately, so a producer can rank task *k* while task *k+1* verifies.
-  Batches are *executed* strictly in submission order on the one dispatcher
-  thread, so the cache evolves exactly as it would under sequential
-  ``score_batch`` calls — submitted scores are bitwise-identical to the
-  synchronous ones, and draining handles in submission order is draining
-  them in completion order.
+  immediately.  Batches are *executed* strictly in submission order on the
+  one dispatcher thread, so the cache evolves exactly as it would under
+  sequential ``score_batch`` calls — submitted scores are bitwise-identical
+  to the synchronous ones, and draining handles in submission order is
+  draining them in completion order.
 
 Each service lazily creates, and owns, its :class:`Dispatcher`.  The
 dispatcher runs the calls submitted under one key strictly in submission
@@ -32,8 +28,7 @@ order and rotates round-robin between keys; the jobs daemon builds its own
 and submits each client's jobs under a per-client key, so a chatty client
 cannot starve another.
 
-A service owns OS resources once the submit or process paths are used
-(dispatcher thread, worker processes); release them with
+A service owns a thread once ``submit_batch`` is used; release it with
 :meth:`FeedbackService.close` or by using the service as a context manager.
 """
 
@@ -46,10 +41,13 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from repro.errors import AlignmentError
+from repro.feedback.empirical import EmpiricalEvaluator
+from repro.feedback.formal import FormalVerifier
+from repro.glm2fsa.builder import build_controller_from_text
 from repro.obs import tracer as obs
-from repro.serving.backends import ResponseScorer, WorkerPayload, WorkerPool, run_serial
 from repro.serving.cache import FeedbackCache, cache_key
-from repro.serving.config import ServingConfig
+from repro.serving.config import EMPIRICAL_THRESHOLD, EMPIRICAL_TRACES, ServingConfig
 from repro.serving.dedup import canonicalize_response
 from repro.serving.metrics import ServingMetrics
 
@@ -91,6 +89,86 @@ class FeedbackJob:
         elif scenario not in SCENARIO_BUILDERS:
             raise ValueError(f"unknown scenario {scenario!r}; known: {sorted(SCENARIO_BUILDERS)}")
         return cls(task=record["task"], scenario=scenario, response=record["response"])
+
+
+class ResponseScorer:
+    """Builds the verification stack once and scores ``(task, scenario, response)`` jobs.
+
+    ``use_empirical`` is :class:`~repro.core.config.FeedbackConfig`'s field
+    (passed alone so this module never imports the pipeline layer); ``seed``
+    seeds the empirical traces.  World models and evaluators are built
+    lazily, once per scenario, and reused for every subsequent job.
+    """
+
+    def __init__(
+        self,
+        specifications: Mapping,
+        *,
+        use_empirical: bool = False,
+        seed: int = 0,
+        model_builder=None,
+    ):
+        if model_builder is None:
+            from repro.driving.scenarios.universal import scenario_model
+
+            model_builder = scenario_model
+        self.specifications = dict(specifications)
+        self.use_empirical = use_empirical
+        self.seed = seed
+        self.model_builder = model_builder
+        self.verifier = FormalVerifier(self.specifications)
+        self._models: dict = {}
+        self._evaluators: dict = {}
+
+    # ------------------------------------------------------------------ #
+    def scenario_model(self, scenario: str):
+        """The (cached) world model responses in ``scenario`` are checked against."""
+        if scenario not in self._models:
+            self._models[scenario] = self.model_builder(scenario)
+        return self._models[scenario]
+
+    def scenario_digest(self, scenario: str) -> str:
+        """The digest of ``scenario``'s world model, memoized by the checker."""
+        return self.verifier.checker.model_fingerprint(self.scenario_model(scenario))
+
+    def evaluator(self, scenario: str) -> EmpiricalEvaluator:
+        """The (cached) empirical evaluator for ``scenario``."""
+        if scenario not in self._evaluators:
+            from repro.sim.executor import SimulationGrounding  # deferred: optional path
+
+            self._evaluators[scenario] = EmpiricalEvaluator(
+                self.specifications,
+                SimulationGrounding(scenario),
+                threshold=EMPIRICAL_THRESHOLD,
+            )
+        return self._evaluators[scenario]
+
+    def prepare(self, scenario: str) -> None:
+        """Build ``scenario``'s model/evaluator eagerly, before a batch is scored."""
+        if self.use_empirical:
+            self.evaluator(scenario)
+        else:
+            self.scenario_model(scenario)
+
+    # ------------------------------------------------------------------ #
+    def score(self, task: str, scenario: str, response: str) -> int:
+        """Verify one response from scratch (the serial reference computation)."""
+        if self.use_empirical:
+            try:
+                controller = build_controller_from_text(response, task=task)
+            except AlignmentError:
+                return 0
+            feedback = self.evaluator(scenario).evaluate_controller(
+                controller, num_traces=EMPIRICAL_TRACES, seed=self.seed
+            )
+            return feedback.num_satisfied
+        feedback = self.verifier.verify_response(self.scenario_model(scenario), response, task=task)
+        return feedback.num_satisfied
+
+
+def run_serial(scorer: ResponseScorer, jobs: Sequence) -> list:
+    """Score ``jobs`` inline, in order."""
+    return [scorer.score(job.task, job.scenario, job.response) for job in jobs]
 
 
 class PendingBatch:
@@ -265,15 +343,13 @@ class FeedbackService:
         verification or empirical (simulator) evaluation.
     config:
         A :class:`~repro.serving.config.ServingConfig`; defaults to the
-        cached, serial configuration.
+        cached configuration.
     seed:
         Base seed for empirical trace collection (matching the pipeline's
         ``config.seed`` so cached and uncached scores agree).
     model_builder:
         ``scenario name -> TransitionSystem``; defaults to the driving
-        scenario catalogue.  A custom builder cannot be shipped to worker
-        processes, so it silently downgrades the ``"process"`` backend to the
-        serial loop.
+        scenario catalogue.
     """
 
     def __init__(
@@ -299,32 +375,12 @@ class FeedbackService:
             seed=seed,
             model_builder=model_builder,
         )
-        # Worker processes rebuild the scorer from this payload.  Only the
-        # default (catalogue) model builder is reproducible in a fresh process.
-        # Workers inherit the trace destination at construction time: the
-        # tracer installed *now* decides whether (and where) worker processes
-        # shard their spans, which is why the pipeline/CLI install the tracer
-        # before building services.
-        shard_dir = obs.current_tracer().shard_dir
-        self._payload = (
-            WorkerPayload.from_feedback(
-                self.specifications,
-                feedback,
-                seed=seed,
-                trace_shard_dir=None if shard_dir is None else str(shard_dir),
-            )
-            if model_builder is None
-            else None
-        )
         self.metrics = ServingMetrics()
         self.cache = FeedbackCache(max_entries=self.config.cache_size)
-        # One persistent process pool per service lifetime (forked lazily on
-        # the first large miss batch, reused for every batch after that) and
-        # one dispatcher for submitted batches, created on the first submit.
+        # One dispatcher for submitted batches, created on the first submit.
         # The lock serialises score_batch bodies so direct calls and
         # dispatcher-thread calls can interleave without racing the cache or
         # the metrics.
-        self._pool: WorkerPool | None = None
         self._dispatcher: Dispatcher | None = None
         self._batch_lock = threading.Lock()
         # Guards lazy dispatcher creation and the closed flag, so concurrent
@@ -357,7 +413,7 @@ class FeedbackService:
         return self._scorer.scenario_digest(scenario)
 
     def _prepare_scenarios(self, jobs: Sequence[FeedbackJob]) -> None:
-        """Build each scenario's model/evaluator once, before any fan-out.
+        """Build each scenario's model/evaluator once, before its misses are scored.
 
         Sorted so preparation order (and any RNG it consumes) is deterministic
         regardless of set iteration order.
@@ -368,25 +424,14 @@ class FeedbackService:
     # ------------------------------------------------------------------ #
     # Scoring
     # ------------------------------------------------------------------ #
-    def _score_misses(self, jobs: Sequence[FeedbackJob]) -> list:
-        """Fan the unique cache misses out to the configured backend."""
-        backend = self.config.backend
-        if backend == "process" and self._payload is not None:
-            if self._pool is None:
-                self._pool = WorkerPool(self._payload, max_workers=self.config.max_workers)
-            return self._pool.run(jobs, fallback=self._scorer)
-        # "process" lands here too when no payload could be built: a custom
-        # model builder cannot be rebuilt inside a worker.
-        return run_serial(self._scorer, jobs)
-
     def score_batch(self, jobs: Sequence[FeedbackJob]) -> list:
         """Scores for ``jobs``, in submission order.
 
         Deduplicates by ``(scenario, canonical response)``, answers hits from
-        the cache, fans the remaining misses out to the configured backend,
-        and records telemetry.  Disabled serving degenerates to a serial loop
-        with no cache — the reference path.  Thread-safe: batches from direct
-        callers and from the dispatcher execute one at a time.
+        the cache, scores the remaining misses inline, and records telemetry.
+        Disabled serving degenerates to a serial loop with no cache — the
+        reference path.  Thread-safe: batches from direct callers and from
+        the dispatcher execute one at a time.
         """
         jobs = list(jobs)
         with self._batch_lock, obs.span(
@@ -427,7 +472,7 @@ class FeedbackService:
                 resolved[key] = cached
 
         if misses:
-            miss_scores = self._score_misses([job for _, job in misses])
+            miss_scores = run_serial(self._scorer, [job for _, job in misses])
             for (key, _), score in zip(misses, miss_scores):
                 resolved[key] = score
                 self.cache.put(key, score)
@@ -461,9 +506,8 @@ class FeedbackService:
         :class:`Dispatcher` (a single thread), so interleaved
         ``submit_batch`` / ``score_batch`` calls see the cache evolve exactly
         as sequential ``score_batch`` calls would — the handle's ``result()``
-        is bitwise-identical to the synchronous score list.  The producer is
-        free to keep working (the pipeline ranks task *k* while task *k+1*
-        verifies here).
+        is bitwise-identical to the synchronous score list.  The caller is
+        free to keep working until it asks the handle for the scores.
         """
         jobs = list(jobs)
         with self._submit_lock:
@@ -484,13 +528,11 @@ class FeedbackService:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Drain submitted batches and release threads/worker processes.
+        """Drain submitted batches and stop the dispatcher thread.
 
         Closing the service's dispatcher waits for every batch already
-        submitted; then the persistent process pool is shut down.  Idempotent;
-        after ``close()`` the synchronous ``score_batch`` path still works
-        (the process backend degrades to serial scoring) but
-        ``submit_batch`` raises.
+        submitted.  Idempotent; after ``close()`` the synchronous
+        ``score_batch`` path still works but ``submit_batch`` raises.
         """
         with self._submit_lock:
             if self._closed:
@@ -499,11 +541,6 @@ class FeedbackService:
             dispatcher, self._dispatcher = self._dispatcher, None
         if dispatcher is not None:
             dispatcher.close()
-        # Serialise against any in-flight synchronous score_batch: closing
-        # the pool under a running pool.map would crash the batch.
-        with self._batch_lock:
-            if self._pool is not None:
-                self._pool.close()
 
     def __enter__(self) -> "FeedbackService":
         return self

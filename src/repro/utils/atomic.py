@@ -29,8 +29,7 @@ def _tmp_sibling(path: Path) -> Path:
     """The in-flight tmp name: ``<name>.tmp.<pid>`` next to the target.
 
     Per-PID so concurrent writers never clobber each other's tmp file; the
-    ``.tmp.`` infix is what shard listings and compaction sweeps key on to
-    ignore (and eventually clean up) crashed writers' litter.
+    ``.tmp.`` infix marks a crashed writer's litter, which no reader opens.
     """
     return path.with_name(f"{path.name}.tmp.{os.getpid()}")
 

@@ -53,7 +53,6 @@ def _traced_run(pipeline: DPOAFPipeline, **run_kwargs) -> tuple:
     finally:
         obs.uninstall_tracer()
     spans = sorted((s for s in tracer.spans() if s.category == "pipeline"), key=lambda s: s.start_ns)
-    tracer.close()
     return result, spans
 
 

@@ -430,7 +430,6 @@ class TestPublicApiDocstrings:
         import repro.analysis.locks
         import repro.analysis.rules
         import repro.serving
-        import repro.serving.backends
         import repro.serving.cache
         import repro.serving.cli
         import repro.serving.config
@@ -477,7 +476,6 @@ class TestPublicApiDocstrings:
             repro.analysis.rules,
             repro.utils.atomic,
             repro.serving,
-            repro.serving.backends,
             repro.serving.cache,
             repro.serving.cli,
             repro.serving.config,

@@ -170,31 +170,25 @@ def test_submit_validates_before_contacting_the_daemon(cli_root):
 
 
 @pytest.mark.parametrize(
-    "store_files, extra_args",
+    "journal",
     [
-        ({}, ("--backend", "process")),
-        ({"journal.jsonl": '{"kind": "job", "job": {"job_id": "j-000001"}}\n'}, ()),
-        ({"journal.jsonl": json.dumps({"kind": "job", "job": WRONG_TYPED_JOB}) + "\n"}, ()),
+        '{"kind": "job", "job": {"job_id": "j-000001"}}\n',
+        json.dumps({"kind": "job", "job": WRONG_TYPED_JOB}) + "\n",
     ],
-    ids=["process-backend", "malformed-store", "wrong-typed-job-id"],
+    ids=["malformed-store", "wrong-typed-job-id"],
 )
-def test_daemon_refuses_to_start_in_one_line(cli_root, store_files, extra_args):
-    """A backend the daemon cannot use, or a store record of the wrong
-    shape, ends the daemon with exit 2 and one stderr line, before any
-    socket (or, for the backend, the store directory) is created."""
+def test_daemon_refuses_to_start_in_one_line(cli_root, journal):
+    """A store record of the wrong shape ends the daemon with exit 2 and one
+    stderr line, before any socket is created."""
     store = cli_root / "store"
-    for name, text in store_files.items():
-        store.mkdir(exist_ok=True)
-        (store / name).write_text(text)
+    store.mkdir()
+    (store / "journal.jsonl").write_text(journal)
     socket_path = cli_root / "daemon.sock"
-    result = _cli(
-        "daemon", "--socket", str(socket_path), "--store", str(store), *extra_args, timeout=60
-    )
+    result = _cli("daemon", "--socket", str(socket_path), "--store", str(store), timeout=60)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert len(result.stderr.strip().splitlines()) == 1, result.stderr
     assert not socket_path.exists()
-    assert store.exists() == bool(store_files)
 
 
 def test_unreachable_daemon_is_a_clean_error(cli_root):
@@ -255,7 +249,7 @@ def test_a_stalled_or_dropped_connection_is_a_clean_error(cli_root, behaviour):
 def test_daemon_and_oneshot_share_the_service_arguments():
     oneshot_help = _cli("--help").stdout
     daemon_help = _cli("daemon", "--help").stdout
-    for flag in ("--backend", "--mode", "--cache-size", "--seed"):
+    for flag in ("--mode", "--cache-size", "--seed"):
         assert flag in oneshot_help
         assert flag in daemon_help
     assert "daemon" in oneshot_help  # the epilog advertises daemon mode

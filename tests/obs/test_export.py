@@ -3,6 +3,7 @@
 import json
 import os
 import platform
+from dataclasses import replace
 
 import numpy
 import pytest
@@ -86,17 +87,25 @@ class TestWriteAndLoad:
         timestamps = [e["ts"] for e in document["traceEvents"]]
         assert timestamps == sorted(timestamps)
 
-    def test_export_merges_worker_shards(self, tmp_path):
-        tracer = Tracer(shard_dir=tmp_path / "shards")
+    def test_export_includes_adopted_worker_spans(self, tmp_path):
+        tracer = Tracer()
         with tracer.span("parent_work", category="serving"):
-            pass
-        worker = Tracer(jsonl_path=tmp_path / "shards" / "pid-55.jsonl")
-        with worker.span("mc.check", category="modelcheck", spec="phi_3"):
-            pass
-        worker.close()
+            worker = Tracer()
+            with worker.span("mc.check", category="modelcheck", spec="phi_3"):
+                pass
+            tracer.adopt([replace(span, pid=span.pid + 1) for span in worker.spans()])
         document = load_chrome_trace(write_chrome_trace(tmp_path / "out.json", tracer))
-        names = {e["name"] for e in document["traceEvents"]}
-        assert names == {"parent_work", "mc.check"}
+        events = {event["name"]: event for event in document["traceEvents"]}
+        assert set(events) == {"parent_work", "mc.check"}
+        assert events["mc.check"]["args"]["parent_id"] == events["parent_work"]["args"]["span_id"]
+        assert events["mc.check"]["pid"] == events["parent_work"]["pid"] + 1
+
+    def test_export_leaves_only_the_trace_file(self, tmp_path):
+        tracer = Tracer()
+        with tracer.span("serving.score_batch", category="serving", jobs=3):
+            pass
+        write_chrome_trace(tmp_path / "run.trace.json", tracer)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.trace.json"]
 
     def test_load_rejects_invalid_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -120,6 +129,33 @@ class TestWriteAndLoad:
         assert span.category == "modelcheck"
         assert span.attributes == {"spec": "phi_4"}
         assert counters_from_trace(document) == []
+
+    def test_span_identity_round_trips_through_the_file(self, tmp_path):
+        tracer = Tracer()
+        with tracer.span("outer", category="pipeline"):
+            with tracer.span("inner", category="modelcheck", spec="phi_2"):
+                pass
+        document = load_chrome_trace(write_chrome_trace(tmp_path / "t.json", tracer))
+        loaded = {span.name: span for span in spans_from_trace(document)}
+        for span in tracer.spans():
+            again = loaded[span.name]
+            assert (again.span_id, again.parent_id) == (span.span_id, span.parent_id)
+            assert (again.pid, again.tid) == (span.pid, span.tid)
+            assert again.attributes == span.attributes
+        assert loaded["inner"].parent_id == loaded["outer"].span_id
+
+    def test_counters_round_trip_through_the_file(self, tmp_path):
+        tracer = Tracer()
+        tracer.counter("dispatcher.queue_depth", 4)
+        tracer.counter("dispatcher.queue_depth", 2)
+        document = load_chrome_trace(write_chrome_trace(tmp_path / "t.json", tracer))
+        samples = counters_from_trace(document)
+        assert [(c.name, c.value) for c in samples] == [
+            ("dispatcher.queue_depth", 4.0),
+            ("dispatcher.queue_depth", 2.0),
+        ]
+        assert {c.pid for c in samples} == {tracer._pid}
+        assert samples[0].timestamp_ns == 0  # rebased to the earliest event
 
 
 class TestReport:

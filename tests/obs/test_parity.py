@@ -1,11 +1,11 @@
 """Tracing must never change what the system computes.
 
 The contract the whole observability layer rests on: a traced run produces
-bitwise-identical scores and pipeline results to an untraced run, on every
-backend, with worker-process spans merged back losslessly.
+bitwise-identical scores and pipeline results to an untraced run.
 """
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -17,9 +17,7 @@ from repro.obs.export import load_chrome_trace, spans_from_trace
 from repro.obs.report import report_from_trace
 from repro.obs.tracer import Tracer
 from repro.lm.shards import worker_available
-from repro.serving import FeedbackJob, FeedbackService, ServingConfig
-
-BACKENDS = ("serial", "process")
+from repro.serving import FeedbackJob, FeedbackService
 
 
 def _jobs() -> list:
@@ -31,57 +29,31 @@ def _jobs() -> list:
     return jobs
 
 
-def _score(backend: str) -> list:
-    with FeedbackService(
-        core_specifications(),
-        feedback=FeedbackConfig(),
-        config=ServingConfig(backend=backend, max_workers=2),
-    ) as service:
+def _score(feedback) -> list:
+    with FeedbackService(core_specifications(), feedback=feedback) as service:
         return service.score_batch(_jobs())
 
 
-class TestBackendParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_traced_scores_match_untraced_scores(self, backend, tmp_path):
-        untraced = _score(backend)
-        tracer = obs.install_tracer(Tracer.for_trace_file(tmp_path / "run.trace.json"))
+class TestScoringParity:
+    @pytest.mark.parametrize(
+        "feedback",
+        [FeedbackConfig(), FeedbackConfig(use_empirical=True)],
+        ids=["formal", "empirical"],
+    )
+    def test_traced_scores_match_untraced_scores(self, feedback):
+        untraced = _score(feedback)
+        tracer = obs.install_tracer(Tracer())
         try:
-            traced = _score(backend)
+            traced = _score(feedback)
         finally:
             obs.uninstall_tracer()
         assert traced == untraced
-        # The traced run recorded real verification work.
-        specs = {
-            s.attributes.get("spec") for s in tracer.all_spans() if s.name == "mc.check"
-        }
-        assert specs == set(core_specifications())
-
-    def test_process_backend_workers_write_mergeable_shards(self, tmp_path):
-        tracer = obs.install_tracer(Tracer.for_trace_file(tmp_path / "run.trace.json"))
-        try:
-            with FeedbackService(
-                core_specifications(),
-                feedback=FeedbackConfig(),
-                config=ServingConfig(backend="process", max_workers=2),
-            ) as service:
-                service.score_batch(_jobs())
-                pool_started = service._pool is not None and service._pool.starts > 0
-        finally:
-            obs.uninstall_tracer()
-        if not pool_started:
-            pytest.skip("process pool unavailable; worker shards never written")
-        shard_spans, _ = tracer.read_shards()
-        assert shard_spans, "workers produced no shard spans"
-        assert all(s.pid != tracer._pid for s in shard_spans)
-        names = {s.name for s in shard_spans}
-        assert names >= {"mc.product", "mc.check"}
-        # Construction is memoized process-wide: a forked worker inheriting an
-        # already-warm memo emits mc.construct_cached instead of mc.construct.
-        assert names & {"mc.construct", "mc.construct_cached"}
-        # Merged spans carry spec attribution just like in-process ones.
-        assert {s.attributes["spec"] for s in shard_spans if s.name == "mc.check"} == set(
-            core_specifications()
-        )
+        batches = [s for s in tracer.spans() if s.name == "serving.score_batch"]
+        assert [s.attributes for s in batches] == [{"jobs": len(_jobs())}]
+        # The traced run recorded real verification work (the simulator
+        # behind empirical scores records no spans).
+        specs = {s.attributes.get("spec") for s in tracer.spans() if s.name == "mc.check"}
+        assert specs == (set() if feedback.use_empirical else set(core_specifications()))
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +84,11 @@ class TestPipelineParity:
         assert counts(traced.before_evaluation) == counts(untraced.before_evaluation)
         assert counts(traced.after_evaluation) == counts(untraced.after_evaluation)
         assert traced.dpo_result.history.losses == untraced.dpo_result.history.losses
+
+    def test_traced_run_leaves_only_its_trace_file(self, pipeline_parity):
+        _, trace_path = pipeline_parity[True]
+        trace_dir = Path(trace_path).parent
+        assert sorted(path.name for path in trace_dir.iterdir()) == ["run.trace.json"]
 
     def test_traced_run_exported_a_valid_trace(self, pipeline_parity):
         _, trace_path = pipeline_parity[True]

@@ -1,12 +1,11 @@
-"""Tracer unit tests: nesting, the null path, sinks, and shard merging."""
+"""Tracer unit tests: the null path, nesting, and adopting a worker's spans."""
 
-import json
+import multiprocessing
 import threading
-
-import pytest
+from dataclasses import replace
 
 from repro.obs import tracer as obs
-from repro.obs.tracer import CounterSample, NullTracer, Span, Tracer
+from repro.obs.tracer import NullTracer, Tracer
 
 
 class TestNullPath:
@@ -85,79 +84,82 @@ class TestNesting:
         assert roots and roots[0].parent_id is None  # not a child of main_root
 
 
-class TestRecords:
-    def test_span_round_trips_through_its_record(self):
-        span = Span(
-            name="mc.check", category="modelcheck", start_ns=10, duration_ns=5,
-            pid=1, tid=2, span_id=3, parent_id=None, attributes={"spec": "phi_9"},
-        )
-        assert Span.from_record(span.to_record()) == span
-        assert span.to_record()["kind"] == "span"
-
-    def test_counter_round_trips_through_its_record(self):
-        sample = CounterSample(name="depth", value=4.0, timestamp_ns=9, pid=1, tid=2)
-        assert CounterSample.from_record(sample.to_record()) == sample
-        assert sample.to_record()["kind"] == "counter"
-
-
-class TestSinks:
-    def test_jsonl_sink_flushes_every_record(self, tmp_path):
-        path = tmp_path / "shard.jsonl"
-        tracer = Tracer(jsonl_path=path)
-        with tracer.span("one", category="modelcheck", spec="phi_1"):
+def _worker_spans() -> list:
+    """Two nested spans as a forked worker's fresh tracer records them: its
+    ids start at 1, like the parent's, and its pid differs."""
+    worker = Tracer()
+    with worker.span("train.forward", category="train", shard=1):
+        with worker.span("train.group", category="train", width=8):
             pass
-        tracer.counter("depth", 2)
-        # Flushed per record: readable before close().
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [line["kind"] for line in lines] == ["span", "counter"]
-        tracer.close()
-        tracer.close()  # idempotent
+    return [replace(span, pid=span.pid + 1) for span in worker.spans()]
 
-    def test_shard_merge_combines_per_pid_files(self, tmp_path):
-        shard_dir = tmp_path / "shards"
-        parent = Tracer(shard_dir=shard_dir)
-        for fake_pid in (101, 102):
-            worker = Tracer(jsonl_path=shard_dir / f"pid-{fake_pid}.jsonl")
-            with worker.span("mc.check", category="modelcheck", spec=f"phi_{fake_pid}"):
-                pass
-            worker.counter("worker.jobs", fake_pid)
-            worker.close()
-        spans, counters = parent.read_shards()
-        assert {s.attributes["spec"] for s in spans} == {"phi_101", "phi_102"}
-        assert {c.value for c in counters} == {101.0, 102.0}
-        # Non-destructive: a second read sees the same shards.
-        again, _ = parent.read_shards()
-        assert len(again) == len(spans)
 
-    def test_shard_merge_tolerates_torn_lines(self, tmp_path):
-        shard_dir = tmp_path / "shards"
-        shard_dir.mkdir()
-        good = Span(
-            name="mc.product", category="modelcheck", start_ns=1, duration_ns=1,
-            pid=7, tid=7, span_id=1,
-        )
-        (shard_dir / "pid-7.jsonl").write_text(
-            json.dumps(good.to_record()) + "\n" + '{"kind": "span", "name": "tor'
-        )
-        spans, counters = Tracer(shard_dir=shard_dir).read_shards()
-        assert [s.name for s in spans] == ["mc.product"]
-        assert counters == []
+class TestAdopt:
+    """``Tracer.adopt`` is the one way spans cross a process boundary."""
 
-    def test_all_spans_is_local_plus_shards(self, tmp_path):
-        shard_dir = tmp_path / "shards"
-        parent = Tracer(shard_dir=shard_dir)
-        with parent.span("local"):
+    def test_a_root_is_filed_under_the_open_span(self):
+        tracer = Tracer()
+        with tracer.span("pipeline.train", category="pipeline"):
+            with tracer.span("dpo.step", category="train"):
+                tracer.adopt(_worker_spans())
+        group, forward, step, train = tracer.spans()
+        assert (group.name, forward.name) == ("train.group", "train.forward")
+        assert forward.parent_id == step.span_id  # the innermost open span
+        assert group.parent_id == forward.span_id
+        assert step.parent_id == train.span_id
+
+    def test_with_no_open_span_a_root_stays_a_root(self):
+        tracer = Tracer()
+        tracer.adopt(_worker_spans())
+        group, forward = tracer.spans()
+        assert forward.parent_id is None
+        assert group.parent_id == forward.span_id
+
+    def test_adopted_ids_clash_with_nothing(self):
+        """Each reply comes from a fresh tracer, so every reply reuses ids
+        1 and 2; the links still point within their own reply."""
+        tracer = Tracer()
+        with tracer.span("local"):
             pass
-        worker = Tracer(jsonl_path=shard_dir / "pid-9.jsonl")
-        with worker.span("remote"):
-            pass
-        worker.close()
-        assert {s.name for s in parent.all_spans()} == {"local", "remote"}
+        with tracer.span("dpo.step", category="train"):
+            tracer.adopt(_worker_spans())
+            tracer.adopt(_worker_spans())
+        spans = tracer.spans()
+        assert len({span.span_id for span in spans}) == len(spans) == 6
+        first_group, first_forward, second_group, second_forward = spans[1:5]
+        assert first_group.parent_id == first_forward.span_id
+        assert second_group.parent_id == second_forward.span_id
 
-    def test_for_trace_file_places_shards_next_to_the_trace(self, tmp_path):
-        tracer = Tracer.for_trace_file(tmp_path / "run.trace.json")
-        assert tracer.shard_dir == tmp_path / "run.trace.json.shards"
-        assert tracer.shard_dir.is_dir()
+    def test_pid_timing_and_attributes_are_kept(self):
+        recorded = _worker_spans()
+        tracer = Tracer()
+        tracer.adopt(recorded)
+        for before, after in zip(recorded, tracer.spans(), strict=True):
+            assert after == replace(before, span_id=after.span_id, parent_id=after.parent_id)
+        assert {span.pid for span in tracer.spans()} == {tracer._pid + 1}
 
-    def test_read_shards_without_shard_dir_is_empty(self):
-        assert Tracer().read_shards() == ([], [])
+    def test_only_the_calling_threads_open_span_is_a_parent(self):
+        tracer = Tracer()
+        with tracer.span("main_root"):
+            thread = threading.Thread(target=tracer.adopt, args=(_worker_spans(),))
+            thread.start()
+            thread.join()
+        forward = next(span for span in tracer.spans() if span.name == "train.forward")
+        assert forward.parent_id is None
+
+    def test_adopting_nothing_records_nothing(self):
+        tracer = Tracer()
+        with tracer.span("dpo.step", category="train"):
+            tracer.adopt([])
+        assert [span.name for span in tracer.spans()] == ["dpo.step"]
+
+    def test_spans_survive_the_pipe_a_worker_replies_through(self):
+        recorded = _worker_spans()
+        receiver, sender = multiprocessing.Pipe(duplex=False)
+        with receiver, sender:
+            sender.send(recorded)
+            received = receiver.recv()
+        assert received == recorded
+        tracer = Tracer()
+        tracer.adopt(received)
+        assert [span.name for span in tracer.spans()] == ["train.group", "train.forward"]

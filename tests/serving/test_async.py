@@ -1,25 +1,20 @@
-"""Submitted batches and persistent worker-pool tests.
+"""Submitted-batch tests.
 
 The contract under test: ``submit_batch`` returns scores bitwise-identical to
-the synchronous ``score_batch`` reference on every backend; the process
-backend's :class:`WorkerPool` forks its executor exactly once per service
-lifetime no matter how many batches it scores; and ``close()`` releases every
-thread and worker process while never corrupting results.
+the synchronous ``score_batch`` reference, misses are scored inline on the one
+thread that runs the batch and never in another process, and ``close()``
+releases the dispatcher thread while never corrupting results.
 """
+
+import multiprocessing
+import os
+import threading
 
 import pytest
 
 from repro.core.config import FeedbackConfig
 from repro.driving import core_specifications, response_templates, task_by_name
-from repro.serving import (
-    BACKENDS,
-    FeedbackJob,
-    FeedbackService,
-    ServingConfig,
-    WorkerPayload,
-    WorkerPool,
-)
-from repro.serving.backends import PROCESS_MIN_BATCH
+from repro.serving import FeedbackJob, FeedbackService, ServingConfig
 
 
 def _mixed_scenario_jobs() -> list:
@@ -35,38 +30,39 @@ def _mixed_scenario_jobs() -> list:
     return jobs
 
 
-def _service(backend: str = "serial", **config_kwargs) -> FeedbackService:
-    return FeedbackService(
-        core_specifications(),
-        feedback=FeedbackConfig(),
-        config=ServingConfig(backend=backend, max_workers=2, **config_kwargs),
-        seed=0,
-    )
+#: Both scoring modes: formal verification and simulator (empirical) traces.
+FEEDBACK_MODES = pytest.mark.parametrize(
+    "feedback", [FeedbackConfig(), FeedbackConfig(use_empirical=True)], ids=["formal", "empirical"]
+)
 
 
-def _reference_scores(jobs) -> list:
+def _service(feedback: FeedbackConfig = FeedbackConfig()) -> FeedbackService:
+    return FeedbackService(core_specifications(), feedback=feedback, seed=0)
+
+
+def _reference_scores(jobs, feedback: FeedbackConfig = FeedbackConfig()) -> list:
     return FeedbackService(
-        core_specifications(), feedback=FeedbackConfig(), seed=0, config=ServingConfig(enabled=False)
+        core_specifications(), feedback=feedback, seed=0, config=ServingConfig(enabled=False)
     ).score_batch(jobs)
 
 
 class TestSubmitBatch:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_async_submission_matches_serial_reference(self, backend):
+    @FEEDBACK_MODES
+    def test_async_submission_matches_serial_reference(self, feedback):
         jobs = _mixed_scenario_jobs()
-        reference = _reference_scores(jobs)
-        with _service(backend) as service:
+        reference = _reference_scores(jobs, feedback)
+        with _service(feedback) as service:
             handle = service.submit_batch(jobs)
-            assert handle.result() == reference, backend
+            assert handle.result() == reference
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_interleaved_async_batches_match_sequential_score_batch(self, backend):
+    @FEEDBACK_MODES
+    def test_interleaved_async_batches_match_sequential_score_batch(self, feedback):
         """Several in-flight batches must resolve exactly like sequential calls."""
         jobs = _mixed_scenario_jobs()
         batches = [jobs[i::3] for i in range(3)]  # overlapping content across batches
-        with _service(backend) as sync:
+        with _service(feedback) as sync:
             expected = [sync.score_batch(batch) for batch in batches]
-        with _service(backend) as service:
+        with _service(feedback) as service:
             handles = [service.submit_batch(batch) for batch in batches]
             assert [h.result() for h in handles] == expected
 
@@ -81,7 +77,7 @@ class TestSubmitBatch:
         import threading
 
         task = task_by_name("enter_roundabout")
-        service = _service("serial")
+        service = _service()
         gate = threading.Event()
         original = service._scorer.score
 
@@ -105,7 +101,7 @@ class TestSubmitBatch:
 
         jobs = _mixed_scenario_jobs()
         slices = [jobs[i::4] for i in range(4)]
-        with _service("serial") as service:
+        with _service() as service:
             handles: list = [None] * len(slices)
 
             def submit(index):
@@ -135,7 +131,7 @@ class TestSubmitBatch:
         monkeypatch.setattr(FeedbackService, "score_batch", recording)
         jobs = _mixed_scenario_jobs()
         batches = [jobs[:5], jobs[5:]]
-        with _service("serial") as service:
+        with _service() as service:
             for handle in [service.submit_batch(batch) for batch in batches]:
                 handle.result()
         assert [size for _, size in calls] == [len(batch) for batch in batches]
@@ -145,80 +141,79 @@ class TestSubmitBatch:
     def test_submit_responses_matches_score_responses(self):
         task = task_by_name("turn_right_traffic_light")
         responses = list(response_templates(task.name, "compliant")) + ["1. Drive nicely."]
-        with _service("serial") as service:
+        with _service() as service:
             pending = service.submit_responses(task, responses)
             assert pending.result() == service.score_responses(task, responses)
 
 
 class TestServiceLifecycle:
     def test_close_then_submit_raises(self):
-        service = _service("serial")
+        service = _service()
         service.close()
         with pytest.raises(RuntimeError):
             service.submit_batch(_mixed_scenario_jobs()[:2])
 
     def test_close_is_idempotent_and_synchronous_path_survives(self):
         task = task_by_name("enter_roundabout")
-        service = _service("process")
+        service = _service()
         response = response_templates(task.name, "compliant")[0]
         before = service.score_response(task, response)
         service.close()
         service.close()
-        # Synchronous scoring still works (process pool degrades to serial).
         assert service.score_response(task, response) == before
 
     def test_close_drains_pending_batches(self):
         jobs = _mixed_scenario_jobs()
-        service = _service("serial")
+        service = _service()
         handle = service.submit_batch(jobs)
         service.close()
         assert handle.done() and handle.result() == _reference_scores(jobs)
 
 
-class TestWorkerPoolReuse:
-    def test_pool_forks_once_across_batches(self):
-        """The tentpole claim: one executor launch per service lifetime."""
-        all_jobs = _mixed_scenario_jobs()
-        # Three batches of distinct responses so every batch has >= PROCESS_MIN_BATCH
-        # cold misses and must reach the process pool.
-        batches = [all_jobs[0:5], all_jobs[5:10], all_jobs[10:15]]
-        with _service("process") as service:
-            for batch in batches:
-                service.score_batch(batch)
-            assert service._pool is not None
-            assert service._pool.starts <= 1  # 0 only if this sandbox lacks multiprocessing
-            if service._pool.starts == 0:
-                assert service._pool._broken
+def _scoring_threads(service) -> list:
+    """Record the thread of every miss ``service`` scores."""
+    threads = []
+    score = service._scorer.score
 
-    def test_worker_pool_run_reuses_executor(self):
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return score(*args)
+
+    service._scorer.score = recording
+    return threads
+
+
+class TestInlineScoring:
+    def test_score_batch_scores_misses_on_the_calling_thread(self):
         jobs = _mixed_scenario_jobs()
-        payload = WorkerPayload.from_feedback(core_specifications(), FeedbackConfig(), seed=0)
-        fallback = payload.build_scorer()
-        expected = [fallback.score(j.task, j.scenario, j.response) for j in jobs]
-        with WorkerPool(payload, max_workers=2) as pool:
-            assert pool.run(jobs[:8], fallback=fallback) == expected[:8]
-            assert pool.run(jobs[8:], fallback=fallback) == expected[8:]
-            assert pool.starts <= 1
+        with _service() as service:
+            threads = _scoring_threads(service)
+            assert service.score_batch(jobs) == _reference_scores(jobs)
+        assert len(threads) == 15  # 18 jobs, 3 exact duplicates
+        assert set(threads) == {threading.get_ident()}
 
-    def test_small_batches_never_start_the_pool(self):
-        payload = WorkerPayload.from_feedback(core_specifications(), FeedbackConfig(), seed=0)
-        fallback = payload.build_scorer()
-        jobs = _mixed_scenario_jobs()[: PROCESS_MIN_BATCH - 1]
-        with WorkerPool(payload, max_workers=2) as pool:
-            scores = pool.run(jobs, fallback=fallback)
-            assert pool.starts == 0
-            assert scores == [fallback.score(j.task, j.scenario, j.response) for j in jobs]
+    def test_a_submitted_batch_is_scored_on_the_dispatcher_thread_alone(self):
+        jobs = _mixed_scenario_jobs()
+        with _service() as service:
+            threads = _scoring_threads(service)
+            assert service.submit_batch(jobs).result(timeout=60) == _reference_scores(jobs)
+        assert len(threads) == 15
+        assert len(set(threads)) == 1 and threads[0] != threading.get_ident()
 
-    def test_closed_pool_degrades_to_serial_scores(self):
-        payload = WorkerPayload.from_feedback(core_specifications(), FeedbackConfig(), seed=0)
-        fallback = payload.build_scorer()
-        jobs = _mixed_scenario_jobs()[:6]
-        pool = WorkerPool(payload, max_workers=2)
-        pool.close()
-        assert pool.run(jobs, fallback=fallback) == [
-            fallback.score(j.task, j.scenario, j.response) for j in jobs
-        ]
-        assert pool.starts == 0
+    @pytest.mark.parametrize("submit", [False, True], ids=["score_batch", "submit_batch"])
+    def test_scoring_never_starts_a_process(self, monkeypatch, submit):
+        jobs = _mixed_scenario_jobs()
+        reference = _reference_scores(jobs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scoring tried to start a process")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        with _service() as service:
+            scores = service.submit_batch(jobs).result(timeout=60) if submit else service.score_batch(jobs)
+        assert scores == reference
+        assert multiprocessing.active_children() == []
 
 
 class TestPipelineAsyncIntegration:

@@ -19,7 +19,7 @@ def _service() -> FeedbackService:
     return FeedbackService(
         core_specifications(),
         feedback=FeedbackConfig(),
-        config=ServingConfig(backend="serial"),
+        config=ServingConfig(),
         seed=0,
     )
 

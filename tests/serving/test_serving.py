@@ -13,15 +13,16 @@ from repro.driving import (
 from repro.feedback import EmpiricalEvaluator, FormalVerifier
 from repro.glm2fsa import build_controller_from_text
 from repro.serving import (
-    BACKENDS,
     FeedbackCache,
     FeedbackJob,
     FeedbackService,
+    ResponseScorer,
     ServingConfig,
     cache_key,
     canonicalize_response,
 )
 from repro.serving.config import EMPIRICAL_THRESHOLD, EMPIRICAL_TRACES
+from repro.serving.scheduler import run_serial
 from repro.sim import SimulationGrounding
 
 
@@ -139,13 +140,14 @@ class TestFeedbackService:
             service = FeedbackService(core_specifications(), feedback=feedback)
             assert service.score_response(right_turn_task, "Please drive safely out there.") == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_order_is_deterministic(self, right_turn_task, batch_responses, backend):
-        config = ServingConfig(backend=backend, max_workers=3)
-        with FeedbackService(core_specifications(), feedback=FeedbackConfig(), config=config) as service:
+    @pytest.mark.parametrize(
+        "feedback", [FeedbackConfig(), FeedbackConfig(use_empirical=True)], ids=["formal", "empirical"]
+    )
+    def test_batch_order_is_deterministic(self, right_turn_task, batch_responses, feedback):
+        with FeedbackService(core_specifications(), feedback=feedback) as service:
             batch_scores = service.score_responses(right_turn_task, batch_responses)
         reference = FeedbackService(
-            core_specifications(), feedback=FeedbackConfig(), config=ServingConfig(enabled=False)
+            core_specifications(), feedback=feedback, config=ServingConfig(enabled=False)
         )
         serial_scores = [reference.score_response(right_turn_task, r) for r in batch_responses]
         assert batch_scores == serial_scores
@@ -316,25 +318,19 @@ class TestFeedbackService:
             assert scores[-1] == reference.score_responses(right_turn_task, responses)
         assert scores[0] != scores[1], "the input under test does not change any score here"
 
-    @pytest.mark.parametrize("field", ["cache_size", "max_workers"])
-    def test_rejects_nonpositive_sizes(self, field):
-        with pytest.raises(ValueError, match=field):
-            ServingConfig(**{field: 0})
+    def test_rejects_nonpositive_cache_size(self):
+        with pytest.raises(ValueError, match="cache_size"):
+            ServingConfig(cache_size=0)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            ServingConfig(backend="gpu")
-
-    def test_serial_is_the_default_backend(self):
-        """The reference loop is the default everywhere; process is the one
-        alternative, for multi-core hosts."""
-        from repro.serving.cli import build_parser
-
-        assert BACKENDS == ("serial", "process")
-        assert ServingConfig().backend == "serial"
-        assert build_parser().parse_args(["in.jsonl"]).backend == "serial"
-        with pytest.raises(ValueError):
-            ServingConfig(backend="thread")
+    @pytest.mark.parametrize("max_workers", [0, 1, 64])
+    def test_max_workers_has_no_effect(self, right_turn_task, batch_responses, max_workers):
+        """The field is kept only for the committed benchmark, which sets it:
+        any value is accepted and scores exactly as the default does."""
+        config = ServingConfig(max_workers=max_workers)
+        with FeedbackService(core_specifications(), config=config) as service:
+            scores = service.score_responses(right_turn_task, batch_responses)
+        with FeedbackService(core_specifications()) as default:
+            assert scores == default.score_responses(right_turn_task, batch_responses)
 
 
 class TestCli:
@@ -347,7 +343,7 @@ class TestCli:
             '{"task": "merge_onto_highway", "scenario": "highway_merge", "response": "1. Go straight onto the highway."}\n'
         )
         out = tmp_path / "out.jsonl"
-        assert main([str(jsonl), "--core-specs", "-o", str(out), "--backend", "serial"]) == 0
+        assert main([str(jsonl), "--core-specs", "-o", str(out)]) == 0
         import json
 
         records = [json.loads(line) for line in out.read_text().splitlines()]
@@ -388,7 +384,7 @@ class TestCli:
         jsonl = tmp_path / "in.jsonl"
         jsonl.write_text(json.dumps(record) + "\n")
         out = tmp_path / "out.jsonl"
-        assert main([str(jsonl), "--core-specs", "-o", str(out), "--backend", "serial"]) == 0
+        assert main([str(jsonl), "--core-specs", "-o", str(out)]) == 0
         (scored,) = [json.loads(line) for line in out.read_text().splitlines()]
         assert scored["id"] == "sample-17"
         assert scored["meta"] == {"epoch": 3, "origin": "dpo-sampling"}
@@ -427,10 +423,8 @@ class TestCli:
     def test_service_flags_build_the_serving_config(self):
         from repro.serving.cli import build_parser, serving_config_from_args
 
-        args = build_parser().parse_args(
-            ["in.jsonl", "--backend", "process", "--max-workers", "3", "--cache-size", "7"]
-        )
-        assert serving_config_from_args(args) == ServingConfig(backend="process", max_workers=3, cache_size=7)
+        args = build_parser().parse_args(["in.jsonl", "--cache-size", "7"])
+        assert serving_config_from_args(args) == ServingConfig(cache_size=7)
         assert serving_config_from_args(build_parser().parse_args(["in.jsonl"])) == ServingConfig()
 
     def test_nonpositive_cache_size_exits_2(self, tmp_path, capsys):
@@ -455,6 +449,41 @@ class TestCli:
         assert json.loads(out.read_text())["task"] == "previous"
         assert list(tmp_path.glob("out.jsonl.tmp.*")) == []
 
+    def test_trace_run_leaves_only_the_trace_file(self, tmp_path, capsys):
+        from repro.obs.export import load_chrome_trace
+        from repro.serving.cli import main
+
+        jsonl = tmp_path / "in.jsonl"
+        jsonl.write_text('{"task": "enter_roundabout", "response": "1. If there is a pedestrian, stop."}\n')
+        trace_dir = tmp_path / "trace"
+        trace_dir.mkdir()
+        trace = trace_dir / "run.trace.json"
+        assert main([str(jsonl), "--core-specs", "-o", str(tmp_path / "out.jsonl"), "--trace", str(trace)]) == 0
+        assert sorted(path.name for path in trace_dir.iterdir()) == ["run.trace.json"]
+        names = {event["name"] for event in load_chrome_trace(trace)["traceEvents"]}
+        assert "serving.score_batch" in names
+
+    @pytest.mark.parametrize(
+        "flag", [("--backend", "process"), ("--max-workers", "2")], ids=["backend", "max-workers"]
+    )
+    @pytest.mark.parametrize("command", ["oneshot", "daemon"])
+    def test_removed_service_flags_are_usage_errors(self, tmp_path, capsys, command, flag):
+        """Misses are scored inline, so neither the one-shot command nor the
+        daemon takes a backend or a worker count; the daemon creates nothing."""
+        from repro.serving.cli import main
+
+        jsonl = tmp_path / "in.jsonl"
+        jsonl.write_text('{"task": "enter_roundabout", "response": "1. Stop."}\n')
+        if command == "oneshot":
+            argv = [str(jsonl), "-o", str(tmp_path / "out.jsonl")]
+        else:
+            argv = ["daemon", "--socket", str(tmp_path / "d.sock"), "--store", str(tmp_path / "store")]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["in.jsonl"]
+
     def _pairs_workload(self, tmp_path):
         import json
 
@@ -476,8 +505,8 @@ class TestCli:
 
         jsonl, records = self._pairs_workload(tmp_path)
         pairs_path = tmp_path / "pairs.jsonl"
-        argv = [str(jsonl), "--core-specs", "--backend", "serial",
-                "-o", str(tmp_path / "out.jsonl"), "--pairs-output", str(pairs_path)]
+        argv = [str(jsonl), "--core-specs", "-o", str(tmp_path / "out.jsonl"),
+                "--pairs-output", str(pairs_path)]
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert "encoded preference pairs" in err and "encode stage" in err
@@ -494,16 +523,14 @@ class TestCli:
     #: format changes these bytes.
     PAIRS_OUTPUT_SHA256 = "1347bd88ee0557196d993e3f4313adf0fd180eda5d8ba357d9fad89ec5514e9d"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pairs_output_bytes_are_pinned(self, tmp_path, capsys, backend):
+    def test_pairs_output_bytes_are_pinned(self, tmp_path, capsys):
         import hashlib
 
         from repro.serving.cli import main
 
         jsonl, _ = self._pairs_workload(tmp_path)
         pairs_path = tmp_path / "pairs.jsonl"
-        argv = [str(jsonl), "--backend", backend, "--max-workers", "2", "-o", str(tmp_path / "out.jsonl"),
-                "--pairs-output", str(pairs_path)]
+        argv = [str(jsonl), "-o", str(tmp_path / "out.jsonl"), "--pairs-output", str(pairs_path)]
         assert main(argv) == 0
         data = pairs_path.read_bytes()
         assert data.count(b"\n") == 2
@@ -517,8 +544,7 @@ class TestCli:
 
         jsonl, _ = self._pairs_workload(tmp_path)
         pairs_path = tmp_path / "pairs.jsonl"
-        argv = [str(jsonl), "--backend", "serial", "-o", str(tmp_path / "out.jsonl"),
-                "--pairs-output", str(pairs_path)]
+        argv = [str(jsonl), "-o", str(tmp_path / "out.jsonl"), "--pairs-output", str(pairs_path)]
         assert main(argv) == 0
         previous = pairs_path.read_bytes()
         assert previous.count(b"\n") == 2
@@ -554,8 +580,8 @@ class TestCli:
                           "response": "1. Stop."}) + "\n"
         )
         pairs_path = tmp_path / "pairs.jsonl"
-        assert main([str(jsonl), "--core-specs", "--backend", "serial",
-                     "-o", str(tmp_path / "out.jsonl"), "--pairs-output", str(pairs_path)]) == 0
+        assert main([str(jsonl), "--core-specs", "-o", str(tmp_path / "out.jsonl"),
+                     "--pairs-output", str(pairs_path)]) == 0
         encoded = read_encoded_pairs(pairs_path)
         assert all(pair.task == "custom_merge" for pair in encoded)
 
@@ -574,3 +600,93 @@ class TestJobLevelApi:
             core_specifications(), feedback=FeedbackConfig(), config=ServingConfig(enabled=False)
         )
         assert scores == reference.score_batch(jobs)
+
+    @pytest.mark.parametrize(
+        "feedback",
+        [FeedbackConfig(), FeedbackConfig(use_empirical=True)],
+        ids=["formal", "empirical"],
+    )
+    def test_cached_scores_match_the_reference(self, feedback):
+        """Templates from three scenarios with duplicates, as sampling
+        produces them: the cached path scores them as the uncached one does."""
+        jobs = []
+        for name in ("turn_right_traffic_light", "enter_roundabout", "merge_onto_highway"):
+            task = task_by_name(name)
+            responses = list(response_templates(name, "compliant"))
+            responses += list(response_templates(name, "flawed"))[:2]
+            responses.append(responses[0])  # exact duplicate
+            jobs += [FeedbackJob(task=name, scenario=task.scenario, response=r) for r in responses]
+        if feedback.use_empirical:
+            jobs = jobs[:8]  # simulator scoring is slower; a smaller batch suffices
+        reference = FeedbackService(
+            core_specifications(), feedback=feedback, seed=0, config=ServingConfig(enabled=False)
+        ).score_batch(jobs)
+        with FeedbackService(core_specifications(), feedback=feedback, seed=0) as service:
+            assert service.score_batch(jobs) == reference
+
+
+def _jobs_in_two_scenarios() -> list:
+    jobs = []
+    for name in ("turn_right_traffic_light", "enter_roundabout"):
+        task = task_by_name(name)
+        responses = list(response_templates(name, "compliant"))[:2]
+        responses += list(response_templates(name, "flawed"))[:2]
+        jobs += [FeedbackJob(task=name, scenario=task.scenario, response=r) for r in responses]
+    return jobs
+
+
+class _CountingBuilder:
+    """The catalogue's model builder, recording each scenario it builds."""
+
+    def __init__(self):
+        self.built = []
+
+    def __call__(self, scenario: str):
+        from repro.driving.scenarios.universal import scenario_model
+
+        self.built.append(scenario)
+        return scenario_model(scenario)
+
+
+class TestResponseScorer:
+    """The one scorer every miss goes through, inline and in order."""
+
+    def test_run_serial_scores_in_submission_order(self):
+        scorer = ResponseScorer(core_specifications())
+        jobs = _jobs_in_two_scenarios()
+        expected = [scorer.score(job.task, job.scenario, job.response) for job in jobs]
+        assert len(set(expected)) > 1, "every job scores alike, so no order would show"
+        assert run_serial(scorer, jobs) == expected
+        assert run_serial(scorer, jobs[::-1]) == expected[::-1]
+
+    def test_each_scenario_model_is_built_once(self):
+        builder = _CountingBuilder()
+        scorer = ResponseScorer(core_specifications(), model_builder=builder)
+        jobs = _jobs_in_two_scenarios()
+        run_serial(scorer, jobs)
+        run_serial(scorer, jobs)
+        assert builder.built == ["traffic_light_intersection", "roundabout"]
+
+    @pytest.mark.parametrize("use_empirical", [False, True], ids=["formal", "empirical"])
+    def test_prepare_builds_only_what_the_mode_scores_with(self, use_empirical):
+        builder = _CountingBuilder()
+        scorer = ResponseScorer(core_specifications(), use_empirical=use_empirical, model_builder=builder)
+        scenario = task_by_name("enter_roundabout").scenario
+        scorer.prepare(scenario)
+        scorer.prepare(scenario)
+        if use_empirical:
+            assert builder.built == []
+            assert list(scorer._evaluators) == [scenario]
+        else:
+            assert builder.built == [scenario]
+            assert scorer._evaluators == {}
+
+    def test_service_scores_misses_with_its_model_builder(self, right_turn_task, batch_responses):
+        builder = _CountingBuilder()
+        with FeedbackService(core_specifications(), model_builder=builder) as service:
+            first = service.score_responses(right_turn_task, batch_responses)
+            second = service.score_responses(right_turn_task, batch_responses[::-1])
+        reference = FeedbackService(core_specifications(), config=ServingConfig(enabled=False))
+        assert first == reference.score_responses(right_turn_task, batch_responses)
+        assert second == first[::-1]
+        assert builder.built == [right_turn_task.scenario]

@@ -4,7 +4,7 @@ The contracts under test:
 
 * pairs built from ``submit_batch`` handles drained in submission order are
   identical — same pair list, bitwise-identical scores — to pairs built from
-  the blocking ``score_batch`` path, on every backend;
+  the blocking ``score_batch`` path;
 * every :class:`FeedbackService` owns its :class:`Dispatcher`, and closing
   the service stops that dispatcher's thread; the pipeline scores on the
   calling thread and starts none.
@@ -18,18 +18,13 @@ from repro.core.config import FeedbackConfig
 from repro.driving import core_specifications, response_templates, task_by_name
 from repro.feedback import rank_to_pairs
 from repro.lm import format_prompt
-from repro.serving import BACKENDS, Dispatcher, FeedbackJob, FeedbackService, ServingConfig
+from repro.serving import Dispatcher, FeedbackJob, FeedbackService, ServingConfig
 
 TASK_NAMES = ("turn_right_traffic_light", "enter_roundabout", "merge_onto_highway")
 
 
-def _service(backend: str = "serial", **config_kwargs) -> FeedbackService:
-    return FeedbackService(
-        core_specifications(),
-        feedback=FeedbackConfig(),
-        config=ServingConfig(backend=backend, max_workers=2, **config_kwargs),
-        seed=0,
-    )
+def _service(feedback: FeedbackConfig = FeedbackConfig()) -> FeedbackService:
+    return FeedbackService(core_specifications(), feedback=feedback, seed=0)
 
 
 def _reference_scores(jobs) -> list:
@@ -73,21 +68,23 @@ def _distinct_miss_batches(count: int, size: int = 3) -> list:
 
 
 class TestStreamingPairConstruction:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_streamed_pairs_match_blocking_pairs(self, backend):
+    @pytest.mark.parametrize(
+        "feedback", [FeedbackConfig(), FeedbackConfig(use_empirical=True)], ids=["formal", "empirical"]
+    )
+    def test_streamed_pairs_match_blocking_pairs(self, feedback):
         """Submitted batches, ranked as each handle resolves, yield the same
         pair lists — bitwise-identical scores — as the blocking path."""
         batches = _task_batches()
 
         blocking = []
-        with _service(backend) as sync:
+        with _service(feedback) as sync:
             for task, responses in batches:
                 scores = sync.score_responses(task, responses)
                 blocking.append(
                     rank_to_pairs(format_prompt(task), responses, scores, task=task.name)
                 )
 
-        with _service(backend) as service:
+        with _service(feedback) as service:
             pending = [
                 (task, responses, service.submit_responses(task, responses))
                 for task, responses in batches
@@ -97,7 +94,7 @@ class TestStreamingPairConstruction:
                 for task, responses, handle in pending
             ]
 
-        assert streamed == blocking, backend
+        assert streamed == blocking
 
     def test_pipeline_streaming_matches_task_order_assembly(self):
         """augment_with_templates submits every task's batch up front yet must
@@ -171,7 +168,7 @@ class TestServiceDispatcher:
         """Two services never share a dispatcher: closing one stops only its
         own, and the other keeps serving."""
         (task_a, responses_a), (task_b, responses_b) = _task_batches()[:2]
-        first, second = _service("serial"), _service("serial")
+        first, second = _service(), _service()
         try:
             handle_a = first.submit_responses(task_a, responses_a)
             handle_b = second.submit_responses(task_b, responses_b)
@@ -198,7 +195,7 @@ class TestServiceDispatcher:
             dispatcher.submit(lambda: None)
 
     def test_private_dispatcher_closes_with_its_service(self):
-        service = _service("serial")
+        service = _service()
         handle = service.submit_batch(_distinct_miss_batches(1)[0])
         dispatcher = service._dispatcher
         assert dispatcher is not None
@@ -208,7 +205,7 @@ class TestServiceDispatcher:
 
     def test_close_leaves_no_live_dispatcher_thread(self):
         before = set(threading.enumerate())
-        service = _service("serial")
+        service = _service()
         service.submit_batch(_distinct_miss_batches(1)[0]).result(timeout=30)
         started = _dispatch_threads(before)
         assert started, "submit_batch never started a dispatcher thread"
