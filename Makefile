@@ -29,7 +29,8 @@
 #                         correctness gates (see perfbench/README.md)
 #   make trace-demo       traced quick-pipeline run -> runs/quick.trace.json
 #                         (load it in https://ui.perfetto.dev) plus the
-#                         terminal report (hottest specs, stage breakdown)
+#                         terminal report (stage breakdown with the model
+#                         checker's spans, serving and process summaries)
 #   make jobs-demo        durable-jobs daemon demo: submit a batch, kill -9
 #                         the daemon mid-batch, restart, verify every job
 #                         finished exactly once with one-shot-identical

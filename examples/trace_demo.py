@@ -9,10 +9,13 @@ or, equivalently::
     make trace-demo
 
 This runs ``quick_pipeline_config`` end to end with ``trace_path`` set, so
-every stage — pretraining, sampling, per-spec LTL model checking, pair
-construction, DPO training, evaluation — lands in one Chrome/Perfetto
-trace-event file.  Open the file in https://ui.perfetto.dev (or
-``chrome://tracing``) for the timeline, or summarise it in the terminal::
+every stage — pretraining, sampling, LTL model checking (translation,
+product construction, the shared pass), pair construction, DPO training,
+evaluation — lands in one Chrome/Perfetto trace-event file, and prints the
+report: the stage breakdown, with the model checker's spans as rows, then
+the serving and process summaries.  Open the file in
+https://ui.perfetto.dev (or ``chrome://tracing``) for the timeline, or
+summarise it again in the terminal::
 
     repro-trace report runs/quick.trace.json
 """

@@ -15,10 +15,9 @@ in the same order, as one process running every group, so losses, weights
 and checkpoints stay bitwise.  Adam runs in the caller and updates the shared
 values in place, which the worker reads on the next step.
 
-While tracing, span starts follow one fixed order per phase (the groups'
-predicted start times under the cell-cost model), handed between the
-processes through a shared counter, so a trace lists a step's forwards and
-backwards in the same order; untraced, neither process waits mid-step.
+Tracing changes neither process's schedule: the worker records its group
+spans in a fresh tracer and sends them back with its reply, and neither
+process waits for the other mid-step.
 
 The worker is used only where ``os.fork`` exists and the process may run on
 at least two cores; otherwise the caller takes every group through the same
@@ -120,15 +119,14 @@ def _views(flat: np.ndarray, params) -> list:
     return views
 
 
-def split_groups(groups) -> tuple:
-    """``(shard_of, turn_of)`` for a plan's ``(rows, width)`` groups.
+def split_groups(groups) -> list:
+    """Each of a plan's ``(rows, width)`` groups' shard, 0 or 1.
 
     Groups go whole to the two shards.  A subset-sum over their costs
     (``rows × width +`` :data:`_GROUP_COST_CELLS`) gives shard 1 the subset
     whose cost is nearest half the total without passing it; shard 0 takes
     the rest, so a lone group stays in the caller.  Each shard runs its
-    groups in plan order; a group's turn is its rank by predicted start time
-    under that cost, shard 0 first on ties.
+    groups in plan order.
     """
     costs = [len(rows) * width + _GROUP_COST_CELLS for rows, width in groups]
     # reachable[k]: bit c is set when some subset of the first k groups costs c.
@@ -141,14 +139,7 @@ def split_groups(groups) -> tuple:
         if not reachable[slot] >> target & 1:
             shard_of[slot] = 1
             target -= costs[slot]
-    clock, starts = [0, 0], []
-    for slot, cost in enumerate(costs):
-        starts.append(clock[shard_of[slot]])
-        clock[shard_of[slot]] += cost
-    turn_of = [0] * len(groups)
-    for turn, slot in enumerate(sorted(range(len(groups)), key=lambda s: (starts[s], shard_of[s]))):
-        turn_of[slot] = turn
-    return shard_of, turn_of
+    return shard_of
 
 
 class TrainingShards:
@@ -178,15 +169,11 @@ class TrainingShards:
             view[...] = param.grad
             param.grad = view
         self._scatters_tokens = model.token_embedding.weight.trainable
-        self._turns = _shared_array((2,), np.int64)
-        self._turn_of: list = []
         self._tracing = False
         self._scatters: list = []
         self._kept: list = []
         self._worker_groups = False
         self._slots = 0
-        self._step = 0
-        self._seen_step = 0
         self._conn = None
         self._pid = None
 
@@ -262,33 +249,17 @@ class TrainingShards:
         name = f" ({signal.Signals(-code).name})" if code < 0 else ""
         return TrainingError(f"training worker {pid} died with exit status {code}{name}")
 
+    def _send(self, message) -> None:
+        try:
+            self._conn.send(message)
+        except OSError:
+            raise self._worker_died() from None
+
     def _receive(self):
         try:
             return self._conn.recv()
         except (EOFError, OSError):
             raise self._worker_died() from None
-
-    # ------------------------------------------------------------------ #
-    # Turns: one span-start order per phase across both processes
-    # ------------------------------------------------------------------ #
-    def wait_turn(self, phase: int, slot: int) -> None:
-        """While tracing, block until every group before ``slot`` in the turn
-        order has opened its ``phase`` span (0: forward, 1: backward).
-        Untraced, the processes never wait for each other mid-step."""
-        if self._conn is None or not self._tracing:
-            return
-        while self._turns[phase] < self._turn_of[slot]:
-            # The other process writes to the pipe only after taking all its
-            # turns, so a readable pipe with the turn still not come means it
-            # went away.
-            if self._conn.poll() and self._turns[phase] < self._turn_of[slot]:
-                if self.shard == 1:
-                    raise TrainingError("the training loop went away")
-                raise self._worker_died()
-
-    def take_turn(self, phase: int, slot: int) -> None:
-        """Record that ``slot``'s ``phase`` span has opened."""
-        self._turns[phase] = self._turn_of[slot] + 1
 
     # ------------------------------------------------------------------ #
     # Gradients
@@ -329,22 +300,15 @@ class TrainingShards:
         """
         if len(groups) > len(self._slab):
             raise TrainingError(f"a step of {len(groups)} length groups exceeds the {len(self._slab)} planned for")
-        self._step += 1
         self._slots = len(groups)
         self._scatters = [None] * len(groups)
-        if self._conn is None:
-            shard_of, self._turn_of = [0] * len(groups), list(range(len(groups)))
-        else:
-            shard_of, self._turn_of = split_groups(groups)
+        shard_of = [0] * len(groups) if self._conn is None else split_groups(groups)
         plan = [[], []]
         for slot, (rows, width) in enumerate(groups):
             plan[shard_of[slot]].append((slot, rows, width))
-        self._turns[:] = 0
-        self._tracing = obs.tracing_enabled()
         values = [None] * len(groups)
         if plan[1]:
-            message = (_FORWARD, self._step, tokens, mask, plan[1], self._turn_of, negate, denom, self._tracing)
-            self._conn.send(message)
+            self._send((_FORWARD, tokens, mask, plan[1], negate, denom, obs.tracing_enabled()))
         own, self._kept = forward_groups(self.model, tokens, mask, plan[0], negate=negate, denom=denom, shards=self)
         for (slot, _, _), group_values in zip(plan[0], own):
             values[slot] = group_values
@@ -362,7 +326,7 @@ class TrainingShards:
         """A DPO step's backwards, each process over the groups it ran
         forward, then the reduction."""
         if self._worker_groups:
-            self._conn.send((_BACKWARD, coefficients))
+            self._send((_BACKWARD, coefficients))
         kept, self._kept = self._kept, []
         backward_groups(self.model, kept, coefficients=coefficients, shards=self)
         del kept
@@ -392,16 +356,15 @@ class TrainingShards:
             if message[0] == _STOP:
                 return
             if message[0] == _FORWARD:
-                step, tokens, mask, groups, self._turn_of, negate, denom, self._tracing = message[1:]
-                if step != self._seen_step:
-                    # The caller's optimizer changed the shared values in
-                    # place; advance the versions its bumps left behind in
-                    # the caller, so Linear's LoRA weight memo recomputes.
-                    for param in self._params:
-                        param.bump()
-                    self._seen_step = step
+                tokens, mask, groups, negate, denom, self._tracing = message[1:]
+                # The caller's optimizer may have changed the shared values
+                # in place since the last forward; advance the versions its
+                # bumps left behind in the caller, so Linear's LoRA weight
+                # memo recomputes.
+                for param in self._params:
+                    param.bump()
                 tracer = obs.install_tracer(obs.Tracer() if self._tracing else obs.NullTracer())
-                self._scatters = [None] * len(self._turn_of)
+                self._scatters = [None] * len(self._slab)
                 values, self._kept = forward_groups(
                     self.model, tokens, mask, groups, negate=negate, denom=denom, shards=self
                 )

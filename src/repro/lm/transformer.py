@@ -78,18 +78,14 @@ def forward_groups(
     backward follows its forward, so only one group's activations are held
     and nothing is kept.  ``shards`` is the training loop's
     :class:`repro.lm.shards.TrainingShards` (``None`` outside one): it names
-    this process in each span's ``shard`` attribute and orders span starts.
+    this process in each span's ``shard`` attribute.
     """
     shard = 0 if shards is None else shards.shard
     values, kept = [], []
     for slot, rows, width in groups:
         index = _target_index(tokens[rows, 1 : width + 1])
         group_mask = mask[rows, :width]
-        if shards is not None:
-            shards.wait_turn(0, slot)
         with obs.span("train.forward", category="train", rows=len(rows), width=width, shard=shard):
-            if shards is not None:
-                shards.take_turn(0, slot)
             logits, cache = model.forward(tokens[rows, :width])
             probs = softmax(logits, axis=-1)
             log_probs = np.log(np.clip(probs[index], 1e-12, None))
@@ -118,11 +114,7 @@ def _backward_group(model, group: tuple, denom, coefficients, shards) -> None:
     keeps them in the group's own slab row."""
     slot, rows, width, index, group_mask, probs, cache = group
     shard = 0 if shards is None else shards.shard
-    if shards is not None:
-        shards.wait_turn(1, slot)
     with obs.span("train.backward", category="train", rows=len(rows), width=width, shard=shard):
-        if shards is not None:
-            shards.take_turn(1, slot)
         if coefficients is None:
             dlogits = probs  # consumed: probs is not read again
             dlogits[index] -= 1.0

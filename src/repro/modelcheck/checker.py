@@ -279,8 +279,8 @@ class ModelChecker:
         without building a counterexample or counting statistics.  They are
         cached under the world model's and the controller's structure
         fingerprints and the specifications' text, so every later controller
-        with an already-checked structure skips the product; a hit emits one
-        ``mc.check_cached`` span per specification while tracing.
+        with an already-checked structure skips the product; a hit records
+        no span.
         """
         batch, labels = self._batch(specifications, spec_names)
         if not batch.formulas:
@@ -290,10 +290,6 @@ class ModelChecker:
             key = (self.model_fingerprint(model), fastpath.controller_fingerprint(controller), batch.key)
             holds = self._verdicts.get(key)
             if holds is not None:
-                if obs.tracing_enabled():
-                    for label in labels:
-                        with obs.span("mc.check_cached", category="modelcheck", spec=label):
-                            pass
                 return holds
         holds = self._decide(self._compile_product(model, controller), batch, labels, explained=False)[0]
         if key is not None:
@@ -360,9 +356,7 @@ class ModelChecker:
         :func:`~repro.modelcheck.fastpath.find_accepting_lasso`, whose
         ``(lasso, stats)`` ``searches`` keeps by index.  An empty automaton
         holds.  With ``explained``, ``counts`` maps each rule of the shared
-        pass to its product-state count.  While tracing, each rule the shared
-        pass decides gets one ``mc.check`` span, except, when ``explained``, a
-        violated one: its counterexample search emits its own.
+        pass to its product-state count.
         """
         holds = [True] * len(batch.automata)
         searches: dict = {}
@@ -376,11 +370,6 @@ class ModelChecker:
                 holds[i] = rule_holds
             if explained:
                 counts = dict(zip(batch.weak, batch.book.product_states(reach)))
-            if obs.tracing_enabled():
-                for i in batch.weak:
-                    if holds[i] or not explained:
-                        with obs.span("mc.check", category="modelcheck", spec=labels[i]):
-                            pass
         for i, automaton in enumerate(batch.automata):
             if not automaton.weak and not automaton.is_empty:
                 searches[i] = fastpath.find_accepting_lasso(
@@ -393,26 +382,14 @@ class ModelChecker:
         return tuple(holds), searches, counts
 
     def _construct_automaton(self, formula: Formula, spec_label: str):
-        """The memoized pruned NBA for ``¬formula``, with distinct hit/miss spans."""
+        """The memoized pruned NBA for ``¬formula``; only a translation records a span."""
         negated = Not(formula)
         key = formula_key(negated)
-        memo = self._memo
-        cached = memo.lookup(key)
+        cached = self._memo.lookup(key)
         if cached is not None:
-            with obs.span("mc.construct_cached", category="modelcheck", spec=spec_label):
-                pass
-            self._emit_memo_counters()
             return cached
         with obs.span("mc.construct", category="modelcheck", spec=spec_label):
-            cached = memo.translate_and_store(key, negated, name=f"neg({formula})")
-        self._emit_memo_counters()
-        return cached
-
-    def _emit_memo_counters(self) -> None:
-        if obs.tracing_enabled():
-            stats = self._memo.stats()
-            obs.counter("mc.memo.hits", stats["hits_memory"])
-            obs.counter("mc.memo.misses", stats["misses"])
+            return self._memo.translate_and_store(key, negated, name=f"neg({formula})")
 
     def model_fingerprint(self, model: TransitionSystem) -> str:
         """:func:`~repro.modelcheck.fastpath.model_fingerprint` of ``model``,

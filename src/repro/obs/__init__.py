@@ -2,9 +2,9 @@
 
 The pipeline's wall clock disappears into training split across two
 processes and LTL model checking over 15 specs; coarse counters cannot say
-*which* of the specs, which automaton phases or which pipeline stages
-dominate.  This package is the instrumentation layer every other subsystem
-reports into:
+which pipeline stage, which training phase or which model-checker phase
+(translation, product, search) dominates.  This package is the
+instrumentation layer every other subsystem reports into:
 
 ``tracer``
     Structured :class:`Span`\\ s (name, category, start/duration, parent,
@@ -28,9 +28,9 @@ reports into:
     for the full timeline.
 
 ``report``
-    Terminal summaries: stage breakdown, the per-spec model-checker profile
-    naming the top-k hottest specs (:func:`per_spec_profile` /
-    :func:`hottest_specs`), and the serving summary line
+    Terminal summaries: the stage breakdown (:func:`stage_breakdown`, which
+    counts the model checker's spans beside the pipeline's, serving's and
+    training's) and the serving summary line
     (:func:`format_serving_summary`) shared by the CLI and the pipeline.
 
 ``cli``
@@ -52,8 +52,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import (
     format_report,
     format_serving_summary,
-    hottest_specs,
-    per_spec_profile,
     report_from_trace,
     stage_breakdown,
 )
@@ -91,6 +89,4 @@ __all__ = [
     "format_serving_summary",
     "report_from_trace",
     "stage_breakdown",
-    "per_spec_profile",
-    "hottest_specs",
 ]

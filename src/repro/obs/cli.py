@@ -2,13 +2,12 @@
 
 Usage::
 
-    repro-trace report RUN.trace.json [--top N]
+    repro-trace report RUN.trace.json
 
 ``report`` prints the human summary of a Chrome/Perfetto trace written by
 ``repro-serve --trace`` or ``PipelineConfig(trace_path=...)``: the stage
-breakdown, the top-N hottest LTL specifications with per-phase
-(construction / product / emptiness check) timings, dispatcher queue-depth
-statistics, and the serving/streaming telemetry embedded in the file.  The
+breakdown (model-checker spans included), dispatcher queue-depth
+statistics, and the serving and process telemetry embedded in the file.  The
 file itself remains loadable in `Perfetto <https://ui.perfetto.dev>`_ for
 the full timeline view.
 """
@@ -27,13 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Summarise Chrome/Perfetto traces exported by traced repro runs.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    report = commands.add_parser(
-        "report", help="print the stage breakdown and per-spec hot list of a trace"
-    )
+    report = commands.add_parser("report", help="print the stage breakdown and run telemetry of a trace")
     report.add_argument("trace", type=Path, help="trace file written by a traced run")
-    report.add_argument(
-        "--top", type=int, default=5, help="how many hottest specs to list (default 5)"
-    )
     return parser
 
 
@@ -48,7 +42,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"repro-trace: {exc}", file=sys.stderr)
         return 2
-    print(report_from_trace(document, top=args.top))
+    print(report_from_trace(document))
     return 0
 
 

@@ -19,10 +19,10 @@ Spans become complete (``"X"``) events and counter samples become counter
 (``"C"``) events.  Timestamps are rebased to the earliest event — Perfetto
 dislikes raw multi-hour ``CLOCK_MONOTONIC`` offsets — and emitted sorted, so
 consumers can rely on monotonically non-decreasing ``ts``.  The span's id,
-parent id and attributes travel in ``args``, which is how
-:mod:`repro.obs.report` reconstructs per-spec aggregates from an exported
-file.  ``otherData.host`` records the facts a trace's timings are read
-against (:func:`host_facts`).
+parent id and attributes travel in ``args``, so :func:`spans_from_trace`
+rebuilds the recorded spans, nesting included, from an exported file.
+``otherData.host`` records the facts a trace's timings are read against
+(:func:`host_facts`).
 """
 
 from __future__ import annotations

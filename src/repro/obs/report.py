@@ -2,14 +2,11 @@
 
 The raw product of a traced run is a Chrome trace-event file — great in
 Perfetto, useless on a terminal.  This module turns spans (live tracer
-objects or an exported file) into the aggregates an engineer attacking the
-verification hot path actually wants:
+objects or an exported file) into the aggregates that say where a run's
+time went:
 
-* **stage breakdown** — total wall clock per pipeline/serving stage span;
-* **per-spec model-checker profile** — for every LTL specification, how much
-  time went into LTL→Büchi construction, product exploration and the
-  accepting-cycle emptiness check, and the *top-k hottest specs* ranking that
-  tells you which of the 15 rules to optimise first;
+* **stage breakdown** — total wall clock and span count per span name, over
+  the pipeline, serving, training, jobs, LM and model-checker spans;
 * **serving summary** — the cache/dedup line, formatted from a metrics
   snapshot so the CLI and the pipeline report through one code path;
 * **process summary** — minor page faults and peak RSS of the run's process
@@ -21,90 +18,24 @@ verification hot path actually wants:
 
 from __future__ import annotations
 
-#: Span names the model checker emits, in reporting order.  The ``_cached``
-#: variants mark construction-memo and result-cache hits — near-zero-duration
-#: spans whose *count* is the interesting signal (they would misattribute
-#: time if folded into their uncached twins).
-MODELCHECK_PHASES = (
-    "mc.construct",
-    "mc.construct_cached",
-    "mc.product",
-    "mc.check",
-    "mc.check_cached",
-)
-
 
 def stage_breakdown(spans) -> dict:
     """Total seconds and span count per stage span name.
 
     Aggregates spans in the ``"pipeline"``, ``"serving"``, ``"train"``,
-    ``"jobs"`` and ``"lm"`` categories — the coarse stages whose sum explains
-    where the run's wall clock went.  Returns
+    ``"jobs"``, ``"lm"`` and ``"modelcheck"`` categories — the stages whose
+    sum explains where the run's wall clock went, and the model checker's
+    construction, product and search inside scoring.  Returns
     ``{name: {"seconds": float, "count": int}}``.
     """
     breakdown: dict = {}
     for span in spans:
-        if span.category not in ("pipeline", "serving", "train", "jobs", "lm"):
+        if span.category not in ("pipeline", "serving", "train", "jobs", "lm", "modelcheck"):
             continue
         entry = breakdown.setdefault(span.name, {"seconds": 0.0, "count": 0})
         entry["seconds"] += span.duration_seconds
         entry["count"] += 1
     return breakdown
-
-
-def per_spec_profile(spans) -> dict:
-    """Aggregate model-checker spans by specification.
-
-    Every ``mc.*`` phase span (:data:`MODELCHECK_PHASES`) carries a ``spec``
-    attribute naming the specification it served.  Returns::
-
-        {spec_name: {"construct": s, "construct_cached": s, "product": s,
-                     "check": s, "check_cached": s, "total": s,
-                     "checks": n, "cache_hits": n}}
-
-    where ``checks`` counts completed emptiness checks (one per controller ×
-    spec verification) and ``cache_hits`` counts checks answered from the
-    construction memo, a checker's result cache or a verifier's verdict
-    cache (``mc.construct_cached`` + ``mc.check_cached`` spans).
-    """
-    profile: dict = {}
-    for span in spans:
-        if span.name not in MODELCHECK_PHASES:
-            continue
-        spec = span.attributes.get("spec")
-        if spec is None:
-            continue
-        entry = profile.setdefault(
-            spec,
-            {
-                "construct": 0.0,
-                "construct_cached": 0.0,
-                "product": 0.0,
-                "check": 0.0,
-                "check_cached": 0.0,
-                "total": 0.0,
-                "checks": 0,
-                "cache_hits": 0,
-            },
-        )
-        phase = span.name.split(".", 1)[1]
-        entry[phase] += span.duration_seconds
-        entry["total"] += span.duration_seconds
-        if span.name == "mc.check":
-            entry["checks"] += 1
-        elif span.name in ("mc.construct_cached", "mc.check_cached"):
-            entry["cache_hits"] += 1
-        if span.name == "mc.check_cached":
-            entry["checks"] += 1
-    return profile
-
-
-def hottest_specs(profile: dict, k: int = 5) -> list:
-    """The ``k`` most expensive specs, ``(name, entry)`` by descending total.
-
-    Ties break alphabetically so the ranking is deterministic run to run.
-    """
-    return sorted(profile.items(), key=lambda item: (-item[1]["total"], item[0]))[:k]
 
 
 def format_serving_summary(snapshot: dict) -> str:
@@ -145,14 +76,12 @@ def _format_table(title: str, header, rows) -> list:
     return lines
 
 
-def format_report(spans, *, metrics: dict | None = None, counter_samples=(), top: int = 5) -> str:
+def format_report(spans, *, metrics: dict | None = None, counter_samples=()) -> str:
     """Render the full text report for a set of spans.
 
-    Sections: stage breakdown (wall clock per stage), the top-``top`` hottest
-    LTL specs with per-phase (construction / product / emptiness-check)
-    timings, dispatcher queue-depth statistics from counter samples, and —
-    when a metrics snapshot is supplied — the serving and process summary
-    lines.
+    Sections: stage breakdown (wall clock per stage), dispatcher queue-depth
+    statistics from counter samples, and — when a metrics snapshot is
+    supplied — the serving and process summary lines.
     """
     spans = list(spans)
     lines: list = []
@@ -164,27 +93,6 @@ def format_report(spans, *, metrics: dict | None = None, counter_samples=(), top
             for name, entry in sorted(breakdown.items(), key=lambda item: -item[1]["seconds"])
         ]
         lines += _format_table("stage breakdown", ("stage", "spans", "seconds"), rows)
-
-    profile = per_spec_profile(spans)
-    if profile:
-        rows = [
-            (
-                name,
-                entry["checks"],
-                entry["cache_hits"],
-                entry["construct"],
-                entry["product"],
-                entry["check"],
-                entry["total"],
-            )
-            for name, entry in hottest_specs(profile, top)
-        ]
-        lines.append("")
-        lines += _format_table(
-            f"hottest specs (top {min(top, len(profile))} of {len(profile)})",
-            ("spec", "checks", "cached", "construct_s", "product_s", "check_s", "total_s"),
-            rows,
-        )
 
     queue_samples = [c.value for c in counter_samples if c.name == "dispatcher.queue_depth"]
     if queue_samples:
@@ -212,7 +120,7 @@ def format_report(spans, *, metrics: dict | None = None, counter_samples=(), top
     return "\n".join(lines)
 
 
-def report_from_trace(document: dict, *, top: int = 5) -> str:
+def report_from_trace(document: dict) -> str:
     """:func:`format_report` over a loaded Chrome trace-event document."""
     from repro.obs.export import counters_from_trace, spans_from_trace
 
@@ -221,5 +129,4 @@ def report_from_trace(document: dict, *, top: int = 5) -> str:
         spans_from_trace(document),
         metrics=metrics,
         counter_samples=counters_from_trace(document),
-        top=top,
     )

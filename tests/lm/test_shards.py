@@ -30,12 +30,14 @@ from repro.core.config import quick_pipeline_config
 from repro.dpo import run_dpo
 from repro.driving import core_specifications, training_tasks
 from repro.errors import TrainingError
-from repro.lm import pretrain, shards
+from repro.lm import apply_lora, pretrain, shards
 from repro.lm.corpus import build_corpus
 from repro.lm.optim import Adam
-from repro.lm.pretrain import PretrainConfig
+from repro.lm.pretrain import PretrainConfig, encode_documents
 from repro.lm.shards import TrainingShards, fix_heap_policy, split_groups, worker_available
-from repro.lm.transformer import _GROUP_COST_CELLS
+from repro.lm.transformer import _GROUP_COST_CELLS, plan_length_groups, target_widths
+from repro.obs import tracer as obs
+from repro.obs.tracer import Tracer
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -94,7 +96,8 @@ class TestSplit:
         for _ in range(200):
             widths = rng.integers(1, 96, size=rng.integers(1, 9))
             groups = [(np.arange(rng.integers(1, 6)), int(w)) for w in sorted(widths)]
-            shard_of, turn_of = split_groups(groups)
+            shard_of = split_groups(groups)
+            assert len(shard_of) == len(groups) and set(shard_of) <= {0, 1}
             costs = [len(rows) * width + _GROUP_COST_CELLS for rows, width in groups]
             worker = sum(c for c, s in zip(costs, shard_of) if s == 1)
             best = max(
@@ -103,14 +106,10 @@ class TestSplit:
                 if 2 * sum(c for c, pick in zip(costs, picks) if pick) <= sum(costs)
             )
             assert worker == best and 2 * worker <= sum(costs)
-            assert sorted(turn_of) == list(range(len(groups)))
-            for shard in (0, 1):
-                turns = [turn for turn, s in zip(turn_of, shard_of) if s == shard]
-                assert turns == sorted(turns)  # each shard takes its turns in plan order
 
     def test_a_lone_group_stays_in_the_caller(self):
-        assert split_groups([(np.arange(4), 30)]) == ([0], [0])
-        assert split_groups([]) == ([], [])
+        assert split_groups([(np.arange(4), 30)]) == [0]
+        assert split_groups([]) == []
 
 
 @needs_two_cores
@@ -150,7 +149,11 @@ class TestWorkerLifetime:
         (pid,) = forks
         assert_reaped(pid)
 
-    def test_a_killed_worker_raises_training_error_naming_its_status(self, monkeypatch):
+    @staticmethod
+    def kill_the_worker_in_step_3(monkeypatch) -> None:
+        """Pretrain, killing the worker in the third optimizer step: the
+        next step must raise ``TrainingError`` naming the signal, within
+        seconds, with the worker reaped."""
         corpus, config = quick_corpus()
         forks = counting_forks(monkeypatch)
         step = Adam.step
@@ -166,6 +169,20 @@ class TestWorkerLifetime:
             pretrain(corpus, config)
         assert time.perf_counter() - started < 30
         assert_reaped(forks[0])
+
+    def test_a_killed_worker_raises_training_error_naming_its_status(self, monkeypatch):
+        self.kill_the_worker_in_step_3(monkeypatch)
+
+    def test_a_killed_worker_raises_training_error_while_tracing(self, monkeypatch):
+        """A traced step waits for the worker only where an untraced one
+        does, on its reply, so the death surfaces the same way."""
+        tracer = obs.install_tracer(Tracer())
+        try:
+            self.kill_the_worker_in_step_3(monkeypatch)
+        finally:
+            obs.uninstall_tracer()
+        # The steps before the death were traced in both processes.
+        assert {s.attributes["shard"] for s in tracer.spans() if s.name == "train.forward"} == {0, 1}
 
     def test_an_error_in_the_training_loop_still_reaps_the_worker(self, dpo_inputs, monkeypatch):
         model, tokenizer, pairs, config = dpo_inputs
@@ -212,6 +229,72 @@ def test_one_process_is_used_below_two_cores(monkeypatch):
     corpus, config = quick_corpus()
     result = pretrain(corpus, config)
     assert forks == [] and len(result.losses) == config.num_steps
+
+
+def test_one_process_runs_each_group_forward_then_backward_in_plan_order(monkeypatch):
+    """Below two cores the caller runs every group of a step, narrowest
+    first, each backward straight after its forward, so one group's
+    activations are held at a time; every span names shard 0."""
+    one_core(monkeypatch)
+    corpus, config = quick_corpus()
+    tracer = obs.install_tracer(Tracer())
+    try:
+        pretrain(corpus, config)
+    finally:
+        obs.uninstall_tracer()
+    spans = sorted(tracer.spans(), key=lambda span: span.start_ns)
+    steps = [span for span in spans if span.name == "pretrain.step"]
+    assert len(steps) == config.num_steps
+    for step in steps:
+        inner = [span for span in spans if span.parent_id == step.span_id]
+        groups = (len(inner) - 2) // 2
+        assert groups >= 1
+        assert [span.name for span in inner] == ["train.forward", "train.backward"] * groups + [
+            "train.reduce",
+            "optim.step",
+        ]
+        forwards, backwards = inner[:-2:2], inner[1:-2:2]
+        assert [span.attributes for span in forwards] == [span.attributes for span in backwards]
+        assert {span.attributes["shard"] for span in forwards} == {0}
+        widths = [span.attributes["width"] for span in forwards]
+        assert widths == sorted(widths)
+        assert sum(span.attributes["rows"] for span in forwards) == config.batch_size
+        assert inner[-2].attributes == {"groups": groups}
+
+
+@needs_two_cores
+def test_the_worker_follows_adapter_values_changed_between_steps(monkeypatch):
+    """The optimizer writes the shared values in place and bumps their
+    versions in the caller alone.  The worker advances its own on every
+    forward message, so its memoised ``W + A @ B`` follows: losses of steps
+    with an in-place adapter change between them match the one-process
+    loop's."""
+    corpus, config = quick_corpus()
+    base = pretrain(corpus, config).model
+    data = encode_documents(corpus, base.config.max_seq_len)[: config.batch_size]
+    pad_id = corpus.tokenizer.pad_id
+    assert 1 in split_groups(plan_length_groups(target_widths(data[:, 1:] != pad_id)))
+
+    def losses() -> list:
+        model = base.clone()
+        apply_lora(model)
+        adapters = [param for param in model.parameters() if param.trainable]
+        steps = []
+        with TrainingShards(model, max_groups=len(data)) as training:
+            for _ in range(3):
+                steps.append(model.cross_entropy(data, pad_id=pad_id, shards=training))
+                for param in adapters:
+                    param.value += 0.05  # in place, as the optimizer writes
+                    param.bump()
+        return steps
+
+    forks = counting_forks(monkeypatch)
+    two = losses()
+    assert len(forks) == 1
+    one_core(monkeypatch)
+    one = losses()
+    assert len(forks) == 1
+    assert two == one and len(set(one)) == 3
 
 
 def test_shared_values_are_written_in_place(monkeypatch):

@@ -23,8 +23,6 @@ from repro.obs.report import (
     format_process_summary,
     format_report,
     format_serving_summary,
-    hottest_specs,
-    per_spec_profile,
     report_from_trace,
     stage_breakdown,
 )
@@ -158,36 +156,48 @@ class TestWriteAndLoad:
         assert samples[0].timestamp_ns == 0  # rebased to the earliest event
 
 
+#: A trace as the model checker wrote it before its zero-length spans were
+#: deleted: ``mc.check_cached``, ``mc.construct_cached`` and the
+#: ``mc.memo.*`` counters (events cut from a traced scoring call).
+EARLIER_TRACE = {
+    "traceEvents": [
+        {"name": "serving.score_batch", "cat": "serving", "ph": "X", "ts": 0.0, "dur": 3338.833,
+         "pid": 14548, "tid": 1, "args": {"span_id": 1, "parent_id": None, "jobs": 2}},
+        {"name": "mc.construct", "cat": "modelcheck", "ph": "X", "ts": 124.818, "dur": 793.231,
+         "pid": 14548, "tid": 1, "args": {"span_id": 2, "parent_id": 1, "spec": "phi_1"}},
+        {"name": "mc.memo.hits", "ph": "C", "ts": 956.448, "pid": 14548, "args": {"value": 0}},
+        {"name": "mc.memo.misses", "ph": "C", "ts": 967.05, "pid": 14548, "args": {"value": 1}},
+        {"name": "mc.build_model", "cat": "modelcheck", "ph": "X", "ts": 1388.922, "dur": 528.976,
+         "pid": 14548, "tid": 1, "args": {"span_id": 3, "parent_id": 1, "controller": "turn_left_unprotected"}},
+        {"name": "mc.product", "cat": "modelcheck", "ph": "X", "ts": 1947.768, "dur": 268.862,
+         "pid": 14548, "tid": 1, "args": {"span_id": 4, "parent_id": 1, "rules": 1}},
+        {"name": "mc.check", "cat": "modelcheck", "ph": "X", "ts": 2241.85, "dur": 1.0,
+         "pid": 14548, "tid": 1, "args": {"span_id": 5, "parent_id": 1, "spec": "phi_1"}},
+        {"name": "mc.check_cached", "cat": "modelcheck", "ph": "X", "ts": 2385.058, "dur": 1.0,
+         "pid": 14548, "tid": 1, "args": {"span_id": 6, "parent_id": 1, "spec": "phi_1"}},
+        {"name": "mc.construct_cached", "cat": "modelcheck", "ph": "X", "ts": 2463.052, "dur": 1.0,
+         "pid": 14548, "tid": 1, "args": {"span_id": 7, "parent_id": 1, "spec": "phi_1"}},
+        {"name": "mc.memo.hits", "ph": "C", "ts": 2479.075, "pid": 14548, "args": {"value": 1}},
+        {"name": "mc.memo.misses", "ph": "C", "ts": 2485.881, "pid": 14548, "args": {"value": 1}},
+    ],
+    "otherData": {"schema": 1, "metrics": {}},
+    "displayTimeUnit": "ms",
+}
+
+
 class TestReport:
-    def test_per_spec_profile_aggregates_phases(self):
-        spans = [
-            make_span("mc.construct", start_ns=0, duration_ns=2_000_000_000, spec="phi_1"),
-            make_span("mc.product", start_ns=0, duration_ns=1_000_000_000, spec="phi_1"),
-            make_span("mc.check", start_ns=0, duration_ns=500_000_000, spec="phi_1"),
-            make_span("mc.check", start_ns=0, duration_ns=4_000_000_000, spec="phi_2"),
-            make_span("unrelated", start_ns=0, category="pipeline"),
-        ]
-        profile = per_spec_profile(spans)
-        assert profile["phi_1"]["construct"] == pytest.approx(2.0)
-        assert profile["phi_1"]["total"] == pytest.approx(3.5)
-        assert profile["phi_1"]["checks"] == 1
-        assert profile["phi_2"]["total"] == pytest.approx(4.0)
-
-    def test_hottest_specs_ranks_by_total_with_stable_ties(self):
-        profile = {
-            "phi_b": {"total": 1.0}, "phi_a": {"total": 1.0}, "phi_hot": {"total": 9.0},
-        }
-        ranked = hottest_specs(profile, k=2)
-        assert [name for name, _ in ranked] == ["phi_hot", "phi_a"]
-
     def test_stage_breakdown_covers_stage_categories_only(self):
         spans = [
             make_span("pipeline.train", start_ns=0, duration_ns=10**9, category="pipeline"),
+            make_span("mc.product", start_ns=0, duration_ns=10**9, rules=15),
             make_span("mc.check", start_ns=0, duration_ns=10**9, spec="x"),
+            make_span("mc.check", start_ns=0, duration_ns=10**9, spec="y"),
+            make_span("worker.idle", start_ns=0, duration_ns=10**9, category="run"),
         ]
         breakdown = stage_breakdown(spans)
-        assert list(breakdown) == ["pipeline.train"]
+        assert list(breakdown) == ["pipeline.train", "mc.product", "mc.check"]
         assert breakdown["pipeline.train"]["count"] == 1
+        assert breakdown["mc.check"] == {"seconds": 2.0, "count": 2}
 
     def test_serving_summary_matches_the_cli_wording(self):
         snapshot = {
@@ -199,15 +209,25 @@ class TestReport:
         assert "hit rate 100%" in line
         assert line.endswith("dedup rate 20%")
 
-    def test_report_names_the_hottest_specs(self):
+    def test_report_ranks_checker_phases_with_the_stages(self):
+        """The model checker's spans are rows of the stage table, summed by
+        name over every spec and ranked by seconds with the other stages;
+        no other section names a spec."""
         spans = [
-            make_span("mc.check", start_ns=0, duration_ns=3 * 10**9, spec="phi_slow"),
-            make_span("mc.check", start_ns=0, duration_ns=1 * 10**9, spec="phi_fast"),
+            make_span("serving.score_batch", start_ns=0, duration_ns=4 * 10**9, category="serving"),
+            make_span("mc.construct", start_ns=0, duration_ns=10**9, spec="phi_1"),
+            make_span("mc.product", start_ns=0, duration_ns=2 * 10**9, rules=15),
+            make_span("mc.check", start_ns=0, duration_ns=25 * 10**7, spec="phi_1"),
+            make_span("mc.check", start_ns=0, duration_ns=25 * 10**7, spec="phi_2"),
         ]
-        text = format_report(spans, top=1)
-        assert "phi_slow" in text
-        assert "phi_fast" not in text  # outside the top-1 cut
-        assert "hottest specs (top 1 of 2)" in text
+        lines = format_report(spans).splitlines()
+        assert lines[:2] == ["== stage breakdown ==", " | ".join(f"{h:>14}" for h in ("stage", "spans", "seconds"))]
+        assert [[cell.strip() for cell in line.split("|")] for line in lines[2:]] == [
+            ["serving.score_batch", "1", "4.0000"],
+            ["mc.product", "1", "2.0000"],
+            ["mc.construct", "1", "1.0000"],
+            ["mc.check", "2", "0.5000"],
+        ]
 
     def test_empty_report_is_explicit(self):
         assert "empty trace" in format_report([])
@@ -230,10 +250,18 @@ class TestReport:
         }
         path = write_chrome_trace(tmp_path / "t.json", tracer, metrics={"serving": serving, "process": process})
         text = report_from_trace(load_chrome_trace(path))
-        assert "phi_6" in text
+        assert "mc.construct" in text
         assert "scored 4 responses (3 unique)" in text
         assert text.count("== process ==") == 1
         assert text.splitlines()[-1] == format_process_summary(process)
+        # A trace written before the checker's zero-length spans and memo
+        # counters were deleted still renders, each old span name as a row.
+        path = tmp_path / "earlier.json"
+        path.write_text(json.dumps(EARLIER_TRACE))
+        earlier = report_from_trace(load_chrome_trace(path)).splitlines()
+        assert earlier[0] == "== stage breakdown =="
+        for name in ("serving.score_batch", "mc.construct", "mc.check", "mc.check_cached", "mc.construct_cached"):
+            assert any(line.split("|")[0].strip() == name for line in earlier), name
 
     def test_process_summary_names_both_sides(self):
         line = format_process_summary(
@@ -255,17 +283,17 @@ class TestCli:
             pass
         path = write_chrome_trace(tmp_path / "run.json", tracer)
         assert trace_main(["report", str(path)]) == 0
-        assert "phi_11" in capsys.readouterr().out
+        rows = [[cell.strip() for cell in line.split("|")] for line in capsys.readouterr().out.splitlines()]
+        assert [row[:2] for row in rows if row[0] == "mc.check"] == [["mc.check", "1"]]
 
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):
         assert trace_main(["report", str(tmp_path / "absent.json")]) == 2
         assert "repro-trace:" in capsys.readouterr().err
 
-    def test_top_flag_limits_the_ranking(self, tmp_path, capsys):
-        tracer = Tracer()
-        for index in range(3):
-            with tracer.span("mc.check", category="modelcheck", spec=f"phi_{index}"):
-                pass
-        path = write_chrome_trace(tmp_path / "run.json", tracer)
-        assert trace_main(["report", str(path), "--top", "2"]) == 0
-        assert "top 2 of 3" in capsys.readouterr().out
+    def test_top_flag_is_a_usage_error(self, tmp_path, capsys):
+        """``--top`` cut the deleted per-spec ranking; it is refused as an
+        unknown argument before the trace is read."""
+        with pytest.raises(SystemExit) as exit_info:
+            trace_main(["report", str(tmp_path / "absent.json"), "--top", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --top 2" in capsys.readouterr().err

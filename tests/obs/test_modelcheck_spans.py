@@ -1,10 +1,11 @@
-"""Span-protocol tests for the model checker's cached construction path.
+"""Span-protocol tests for the model checker: every span times real work.
 
-The fast path must attribute work honestly: an actual LTL→Büchi translation
-emits ``mc.construct``; answering from the construction memo emits
-``mc.construct_cached`` (never a second ``mc.construct``, which would
-misattribute translation time in the trace report); a verdict-cache hit
-emits ``mc.check_cached`` once per rule.  A checker compiles a batch of
+An actual LTL→Büchi translation records ``mc.construct``; building a
+product records ``mc.build_model``; the shared pass over every weak rule
+records one ``mc.product`` with ``rules=``; a per-rule accepting-lasso
+search records its own ``mc.product`` and ``mc.check`` with ``spec=``.
+Answering from the construction memo or the verdict cache does no
+measurable work and records nothing.  A checker compiles a batch of
 specifications once, so the memo tests use a second checker to reach it.
 """
 
@@ -16,7 +17,6 @@ from repro.logic import parse_ltl
 from repro.modelcheck import ModelChecker, NaiveModelChecker
 from repro.modelcheck.fastpath import BuchiMemo, automata_memo
 from repro.obs import tracer as obs
-from repro.obs.report import per_spec_profile
 from repro.obs.tracer import Tracer
 
 
@@ -27,19 +27,27 @@ def simple_kripke():
     return kripke
 
 
+def flawed_case() -> tuple:
+    task = task_by_name("turn_left_unprotected")
+    controller = build_controller_from_text(response_templates(task.name, "flawed")[0], task=task.name)
+    return task.model(), controller, all_specifications()
+
+
 class TestConstructSpans:
-    def test_memo_hit_emits_construct_cached_not_construct(self):
+    def test_a_memo_hit_records_no_span(self):
+        """Two checkers sharing a memo record one ``mc.construct`` in all:
+        the second finds the automaton in the memo, and that records nothing."""
         tracer = obs.install_tracer(Tracer())
         memo = BuchiMemo()
         kripke = simple_kripke()
         formula = parse_ltl("G a")
         ModelChecker(memo=memo).check(kripke, formula, name="phi")
         ModelChecker(memo=memo).check(kripke, formula, name="phi")
-        names = [s.name for s in tracer.spans()]
-        assert names.count("mc.construct") == 1
-        assert names.count("mc.construct_cached") == 1
-        cached_span = next(s for s in tracer.spans() if s.name == "mc.construct_cached")
-        assert cached_span.attributes["spec"] == "phi"
+        assert memo.stats()["hits_memory"] == 1
+        spans = tracer.spans()
+        assert sorted(s.name for s in spans) == ["mc.construct", "mc.product", "mc.product"]
+        (construct,) = [s for s in spans if s.name == "mc.construct"]
+        assert construct.attributes == {"spec": "phi"}
 
     def test_naive_checker_translates_every_time_and_never_uses_the_memo(self):
         """The reference path runs none of the fast path: every check is a
@@ -79,47 +87,67 @@ class TestConstructSpans:
         assert names.count("mc.construct") == 2 * len(specs)
         assert "mc.check_cached" not in names
 
-    def test_result_cache_hit_emits_check_cached(self):
-        task = task_by_name("turn_left_unprotected")
-        model = task.model()
-        controller = build_controller_from_text(
-            response_templates(task.name, "compliant")[0], task=task.name
-        )
-        tracer = obs.install_tracer(Tracer())
+    def test_a_verdict_cache_hit_records_no_span(self):
+        model, controller, specs = flawed_case()
         checker = ModelChecker(memo=BuchiMemo())
-        specs = all_specifications()
+        tracer = obs.install_tracer(Tracer())
         first = checker.verdicts(model, controller, specs.values(), spec_names=list(specs))
+        recorded = len(tracer.spans())
         again = checker.verdicts(model, controller, specs.values(), spec_names=list(specs))
         assert again == first
-        names = [s.name for s in tracer.spans()]
-        assert names.count("mc.check") == len(specs)
-        cached = [s.attributes["spec"] for s in tracer.spans() if s.name == "mc.check_cached"]
-        assert cached == list(specs)
-        # The cached pass never rebuilds the product.
-        assert names.count("mc.build_model") == 1
+        assert len(tracer.spans()) == recorded
 
-    def test_shared_pass_emits_one_product_span_and_one_check_per_rule(self):
-        task = task_by_name("turn_left_unprotected")
-        model = task.model()
-        specs = all_specifications()
-        controller = build_controller_from_text(
-            response_templates(task.name, "flawed")[0], task=task.name
-        )
+    def test_the_checker_records_no_counter_samples(self):
+        """Memo hits and misses stay in ``BuchiMemo.stats``: translations,
+        memo hits, shared passes, verdict-cache hits and counterexample
+        searches record spans and never a counter sample."""
+        model, controller, specs = flawed_case()
+        memo = BuchiMemo()
+        tracer = obs.install_tracer(Tracer())
+        for _ in range(2):
+            checker = ModelChecker(memo=memo)
+            for _ in range(2):
+                checker.verdicts(model, controller, specs.values(), spec_names=list(specs))
+            checker.verify_controller(model, controller, specs.values(), spec_names=list(specs))
+        stats = memo.stats()
+        assert stats["hits_memory"] > 0 and stats["misses"] > 0
+        assert tracer.spans()
+        assert tracer.counter_samples() == []
+
+    def test_a_shared_pass_records_one_build_and_one_product(self):
+        """``verdicts`` decides all 15 rules in one pass, violated ones
+        included: one ``mc.build_model``, one ``mc.product`` with
+        ``rules=15`` and no ``mc.check``."""
+        model, controller, specs = flawed_case()
         checker = ModelChecker(memo=BuchiMemo(), result_cache_size=0)
         tracer = obs.install_tracer(Tracer())
         holds = checker.verdicts(model, controller, specs.values(), spec_names=list(specs))
-        report = checker.verify_controller(model, controller, specs.values(), spec_names=list(specs))
         assert not all(holds)
+        work = [(s.name, s.attributes) for s in tracer.spans() if s.name != "mc.construct"]
+        assert work == [
+            ("mc.build_model", {"controller": controller.name}),
+            ("mc.product", {"rules": len(specs)}),
+        ]
+
+    def test_verify_controller_searches_each_violated_rule(self):
+        """Beyond the shared pass, each violated rule's counterexample search
+        records one ``mc.product`` and one ``mc.check`` with its ``spec``."""
+        model, controller, specs = flawed_case()
+        checker = ModelChecker(memo=BuchiMemo(), result_cache_size=0)
+        holds = checker.verdicts(model, controller, specs.values(), spec_names=list(specs))
+        tracer = obs.install_tracer(Tracer())
+        report = checker.verify_controller(model, controller, specs.values(), spec_names=list(specs))
         assert [result.holds for result in report.results] == list(holds)
+        violated = sorted(name for name, rule_holds in zip(specs, holds) if not rule_holds)
+        assert violated
         spans = tracer.spans()
-        products = [s for s in spans if s.name == "mc.product" and "rules" in s.attributes]
-        assert [s.attributes["rules"] for s in products] == [len(specs)] * 2
-        checks = [s.attributes["spec"] for s in spans if s.name == "mc.check"]
-        # Each call checks every rule once; a violated rule's counterexample
-        # search in verify_controller emits its check, not the shared pass.
-        assert sorted(checks) == sorted(list(specs) * 2)
-        profile = per_spec_profile(spans)
-        assert all(profile[name]["checks"] == 2 for name in specs)
+        assert [s.name for s in spans].count("mc.build_model") == 1
+        assert [s.attributes for s in spans if s.name == "mc.product" and "rules" in s.attributes] == [
+            {"rules": len(specs)}
+        ]
+        for name in ("mc.product", "mc.check"):
+            searched = [s.attributes["spec"] for s in spans if s.name == name and "spec" in s.attributes]
+            assert sorted(searched) == violated, name
 
     def test_an_empty_rule_book_builds_no_product(self):
         task = task_by_name("turn_left_unprotected")
@@ -132,31 +160,16 @@ class TestConstructSpans:
         assert checker.verify_controller(task.model(), controller, []).results == ()
         assert tracer.spans() == []
 
-    def test_verdict_reuse_emits_check_cached_per_spec(self):
+    def test_verdict_reuse_through_a_verifier_records_no_span(self):
+        """A second response with an already-checked structure is answered
+        from the verdict cache: no product is rebuilt and nothing recorded."""
         task = task_by_name("turn_left_unprotected")
         model = task.model()
         text = response_templates(task.name, "compliant")[0]
-        specs = all_specifications()
-        verifier = FormalVerifier(specs)
+        verifier = FormalVerifier(all_specifications())
         tracer = obs.install_tracer(Tracer())
         verifier.verify_response(model, text, task=task.name)
+        first = tracer.spans()
+        assert [s.name for s in first].count("mc.build_model") == 1
         verifier.verify_response(model, text.upper(), task="same_structure")
-        names = [s.name for s in tracer.spans()]
-        assert names.count("mc.build_model") == 1
-        cached = [s.attributes["spec"] for s in tracer.spans() if s.name == "mc.check_cached"]
-        assert cached == list(specs)
-        profile = per_spec_profile(tracer.spans())
-        assert all(profile[name]["cache_hits"] >= 1 for name in specs)
-
-    def test_profile_counts_cache_hits_and_cached_checks(self):
-        tracer = obs.install_tracer(Tracer())
-        memo = BuchiMemo()
-        kripke = simple_kripke()
-        formula = parse_ltl("G a")
-        ModelChecker(memo=memo).check(kripke, formula, name="phi")
-        ModelChecker(memo=memo).check(kripke, formula, name="phi")
-        profile = per_spec_profile(tracer.spans())
-        entry = profile["phi"]
-        assert entry["checks"] == 2
-        assert entry["cache_hits"] == 1
-        assert entry["construct_cached"] >= 0.0
+        assert tracer.spans() == first

@@ -50,10 +50,15 @@ class TestScoringParity:
         assert traced == untraced
         batches = [s for s in tracer.spans() if s.name == "serving.score_batch"]
         assert [s.attributes for s in batches] == [{"jobs": len(_jobs())}]
-        # The traced run recorded real verification work (the simulator
-        # behind empirical scores records no spans).
-        specs = {s.attributes.get("spec") for s in tracer.spans() if s.name == "mc.check"}
-        assert specs == (set() if feedback.use_empirical else set(core_specifications()))
+        # The traced run recorded real verification work: each structure's
+        # shared pass over every rule (the simulator behind empirical scores
+        # records no spans).
+        checker = [s for s in tracer.spans() if s.name.startswith("mc.")]
+        if feedback.use_empirical:
+            assert checker == []
+        else:
+            products = [s.attributes for s in checker if s.name == "mc.product"]
+            assert products and all(p == {"rules": len(core_specifications())} for p in products)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +101,7 @@ class TestPipelineParity:
         timestamps = [e["ts"] for e in document["traceEvents"]]
         assert timestamps == sorted(timestamps)
         names = {e["name"] for e in document["traceEvents"]}
-        assert {"pipeline.pretrain", "pipeline.train", "serving.score_batch", "mc.check"} <= names
+        assert {"pipeline.pretrain", "pipeline.train", "serving.score_batch", "mc.product"} <= names
         metrics = document["otherData"]["metrics"]
         assert metrics["serving"]["jobs"] > 0
 
@@ -136,7 +141,9 @@ class TestPipelineParity:
         """One ``train.forward`` and one ``train.backward`` per length group,
         each directly inside its ``pretrain.step`` or ``dpo.step``; a step's
         groups cover exactly the batch's rows that have a target, each at a
-        width the model can run."""
+        width the model can run.  Each process runs its groups in plan order,
+        forward and backward alike, so rows match per (step, shard); across
+        the two processes spans are in start order, which may differ."""
         result, trace_path = pipeline_parity[True]
         spans = spans_from_trace(load_chrome_trace(trace_path))
         by_id = {s.span_id: s for s in spans}
@@ -147,13 +154,15 @@ class TestPipelineParity:
                 step = by_id[span.parent_id]
                 assert step.name in ("pretrain.step", "dpo.step") and span.category == "train"
                 assert 1 <= span.attributes["width"] < result.pretrain_result.model.config.max_seq_len
-                step_rows = rows[span.name].setdefault(span.parent_id, [])
+                step_rows = rows[span.name].setdefault((span.parent_id, span.attributes["shard"]), [])
                 step_rows.append(span.attributes["rows"])
         assert rows["train.forward"] == rows["train.backward"]
-        per_step = {by_id[step].name: [] for step in rows["train.forward"]}
-        steps = sorted(rows["train.forward"], key=lambda step: by_id[step].start_ns)
-        for step in steps:
-            per_step[by_id[step].name].append(sum(rows["train.forward"][step]))
+        covered: dict = {}
+        for (step, _), shard_rows in rows["train.forward"].items():
+            covered[step] = covered.get(step, 0) + sum(shard_rows)
+        per_step = {by_id[step].name: [] for step in covered}
+        for step in sorted(covered, key=lambda step: by_id[step].start_ns):
+            per_step[by_id[step].name].append(covered[step])
         # Every pretraining document and every DPO response has a target.
         assert per_step["pretrain.step"] == [config.pretrain.batch_size] * config.pretrain.num_steps
         pairs = result.dpo_result.throughput["pairs"] // config.dpo.num_epochs
