@@ -12,10 +12,10 @@ quickstart; see ``docs/serving.md`` for the architecture behind it):
    (including the highway-merge task) and scored in one ``repro-serve``
    invocation, in which each duplicated response verifies once.
 2. *Python submission API* — the same workload is scored through
-   ``FeedbackService.submit_batch``: batches are queued on the service's own
-   :class:`~repro.serving.scheduler.Dispatcher` and their handles drained in
-   submission order, each batch's scores read as soon as it is done.  (The
-   pipeline itself calls the synchronous ``score_batch`` path.)
+   ``FeedbackService.submit_batch``: batches are queued, and collecting each
+   handle in submission order scores that batch on this thread, so each
+   batch's scores can be used before the next one is scored.  (The pipeline
+   itself calls the synchronous ``score_batch`` path.)
 """
 
 from __future__ import annotations
@@ -52,26 +52,26 @@ def demo_cli(workdir: Path) -> None:
 
 
 def demo_submit() -> None:
-    """The Python-side submission API: submit_batch on the service's dispatcher."""
+    """The Python-side submission API: submit_batch, then collect in order."""
     from repro.core.config import FeedbackConfig
     from repro.driving import all_specifications
     from repro.serving import FeedbackService
 
-    print("\n== submission API (submit_batch on the service's dispatcher) ==", file=sys.stderr)
-    # The service starts its dispatcher thread on the first submit_batch and
-    # closes it when the `with` block ends.
+    print("\n== submission API (submit_batch, collected in order) ==", file=sys.stderr)
+    # The service starts no thread; closing it at the end of the `with` block
+    # scores anything still queued.
     with FeedbackService(all_specifications(), feedback=FeedbackConfig()) as service:
-        # Submit one batch per task; each call returns a PendingBatch future
-        # handle immediately.
+        # Submit one batch per task; each call queues the batch and returns a
+        # PendingBatch handle at once.
         handles = []
         for task in _demo_tasks():
             responses = list(response_templates(task.name, "compliant"))
             responses += list(response_templates(task.name, "flawed"))
             handles.append((task.name, service.submit_responses(task, responses)))
 
-        # The dispatcher runs a service's batches in submission order, so
-        # draining the handles in that order works on each batch as soon as
-        # it is scored.
+        # Collecting a handle scores the queued batches up to and including
+        # its own, in submission order, so draining the handles in that order
+        # scores one batch per result() call.
         for name, handle in handles:
             scores = handle.result()
             print(

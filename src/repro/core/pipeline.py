@@ -331,7 +331,7 @@ class DPOAFPipeline:
 
         ``run()`` leaves the pipeline reusable; call this — or use the
         pipeline as a context manager — when done.  The pipeline scores on
-        the calling thread, so it starts no dispatcher thread of its own.
+        the calling thread, and its service starts no thread.
         """
         try:
             self.serving.close()

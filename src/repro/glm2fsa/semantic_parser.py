@@ -13,10 +13,15 @@ and produces :class:`~repro.glm2fsa.grammar.ObserveStep`,
 :class:`~repro.glm2fsa.grammar.ActionStep` objects.  Raw (unaligned) responses
 are accepted too: they are passed through the aligner first, mirroring the
 paper's two-stage prompting (steps, then alignment).
+
+Sampled responses reuse their steps, so :func:`parse_response` parses each
+distinct line once per process, in a bounded LRU (:data:`STEP_MEMO_SIZE`);
+:func:`parse_step` and the aligner are not memoized.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 from repro.driving.propositions import DRIVING_ACTIONS
@@ -33,6 +38,8 @@ from repro.glm2fsa.grammar import (
 )
 
 _NUMBER_PREFIX_RE = re.compile(r"^\d+[.)]\s*")
+#: Distinct ``(line, aligned)`` reads the parse memo keeps, as the service LRU.
+STEP_MEMO_SIZE = 4096
 _ACTIONS = set(DRIVING_ACTIONS)
 #: The first action or ``observe`` token, longest alternative first.
 _CONSEQUENCE_RE = re.compile(r"\b(" + "|".join(sorted(_ACTIONS | {"observe"}, key=len, reverse=True)) + r")\b")
@@ -108,20 +115,28 @@ def parse_step(text: str, *, aligned: bool = False) -> Step:
     return parse_aligned_step(canonical)
 
 
+@functools.lru_cache(maxsize=STEP_MEMO_SIZE)
+def _parsed_step(line: str, aligned: bool) -> Step | None:
+    """``parse_step(line, aligned=aligned)``, or None where ``line`` cannot be aligned."""
+    try:
+        return parse_step(line, aligned=aligned)
+    except AlignmentError:
+        return None
+
+
 def parse_response(text: str, *, task: str = "", aligned: bool = False) -> ParsedResponse:
     """Parse a whole numbered response into a :class:`ParsedResponse`.
 
     Lines that cannot be aligned are skipped (the paper notes alignment can
     fail; an unalignable step simply contributes nothing to the controller,
-    which typically lowers the verification score of that response).
+    which typically lowers the verification score of that response).  Each
+    distinct line is parsed once per process and its frozen step shared.
     """
     steps = []
     for line in text.splitlines():
         stripped = strip_numbering(line)
-        if not stripped:
-            continue
-        try:
-            steps.append(parse_step(stripped, aligned=aligned))
-        except AlignmentError:
-            continue
+        if stripped:
+            step = _parsed_step(stripped, aligned)
+            if step is not None:
+                steps.append(step)
     return ParsedResponse(task=task, steps=steps, raw_text=text)

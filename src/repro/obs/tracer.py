@@ -17,7 +17,7 @@ through the module-level :func:`span` helper, which delegates to the
 
 Nesting is tracked per thread: a span opened while another span is open on
 the same thread records that span as its parent.  Spans opened on different
-threads (a service's dispatcher thread, say) are roots of their own
+threads (the jobs daemon's dispatcher thread, say) are roots of their own
 thread's tree, distinguishable by ``tid``.
 
 Crossing a process boundary

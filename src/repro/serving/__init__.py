@@ -25,16 +25,13 @@ This package turns it into a standalone service with four layers:
     back in deterministic submission order.  World models, formal verifiers
     and empirical evaluators are constructed once per scenario, not once per
     response.  Besides synchronous ``score_batch`` (what the pipeline and the
-    one-shot CLI call), ``submit_batch`` queues a batch on a dispatcher
-    thread and returns a :class:`~repro.serving.scheduler.PendingBatch`
-    future handle immediately; batches execute in submission order, so
-    scores stay bitwise-identical to the synchronous path.  Each service
-    owns its dispatch thread, a
-    :class:`~repro.serving.scheduler.Dispatcher`, which runs each key's
-    calls in submission order and rotates round-robin between keys (the
-    jobs daemon's per-client fairness).  A service owns that thread once
-    ``submit_batch`` is used; release it with ``close()`` or a ``with``
-    block.
+    one-shot CLI call), ``submit_batch`` queues a batch and returns a
+    :class:`~repro.serving.scheduler.PendingBatch` handle; collecting it
+    scores the queued batches in submission order on the collecting
+    thread, so scores stay bitwise-identical to the synchronous path.  A
+    service starts no thread.  The jobs daemon's
+    :class:`~repro.serving.scheduler.Dispatcher` runs each key's calls in
+    submission order and rotates round-robin between keys.
 ``metrics``
     Throughput / latency / hit-rate telemetry
     (:class:`~repro.serving.metrics.ServingMetrics`), surfaced on

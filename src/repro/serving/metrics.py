@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 class ServingMetrics:
     """Accumulated telemetry for batched feedback scoring.
 
-    Mutation is lock-guarded: batches recorded on the dispatcher thread and
-    on direct ``score_batch`` callers fold into the same counters, so
-    unsynchronised ``+=`` updates could lose increments.  ``snapshot()``
-    takes the same lock, so it never observes a batch half-recorded.
+    Mutation is lock-guarded: batches recorded on any thread that calls
+    ``score_batch`` fold into the same counters, so unsynchronised ``+=``
+    updates could lose increments.  ``snapshot()`` takes the same lock, so
+    it never observes a batch half-recorded.
     """
 
     batches: int = 0

@@ -10,26 +10,19 @@ verifiers and empirical evaluators are built once per scenario and reused
 across every batch.  The cache lives in memory for the service's lifetime;
 nothing is persisted.
 
-Two submission styles share one execution path:
+Two submission styles share one execution path, and neither starts a thread:
 
 * :meth:`FeedbackService.score_batch` — synchronous, returns scores in
   submission order (the reference API, and the one the pipeline calls);
-* :meth:`FeedbackService.submit_batch` — the batch is queued on a single
-  dispatcher thread and a :class:`PendingBatch` future handle is returned
-  immediately.  Batches are *executed* strictly in submission order on the
-  one dispatcher thread, so the cache evolves exactly as it would under
-  sequential ``score_batch`` calls — submitted scores are bitwise-identical
-  to the synchronous ones, and draining handles in submission order is
-  draining them in completion order.
+* :meth:`FeedbackService.submit_batch` — the batch is queued and a
+  :class:`PendingBatch` handle is returned at once.  Collecting a handle
+  scores every batch queued up to and including it, oldest first, each as
+  one ``score_batch`` call on the collecting thread, so submitted scores are
+  bitwise-identical to the synchronous ones.
 
-Each service lazily creates, and owns, its :class:`Dispatcher`.  The
-dispatcher runs the calls submitted under one key strictly in submission
-order and rotates round-robin between keys; the jobs daemon builds its own
-and submits each client's jobs under a per-client key, so a chatty client
-cannot starve another.
-
-A service owns a thread once ``submit_batch`` is used; release it with
-:meth:`FeedbackService.close` or by using the service as a context manager.
+:class:`Dispatcher` is the jobs daemon's single-threaded executor: it runs
+the calls submitted under one key strictly in submission order and rotates
+round-robin between keys, so a chatty client cannot starve another.
 """
 
 from __future__ import annotations
@@ -38,6 +31,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -172,27 +166,36 @@ def run_serial(scorer: ResponseScorer, jobs: Sequence) -> list:
 
 
 class PendingBatch:
-    """Future handle for a batch submitted with :meth:`FeedbackService.submit_batch`.
+    """Handle for a batch queued with :meth:`FeedbackService.submit_batch`.
 
-    A thin, read-only wrapper over a :class:`concurrent.futures.Future` whose
-    result is the batch's score list in submission order — exactly what
-    :meth:`FeedbackService.score_batch` would have returned.
+    Nothing is scored at submission.  :meth:`result` (or :meth:`exception`)
+    scores, on the calling thread, every batch queued up to and including
+    this one, oldest first, each as one :meth:`FeedbackService.score_batch`
+    call.  The result is the batch's score list in submission order —
+    exactly what ``score_batch`` would have returned.
     """
 
-    def __init__(self, jobs: Sequence[FeedbackJob], future: Future):
+    def __init__(self, jobs: Sequence[FeedbackJob], future: Future, collect):
         self.jobs = list(jobs)
         self._future = future
+        self._collect = collect
 
     def result(self, timeout: float | None = None) -> list:
-        """Block until the batch is scored and return the scores."""
-        return self._future.result(timeout)
+        """Score the queue through this batch and return its scores.
+
+        ``timeout`` bounds only the wait for another thread scoring batches
+        ahead of this one, then raises ``TimeoutError``.
+        """
+        self._collect(self._future, timeout)
+        return self._future.result()
 
     def exception(self, timeout: float | None = None):
-        """The exception the batch raised, or None once it scored cleanly."""
-        return self._future.exception(timeout)
+        """Score as :meth:`result` does; the batch's exception, or None."""
+        self._collect(self._future, timeout)
+        return self._future.exception()
 
     def done(self) -> bool:
-        """Whether the batch has resolved (scored or failed); never blocks."""
+        """Whether the batch has been scored (or failed); never blocks or scores."""
         return self._future.done()
 
     def __len__(self) -> int:
@@ -203,19 +206,16 @@ class Dispatcher:
     """A single-threaded executor, round-robin fair between submission keys.
 
     One worker thread runs every submitted call.  Calls submitted under the
-    same key run strictly in submission order, which is what keeps a
-    service's submitted scores bitwise-identical to sequential
-    ``score_batch`` calls.  Between keys, admission is **round-robin**, not
-    FIFO: each key owns a queue, and the thread takes one call from each
-    non-empty queue in rotation.  A key that has queued a hundred calls
-    therefore delays another key's next call by at most one, not a hundred.
+    same key run strictly in submission order.  Between keys, admission is
+    **round-robin**, not FIFO: each key owns a queue, and the thread takes
+    one call from each non-empty queue in rotation.  A key that has queued a
+    hundred calls therefore delays another key's next call by at most one,
+    not a hundred.
 
-    A :class:`FeedbackService` lazily creates its own dispatcher and closes
-    it with the service.  The jobs daemon builds one and submits each
-    client's jobs under a per-client key, which makes this rotation its
-    cross-client fairness.  ``close()`` (or a ``with`` block) waits for
-    everything already submitted, then rejects new submissions with
-    ``RuntimeError``.
+    The jobs daemon builds one and submits each client's jobs under a
+    per-client key, which makes this rotation its cross-client fairness.
+    ``close()`` (or a ``with`` block) waits for everything already
+    submitted, then rejects new submissions with ``RuntimeError``.
     """
 
     def __init__(self, *, name: str = "feedback-dispatch"):
@@ -229,12 +229,6 @@ class Dispatcher:
         self._closed = False
 
     # ------------------------------------------------------------------ #
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has run; a closed dispatcher rejects submits."""
-        with self._lock:
-            return self._closed
-
     @property
     def queued_batches(self) -> int:
         """Batches admitted but not yet started by the worker thread."""
@@ -377,15 +371,12 @@ class FeedbackService:
         )
         self.metrics = ServingMetrics()
         self.cache = FeedbackCache(max_entries=self.config.cache_size)
-        # One dispatcher for submitted batches, created on the first submit.
-        # The lock serialises score_batch bodies so direct calls and
-        # dispatcher-thread calls can interleave without racing the cache or
-        # the metrics.
-        self._dispatcher: Dispatcher | None = None
-        self._batch_lock = threading.Lock()
-        # Guards lazy dispatcher creation and the closed flag, so concurrent
-        # submit_batch callers share one dispatcher (order determinism) and
-        # submit can never race past close() into a shut-down executor.
+        # Submitted (jobs, future) pairs wait in the queue until collected.
+        # The batch lock runs one score_batch at a time; a collector holds it
+        # across the batches it scores, so they run in submission order.  The
+        # submit lock keeps submits from queueing after close().
+        self._queue: deque = deque()
+        self._batch_lock = threading.RLock()
         self._submit_lock = threading.Lock()
         self._closed = False
 
@@ -430,8 +421,8 @@ class FeedbackService:
         Deduplicates by ``(scenario, canonical response)``, answers hits from
         the cache, scores the remaining misses inline, and records telemetry.
         Disabled serving degenerates to a serial loop with no cache — the
-        reference path.  Thread-safe: batches from direct callers and from
-        the dispatcher execute one at a time.
+        reference path.  Thread-safe: batches execute one at a time.  A
+        direct call does not score batches queued by :meth:`submit_batch`.
         """
         jobs = list(jobs)
         with self._batch_lock, obs.span(
@@ -500,23 +491,21 @@ class FeedbackService:
     # Submission
     # ------------------------------------------------------------------ #
     def submit_batch(self, jobs: Sequence[FeedbackJob]) -> PendingBatch:
-        """Queue ``jobs`` for scoring and return a :class:`PendingBatch`.
+        """Queue ``jobs`` and return a :class:`PendingBatch`; nothing is scored yet.
 
-        Batches are executed in submission order on the service's own
-        :class:`Dispatcher` (a single thread), so interleaved
-        ``submit_batch`` / ``score_batch`` calls see the cache evolve exactly
-        as sequential ``score_batch`` calls would — the handle's ``result()``
-        is bitwise-identical to the synchronous score list.  The caller is
-        free to keep working until it asks the handle for the scores.
+        Queued batches are scored in submission order, each as one
+        :meth:`score_batch` call, on the thread that collects a handle or
+        closes the service, so the handle's ``result()`` is
+        bitwise-identical to the synchronous score list.  Raises
+        ``RuntimeError`` after :meth:`close`.
         """
         jobs = list(jobs)
+        future: Future = Future()
         with self._submit_lock:
             if self._closed:
                 raise RuntimeError("submit_batch on a closed FeedbackService")
-            if self._dispatcher is None:
-                self._dispatcher = Dispatcher()
-            future = self._dispatcher.submit(self.score_batch, jobs)
-        return PendingBatch(jobs, future)
+            self._queue.append((jobs, future))
+        return PendingBatch(jobs, future, self._collect)
 
     def submit_responses(self, task, responses: Iterable[str]) -> PendingBatch:
         """Submitting counterpart of :meth:`score_responses`."""
@@ -524,23 +513,40 @@ class FeedbackService:
             [FeedbackJob(task=task.name, scenario=task.scenario, response=r) for r in responses]
         )
 
+    def _collect(self, future: Future, timeout: float | None) -> None:
+        """Score queued batches on this thread until ``future`` resolves;
+        ``timeout`` bounds the wait for a thread scoring the batches ahead."""
+        if not self._batch_lock.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
+            raise FutureTimeoutError("another thread is still scoring the batches ahead")
+        try:
+            self._score_queued_locked(future)
+        finally:
+            self._batch_lock.release()
+
+    def _score_queued_locked(self, until: Future | None) -> None:
+        """Score queued batches, oldest first, through ``until`` (None: all)."""
+        while self._queue and (until is None or not until.done()):
+            jobs, future = self._queue.popleft()
+            try:
+                future.set_result(self.score_batch(jobs))
+            except BaseException as exc:  # the batch's handle reports it
+                future.set_exception(exc)
+                if not isinstance(exc, Exception):
+                    raise
+
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Drain submitted batches and stop the dispatcher thread.
+        """Reject further submits, then score every queued batch on this thread.
 
-        Closing the service's dispatcher waits for every batch already
-        submitted.  Idempotent; after ``close()`` the synchronous
-        ``score_batch`` path still works but ``submit_batch`` raises.
+        Idempotent; after ``close()`` the synchronous ``score_batch`` path
+        still works but ``submit_batch`` raises.
         """
         with self._submit_lock:
-            if self._closed:
-                return
             self._closed = True
-            dispatcher, self._dispatcher = self._dispatcher, None
-        if dispatcher is not None:
-            dispatcher.close()
+        with self._batch_lock:
+            self._score_queued_locked(None)
 
     def __enter__(self) -> "FeedbackService":
         return self

@@ -1,14 +1,17 @@
 """Submitted-batch tests.
 
 The contract under test: ``submit_batch`` returns scores bitwise-identical to
-the synchronous ``score_batch`` reference, misses are scored inline on the one
-thread that runs the batch and never in another process, and ``close()``
-releases the dispatcher thread while never corrupting results.
+the synchronous ``score_batch`` reference; queued batches are scored in
+submission order, each as one ``score_batch`` call, on the thread that
+collects a handle, and never in another process; and ``close()`` scores what
+is still queued.
 """
 
 import multiprocessing
 import os
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -94,9 +97,9 @@ class TestSubmitBatch:
         service.close()
         assert len(scores) == len(responses)
 
-    def test_concurrent_submitters_share_one_dispatcher(self):
-        """Racing producers must not each spin up a dispatcher (that would
-        break submission-order execution and leak a thread past close())."""
+    def test_concurrent_submitters_share_one_queue(self):
+        """Racing producers queue on the one service: every handle resolves
+        to the scores its own batch has under the reference path."""
         import threading
 
         jobs = _mixed_scenario_jobs()
@@ -115,28 +118,140 @@ class TestSubmitBatch:
             results = [handle.result() for handle in handles]
         assert results == [_reference_scores(batch) for batch in slices]
 
-    def test_submit_batch_scores_through_score_batch_on_the_dispatcher(self, monkeypatch):
-        """Every submitted batch runs as one score_batch call on the one
-        dispatcher thread — the seam a caller wrapping score_batch (a
-        profiler, a probe) relies on."""
-        import threading
-
+    def test_each_submitted_batch_is_one_score_batch_call_on_the_collecting_thread(self, monkeypatch):
+        """Every submitted batch runs as one score_batch call on the thread
+        that collects it — the seam a caller wrapping score_batch (a
+        profiler, a probe) relies on.  Submitting scores nothing."""
         calls = []
         real_score_batch = FeedbackService.score_batch
 
         def recording(self, jobs):
-            calls.append((threading.current_thread(), len(jobs)))
+            calls.append((threading.get_ident(), len(jobs)))
             return real_score_batch(self, jobs)
 
         monkeypatch.setattr(FeedbackService, "score_batch", recording)
         jobs = _mixed_scenario_jobs()
         batches = [jobs[:5], jobs[5:]]
         with _service() as service:
-            for handle in [service.submit_batch(batch) for batch in batches]:
+            handles = [service.submit_batch(batch) for batch in batches]
+            assert calls == [] and not any(handle.done() for handle in handles)
+            for handle in handles:
                 handle.result()
-        assert [size for _, size in calls] == [len(batch) for batch in batches]
-        threads = {thread for thread, _ in calls}
-        assert len(threads) == 1 and threading.main_thread() not in threads
+        assert calls == [(threading.get_ident(), len(batch)) for batch in batches]
+
+    def test_collecting_a_later_handle_scores_the_earlier_ones_first(self, monkeypatch):
+        scored = []
+        real_score_batch = FeedbackService.score_batch
+
+        def recording(self, jobs):
+            scored.append(list(jobs))
+            return real_score_batch(self, jobs)
+
+        monkeypatch.setattr(FeedbackService, "score_batch", recording)
+        jobs = _mixed_scenario_jobs()
+        batches = [jobs[i::4] for i in range(4)]
+        with _service() as sync:
+            expected = [real_score_batch(sync, batch) for batch in batches]
+        with _service() as service:
+            handles = [service.submit_batch(batch) for batch in batches]
+            assert handles[2].result() == expected[2]
+            assert scored == batches[:3]
+            assert [handle.done() for handle in handles] == [True, True, True, False]
+            assert [handle.result() for handle in handles] == expected
+            assert scored == batches
+
+    def test_a_second_collector_waits_for_the_batches_ahead(self):
+        """While one thread scores, another collecting a later batch waits
+        for it; ``timeout`` bounds only that wait."""
+        from concurrent.futures import TimeoutError as FutureTimeoutError
+
+        batches = [_mixed_scenario_jobs()[i::2] for i in range(2)]
+        expected = [_reference_scores(batch) for batch in batches]
+        service = _service()
+        gate, entered = threading.Event(), threading.Event()
+        original = service._scorer.score
+
+        def gated_score(*args):
+            entered.set()
+            assert gate.wait(timeout=30), "the test never released the scoring gate"
+            return original(*args)
+
+        service._scorer.score = gated_score
+        first, second = (service.submit_batch(batch) for batch in batches)
+        collector = threading.Thread(target=first.result)
+        collector.start()
+        try:
+            assert entered.wait(timeout=30)
+            with pytest.raises(FutureTimeoutError):
+                second.result(timeout=0.05)
+            assert not first.done() and not second.done()
+        finally:
+            gate.set()
+            collector.join(timeout=30)
+        assert not collector.is_alive()
+        assert second.result(timeout=30) == expected[1]
+        assert first.result() == expected[0]
+        service.close()
+
+    def test_racing_submitters_and_collectors_score_each_batch_once(self, monkeypatch):
+        """More threads than cores, each submitting and collecting its own
+        batches under a short switch interval: every batch is scored
+        exactly once, one at a time, and each handle returns its own
+        batch's scores."""
+        jobs = _mixed_scenario_jobs()
+        batches = [[jobs[i], jobs[(i * 7) % len(jobs)]] for i in range(len(jobs))]
+        expected = [_reference_scores(batch) for batch in batches]
+        scored, running = [], []
+        real_score_batch = FeedbackService.score_batch
+
+        def recording(self, batch):
+            running.append(batch)
+            assert len(running) == 1, "two batches scored at once"
+            try:
+                scored.append(tuple(batch))
+                return real_score_batch(self, batch)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(FeedbackService, "score_batch", recording)
+        results: dict = {}
+        with _service() as service:
+
+            def client(indices):
+                handles = [(i, service.submit_batch(batches[i])) for i in indices]
+                for i, handle in handles:
+                    results[i] = handle.result(timeout=60)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=client, args=(range(k, len(batches), 6),)) for k in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        assert Counter(scored) == Counter(tuple(batch) for batch in batches)
+        assert [results[i] for i in range(len(batches))] == expected
+
+    def test_a_failing_batch_reports_through_its_own_handle(self, monkeypatch):
+        real_score_batch = FeedbackService.score_batch
+
+        def failing(self, jobs):
+            if len(jobs) == 1:
+                raise ValueError("the one-job batch")
+            return real_score_batch(self, jobs)
+
+        monkeypatch.setattr(FeedbackService, "score_batch", failing)
+        jobs = _mixed_scenario_jobs()
+        with _service() as service:
+            bad, good = service.submit_batch(jobs[:1]), service.submit_batch(jobs[1:])
+            assert good.result() == _reference_scores(jobs[1:])
+            assert isinstance(bad.exception(), ValueError)
+            with pytest.raises(ValueError, match="one-job batch"):
+                bad.result()
 
     def test_submit_responses_matches_score_responses(self):
         task = task_by_name("turn_right_traffic_light")
@@ -192,13 +307,19 @@ class TestInlineScoring:
         assert len(threads) == 15  # 18 jobs, 3 exact duplicates
         assert set(threads) == {threading.get_ident()}
 
-    def test_a_submitted_batch_is_scored_on_the_dispatcher_thread_alone(self):
+    def test_a_submitted_batch_is_scored_on_the_thread_that_collects_it(self):
         jobs = _mixed_scenario_jobs()
+        reference = _reference_scores(jobs)
         with _service() as service:
             threads = _scoring_threads(service)
-            assert service.submit_batch(jobs).result(timeout=60) == _reference_scores(jobs)
+            handle = service.submit_batch(jobs)
+            results = []
+            collector = threading.Thread(target=lambda: results.append(handle.result(timeout=60)))
+            collector.start()
+            collector.join(timeout=60)
+            assert not collector.is_alive() and results == [reference]
         assert len(threads) == 15
-        assert len(set(threads)) == 1 and threads[0] != threading.get_ident()
+        assert set(threads) == {collector.ident} and collector.ident != threading.get_ident()
 
     @pytest.mark.parametrize("submit", [False, True], ids=["score_batch", "submit_batch"])
     def test_scoring_never_starts_a_process(self, monkeypatch, submit):

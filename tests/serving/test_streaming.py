@@ -1,13 +1,13 @@
-"""Pair construction from submitted batches, and the service's Dispatcher.
+"""Pair construction from submitted batches, and the service's queue.
 
 The contracts under test:
 
 * pairs built from ``submit_batch`` handles drained in submission order are
   identical — same pair list, bitwise-identical scores — to pairs built from
   the blocking ``score_batch`` path;
-* every :class:`FeedbackService` owns its :class:`Dispatcher`, and closing
-  the service stops that dispatcher's thread; the pipeline scores on the
-  calling thread and starts none.
+* every :class:`FeedbackService` keeps its own queue of submitted batches,
+  ``close()`` scores that queue and then rejects submits, and no service or
+  pipeline starts a thread.
 """
 
 import threading
@@ -163,56 +163,68 @@ class TestStreamingPairConstruction:
         assert events == [("score", first), ("rank", first), ("score", second), ("rank", second)]
 
 
-class TestServiceDispatcher:
-    def test_each_service_owns_its_dispatcher(self):
-        """Two services never share a dispatcher: closing one stops only its
-        own, and the other keeps serving."""
+class TestServiceQueue:
+    def test_each_service_keeps_its_own_queue(self):
+        """Collecting from one service scores none of another's batches, and
+        closing one leaves the other serving."""
         (task_a, responses_a), (task_b, responses_b) = _task_batches()[:2]
+        jobs_b = [
+            FeedbackJob(task=task_b.name, scenario=task_b.scenario, response=r) for r in responses_b
+        ]
         first, second = _service(), _service()
         try:
             handle_a = first.submit_responses(task_a, responses_a)
             handle_b = second.submit_responses(task_b, responses_b)
-            assert first._dispatcher is not second._dispatcher
-            jobs_b = [
-                FeedbackJob(task=task_b.name, scenario=task_b.scenario, response=r)
-                for r in responses_b
-            ]
             assert handle_b.result() == _reference_scores(jobs_b)
+            assert not handle_a.done() and first.metrics.batches == 0
 
-            first_dispatcher = first._dispatcher
             first.close()
-            assert handle_a.done() and first_dispatcher.closed
-            assert not second._dispatcher.closed
+            assert handle_a.done() and second.metrics.batches == 1
             assert second.submit_responses(task_b, responses_b).result() == _reference_scores(jobs_b)
         finally:
             first.close()
             second.close()
 
+    def test_close_scores_queued_batches_then_rejects_submits(self):
+        batches = _distinct_miss_batches(2)
+        service = _service()
+        handles = [service.submit_batch(batch) for batch in batches]
+        threads = []
+        score = service._scorer.score
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return score(*args)
+
+        service._scorer.score = recording
+        service.close()
+        assert all(handle.done() for handle in handles)
+        assert set(threads) == {threading.get_ident()} and len(threads) == 6
+        assert [handle.result() for handle in handles] == [_reference_scores(batch) for batch in batches]
+        with pytest.raises(RuntimeError):
+            service.submit_batch(batches[0])
+
+    def test_submitting_collecting_and_closing_start_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"the service started thread {thread.name!r}")
+
+        before = set(threading.enumerate())
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        first, second = _distinct_miss_batches(2)
+        service = _service()
+        collected = service.submit_batch(first).result(timeout=30)
+        queued = service.submit_batch(second)
+        service.close()
+        assert collected == _reference_scores(first) and queued.done()
+        assert set(threading.enumerate()) == before
+
+
+class TestServiceDispatcher:
     def test_closed_dispatcher_rejects_submissions(self):
         dispatcher = Dispatcher()
         dispatcher.close()
         with pytest.raises(RuntimeError):
             dispatcher.submit(lambda: None)
-
-    def test_private_dispatcher_closes_with_its_service(self):
-        service = _service()
-        handle = service.submit_batch(_distinct_miss_batches(1)[0])
-        dispatcher = service._dispatcher
-        assert dispatcher is not None
-        service.close()
-        assert handle.done()
-        assert dispatcher.closed
-
-    def test_close_leaves_no_live_dispatcher_thread(self):
-        before = set(threading.enumerate())
-        service = _service()
-        service.submit_batch(_distinct_miss_batches(1)[0]).result(timeout=30)
-        started = _dispatch_threads(before)
-        assert started, "submit_batch never started a dispatcher thread"
-        service.close()
-        for thread in started:
-            thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in started)
 
     def test_pipeline_starts_no_dispatcher_thread(self):
         """The pipeline scores synchronously: augmenting pairs, and closing,
@@ -230,7 +242,6 @@ class TestServiceDispatcher:
             validation=(),
         ) as pipeline:
             assert pipeline.augment_with_templates([], per_task=2)
-            assert pipeline.serving._dispatcher is None
             assert _dispatch_threads(before) == []
         assert _dispatch_threads(before) == []
 
